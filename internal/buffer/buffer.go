@@ -8,7 +8,12 @@
 // is that callback which decides between classic UNDO logging and the
 // paper's RDA no-logging write (Section 4.1).
 //
-// Each dirty frame optionally retains its *disk version*: a copy of the
+// A frame owns its page buffers for life: a miss copies the fetched image
+// into them, a write-back refreshes the disk version by copying, and an
+// evicted or discarded frame — buffers, modifier set and all — is what the
+// next miss fills, so a warmed pool allocates nothing per miss.
+//
+// Each frame optionally retains its *disk version*: a copy of the
 // page as currently stored on the array.  Keeping it corresponds to the
 // paper's a=3 small-write cost (the old data needed for the parity
 // read-modify-write is already in memory); dropping it forces the steal
@@ -30,7 +35,6 @@
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"runtime"
@@ -68,7 +72,20 @@ type Frame struct {
 	Residue bool
 
 	pins int // guarded by the pool mutex
-	elem *list.Element
+	// prev and next link the frame into the pool's LRU ring (towards the
+	// most and the least recently used frame); guarded by the pool mutex.
+	prev, next *Frame
+}
+
+// unlink takes the frame out of the LRU ring.
+func (f *Frame) unlink() {
+	f.prev.next, f.next.prev = f.next, f.prev
+}
+
+// linkAfter puts the frame into the LRU ring right behind at.
+func (f *Frame) linkAfter(at *Frame) {
+	f.prev, f.next = at, at.next
+	at.next.prev, at.next = f, f
 }
 
 // Pinned reports whether the frame is currently pinned.  Snapshot only;
@@ -95,7 +112,10 @@ func (f *Frame) ModifierList() []page.TxID {
 // with the pool's internal mutex held).
 type WriteBack func(f *Frame) error
 
-// Fetch loads a page image from the array on a buffer miss.
+// Fetch loads a page image from the array on a buffer miss.  The pool
+// copies the image into the frame's own buffer before it releases its
+// mutex, and misses are serialized by that mutex, so the callback may hand
+// back the same scratch page every time.
 type Fetch func(p page.PageID) (page.Buf, error)
 
 // EvictGuard lets the engine interpose its per-group latches on eviction:
@@ -125,9 +145,9 @@ var (
 type Pool struct {
 	capacity int
 	pageSize int
-	// KeepDiskVersions controls whether clean fetches retain a disk
-	// version copy alongside Data (see package comment).  Set once at
-	// construction time, before the pool is shared.
+	// KeepDiskVersions controls whether frames retain a disk version copy
+	// alongside Data (see package comment).  It is read at every miss and
+	// write-back, under the pool mutex; set it before the pool is shared.
 	KeepDiskVersions bool
 
 	// mu guards frames, lru, pin counts and stats.  It is held across
@@ -136,7 +156,8 @@ type Pool struct {
 	// force-flushing disjoint groups overlap their I/O.
 	mu     sync.Mutex
 	frames map[page.PageID]*Frame
-	lru    *list.List // front = most recently used; values are *Frame
+	lru    Frame    // ring sentinel: lru.next is the most, lru.prev the least recently used frame
+	free   []*Frame // frames that left the pool, reused by the next misses
 	stats  Stats
 
 	writeBack WriteBack
@@ -149,15 +170,16 @@ func New(capacity, pageSize int, fetch Fetch, writeBack WriteBack) *Pool {
 	if capacity < 1 {
 		panic("buffer: capacity must be positive")
 	}
-	return &Pool{
+	bp := &Pool{
 		capacity:         capacity,
 		pageSize:         pageSize,
 		KeepDiskVersions: true,
 		frames:           make(map[page.PageID]*Frame, capacity),
-		lru:              list.New(),
 		fetch:            fetch,
 		writeBack:        writeBack,
 	}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	return bp
 }
 
 // Capacity returns B, the number of frames.
@@ -209,8 +231,8 @@ func (bp *Pool) Resident() []page.PageID {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	out := make([]page.PageID, 0, len(bp.frames))
-	for e := bp.lru.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(*Frame).Page)
+	for f := bp.lru.next; f != &bp.lru; f = f.next {
+		out = append(out, f.Page)
 	}
 	return out
 }
@@ -246,7 +268,8 @@ func (bp *Pool) Get(p page.PageID, guard EvictGuard) (*Frame, error) {
 	for {
 		if f, ok := bp.frames[p]; ok {
 			bp.stats.Hits++
-			bp.lru.MoveToFront(f.elem)
+			f.unlink()
+			f.linkAfter(&bp.lru)
 			f.pins++
 			return f, nil
 		}
@@ -268,16 +291,20 @@ func (bp *Pool) Get(p page.PageID, guard EvictGuard) (*Frame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("buffer: fetch page %d: %w", p, err)
 	}
-	f := &Frame{
-		Page:      p,
-		Data:      data,
-		Modifiers: make(map[page.TxID]struct{}),
-		pins:      1,
+	if len(data) != bp.pageSize {
+		return nil, fmt.Errorf("buffer: fetch page %d: %w", p, page.ErrBadSize)
 	}
-	if bp.KeepDiskVersions {
-		f.DiskVersion = data.Clone()
+	var f *Frame
+	if n := len(bp.free); n > 0 {
+		f, bp.free = bp.free[n-1], bp.free[:n-1]
+		f.reset() // a discarded frame may have left dirty
+	} else {
+		f = &Frame{Data: page.NewBuf(bp.pageSize), Modifiers: make(map[page.TxID]struct{})}
 	}
-	f.elem = bp.lru.PushFront(f)
+	f.Page, f.pins = p, 1
+	copy(f.Data, data)
+	bp.syncDiskVersion(f)
+	f.linkAfter(&bp.lru)
 	bp.frames[p] = f
 	return f, nil
 }
@@ -288,8 +315,7 @@ func (bp *Pool) Get(p page.PageID, guard EvictGuard) (*Frame, error) {
 // guard and none could be evicted — the caller should yield and retry.
 // ErrNoFrames means every frame is pinned regardless of the guard.
 func (bp *Pool) evictOne(guard EvictGuard) (blocked bool, err error) {
-	for e := bp.lru.Back(); e != nil; e = e.Prev() {
-		f := e.Value.(*Frame)
+	for f := bp.lru.prev; f != &bp.lru; f = f.prev {
 		if f.pins > 0 {
 			continue
 		}
@@ -347,19 +373,47 @@ func (bp *Pool) MarkDirty(p page.PageID, tx page.TxID) {
 // markClean resets the frame's dirty bookkeeping after a successful write
 // back and refreshes the disk version.
 func (bp *Pool) markClean(f *Frame) {
-	f.Dirty = false
-	f.Residue = false
-	f.Modifiers = make(map[page.TxID]struct{})
-	if bp.KeepDiskVersions {
-		f.DiskVersion = f.Data.Clone()
-	} else {
+	f.reset()
+	bp.syncDiskVersion(f)
+}
+
+// syncDiskVersion makes the frame's disk version equal its Data, in a
+// buffer the frame then keeps for life — or drops it when the pool retains
+// none, so KeepDiskVersions is obeyed whenever it is read, recycled frames
+// included.
+func (bp *Pool) syncDiskVersion(f *Frame) {
+	switch {
+	case !bp.KeepDiskVersions:
 		f.DiskVersion = nil
+	case f.DiskVersion == nil:
+		f.DiskVersion = f.Data.Clone()
+	default:
+		copy(f.DiskVersion, f.Data)
 	}
 }
 
+// reset clears the frame's dirty bookkeeping.
+func (f *Frame) reset() {
+	f.Dirty = false
+	f.Residue = false
+	if len(f.Modifiers) > 0 {
+		// A fresh map, not clear(): an emptied map keeps its slots, and a
+		// large pool of mostly-clean frames would hold them for nothing.
+		f.Modifiers = make(map[page.TxID]struct{})
+	}
+}
+
+// remove takes the frame out of the pool and queues it for the next miss,
+// which overwrites its buffers.  Nothing may hold the frame past this
+// point: a pinned frame is never evicted, and the engine discards only
+// under the group latch every other user of the frame would need.
 func (bp *Pool) remove(f *Frame) {
-	bp.lru.Remove(f.elem)
+	if f.pins != 0 {
+		panic(fmt.Sprintf("buffer: page %d leaves the pool with %d pin(s)", f.Page, f.pins))
+	}
+	f.unlink()
 	delete(bp.frames, f.Page)
+	bp.free = append(bp.free, f)
 }
 
 // FlushPage writes page p back if resident and dirty, leaving it resident
@@ -492,10 +546,8 @@ func (bp *Pool) RestoreDiskVersion(p page.PageID) bool {
 	if !ok || f.DiskVersion == nil {
 		return false
 	}
-	f.Data = f.DiskVersion.Clone()
-	f.Dirty = false
-	f.Residue = false
-	f.Modifiers = make(map[page.TxID]struct{})
+	copy(f.Data, f.DiskVersion)
+	f.reset()
 	return true
 }
 
@@ -505,17 +557,5 @@ func (bp *Pool) DropAll() {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	bp.frames = make(map[page.PageID]*Frame, bp.capacity)
-	bp.lru.Init()
-}
-
-// DropDiskVersions forgets every frame's disk version (entering the
-// paper's a=4 regime, e.g. at EOT under ¬FORCE).
-func (bp *Pool) DropDiskVersions(pages []page.PageID) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	for _, p := range pages {
-		if f, ok := bp.frames[p]; ok && !f.Dirty {
-			f.DiskVersion = nil
-		}
-	}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
 }

@@ -197,6 +197,50 @@ func TestKeepDiskVersionsOff(t *testing.T) {
 	bp.Unpin(1)
 }
 
+func TestKeepDiskVersionsToggleReachesRecycledFrames(t *testing.T) {
+	// A frame that was given a disk version keeps its buffer through
+	// eviction; once the pool stops retaining them, the miss that recycles
+	// the frame must drop it rather than serve a stale copy.
+	s := newFakeStore(10, 64)
+	bp := newPool(s, 1)
+	if _, err := bp.Get(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(1)
+	bp.KeepDiskVersions = false
+	f, err := bp.Get(2, nil) // evicts page 1 and reuses its frame
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.DiskVersion != nil {
+		t.Fatalf("recycled frame kept a disk version after retention was switched off")
+	}
+	bp.Unpin(2)
+	bp.KeepDiskVersions = true
+	if f, err = bp.Get(3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if f.DiskVersion == nil || f.DiskVersion[0] != 3 {
+		t.Fatalf("disk version not restored after retention was switched back on")
+	}
+}
+
+func TestDiscardOfPinnedFramePanics(t *testing.T) {
+	// A removed frame is refilled by the next miss, so a holder's pin
+	// must stop it leaving the pool.
+	s := newFakeStore(10, 64)
+	bp := newPool(s, 4)
+	if _, err := bp.Get(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Discard of a pinned frame must panic")
+		}
+	}()
+	bp.Discard(1)
+}
+
 func TestRestoreDiskVersion(t *testing.T) {
 	s := newFakeStore(10, 64)
 	bp := newPool(s, 4)

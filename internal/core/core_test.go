@@ -66,7 +66,7 @@ func TestStealNoLogAndAbortUndo(t *testing.T) {
 		t.Fatalf("group must be dirty after StealNoLog")
 	}
 	// On-disk contents are the uncommitted version.
-	got, err := s.ReadPage(p)
+	got, err := s.ReadPage(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStealNoLogAndAbortUndo(t *testing.T) {
 	if s.Dirty.IsDirty(g) {
 		t.Fatalf("group must be clean after undo")
 	}
-	got, err = s.ReadPage(p)
+	got, err = s.ReadPage(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestWriteLoggedToDirtyGroupUpdatesBothTwins(t *testing.T) {
 		t.Fatalf("p1 undo corrupted by the logged write of p2")
 	}
 	// p2 keeps its logged new version.
-	got, err := s.ReadPage(p2)
+	got, err := s.ReadPage(p2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestScanWorkingTwinsAndCrashUndo(t *testing.T) {
 	// Losers' pages are back to committed contents; winner's page keeps
 	// its new contents.
 	for p, want := range committedData {
-		got, err := s.ReadPage(p)
+		got, err := s.ReadPage(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

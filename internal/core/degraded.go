@@ -220,6 +220,20 @@ func (s *Store) DegradedCounters() DegradedStats {
 	}
 }
 
+// ResetCounters zeroes the degraded-serving and integrity counters.
+// RebuiltGroups stays: it is the rebuild's progress since the last disk
+// loss, which the engine reads to tell a dead replacement drive from a
+// fresh one, and EnterDegraded resets it.
+func (s *Store) ResetCounters() {
+	for _, c := range []*atomic.Uint64{
+		&s.deg.degradedReads, &s.deg.degradedWrites, &s.deg.parityRepairs,
+		&s.deg.corruptDetected, &s.deg.readRepairs, &s.deg.unrecoverable,
+		&s.deg.scrubbedGroups, &s.deg.scrubRepairs,
+	} {
+		c.Store(0)
+	}
+}
+
 // GroupDegraded reports whether group g currently has an unreachable
 // block: the store is degraded, the group has not been restored by the
 // rebuild worker, and one of its blocks lives on a down disk.
@@ -350,7 +364,9 @@ func (s *Store) describingTwin(g page.GroupID) int {
 // when the P slot is itself dead or corrupt), both at two — so the
 // transfer counts of the classic single-loss paths are unchanged by the
 // Q machinery.  Erasures beyond what the reachable equations can solve
-// surface as ErrUnrecoverableCorruption.
+// surface as ErrUnrecoverableCorruption.  The returned pages are the
+// caller's; the ones it read come from s.Pages, so a caller that is done
+// with them may put them back.
 func (s *Store) SolveGroup(g page.GroupID, twin int) ([]page.Buf, error) {
 	pages := s.Arr.GroupPages(g)
 	vals := make([]page.Buf, len(pages))
@@ -360,7 +376,7 @@ func (s *Store) SolveGroup(g page.GroupID, twin int) ([]page.Buf, error) {
 			missing = append(missing, i)
 			continue
 		}
-		b, _, err := s.Arr.ReadData(p)
+		b, _, err := s.Arr.ReadData(p, s.Pages.Get())
 		if err != nil {
 			if !disk.IsCorrupt(err) {
 				return nil, fmt.Errorf("core: solve group %d: read page %d: %w", g, p, err)
@@ -374,13 +390,9 @@ func (s *Store) SolveGroup(g page.GroupID, twin int) ([]page.Buf, error) {
 	if len(missing) == 0 {
 		return vals, nil
 	}
-	raw := make([][]byte, len(vals))
-	for i, v := range vals {
-		raw[i] = v
-	}
 	var pBuf []byte
 	if s.paritySlotAlive(g, twin) {
-		b, _, err := s.Arr.ReadParity(g, twin)
+		b, _, err := s.Arr.ReadParity(g, twin, s.Pages.Get())
 		switch {
 		case err == nil:
 			pBuf = b
@@ -391,15 +403,23 @@ func (s *Store) SolveGroup(g page.GroupID, twin int) ([]page.Buf, error) {
 		}
 	}
 	if len(missing) == 1 && pBuf != nil {
-		i := missing[0]
-		blocks := append([][]byte{pBuf}, raw[:i]...)
-		blocks = append(blocks, raw[i+1:]...)
-		vals[i] = page.Buf(xorparity.Reconstruct(s.Arr.PageSize(), blocks...))
+		// The lost member is the XOR of P and the survivors: fold them
+		// into the parity page just read, which becomes the answer.
+		for _, v := range vals {
+			if v != nil {
+				xorparity.XorInto(pBuf, v)
+			}
+		}
+		vals[missing[0]] = pBuf
 		return vals, nil
+	}
+	raw := make([][]byte, len(vals))
+	for i, v := range vals {
+		raw[i] = v
 	}
 	var qBuf []byte
 	if s.qSlotAlive(g, twin) {
-		b, _, err := s.Arr.ReadQ(g, twin)
+		b, _, err := s.Arr.ReadQ(g, twin, nil)
 		switch {
 		case err == nil:
 			qBuf = b
@@ -428,15 +448,25 @@ func (s *Store) SolveGroup(g page.GroupID, twin int) ([]page.Buf, error) {
 // readDegraded serves a read of an unreachable data page by on-the-fly
 // reconstruction from the describing index's redundancy equations: P
 // alone for one lost member, P and Q together for two.  Nothing is
-// written back; the rebuild worker restores the block.
-func (s *Store) readDegraded(p page.PageID) (page.Buf, error) {
+// written back; the rebuild worker restores the block.  The image lands
+// in dst when the caller supplied one.
+func (s *Store) readDegraded(p page.PageID, dst page.Buf) (page.Buf, error) {
 	g := s.Arr.GroupOf(p)
 	vals, err := s.SolveGroup(g, s.describingTwin(g))
 	if err != nil {
 		return nil, fmt.Errorf("core: degraded read of page %d: %w", p, err)
 	}
 	s.deg.degradedReads.Add(1)
-	return vals[s.groupIndexOf(g, p)], nil
+	idx := s.groupIndexOf(g, p)
+	got := vals[idx]
+	if len(dst) == len(got) {
+		copy(dst, got)
+		got = dst
+	} else {
+		vals[idx] = nil
+	}
+	s.Pages.Put(vals...)
+	return got, nil
 }
 
 // groupIndexOf returns page p's index within its group's member list —
@@ -503,7 +533,25 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 			othersLost = true
 		}
 	}
-	var vals []page.Buf
+	// The new redundancy is accumulated member by member — P ⊕= D_i,
+	// Q ⊕= g^i·D_i — in pages from s.Pages, and the sibling reads share
+	// one more.
+	hasQ := s.Twins != nil && s.Arr.HasQ()
+	newP := s.Pages.Get()
+	copy(newP, data)
+	var newQ page.Buf
+	if hasQ {
+		newQ = s.Pages.Get()
+		copy(newQ, data)
+		erasure.MulInto(newQ, erasure.Exp(idx))
+	}
+	defer s.Pages.Put(newP, newQ)
+	fold := func(i int, b page.Buf) {
+		xorparity.XorInto(newP, b)
+		if hasQ {
+			erasure.MulAddInto(newQ, b, erasure.Exp(i))
+		}
+	}
 	if othersLost {
 		// A second data member is also gone (double-degraded): its old
 		// value is needed for the wholesale recompute, so solve the whole
@@ -512,26 +560,26 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		if err != nil {
 			return fmt.Errorf("core: degraded write of page %d: %w", p, err)
 		}
-		vals = old
+		for i, b := range old {
+			if i != idx {
+				fold(i, b)
+			}
+		}
+		s.Pages.Put(old...)
 	} else {
-		vals = make([]page.Buf, len(pages))
+		member := s.Pages.Get()
+		defer s.Pages.Put(member)
 		for i, q := range pages {
 			if q == p {
 				continue
 			}
-			b, _, err := s.Arr.ReadData(q)
-			if err != nil {
+			var err error
+			if member, _, err = s.Arr.ReadData(q, member); err != nil {
 				return fmt.Errorf("core: degraded parity of group %d: read page %d: %w", g, q, err)
 			}
-			vals[i] = b
+			fold(i, member)
 		}
 	}
-	vals[idx] = data
-	raw := make([][]byte, len(vals))
-	for i, v := range vals {
-		raw[i] = v
-	}
-	newP := page.Buf(xorparity.Compute(s.Arr.PageSize(), raw...))
 
 	if s.Twins == nil {
 		if s.pageUnavailable(p) {
@@ -549,11 +597,6 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		return s.writeData(p, data, disk.Meta{})
 	}
 
-	hasQ := s.Arr.HasQ()
-	var newQ page.Buf
-	if hasQ {
-		newQ = page.Buf(erasure.ComputeQ(s.Arr.PageSize(), raw...))
-	}
 	score := func(t int) int {
 		n := 0
 		if s.paritySlotAlive(g, t) {

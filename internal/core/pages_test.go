@@ -1,0 +1,113 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/diskarray"
+	"repro/internal/page"
+	"repro/internal/txn"
+	"repro/internal/wal"
+)
+
+// allocatedPer returns the bytes allocated per call of fn over n calls
+// (after one warming call).
+func allocatedPer(n int, fn func()) float64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestWritesReuseTheirRedundancyPages guards the ownership rule for the
+// redundancy images of a write: they are drawn from Store.Pages and go
+// back when the write returns, so a warmed store writes — healthy small
+// writes on every organization, updates of both twins of a dirty group,
+// and degraded P+Q writes and reads — without allocating a page, and the
+// parity invariant holds throughout.
+func TestWritesReuseTheirRedundancyPages(t *testing.T) {
+	const size = 2048
+	build := func(kind diskarray.Kind, q bool) *Store {
+		arr, err := diskarray.New(diskarray.Config{Kind: kind, DataDisks: 4, NumPages: 48, PageSize: size, QParity: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewStore(arr, wal.New(wal.DefaultConfig()), txn.NewManager())
+	}
+	data := pattern(size, 7)
+	check := func(name string, s *Store, perOp float64) {
+		t.Helper()
+		if perOp >= size/2 {
+			t.Errorf("%s: %.0f bytes allocated per operation, want well under one %d-byte page", name, perOp, size)
+		}
+		if err := s.VerifyParityInvariant(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		kind diskarray.Kind
+		q    bool
+	}{
+		{"raid5", diskarray.RAID5, false},
+		{"raid5twin", diskarray.RAID5Twin, false},
+		{"raid5twin+q", diskarray.RAID5Twin, true},
+		{"paritystripetwin", diskarray.ParityStripeTwin, false},
+	} {
+		s := build(c.kind, c.q)
+		i := 0
+		check(c.name, s, allocatedPer(200, func() {
+			i++
+			data[0] = byte(i)
+			if err := s.WriteCommitted(page.PageID(i*5%48), data, nil); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+
+	// A dirty group: logged writes of a sibling page update both twins.
+	s := build(diskarray.RAID5Twin, true)
+	tx := s.TM.Begin()
+	if err := s.StealNoLog(0, pattern(size, 9), nil, tx); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	check("both twins", s, allocatedPer(200, func() {
+		i++
+		data[0] = byte(i)
+		if err := s.WriteLogged(1, data, nil); err != nil {
+			t.Fatal(err)
+		}
+	}))
+
+	// One drive down on a P+Q array: wholesale degraded writes, and
+	// degraded reads into the caller's page.
+	s = build(diskarray.RAID5Twin, true)
+	dead := s.Arr.DataLoc(2).Disk
+	if err := s.Arr.FailDisk(dead); err != nil {
+		t.Fatal(err)
+	}
+	s.EnterDegraded(dead)
+	check("degraded write", s, allocatedPer(200, func() {
+		i++
+		data[0] = byte(i)
+		if err := s.WriteCommitted(2, data, nil); err != nil {
+			t.Fatal(err)
+		}
+	}))
+	dst := page.NewBuf(size)
+	check("degraded read", s, allocatedPer(200, func() {
+		got, err := s.ReadPage(2, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(data) {
+			t.Fatal("degraded read returned the wrong image")
+		}
+	}))
+}

@@ -40,7 +40,7 @@ func (s *Store) RebuildDataPage(p page.PageID) (page.Buf, error) {
 			}
 		}
 	}
-	parity, pm, err := s.ReadParityRepair(g, twin)
+	parity, pm, err := s.ReadParityRepair(g, twin, nil)
 	if err != nil {
 		if disk.IsCorrupt(err) || errors.Is(err, disk.ErrFailed) {
 			if s.Arr.HasQ() {
@@ -64,7 +64,7 @@ func (s *Store) RebuildDataPage(p page.PageID) (page.Buf, error) {
 			}
 			return nil, fmt.Errorf("core: rebuild page %d: survivor %d unreachable: %w", p, q, ErrUnrecoverableCorruption)
 		}
-		b, _, err := s.Arr.ReadData(q)
+		b, _, err := s.Arr.ReadData(q, nil)
 		if err != nil {
 			if disk.IsCorrupt(err) || errors.Is(err, disk.ErrFailed) {
 				if s.Arr.HasQ() && disk.IsCorrupt(err) {
@@ -135,11 +135,16 @@ func (s *Store) rebuildDataPageViaSolve(g page.GroupID, p page.PageID, twin int,
 // an application error, and corrupt bytes are never served.  When the
 // redundancy cannot reconstruct the block, ErrUnrecoverableCorruption is
 // returned instead.
-func (s *Store) ReadPageRepair(p page.PageID) (page.Buf, error) {
+//
+// dst, when non-nil, is a page buffer the caller owns and wants reused:
+// the platter read, or the degraded reconstruction, fills and returns
+// it.  A repaired image comes back in a buffer of its own, so callers use
+// the returned slice, never dst itself.
+func (s *Store) ReadPageRepair(p page.PageID, dst page.Buf) (page.Buf, error) {
 	if s.pageUnavailable(p) {
-		return s.readDegraded(p)
+		return s.readDegraded(p, dst)
 	}
-	b, _, err := s.Arr.ReadData(p)
+	b, _, err := s.Arr.ReadData(p, dst)
 	if err == nil {
 		return b, nil
 	}
@@ -174,8 +179,8 @@ func (s *Store) ReadPageRepair(p page.PageID) (page.Buf, error) {
 // stale old version) it is resynthesized from the store's in-memory
 // state — a working header with the dirty entry's tag for a dirty group,
 // a fresh committed header for a clean one.
-func (s *Store) ReadParityRepair(g page.GroupID, twin int) (page.Buf, disk.Meta, error) {
-	b, m, err := s.Arr.ReadParity(g, twin)
+func (s *Store) ReadParityRepair(g page.GroupID, twin int, dst page.Buf) (page.Buf, disk.Meta, error) {
+	b, m, err := s.Arr.ReadParity(g, twin, dst)
 	if err == nil || !disk.IsCorrupt(err) {
 		return b, m, err
 	}
@@ -201,7 +206,7 @@ func (s *Store) ReadParityRepair(g page.GroupID, twin int) (page.Buf, disk.Meta,
 		return nil, disk.Meta{}, fmt.Errorf("core: parity repair of group %d twin %d failed: %w (original: %v)", g, twin, rerr, err)
 	}
 	s.deg.parityRepairs.Add(1)
-	return s.Arr.ReadParity(g, twin)
+	return s.Arr.ReadParity(g, twin, dst)
 }
 
 // synthesizeParityMeta rebuilds the header of the describing parity twin

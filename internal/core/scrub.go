@@ -130,7 +130,7 @@ func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 	data := make([]page.Buf, len(pages))
 	bad := -1
 	for i, p := range pages {
-		b, _, err := s.Arr.ReadData(p)
+		b, _, err := s.Arr.ReadData(p, nil)
 		switch {
 		case err == nil:
 			data[i] = b
@@ -148,7 +148,7 @@ func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 	}
 
 	twin := s.currentTwin(g)
-	parity, pMeta, perr := s.Arr.ReadParity(g, twin)
+	parity, pMeta, perr := s.Arr.ReadParity(g, twin, nil)
 	if perr != nil {
 		if !disk.IsCorrupt(perr) {
 			return res, fmt.Errorf("core: scrub group %d parity: %w", g, perr)
@@ -167,7 +167,7 @@ func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 			s.deg.unrecoverable.Add(1)
 			return res, fmt.Errorf("core: group %d lost both a data block and its parity (%v): %w", g, perr, ErrUnrecoverableCorruption)
 		}
-		qBuf, qMeta, qerr := s.Arr.ReadQ(g, twin)
+		qBuf, qMeta, qerr := s.Arr.ReadQ(g, twin, nil)
 		if qerr != nil {
 			s.deg.unrecoverable.Add(1)
 			return res, fmt.Errorf("core: group %d lost a data block, its parity (%v) and its Q page (%v): %w", g, perr, qerr, ErrUnrecoverableCorruption)
@@ -256,7 +256,7 @@ func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 	// the same data state as its P partner; latent corruption and stale
 	// payloads are rewritten under the partner's header (lockstep).
 	if s.Arr.HasQ() {
-		qBuf, _, qerr := s.Arr.ReadQ(g, twin)
+		qBuf, _, qerr := s.Arr.ReadQ(g, twin, nil)
 		switch {
 		case qerr != nil && !disk.IsCorrupt(qerr):
 			return res, fmt.Errorf("core: scrub group %d Q: %w", g, qerr)
@@ -280,7 +280,7 @@ func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 	// errors; its contents are free to rewrite (it is obsolete).
 	if s.Twins != nil {
 		other := 1 - twin
-		if _, _, err := s.Arr.ReadParity(g, other); disk.IsCorrupt(err) {
+		if _, _, err := s.Arr.ReadParity(g, other, nil); disk.IsCorrupt(err) {
 			res.LatentErrors++
 			s.deg.corruptDetected.Add(1)
 			meta := disk.Meta{State: disk.StateObsolete, Timestamp: 0}
@@ -291,7 +291,7 @@ func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 			s.deg.scrubRepairs.Add(1)
 		}
 		if other < s.Arr.QParityPages() {
-			if _, _, err := s.Arr.ReadQ(g, other); disk.IsCorrupt(err) {
+			if _, _, err := s.Arr.ReadQ(g, other, nil); disk.IsCorrupt(err) {
 				res.LatentErrors++
 				s.deg.corruptDetected.Add(1)
 				meta := disk.Meta{State: disk.StateObsolete, Timestamp: 0}
@@ -336,7 +336,7 @@ func (s *Store) scrubGroupDegraded(g page.GroupID) (GroupScrub, error) {
 		if s.pageUnavailable(p) {
 			continue
 		}
-		if _, _, err := s.Arr.ReadData(p); err != nil {
+		if _, _, err := s.Arr.ReadData(p, nil); err != nil {
 			if !disk.IsCorrupt(err) {
 				return res, fmt.Errorf("core: scrub group %d: %w", g, err)
 			}
@@ -347,13 +347,13 @@ func (s *Store) scrubGroupDegraded(g page.GroupID) (GroupScrub, error) {
 	pCorrupt, qCorrupt := false, false
 	var pErr, qErr error
 	if s.paritySlotAlive(g, twin) {
-		if _, _, err := s.Arr.ReadParity(g, twin); disk.IsCorrupt(err) {
+		if _, _, err := s.Arr.ReadParity(g, twin, nil); disk.IsCorrupt(err) {
 			res.LatentErrors++
 			pCorrupt, pErr = true, err
 		}
 	}
 	if s.qSlotAlive(g, twin) {
-		if _, _, err := s.Arr.ReadQ(g, twin); disk.IsCorrupt(err) {
+		if _, _, err := s.Arr.ReadQ(g, twin, nil); disk.IsCorrupt(err) {
 			res.LatentErrors++
 			s.deg.corruptDetected.Add(1)
 			qCorrupt, qErr = true, err

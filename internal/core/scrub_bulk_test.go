@@ -53,7 +53,7 @@ func TestScrubRepairsDataAndParity(t *testing.T) {
 	if rep.LatentErrors != 2 || rep.Repaired != 2 {
 		t.Fatalf("report %+v, want 2 latent / 2 repaired", rep)
 	}
-	got, err := s.ReadPage(9)
+	got, err := s.ReadPage(9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestScrubRepairsObsoleteTwin(t *testing.T) {
 		t.Fatalf("report %+v, want the obsolete twin repaired", rep)
 	}
 	// After repair both twins must be readable.
-	if _, _, err := s.Arr.ReadParity(g, obsolete); err != nil {
+	if _, _, err := s.Arr.ReadParity(g, obsolete, nil); err != nil {
 		t.Fatalf("obsolete twin unreadable after scrub: %v", err)
 	}
 }
@@ -131,7 +131,7 @@ func TestBulkLoadCore(t *testing.T) {
 			t.Fatalf("%v: %d full stripes, want 2", kind, stripes)
 		}
 		for i := range pages {
-			got, err := s.ReadPage(page.PageID(i))
+			got, err := s.ReadPage(page.PageID(i), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +171,7 @@ func TestReadPageRepairCore(t *testing.T) {
 	if err := s.Arr.Disk(loc.Disk).Corrupt(loc.Block); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadPageRepair(3)
+	got, err := s.ReadPageRepair(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestReadPageRepairCore(t *testing.T) {
 	if err := s.Arr.Disk(oloc.Disk).Corrupt(oloc.Block); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadPageRepair(3); err == nil {
+	if _, err := s.ReadPageRepair(3, nil); err == nil {
 		t.Fatalf("double damage must surface an error")
 	}
 }

@@ -33,7 +33,7 @@ func TestScrubRepairsInjectedBitFlip(t *testing.T) {
 		// The corruption is latent: parity no longer matches, or the data
 		// block itself fails its checksum on read.
 		if s.VerifyParityInvariant() == nil {
-			if _, err := s.ReadPage(7); !errors.Is(err, disk.ErrChecksum) {
+			if _, err := s.ReadPage(7, nil); !errors.Is(err, disk.ErrChecksum) {
 				t.Fatalf("%v: injected flip left no latent error (read err %v)", kind, err)
 			}
 		}
@@ -45,7 +45,7 @@ func TestScrubRepairsInjectedBitFlip(t *testing.T) {
 		if rep.LatentErrors != 1 || rep.Repaired != 1 {
 			t.Fatalf("%v: report %+v, want 1 latent / 1 repaired", kind, rep)
 		}
-		got, err := s.ReadPage(7)
+		got, err := s.ReadPage(7, nil)
 		if err != nil {
 			t.Fatalf("%v: read after scrub: %v", kind, err)
 		}

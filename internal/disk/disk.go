@@ -229,15 +229,19 @@ func (d *Disk) serviceTime() {
 
 // Read returns a copy of the block's data and its metadata, charging one
 // page transfer.  In pipelined mode (StartQueue) the request goes
-// through the drive's queue; otherwise it executes synchronously.
+// through the drive's queue; otherwise it executes synchronously.  A
+// caller that owns a page buffer reads into it by issuing the request
+// itself (Do, Request.Data).
 func (d *Disk) Read(blockNum int) (page.Buf, Meta, error) {
 	if d.q.on.Load() {
 		return d.Submit(Request{Op: OpRead, Block: blockNum}).Wait()
 	}
-	return d.execRead(blockNum)
+	return d.execRead(blockNum, nil)
 }
 
-func (d *Disk) execRead(blockNum int) (page.Buf, Meta, error) {
+// execRead copies the block into dst when dst has the block's size, and
+// into a fresh buffer otherwise.
+func (d *Disk) execRead(blockNum int, dst page.Buf) (page.Buf, Meta, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.serviceTime()
@@ -262,7 +266,11 @@ func (d *Disk) execRead(blockNum int) (page.Buf, Meta, error) {
 	if !b.stamp.Matches(d.id, blockNum) {
 		return nil, Meta{}, fmt.Errorf("disk %d block %d: carries %v: %w", d.id, blockNum, b.stamp, ErrStamp)
 	}
-	return page.Buf(b.data).Clone(), b.meta, nil
+	if len(dst) != d.blockSize {
+		dst = make(page.Buf, d.blockSize)
+	}
+	copy(dst, b.data)
+	return dst, b.meta, nil
 }
 
 // Write atomically replaces the block's data and metadata, charging one

@@ -230,3 +230,34 @@ func TestParityStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestDoReadsIntoTheCallersPage: a read request carrying a destination
+// fills and returns that page, synchronously without allocating and
+// through the queue alike; a destination of the wrong size is ignored.
+func TestDoReadsIntoTheCallersPage(t *testing.T) {
+	d := New(0, 4, 64)
+	want := page.NewBuf(64)
+	for i := range want {
+		want[i] = byte(3 * i)
+	}
+	if err := d.Write(2, want, Meta{Timestamp: 9}); err != nil {
+		t.Fatal(err)
+	}
+	dst := page.NewBuf(64)
+	read := func() {
+		got, meta, err := d.Do(Request{Op: OpRead, Block: 2, Data: dst})
+		if err != nil || &got[0] != &dst[0] || !got.Equal(want) || meta.Timestamp != 9 {
+			t.Fatalf("Do(read into dst): own page %v, equal %v, meta %+v, err %v", &got[0] == &dst[0], got.Equal(want), meta, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, read); n != 0 {
+		t.Fatalf("synchronous Do allocates %.1f times per read", n)
+	}
+	if got, _, err := d.Do(Request{Op: OpRead, Block: 2, Data: page.NewBuf(8)}); err != nil || len(got) != 64 || !got.Equal(want) {
+		t.Fatalf("wrong-size destination: %d bytes, err %v", len(got), err)
+	}
+	d.StartQueue(4, 4)
+	defer d.StopQueue()
+	dst.Zero()
+	read()
+}

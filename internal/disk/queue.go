@@ -48,7 +48,9 @@ import (
 type Request struct {
 	Op    Op
 	Block int
-	// Data is the payload for OpWrite.
+	// Data is the payload for OpWrite and, when it has the block's size,
+	// the buffer an OpRead fills and returns instead of allocating one; the
+	// submitter must leave it alone until the request completes.
 	Data page.Buf
 	// Meta is the header for OpWrite and OpWriteMeta.
 	Meta Meta
@@ -79,6 +81,14 @@ type Pending struct {
 	err      error
 	panicked any
 }
+
+// completed is the done channel of every handle that finished inside
+// Submit; the synchronous path allocates none of its own.
+var completed = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // Wait blocks until the request completes and returns its results.  If
 // execution panicked inside the scheduler goroutine (fault-injection
@@ -237,21 +247,37 @@ func (d *Disk) Completions() int64 {
 	return d.q.completions
 }
 
+// Do executes a request and returns its results: Submit and Wait in one
+// call.  In synchronous mode it runs inline on the caller's goroutine
+// (after waiting on the gate, if any) and allocates no handle.
+func (d *Disk) Do(r Request) (page.Buf, Meta, error) {
+	if d.q.on.Load() {
+		return d.Submit(r).Wait()
+	}
+	if r.Gate != nil {
+		<-r.Gate
+	}
+	p := Pending{op: r.Op, block: r.Block, data: r.Data, meta: r.Meta}
+	d.execInto(&p) // panics propagate on the caller's goroutine
+	return p.resData, p.resMeta, p.err
+}
+
 // Submit hands a request to the drive.  In synchronous mode it executes
 // inline on the caller's goroutine (after waiting on the gate, if any)
 // and the returned handle is already complete.  In pipelined mode it
 // enqueues, blocking while the queue is at its depth limit, and the
 // request executes on the scheduler goroutine.
 func (d *Disk) Submit(r Request) *Pending {
-	p := &Pending{op: r.Op, block: r.Block, data: r.Data, meta: r.Meta, done: make(chan struct{})}
+	p := &Pending{op: r.Op, block: r.Block, data: r.Data, meta: r.Meta}
 	if !d.q.on.Load() {
 		if r.Gate != nil {
 			<-r.Gate
 		}
 		d.execInto(p) // panics propagate on the caller's goroutine
-		close(p.done)
+		p.done = completed
 		return p
 	}
+	p.done = make(chan struct{})
 	q := &d.q
 	q.mu.Lock()
 	for q.crashed == nil && q.depth > 0 && len(q.items) >= q.depth {
@@ -346,6 +372,7 @@ func (d *Disk) schedule() {
 			for _, p := range q.items {
 				d.completeLocked(p, q.crashed)
 			}
+			clear(q.items)
 			q.items = q.items[:0]
 			q.cond.Broadcast()
 		}
@@ -370,7 +397,12 @@ func (d *Disk) schedule() {
 		for i := 0; i < idx; i++ {
 			q.items[i].skips++
 		}
-		q.items = append(q.items[:idx], q.items[idx+1:]...)
+		// The vacated tail slot is cleared: a completed handle left there
+		// would keep its page buffers alive until the slot is reused.
+		last := len(q.items) - 1
+		copy(q.items[idx:], q.items[idx+1:])
+		q.items[last] = nil
+		q.items = q.items[:last]
 		q.cond.Broadcast() // a depth slot freed
 		if p.barrier {
 			p.seq = q.seq
@@ -455,7 +487,7 @@ func (q *queue) pick() int {
 func (d *Disk) execInto(p *Pending) {
 	switch p.op {
 	case OpRead:
-		p.resData, p.resMeta, p.err = d.execRead(p.block)
+		p.resData, p.resMeta, p.err = d.execRead(p.block, p.data)
 	case OpWrite:
 		p.err = d.execWrite(p.block, p.data, p.meta)
 	case OpReadMeta:

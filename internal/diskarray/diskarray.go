@@ -545,22 +545,28 @@ func (a *Array) QLoc(g page.GroupID, twin int) Loc {
 // deterministic backoff, per-disk error accounting trips automatic
 // fail-stops, and hard failures advance the array health machine.
 
-// ReadData reads logical data page p, charging one transfer.  The read is
-// verified: a payload that differs from the last write the drive
-// acknowledged for the block (NVRAM ledger) fails with disk.ErrLostWrite.
-func (a *Array) ReadData(p page.PageID) (page.Buf, disk.Meta, error) {
-	loc := a.DataLoc(p)
+// read issues one verified payload read: into dst when the caller owns a
+// page buffer to reuse, into a fresh one when dst is nil.  A payload that
+// differs from the last write the drive acknowledged for the block (NVRAM
+// ledger) fails with disk.ErrLostWrite.
+func (a *Array) read(loc Loc, dst page.Buf) (page.Buf, disk.Meta, error) {
 	var b page.Buf
 	var m disk.Meta
 	err := a.do(loc.Disk, func() error {
 		var err error
-		b, m, err = a.disks[loc.Disk].Read(loc.Block)
+		b, m, err = a.disks[loc.Disk].Do(disk.Request{Op: disk.OpRead, Block: loc.Block, Data: dst})
 		return err
 	})
 	if err == nil {
 		err = a.checkLedger(loc, b)
 	}
 	return b, m, err
+}
+
+// ReadData reads logical data page p into dst (nil: a fresh buffer),
+// charging one transfer and verifying the payload (see read).
+func (a *Array) ReadData(p page.PageID, dst page.Buf) (page.Buf, disk.Meta, error) {
+	return a.read(a.DataLoc(p), dst)
 }
 
 // WriteData writes logical data page p, charging one transfer.
@@ -575,21 +581,10 @@ func (a *Array) WriteData(p page.PageID, b page.Buf, meta disk.Meta) error {
 	return err
 }
 
-// ReadParity reads the group's parity page, charging one transfer.
-// Verified against the NVRAM write ledger like ReadData.
-func (a *Array) ReadParity(g page.GroupID, twin int) (page.Buf, disk.Meta, error) {
-	loc := a.ParityLoc(g, twin)
-	var b page.Buf
-	var m disk.Meta
-	err := a.do(loc.Disk, func() error {
-		var err error
-		b, m, err = a.disks[loc.Disk].Read(loc.Block)
-		return err
-	})
-	if err == nil {
-		err = a.checkLedger(loc, b)
-	}
-	return b, m, err
+// ReadParity reads the group's parity page into dst (nil: a fresh
+// buffer), charging one transfer; verified like ReadData.
+func (a *Array) ReadParity(g page.GroupID, twin int, dst page.Buf) (page.Buf, disk.Meta, error) {
+	return a.read(a.ParityLoc(g, twin), dst)
 }
 
 // WriteParity writes the group's parity page, charging one transfer.
@@ -647,21 +642,10 @@ func (a *Array) PeekParity(g page.GroupID, twin int) (page.Buf, error) {
 	return a.disks[loc.Disk].PeekData(loc.Block)
 }
 
-// ReadQ reads the group's Q redundancy page, charging one transfer.
-// Verified against the NVRAM write ledger like ReadData.
-func (a *Array) ReadQ(g page.GroupID, twin int) (page.Buf, disk.Meta, error) {
-	loc := a.QLoc(g, twin)
-	var b page.Buf
-	var m disk.Meta
-	err := a.do(loc.Disk, func() error {
-		var err error
-		b, m, err = a.disks[loc.Disk].Read(loc.Block)
-		return err
-	})
-	if err == nil {
-		err = a.checkLedger(loc, b)
-	}
-	return b, m, err
+// ReadQ reads the group's Q redundancy page into dst (nil: a fresh
+// buffer), charging one transfer; verified like ReadData.
+func (a *Array) ReadQ(g page.GroupID, twin int, dst page.Buf) (page.Buf, disk.Meta, error) {
+	return a.read(a.QLoc(g, twin), dst)
 }
 
 // WriteQ writes the group's Q redundancy page, charging one transfer.
@@ -780,11 +764,15 @@ func (a *Array) DiskStats() []disk.Stats {
 	return out
 }
 
-// ResetStats zeroes all disks' I/O counters.
+// ResetStats zeroes all disks' I/O counters and the self-healing
+// counters (Healing).
 func (a *Array) ResetStats() {
 	for _, d := range a.disks {
 		d.ResetStats()
 	}
+	a.hmu.Lock()
+	a.healing = HealingStats{}
+	a.hmu.Unlock()
 }
 
 // --- Whole-group operations -------------------------------------------------
@@ -794,7 +782,7 @@ func (a *Array) ReadGroup(g page.GroupID) ([]page.Buf, error) {
 	pages := a.GroupPages(g)
 	out := make([]page.Buf, len(pages))
 	for i, p := range pages {
-		b, _, err := a.ReadData(p)
+		b, _, err := a.ReadData(p, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -933,7 +921,7 @@ func (a *Array) ReconstructDisk(d int, validTwin func(page.GroupID) int, metaFor
 			if validTwin != nil {
 				twin = validTwin(gid)
 			}
-			parity, _, err := a.ReadParity(gid, twin)
+			parity, _, err := a.ReadParity(gid, twin, nil)
 			if err != nil {
 				return fmt.Errorf("diskarray: read parity of group %d: %w", g, err)
 			}
@@ -942,7 +930,7 @@ func (a *Array) ReconstructDisk(d int, validTwin func(page.GroupID) int, metaFor
 				if q == p {
 					continue
 				}
-				b, _, err := a.ReadData(q)
+				b, _, err := a.ReadData(q, nil)
 				if err != nil {
 					return fmt.Errorf("diskarray: read survivor %d: %w", q, err)
 				}

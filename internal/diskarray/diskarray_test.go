@@ -277,7 +277,7 @@ func TestFailedDiskIO(t *testing.T) {
 	if err := a.FailDisk(d); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.ReadData(0); !errors.Is(err, disk.ErrFailed) {
+	if _, _, err := a.ReadData(0, nil); !errors.Is(err, disk.ErrFailed) {
 		t.Fatalf("read from failed disk: err = %v, want ErrFailed", err)
 	}
 	if err := a.ReconstructDisk(d, nil, nil); err == nil {
@@ -291,10 +291,10 @@ func TestTransferAccountingThroughArray(t *testing.T) {
 	if err := a.WriteData(0, buf, disk.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.ReadData(0); err != nil {
+	if _, _, err := a.ReadData(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.ReadParity(0, 1); err != nil {
+	if _, _, err := a.ReadParity(0, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.Stats().Transfers(); got != 3 {
@@ -349,7 +349,7 @@ func TestCapacityRounding(t *testing.T) {
 			t.Fatalf("%v: capacity %d below request", kind, a.NumPages())
 		}
 		last := page.PageID(a.NumPages() - 1)
-		if _, _, err := a.ReadData(last); err != nil {
+		if _, _, err := a.ReadData(last, nil); err != nil {
 			t.Fatalf("%v: last page unreadable: %v", kind, err)
 		}
 	}

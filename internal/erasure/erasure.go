@@ -29,7 +29,10 @@
 // panic, as in xorparity, because they indicate a storage-layer bug.
 package erasure
 
-import "fmt"
+import (
+	"crypto/subtle"
+	"fmt"
+)
 
 // Generator polynomial x⁸+x⁴+x³+x²+1 and generator element of GF(2^8).
 const (
@@ -39,10 +42,13 @@ const (
 
 // exp and log are the generator power tables: exp[i] = g^i (doubled so
 // products of logs index without a mod), log[exp[i]] = i for i in
-// [0, 255).
+// [0, 255).  mulTable[c] is the product row of coefficient c
+// (mulTable[c][s] = c·s), so the page kernels index once per byte and
+// never branch on a zero operand.
 var (
 	expTable [510]byte
 	logTable [256]int
+	mulTable [256][256]byte
 )
 
 func init() {
@@ -56,6 +62,11 @@ func init() {
 			x ^= poly
 		}
 	}
+	for c := 1; c < 256; c++ {
+		for v := 1; v < 256; v++ {
+			mulTable[c][v] = expTable[logTable[c]+logTable[v]]
+		}
+	}
 }
 
 // Exp returns g^i for i ≥ 0 — the Q-equation coefficient of the data
@@ -65,12 +76,7 @@ func Exp(i int) byte {
 }
 
 // Mul returns the GF(2^8) product a·b.
-func Mul(a, b byte) byte {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return expTable[logTable[a]+logTable[b]]
-}
+func Mul(a, b byte) byte { return mulTable[a][b] }
 
 // Inv returns the multiplicative inverse of a.  It panics on 0, which has
 // no inverse; callers divide only by sums of distinct coefficients, which
@@ -98,9 +104,7 @@ func check(a, b []byte) {
 // xorparity.XorInto.
 func AddInto(dst, src []byte) {
 	check(dst, src)
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }
 
 // MulAddInto computes dst ^= c·src in place, the fused step every Q
@@ -110,39 +114,25 @@ func MulAddInto(dst, src []byte, c byte) {
 	check(dst, src)
 	switch c {
 	case 0:
-		return
 	case 1:
-		for i := range dst {
-			dst[i] ^= src[i]
-		}
+		subtle.XORBytes(dst, dst, src)
 	default:
-		cl := logTable[c]
-		for i := range dst {
-			if s := src[i]; s != 0 {
-				dst[i] ^= expTable[cl+logTable[s]]
-			}
+		row := &mulTable[c]
+		dst = dst[:len(src)]
+		for i, v := range src {
+			dst[i] ^= row[v]
 		}
 	}
 }
 
 // MulInto scales dst by c in place.
 func MulInto(dst []byte, c byte) {
-	switch c {
-	case 1:
+	if c == 1 {
 		return
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-	default:
-		cl := logTable[c]
-		for i := range dst {
-			if d := dst[i]; d != 0 {
-				dst[i] = expTable[cl+logTable[d]]
-			} else {
-				dst[i] = 0
-			}
-		}
+	}
+	row := &mulTable[c]
+	for i, d := range dst {
+		dst[i] = row[d]
 	}
 }
 
@@ -171,24 +161,16 @@ func ComputeQ(size int, blocks ...[]byte) []byte {
 	return out
 }
 
-// QSmallWrite returns the updated Q for a small write of dataNew over
-// dataOld at group index idx:
+// QSmallWrite folds a small write of dataNew over dataOld at group index
+// idx into q in place:
 //
-//	Q' = Q ⊕ g^idx·(D_old ⊕ D_new)
+//	Q' = Q ⊕ g^idx·D_old ⊕ g^idx·D_new
 //
 // the Q-side counterpart of xorparity.SmallWrite, needing no other group
-// member.
-func QSmallWrite(qOld, dataOld, dataNew []byte, idx int) []byte {
-	check(qOld, dataOld)
-	check(qOld, dataNew)
-	out := make([]byte, len(qOld))
-	copy(out, qOld)
-	delta := make([]byte, len(dataOld))
-	for i := range delta {
-		delta[i] = dataOld[i] ^ dataNew[i]
-	}
-	MulAddInto(out, delta, Exp(idx))
-	return out
+// member and no scratch page.
+func QSmallWrite(q, dataOld, dataNew []byte, idx int) {
+	MulAddInto(q, dataOld, Exp(idx))
+	MulAddInto(q, dataNew, Exp(idx))
 }
 
 // ReconstructOneQ recovers the single missing data block at group index

@@ -65,11 +65,12 @@ func TestXorPathByteIdentical(t *testing.T) {
 		}
 		dNew := make([]byte, size)
 		rng.Read(dNew)
-		sw := xorparity.SmallWrite(plain, blocks[0], dNew)
 		want := make([]byte, size)
 		for i := range want {
 			want[i] = plain[i] ^ blocks[0][i] ^ dNew[i]
 		}
+		sw := append([]byte(nil), plain...)
+		xorparity.SmallWrite(sw, blocks[0], dNew)
 		if !bytes.Equal(sw, want) {
 			t.Fatalf("xorparity.SmallWrite diverges from plain XOR")
 		}
@@ -88,7 +89,8 @@ func TestQSmallWriteMatchesRecompute(t *testing.T) {
 		idx := rng.Intn(k)
 		dNew := make([]byte, size)
 		rng.Read(dNew)
-		got := erasure.QSmallWrite(q, blocks[idx], dNew, idx)
+		got := append([]byte(nil), q...)
+		erasure.QSmallWrite(got, blocks[idx], dNew, idx)
 		blocks[idx] = dNew
 		want := erasure.ComputeQ(size, blocks...)
 		if !bytes.Equal(got, want) {
@@ -155,6 +157,19 @@ func TestAllErasurePairsExhaustive(t *testing.T) {
 // fuzzed bytes, knock out two blocks, demand exact recovery.
 func FuzzTwoErasure(f *testing.F) {
 	f.Add([]byte("seed corpus stripe material, long enough to slice"), uint8(0), uint8(1))
+	// The table kernels no longer branch on a zero operand: seed stripes
+	// that are all zeros, all ones and mixed, at the widest group (k = 15,
+	// every coefficient g^0…g^14 in play) and with the last two blocks lost.
+	wide := make([]byte, 15*8)
+	f.Add(append([]byte(nil), wide...), uint8(13), uint8(14))
+	for i := range wide {
+		wide[i] = 0xFF
+	}
+	f.Add(append([]byte(nil), wide...), uint8(13), uint8(0))
+	for i := range wide {
+		wide[i] = byte(i%3) * byte(i)
+	}
+	f.Add(wide, uint8(27), uint8(12))
 	f.Fuzz(func(t *testing.T, raw []byte, a, b uint8) {
 		const size = 8
 		k := 2 + int(a%14)

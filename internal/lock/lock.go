@@ -93,16 +93,17 @@ type waiter struct {
 type Manager struct {
 	mu    sync.Mutex
 	locks map[Resource]*lockState
-	// waitsFor[a] = set of transactions a is waiting on.
-	waitsFor map[page.TxID]map[page.TxID]struct{}
-	closed   bool
+	// waiting[tx] = the lock tx is queued on; a transaction blocks in at
+	// most one Acquire at a time.
+	waiting map[page.TxID]*lockState
+	closed  bool
 }
 
 // New creates an empty lock manager.
 func New() *Manager {
 	return &Manager{
-		locks:    make(map[Resource]*lockState),
-		waitsFor: make(map[page.TxID]map[page.TxID]struct{}),
+		locks:   make(map[Resource]*lockState),
+		waiting: make(map[page.TxID]*lockState),
 	}
 }
 
@@ -149,25 +150,13 @@ func (m *Manager) Acquire(tx page.TxID, res Resource, mode Mode) error {
 		m.mu.Unlock()
 		return nil
 	}
-	// Must wait: record the waits-for edges and check for a cycle.
-	w := &waiter{tx: tx, mode: mode, ch: make(chan error, 1)}
-	blockers := make(map[page.TxID]struct{})
-	for holder := range st.holders {
-		if holder != tx {
-			blockers[holder] = struct{}{}
-		}
-	}
-	for _, qw := range st.queue {
-		if qw.tx != tx {
-			blockers[qw.tx] = struct{}{}
-		}
-	}
-	m.waitsFor[tx] = blockers
-	if m.cycleFrom(tx) {
-		delete(m.waitsFor, tx)
+	// Must wait, unless queueing would close a waits-for cycle.
+	if m.deadlocks(tx, st) {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: txn %d on %s", ErrDeadlock, tx, res)
 	}
+	w := &waiter{tx: tx, mode: mode, ch: make(chan error, 1)}
+	m.waiting[tx] = st
 	st.queue = append(st.queue, w)
 	m.mu.Unlock()
 
@@ -175,33 +164,46 @@ func (m *Manager) Acquire(tx page.TxID, res Resource, mode Mode) error {
 	return err
 }
 
-// cycleFrom reports whether the waits-for graph contains a cycle
-// reachable from start.
-func (m *Manager) cycleFrom(start page.TxID) bool {
+// deadlocks reports whether tx, about to queue on st, would close a cycle
+// in the waits-for graph.  The edges are read off the live lock table — a
+// waiter waits on every other holder of its lock and on every request
+// queued ahead of it — so a transaction that was granted or has released
+// leaves no stale edge behind and no request draws a spurious verdict.
+func (m *Manager) deadlocks(tx page.TxID, st *lockState) bool {
 	seen := make(map[page.TxID]bool)
-	var visit func(tx page.TxID) bool
-	visit = func(tx page.TxID) bool {
-		if tx == start && len(seen) > 0 {
-			return true
-		}
-		if seen[tx] {
+	// reaches reports whether a blocker of from, which is (or is about to
+	// be) queued on on, transitively waits on tx.
+	var reaches func(from page.TxID, on *lockState) bool
+	reaches = func(from page.TxID, on *lockState) bool {
+		follow := func(next page.TxID) bool {
+			if next == from || seen[next] {
+				return false
+			}
+			if next == tx {
+				return true
+			}
+			seen[next] = true
+			if nst := m.waiting[next]; nst != nil {
+				return reaches(next, nst)
+			}
 			return false
 		}
-		seen[tx] = true
-		for next := range m.waitsFor[tx] {
-			if visit(next) {
+		for holder := range on.holders {
+			if follow(holder) {
+				return true
+			}
+		}
+		for _, qw := range on.queue {
+			if qw.tx == from {
+				break
+			}
+			if follow(qw.tx) {
 				return true
 			}
 		}
 		return false
 	}
-	for next := range m.waitsFor[start] {
-		seen[start] = true
-		if visit(next) {
-			return true
-		}
-	}
-	return false
+	return reaches(tx, st)
 }
 
 // ReleaseAll releases every lock held or requested by tx and wakes any
@@ -210,7 +212,7 @@ func (m *Manager) cycleFrom(start page.TxID) bool {
 func (m *Manager) ReleaseAll(tx page.TxID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.waitsFor, tx)
+	delete(m.waiting, tx)
 	for res, st := range m.locks {
 		delete(st.holders, tx)
 		for i := 0; i < len(st.queue); {
@@ -238,12 +240,7 @@ func (m *Manager) wake(res Resource, st *lockState) {
 		}
 		st.queue = st.queue[1:]
 		st.holders[w.tx] = w.mode
-		// The waiter no longer waits on anyone.
-		delete(m.waitsFor, w.tx)
-		// Other waiters' blocker sets may reference w.tx as a waiter; the
-		// sets are rebuilt lazily on each Acquire, and cycle checks only
-		// ever over-approximate briefly, which is safe (spurious victim
-		// at worst).
+		delete(m.waiting, w.tx) // the waiter no longer waits on anyone
 		w.ch <- nil
 	}
 }
@@ -261,7 +258,7 @@ func (m *Manager) Close() {
 		st.queue = nil
 	}
 	m.locks = make(map[Resource]*lockState)
-	m.waitsFor = make(map[page.TxID]map[page.TxID]struct{})
+	m.waiting = make(map[page.TxID]*lockState)
 }
 
 // Holds reports whether tx currently holds res in at least the given

@@ -214,6 +214,41 @@ func TestHeldResources(t *testing.T) {
 	}
 }
 
+func TestReleasedBlockerLeavesNoEdge(t *testing.T) {
+	// Txn 2 queues behind two readers; one of them finishes and starts
+	// over.  Its next request must wait on txn 2's lock, not be told it
+	// deadlocks with a waits-for edge that ended when it released.
+	m := New()
+	a, b := PageResource(20), PageResource(21)
+	for _, tx := range []page.TxID{1, 3} {
+		if err := m.Acquire(tx, a, Shared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Acquire(2, b, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	writer := make(chan error, 1)
+	go func() { writer <- m.Acquire(2, a, Exclusive) }()
+	time.Sleep(20 * time.Millisecond) // let txn 2 enqueue behind 1 and 3
+	m.ReleaseAll(1)
+	reader := make(chan error, 1)
+	go func() { reader <- m.Acquire(1, b, Shared) }()
+	select {
+	case err := <-reader:
+		t.Fatalf("request behind txn 2's X lock returned %v, want it to wait", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	m.ReleaseAll(3)
+	if err := <-writer; err != nil {
+		t.Fatalf("txn 2 got %v", err)
+	}
+	m.ReleaseAll(2)
+	if err := <-reader; err != nil {
+		t.Fatalf("txn 1 got %v", err)
+	}
+}
+
 func TestConcurrentStress(t *testing.T) {
 	// Many goroutines acquire two random page locks in order (no
 	// deadlock possible) and release; everything must terminate.

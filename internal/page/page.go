@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // PageID identifies a logical database page.  Logical pages are numbered
@@ -76,6 +77,52 @@ type Buf []byte
 
 // NewBuf allocates a zeroed page image of the given size.
 func NewBuf(size int) Buf { return make(Buf, size) }
+
+// FreeList is a bounded stack of idle page images of one size, safe for
+// concurrent use.  The owner of a short-lived image (redundancy scratch, a
+// transaction's before-image) draws it from the list and hands it back at
+// the one point where nothing else can reach it any more.  The list keeps
+// at most max idle pages and leaves the surplus to the collector.
+type FreeList struct {
+	mu        sync.Mutex
+	size, max int
+	free      []Buf
+}
+
+// NewFreeList returns an empty list of pages of the given size.
+func NewFreeList(size, max int) *FreeList { return &FreeList{size: size, max: max} }
+
+// Get returns a page whose contents are undefined: the caller overwrites
+// all of it.
+func (l *FreeList) Get() Buf {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		b := l.free[n-1]
+		l.free = l.free[:n-1]
+		return b
+	}
+	return NewBuf(l.size)
+}
+
+// Put hands pages back.  The caller must hold the only reference to each;
+// nil pages and pages of another size are ignored.
+func (l *FreeList) Put(pages ...Buf) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, b := range pages {
+		if len(b) == l.size && len(l.free) < l.max {
+			l.free = append(l.free, b)
+		}
+	}
+}
+
+// Len returns the number of idle pages on the list.
+func (l *FreeList) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.free)
+}
 
 // Clone returns an independent copy of b.
 func (b Buf) Clone() Buf {

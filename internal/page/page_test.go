@@ -1,6 +1,7 @@
 package page
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -100,4 +101,78 @@ func TestEqualLengthMismatch(t *testing.T) {
 	if NewBuf(8).Equal(NewBuf(9)) {
 		t.Fatalf("buffers of different length must not compare equal")
 	}
+}
+
+// BenchmarkChecksum is the CRC-32C every verified block read and every
+// ledgered write pays, on a 2 KiB page.
+func BenchmarkChecksum(b *testing.B) {
+	buf := NewBuf(2048)
+	for i := range buf {
+		buf[i] = byte(i * 7)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		checksumSink += buf.Checksum()
+	}
+}
+
+// checksumSink keeps the compiler from dropping the benchmarked call.
+var checksumSink uint32
+
+// TestFreeListBoundsAndReuses: a put page is the next one got, pages of
+// another size and pages beyond the bound are left to the collector, and
+// a warmed list hands pages out without allocating.
+func TestFreeListBoundsAndReuses(t *testing.T) {
+	l := NewFreeList(64, 2)
+	a := l.Get()
+	if len(a) != 64 {
+		t.Fatalf("Get returned %d bytes, want 64", len(a))
+	}
+	a[0] = 0xAA
+	l.Put(a, nil, NewBuf(32))
+	if l.Len() != 1 {
+		t.Fatalf("Len = %d after putting one good page, nil and a wrong-size page; want 1", l.Len())
+	}
+	if b := l.Get(); &b[0] != &a[0] {
+		t.Fatal("Get did not return the page that was put")
+	}
+	l.Put(NewBuf(64), NewBuf(64), NewBuf(64))
+	if l.Len() != 2 {
+		t.Fatalf("Len = %d, want the bound 2", l.Len())
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		x, y := l.Get(), l.Get()
+		l.Put(x, y)
+	}); n != 0 {
+		t.Fatalf("warmed Get/Put allocates %.1f times", n)
+	}
+}
+
+// TestFreeListConcurrentOwnersNeverShareAPage: goroutines that each stamp
+// the page they hold never see another's stamp, whatever the
+// interleaving (run under -race).
+func TestFreeListConcurrentOwnersNeverShareAPage(t *testing.T) {
+	l := NewFreeList(64, 4)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w byte) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				b := l.Get()
+				for j := range b {
+					b[j] = w
+				}
+				for j := range b {
+					if b[j] != w {
+						t.Errorf("page shared between owners: byte %d is %d, want %d", j, b[j], w)
+						return
+					}
+				}
+				l.Put(b)
+			}
+		}(byte(w))
+	}
+	wg.Wait()
 }

@@ -438,7 +438,7 @@ func crashUndoWorking(s *core.Store, a *Analysis, w core.WorkingTwinInfo, rep *R
 	}
 	// The dead member is a sibling data page; w.Page and both twins are
 	// readable.
-	_, m, err := s.Arr.ReadData(w.Page)
+	_, m, err := s.Arr.ReadData(w.Page, nil)
 	if err != nil {
 		return fmt.Errorf("recovery: read tagged page %d: %w", w.Page, err)
 	}
@@ -495,11 +495,11 @@ func solvePairFromIndex(s *core.Store, g page.GroupID, p page.PageID, from int) 
 	if !s.TwinReadable(g, from) || !s.QTwinReadable(g, from) {
 		return nil, false
 	}
-	pBuf, _, err := s.Arr.ReadParity(g, from)
+	pBuf, _, err := s.Arr.ReadParity(g, from, nil)
 	if err != nil {
 		return nil, false
 	}
-	qBuf, _, err := s.Arr.ReadQ(g, from)
+	qBuf, _, err := s.Arr.ReadQ(g, from, nil)
 	if err != nil {
 		return nil, false
 	}
@@ -516,7 +516,7 @@ func solvePairFromIndex(s *core.Store, g page.GroupID, p page.PageID, from int) 
 			}
 			j = k
 		default:
-			b, _, rerr := s.Arr.ReadData(q)
+			b, _, rerr := s.Arr.ReadData(q, nil)
 			if rerr != nil {
 				return nil, false
 			}
@@ -561,7 +561,7 @@ func undoDeadTwinLosers(s *core.Store, a *Analysis, handled map[page.GroupID]boo
 			if s.PageUnavailable(p) {
 				continue
 			}
-			_, m, err := s.Arr.ReadData(p)
+			_, m, err := s.Arr.ReadData(p, nil)
 			if err != nil {
 				return fmt.Errorf("recovery: tag scan of group %d: %w", g, err)
 			}
@@ -672,7 +672,7 @@ func loseGroup(s *core.Store, g page.GroupID, zero []page.PageID) ([]page.PageID
 			lost = append(lost, q)
 			continue
 		}
-		b, _, err := s.Arr.ReadData(q)
+		b, _, err := s.Arr.ReadData(q, nil)
 		if err != nil {
 			return nil, fmt.Errorf("recovery: read lost group %d page %d: %w", g, q, err)
 		}
@@ -753,7 +753,7 @@ func repairTorn(s *core.Store, a *Analysis, rep *Report) (int, error) {
 			if s.PageUnavailable(p) {
 				continue
 			}
-			_, _, err := s.Arr.ReadData(p)
+			_, _, err := s.Arr.ReadData(p, nil)
 			if err == nil {
 				continue
 			}
@@ -766,7 +766,7 @@ func repairTorn(s *core.Store, a *Analysis, rep *Report) (int, error) {
 			if !s.TwinReadable(gid, twin) {
 				continue
 			}
-			_, _, err := s.Arr.ReadParity(gid, twin)
+			_, _, err := s.Arr.ReadParity(gid, twin, nil)
 			if err == nil {
 				continue
 			}
@@ -781,7 +781,7 @@ func repairTorn(s *core.Store, a *Analysis, rep *Report) (int, error) {
 			if !s.QTwinReadable(gid, twin) {
 				continue
 			}
-			_, _, err := s.Arr.ReadQ(gid, twin)
+			_, _, err := s.Arr.ReadQ(gid, twin, nil)
 			if err == nil {
 				continue
 			}
@@ -843,7 +843,7 @@ func repairTornQ(s *core.Store, g page.GroupID, twin int) error {
 	if !s.TwinReadable(g, twin) {
 		return invalidate()
 	}
-	pBuf, pm, err := s.Arr.ReadParity(g, twin)
+	pBuf, pm, err := s.Arr.ReadParity(g, twin, nil)
 	if err != nil {
 		return invalidate()
 	}
@@ -853,7 +853,7 @@ func repairTornQ(s *core.Store, g page.GroupID, twin int) error {
 		if s.PageUnavailable(p) {
 			return invalidate()
 		}
-		b, _, rerr := s.Arr.ReadData(p)
+		b, _, rerr := s.Arr.ReadData(p, nil)
 		if rerr != nil {
 			return invalidate()
 		}
@@ -1074,7 +1074,7 @@ func repairTornDataDegraded(s *core.Store, a *Analysis, g page.GroupID, p page.P
 			if q == p {
 				continue
 			}
-			_, qm, err := s.Arr.ReadData(q)
+			_, qm, err := s.Arr.ReadData(q, nil)
 			if err != nil {
 				if disk.IsCorrupt(err) {
 					continue // a second corrupt block; reconstruction below fails loudly
@@ -1175,7 +1175,7 @@ func repairTornDataViaSolve(s *core.Store, a *Analysis, g page.GroupID, p page.P
 		if q == p || s.PageUnavailable(q) {
 			continue
 		}
-		_, qm, err := s.Arr.ReadData(q)
+		_, qm, err := s.Arr.ReadData(q, nil)
 		if err != nil {
 			if disk.IsCorrupt(err) {
 				continue // another erasure; SolveGroup accounts for it
@@ -1243,7 +1243,7 @@ func repairTornParity(s *core.Store, a *Analysis, g page.GroupID, twin int, head
 	}
 	if hdr.State == disk.StateWorking && !a.Committed(hdr.Txn) {
 		p := hdr.DirtyPage
-		_, dMeta, err := s.Arr.ReadData(p)
+		_, dMeta, err := s.Arr.ReadData(p, nil)
 		if err != nil {
 			return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
 		}
@@ -1324,7 +1324,7 @@ func repairHeaderlessParity(s *core.Store, a *Analysis, g page.GroupID, twin int
 			return nil
 		}
 		for _, q := range s.Arr.GroupPages(g) {
-			_, qm, err := s.Arr.ReadData(q)
+			_, qm, err := s.Arr.ReadData(q, nil)
 			if err != nil {
 				if disk.IsCorrupt(err) {
 					continue // a second corrupt block; reconstruction fails loudly
@@ -1385,7 +1385,7 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 			// one is corrupt or dead: an unresolved loser tag means D_old
 			// is beyond the surviving redundancy.
 			for _, q := range s.Arr.GroupPages(g) {
-				_, qm, err := s.Arr.ReadData(q)
+				_, qm, err := s.Arr.ReadData(q, nil)
 				if err != nil {
 					if disk.IsCorrupt(err) {
 						continue // a second corrupt block; recompute below fails loudly
@@ -1405,7 +1405,7 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 		}
 		if hdr.State == disk.StateWorking && !a.Committed(hdr.Txn) {
 			p := hdr.DirtyPage
-			_, dMeta, err := s.Arr.ReadData(p)
+			_, dMeta, err := s.Arr.ReadData(p, nil)
 			if err != nil {
 				return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
 			}
@@ -1530,7 +1530,7 @@ func applyImage(s *core.Store, r wal.Record, committedWrite bool) error {
 		if err != nil {
 			return err
 		}
-		cur, err := s.ReadPage(r.Page)
+		cur, err := s.ReadPage(r.Page, nil)
 		if err != nil {
 			return err
 		}
@@ -1756,11 +1756,11 @@ func rebuildGroup(s *core.Store, g page.GroupID, lostData []page.PageID, lostTwi
 // rebuildTwoDataFromPQ reconstructs two lost data pages of one group
 // from the given index's P and Q equations plus the surviving members.
 func rebuildTwoDataFromPQ(s *core.Store, g page.GroupID, pa, pb page.PageID, twin int, dirty bool, e dirtyset.Entry) error {
-	pBuf, _, err := s.Arr.ReadParity(g, twin)
+	pBuf, _, err := s.Arr.ReadParity(g, twin, nil)
 	if err != nil {
 		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 	}
-	qBuf, _, err := s.Arr.ReadQ(g, twin)
+	qBuf, _, err := s.Arr.ReadQ(g, twin, nil)
 	if err != nil {
 		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 	}
@@ -1774,7 +1774,7 @@ func rebuildTwoDataFromPQ(s *core.Store, g page.GroupID, pa, pb page.PageID, twi
 		case pb:
 			j = k
 		default:
-			b, _, err := s.Arr.ReadData(pg)
+			b, _, err := s.Arr.ReadData(pg, nil)
 			if err != nil {
 				return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 			}
@@ -1804,7 +1804,7 @@ func rebuildTwoDataFromPQ(s *core.Store, g page.GroupID, pa, pb page.PageID, twi
 // rebuildDataFromQTwin reconstructs data page p from the given index's Q
 // page (its P partner is lost) and the surviving members.
 func rebuildDataFromQTwin(s *core.Store, g page.GroupID, p page.PageID, twin int, dirty bool, e dirtyset.Entry) error {
-	q, _, err := s.Arr.ReadQ(g, twin)
+	q, _, err := s.Arr.ReadQ(g, twin, nil)
 	if err != nil {
 		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 	}
@@ -1816,7 +1816,7 @@ func rebuildDataFromQTwin(s *core.Store, g page.GroupID, p page.PageID, twin int
 			idx = i
 			continue
 		}
-		b, _, err := s.Arr.ReadData(pg)
+		b, _, err := s.Arr.ReadData(pg, nil)
 		if err != nil {
 			return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 		}
@@ -1846,7 +1846,7 @@ func rebuildQTwin(s *core.Store, g page.GroupID, twin int, dirty bool, e dirtyse
 	pages := s.Arr.GroupPages(g)
 	raw := make([][]byte, len(pages))
 	for i, pg := range pages {
-		b, _, err := s.Arr.ReadData(pg)
+		b, _, err := s.Arr.ReadData(pg, nil)
 		if err != nil {
 			return fmt.Errorf("recovery: media rebuild Q of group %d: %w", g, err)
 		}
@@ -1876,7 +1876,7 @@ func rebuildQTwin(s *core.Store, g page.GroupID, twin int, dirty bool, e dirtyse
 // rebuildDataFromTwin reconstructs data page p from the given twin (which
 // describes the on-disk data) and the surviving members.
 func rebuildDataFromTwin(s *core.Store, g page.GroupID, p page.PageID, twin int, dirty bool, e dirtyset.Entry) error {
-	parity, _, err := s.Arr.ReadParity(g, twin)
+	parity, _, err := s.Arr.ReadParity(g, twin, nil)
 	if err != nil {
 		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 	}
@@ -1885,7 +1885,7 @@ func rebuildDataFromTwin(s *core.Store, g page.GroupID, p page.PageID, twin int,
 		if q == p {
 			continue
 		}
-		b, _, err := s.Arr.ReadData(q)
+		b, _, err := s.Arr.ReadData(q, nil)
 		if err != nil {
 			return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 		}
@@ -1911,7 +1911,7 @@ func rebuildDataFromCommitted(s *core.Store, g page.GroupID, p page.PageID, comm
 	if img == nil {
 		return fmt.Errorf("recovery: group %d: need the dirty page's before-image to rebuild page %d; unavailable", g, p)
 	}
-	parity, _, err := s.Arr.ReadParity(g, committedTwin)
+	parity, _, err := s.Arr.ReadParity(g, committedTwin, nil)
 	if err != nil {
 		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 	}
@@ -1924,7 +1924,7 @@ func rebuildDataFromCommitted(s *core.Store, g page.GroupID, p page.PageID, comm
 			survivors = append(survivors, img)
 			continue
 		}
-		b, _, err := s.Arr.ReadData(q)
+		b, _, err := s.Arr.ReadData(q, nil)
 		if err != nil {
 			return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 		}
@@ -1979,7 +1979,7 @@ func rebuildParityTwin(s *core.Store, g page.GroupID, twin int, dirty bool, e di
 	if img == nil {
 		return fmt.Errorf("recovery: group %d: committed parity twin lost while dirty and no before-image available", g)
 	}
-	dNew, _, err := s.Arr.ReadData(e.Page)
+	dNew, _, err := s.Arr.ReadData(e.Page, nil)
 	if err != nil {
 		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 	}

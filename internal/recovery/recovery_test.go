@@ -119,7 +119,7 @@ func TestCrashRecoverLaundersWinnerTwins(t *testing.T) {
 	if len(working) != 0 {
 		t.Fatalf("working twins remain after recovery: %+v", working)
 	}
-	got, err := s.ReadPage(3)
+	got, err := s.ReadPage(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestRecoverMediaSingleParity(t *testing.T) {
 		if err := RecoverMedia(s, d, nil); err != nil {
 			t.Fatalf("disk %d: %v", d, err)
 		}
-		got, err := s.ReadPage(7)
+		got, err := s.ReadPage(7, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestRecoverMediaMultiBothTwins(t *testing.T) {
 			t.Fatalf("group %d lost only twins; must be recoverable", g)
 		}
 	}
-	got, err := s.ReadPage(0)
+	got, err := s.ReadPage(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestRecoverMediaMultiDirtyCommittedPlusData(t *testing.T) {
 			t.Fatalf("group %d should rebuild via the before-image", g)
 		}
 	}
-	got, err := s.ReadPage(victim)
+	got, err := s.ReadPage(victim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

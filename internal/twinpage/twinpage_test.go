@@ -217,7 +217,7 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 
 	// Transaction 7 overwrites the middle page without UNDO logging.
 	victim := pages[1]
-	oldData, _, err := a.ReadData(victim)
+	oldData, _, err := a.ReadData(victim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +225,12 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 	for j := range newData {
 		newData[j] = byte(255 - j)
 	}
-	committedParity, _, err := a.ReadParity(0, m.Current(0))
+	committedParity, _, err := a.ReadParity(0, m.Current(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	working := xorparity.SmallWrite(committedParity, oldData, newData)
+	working := committedParity.Clone()
+	xorparity.SmallWrite(working, oldData, newData)
 	if _, err := m.WriteWorking(0, working, 7, 10, victim); err != nil {
 		t.Fatal(err)
 	}
@@ -238,15 +239,15 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 	}
 
 	// Figure 6: D_old = (P ⊕ P') ⊕ D_new.
-	p0, _, err := a.ReadParity(0, 0)
+	p0, _, err := a.ReadParity(0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, _, err := a.ReadParity(0, 1)
+	p1, _, err := a.ReadParity(0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	onDisk, _, err := a.ReadData(victim)
+	onDisk, _, err := a.ReadData(victim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -146,16 +147,23 @@ func DefaultConfig() Config { return Config{LogPageSize: 2020, WriteCost: 4} }
 // the oldest active transaction's BOT and the last checkpoint) can be
 // discarded to reclaim space.  LSNs are stable across truncation.
 type Log struct {
-	mu      sync.Mutex
-	cfg     Config
-	buf     []byte // encoded record frames, starting at firstLSN
-	offsets []int  // frame start offsets within buf, indexed by LSN-firstLSN
+	mu  sync.Mutex
+	cfg Config
+	// segs holds the retained records, oldest first; every segment holds
+	// at least one live record.  spares are emptied segments kept for the
+	// next appends (see release for how many), so a warmed log appends and
+	// truncates without allocating while its heap footprint tracks the
+	// retained records.
+	segs   []*segment
+	spares []*segment
 	// firstLSN is the LSN of the oldest retained record (1 when nothing
-	// has been truncated).
-	firstLSN LSN
-	// baseOff is the absolute byte position of buf[0] in the log stream
-	// (bytes dropped by truncation so far).
-	baseOff int
+	// has been truncated); nextLSN is the LSN the next append receives.
+	firstLSN, nextLSN LSN
+	// baseOff and endOff are the absolute byte positions of the first
+	// retained frame and of the log tail in the record stream.  All cost
+	// accounting runs on these stream positions, never on where a frame
+	// sits in memory.
+	baseOff, endOff int
 	// forcedLSN is the durability watermark: every record with LSN <=
 	// forcedLSN has reached stable storage.  Forced appends advance it
 	// past themselves (dragging any unforced predecessors along — a log
@@ -173,6 +181,32 @@ type Log struct {
 	stats      Stats
 }
 
+// segmentSize is the capacity of an ordinary log segment.  A frame lies
+// wholly inside one segment; a frame larger than this (a checkpoint
+// listing thousands of active transactions) gets a segment of its own.
+// The size is the memory an almost-empty log still holds in its tail.
+const segmentSize = 16 << 10
+
+// maxSpares bounds the emptied segments kept for reuse.  One commit of
+// the benchmark's update workloads appends two to three segments and one
+// truncation frees the handful the oldest open transaction was pinning,
+// so a few spares absorb every burst; a checkpoint that frees hundreds
+// still gives all but these back to the collector.
+const maxSpares = 8
+
+// segment is one fixed-capacity run of encoded frames.  Its buffer is
+// never reallocated, so truncation frees whole segments instead of
+// copying the survivors.
+type segment struct {
+	buf  []byte // frames, back to back
+	offs []int  // frame start offsets within buf
+	lsn0 LSN    // LSN of the frame at offs[0]
+	base int    // stream position of buf[0]
+}
+
+// end returns the LSN one past the segment's last frame.
+func (s *segment) end() LSN { return s.lsn0 + LSN(len(s.offs)) }
+
 // New creates an empty log.
 func New(cfg Config) *Log {
 	if cfg.LogPageSize <= 0 {
@@ -181,7 +215,7 @@ func New(cfg Config) *Log {
 	if cfg.WriteCost <= 0 {
 		cfg.WriteCost = DefaultConfig().WriteCost
 	}
-	return &Log{cfg: cfg, firstLSN: 1}
+	return &Log{cfg: cfg, firstLSN: 1, nextLSN: 1}
 }
 
 // SetForceDelay sets the simulated wall-clock service time of one
@@ -195,12 +229,14 @@ func (l *Log) SetForceDelay(d time.Duration) {
 // ErrCorrupt reports a malformed record frame during decoding.
 var ErrCorrupt = errors.New("wal: corrupt record frame")
 
+// frameLen returns the encoded size of r's frame.
+func frameLen(r *Record) int { return 25 + len(r.Image) + 4 + 8*len(r.Active) }
+
 // encode appends the frame for r to dst and returns the result.
 func encode(dst []byte, r *Record) []byte {
 	// Frame: u32 payloadLen | u8 type | u64 txn | u32 page | i32 slot |
 	//        u32 imageLen | image | u32 activeLen | active txns.
 	var hdr [25]byte
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(0)) // placeholder
 	hdr[4] = byte(r.Type)
 	binary.LittleEndian.PutUint64(hdr[5:], uint64(r.Txn))
 	binary.LittleEndian.PutUint32(hdr[13:], uint32(r.Page))
@@ -282,16 +318,66 @@ func (l *Log) AppendUnforced(r Record) LSN {
 	return l.appendLocked(&r)
 }
 
-// appendLocked encodes r into the tail and assigns its LSN.
+// appendLocked encodes r into the tail segment — a fresh one when the
+// frame does not fit — and assigns its LSN.
 func (l *Log) appendLocked(r *Record) LSN {
-	r.LSN = l.firstLSN + LSN(len(l.offsets))
-	startOff := len(l.buf)
-	l.offsets = append(l.offsets, startOff)
-	l.buf = encode(l.buf, r)
+	r.LSN = l.nextLSN
+	need := frameLen(r)
+	var s *segment
+	if n := len(l.segs); n > 0 && len(l.segs[n-1].buf)+need <= cap(l.segs[n-1].buf) {
+		s = l.segs[n-1]
+	} else {
+		if n := len(l.spares); n > 0 && need <= segmentSize {
+			s, l.spares = l.spares[n-1], l.spares[:n-1]
+		} else {
+			s = &segment{buf: make([]byte, 0, max(need, segmentSize))}
+		}
+		s.lsn0, s.base = l.nextLSN, l.endOff
+		l.segs = append(l.segs, s)
+	}
+	s.offs = append(s.offs, len(s.buf))
+	s.buf = encode(s.buf, r)
+	l.nextLSN++
+	l.endOff += need
 	l.stats.Records++
-	l.stats.Bytes += int64(len(l.buf) - startOff)
-	l.stats.LogPages = int64((l.baseOff+len(l.buf)-1)/l.cfg.LogPageSize + 1)
+	l.stats.Bytes += int64(need)
+	l.stats.LogPages = int64((l.endOff-1)/l.cfg.LogPageSize + 1)
 	return r.LSN
+}
+
+// locate returns the segment holding retained record n and its index
+// there.
+func (l *Log) locate(n LSN) (*segment, int) {
+	i := sort.Search(len(l.segs), func(i int) bool { return l.segs[i].end() > n })
+	return l.segs[i], int(n - l.segs[i].lsn0)
+}
+
+// offsetOf returns the stream position of retained record n's frame, or
+// of the log tail for n == nextLSN.
+func (l *Log) offsetOf(n LSN) int {
+	if n == l.nextLSN {
+		return l.endOff
+	}
+	s, i := l.locate(n)
+	return s.base + s.offs[i]
+}
+
+// release drops segs[lo:hi] from the retained list, keeping the
+// ordinary-sized ones as spares while there is room: never more than
+// maxSpares, and never more than two (one transaction's after-images)
+// beyond the segments still retained, so a log that shrinks to nothing
+// holds two spares, not eight.
+func (l *Log) release(lo, hi int) {
+	room := min(maxSpares, len(l.segs)-(hi-lo)+2)
+	for _, s := range l.segs[lo:hi] {
+		if len(l.spares) < room && cap(s.buf) == segmentSize {
+			s.buf, s.offs = s.buf[:0], s.offs[:0]
+			l.spares = append(l.spares, s)
+		}
+	}
+	n := lo + copy(l.segs[lo:], l.segs[hi:])
+	clear(l.segs[n:])
+	l.segs = l.segs[:n]
 }
 
 // Force makes every record with LSN <= upTo durable, charging the log
@@ -330,18 +416,13 @@ func (l *Log) ForcedLSN() LSN {
 // unforced backlog: the span then starts exactly at the appended frame.
 // Under the Packed policy only newly entered pages are charged.
 func (l *Log) forceLocked(upTo LSN) {
-	tail := l.firstLSN + LSN(len(l.offsets)) - 1
-	if upTo > tail {
-		upTo = tail
+	if upTo >= l.nextLSN {
+		upTo = l.nextLSN - 1
 	}
 	if upTo <= l.forcedLSN {
 		return
 	}
-	endOff := l.baseOff + len(l.buf)
-	if upTo < tail {
-		endOff = l.baseOff + l.offsets[upTo-l.firstLSN+1]
-	}
-	if endOff > l.forcedOff {
+	if endOff := l.offsetOf(upTo + 1); endOff > l.forcedOff {
 		firstPage := l.forcedOff / l.cfg.LogPageSize
 		lastPage := (endOff - 1) / l.cfg.LogPageSize
 		pagesTouched := int64(lastPage - firstPage + 1)
@@ -361,21 +442,23 @@ func (l *Log) forceLocked(upTo LSN) {
 func (l *Log) DropUnforced() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	tail := l.firstLSN + LSN(len(l.offsets)) - 1
-	if l.forcedLSN >= tail {
-		return 0
-	}
-	keep := 0
-	if l.forcedLSN >= l.firstLSN {
-		keep = int(l.forcedLSN - l.firstLSN + 1)
-	}
-	dropped := len(l.offsets) - keep
+	cut := max(l.forcedLSN+1, l.firstLSN) // first record dropped
+	dropped := int(l.nextLSN - cut)
 	if dropped <= 0 {
 		return 0
 	}
-	cut := l.offsets[keep]
-	l.buf = l.buf[:cut]
-	l.offsets = l.offsets[:keep]
+	l.endOff = l.offsetOf(cut)
+	lo := len(l.segs)
+	for lo > 0 && l.segs[lo-1].lsn0 >= cut {
+		lo--
+	}
+	l.release(lo, len(l.segs))
+	if n := len(l.segs); n > 0 && cut < l.segs[n-1].end() {
+		s := l.segs[n-1]
+		i := int(cut - s.lsn0)
+		s.buf, s.offs = s.buf[:s.offs[i]], s.offs[:i]
+	}
+	l.nextLSN = cut
 	return dropped
 }
 
@@ -388,27 +471,21 @@ func (l *Log) DropUnforced() int {
 func (l *Log) Truncate(keep LSN) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	tail := l.firstLSN + LSN(len(l.offsets))
 	if keep <= l.firstLSN {
 		return 0
 	}
-	if keep > tail {
-		keep = tail
+	if keep > l.nextLSN {
+		keep = l.nextLSN
 	}
 	drop := int(keep - l.firstLSN)
-	var cut int
-	if drop < len(l.offsets) {
-		cut = l.offsets[drop]
-	} else {
-		cut = len(l.buf)
+	l.baseOff = l.offsetOf(keep)
+	// Whole segments below keep go; the first survivor keeps its dead
+	// prefix until its last record is truncated too.
+	k := 0
+	for k < len(l.segs) && l.segs[k].end() <= keep {
+		k++
 	}
-	l.buf = append([]byte(nil), l.buf[cut:]...)
-	newOffsets := make([]int, len(l.offsets)-drop)
-	for i := range newOffsets {
-		newOffsets[i] = l.offsets[drop+i] - cut
-	}
-	l.offsets = newOffsets
-	l.baseOff += cut
+	l.release(0, k)
 	l.firstLSN = keep
 	// Records dropped by truncation are gone whether or not they were
 	// ever forced; keep the watermark consistent so DropUnforced never
@@ -435,7 +512,7 @@ func (l *Log) FirstLSN() LSN {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return int(l.firstLSN) - 1 + len(l.offsets)
+	return int(l.nextLSN) - 1
 }
 
 // Read returns the record at the given LSN.
@@ -446,11 +523,11 @@ func (l *Log) Read(n LSN) (Record, error) {
 }
 
 func (l *Log) readLocked(n LSN) (Record, error) {
-	idx := int(n) - int(l.firstLSN)
-	if n < l.firstLSN || idx >= len(l.offsets) {
-		return Record{}, fmt.Errorf("wal: LSN %d out of range [%d,%d]", n, l.firstLSN, int(l.firstLSN)-1+len(l.offsets))
+	if n < l.firstLSN || n >= l.nextLSN {
+		return Record{}, fmt.Errorf("wal: LSN %d out of range [%d,%d]", n, l.firstLSN, l.nextLSN-1)
 	}
-	r, _, err := decode(l.buf, l.offsets[idx])
+	seg, i := l.locate(n)
+	r, _, err := decode(seg.buf, seg.offs[i])
 	if err != nil {
 		return Record{}, err
 	}
@@ -468,7 +545,7 @@ func (l *Log) Scan(from LSN, fn func(Record) bool) error {
 	l.mu.Unlock()
 	for n := from; ; n++ {
 		l.mu.Lock()
-		if int(n) > int(l.firstLSN)-1+len(l.offsets) {
+		if n >= l.nextLSN {
 			l.mu.Unlock()
 			return nil
 		}
@@ -487,7 +564,7 @@ func (l *Log) Scan(from LSN, fn func(Record) bool) error {
 // including) LSN 1, until fn returns false.
 func (l *Log) ScanBackward(fn func(Record) bool) error {
 	l.mu.Lock()
-	top := int(l.firstLSN) - 1 + len(l.offsets)
+	top := int(l.nextLSN) - 1
 	bottom := int(l.firstLSN)
 	l.mu.Unlock()
 	for n := top; n >= bottom; n-- {
@@ -526,21 +603,11 @@ func (l *Log) LastCheckpoint() (Record, bool) {
 func (l *Log) ChargeScan(from, to LSN) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	tail := l.firstLSN + LSN(len(l.offsets)) - 1
-	if len(l.offsets) == 0 || from > to || to < l.firstLSN {
+	from, to = max(from, l.firstLSN), min(to, l.nextLSN-1)
+	if from > to { // also: an empty log, or a range wholly truncated
 		return 0
 	}
-	if from < l.firstLSN {
-		from = l.firstLSN
-	}
-	if to > tail {
-		to = tail
-	}
-	startOff := l.baseOff + l.offsets[from-l.firstLSN]
-	endOff := l.baseOff + len(l.buf)
-	if to < tail {
-		endOff = l.baseOff + l.offsets[to-l.firstLSN+1]
-	}
+	startOff, endOff := l.offsetOf(from), l.offsetOf(to+1)
 	pages := int64((endOff-1)/l.cfg.LogPageSize - startOff/l.cfg.LogPageSize + 1)
 	l.stats.ReadTransfers += pages
 	return pages
@@ -553,11 +620,11 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// ResetStats zeroes the transfer counters (record/byte history is kept:
-// it is the log contents, not a statistic).
+// ResetStats zeroes the counters: records and bytes appended, write and
+// read transfers.  LogPages is a position in the record stream, not a
+// count of work done, and stays; so do the log's contents.
 func (l *Log) ResetStats() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.stats.Transfers = 0
-	l.stats.ReadTransfers = 0
+	l.stats = Stats{LogPages: l.stats.LogPages}
 }

@@ -45,14 +45,14 @@ func Compute(size int, blocks ...[]byte) []byte {
 	return erasure.ComputeP(size, blocks...)
 }
 
-// SmallWrite returns the updated parity for a small (single page) write:
+// SmallWrite folds a small (single page) write into parity in place:
 // P_new = P_old ⊕ D_old ⊕ D_new.  This is the read-modify-write protocol
 // described in Section 3.1 for RAID with rotated parity and used verbatim
-// by parity striping.
-func SmallWrite(parityOld, dataOld, dataNew []byte) []byte {
-	out := Xor(parityOld, dataOld)
-	XorInto(out, dataNew)
-	return out
+// by parity striping; the caller owns the parity page it just read, so no
+// third page is needed.
+func SmallWrite(parity, dataOld, dataNew []byte) {
+	XorInto(parity, dataOld)
+	XorInto(parity, dataNew)
 }
 
 // UndoTwin recovers the before-image of the single data page that differs

@@ -24,7 +24,7 @@ func TestSmallWriteMatchesRecompute(t *testing.T) {
 	for step := 0; step < 50; step++ {
 		i := r.Intn(n)
 		dataNew := randBlock(r, size)
-		parity = SmallWrite(parity, group[i], dataNew)
+		SmallWrite(parity, group[i], dataNew)
 		group[i] = dataNew
 		if !Verify(parity, group...) {
 			t.Fatalf("step %d: small-write parity diverged from full recompute", step)
@@ -44,7 +44,8 @@ func TestUndoTwinRecoversBeforeImage(t *testing.T) {
 	committed := Compute(size, group...)
 	dOld := group[2]
 	dNew := randBlock(r, size)
-	working := SmallWrite(committed, dOld, dNew)
+	working := append([]byte(nil), committed...)
+	SmallWrite(working, dOld, dNew)
 	got := UndoTwin(committed, working, dNew)
 	if !bytes.Equal(got, dOld) {
 		t.Fatalf("UndoTwin did not recover the before-image")
@@ -113,7 +114,8 @@ func TestQuickSmallWriteUndoRoundTrip(t *testing.T) {
 	// identity (P ⊕ P') ⊕ D_new == D_old holds.
 	f := func(a, b, c, dOld, dNew [48]byte) bool {
 		committed := Compute(48, a[:], b[:], c[:], dOld[:])
-		working := SmallWrite(committed, dOld[:], dNew[:])
+		working := append([]byte(nil), committed...)
+		SmallWrite(working, dOld[:], dNew[:])
 		return bytes.Equal(UndoTwin(committed, working, dNew[:]), dOld[:])
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -134,5 +136,38 @@ func TestComputeEmpty(t *testing.T) {
 	p := Compute(16)
 	if !bytes.Equal(p, make([]byte, 16)) {
 		t.Fatalf("parity of no blocks must be zero")
+	}
+}
+
+// TestInPlaceKernelsDoNotAllocate guards the in-place contract: XorInto
+// and the small-write update fold into the caller's page and need no
+// third one.
+func TestInPlaceKernelsDoNotAllocate(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	parity, dOld, dNew := randBlock(r, 2048), randBlock(r, 2048), randBlock(r, 2048)
+	want := Xor(Xor(parity, dOld), dNew)
+	if n := testing.AllocsPerRun(100, func() { XorInto(parity, dOld) }); n != 0 {
+		t.Errorf("XorInto allocates %.1f times per call, want 0", n)
+	}
+	XorInto(parity, dOld) // an odd number of folds so far: undo it
+	if n := testing.AllocsPerRun(100, func() { SmallWrite(parity, dOld, dNew) }); n != 0 {
+		t.Errorf("SmallWrite allocates %.1f times per call, want 0", n)
+	}
+	// AllocsPerRun ran SmallWrite 101 times; an odd count leaves one update.
+	if !bytes.Equal(parity, want) {
+		t.Fatalf("in-place small write diverges from P ⊕ D_old ⊕ D_new")
+	}
+}
+
+// BenchmarkSmallWrite is the parity half of the small-write protocol on a
+// 2 KiB page: P ⊕= D_old ⊕ D_new, in place.
+func BenchmarkSmallWrite(b *testing.B) {
+	r := rand.New(rand.NewSource(10))
+	parity, dOld, dNew := randBlock(r, 2048), randBlock(r, 2048), randBlock(r, 2048)
+	b.SetBytes(2048)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SmallWrite(parity, dOld, dNew)
 	}
 }

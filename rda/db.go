@@ -233,9 +233,39 @@ func Open(cfg Config) (*DB, error) {
 // policies.  FORCE keeps disk versions in dirty frames (the paper's a=3
 // small writes); ¬FORCE does not (a=4; Section 5.2.2).
 func (db *DB) newPool() *buffer.Pool {
-	p := buffer.New(db.cfg.BufferFrames, db.cfg.PageSize, db.fetch, db.writeBack)
+	// Misses are serialized by the pool's mutex and the pool copies the
+	// image into the frame's own buffer before releasing it, so every
+	// fetch reads into the same page.
+	scratch := page.NewBuf(db.cfg.PageSize)
+	p := buffer.New(db.cfg.BufferFrames, db.cfg.PageSize,
+		func(id page.PageID) (page.Buf, error) { return db.store.ReadPageRepair(id, scratch) }, db.writeBack)
 	p.KeepDiskVersions = db.cfg.EOT == Force
 	return p
+}
+
+// snapshotPage returns a copy of src in a page from the store's free
+// list: the per-transaction before-images (txState.beforePages,
+// stolenBefore) are drawn from it and return to it at commit or abort.
+func (db *DB) snapshotPage(src page.Buf) page.Buf {
+	b := db.store.Pages.Get()
+	copy(b, src)
+	return b
+}
+
+// releaseSnapshots hands a finished transaction's before-images back to
+// the free list.  The caller has removed st from the transaction table
+// under the latches of every group it modified, so nothing can reach the
+// images any more: log records and disk blocks hold copies, never these
+// buffers.
+func (db *DB) releaseSnapshots(st *txState) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, images := range []map[page.PageID]page.Buf{st.beforePages, st.stolenBefore} {
+		for p, b := range images {
+			db.store.Pages.Put(b)
+			delete(images, p)
+		}
+	}
 }
 
 // formatRecordPages initializes every data page with the fixed-slot
@@ -354,19 +384,13 @@ func (db *DB) healWorld() bool {
 	return db.syncHealth()
 }
 
-// fetch loads a page from the array on a buffer miss, transparently
-// repairing latent sector errors from the group's redundancy.  Errors
-// surface to the operation, whose healWorld retry serves the reload from
-// redundancy after a disk loss.
-func (db *DB) fetch(p page.PageID) (page.Buf, error) {
-	return db.store.ReadPageRepair(p)
-}
-
 // storeRead is ReadPage for engine paths that read outside the buffer
-// pool (after-image capture, abort restores).  Same error discipline as
-// fetch.
+// pool (after-image capture, abort restores).  Like the pool's fetch it
+// transparently repairs latent sector errors from the group's redundancy;
+// other errors surface to the operation, whose healWorld retry serves the
+// read from redundancy after a disk loss.
 func (db *DB) storeRead(p page.PageID) (page.Buf, error) {
-	return db.store.ReadPage(p)
+	return db.store.ReadPage(p, nil)
 }
 
 // syncHealth aligns the engine's degraded-serving state with the array's
@@ -459,7 +483,7 @@ func (db *DB) writeBack(f *buffer.Frame) error {
 			oldOnDisk := old
 			if oldOnDisk == nil {
 				var err error
-				oldOnDisk, err = db.store.ReadPage(f.Page)
+				oldOnDisk, err = db.store.ReadPage(f.Page, nil)
 				if err != nil {
 					return err
 				}
@@ -474,7 +498,7 @@ func (db *DB) writeBack(f *buffer.Frame) error {
 			// head are harmless.
 			st.mu.Lock()
 			if _, ok := st.stolenBefore[f.Page]; !ok {
-				st.stolenBefore[f.Page] = oldOnDisk.Clone()
+				st.stolenBefore[f.Page] = db.snapshotPage(oldOnDisk)
 			}
 			chainPrev := st.t.ChainHead()
 			st.mu.Unlock()
@@ -552,7 +576,7 @@ func (db *DB) ensureUndoLogged(st *txState, p page.PageID) {
 		}
 		db.log.Append(wal.Record{
 			Type: wal.TypeBeforeImage, Txn: st.t.ID, Page: p, Slot: wal.NoSlot,
-			Image: img.Clone(),
+			Image: img, // the log encodes it before Append returns
 		})
 		st.t.LoggedUndo[p] = struct{}{}
 		return
@@ -593,7 +617,7 @@ func (db *DB) ensureUndoUnforced(st *txState, p page.PageID) wal.LSN {
 	}
 	lsn := db.log.AppendUnforced(wal.Record{
 		Type: wal.TypeBeforeImage, Txn: st.t.ID, Page: p, Slot: wal.NoSlot,
-		Image: img.Clone(),
+		Image: img,
 	})
 	st.t.LoggedUndo[p] = struct{}{}
 	return lsn

@@ -127,14 +127,21 @@ func (db *DB) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the transfer and activity counters (transaction and
-// recovery totals are cumulative and are not reset).
+// ResetStats zeroes every counter that measures work done — array
+// transfers, log transfers and volume, buffer activity, the self-healing
+// retry layer, degraded serving and the integrity plane — so a Stats()
+// taken afterwards is a delta since the reset in all of them.  Four
+// totals describe the engine's history rather than an interval and stay
+// cumulative: TxStarted, TxCommitted, TxAborted and Recoveries.
+// RebuiltGroups stays too: it is the running rebuild's progress since the
+// last disk loss and restarts with the next one.
 func (db *DB) ResetStats() {
 	db.gate.RLock()
 	defer db.gate.RUnlock()
 	db.arr.ResetStats()
 	db.log.ResetStats()
 	db.pool.ResetStats()
+	db.store.ResetCounters()
 }
 
 // ResidentPages returns the ids of buffer-resident pages, most recently

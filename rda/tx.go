@@ -190,7 +190,7 @@ func (tx *Tx) firstModifyPage(p page.PageID, cur page.Buf) {
 		st.mu.Unlock()
 		return
 	}
-	st.beforePages[p] = cur.Clone()
+	st.beforePages[p] = tx.db.snapshotPage(cur)
 	st.mu.Unlock()
 	// Every update transaction brackets itself with BOT...EOT on the log
 	// (the model charges these for all update transactions); RDA only
@@ -528,6 +528,7 @@ func (db *DB) commitAttempt(tx *Tx) error {
 	delete(db.states, t.ID)
 	db.truncateLogLocked()
 	db.mu.Unlock()
+	db.releaseSnapshots(st)
 	return nil
 }
 
@@ -571,10 +572,11 @@ func (db *DB) appendAfterImages(st *txState) error {
 // currentImage returns the latest contents of page p: the buffered frame
 // when resident, the on-disk page otherwise (the page was stolen and not
 // re-referenced; the read is charged, as any I/O).  The caller holds p's
-// group latch, which keeps the frame from being evicted or mutated.
+// group latch, which keeps the frame from being evicted or mutated, and
+// only reads the image: a resident page is the frame's own buffer.
 func (db *DB) currentImage(p page.PageID) (page.Buf, error) {
 	if f := db.pool.Frame(p); f != nil {
-		return f.Data.Clone(), nil
+		return f.Data, nil
 	}
 	return db.storeRead(p)
 }
@@ -667,6 +669,7 @@ func (db *DB) abortAttempt(tx *Tx) error {
 	db.mu.Lock()
 	delete(db.states, t.ID)
 	db.mu.Unlock()
+	db.releaseSnapshots(st)
 	return nil
 }
 
@@ -721,9 +724,7 @@ func (db *DB) rollback(st *txState) error {
 		if err := db.repairFrameData(st, f); err != nil {
 			return err
 		}
-		if f.DiskVersion != nil {
-			f.DiskVersion = restored.Clone()
-		}
+		copy(f.DiskVersion, restored) // a frame without a disk version has none to refresh
 	}
 
 	// 3. In-buffer repair of modified pages never stolen.
@@ -797,8 +798,7 @@ func (db *DB) restoreStolenLogged(st *txState, p page.PageID) (page.Buf, error) 
 		if !ok {
 			return nil, fmt.Errorf("rda: missing before-image for page %d", p)
 		}
-		restored := img.Clone()
-		return restored, db.store.WriteLogged(p, restored, nil)
+		return img, db.store.WriteLogged(p, img, nil)
 	}
 	// Record mode: restore only this transaction's records on the
 	// current disk page, preserving other transactions' records.
