@@ -67,7 +67,7 @@ func main() {
 					name = fmt.Sprintf("P%d'", g)
 				}
 			}
-			labels[arr.ParityLoc(gid, twin)] = fmt.Sprintf("%-4s", name)
+			labels[arr.Loc(gid, diskarray.P.Twin(twin))] = fmt.Sprintf("%-4s", name)
 		}
 	}
 

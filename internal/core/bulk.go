@@ -5,10 +5,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/disk"
-	"repro/internal/erasure"
 	"repro/internal/page"
 	"repro/internal/workpool"
-	"repro/internal/xorparity"
 )
 
 // BulkLoad writes a run of consecutive logical pages as committed data
@@ -100,16 +98,14 @@ func (s *Store) BulkLoad(start page.PageID, pages []page.Buf) (int, error) {
 // plus a freshly computed parity page.
 func (s *Store) bulkStripe(g page.GroupID, covered func(page.PageID) (page.Buf, bool)) error {
 	members := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(members))
+	vals := make([]page.Buf, len(members))
 	for j, q := range members {
-		buf, _ := covered(q)
-		raw[j] = buf
-		if err := s.Arr.WriteData(q, buf, disk.Meta{}); err != nil {
+		vals[j], _ = covered(q)
+		if err := s.Arr.WriteData(q, vals[j], disk.Meta{}); err != nil {
 			return fmt.Errorf("core: bulk write page %d: %w", q, err)
 		}
 	}
-	parity := xorparity.Compute(s.Arr.PageSize(), raw...)
-	// On twinned arrays the new parity lands on the obsolete twin and
+	// On twinned arrays the new redundancy lands on the obsolete index and
 	// the bitmap flips, the same crash-friendly two-version discipline
 	// as WriteCommitted (bulk loading itself is not atomic — loaders
 	// re-run after a crash — but the parity flip never tears).
@@ -118,16 +114,8 @@ func (s *Store) bulkStripe(g page.GroupID, covered func(page.PageID) (page.Buf, 
 		twin = s.Twins.Obsolete(g)
 	}
 	meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-	if s.Arr.HasQ() && twin < s.Arr.QParityPages() {
-		// Lockstep invariant: the Q partner holds ComputeQ of the same
-		// state, written just before P so P remains the arbiter.
-		q := erasure.ComputeQ(s.Arr.PageSize(), raw...)
-		if err := s.Arr.WriteQ(g, twin, q, meta); err != nil {
-			return fmt.Errorf("core: bulk write Q of group %d: %w", g, err)
-		}
-	}
-	if err := s.Arr.WriteParity(g, twin, parity, meta); err != nil {
-		return fmt.Errorf("core: bulk write parity of group %d: %w", g, err)
+	if err := s.writeIndex(g, twin, s.computeIndex(vals), meta); err != nil {
+		return err
 	}
 	if s.Twins != nil {
 		s.Twins.Promote(g, twin)

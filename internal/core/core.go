@@ -34,7 +34,6 @@ import (
 	"repro/internal/dirtyset"
 	"repro/internal/disk"
 	"repro/internal/diskarray"
-	"repro/internal/erasure"
 	"repro/internal/page"
 	"repro/internal/twinpage"
 	"repro/internal/txn"
@@ -110,16 +109,6 @@ func NewStore(arr *diskarray.Array, log *wal.Log, tm *txn.Manager) *Store {
 // RDA reports whether RDA recovery is active.
 func (s *Store) RDA() bool { return s.Twins != nil }
 
-// ReadPage reads a data page, charging one transfer.  Every read is
-// verified end to end: if the page's disk is down the read is served by
-// on-the-fly reconstruction, and if the stored block fails verification
-// (checksum, location stamp or write ledger) it is repaired in place from
-// the group's redundancy before being returned — see ReadPageRepair, also
-// for dst.
-func (s *Store) ReadPage(p page.PageID, dst page.Buf) (page.Buf, error) {
-	return s.ReadPageRepair(p, dst)
-}
-
 // oldOnDisk returns the page's current on-disk contents, using the
 // caller-provided copy when available (the paper's a=3 case) and reading
 // from the array otherwise (a=4), verified and repaired like every read.
@@ -130,7 +119,7 @@ func (s *Store) oldOnDisk(p page.PageID, cached page.Buf) (old, scratch page.Buf
 		return cached, nil, nil
 	}
 	scratch = s.Pages.Get()
-	old, err = s.ReadPageRepair(p, scratch)
+	old, err = s.ReadPage(p, scratch)
 	return old, scratch, err
 }
 
@@ -197,21 +186,16 @@ func (s *Store) WriteCommitted(p page.PageID, data, cachedOld page.Buf) error {
 // DESIGN.md), so recovery's Figure 7 arbitration over P headers alone
 // also selects a usable Q.
 func (s *Store) flipCommitted(g page.GroupID, p page.PageID, data, cachedOld page.Buf) error {
-	newParity, newQ, err := s.smallWriteParity(g, s.currentTwin(g), p, cachedOld, data)
+	imgs, err := s.smallWriteParity(g, s.currentTwin(g), p, cachedOld, data)
 	if err != nil {
 		return err
 	}
-	defer s.Pages.Put(newParity, newQ)
+	defer s.Pages.Put(imgs[:]...)
 	obsolete := s.Twins.Obsolete(g)
 	ts := s.TM.NextTimestamp()
 	meta := disk.Meta{State: disk.StateCommitted, Timestamp: ts, DirtyPage: p, PairedSet: true}
-	if newQ != nil {
-		if err := s.Arr.WriteQ(g, obsolete, newQ, meta); err != nil {
-			return fmt.Errorf("core: write committed Q of group %d: %w", g, err)
-		}
-	}
-	if err := s.Arr.WriteParity(g, obsolete, newParity, meta); err != nil {
-		return fmt.Errorf("core: write committed parity of group %d: %w", g, err)
+	if err := s.writeIndex(g, obsolete, imgs, meta); err != nil {
+		return err
 	}
 	s.Twins.Promote(g, obsolete)
 	return s.writeData(p, data, disk.Meta{Timestamp: ts})
@@ -227,50 +211,43 @@ func (s *Store) oldForSmallWrite(p page.PageID, cachedOld page.Buf) (old, scratc
 }
 
 // smallWriteParity computes the redundancy images for writing `data`
-// over page p from the given twin index: P_new = P ⊕ D_old ⊕ D_new and,
-// on a QParity array, Q_new = Q ⊕ g^i·(D_old ⊕ D_new) from the same
-// index's Q page (nil otherwise).  The images are pages from s.Pages that
-// the old redundancy was read into and the update folded into in place;
-// the caller writes them out and puts them back.  Width-1 (mirrored)
-// groups get copies of the data with no reads at all.  The reads all
-// target different drives, so a pipelined store overlaps them.
-func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cachedOld, data page.Buf) (page.Buf, page.Buf, error) {
-	cur := s.Pages.Get()
-	var curQ page.Buf
-	if s.Arr.HasQ() {
-		curQ = s.Pages.Get()
+// over page p from the given twin index, one per equation (indexed by
+// diskarray.Eq; nil for an equation the array does not keep):
+// P_new = P ⊕ D_old ⊕ D_new and Q_new = Q ⊕ g^i·(D_old ⊕ D_new).  The
+// images are pages from s.Pages that the old redundancy was read into and
+// the update folded into in place; the caller writes them out and puts
+// them back.  Width-1 (mirrored) groups get copies of the data with no
+// reads at all.  The reads all target different drives, so a pipelined
+// store overlaps them.
+func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cachedOld, data page.Buf) (imgs [2]page.Buf, err error) {
+	eqs := s.Arr.Equations()
+	for _, eq := range eqs {
+		imgs[eq] = s.Pages.Get()
 	}
 	if s.Arr.GroupWidth() == 1 {
-		copy(cur, data)
-		copy(curQ, data)
-		return cur, curQ, nil
+		for _, eq := range eqs {
+			copy(imgs[eq], data)
+		}
+		return imgs, nil
 	}
 	var oldData, scratch page.Buf
 	defer func() { s.Pages.Put(scratch) }()
-	reads := []func() error{
-		func() error {
-			var e error
-			oldData, scratch, e = s.oldOnDisk(p, cachedOld)
-			return e
-		},
-		func() error {
-			var e error
-			if cur, _, e = s.ReadParityRepair(g, twin, cur); e != nil {
-				return fmt.Errorf("core: read parity of group %d: %w", g, e)
-			}
-			return nil
-		},
+	reads := make([]func() error, 1, 3)
+	reads[0] = func() error {
+		var e error
+		oldData, scratch, e = s.oldOnDisk(p, cachedOld)
+		return e
 	}
-	if curQ != nil {
+	for _, eq := range eqs {
+		r := eq.Twin(twin)
 		reads = append(reads, func() error {
 			var e error
-			if curQ, _, e = s.Arr.ReadQ(g, twin, curQ); e != nil {
-				return fmt.Errorf("core: read Q of group %d: %w", g, e)
+			if imgs[r.Eq], _, e = s.readRed(g, r, imgs[r.Eq]); e != nil {
+				return fmt.Errorf("core: read %s twin %d of group %d: %w", r.Eq, twin, g, e)
 			}
 			return nil
 		})
 	}
-	var err error
 	if s.Pipelined && cachedOld == nil {
 		// The a=4 case needs every read and they target different
 		// drives: overlap them.  Reads commute, so this changes no
@@ -284,14 +261,17 @@ func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cached
 		}
 	}
 	if err != nil {
-		s.Pages.Put(cur, curQ)
-		return nil, nil, err
+		s.Pages.Put(imgs[:]...)
+		return [2]page.Buf{}, err
 	}
-	xorparity.SmallWrite(cur, oldData, data)
-	if curQ != nil {
-		erasure.QSmallWrite(curQ, oldData, data, s.groupIndexOf(g, p))
+	idx := 0
+	if len(eqs) > 1 {
+		idx = s.groupIndexOf(g, p)
 	}
-	return cur, curQ, nil
+	for _, eq := range eqs {
+		eq.SmallWrite(imgs[eq], oldData, data, idx)
+	}
+	return imgs, nil
 }
 
 // ErrMustLog reports a StealNoLog attempt that the Dirty_Set forbids;
@@ -314,31 +294,17 @@ func (s *Store) CanStealNoLog(p page.PageID, tx page.TxID) bool {
 	return s.Dirty.CanStealWithoutLogging(g, p, tx)
 }
 
-// StealNoLog writes page p, modified by active transaction tx, without
+// StealNoLog writes page p, modified by active transaction t, without
 // UNDO logging (Section 4.1).  The data page header records the writing
-// transaction and the log-chain pointer to tx's previously chained page
-// (Section 4.3); the working parity header records tx, a fresh timestamp
-// and the covered page.
+// transaction — the steal tag recovery finds stolen pages by — and the
+// working redundancy header records t, a fresh timestamp and the covered
+// page.
+//
+// The transfers touch only per-group state (twins, dirty set, the group's
+// drives), each safe under the group latch the caller holds, so a
+// pipelined commit overlaps one transaction's steals across parity
+// groups.
 func (s *Store) StealNoLog(p page.PageID, data, cachedOld page.Buf, t *txn.Txn) error {
-	if err := s.StealNoLogChained(p, data, cachedOld, t, t.ChainHead()); err != nil {
-		return err
-	}
-	if !t.InChain(p) {
-		t.StolenNoLog = append(t.StolenNoLog, p)
-	}
-	return nil
-}
-
-// StealNoLogChained is StealNoLog with the transaction-chain bookkeeping
-// hoisted to the caller: chainPrev is the log-chain pointer to record in
-// the data header, and the caller appends p to t.StolenNoLog (under its
-// own transaction mutex) once the steal succeeds.  The split lets a
-// pipelined commit overlap one transaction's steals across parity groups
-// — the disk transfers here touch only per-group state (twins, dirty
-// set, the group's drives), each already safe under the group latch the
-// caller holds — while the shared chain mutation stays serialized
-// outside the I/O.
-func (s *Store) StealNoLogChained(p page.PageID, data, cachedOld page.Buf, t *txn.Txn, chainPrev page.PageID) error {
 	if s.Dirty == nil {
 		return fmt.Errorf("core: StealNoLog without RDA recovery")
 	}
@@ -350,64 +316,33 @@ func (s *Store) StealNoLogChained(p page.PageID, data, cachedOld page.Buf, t *tx
 		return fmt.Errorf("%w: group %d page %d txn %d", ErrMustLog, g, p, t.ID)
 	}
 	ts := s.TM.NextTimestamp()
-	entry, dirty := s.Dirty.Lookup(g)
-	var twin int
-	if dirty {
-		// Re-steal of the same page by the same transaction: refresh the
-		// working twin in place.  The committed twin is untouched, so
-		// P ⊕ P′ keeps equalling D_committed ⊕ D_current.
-		twin = entry.WorkingTwin
-		newParity, newQ, err := s.smallWriteParity(g, twin, p, cachedOld, data)
-		if err != nil {
-			return err
-		}
-		defer s.Pages.Put(newParity, newQ)
-		if err := s.writeWorkingQ(g, twin, newQ, t.ID, ts, p); err != nil {
-			return err
-		}
-		if err := s.Twins.RewriteWorking(g, twin, newParity, t.ID, ts, p); err != nil {
-			return err
-		}
-	} else {
-		newParity, newQ, err := s.smallWriteParity(g, s.Twins.Current(g), p, cachedOld, data)
-		if err != nil {
-			return err
-		}
-		defer s.Pages.Put(newParity, newQ)
-		// The steal lands on the obsolete index; its Q partner is written
-		// first so the lockstep invariant holds the moment the P header
-		// switches to working (Q before P before data).
-		if err := s.writeWorkingQ(g, s.Twins.Obsolete(g), newQ, t.ID, ts, p); err != nil {
-			return err
-		}
-		twin, err = s.Twins.WriteWorking(g, newParity, t.ID, ts, p)
-		if err != nil {
-			return err
-		}
+	// A first steal reads the current index and lands on the obsolete one
+	// (Figure 8's transition into the working state).  A re-steal of the
+	// same page by the same transaction refreshes the working index in
+	// place: the committed one is untouched, so P ⊕ P′ keeps equalling
+	// D_committed ⊕ D_current.
+	from, twin := s.Twins.Current(g), s.Twins.Obsolete(g)
+	if entry, dirty := s.Dirty.Lookup(g); dirty {
+		from, twin = entry.WorkingTwin, entry.WorkingTwin
+	}
+	imgs, err := s.smallWriteParity(g, from, p, cachedOld, data)
+	if err != nil {
+		return err
+	}
+	defer s.Pages.Put(imgs[:]...)
+	// Q before P before data: the lockstep invariant holds the moment the
+	// P header switches to working.
+	working := disk.Meta{State: disk.StateWorking, Timestamp: ts, Txn: t.ID, DirtyPage: p}
+	if err := s.writeIndex(g, twin, imgs, working); err != nil {
+		return err
 	}
 	// The data header carries the same timestamp as the working parity
 	// written above: after a crash the scan can tell whether this data
 	// write made it to disk before re-stealing rewrote the twin.
-	meta := disk.Meta{Txn: t.ID, Timestamp: ts, ChainPrev: chainPrev, ChainSet: true}
-	if err := s.writeData(p, data, meta); err != nil {
+	if err := s.writeData(p, data, disk.Meta{Txn: t.ID, Timestamp: ts, ChainSet: true}); err != nil {
 		return err
 	}
 	s.Dirty.MarkDirty(g, p, t.ID, twin)
-	return nil
-}
-
-// writeWorkingQ writes the Q partner of a working parity twin with the
-// same header WriteWorking/RewriteWorking stamps on the P twin, keeping
-// the lockstep invariant.  No-op on arrays without Q redundancy (nil
-// newQ).
-func (s *Store) writeWorkingQ(g page.GroupID, twin int, newQ page.Buf, tx page.TxID, ts page.Timestamp, dirtyPage page.PageID) error {
-	if newQ == nil {
-		return nil
-	}
-	meta := disk.Meta{State: disk.StateWorking, Timestamp: ts, Txn: tx, DirtyPage: dirtyPage}
-	if err := s.Arr.WriteQ(g, twin, newQ, meta); err != nil {
-		return fmt.Errorf("core: write working Q of group %d: %w", g, err)
-	}
 	return nil
 }
 
@@ -492,23 +427,12 @@ func (s *Store) WriteStripeLogged(g page.GroupID, pages []page.PageID, datas []p
 			return ErrNotStripe
 		}
 	}
-	blocks := make([][]byte, len(datas))
-	for i, d := range datas {
-		blocks[i] = d
-	}
-	newParity := page.Buf(xorparity.Compute(s.Arr.PageSize(), blocks...))
 	obsolete := s.Twins.Obsolete(g)
 	ts := s.TM.NextTimestamp()
 	last := len(pages) - 1
 	pMeta := disk.Meta{State: disk.StateCommitted, Timestamp: ts, DirtyPage: pages[last], PairedSet: true}
-	if s.Arr.HasQ() {
-		newQ := page.Buf(erasure.ComputeQ(s.Arr.PageSize(), blocks...))
-		if err := s.Arr.WriteQ(g, obsolete, newQ, pMeta); err != nil {
-			return fmt.Errorf("core: write stripe Q of group %d: %w", g, err)
-		}
-	}
-	if err := s.Arr.WriteParity(g, obsolete, newParity, pMeta); err != nil {
-		return fmt.Errorf("core: write stripe parity of group %d: %w", g, err)
+	if err := s.writeIndex(g, obsolete, s.computeIndex(datas), pMeta); err != nil {
+		return err
 	}
 	s.Twins.Promote(g, obsolete)
 	if last > 0 {
@@ -542,57 +466,55 @@ func (s *Store) WriteStripeLogged(g page.GroupID, pages []page.PageID, datas []p
 // writing both copies: two transfers, the mirroring cost of Bitton &
 // Gray [1] that the paper's introduction compares against.
 func (s *Store) singleParityWrite(p page.PageID, g page.GroupID, data, oldData page.Buf, meta disk.Meta) error {
-	twin := s.currentTwin(g)
+	r := diskarray.P.Twin(s.currentTwin(g))
 	if s.Arr.GroupWidth() == 1 {
-		pMeta, err := s.Arr.PeekParityMeta(g, twin)
+		pMeta, err := s.Arr.PeekMeta(g, r)
 		if err != nil {
 			return fmt.Errorf("core: mirror of group %d: %w", g, err)
 		}
-		if err := s.Arr.WriteParity(g, twin, data, pMeta); err != nil {
+		if err := s.Arr.Write(g, r, data, pMeta); err != nil {
 			return fmt.Errorf("core: write mirror of group %d: %w", g, err)
 		}
 		return s.writeData(p, data, meta)
 	}
-	parity, pMeta, err := s.ReadParityRepair(g, twin, s.Pages.Get())
+	parity, pMeta, err := s.readRed(g, r, s.Pages.Get())
 	if err != nil {
 		return fmt.Errorf("core: read parity of group %d: %w", g, err)
 	}
 	defer s.Pages.Put(parity)
 	xorparity.SmallWrite(parity, oldData, data)
-	if err := s.Arr.WriteParity(g, twin, parity, pMeta); err != nil {
+	if err := s.Arr.Write(g, r, parity, pMeta); err != nil {
 		return fmt.Errorf("core: write parity of group %d: %w", g, err)
 	}
 	return s.writeData(p, data, meta)
 }
 
-// updateBothTwins applies the delta of one data page write to both parity
-// twins of a dirty group, preserving each twin's view.  On a QParity
-// array the Q twins get the field-scaled delta g^i·(D_old ⊕ D_new), each
-// written just before its P partner so the lockstep invariant holds at
-// every header the crash can expose.
+// updateBothTwins applies the delta of one data page write to both
+// redundancy indexes of a dirty group, preserving each one's view.  Each
+// equation folds its own delta — D_old ⊕ D_new into P, the field-scaled
+// g^i·(D_old ⊕ D_new) into Q — and each Q page is written just before its
+// P partner, so the lockstep invariant holds at every header a crash can
+// expose.
 func (s *Store) updateBothTwins(g page.GroupID, p page.PageID, oldData, data page.Buf) error {
-	hasQ := s.Arr.HasQ()
-	// One scratch page serves the four read-fold-write rounds in turn.
+	eqs := s.Arr.Equations()
+	idx := 0
+	if len(eqs) > 1 {
+		idx = s.groupIndexOf(g, p)
+	}
+	// One scratch page serves the read-fold-write rounds in turn.
 	scratch := s.Pages.Get()
 	defer s.Pages.Put(scratch)
 	for twin := 0; twin < 2; twin++ {
-		if hasQ {
-			q, qMeta, err := s.Arr.ReadQ(g, twin, scratch)
+		for i := len(eqs) - 1; i >= 0; i-- {
+			r := eqs[i].Twin(twin)
+			img, meta, err := s.readRed(g, r, scratch)
 			if err != nil {
-				return fmt.Errorf("core: read twin %d Q of group %d: %w", twin, g, err)
+				return fmt.Errorf("core: read %s twin %d of group %d: %w", r.Eq, twin, g, err)
 			}
-			erasure.QSmallWrite(q, oldData, data, s.groupIndexOf(g, p))
-			if err := s.Arr.WriteQ(g, twin, q, qMeta); err != nil {
-				return fmt.Errorf("core: write twin %d Q of group %d: %w", twin, g, err)
+			r.Eq.SmallWrite(img, oldData, data, idx)
+			if err := s.Arr.Write(g, r, img, meta); err != nil {
+				return fmt.Errorf("core: write %s twin %d of group %d: %w", r.Eq, twin, g, err)
 			}
-		}
-		parity, meta, err := s.ReadParityRepair(g, twin, scratch)
-		if err != nil {
-			return fmt.Errorf("core: read twin %d parity of group %d: %w", twin, g, err)
-		}
-		xorparity.SmallWrite(parity, oldData, data)
-		if err := s.Arr.WriteParity(g, twin, parity, meta); err != nil {
-			return fmt.Errorf("core: write twin %d parity of group %d: %w", twin, g, err)
 		}
 	}
 	return nil
@@ -623,7 +545,6 @@ func (s *Store) CommitGroups(t *txn.Txn) {
 		s.Twins.Promote(g, e.WorkingTwin)
 		s.Dirty.Clean(g)
 	}
-	t.StolenNoLog = nil
 }
 
 // --- Undo -----------------------------------------------------------------
@@ -657,11 +578,11 @@ func (s *Store) UndoGroupViaParity(g page.GroupID) (page.PageID, page.Buf, error
 // (through UndoGroupViaParity) and crash recovery (which has no
 // Dirty_Set and supplies the page and twin from the header scan).
 func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (page.Buf, error) {
-	p0, _, err := s.ReadParityRepair(g, 0, nil)
+	p0, _, err := s.readRed(g, diskarray.P.Twin(0), nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: read twin 0 of group %d: %w", g, err)
 	}
-	p1, _, err := s.ReadParityRepair(g, 1, nil)
+	p1, _, err := s.readRed(g, diskarray.P.Twin(1), nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: read twin 1 of group %d: %w", g, err)
 	}
@@ -673,34 +594,39 @@ func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (pa
 		// The dirty page's on-disk (new) version is corrupt, so the
 		// Figure 6 identity has nothing to XOR against — but the committed
 		// twin still describes the pre-transaction group, whose other
-		// members are untouched, so the before-image comes out directly:
-		// D_old = P_cmt ⊕ (other data pages).
+		// members are untouched, so the before-image comes out directly.
 		s.deg.corruptDetected.Add(1)
-		dOld, rerr := s.ReconstructDataAny(g, p, 1-workingTwin)
-		if rerr != nil {
-			if disk.IsCorrupt(rerr) || errors.Is(rerr, disk.ErrFailed) {
-				s.deg.unrecoverable.Add(1)
-				return nil, fmt.Errorf("core: undo of corrupt page %d: %v: %w", p, rerr, ErrUnrecoverableCorruption)
-			}
-			return nil, fmt.Errorf("core: undo of corrupt page %d: %w", p, rerr)
+		dOld, err := s.undoFromCommitted(g, p, workingTwin)
+		if err == nil {
+			s.deg.readRepairs.Add(1)
 		}
-		if err := s.writeData(p, dOld, disk.Meta{}); err != nil {
-			return nil, err
-		}
-		s.deg.readRepairs.Add(1)
-		if err := s.InvalidateIndexAlive(g, workingTwin); err != nil {
-			return nil, err
-		}
-		return dOld, nil
+		return dOld, err
 	}
 	dOld := page.Buf(xorparity.UndoTwin(p0, p1, dNew))
 	if err := s.writeData(p, dOld, disk.Meta{}); err != nil {
 		return nil, err
 	}
-	if err := s.InvalidateIndexAlive(g, workingTwin); err != nil {
+	if err := s.WriteIndexMeta(g, workingTwin, invalid); err != nil {
 		return nil, err
 	}
 	return dOld, nil
+}
+
+// undoFromCommitted unwinds a no-log steal of page p without the Figure 6
+// identity: the committed index — the sibling of workingTwin — still
+// describes the pre-transaction group, so the before-image is whatever it
+// gives p: D_old = P_cmt ⊕ (other data pages), or the same through the
+// index's Q page when its P slot is gone.  The page is restored with a
+// cleared header and the working index invalidated.
+func (s *Store) undoFromCommitted(g page.GroupID, p page.PageID, workingTwin int) (page.Buf, error) {
+	dOld, _, err := s.SolvePage(g, p, 1-workingTwin)
+	if err != nil {
+		return nil, fmt.Errorf("core: undo of page %d from the committed twin: %w", p, err)
+	}
+	if err := s.writeData(p, dOld, disk.Meta{}); err != nil {
+		return nil, err
+	}
+	return dOld, s.WriteIndexMeta(g, workingTwin, invalid)
 }
 
 // WorkingTwinInfo describes a working parity twin found by the crash-time
@@ -730,12 +656,11 @@ func (s *Store) ScanWorkingTwins() ([]WorkingTwinInfo, error) {
 	for g := 0; g < s.Arr.NumGroups(); g++ {
 		gid := page.GroupID(g)
 		for twin := 0; twin < 2; twin++ {
-			if s.degraded && !s.replacement &&
-				(s.restored == nil || !s.restored[gid]) &&
-				s.isDown(s.Arr.ParityLoc(gid, twin).Disk) {
+			r := diskarray.P.Twin(twin)
+			if s.degraded && !s.replacement && !s.SlotAlive(gid, r) {
 				continue
 			}
-			meta, err := s.Arr.ReadParityMeta(gid, twin)
+			meta, err := s.Arr.ReadMeta(gid, r)
 			if err != nil {
 				return nil, fmt.Errorf("core: scan group %d twin %d: %w", g, twin, err)
 			}
@@ -765,109 +690,30 @@ func (s *Store) CrashUndoWorkingTwin(w WorkingTwinInfo) error {
 		// The tagged page is corrupt, so its header cannot arbitrate.  The
 		// loser's page must end up holding the before-image either way, and
 		// the committed twin supplies it regardless of how far the steal
-		// got: D_old = P_cmt ⊕ (other data pages).
+		// got.
 		s.deg.corruptDetected.Add(1)
-		dOld, rerr := s.ReconstructDataAny(w.Group, w.Page, 1-w.Twin)
-		if rerr != nil {
-			if disk.IsCorrupt(rerr) || errors.Is(rerr, disk.ErrFailed) {
-				s.deg.unrecoverable.Add(1)
-				return fmt.Errorf("core: undo of corrupt tagged page %d: %v: %w", w.Page, rerr, ErrUnrecoverableCorruption)
-			}
-			return fmt.Errorf("core: undo of corrupt tagged page %d: %w", w.Page, rerr)
-		}
-		if err := s.writeData(w.Page, dOld, disk.Meta{}); err != nil {
+		if _, err := s.undoFromCommitted(w.Group, w.Page, w.Twin); err != nil {
 			return err
 		}
 		s.deg.readRepairs.Add(1)
-		return s.InvalidateIndexAlive(w.Group, w.Twin)
+		return nil
 	}
 	if meta.Txn != w.Txn {
 		// Already restored by a previous, interrupted recovery, or the
 		// crash fell between the working-parity write and the data write:
 		// either way the page holds no state of this writer.
-		return s.InvalidateIndexAlive(w.Group, w.Twin)
+		return s.WriteIndexMeta(w.Group, w.Twin, invalid)
 	}
 	if meta.Timestamp != w.Timestamp {
 		// The crash fell inside a re-steal, between rewriting the working
 		// twin and the data write: the twin describes a newer page version
 		// than the one on disk, so P ⊕ P′ ⊕ D would yield garbage.  The
-		// committed twin still describes the pre-transaction group, giving
-		// the before-image directly: D_old = P_cmt ⊕ (other data pages).
-		dOld, err := s.ReconstructDataAny(w.Group, w.Page, 1-w.Twin)
-		if err != nil {
-			return err
-		}
-		if err := s.writeData(w.Page, dOld, disk.Meta{}); err != nil {
-			return err
-		}
-		return s.InvalidateIndexAlive(w.Group, w.Twin)
+		// committed twin still describes the pre-transaction group.
+		_, err := s.undoFromCommitted(w.Group, w.Page, w.Twin)
+		return err
 	}
 	_, err = s.undoViaTwins(w.Group, w.Page, w.Twin)
 	return err
-}
-
-// ReconstructData rebuilds data page p of group g from the given parity
-// twin and the group's other data pages (charged reads): D = P ⊕ (other
-// data).  Callers pick a twin whose parity is known to describe the
-// wanted version of the group.
-func (s *Store) ReconstructData(g page.GroupID, p page.PageID, twin int) (page.Buf, error) {
-	parity, _, err := s.ReadParityRepair(g, twin, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: read twin %d of group %d: %w", twin, g, err)
-	}
-	blocks := [][]byte{parity}
-	for _, q := range s.Arr.GroupPages(g) {
-		if q == p {
-			continue
-		}
-		b, _, err := s.Arr.ReadData(q, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: read page %d: %w", q, err)
-		}
-		blocks = append(blocks, b)
-	}
-	return page.Buf(xorparity.Reconstruct(s.Arr.PageSize(), blocks...)), nil
-}
-
-// ReconstructDataAny rebuilds data page p of group g as described by
-// redundancy index `twin`, preferring the cheap P (XOR) equation and
-// falling back to the index's Q partner when the P slot is on a down
-// disk — the route that lets crash undo recover a before-image even
-// after the disk holding the committed parity twin died.
-func (s *Store) ReconstructDataAny(g page.GroupID, p page.PageID, twin int) (page.Buf, error) {
-	if s.paritySlotAlive(g, twin) {
-		return s.ReconstructData(g, p, twin)
-	}
-	if s.qSlotAlive(g, twin) {
-		return s.reconstructDataViaQ(g, p, twin)
-	}
-	return nil, fmt.Errorf("core: reconstruct page %d of group %d: redundancy index %d unreachable: %w",
-		p, g, twin, disk.ErrFailed)
-}
-
-// reconstructDataViaQ solves data page p from the given index's Q page
-// and the group's other data pages (charged reads):
-// D_i = g^{-i}·(Q ⊕ Σ_{k≠i} g^k·D_k).
-func (s *Store) reconstructDataViaQ(g page.GroupID, p page.PageID, twin int) (page.Buf, error) {
-	q, _, err := s.Arr.ReadQ(g, twin, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: read Q twin %d of group %d: %w", twin, g, err)
-	}
-	pages := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	idx := -1
-	for i, pg := range pages {
-		if pg == p {
-			idx = i
-			continue
-		}
-		b, _, err := s.Arr.ReadData(pg, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: read page %d: %w", pg, err)
-		}
-		raw[i] = b
-	}
-	return page.Buf(erasure.ReconstructOneQ(q, raw, idx)), nil
 }
 
 // DescribingTwin picks the parity twin a corrupt data page p must be
@@ -903,7 +749,7 @@ func (s *Store) DescribingTwin(g page.GroupID, p page.PageID, committed func(pag
 	}
 	var metas [2]disk.Meta
 	for twin := 0; twin < 2; twin++ {
-		m, err := s.Arr.ReadParityMeta(g, twin)
+		m, err := s.Arr.ReadMeta(g, diskarray.P.Twin(twin))
 		if err != nil {
 			return 0, fmt.Errorf("core: describing twin of group %d: %w", g, err)
 		}
@@ -994,9 +840,18 @@ func (s *Store) ResyncParity() (int, error) {
 	return int(fixed.Load()), err
 }
 
-// resyncGroup verifies one group's current parity twin (and, with
-// QParity, its Q partner) against its data pages and repairs mismatches,
-// reporting whether a repair happened.
+// resyncGroup verifies the current index of one group against its data
+// pages, equation by equation, and repairs mismatches, reporting whether a
+// repair happened.
+//
+// P goes first and carries the decisions: silent corruption is ruled out
+// before the mismatch is read as an interrupted read-modify-write, and if
+// the other twin already matches the data the group simply never finished
+// switching — the matching twin is promoted and the stale one invalidated.
+// Otherwise the page is recomputed in place from the platter.  A cut small
+// write can also leave Q ahead of P (Q is written first) or the pair
+// ahead of the data write; the wholesale recompute restores the lockstep
+// invariant either way, under the P twin's (already resynced) header.
 func (s *Store) resyncGroup(gid page.GroupID) (bool, error) {
 	if s.GroupDegraded(gid) {
 		// A degraded group cannot be verified against all its
@@ -1009,455 +864,298 @@ func (s *Store) resyncGroup(gid page.GroupID) (bool, error) {
 		// redundancy.
 		return false, nil
 	}
-	didP, err := s.resyncGroupP(gid)
-	if err != nil {
-		return didP, err
-	}
-	didQ, err := s.resyncGroupQ(gid)
-	return didP || didQ, err
-}
-
-// resyncGroupP is the P (XOR) half of resyncGroup.
-func (s *Store) resyncGroupP(gid page.GroupID) (bool, error) {
-	cur := s.currentTwin(gid)
-	ok, err := s.Arr.VerifyGroup(gid, cur)
-	if err != nil {
-		return false, fmt.Errorf("core: resync group %d: %w", gid, err)
-	}
-	if ok {
-		return false, nil
-	}
-	// Rule out silent corruption before interpreting the mismatch as an
-	// interrupted read-modify-write.  A write the crash cut off was never
-	// acknowledged, so every member still passes the verified read; a
-	// lost, misdirected or rotted block trips a detector and must be
-	// rebuilt from the current twin's redundancy first — demoting to the
-	// twin that matches the stale block, or recomputing parity over it,
-	// would launder a committed update away.
-	fixed, err := s.repairSilentDamage(gid, cur)
-	if err != nil {
-		return false, err
-	}
-	if fixed {
-		ok, err = s.Arr.VerifyGroup(gid, cur)
+	did := false
+	for _, eq := range s.Arr.Equations() {
+		cur := s.currentTwin(gid)
+		r := eq.Twin(cur)
+		ok, err := s.Arr.Verify(gid, r)
 		if err != nil {
-			return false, fmt.Errorf("core: resync group %d: %w", gid, err)
+			return did, fmt.Errorf("core: resync %s of group %d: %w", eq, gid, err)
 		}
 		if ok {
-			return true, nil
+			continue
 		}
-	}
-	if s.Twins != nil {
-		other := 1 - cur
-		okOther, err := s.Arr.VerifyGroup(gid, other)
-		if err != nil {
-			return false, fmt.Errorf("core: resync group %d: %w", gid, err)
-		}
-		if okOther {
-			om, err := s.Arr.PeekParityMeta(gid, other)
+		did = true
+		if eq == diskarray.P {
+			settled, err := s.resyncSettleP(gid, cur)
 			if err != nil {
-				return false, err
+				return did, err
 			}
-			if om.State == disk.StateCommitted {
-				s.Twins.Promote(gid, other)
-				if err := s.InvalidateIndexAlive(gid, cur); err != nil {
-					return false, err
-				}
-				return true, nil
+			if settled {
+				continue
 			}
 		}
+		meta, err := s.Arr.PeekMeta(gid, diskarray.P.Twin(cur))
+		if err != nil {
+			return did, err
+		}
+		if err := s.Arr.Recompute(gid, r, meta); err != nil {
+			return did, fmt.Errorf("core: resync %s of group %d: %w", eq, gid, err)
+		}
 	}
-	meta, err := s.Arr.PeekParityMeta(gid, cur)
+	return did, nil
+}
+
+// resyncSettleP tries to explain a current P twin that fails the XOR
+// identity without recomputing it, reporting whether it did.
+//
+// Silent corruption is ruled out first.  A write the crash cut off was
+// never acknowledged, so every member still passes the verified read; a
+// lost, misdirected or rotted block trips a detector — the ledger is what
+// distinguishes a crash from a lie — and must be rebuilt from the current
+// twin's redundancy: demoting to the twin that matches the stale block, or
+// recomputing parity over it, would launder a committed update away.
+// Then, if the other twin matches the data and is committed, the group
+// never finished switching: it is promoted and the stale twin invalidated.
+func (s *Store) resyncSettleP(gid page.GroupID, cur int) (bool, error) {
+	h, err := s.healIndex(gid, cur, s.Arr.Equations()[:1], false)
+	s.deg.readRepairs.Add(uint64(len(h.pages) + h.reds))
 	if err != nil {
-		return false, err
-	}
-	if err := s.Arr.RecomputeParity(gid, cur, meta); err != nil {
 		return false, fmt.Errorf("core: resync group %d: %w", gid, err)
 	}
-	return true, nil
-}
-
-// resyncGroupQ verifies the current index's Q page against the data and
-// recomputes it in place on a mismatch — the Q half of resyncGroup.  A
-// cut small write can leave Q ahead of P (Q is written first) or the
-// pair ahead of the data write; a wholesale recompute from the platter
-// restores the lockstep invariant either way.  The rewritten Q mirrors
-// the P twin's (already resynced) header, as lockstep requires.
-func (s *Store) resyncGroupQ(gid page.GroupID) (bool, error) {
-	if !s.Arr.HasQ() {
+	if len(h.pages)+h.reds > 0 {
+		ok, err := s.Arr.Verify(gid, diskarray.P.Twin(cur))
+		if ok || err != nil {
+			return ok, err
+		}
+	}
+	if s.Twins == nil {
 		return false, nil
 	}
-	cur := s.currentTwin(gid)
-	ok, err := s.Arr.VerifyGroupQ(gid, cur)
-	if err != nil {
-		return false, fmt.Errorf("core: resync Q of group %d: %w", gid, err)
-	}
-	if ok {
-		return false, nil
-	}
-	meta, err := s.Arr.PeekParityMeta(gid, cur)
-	if err != nil {
+	other := diskarray.P.Twin(1 - cur)
+	if ok, err := s.Arr.Verify(gid, other); !ok || err != nil {
 		return false, err
 	}
-	if err := s.Arr.RecomputeQ(gid, cur, meta); err != nil {
-		return false, fmt.Errorf("core: resync Q of group %d: %w", gid, err)
+	om, err := s.Arr.PeekMeta(gid, other)
+	if err != nil || om.State != disk.StateCommitted {
+		return false, err
 	}
-	return true, nil
-}
-
-// repairSilentDamage runs a verified scan of group g — every member
-// checked against its checksum, location stamp and the write ledger —
-// and rebuilds at most one silently corrupt block from the current
-// twin's redundancy.  resyncGroup calls it when a group fails the XOR
-// identity, because the ledger is what distinguishes a crash from a
-// lie: a write the crash cut off was never acknowledged, so the ledger
-// still matches the old contents and the scan finds nothing, whereas a
-// lost or misdirected write WAS acknowledged — the transaction that
-// issued it may have committed — and the stale block trips a detector.
-// Reports whether anything was rewritten.
-func (s *Store) repairSilentDamage(g page.GroupID, twin int) (bool, error) {
-	pages := s.Arr.GroupPages(g)
-	data := make([]page.Buf, len(pages))
-	bad := -1
-	for i, p := range pages {
-		b, _, err := s.Arr.ReadData(p, nil)
-		switch {
-		case err == nil:
-			data[i] = b
-		case disk.IsCorrupt(err):
-			s.deg.corruptDetected.Add(1)
-			if bad >= 0 {
-				s.deg.unrecoverable.Add(1)
-				return false, fmt.Errorf("core: resync group %d has two corrupt data blocks (%v): %w", g, err, ErrUnrecoverableCorruption)
-			}
-			bad = i
-		default:
-			return false, fmt.Errorf("core: resync group %d: %w", g, err)
-		}
-	}
-
-	parity, pMeta, perr := s.Arr.ReadParity(g, twin, nil)
-	if perr != nil {
-		if !disk.IsCorrupt(perr) {
-			return false, fmt.Errorf("core: resync group %d parity: %w", g, perr)
-		}
-		s.deg.corruptDetected.Add(1)
-		if bad >= 0 {
-			s.deg.unrecoverable.Add(1)
-			return false, fmt.Errorf("core: resync group %d lost both a data block and its parity (%v): %w", g, perr, ErrUnrecoverableCorruption)
-		}
-		// The parity itself is the lie.  Recompute it from the (all
-		// verified) data; the persisted header survives a payload-only
-		// checksum failure, otherwise synthesize a fresh committed one.
-		meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		if errors.Is(perr, disk.ErrChecksum) {
-			if m, merr := s.Arr.PeekParityMeta(g, twin); merr == nil {
-				meta = m
-			}
-		}
-		if _, err := s.recomputeParityFrom(g, twin, data, meta); err != nil {
-			return false, err
-		}
-		s.deg.readRepairs.Add(1)
-		return true, nil
-	}
-
-	if bad < 0 {
-		return false, nil
-	}
-	// Rebuild the flagged data block from parity + survivors, restoring
-	// a flip-pairing header if the parity names this page.
-	survivors := [][]byte{parity}
-	for i, b := range data {
-		if i != bad {
-			survivors = append(survivors, b)
-		}
-	}
-	meta := disk.Meta{}
-	if pMeta.PairedSet && pMeta.DirtyPage == pages[bad] {
-		meta = disk.Meta{Timestamp: pMeta.Timestamp}
-	}
-	rebuilt := xorparity.Reconstruct(s.Arr.PageSize(), survivors...)
-	if err := s.Arr.WriteData(pages[bad], rebuilt, meta); err != nil {
-		return false, fmt.Errorf("core: resync repair page %d: %w", pages[bad], err)
-	}
-	s.deg.readRepairs.Add(1)
-	return true, nil
+	s.Twins.Promote(gid, other.Twin)
+	return true, s.WriteIndexMeta(gid, cur, invalid)
 }
 
 // SetInjector installs (or removes) a fault injector on every drive of
 // the store's array.
 func (s *Store) SetInjector(inj disk.Injector) { s.Arr.SetInjector(inj) }
 
-// RebuildAfterCrash reconstructs the volatile twin bitmap using the
-// Current_Parity scan (Figure 7), resolving working headers through the
-// supplied outcome function.  Call after all loser working twins have
-// been invalidated.
-func (s *Store) RebuildAfterCrash(committed func(page.TxID) bool) error {
-	if s.Twins == nil {
-		return nil
-	}
-	return s.Twins.RebuildBitmap(committed)
-}
-
-// RebuildAfterCrashDegraded is the bitmap rebuild for a restart with one
-// disk down.  Groups with both twins off the down disk run the normal
-// Figure 7 comparison.  A group whose twin slot is positionally down
-// gets its surviving twin established as the group's sole authoritative
-// parity: verified against the on-disk data and, if it does not match
-// (the dead slot held the only describing parity — e.g. a winner's
-// un-laundered working twin died with the disk), recomputed wholesale in
-// the committed state.  All its data pages are readable — the twin is
-// the group's only block on the down disk — so the recompute always
-// succeeds.  The dead slot itself is *deferred*: the restarted online
-// rebuild recomputes it from scratch.  Returns the number of deferred
-// parity groups.
-func (s *Store) RebuildAfterCrashDegraded(committed func(page.TxID) bool) (int, error) {
+// RebuildAfterCrash reconstructs the volatile twin bitmap from the
+// on-disk headers, resolving working headers through the supplied outcome
+// function.  Call after all loser working twins have been invalidated.
+//
+// A group with every redundancy slot reachable runs the Current_Parity
+// comparison of Figure 7 — on a healthy array that is all of them.  With
+// disks down, a group whose lost blocks are data pages additionally has
+// its winner checked against the flip pairing (checkPairedFlip), and a
+// group with a dead redundancy slot is *deferred*: the restarted online
+// rebuild recomputes the slot from scratch, and until then the index with
+// the most surviving redundancy is established as the group's sole
+// authority (establishIndex) — or, when a data page is lost as well and
+// nothing can be recomputed, arbitrated from the surviving headers alone
+// (degradedCurrentIndex).  Returns the number of deferred groups.
+func (s *Store) RebuildAfterCrash(committed func(page.TxID) bool) (int, error) {
 	deferred := 0
 	if s.Twins == nil {
 		// Single parity keeps no bitmap; just count the groups whose
 		// parity block is gone so the caller can report them deferred.
 		for g := 0; g < s.Arr.NumGroups(); g++ {
-			if s.degraded && s.isDown(s.Arr.ParityLoc(page.GroupID(g), 0).Disk) {
+			if s.hasDeadSlot(page.GroupID(g)) {
 				deferred++
 			}
 		}
 		return deferred, nil
 	}
-	hasQ := s.Arr.HasQ()
 	for g := 0; g < s.Arr.NumGroups(); g++ {
 		gid := page.GroupID(g)
-		deadSlots := false
-		for t := 0; t < 2; t++ {
-			if !s.paritySlotAlive(gid, t) || (hasQ && !s.qSlotAlive(gid, t)) {
-				deadSlots = true
-			}
+		deadSlot := s.hasDeadSlot(gid)
+		if deadSlot {
+			deferred++
 		}
-		if !deadSlots {
-			cur, err := s.Twins.CurrentParityFromDisk(gid, committed)
-			if err != nil {
-				return deferred, fmt.Errorf("core: degraded bitmap rebuild of group %d: %w", g, err)
-			}
-			if s.GroupDegraded(gid) {
-				// The group's lost block(s) are data pages, so the parity
-				// cannot be verified by recomputation (ResyncParity skips
-				// it); check the flip pairing instead and fall back to the
-				// older twin when the Figure 7 winner's data write never
-				// reached disk.
-				cur, err = s.checkPairedFlip(gid, cur, committed)
-				if err != nil {
-					return deferred, fmt.Errorf("core: degraded bitmap rebuild of group %d: %w", g, err)
-				}
-			}
-			s.Twins.Promote(gid, cur)
-			continue
-		}
-		deferred++
-		lostData := false
-		for _, p := range s.Arr.GroupPages(gid) {
-			if s.pageUnavailable(p) {
-				lostData = true
-				break
-			}
-		}
-		if !lostData {
-			// Every data page is readable: establish the index with the
-			// most surviving redundancy as the group's sole authority —
-			// verified against the on-disk data and recomputed wholesale
-			// in the committed state when it does not match (the dead
-			// slot may have held the only describing parity).  The dead
-			// slots themselves are deferred to the restarted rebuild.
-			target := s.bestAliveIndex(gid)
-			if err := s.establishIndex(gid, target); err != nil {
-				return deferred, fmt.Errorf("core: degraded bitmap rebuild of group %d: %w", g, err)
-			}
-			s.Twins.Promote(gid, target)
-			if err := s.launderAliveWorking(gid, target, committed); err != nil {
-				return deferred, fmt.Errorf("core: degraded bitmap rebuild of group %d: %w", g, err)
-			}
-			continue
-		}
-		// Two overlapping losses hit both a data page and a redundancy
-		// slot (QParity array): nothing can be recomputed, so arbitrate
-		// the describing index from the surviving headers alone.
-		cur, err := s.degradedCurrentIndex(gid, committed)
+		cur, err := s.currentFromDisk(gid, deadSlot, committed)
 		if err != nil {
-			return deferred, fmt.Errorf("core: degraded bitmap rebuild of group %d: %w", g, err)
+			return deferred, fmt.Errorf("core: bitmap rebuild of group %d: %w", g, err)
 		}
 		s.Twins.Promote(gid, cur)
-		if err := s.launderAliveWorking(gid, cur, committed); err != nil {
-			return deferred, fmt.Errorf("core: degraded bitmap rebuild of group %d: %w", g, err)
-		}
 	}
 	return deferred, nil
 }
 
-// launderAliveWorking finishes Figure 8 for a dead-slot group after its
-// describing index is settled: any alive slot still carrying a working
-// header is laundered in place.  The normal post-bitmap laundering pass
-// skips dead-slot groups (their re-establishment is wholesale), but a
-// dead-slot group that kept its steal-era headers — arbitration in
-// degradedCurrentIndex promotes a committed winner's working twin
-// without rewriting it, and establishIndex only touches the one target
-// index — would otherwise surface working state after restart.  The
-// promoted index's header becomes committed under its own timestamp (its
-// writer committed, or arbitration would not have picked it); any other
-// index's working slot describes a superseded steal — a committed
-// winner's older state or a loser already unwound by the undo passes —
-// and is invalidated, the abort transition.
-func (s *Store) launderAliveWorking(g page.GroupID, cur int, committed func(page.TxID) bool) error {
-	hasQ := s.Arr.HasQ()
-	for t := 0; t < 2; t++ {
-		slots := []struct {
-			alive bool
-			read  func() (disk.Meta, error)
-			write func(disk.Meta) error
-		}{
-			{s.paritySlotAlive(g, t),
-				func() (disk.Meta, error) { return s.Arr.ReadParityMeta(g, t) },
-				func(m disk.Meta) error { return s.Arr.WriteParityMeta(g, t, m) }},
-			{hasQ && s.qSlotAlive(g, t),
-				func() (disk.Meta, error) { return s.Arr.ReadQMeta(g, t) },
-				func(m disk.Meta) error { return s.Arr.WriteQMeta(g, t, m) }},
+// currentFromDisk settles which twin index of group g — one of whose
+// redundancy slots is unreachable if deadSlot — is current after a crash;
+// see RebuildAfterCrash for the cases.
+func (s *Store) currentFromDisk(g page.GroupID, deadSlot bool, committed func(page.TxID) bool) (int, error) {
+	if !deadSlot {
+		cur, err := s.Twins.CurrentParityFromDisk(g, committed)
+		if err == nil && s.GroupDegraded(g) {
+			// The group's lost block(s) are data pages, so the parity
+			// cannot be verified by recomputation (ResyncParity skips
+			// it); check the flip pairing instead and fall back to the
+			// older twin when the Figure 7 winner's data write never
+			// reached disk.
+			cur, err = s.checkPairedFlip(g, cur, committed)
 		}
-		for _, sl := range slots {
-			if !sl.alive {
+		return cur, err
+	}
+	var cur int
+	var kept disk.Meta
+	var err error
+	if s.lostData(g) {
+		// Two overlapping losses hit both a data page and a redundancy
+		// slot (QParity array).
+		cur, kept, err = s.degradedCurrentIndex(g, committed)
+	} else {
+		// Every data page is readable.  Ties favour index 0, matching the
+		// formatted state; a live P weighs above a live Q (reads solve
+		// through the cheap XOR equation).
+		score := func(t int) (n int) {
+			for _, eq := range s.Arr.Equations() {
+				if s.SlotAlive(g, eq.Twin(t)) {
+					n += 2 - int(eq)
+				}
+			}
+			return n
+		}
+		if score(1) > score(0) {
+			cur = 1
+		}
+		kept, err = s.establishIndex(g, cur)
+	}
+	if err != nil {
+		return cur, err
+	}
+	return cur, s.settleSibling(g, cur, kept, committed)
+}
+
+// lostData reports whether a data page of group g is unreachable.
+func (s *Store) lostData(g page.GroupID) bool {
+	for _, p := range s.Arr.GroupPages(g) {
+		if s.PageUnavailable(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// settleSibling finishes Figure 8 for a dead-slot group after its
+// describing index cur — whose header is now kept — is settled: every
+// alive slot must end in a state Figure 7 agrees with.  The normal
+// post-bitmap laundering pass skips dead-slot groups (their
+// re-establishment is wholesale), but a dead-slot group that kept its
+// steal-era headers — arbitration in degradedCurrentIndex promotes a
+// committed winner's working twin without rewriting it, and
+// establishIndex only touches the one target index — would otherwise
+// surface working state after restart.  A working slot of cur becomes
+// committed under its own timestamp (its writer committed, or arbitration
+// would not have picked it); any other index's working slot describes a
+// superseded steal — a committed winner's older state or a loser already
+// unwound by the undo passes — and is invalidated, the abort transition.
+//
+// A sibling whose committed header a later Figure 7 scan would prefer to
+// kept is demoted to obsolete.  That state arises when a degraded
+// write left the data as it was: it lands on the obsolete index under a
+// fresh timestamp, the other index still describes the data, and
+// establishIndex — which picks by live slots, not timestamps — keeps the
+// older one's committed header because its payload verifies.
+func (s *Store) settleSibling(g page.GroupID, cur int, kept disk.Meta, committed func(page.TxID) bool) error {
+	for t := 0; t < 2; t++ {
+		// An index answers Figure 7 with its first reachable header (P's,
+		// else its Q proxy's); whether the sibling must step down is that
+		// header's call, and then all its slots follow.
+		judged, demote := false, false
+		for _, eq := range s.Arr.Equations() {
+			r := eq.Twin(t)
+			if !s.SlotAlive(g, r) {
 				continue
 			}
-			m, err := sl.read()
+			m, err := s.Arr.ReadMeta(g, r)
 			if err != nil {
 				return err
 			}
-			if m.State != disk.StateWorking {
+			if !judged {
+				judged = true
+				demote = t != cur && m.State == disk.StateCommitted &&
+					(m.Timestamp > kept.Timestamp || (m.Timestamp == kept.Timestamp && t == 0))
+			}
+			var out disk.Meta
+			switch {
+			case m.State == disk.StateWorking && t == cur && committed != nil && committed(m.Txn):
+				out = disk.Meta{State: disk.StateCommitted, Timestamp: m.Timestamp, Txn: m.Txn}
+			case m.State == disk.StateWorking:
+				out = invalid
+			case m.State == disk.StateCommitted && demote:
+				out = disk.Meta{State: disk.StateObsolete}
+			default:
 				continue
 			}
-			out := disk.Meta{State: disk.StateInvalid, Timestamp: 0}
-			if t == cur && committed != nil && committed(m.Txn) {
-				out = disk.Meta{State: disk.StateCommitted, Timestamp: m.Timestamp, Txn: m.Txn}
-			}
-			if err := sl.write(out); err != nil {
+			if err := s.Arr.WriteMeta(g, r, out); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// bestAliveIndex returns the redundancy index with the most reachable
-// slots, weighting a live P above a live Q (reads solve through the
-// cheap XOR equation).  Ties favour index 0, matching the formatted
-// state.
-func (s *Store) bestAliveIndex(g page.GroupID) int {
-	hasQ := s.Arr.HasQ()
-	score := func(t int) int {
-		n := 0
-		if s.paritySlotAlive(g, t) {
-			n += 2
-		}
-		if hasQ && s.qSlotAlive(g, t) {
-			n++
-		}
-		return n
-	}
-	if score(1) > score(0) {
-		return 1
-	}
-	return 0
 }
 
 // establishIndex makes index t's reachable slots describe the on-disk
 // data: each alive slot is kept when its header is committed and its
-// payload verifies, and recomputed committed with a fresh timestamp
-// otherwise.  Every data page of the group must be readable.
-func (s *Store) establishIndex(g page.GroupID, t int) error {
-	var freshTS page.Timestamp
-	fresh := func() disk.Meta {
-		if freshTS == 0 {
-			freshTS = s.TM.NextTimestamp()
+// payload verifies, and recomputed committed otherwise — P under a fresh
+// timestamp, Q under its P partner's committed header when that survived
+// (the lockstep invariant), else under the same fresh one.  Every data
+// page of the group must be readable.  Returns the header the index now
+// answers a Figure 7 scan with.
+func (s *Store) establishIndex(g page.GroupID, t int) (disk.Meta, error) {
+	var fresh, kept disk.Meta
+	for _, eq := range s.Arr.Equations() {
+		r := eq.Twin(t)
+		if !s.SlotAlive(g, r) {
+			continue
 		}
-		return disk.Meta{State: disk.StateCommitted, Timestamp: freshTS}
-	}
-	if s.paritySlotAlive(g, t) {
-		m, err := s.Arr.ReadParityMeta(g, t)
+		m, err := s.Arr.ReadMeta(g, r)
 		if err != nil {
-			return err
+			return kept, err
 		}
 		ok := false
 		if m.State == disk.StateCommitted {
-			ok, err = s.Arr.VerifyGroup(g, t)
-			if err != nil {
-				return err
+			if ok, err = s.Arr.Verify(g, r); err != nil {
+				return kept, err
 			}
 		}
 		if !ok {
-			if err := s.Arr.RecomputeParity(g, t, fresh()); err != nil {
-				return fmt.Errorf("core: recompute surviving twin of group %d: %w", g, err)
-			}
-		}
-	}
-	if s.Arr.HasQ() && s.qSlotAlive(g, t) {
-		m, err := s.Arr.ReadQMeta(g, t)
-		if err != nil {
-			return err
-		}
-		ok := false
-		if m.State == disk.StateCommitted {
-			ok, err = s.Arr.VerifyGroupQ(g, t)
-			if err != nil {
-				return err
-			}
-		}
-		if !ok {
-			// Mirror the P partner's committed header when it survived —
-			// the lockstep invariant — else stamp fresh committed.
-			meta := fresh()
-			if s.paritySlotAlive(g, t) {
-				if pm, perr := s.Arr.PeekParityMeta(g, t); perr == nil && pm.State == disk.StateCommitted {
-					meta = pm
+			m = kept
+			if m.State != disk.StateCommitted {
+				if fresh.State == disk.StateNone {
+					fresh = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
 				}
+				m = fresh
 			}
-			if err := s.Arr.RecomputeQ(g, t, meta); err != nil {
-				return fmt.Errorf("core: recompute surviving Q of group %d: %w", g, err)
+			if err := s.Arr.Recompute(g, r, m); err != nil {
+				return kept, fmt.Errorf("core: recompute surviving %s twin of group %d: %w", eq, g, err)
 			}
 		}
+		if kept.State == disk.StateNone {
+			kept = m
+		}
 	}
-	return nil
+	return kept, nil
 }
 
 // degradedCurrentIndex arbitrates the describing index of a group that
 // lost both a data page and a redundancy slot (two overlapping losses
-// on a QParity array).  Each index is judged by whatever header of it
-// survives — its P twin's when alive, else its Q partner's, which
-// mirrors it (the lockstep invariant).  The Figure 7 rules apply
-// (committed/obsolete valid, working valid when the writer committed,
-// larger timestamp wins), followed by the paired-flip echo check
-// against the named data page when it is readable: a committed flip
+// on a QParity array), returning it with its header.  Each index is
+// judged by whatever header of it survives (IndexMeta).  The Figure 7
+// rules apply (committed/obsolete valid, working valid when the writer
+// committed, larger timestamp wins), followed by the paired-flip echo
+// check against the named data page when it is readable: a committed flip
 // whose data write never landed must not define the lost page's value
 // when the other index is usable, so a broken echo launders the other
 // index to committed on its alive slots and demotes the winner.
-func (s *Store) degradedCurrentIndex(g page.GroupID, committed func(page.TxID) bool) (int, error) {
+func (s *Store) degradedCurrentIndex(g page.GroupID, committed func(page.TxID) bool) (int, disk.Meta, error) {
 	var metas [2]disk.Meta
-	var have [2]bool
-	for t := 0; t < 2; t++ {
-		switch {
-		case s.paritySlotAlive(g, t):
-			m, err := s.Arr.ReadParityMeta(g, t)
-			if err != nil {
-				return 0, err
-			}
-			metas[t], have[t] = m, true
-		case s.qSlotAlive(g, t):
-			m, err := s.Arr.ReadQMeta(g, t)
-			if err != nil {
-				return 0, err
-			}
-			metas[t], have[t] = m, true
+	for t := range metas {
+		var err error
+		if metas[t], err = s.IndexMeta(g, t); err != nil {
+			return 0, disk.Meta{}, err
 		}
 	}
 	valid := func(t int) bool {
-		if !have[t] {
-			return false
-		}
 		switch metas[t].State {
 		case disk.StateCommitted, disk.StateObsolete:
 			return true
@@ -1469,55 +1167,33 @@ func (s *Store) degradedCurrentIndex(g page.GroupID, committed func(page.TxID) b
 	var cur int
 	switch {
 	case valid(0) && valid(1):
-		cur = 0
 		if metas[1].Timestamp > metas[0].Timestamp {
 			cur = 1
 		}
 	case valid(0):
-		cur = 0
 	case valid(1):
 		cur = 1
 	default:
-		return 0, fmt.Errorf("core: group %d has no valid redundancy index", g)
+		return 0, disk.Meta{}, fmt.Errorf("core: group %d has no valid redundancy index", g)
 	}
 	m := metas[cur]
-	if m.State != disk.StateCommitted || !m.PairedSet || s.pageUnavailable(m.DirtyPage) || !valid(1-cur) {
-		return cur, nil
+	if m.State != disk.StateCommitted || !m.PairedSet || s.PageUnavailable(m.DirtyPage) || !valid(1-cur) {
+		return cur, m, nil
 	}
 	_, dm, err := s.Arr.ReadData(m.DirtyPage, nil)
-	if err != nil {
-		// The named page cannot arbitrate; keep the winner rather than
-		// promote on a guess.
-		return cur, nil
+	if err != nil || dm.Timestamp == m.Timestamp {
+		// An unreadable named page cannot arbitrate; keep the winner
+		// rather than promote on a guess.
+		return cur, m, nil
 	}
-	if dm.Timestamp == m.Timestamp {
-		return cur, nil
-	}
-	if metas[1-cur].State != disk.StateCommitted {
-		lm := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		if s.qSlotAlive(g, 1-cur) {
-			if err := s.Arr.WriteQMeta(g, 1-cur, lm); err != nil {
-				return cur, err
-			}
-		}
-		if s.paritySlotAlive(g, 1-cur) {
-			if err := s.Arr.WriteParityMeta(g, 1-cur, lm); err != nil {
-				return cur, err
-			}
+	other := metas[1-cur]
+	if other.State != disk.StateCommitted {
+		other = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
+		if err := s.WriteIndexMeta(g, 1-cur, other); err != nil {
+			return cur, m, err
 		}
 	}
-	inv := disk.Meta{State: disk.StateInvalid, Timestamp: 0}
-	if s.qSlotAlive(g, cur) {
-		if err := s.Arr.WriteQMeta(g, cur, inv); err != nil {
-			return cur, err
-		}
-	}
-	if s.paritySlotAlive(g, cur) {
-		if err := s.Arr.WriteParityMeta(g, cur, inv); err != nil {
-			return cur, err
-		}
-	}
-	return 1 - cur, nil
+	return 1 - cur, other, s.WriteIndexMeta(g, cur, invalid)
 }
 
 // checkPairedFlip validates the Figure 7 winner of a degraded group
@@ -1547,11 +1223,11 @@ func (s *Store) degradedCurrentIndex(g page.GroupID, committed func(page.TxID) b
 // group would have been dirty and the flip never issued), so it is
 // refused defensively.
 func (s *Store) checkPairedFlip(g page.GroupID, cur int, committed func(page.TxID) bool) (int, error) {
-	m, err := s.Arr.ReadParityMeta(g, cur)
+	m, err := s.Arr.ReadMeta(g, diskarray.P.Twin(cur))
 	if err != nil {
 		return cur, err
 	}
-	if m.State != disk.StateCommitted || !m.PairedSet || s.pageUnavailable(m.DirtyPage) {
+	if m.State != disk.StateCommitted || !m.PairedSet || s.PageUnavailable(m.DirtyPage) {
 		return cur, nil
 	}
 	_, dm, err := s.Arr.ReadData(m.DirtyPage, nil)
@@ -1561,7 +1237,7 @@ func (s *Store) checkPairedFlip(g page.GroupID, cur int, committed func(page.TxI
 	if dm.Timestamp == m.Timestamp {
 		return cur, nil
 	}
-	om, err := s.Arr.ReadParityMeta(g, 1-cur)
+	om, err := s.Arr.ReadMeta(g, diskarray.P.Twin(1-cur))
 	if err != nil {
 		return cur, err
 	}
@@ -1574,16 +1250,11 @@ func (s *Store) checkPairedFlip(g page.GroupID, cur int, committed func(page.TxI
 	}
 	if om.State != disk.StateCommitted {
 		m := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		if s.Arr.HasQ() {
-			if err := s.Arr.WriteQMeta(g, 1-cur, m); err != nil {
-				return cur, err
-			}
-		}
-		if err := s.Arr.WriteParityMeta(g, 1-cur, m); err != nil {
+		if err := s.WriteIndexMeta(g, 1-cur, m); err != nil {
 			return cur, err
 		}
 	}
-	if err := s.InvalidateIndexAlive(g, cur); err != nil {
+	if err := s.WriteIndexMeta(g, cur, invalid); err != nil {
 		return cur, err
 	}
 	return 1 - cur, nil
@@ -1612,74 +1283,31 @@ func (s *Store) ResetVolatile() {
 // page's value and the platter under the dead position holds stale bits
 // the Peek I/O must not be compared against.
 func (s *Store) VerifyParityInvariant() error {
-	hasQ := s.Arr.HasQ()
 	for g := 0; g < s.Arr.NumGroups(); g++ {
 		gid := page.GroupID(g)
-		if s.GroupDegraded(gid) {
-			if s.Twins == nil {
-				// A single-parity array lost its parity block or a data
-				// page: nothing verifiable remains.
-				continue
-			}
-			lostData := false
-			for _, p := range s.Arr.GroupPages(gid) {
-				if s.pageUnavailable(p) {
-					lostData = true
-					break
-				}
-			}
-			if lostData {
-				// The redundancy *defines* the lost pages' values and the
-				// platter under the dead positions holds stale bits the
-				// Peek I/O must not be compared against.
-				continue
-			}
-			// Only redundancy slots are lost: the established index's
-			// surviving slots must describe the (fully readable) data.
-			t := s.currentTwin(gid)
-			if s.paritySlotAlive(gid, t) {
-				ok, err := s.Arr.VerifyGroup(gid, t)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("core: degraded group %d parity invariant violated (surviving twin %d)", g, t)
-				}
-			}
-			if hasQ && s.qSlotAlive(gid, t) {
-				ok, err := s.Arr.VerifyGroupQ(gid, t)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("core: degraded group %d Q invariant violated (surviving Q twin %d)", g, t)
-				}
-			}
+		if s.GroupDegraded(gid) && (s.Twins == nil || s.lostData(gid)) {
+			// A single-parity array lost its parity block or a data page:
+			// nothing verifiable remains.  On a twinned one the redundancy
+			// *defines* the lost pages' values and the platter under the
+			// dead positions holds stale bits the Peek I/O must not be
+			// compared against.
 			continue
 		}
-		twin := 0
-		if s.Twins != nil {
-			twin = s.Twins.Current(gid)
-			if s.Dirty != nil {
-				if e, dirty := s.Dirty.Lookup(gid); dirty {
-					twin = e.WorkingTwin
-				}
+		// What is left to check is the index that describes the on-disk
+		// data — the working twin of a dirty group, else the current one —
+		// on every slot that is reachable.
+		twin := s.describingTwin(gid)
+		for _, eq := range s.Arr.Equations() {
+			r := eq.Twin(twin)
+			if !s.SlotAlive(gid, r) {
+				continue
 			}
-		}
-		ok, err := s.Arr.VerifyGroup(gid, twin)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("core: group %d parity invariant violated (twin %d)", g, twin)
-		}
-		if hasQ {
-			ok, err = s.Arr.VerifyGroupQ(gid, twin)
+			ok, err := s.Arr.Verify(gid, r)
 			if err != nil {
 				return err
 			}
 			if !ok {
-				return fmt.Errorf("core: group %d Q invariant violated (twin %d)", g, twin)
+				return fmt.Errorf("core: group %d %s invariant violated (twin %d)", g, eq, twin)
 			}
 		}
 	}

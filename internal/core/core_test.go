@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/diskarray"
 	"repro/internal/page"
 	"repro/internal/txn"
@@ -154,9 +155,6 @@ func TestCommitGroupsPromotesWorkingTwin(t *testing.T) {
 	if s.Twins.Current(g) != e.WorkingTwin || s.Twins.Current(g) == before {
 		t.Fatalf("commit must promote the working twin")
 	}
-	if len(tx.StolenNoLog) != 0 {
-		t.Fatalf("chain must be cleared at commit")
-	}
 	if err := s.VerifyParityInvariant(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +268,7 @@ func TestScanWorkingTwinsAndCrashUndo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.RebuildAfterCrash(committed); err != nil {
+	if _, err := s.RebuildAfterCrash(committed); err != nil {
 		t.Fatal(err)
 	}
 	// Losers' pages are back to committed contents; winner's page keeps
@@ -387,36 +385,53 @@ func TestRandomizedParityInvariant(t *testing.T) {
 	}
 }
 
-func TestChainHeadersLinkStolenPages(t *testing.T) {
-	// Section 4.3: pages stolen without UNDO logging are threaded through
-	// their headers.
+// TestStealWritesTagAndWorkingHeader checks what a no-log steal leaves on
+// the platter (Section 4.3, Figure 8): the data page carries the writer's
+// steal tag, and the obsolete twin becomes the working one under a header
+// naming the writer and the covered page, with the data page echoing its
+// timestamp.  A re-steal of the same page refreshes that twin in place.
+func TestStealWritesTagAndWorkingHeader(t *testing.T) {
 	s := newStore(t, diskarray.RAID5Twin)
 	tx := s.TM.Begin()
-	var stolen []page.PageID
-	for g := 0; g < 3; g++ {
-		p := s.Arr.GroupPages(page.GroupID(g))[0]
-		if err := s.StealNoLog(p, pattern(page.MinSize, byte(g)), nil, tx); err != nil {
-			t.Fatal(err)
-		}
-		stolen = append(stolen, p)
-	}
-	// Walk the chain from the head.
-	cur := tx.ChainHead()
-	for i := len(stolen) - 1; i >= 0; i-- {
-		if cur != stolen[i] {
-			t.Fatalf("chain position %d = page %d, want %d", i, cur, stolen[i])
-		}
-		loc := s.Arr.DataLoc(cur)
-		meta, err := s.Arr.Disk(loc.Disk).PeekMeta(loc.Block)
+	headers := func(g page.GroupID, p page.PageID) (data, twin0, twin1 disk.Meta) {
+		t.Helper()
+		loc := s.Arr.DataLoc(p)
+		data, err := s.Arr.Disk(loc.Disk).PeekMeta(loc.Block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !meta.ChainSet || meta.Txn != tx.ID {
-			t.Fatalf("page %d header lost its chain info: %+v", cur, meta)
+		var twins [2]disk.Meta
+		for i := range twins {
+			if twins[i], err = s.Arr.PeekMeta(g, diskarray.P.Twin(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		cur = meta.ChainPrev
+		return data, twins[0], twins[1]
 	}
-	if cur != page.InvalidPage {
-		t.Fatalf("chain does not terminate: tail points at %d", cur)
+	for g := page.GroupID(0); g < 3; g++ {
+		p := s.Arr.GroupPages(g)[0]
+		if err := s.StealNoLog(p, pattern(page.MinSize, byte(g)), nil, tx); err != nil {
+			t.Fatal(err)
+		}
+		data, committed, working := headers(g, p)
+		if !data.ChainSet || data.Txn != tx.ID {
+			t.Fatalf("page %d header lost its steal tag: %+v", p, data)
+		}
+		if working.State != disk.StateWorking || working.Txn != tx.ID || working.DirtyPage != p || working.Timestamp != data.Timestamp {
+			t.Fatalf("group %d working twin header = %+v (data page %+v)", g, working, data)
+		}
+		if committed.State != disk.StateCommitted || s.Twins.Current(g) != 0 {
+			t.Fatalf("group %d: the steal disturbed the committed twin: %+v", g, committed)
+		}
+		if err := s.StealNoLog(p, pattern(page.MinSize, byte(g+9)), nil, tx); err != nil {
+			t.Fatal(err)
+		}
+		data2, _, working2 := headers(g, p)
+		if working2.State != disk.StateWorking || working2.Timestamp <= working.Timestamp || data2.Timestamp != working2.Timestamp {
+			t.Fatalf("group %d: re-steal did not refresh the working twin in place: %+v -> %+v", g, working, working2)
+		}
+	}
+	if err := s.VerifyParityInvariant(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/disk"
+	"repro/internal/diskarray"
 	"repro/internal/erasure"
 	"repro/internal/page"
 	"repro/internal/xorparity"
@@ -32,7 +33,7 @@ type DegradedStats struct {
 	// without a dead group member.
 	DegradedWrites uint64
 	// ParityRepairs is the number of parity pages recomputed in place
-	// after a latent checksum error (ReadParityRepair).
+	// after a latent checksum error (readRed).
 	ParityRepairs uint64
 	// RebuiltGroups is the number of groups restored by the online
 	// rebuild worker since the last disk loss.
@@ -99,69 +100,143 @@ func (s *Store) SetReplacementPresent(ok bool) { s.replacement = ok }
 // During crash recovery this is always position-keyed — even when a
 // replacement drive is present the page's content is untrustworthy
 // (a rebuilt page is indistinguishable from an unrestored zeroed one).
-func (s *Store) PageUnavailable(p page.PageID) bool { return s.pageUnavailable(p) }
+func (s *Store) PageUnavailable(p page.PageID) bool {
+	if !s.degraded {
+		return false
+	}
+	if g := s.Arr.GroupOf(p); s.restored != nil && s.restored[g] {
+		return false
+	}
+	return s.isDown(s.Arr.DataLoc(p).Disk)
+}
 
-// DeadTwin returns a parity twin of group g on a down disk, or -1.
-func (s *Store) DeadTwin(g page.GroupID) int { return s.deadTwin(g) }
+// SlotAlive reports whether redundancy page r of group g can be read and
+// written: the array keeps that equation, and the page's disk is up or
+// the group has been restored by the rebuild worker.  Unlike TwinReadable
+// it says nothing about the slot's header — only whether the platter
+// answers.
+func (s *Store) SlotAlive(g page.GroupID, r diskarray.Red) bool {
+	if r.Eq == diskarray.Q && !s.Arr.HasQ() {
+		return false
+	}
+	if !s.degraded || (s.restored != nil && s.restored[g]) {
+		return true
+	}
+	return !s.isDown(s.Arr.Loc(g, r).Disk)
+}
 
-// DeadQTwin returns a Q twin of group g on a down disk, or -1.
-func (s *Store) DeadQTwin(g page.GroupID) int { return s.deadQTwin(g) }
+// DeadTwin returns a twin index whose page of equation eq sits on a down
+// disk, or -1.
+func (s *Store) DeadTwin(g page.GroupID, eq diskarray.Eq) int {
+	if eq == diskarray.Q && !s.Arr.HasQ() {
+		return -1
+	}
+	for twin := 0; twin < s.Arr.ParityPages(); twin++ {
+		if !s.SlotAlive(g, eq.Twin(twin)) {
+			return twin
+		}
+	}
+	return -1
+}
 
-// TwinReadable reports whether parity twin `twin` of group g holds
-// trustworthy bits.  Twins off the down disks always do.  A twin on a
+// hasDeadSlot reports whether any redundancy page of group g is
+// unreachable.
+func (s *Store) hasDeadSlot(g page.GroupID) bool {
+	if !s.degraded {
+		return false
+	}
+	for _, eq := range s.Arr.Equations() {
+		if s.DeadTwin(g, eq) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TwinReadable reports whether redundancy page r of group g holds
+// trustworthy bits.  Pages off the down disks always do.  A page on a
 // down disk is gone while the dead drive is still in place; once a
 // replacement drive is spinning (SetReplacementPresent), a header state
 // other than StateNone proves the slot was written after the swap and
-// the twin may be used.  The header probe is a charged read, like every
+// the page may be used.  The header probe is a charged read, like every
 // recovery decision that touches disk.
-func (s *Store) TwinReadable(g page.GroupID, twin int) bool {
-	if !s.degraded || !s.isDown(s.Arr.ParityLoc(g, twin).Disk) {
+func (s *Store) TwinReadable(g page.GroupID, r diskarray.Red) bool {
+	if s.SlotAlive(g, r) {
 		return true
 	}
-	if s.restored != nil && s.restored[g] {
-		return true
-	}
-	if !s.replacement {
+	if !s.replacement || (r.Eq == diskarray.Q && !s.Arr.HasQ()) {
 		return false
 	}
-	m, err := s.Arr.ReadParityMeta(g, twin)
+	m, err := s.Arr.ReadMeta(g, r)
 	return err == nil && m.State != disk.StateNone
 }
 
-// QTwinReadable is TwinReadable for the group's Q twin of the same
-// index.  Always false on arrays without Q redundancy.
-func (s *Store) QTwinReadable(g page.GroupID, twin int) bool {
-	if twin >= s.Arr.QParityPages() {
-		return false
-	}
-	if !s.degraded || !s.isDown(s.Arr.QLoc(g, twin).Disk) {
-		return true
-	}
-	if s.restored != nil && s.restored[g] {
-		return true
-	}
-	if !s.replacement {
-		return false
-	}
-	m, err := s.Arr.ReadQMeta(g, twin)
-	return err == nil && m.State != disk.StateNone
-}
-
-// InvalidateIndexAlive invalidates redundancy index `twin` of group g on
-// its reachable slots only — Q first, like twinpage.Invalidate — so that
-// recovery and undo paths can retire a twin even when one of the index's
-// slots sits on a down disk.  On a healthy array it is exactly
-// twinpage.Invalidate.
-func (s *Store) InvalidateIndexAlive(g page.GroupID, twin int) error {
-	meta := disk.Meta{State: disk.StateInvalid, Timestamp: 0}
-	if s.Arr.HasQ() && s.qSlotAlive(g, twin) {
-		if err := s.Arr.WriteQMeta(g, twin, meta); err != nil {
-			return fmt.Errorf("core: invalidate Q twin %d of group %d: %w", twin, g, err)
+// IndexMeta returns the header of redundancy index twin of group g: its
+// P page's when that slot is alive, else its Q partner's — a faithful
+// proxy, since a Q page is always written under its P partner's header.
+// An index with no reachable slot yields the zero header, whose StateNone
+// no arbitration accepts.
+func (s *Store) IndexMeta(g page.GroupID, twin int) (disk.Meta, error) {
+	for _, eq := range s.Arr.Equations() {
+		if r := eq.Twin(twin); s.SlotAlive(g, r) {
+			return s.Arr.ReadMeta(g, r)
 		}
 	}
-	if s.paritySlotAlive(g, twin) {
-		if err := s.Arr.WriteParityMeta(g, twin, meta); err != nil {
-			return fmt.Errorf("core: invalidate twin %d of group %d: %w", twin, g, err)
+	return disk.Meta{}, nil
+}
+
+// aliveSlots returns the reachable pages of redundancy index twin of group
+// g in write order: Q first, then P, so the P header, the only one Figure
+// 7 consults, never describes more than its Q partner already does.
+func (s *Store) aliveSlots(g page.GroupID, twin int) (slots [2]diskarray.Red, n int) {
+	eqs := s.Arr.Equations()
+	for i := len(eqs) - 1; i >= 0; i-- {
+		if r := eqs[i].Twin(twin); s.SlotAlive(g, r) {
+			slots[n] = r
+			n++
+		}
+	}
+	return slots, n
+}
+
+// WriteIndexMeta rewrites the header of redundancy index twin of group g
+// on its reachable slots, Q before P.  With a StateInvalid header it is
+// Figure 8's abort transition, usable even when one of the index's slots
+// sits on a down disk.
+func (s *Store) WriteIndexMeta(g page.GroupID, twin int, meta disk.Meta) error {
+	slots, n := s.aliveSlots(g, twin)
+	for _, r := range slots[:n] {
+		if err := s.Arr.WriteMeta(g, r, meta); err != nil {
+			return fmt.Errorf("core: write %s header of twin %d of group %d: %w", r.Eq, twin, g, err)
+		}
+	}
+	return nil
+}
+
+// invalid is the header of Figure 8's abort transition.
+var invalid = disk.Meta{State: disk.StateInvalid}
+
+// writeIndex writes redundancy index twin of group g — imgs[eq] to each
+// reachable slot, all under one header, Q before P.
+func (s *Store) writeIndex(g page.GroupID, twin int, imgs [2]page.Buf, meta disk.Meta) error {
+	slots, n := s.aliveSlots(g, twin)
+	for _, r := range slots[:n] {
+		if err := s.Arr.Write(g, r, imgs[r.Eq], meta); err != nil {
+			return fmt.Errorf("core: write %s twin %d of group %d: %w", r.Eq, twin, g, err)
+		}
+	}
+	return nil
+}
+
+// RecomputeIndex rewrites redundancy index twin of group g from the
+// on-disk data, under the given header, on its reachable slots (Q before
+// P); the rebuild worker re-derives the dead ones once their drive is
+// replaced.  Every data page of the group must be readable.
+func (s *Store) RecomputeIndex(g page.GroupID, twin int, meta disk.Meta) error {
+	slots, n := s.aliveSlots(g, twin)
+	for _, r := range slots[:n] {
+		if err := s.Arr.Recompute(g, r, meta); err != nil {
+			return fmt.Errorf("core: recompute %s twin %d of group %d: %w", r.Eq, twin, g, err)
 		}
 	}
 	return nil
@@ -249,7 +324,7 @@ func (s *Store) GroupDegraded(g page.GroupID) bool {
 	return false
 }
 
-// GroupOnDisk reports whether group g keeps a block (data, parity or Q)
+// GroupOnDisk reports whether group g keeps a block (data or redundancy)
 // on disk d.
 func (s *Store) GroupOnDisk(g page.GroupID, d int) bool {
 	for _, p := range s.Arr.GroupPages(g) {
@@ -257,91 +332,14 @@ func (s *Store) GroupOnDisk(g page.GroupID, d int) bool {
 			return true
 		}
 	}
-	for twin := 0; twin < s.Arr.ParityPages(); twin++ {
-		if s.Arr.ParityLoc(g, twin).Disk == d {
-			return true
-		}
-	}
-	for twin := 0; twin < s.Arr.QParityPages(); twin++ {
-		if s.Arr.QLoc(g, twin).Disk == d {
-			return true
+	for _, eq := range s.Arr.Equations() {
+		for twin := 0; twin < s.Arr.ParityPages(); twin++ {
+			if s.Arr.Loc(g, eq.Twin(twin)).Disk == d {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-// pageUnavailable reports whether data page p is currently unreachable
-// (it lives on a down disk and its group has not been restored).
-func (s *Store) pageUnavailable(p page.PageID) bool {
-	if !s.degraded {
-		return false
-	}
-	if g := s.Arr.GroupOf(p); s.restored != nil && s.restored[g] {
-		return false
-	}
-	return s.isDown(s.Arr.DataLoc(p).Disk)
-}
-
-// deadTwin returns a parity twin of group g on a down disk, or -1.
-func (s *Store) deadTwin(g page.GroupID) int {
-	if !s.degraded || (s.restored != nil && s.restored[g]) {
-		return -1
-	}
-	for twin := 0; twin < s.Arr.ParityPages(); twin++ {
-		if s.isDown(s.Arr.ParityLoc(g, twin).Disk) {
-			return twin
-		}
-	}
-	return -1
-}
-
-// deadQTwin returns a Q twin of group g on a down disk, or -1.
-func (s *Store) deadQTwin(g page.GroupID) int {
-	if !s.degraded || (s.restored != nil && s.restored[g]) {
-		return -1
-	}
-	for twin := 0; twin < s.Arr.QParityPages(); twin++ {
-		if s.isDown(s.Arr.QLoc(g, twin).Disk) {
-			return twin
-		}
-	}
-	return -1
-}
-
-// ParitySlotAlive reports whether the P slot of redundancy index `twin`
-// of group g can be read and written (its disk is up, or the group has
-// been restored by the rebuild worker).  Unlike TwinReadable it says
-// nothing about the slot's header — only whether the platter answers.
-func (s *Store) ParitySlotAlive(g page.GroupID, twin int) bool {
-	return s.paritySlotAlive(g, twin)
-}
-
-// QSlotAlive is ParitySlotAlive for the Q slot of the same index; false
-// on arrays without Q redundancy.
-func (s *Store) QSlotAlive(g page.GroupID, twin int) bool {
-	return s.qSlotAlive(g, twin)
-}
-
-// paritySlotAlive reports whether the P slot of redundancy index `twin`
-// of group g can be read and written (its disk is up, or the group has
-// been restored by the rebuild worker).
-func (s *Store) paritySlotAlive(g page.GroupID, twin int) bool {
-	if !s.degraded || (s.restored != nil && s.restored[g]) {
-		return true
-	}
-	return !s.isDown(s.Arr.ParityLoc(g, twin).Disk)
-}
-
-// qSlotAlive is paritySlotAlive for the Q slot of the same index; false
-// on arrays without Q redundancy.
-func (s *Store) qSlotAlive(g page.GroupID, twin int) bool {
-	if twin >= s.Arr.QParityPages() {
-		return false
-	}
-	if !s.degraded || (s.restored != nil && s.restored[g]) {
-		return true
-	}
-	return !s.isDown(s.Arr.QLoc(g, twin).Disk)
 }
 
 // describingTwin returns the twin whose parity describes the group's
@@ -356,93 +354,151 @@ func (s *Store) describingTwin(g page.GroupID) int {
 	return s.currentTwin(g)
 }
 
+// solved is one verified pass over a group through one redundancy index.
+type solved struct {
+	pages []page.PageID
+	// vals holds every data member's value in group order, the erased
+	// ones solved from the equations.
+	vals []page.Buf
+	// erased indexes the members that were not read — unreachable, silently
+	// corrupt, or named by the caller — and were solved instead.
+	erased []int
+	// red is what the pass learned of the index's own page of each
+	// equation: whether it was read at all, and the verified read's
+	// outcome.
+	red [2]struct {
+		read bool
+		err  error
+		meta disk.Meta
+	}
+}
+
+// hdr returns the header of the first redundancy page the pass read
+// successfully (P's, else its Q mirror's); zero when it needed none.
+func (sol *solved) hdr() disk.Meta {
+	for _, r := range sol.red {
+		if r.read && r.err == nil {
+			return r.meta
+		}
+	}
+	return disk.Meta{}
+}
+
 // SolveGroup returns the data values of every member of group g as
-// described by redundancy index `twin`, treating unreachable and
-// silently corrupt members as erasures and solving them from the P
-// and/or Q equations of that index.  The data members are read first and
-// the equations lazily — none at zero erasures, P alone at one (Q only
-// when the P slot is itself dead or corrupt), both at two — so the
-// transfer counts of the classic single-loss paths are unchanged by the
-// Q machinery.  Erasures beyond what the reachable equations can solve
-// surface as ErrUnrecoverableCorruption.  The returned pages are the
-// caller's; the ones it read come from s.Pages, so a caller that is done
-// with them may put them back.
-func (s *Store) SolveGroup(g page.GroupID, twin int) ([]page.Buf, error) {
-	pages := s.Arr.GroupPages(g)
-	vals := make([]page.Buf, len(pages))
-	var missing []int
-	for i, p := range pages {
-		if s.pageUnavailable(p) {
-			missing = append(missing, i)
+// described by redundancy index `twin`, treating unreachable and silently
+// corrupt members as erasures and solving them from the P and/or Q
+// equations of that index — the one reconstruction primitive: the healthy
+// group is its zero-erasure case, the classic XOR rebuild its
+// one-erasure case.  erased names further members the caller already
+// knows not to trust (a torn page, the page a header names, a replaced
+// drive's blocks) by the disk that holds them: a group keeps at most one
+// block per disk, so within g a disk number names one member, data or
+// redundancy.
+//
+// The data members are read first and the equations lazily — none at zero
+// erasures, P alone at one (Q only when P is itself dead, corrupt or
+// erased), both at two — so the transfer counts of the classic
+// single-loss paths are unchanged by the Q machinery.  Erasures beyond
+// what the reachable equations can solve surface as
+// ErrUnrecoverableCorruption.  The second result is the header of the
+// redundancy page the solve read (zero when it read none).  The returned
+// pages are the caller's; the ones read come from s.Pages, so a caller
+// that is done with them may put them back.
+func (s *Store) SolveGroup(g page.GroupID, twin int, erased ...int) ([]page.Buf, disk.Meta, error) {
+	sol, err := s.solve(g, twin, erased)
+	return sol.vals, sol.hdr(), err
+}
+
+// SolvePage is SolveGroup for one member: the value redundancy index
+// `twin` gives data page p, whatever p's platter holds, with the index's
+// header.  The other members' pages go back to s.Pages.
+func (s *Store) SolvePage(g page.GroupID, p page.PageID, twin int) (page.Buf, disk.Meta, error) {
+	vals, hdr, err := s.SolveGroup(g, twin, s.Arr.DataLoc(p).Disk)
+	if err != nil {
+		return nil, hdr, err
+	}
+	i := s.groupIndexOf(g, p)
+	got := vals[i]
+	vals[i] = nil
+	s.Pages.Put(vals...)
+	return got, hdr, nil
+}
+
+func (s *Store) solve(g page.GroupID, twin int, erased []int) (solved, error) {
+	gone := func(d int) bool {
+		for _, x := range erased {
+			if x == d {
+				return true
+			}
+		}
+		return false
+	}
+	sol := solved{pages: s.Arr.GroupPages(g)}
+	sol.vals = make([]page.Buf, len(sol.pages))
+	for i, p := range sol.pages {
+		if s.PageUnavailable(p) || gone(s.Arr.DataLoc(p).Disk) {
+			sol.erased = append(sol.erased, i)
 			continue
 		}
 		b, _, err := s.Arr.ReadData(p, s.Pages.Get())
 		if err != nil {
 			if !disk.IsCorrupt(err) {
-				return nil, fmt.Errorf("core: solve group %d: read page %d: %w", g, p, err)
+				return sol, fmt.Errorf("core: solve group %d: read page %d: %w", g, p, err)
 			}
 			s.deg.corruptDetected.Add(1)
-			missing = append(missing, i)
+			sol.erased = append(sol.erased, i)
 			continue
 		}
-		vals[i] = b
+		sol.vals[i] = b
 	}
-	if len(missing) == 0 {
-		return vals, nil
+	if len(sol.erased) == 0 {
+		return sol, nil
 	}
-	var pBuf []byte
-	if s.paritySlotAlive(g, twin) {
-		b, _, err := s.Arr.ReadParity(g, twin, s.Pages.Get())
+	var eqs [2][]byte
+	for _, eq := range s.Arr.Equations() {
+		if eq == diskarray.Q && len(sol.erased) == 1 && eqs[diskarray.P] != nil {
+			break
+		}
+		r := eq.Twin(twin)
+		if gone(s.Arr.Loc(g, r).Disk) || !s.TwinReadable(g, r) {
+			continue
+		}
+		b, m, err := s.Arr.Read(g, r, s.Pages.Get())
+		sol.red[eq].read, sol.red[eq].err, sol.red[eq].meta = true, err, m
 		switch {
 		case err == nil:
-			pBuf = b
+			eqs[eq] = b
 		case disk.IsCorrupt(err):
 			s.deg.corruptDetected.Add(1)
 		default:
-			return nil, fmt.Errorf("core: solve group %d: read parity twin %d: %w", g, twin, err)
+			return sol, fmt.Errorf("core: solve group %d: read %s twin %d: %w", g, eq, twin, err)
 		}
 	}
-	if len(missing) == 1 && pBuf != nil {
+	pBuf, qBuf := eqs[diskarray.P], eqs[diskarray.Q]
+	if len(sol.erased) == 1 && pBuf != nil {
 		// The lost member is the XOR of P and the survivors: fold them
 		// into the parity page just read, which becomes the answer.
-		for _, v := range vals {
+		for _, v := range sol.vals {
 			if v != nil {
 				xorparity.XorInto(pBuf, v)
 			}
 		}
-		vals[missing[0]] = pBuf
-		return vals, nil
+		sol.vals[sol.erased[0]] = pBuf
+		return sol, nil
 	}
-	raw := make([][]byte, len(vals))
-	for i, v := range vals {
-		raw[i] = v
-	}
-	var qBuf []byte
-	if s.qSlotAlive(g, twin) {
-		b, _, err := s.Arr.ReadQ(g, twin, nil)
-		switch {
-		case err == nil:
-			qBuf = b
-		case disk.IsCorrupt(err):
-			s.deg.corruptDetected.Add(1)
-		default:
-			return nil, fmt.Errorf("core: solve group %d: read Q twin %d: %w", g, twin, err)
-		}
-	}
+	raw := page.Raw(sol.vals)
 	switch {
-	case len(missing) == 1 && qBuf != nil:
-		i := missing[0]
-		vals[i] = page.Buf(erasure.ReconstructOneQ(qBuf, raw, i))
-		return vals, nil
-	case len(missing) == 2 && pBuf != nil && qBuf != nil:
-		i, j := missing[0], missing[1]
-		di, dj := erasure.ReconstructTwo(pBuf, qBuf, raw, i, j)
-		vals[i], vals[j] = page.Buf(di), page.Buf(dj)
-		return vals, nil
+	case len(sol.erased) == 1 && qBuf != nil:
+		sol.vals[sol.erased[0]] = erasure.ReconstructOneQ(qBuf, raw, sol.erased[0])
+	case len(sol.erased) == 2 && pBuf != nil && qBuf != nil:
+		i, j := sol.erased[0], sol.erased[1]
+		sol.vals[i], sol.vals[j] = erasure.ReconstructTwo(pBuf, qBuf, raw, i, j)
+	default:
+		s.deg.unrecoverable.Add(1)
+		return sol, fmt.Errorf("core: solve group %d: %d erased members exceed the reachable redundancy of index %d: %w",
+			g, len(sol.erased), twin, ErrUnrecoverableCorruption)
 	}
-	s.deg.unrecoverable.Add(1)
-	return nil, fmt.Errorf("core: solve group %d: %d erased members exceed the reachable redundancy of index %d: %w",
-		g, len(missing), twin, ErrUnrecoverableCorruption)
+	return sol, nil
 }
 
 // readDegraded serves a read of an unreachable data page by on-the-fly
@@ -452,20 +508,16 @@ func (s *Store) SolveGroup(g page.GroupID, twin int) ([]page.Buf, error) {
 // in dst when the caller supplied one.
 func (s *Store) readDegraded(p page.PageID, dst page.Buf) (page.Buf, error) {
 	g := s.Arr.GroupOf(p)
-	vals, err := s.SolveGroup(g, s.describingTwin(g))
+	got, _, err := s.SolvePage(g, p, s.describingTwin(g))
 	if err != nil {
 		return nil, fmt.Errorf("core: degraded read of page %d: %w", p, err)
 	}
 	s.deg.degradedReads.Add(1)
-	idx := s.groupIndexOf(g, p)
-	got := vals[idx]
 	if len(dst) == len(got) {
 		copy(dst, got)
+		s.Pages.Put(got)
 		got = dst
-	} else {
-		vals[idx] = nil
 	}
-	s.Pages.Put(vals...)
 	return got, nil
 }
 
@@ -489,7 +541,7 @@ func (s *Store) writeDegradedNeeded(g page.GroupID, p page.PageID) bool {
 	if !s.GroupDegraded(g) {
 		return false
 	}
-	return s.pageUnavailable(p) || s.deadTwin(g) >= 0 || s.deadQTwin(g) >= 0
+	return s.PageUnavailable(p) || s.hasDeadSlot(g)
 }
 
 // writeDegraded writes data page p of a group with unreachable blocks.
@@ -529,26 +581,29 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 	for i, q := range pages {
 		if q == p {
 			idx = i
-		} else if s.pageUnavailable(q) {
+		} else if s.PageUnavailable(q) {
 			othersLost = true
 		}
 	}
 	// The new redundancy is accumulated member by member — P ⊕= D_i,
 	// Q ⊕= g^i·D_i — in pages from s.Pages, and the sibling reads share
-	// one more.
-	hasQ := s.Twins != nil && s.Arr.HasQ()
-	newP := s.Pages.Get()
-	copy(newP, data)
-	var newQ page.Buf
-	if hasQ {
-		newQ = s.Pages.Get()
-		copy(newQ, data)
+	// one more.  A single-parity array keeps P alone.
+	eqs := s.Arr.Equations()
+	if s.Twins == nil {
+		eqs = eqs[:1]
+	}
+	var imgs [2]page.Buf
+	for _, eq := range eqs {
+		imgs[eq] = s.Pages.Get()
+		copy(imgs[eq], data)
+	}
+	defer s.Pages.Put(imgs[:]...)
+	if newQ := imgs[diskarray.Q]; newQ != nil {
 		erasure.MulInto(newQ, erasure.Exp(idx))
 	}
-	defer s.Pages.Put(newP, newQ)
 	fold := func(i int, b page.Buf) {
-		xorparity.XorInto(newP, b)
-		if hasQ {
+		xorparity.XorInto(imgs[diskarray.P], b)
+		if newQ := imgs[diskarray.Q]; newQ != nil {
 			erasure.MulAddInto(newQ, b, erasure.Exp(i))
 		}
 	}
@@ -556,7 +611,7 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		// A second data member is also gone (double-degraded): its old
 		// value is needed for the wholesale recompute, so solve the whole
 		// group from the describing index first.
-		old, err := s.SolveGroup(g, s.describingTwin(g))
+		old, _, err := s.SolveGroup(g, s.describingTwin(g))
 		if err != nil {
 			return fmt.Errorf("core: degraded write of page %d: %w", p, err)
 		}
@@ -582,12 +637,13 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 	}
 
 	if s.Twins == nil {
-		if s.pageUnavailable(p) {
-			pMeta, err := s.Arr.PeekParityMeta(g, 0)
-			if err != nil {
-				return fmt.Errorf("core: degraded write of page %d: %w", p, err)
+		if s.PageUnavailable(p) {
+			parity := diskarray.P.Twin(0)
+			pMeta, err := s.Arr.PeekMeta(g, parity)
+			if err == nil {
+				err = s.Arr.Write(g, parity, imgs[diskarray.P], pMeta)
 			}
-			if err := s.Arr.WriteParity(g, 0, newP, pMeta); err != nil {
+			if err != nil {
 				return fmt.Errorf("core: degraded write of page %d: %w", p, err)
 			}
 			return nil
@@ -597,26 +653,15 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		return s.writeData(p, data, disk.Meta{})
 	}
 
-	score := func(t int) int {
-		n := 0
-		if s.paritySlotAlive(g, t) {
-			n++
-		}
-		if hasQ && s.qSlotAlive(g, t) {
-			n++
-		}
-		return n
+	target := s.Twins.Obsolete(g)
+	if _, alive := s.aliveSlots(g, target); alive == 0 {
+		target = 1 - target
 	}
-	obsolete := s.Twins.Obsolete(g)
-	target := obsolete
-	if score(obsolete) == 0 {
-		target = 1 - obsolete
-	}
-	if score(target) == 0 {
+	if _, alive := s.aliveSlots(g, target); alive == 0 {
 		// Both of the index's slots are on down disks (and so are the
 		// other index's — scores tie at zero only then).  Only the data
 		// write can carry the group; the rebuild recomputes redundancy.
-		if s.pageUnavailable(p) {
+		if s.PageUnavailable(p) {
 			s.deg.unrecoverable.Add(1)
 			return fmt.Errorf("core: degraded write of page %d: no reachable redundancy: %w", p, ErrUnrecoverableCorruption)
 		}
@@ -624,22 +669,15 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 	}
 	ts := s.TM.NextTimestamp()
 	meta := disk.Meta{State: disk.StateCommitted, Timestamp: ts}
-	if !s.pageUnavailable(p) {
+	if !s.PageUnavailable(p) {
 		meta.DirtyPage = p
 		meta.PairedSet = true
 	}
-	if hasQ && s.qSlotAlive(g, target) {
-		if err := s.Arr.WriteQ(g, target, newQ, meta); err != nil {
-			return fmt.Errorf("core: degraded write of page %d: %w", p, err)
-		}
-	}
-	if s.paritySlotAlive(g, target) {
-		if err := s.Arr.WriteParity(g, target, newP, meta); err != nil {
-			return fmt.Errorf("core: degraded write of page %d: %w", p, err)
-		}
+	if err := s.writeIndex(g, target, imgs, meta); err != nil {
+		return fmt.Errorf("core: degraded write of page %d: %w", p, err)
 	}
 	s.Twins.Promote(g, target)
-	if s.pageUnavailable(p) {
+	if s.PageUnavailable(p) {
 		return nil
 	}
 	return s.writeData(p, data, disk.Meta{Timestamp: ts})

@@ -5,9 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/disk"
-	"repro/internal/erasure"
+	"repro/internal/diskarray"
 	"repro/internal/page"
-	"repro/internal/xorparity"
 )
 
 // ScrubReport summarizes a parity scrub pass.
@@ -39,7 +38,7 @@ type GroupScrub struct {
 	// degraded beyond what its spare redundancy can still check.  A
 	// degraded group on a QParity array is NOT skipped wholesale — its
 	// spare equation can still repair latent corruption on the readable
-	// members (scrubGroupDegraded).  The online scrubber retries skipped
+	// members (see ScrubGroup).  The online scrubber retries skipped
 	// groups on the next cycle.
 	Skipped bool
 	// LatentErrors, Repaired and ParityRewritten are as in ScrubReport.
@@ -94,28 +93,23 @@ func (rep *ScrubReport) merge(res GroupScrub) {
 // the online scrubber.  A dirty group is skipped (not an error — it is
 // retried on the next scrub cycle); so is a degraded group on a
 // single-redundancy array, whose only equation is already consumed by
-// the dead disk.  A degraded group on a QParity array is instead handed
-// to scrubGroupDegraded: as long as the down disks leave a spare
-// equation, latent corruption on the readable members is still
-// repairable.  Everything else is verified end to end and silently
-// corrupt blocks are rewritten from the group's redundancy.  Corrupt
-// blocks beyond what the redundancy equations can solve return
-// ErrUnrecoverableCorruption.
+// the dead disk.  Everything else is verified end to end through the
+// current index (healIndex) and silently corrupt blocks are rewritten from
+// the group's redundancy; corrupt blocks beyond what the equations can
+// solve return ErrUnrecoverableCorruption.
 //
-// Repairs restore block headers: a rebuilt data page named by the
-// parity's committed-flip pairing gets the pairing timestamp back (so a
-// later degraded restart does not mistake the completed flip for a
-// broken one), and a repaired current parity twin keeps its persisted
-// header when only the payload rotted (checksum failure) or gets a fresh
-// committed header when the header itself is untrustworthy (misdirected
-// or lost write).  Q pages mirror their P partner's header (the
-// lockstep invariant).
+// A degraded group on a QParity array still has an equation to spare: a
+// READABLE member that rotted is two erasures with the dead block, which
+// P and Q solve together — the repair that turns a would-be
+// ErrUnrecoverableCorruption read into a served one.  Its unreachable
+// members are the rebuild's job and are not touched, and no consistency
+// check is made beyond what the solve itself proves: with members missing,
+// a surviving equation cannot be checked against the data without
+// consuming the other one.
 func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 	var res GroupScrub
-	if s.GroupDegraded(g) {
-		if s.Arr.HasQ() {
-			return s.scrubGroupDegraded(g)
-		}
+	degraded := s.GroupDegraded(g)
+	if degraded && !s.Arr.HasQ() {
 		res.Skipped = true
 		return res, nil
 	}
@@ -125,335 +119,161 @@ func (s *Store) ScrubGroup(g page.GroupID) (GroupScrub, error) {
 			return res, nil
 		}
 	}
-
-	pages := s.Arr.GroupPages(g)
-	data := make([]page.Buf, len(pages))
-	bad := -1
-	for i, p := range pages {
-		b, _, err := s.Arr.ReadData(p, nil)
-		switch {
-		case err == nil:
-			data[i] = b
-		case disk.IsCorrupt(err):
-			res.LatentErrors++
-			s.deg.corruptDetected.Add(1)
-			if bad >= 0 {
-				s.deg.unrecoverable.Add(1)
-				return res, fmt.Errorf("core: group %d has two corrupt data blocks (%v): %w", g, err, ErrUnrecoverableCorruption)
-			}
-			bad = i
-		default:
-			return res, fmt.Errorf("core: scrub group %d: %w", g, err)
-		}
-	}
-
 	twin := s.currentTwin(g)
-	parity, pMeta, perr := s.Arr.ReadParity(g, twin, nil)
-	if perr != nil {
-		if !disk.IsCorrupt(perr) {
-			return res, fmt.Errorf("core: scrub group %d parity: %w", g, perr)
-		}
-		res.LatentErrors++
-		s.deg.corruptDetected.Add(1)
-	}
-
-	switch {
-	case bad >= 0 && perr != nil:
-		// Both a data block and its P page rotted.  Single parity is out
-		// of equations; with a Q partner the data block solves through
-		// the Q equation, and P recomputes behind it under the Q header
-		// (the lockstep mirror of the header P lost).
-		if !s.Arr.HasQ() {
-			s.deg.unrecoverable.Add(1)
-			return res, fmt.Errorf("core: group %d lost both a data block and its parity (%v): %w", g, perr, ErrUnrecoverableCorruption)
-		}
-		qBuf, qMeta, qerr := s.Arr.ReadQ(g, twin, nil)
-		if qerr != nil {
-			s.deg.unrecoverable.Add(1)
-			return res, fmt.Errorf("core: group %d lost a data block, its parity (%v) and its Q page (%v): %w", g, perr, qerr, ErrUnrecoverableCorruption)
-		}
-		raw := make([][]byte, len(data))
-		for i, b := range data {
-			raw[i] = b
-		}
-		rebuilt := page.Buf(erasure.ReconstructOneQ(qBuf, raw, bad))
-		meta := disk.Meta{}
-		if qMeta.PairedSet && qMeta.DirtyPage == pages[bad] {
-			meta = disk.Meta{Timestamp: qMeta.Timestamp}
-		}
-		if err := s.Arr.WriteData(pages[bad], rebuilt, meta); err != nil {
-			return res, fmt.Errorf("core: scrub repair page %d: %w", pages[bad], err)
-		}
-		data[bad] = rebuilt
-		pMeta = qMeta
-		if errors.Is(perr, disk.ErrChecksum) {
-			if m, merr := s.Arr.PeekParityMeta(g, twin); merr == nil {
-				pMeta = m
-			}
-		}
-		newP, err := s.recomputeParityFrom(g, twin, data, pMeta)
-		if err != nil {
-			return res, err
-		}
-		parity = newP
-		res.Repaired += 2
-		res.RepairedPages = append(res.RepairedPages, pages[bad])
-		s.deg.scrubRepairs.Add(2)
-	case bad >= 0:
-		// Rebuild the corrupt data block from parity + survivors,
-		// restoring a flip-pairing header if the parity names this page.
-		survivors := [][]byte{parity}
-		for i, b := range data {
-			if i != bad {
-				survivors = append(survivors, b)
-			}
-		}
-		meta := disk.Meta{}
-		if pMeta.PairedSet && pMeta.DirtyPage == pages[bad] {
-			meta = disk.Meta{Timestamp: pMeta.Timestamp}
-		}
-		rebuilt := xorparity.Reconstruct(s.Arr.PageSize(), survivors...)
-		if err := s.Arr.WriteData(pages[bad], rebuilt, meta); err != nil {
-			return res, fmt.Errorf("core: scrub repair page %d: %w", pages[bad], err)
-		}
-		res.Repaired++
-		res.RepairedPages = append(res.RepairedPages, pages[bad])
-		s.deg.scrubRepairs.Add(1)
-		data[bad] = rebuilt
-	case perr != nil:
-		// Rebuild the corrupt parity page from the data.  The persisted
-		// header survives a payload-only checksum failure; a misdirected
-		// or lost write leaves an untrustworthy header, so synthesize a
-		// fresh committed one (the group is clean here).
-		meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		if errors.Is(perr, disk.ErrChecksum) {
-			if m, merr := s.Arr.PeekParityMeta(g, twin); merr == nil {
-				meta = m
-			}
-		}
-		newP, err := s.recomputeParityFrom(g, twin, data, meta)
-		if err != nil {
-			return res, err
-		}
-		res.Repaired++
-		s.deg.scrubRepairs.Add(1)
-		parity, pMeta = newP, meta
-	}
-
-	// Verify parity correctness and rewrite if stale.
-	raw := make([][]byte, len(data))
-	for i, b := range data {
-		raw[i] = b
-	}
-	if !xorparity.Verify(parity, raw...) {
-		if _, err := s.recomputeParityFrom(g, twin, data, pMeta); err != nil {
-			return res, err
-		}
-		res.ParityRewritten++
-	}
-
-	// The Q pages of a QParity array: the current index's Q must solve
-	// the same data state as its P partner; latent corruption and stale
-	// payloads are rewritten under the partner's header (lockstep).
-	if s.Arr.HasQ() {
-		qBuf, _, qerr := s.Arr.ReadQ(g, twin, nil)
-		switch {
-		case qerr != nil && !disk.IsCorrupt(qerr):
-			return res, fmt.Errorf("core: scrub group %d Q: %w", g, qerr)
-		case qerr != nil:
-			res.LatentErrors++
-			s.deg.corruptDetected.Add(1)
-			if err := s.recomputeQFrom(g, twin, data, pMeta); err != nil {
-				return res, err
-			}
-			res.Repaired++
-			s.deg.scrubRepairs.Add(1)
-		case !erasure.VerifyQ(qBuf, raw...):
-			if err := s.recomputeQFrom(g, twin, data, pMeta); err != nil {
-				return res, err
-			}
-			res.ParityRewritten++
-		}
-	}
-
-	// The obsolete twin of a twinned array is also checked for latent
-	// errors; its contents are free to rewrite (it is obsolete).
-	if s.Twins != nil {
-		other := 1 - twin
-		if _, _, err := s.Arr.ReadParity(g, other, nil); disk.IsCorrupt(err) {
-			res.LatentErrors++
-			s.deg.corruptDetected.Add(1)
-			meta := disk.Meta{State: disk.StateObsolete, Timestamp: 0}
-			if _, err := s.recomputeParityFrom(g, other, data, meta); err != nil {
-				return res, err
-			}
-			res.Repaired++
-			s.deg.scrubRepairs.Add(1)
-		}
-		if other < s.Arr.QParityPages() {
-			if _, _, err := s.Arr.ReadQ(g, other, nil); disk.IsCorrupt(err) {
-				res.LatentErrors++
-				s.deg.corruptDetected.Add(1)
-				meta := disk.Meta{State: disk.StateObsolete, Timestamp: 0}
-				if err := s.recomputeQFrom(g, other, data, meta); err != nil {
-					return res, err
-				}
-				res.Repaired++
-				s.deg.scrubRepairs.Add(1)
-			}
-		}
-	}
-	s.deg.scrubbedGroups.Add(1)
-	return res, nil
-}
-
-// scrubGroupDegraded scrubs a group that has blocks on down disks, on a
-// QParity array.  Unreachable members are the rebuild's job and are not
-// touched; the scrub's value while degraded is the spare equation: a
-// READABLE member that rotted is still two erasures (the dead block plus
-// the corrupt one) against the P and Q equations, which the solver
-// handles — the repair that turns a would-be ErrUnrecoverableCorruption
-// read into a served one.  Equation payloads of the current index are
-// likewise repaired when corrupt and their slots are alive.  No
-// consistency verification is attempted beyond what the solve itself
-// proves: with members missing, a surviving equation cannot be checked
-// against the data without consuming the other one.
-func (s *Store) scrubGroupDegraded(g page.GroupID) (GroupScrub, error) {
-	var res GroupScrub
-	if s.Dirty != nil {
-		if _, dirty := s.Dirty.Lookup(g); dirty {
-			res.Skipped = true
-			return res, nil
-		}
-	}
-	twin := s.currentTwin(g)
-	pages := s.Arr.GroupPages(g)
-
-	// Probe the readable members and the current index's alive equation
-	// slots for latent corruption.
-	var corrupt []int
-	for i, p := range pages {
-		if s.pageUnavailable(p) {
-			continue
-		}
-		if _, _, err := s.Arr.ReadData(p, nil); err != nil {
-			if !disk.IsCorrupt(err) {
-				return res, fmt.Errorf("core: scrub group %d: %w", g, err)
-			}
-			res.LatentErrors++
-			corrupt = append(corrupt, i)
-		}
-	}
-	pCorrupt, qCorrupt := false, false
-	var pErr, qErr error
-	if s.paritySlotAlive(g, twin) {
-		if _, _, err := s.Arr.ReadParity(g, twin, nil); disk.IsCorrupt(err) {
-			res.LatentErrors++
-			pCorrupt, pErr = true, err
-		}
-	}
-	if s.qSlotAlive(g, twin) {
-		if _, _, err := s.Arr.ReadQ(g, twin, nil); disk.IsCorrupt(err) {
-			res.LatentErrors++
-			s.deg.corruptDetected.Add(1)
-			qCorrupt, qErr = true, err
-		}
-	}
-	if len(corrupt) == 0 && !pCorrupt && !qCorrupt {
-		return res, nil
-	}
-
-	// Solve the group through the current index.  SolveGroup treats the
-	// unreachable members, the corrupt readable ones and a corrupt P as
-	// erasures; if the count exceeds the reachable equations the typed
-	// ErrUnrecoverableCorruption propagates.
-	vals, err := s.SolveGroup(g, twin)
+	h, err := s.healIndex(g, twin, s.Arr.Equations(), !degraded)
+	res.LatentErrors, res.RepairedPages, res.ParityRewritten = h.latent, h.pages, h.stale
+	res.Repaired = len(h.pages) + h.reds
+	defer func() { s.deg.scrubRepairs.Add(uint64(res.Repaired)) }()
 	if err != nil {
 		return res, fmt.Errorf("core: scrub group %d: %w", g, err)
 	}
-
-	// Header for pairing restoration and equation rewrites: P's if its
-	// slot is alive and its header survived the fault (a checksum failure
-	// keeps the block's own header; a misdirected or lost write leaves a
-	// foreign or stale one), else the Q mirror, else a fresh committed
-	// header (the group is clean while degraded).
-	var hdr disk.Meta
-	haveHdr := false
-	if s.paritySlotAlive(g, twin) && (!pCorrupt || errors.Is(pErr, disk.ErrChecksum)) {
-		if m, merr := s.Arr.ReadParityMeta(g, twin); merr == nil {
-			hdr, haveHdr = m, true
+	// The obsolete twin of a whole group is also checked for latent
+	// errors; its contents are free to rewrite (it is obsolete).
+	if s.Twins != nil && !degraded {
+		for _, eq := range s.Arr.Equations() {
+			r := eq.Twin(1 - twin)
+			if _, _, err := s.Arr.Read(g, r, nil); disk.IsCorrupt(err) {
+				res.LatentErrors++
+				s.deg.corruptDetected.Add(1)
+				if err := s.RewriteSlot(g, r, h.vals, disk.Meta{State: disk.StateObsolete}); err != nil {
+					return res, err
+				}
+				res.Repaired++
+			}
 		}
-	}
-	if !haveHdr && s.qSlotAlive(g, twin) && (!qCorrupt || errors.Is(qErr, disk.ErrChecksum)) {
-		if m, merr := s.Arr.ReadQMeta(g, twin); merr == nil {
-			hdr, haveHdr = m, true
-		}
-	}
-	if !haveHdr {
-		hdr = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-	}
-
-	for _, i := range corrupt {
-		meta := disk.Meta{}
-		if hdr.PairedSet && hdr.DirtyPage == pages[i] {
-			meta = disk.Meta{Timestamp: hdr.Timestamp}
-		}
-		if err := s.Arr.WriteData(pages[i], vals[i], meta); err != nil {
-			return res, fmt.Errorf("core: scrub repair page %d: %w", pages[i], err)
-		}
-		res.Repaired++
-		res.RepairedPages = append(res.RepairedPages, pages[i])
-		s.deg.scrubRepairs.Add(1)
-	}
-	raw := make([][]byte, len(vals))
-	for i, v := range vals {
-		raw[i] = v
-	}
-	if pCorrupt {
-		newP := xorparity.Compute(s.Arr.PageSize(), raw...)
-		if err := s.Arr.WriteParity(g, twin, newP, hdr); err != nil {
-			return res, fmt.Errorf("core: scrub rewrite parity of group %d: %w", g, err)
-		}
-		res.Repaired++
-		s.deg.scrubRepairs.Add(1)
-	}
-	if qCorrupt {
-		newQ := erasure.ComputeQ(s.Arr.PageSize(), raw...)
-		if err := s.Arr.WriteQ(g, twin, newQ, hdr); err != nil {
-			return res, fmt.Errorf("core: scrub rewrite Q of group %d: %w", g, err)
-		}
-		res.Repaired++
-		s.deg.scrubRepairs.Add(1)
 	}
 	s.deg.scrubbedGroups.Add(1)
 	return res, nil
 }
 
-// recomputeParityFrom rewrites parity twin `twin` of group g as the XOR
-// of the given data values under the given header, returning the payload
-// written.
-func (s *Store) recomputeParityFrom(g page.GroupID, twin int, data []page.Buf, meta disk.Meta) (page.Buf, error) {
-	raw := make([][]byte, len(data))
-	for i, b := range data {
-		raw[i] = b
-	}
-	parity := page.Buf(xorparity.Compute(s.Arr.PageSize(), raw...))
-	if err := s.Arr.WriteParity(g, twin, parity, meta); err != nil {
-		return nil, fmt.Errorf("core: scrub rewrite parity of group %d: %w", g, err)
-	}
-	return parity, nil
+// healed is what one healIndex pass found and fixed.
+type healed struct {
+	latent int           // blocks that failed verification
+	pages  []page.PageID // data pages rewritten on the platter
+	reds   int           // redundancy pages rewritten because they were corrupt
+	stale  int           // redundancy pages rewritten because the data had moved on
+	vals   []page.Buf    // the group's data values as the index describes them
 }
 
-// recomputeQFrom rewrites Q page `twin` of group g over the given data
-// values under the given header (normally the P partner's — lockstep).
-func (s *Store) recomputeQFrom(g page.GroupID, twin int, data []page.Buf, meta disk.Meta) error {
-	raw := make([][]byte, len(data))
-	for i, b := range data {
-		raw[i] = b
+// healIndex runs a verified pass over group g through redundancy index
+// twin — every member checked against its checksum, location stamp and
+// the write ledger — and rewrites what failed: corrupt data pages get the
+// value the index's equations solve for them (SolveGroup; their header's
+// flip-pairing echo is restored when the index names them, so a later
+// degraded restart does not mistake the completed flip for a broken one),
+// and each corrupt page of eqs is recomputed from the data.  With verify
+// set, a readable page of eqs that no longer satisfies its equation is
+// recomputed too.  A rewritten redundancy page keeps its persisted header
+// when only its payload was damaged (a checksum failure); a misdirected or
+// lost write leaves a foreign or stale header, so the index's other page
+// lends its own (the lockstep mirror), and failing that the page starts
+// over as committed under a fresh timestamp.
+func (s *Store) healIndex(g page.GroupID, twin int, eqs []diskarray.Eq, verify bool) (healed, error) {
+	var h healed
+	sol, err := s.solve(g, twin, nil)
+	for _, i := range sol.erased {
+		if !s.PageUnavailable(sol.pages[i]) {
+			h.latent++
+		}
 	}
-	q := erasure.ComputeQ(s.Arr.PageSize(), raw...)
-	if err := s.Arr.WriteQ(g, twin, q, meta); err != nil {
-		return fmt.Errorf("core: scrub rewrite Q of group %d: %w", g, err)
+	for _, r := range sol.red {
+		if disk.IsCorrupt(r.err) {
+			h.latent++
+		}
+	}
+	if err != nil {
+		return h, err
+	}
+	h.vals = sol.vals
+	// Read the pages of eqs the solve had no use for.
+	red, payload := sol.red, [2]page.Buf{}
+	for _, eq := range eqs {
+		r := eq.Twin(twin)
+		if red[eq].read || !s.SlotAlive(g, r) {
+			continue
+		}
+		payload[eq], red[eq].meta, red[eq].err = s.Arr.Read(g, r, nil)
+		red[eq].read = true
+		if err := red[eq].err; disk.IsCorrupt(err) {
+			h.latent++
+			s.deg.corruptDetected.Add(1)
+		} else if err != nil {
+			return h, fmt.Errorf("read %s twin %d: %w", eq, twin, err)
+		}
+	}
+	// own[eq] is a page's own header where the fault left it trustworthy —
+	// the page read fine, or only its payload was damaged — and hdr the
+	// index's: P's when it survived, else the Q mirror's.
+	var own [2]disk.Meta
+	for eq, r := range red {
+		switch {
+		case r.read && r.err == nil:
+			own[eq] = r.meta
+		case r.read && errors.Is(r.err, disk.ErrChecksum):
+			own[eq], _ = s.Arr.PeekMeta(g, diskarray.Eq(eq).Twin(twin))
+		}
+	}
+	hdr := own[diskarray.P]
+	if hdr.State == disk.StateNone {
+		hdr = own[diskarray.Q]
+	}
+	for _, i := range sol.erased {
+		p := sol.pages[i]
+		if s.PageUnavailable(p) {
+			continue
+		}
+		meta := disk.Meta{}
+		if hdr.PairedSet && hdr.DirtyPage == p {
+			meta = disk.Meta{Timestamp: hdr.Timestamp}
+		}
+		if err := s.Arr.WriteData(p, sol.vals[i], meta); err != nil {
+			return h, fmt.Errorf("repair page %d: %w", p, err)
+		}
+		h.pages = append(h.pages, p)
+	}
+	for _, eq := range eqs {
+		r := eq.Twin(twin)
+		switch {
+		case !red[eq].read:
+			continue
+		case red[eq].err != nil:
+			meta := own[eq]
+			if meta.State == disk.StateNone {
+				meta = hdr
+			}
+			if meta.State == disk.StateNone {
+				meta = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
+			}
+			if err := s.RewriteSlot(g, r, sol.vals, meta); err != nil {
+				return h, err
+			}
+			h.reds++
+		case verify && payload[eq] != nil && !eq.Holds(payload[eq], page.Raw(sol.vals)...):
+			if err := s.RewriteSlot(g, r, sol.vals, hdr); err != nil {
+				return h, err
+			}
+			h.stale++
+		}
+	}
+	return h, nil
+}
+
+// RewriteSlot rewrites redundancy page r of group g as its equation over
+// the given data values (a nil value counts as a zero page), under the
+// given header.
+func (s *Store) RewriteSlot(g page.GroupID, r diskarray.Red, vals []page.Buf, meta disk.Meta) error {
+	if err := s.Arr.Write(g, r, r.Eq.Compute(s.Arr.PageSize(), page.Raw(vals)...), meta); err != nil {
+		return fmt.Errorf("core: rewrite %s twin %d of group %d: %w", r.Eq, r.Twin, g, err)
 	}
 	return nil
+}
+
+// computeIndex returns, by equation, the redundancy pages of a group
+// whose data members hold the given values.
+func (s *Store) computeIndex(vals []page.Buf) (imgs [2]page.Buf) {
+	raw := page.Raw(vals)
+	for _, eq := range s.Arr.Equations() {
+		imgs[eq] = eq.Compute(s.Arr.PageSize(), raw...)
+	}
+	return imgs
 }

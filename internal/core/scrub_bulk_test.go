@@ -42,7 +42,7 @@ func TestScrubRepairsDataAndParity(t *testing.T) {
 	}
 	// Corrupt a parity block of another group.
 	g2 := s.Arr.GroupOf(20)
-	ploc := s.Arr.ParityLoc(g2, s.Twins.Current(g2))
+	ploc := s.Arr.Loc(g2, diskarray.P.Twin(s.Twins.Current(g2)))
 	if err := s.Arr.Disk(ploc.Disk).Corrupt(ploc.Block); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestScrubRepairsObsoleteTwin(t *testing.T) {
 	}
 	g := s.Arr.GroupOf(0)
 	obsolete := s.Twins.Obsolete(g)
-	loc := s.Arr.ParityLoc(g, obsolete)
+	loc := s.Arr.Loc(g, diskarray.P.Twin(obsolete))
 	if err := s.Arr.Disk(loc.Disk).Corrupt(loc.Block); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestScrubRepairsObsoleteTwin(t *testing.T) {
 		t.Fatalf("report %+v, want the obsolete twin repaired", rep)
 	}
 	// After repair both twins must be readable.
-	if _, _, err := s.Arr.ReadParity(g, obsolete, nil); err != nil {
+	if _, _, err := s.Arr.Read(g, diskarray.P.Twin(obsolete), nil); err != nil {
 		t.Fatalf("obsolete twin unreadable after scrub: %v", err)
 	}
 }
@@ -161,7 +161,7 @@ func TestBulkLoadRejectsDirtyGroupAndBadSize(t *testing.T) {
 	}
 }
 
-func TestReadPageRepairCore(t *testing.T) {
+func TestReadPageRepairsCorruptBlock(t *testing.T) {
 	s := newStore(t, diskarray.RAID5Twin)
 	want := pattern(page.MinSize, 0x44)
 	if err := s.WriteCommitted(3, want, nil); err != nil {
@@ -171,7 +171,7 @@ func TestReadPageRepairCore(t *testing.T) {
 	if err := s.Arr.Disk(loc.Disk).Corrupt(loc.Block); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadPageRepair(3, nil)
+	got, err := s.ReadPage(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestReadPageRepairCore(t *testing.T) {
 	if err := s.Arr.Disk(oloc.Disk).Corrupt(oloc.Block); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadPageRepair(3, nil); err == nil {
+	if _, err := s.ReadPage(3, nil); err == nil {
 		t.Fatalf("double damage must surface an error")
 	}
 }

@@ -5,7 +5,7 @@
 // modelling the per-sector header area that storage systems of the paper's
 // era used for exactly the bookkeeping the paper requires: the twin parity
 // pages store a timestamp and a state in their header (Section 4.2), and
-// pages written back without UNDO logging carry a log-chain pointer in
+// pages written back without UNDO logging carry their writer's tag in
 // their header (Section 4.3, after TWIST [13]).  Keeping the header out of
 // band keeps the XOR parity algebra over the data payload exact.
 //
@@ -104,8 +104,8 @@ func (s ParityState) String() string {
 // For twin parity blocks it stores the Figure 8 state, the timestamp that
 // the Current_Parity algorithm (Figure 7) compares, and the transaction
 // that last wrote the block.  For data blocks written back without UNDO
-// logging it stores the log-chain pointer: the previous page stolen by the
-// same transaction (Section 4.3).
+// logging it stores the steal tag: the writing transaction and the
+// ChainSet mark (Section 4.3).
 type Meta struct {
 	// State is the twin parity lifecycle state; StateNone on data blocks.
 	State ParityState
@@ -114,11 +114,11 @@ type Meta struct {
 	Timestamp page.Timestamp
 	// Txn is the transaction that last wrote this block.
 	Txn page.TxID
-	// ChainPrev is the page previously stolen without UNDO logging by the
-	// same transaction, or page.InvalidPage at the head of the chain.
-	ChainPrev page.PageID
-	// ChainSet marks whether this block currently participates in a log
-	// chain.
+	// ChainSet marks a data block written back without UNDO logging by the
+	// still-undecided transaction Txn — the steal tag.  Recovery finds
+	// stolen pages by scanning for it; the pointer to the transaction's
+	// previously stolen page that TWIST chains through these headers is
+	// not kept, because no recovery pass walks it.
 	ChainSet bool
 	// DirtyPage, on a working parity page, is the data page whose
 	// no-UNDO-logging write the working parity covers.  The paper keeps
@@ -245,7 +245,7 @@ func (d *Disk) execRead(blockNum int, dst page.Buf) (page.Buf, Meta, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.serviceTime()
-	dec := d.observe(blockNum, OpRead)
+	dec := d.observe(blockNum, OpRead, nil, nil)
 	if d.failed {
 		return nil, Meta{}, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
 	}
@@ -287,7 +287,7 @@ func (d *Disk) execWrite(blockNum int, data page.Buf, meta Meta) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.serviceTime()
-	dec := d.observe(blockNum, OpWrite)
+	dec := d.observe(blockNum, OpWrite, data, &meta)
 	if d.failed {
 		return fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
 	}
@@ -376,7 +376,7 @@ func (d *Disk) execReadMeta(blockNum int) (Meta, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.serviceTime()
-	dec := d.observe(blockNum, OpReadMeta)
+	dec := d.observe(blockNum, OpReadMeta, nil, nil)
 	if d.failed {
 		return Meta{}, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
 	}
@@ -408,7 +408,7 @@ func (d *Disk) execWriteMeta(blockNum int, meta Meta) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.serviceTime()
-	dec := d.observe(blockNum, OpWriteMeta)
+	dec := d.observe(blockNum, OpWriteMeta, nil, &meta)
 	if d.failed {
 		return fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
 	}

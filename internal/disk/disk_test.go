@@ -14,7 +14,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	meta := Meta{State: StateWorking, Timestamp: 7, Txn: 3, ChainPrev: 12, ChainSet: true}
+	meta := Meta{State: StateWorking, Timestamp: 7, Txn: 3, ChainSet: true}
 	if err := d.Write(5, data, meta); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package disk
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/page"
+)
 
 // Op classifies a block I/O for fault injection.
 type Op uint8
@@ -45,6 +49,12 @@ type Access struct {
 	Block int
 	// Op is the operation class.
 	Op Op
+	// Data is the payload an OpWrite is about to store (nil otherwise) and
+	// Meta the header an OpWrite or OpWriteMeta carries; observers may
+	// read them — to fingerprint the write stream, say — but must not
+	// keep or modify Data.
+	Data page.Buf
+	Meta Meta
 }
 
 // String implements fmt.Stringer.
@@ -106,12 +116,26 @@ func (d *Disk) SetInjector(inj Injector) {
 }
 
 // observe consults the injector, applying a fail-stop decision
-// immediately.  Must be called with d.mu held.
-func (d *Disk) observe(blockNum int, op Op) Decision {
-	if d.inj == nil {
-		return Decision{}
+// immediately.  Must be called with d.mu held.  data and meta are what a
+// write carries (nil on reads).  A drive without an injector — every drive
+// outside the tests and the crash tools — pays the nil check and never
+// builds the Access.
+func (d *Disk) observe(blockNum int, op Op, data page.Buf, meta *Meta) (dec Decision) {
+	if d.inj != nil {
+		dec = d.consult(blockNum, op, data, meta)
 	}
-	dec := d.inj.Observe(Access{Disk: d.id, Block: blockNum, Op: op})
+	return dec
+}
+
+// consult is observe's slow path, out of line so that observe inlines.
+//
+//go:noinline
+func (d *Disk) consult(blockNum int, op Op, data page.Buf, meta *Meta) Decision {
+	a := Access{Disk: d.id, Block: blockNum, Op: op, Data: data}
+	if meta != nil {
+		a.Meta = *meta
+	}
+	dec := d.inj.Observe(a)
 	if dec.FailDisk {
 		d.failed = true
 	}

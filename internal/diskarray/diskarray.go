@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/disk"
@@ -93,16 +94,20 @@ type Config struct {
 	NumPages int
 	// PageSize is the size of each page/block in bytes.
 	PageSize int
-	// RetryAttempts bounds how many times one block I/O is issued before
-	// a transient error is surfaced (default 4).
-	RetryAttempts int
-	// FailStopAfter is K: after K consecutive errored attempts on one
-	// disk the array fail-stops it automatically (default 3).  Keeping
-	// K < RetryAttempts means a persistently erroring disk is declared
-	// dead *within* a single retried operation, so callers see a
-	// degraded-servable ErrFailed rather than a transient error.
-	FailStopAfter int
 }
+
+// The self-healing retry layer's two bounds (see do, in health.go).
+const (
+	// retryAttempts bounds how many times one block I/O is issued before a
+	// transient error is surfaced.
+	retryAttempts = 4
+	// failStopAfter is K: after K consecutive errored attempts on one disk
+	// the array fail-stops it automatically.  K < retryAttempts means a
+	// persistently erroring disk is declared dead *within* a single
+	// retried operation, so callers see a degraded-servable ErrFailed
+	// rather than a transient error.
+	failStopAfter = 3
+)
 
 // Errors returned by the array.
 var (
@@ -116,6 +121,68 @@ type Loc struct {
 	Disk  int
 	Block int
 }
+
+// Eq names one of a group's redundancy equations.
+type Eq uint8
+
+// The two equations.  XOR parity is the m = 1 case of the erasure code
+// (see the xorparity package comment), so P and Q differ only in the
+// coefficients the kernels below apply.
+const (
+	// P is XOR parity: P = Σ D_i.
+	P Eq = iota
+	// Q is the GF(2^8) Reed-Solomon equation of a QParity array:
+	// Q = Σ g^i·D_i.
+	Q
+)
+
+// String implements fmt.Stringer.
+func (e Eq) String() string {
+	if e == P {
+		return "P"
+	}
+	return "Q"
+}
+
+// Compute returns the equation's redundancy page over a group's data
+// blocks, given in group order (a nil block counts as zero).
+func (e Eq) Compute(size int, blocks ...[]byte) []byte {
+	if e == P {
+		return xorparity.Compute(size, blocks...)
+	}
+	return erasure.ComputeQ(size, blocks...)
+}
+
+// Holds reports whether the redundancy page red satisfies the equation
+// over the given data blocks.
+func (e Eq) Holds(red []byte, blocks ...[]byte) bool {
+	if e == P {
+		return xorparity.Verify(red, blocks...)
+	}
+	return erasure.VerifyQ(red, blocks...)
+}
+
+// SmallWrite folds the update of the group's idx-th data block from
+// oldData to newData into the redundancy page img, in place.
+func (e Eq) SmallWrite(img, oldData, newData []byte, idx int) {
+	if e == P {
+		xorparity.SmallWrite(img, oldData, newData)
+	} else {
+		erasure.QSmallWrite(img, oldData, newData, idx)
+	}
+}
+
+// Red is the address of a redundancy page within its group: the equation
+// it belongs to and the twin index (always 0 on single-parity kinds).  The
+// two pages of one twin index — Red{P, t} and Red{Q, t} — describe the
+// same data state and are promoted and invalidated together.
+type Red struct {
+	Eq   Eq
+	Twin int
+}
+
+// Twin returns the address of the equation's page of twin index t.
+func (e Eq) Twin(t int) Red { return Red{Eq: e, Twin: t} }
 
 // Array is a redundant disk array.  It is safe for concurrent use (each
 // underlying disk serializes its own I/O; the address maps are immutable
@@ -132,10 +199,13 @@ type Array struct {
 	areaSize int // blocks per area
 
 	// Self-healing state (health.go).
-	hmu     sync.Mutex
-	health  Health
-	downd   []int // failed/rebuilding disks, oldest loss first
-	consec  []int // consecutive errored attempts per disk
+	hmu    sync.Mutex
+	health Health
+	downd  []int // failed/rebuilding disks, oldest loss first
+	// consec counts consecutive errored attempts per disk.  It is written
+	// under hmu, except that a successful transfer clears a non-zero count
+	// without it, so the success path of every I/O takes no array-wide lock.
+	consec  []atomic.Int32
 	healing HealingStats
 
 	// NVRAM write ledger: ledger[d][blk] is the CRC-32C of the payload of
@@ -172,12 +242,6 @@ func New(cfg Config) (*Array, error) {
 		return nil, fmt.Errorf("%w: page size %d below minimum %d", ErrBadConfig, cfg.PageSize, page.MinSize)
 	}
 	a := &Array{cfg: cfg}
-	if a.cfg.RetryAttempts <= 0 {
-		a.cfg.RetryAttempts = 4
-	}
-	if a.cfg.FailStopAfter <= 0 {
-		a.cfg.FailStopAfter = 3
-	}
 	n := cfg.DataDisks
 	switch cfg.Kind {
 	case RAID5, ParityStripe:
@@ -214,7 +278,7 @@ func New(cfg Config) (*Array, error) {
 	}
 	a.numGroups = groups
 	a.disks = make([]*disk.Disk, numDisks)
-	a.consec = make([]int, numDisks)
+	a.consec = make([]atomic.Int32, numDisks)
 	a.ledger = make([][]uint32, numDisks)
 	for d := range a.disks {
 		a.disks[d] = disk.New(d, blocksPerDisk, cfg.PageSize)
@@ -266,8 +330,7 @@ func (a *Array) resetLedger(d int) {
 	a.ledmu.Unlock()
 }
 
-// format marks twin 0 of every group committed (for both the P and, when
-// configured, the Q redundancy page).  A fresh array is all-zero, so zero
+// format marks twin 0 of every group committed (on every equation).  A fresh array is all-zero, so zero
 // parity — P and Q alike — is already correct for every group; only the
 // twin metadata needs initializing.  Statistics are reset afterwards so
 // formatting is free, like factory formatting.
@@ -280,15 +343,10 @@ func (a *Array) format() {
 	committed := disk.Meta{State: disk.StateCommitted, Timestamp: 0}
 	obsolete := disk.Meta{State: disk.StateObsolete, Timestamp: 0}
 	for g := 0; g < a.numGroups; g++ {
-		gid := page.GroupID(g)
-		write(a.ParityLoc(gid, 0), committed)
-		if a.parities == 2 {
-			write(a.ParityLoc(gid, 1), obsolete)
-		}
-		if a.qparities > 0 {
-			write(a.QLoc(gid, 0), committed)
-			if a.qparities == 2 {
-				write(a.QLoc(gid, 1), obsolete)
+		for _, eq := range a.Equations() {
+			write(a.Loc(page.GroupID(g), Red{eq, 0}), committed)
+			if a.parities == 2 {
+				write(a.Loc(page.GroupID(g), Red{eq, 1}), obsolete)
 			}
 		}
 	}
@@ -315,15 +373,23 @@ func (a *Array) GroupWidth() int { return a.cfg.DataDisks }
 // which is at least the requested capacity).
 func (a *Array) NumPages() int { return a.numGroups * a.cfg.DataDisks }
 
-// ParityPages returns the number of P parity pages per group (1 or 2).
+// ParityPages returns the number of twin indexes per group (1 or 2):
+// every equation keeps that many pages.
 func (a *Array) ParityPages() int { return a.parities }
-
-// QParityPages returns the number of Q redundancy pages per group (0
-// without QParity, else equal to ParityPages).
-func (a *Array) QParityPages() int { return a.qparities }
 
 // HasQ reports whether the array keeps Q redundancy pages.
 func (a *Array) HasQ() bool { return a.qparities > 0 }
+
+// Equations returns the group's redundancy equations, P first.  The slice
+// is shared: callers only read it.
+func (a *Array) Equations() []Eq {
+	if a.qparities > 0 {
+		return equationsPQ
+	}
+	return equationsPQ[:1]
+}
+
+var equationsPQ = []Eq{P, Q}
 
 // Twinned reports whether the array keeps twin parity pages.
 func (a *Array) Twinned() bool { return a.parities == 2 }
@@ -379,11 +445,6 @@ func (a *Array) redundancyDisk(g, j int) int {
 		return (area + j) % nd
 	}
 	panic("diskarray: unknown kind")
-}
-
-// parityDisks returns the disks holding the group's P parity page(s).
-func (a *Array) parityDisks(g int) [2]int {
-	return [2]int{a.redundancyDisk(g, 0), a.redundancyDisk(g, 1)}
 }
 
 // isParityArea reports whether area `area` of disk d is reserved for
@@ -515,27 +576,17 @@ func (a *Array) GroupPages(g page.GroupID) []page.PageID {
 	return out
 }
 
-// ParityLoc returns the physical location of the group's parity page.
-// twin must be 0 for single-parity kinds and 0 or 1 for twinned kinds.
-func (a *Array) ParityLoc(g page.GroupID, twin int) Loc {
-	if twin < 0 || twin >= a.parities {
-		panic(fmt.Sprintf("diskarray: twin %d out of range for %s", twin, a.cfg.Kind))
+// Loc returns the physical location of redundancy page r of group g.
+// r.Twin must be below ParityPages, and r.Eq an equation the array keeps.
+func (a *Array) Loc(g page.GroupID, r Red) Loc {
+	if r.Twin < 0 || r.Twin >= a.parities || (r.Eq == Q && a.qparities == 0) {
+		panic(fmt.Sprintf("diskarray: no %s twin %d on %s", r.Eq, r.Twin, a.cfg.Kind))
 	}
 	// A group's redundancy pages live at the group's own block number on
-	// their rotated disks; for parity striping the coordinate
-	// (area, offset) addresses the same block number on every
-	// participating disk: block = area·areaSize + offset = g.
-	return Loc{Disk: a.redundancyDisk(int(g), twin), Block: int(g)}
-}
-
-// QLoc returns the physical location of the group's Q redundancy page.
-// twin must be in [0, QParityPages); Q twin t lives alongside P twin t
-// and is promoted/invalidated in lockstep with it.
-func (a *Array) QLoc(g page.GroupID, twin int) Loc {
-	if twin < 0 || twin >= a.qparities {
-		panic(fmt.Sprintf("diskarray: Q twin %d out of range for %s", twin, a.cfg.Kind))
-	}
-	return Loc{Disk: a.redundancyDisk(int(g), a.parities+twin), Block: int(g)}
+	// their rotated disks, P twins first, then Q twins; for parity striping
+	// the coordinate (area, offset) addresses the same block number on
+	// every participating disk: block = area·areaSize + offset = g.
+	return Loc{Disk: a.redundancyDisk(int(g), int(r.Eq)*a.parities+r.Twin), Block: int(g)}
 }
 
 // --- Raw I/O ---------------------------------------------------------------
@@ -563,6 +614,18 @@ func (a *Array) read(loc Loc, dst page.Buf) (page.Buf, disk.Meta, error) {
 	return b, m, err
 }
 
+// write issues one charged block write and, once the drive has
+// acknowledged it, records the payload in the NVRAM ledger.
+func (a *Array) write(loc Loc, b page.Buf, meta disk.Meta) error {
+	err := a.do(loc.Disk, func() error {
+		return a.disks[loc.Disk].Write(loc.Block, b, meta)
+	})
+	if err == nil {
+		a.noteWrite(loc, b)
+	}
+	return err
+}
+
 // ReadData reads logical data page p into dst (nil: a fresh buffer),
 // charging one transfer and verifying the payload (see read).
 func (a *Array) ReadData(p page.PageID, dst page.Buf) (page.Buf, disk.Meta, error) {
@@ -571,61 +634,7 @@ func (a *Array) ReadData(p page.PageID, dst page.Buf) (page.Buf, disk.Meta, erro
 
 // WriteData writes logical data page p, charging one transfer.
 func (a *Array) WriteData(p page.PageID, b page.Buf, meta disk.Meta) error {
-	loc := a.DataLoc(p)
-	err := a.do(loc.Disk, func() error {
-		return a.disks[loc.Disk].Write(loc.Block, b, meta)
-	})
-	if err == nil {
-		a.noteWrite(loc, b)
-	}
-	return err
-}
-
-// ReadParity reads the group's parity page into dst (nil: a fresh
-// buffer), charging one transfer; verified like ReadData.
-func (a *Array) ReadParity(g page.GroupID, twin int, dst page.Buf) (page.Buf, disk.Meta, error) {
-	return a.read(a.ParityLoc(g, twin), dst)
-}
-
-// WriteParity writes the group's parity page, charging one transfer.
-func (a *Array) WriteParity(g page.GroupID, twin int, b page.Buf, meta disk.Meta) error {
-	loc := a.ParityLoc(g, twin)
-	err := a.do(loc.Disk, func() error {
-		return a.disks[loc.Disk].Write(loc.Block, b, meta)
-	})
-	if err == nil {
-		a.noteWrite(loc, b)
-	}
-	return err
-}
-
-// WriteParityMeta rewrites only the parity page's header (state,
-// timestamp), charging one transfer.
-func (a *Array) WriteParityMeta(g page.GroupID, twin int, meta disk.Meta) error {
-	loc := a.ParityLoc(g, twin)
-	return a.do(loc.Disk, func() error {
-		return a.disks[loc.Disk].WriteMeta(loc.Block, meta)
-	})
-}
-
-// ReadParityMeta reads only the parity page's header (state, timestamp),
-// charging one transfer.  The bitmap-rebuild scan after a crash uses it.
-func (a *Array) ReadParityMeta(g page.GroupID, twin int) (disk.Meta, error) {
-	loc := a.ParityLoc(g, twin)
-	var m disk.Meta
-	err := a.do(loc.Disk, func() error {
-		var err error
-		m, err = a.disks[loc.Disk].ReadMeta(loc.Block)
-		return err
-	})
-	return m, err
-}
-
-// PeekParityMeta returns parity metadata without charging a transfer
-// (verification aid).
-func (a *Array) PeekParityMeta(g page.GroupID, twin int) (disk.Meta, error) {
-	loc := a.ParityLoc(g, twin)
-	return a.disks[loc.Disk].PeekMeta(loc.Block)
+	return a.write(a.DataLoc(p), b, meta)
 }
 
 // PeekData returns a copy of a data page without charging a transfer
@@ -635,42 +644,30 @@ func (a *Array) PeekData(p page.PageID) (page.Buf, error) {
 	return a.disks[loc.Disk].PeekData(loc.Block)
 }
 
-// PeekParity returns a copy of a parity page without charging a transfer
-// (verification aid).
-func (a *Array) PeekParity(g page.GroupID, twin int) (page.Buf, error) {
-	loc := a.ParityLoc(g, twin)
-	return a.disks[loc.Disk].PeekData(loc.Block)
+// Read reads redundancy page r of group g into dst (nil: a fresh buffer),
+// charging one transfer; verified like ReadData.
+func (a *Array) Read(g page.GroupID, r Red, dst page.Buf) (page.Buf, disk.Meta, error) {
+	return a.read(a.Loc(g, r), dst)
 }
 
-// ReadQ reads the group's Q redundancy page into dst (nil: a fresh
-// buffer), charging one transfer; verified like ReadData.
-func (a *Array) ReadQ(g page.GroupID, twin int, dst page.Buf) (page.Buf, disk.Meta, error) {
-	return a.read(a.QLoc(g, twin), dst)
+// Write writes redundancy page r of group g, charging one transfer.
+func (a *Array) Write(g page.GroupID, r Red, b page.Buf, meta disk.Meta) error {
+	return a.write(a.Loc(g, r), b, meta)
 }
 
-// WriteQ writes the group's Q redundancy page, charging one transfer.
-func (a *Array) WriteQ(g page.GroupID, twin int, b page.Buf, meta disk.Meta) error {
-	loc := a.QLoc(g, twin)
-	err := a.do(loc.Disk, func() error {
-		return a.disks[loc.Disk].Write(loc.Block, b, meta)
-	})
-	if err == nil {
-		a.noteWrite(loc, b)
-	}
-	return err
-}
-
-// WriteQMeta rewrites only the Q page's header, charging one transfer.
-func (a *Array) WriteQMeta(g page.GroupID, twin int, meta disk.Meta) error {
-	loc := a.QLoc(g, twin)
+// WriteMeta rewrites only the redundancy page's header (state,
+// timestamp), charging one transfer.
+func (a *Array) WriteMeta(g page.GroupID, r Red, meta disk.Meta) error {
+	loc := a.Loc(g, r)
 	return a.do(loc.Disk, func() error {
 		return a.disks[loc.Disk].WriteMeta(loc.Block, meta)
 	})
 }
 
-// ReadQMeta reads only the Q page's header, charging one transfer.
-func (a *Array) ReadQMeta(g page.GroupID, twin int) (disk.Meta, error) {
-	loc := a.QLoc(g, twin)
+// ReadMeta reads only the redundancy page's header, charging one
+// transfer.  The bitmap-rebuild scan after a crash uses it.
+func (a *Array) ReadMeta(g page.GroupID, r Red) (disk.Meta, error) {
+	loc := a.Loc(g, r)
 	var m disk.Meta
 	err := a.do(loc.Disk, func() error {
 		var err error
@@ -680,17 +677,17 @@ func (a *Array) ReadQMeta(g page.GroupID, twin int) (disk.Meta, error) {
 	return m, err
 }
 
-// PeekQ returns a copy of a Q page without charging a transfer
+// Peek returns a copy of a redundancy page without charging a transfer
 // (verification aid).
-func (a *Array) PeekQ(g page.GroupID, twin int) (page.Buf, error) {
-	loc := a.QLoc(g, twin)
+func (a *Array) Peek(g page.GroupID, r Red) (page.Buf, error) {
+	loc := a.Loc(g, r)
 	return a.disks[loc.Disk].PeekData(loc.Block)
 }
 
-// PeekQMeta returns Q-page metadata without charging a transfer
-// (verification aid).
-func (a *Array) PeekQMeta(g page.GroupID, twin int) (disk.Meta, error) {
-	loc := a.QLoc(g, twin)
+// PeekMeta returns a redundancy page's header without charging a
+// transfer (verification aid).
+func (a *Array) PeekMeta(g page.GroupID, r Red) (disk.Meta, error) {
+	loc := a.Loc(g, r)
 	return a.disks[loc.Disk].PeekMeta(loc.Block)
 }
 
@@ -791,156 +788,33 @@ func (a *Array) ReadGroup(g page.GroupID) ([]page.Buf, error) {
 	return out, nil
 }
 
-// RecomputeParity reads the whole group and rewrites the given twin with
-// the freshly computed parity and the supplied metadata.  It is the
+// Recompute reads the whole group and rewrites redundancy page r with the
+// freshly computed equation and the supplied metadata.  It is the
 // full-stripe fallback used by scrubbing, formatting of non-zero state
-// and media recovery of parity blocks.
-func (a *Array) RecomputeParity(g page.GroupID, twin int, meta disk.Meta) error {
+// and media recovery of redundancy blocks.
+func (a *Array) Recompute(g page.GroupID, r Red, meta disk.Meta) error {
 	blocks, err := a.ReadGroup(g)
 	if err != nil {
 		return err
 	}
-	raw := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		raw[i] = b
-	}
-	parity := xorparity.Compute(a.cfg.PageSize, raw...)
-	return a.WriteParity(g, twin, parity, meta)
+	return a.Write(g, r, r.Eq.Compute(a.cfg.PageSize, page.Raw(blocks)...), meta)
 }
 
-// RecomputeQ reads the whole group and rewrites the given Q twin with the
-// freshly computed GF(2^8) redundancy and the supplied metadata — the Q
-// counterpart of RecomputeParity.
-func (a *Array) RecomputeQ(g page.GroupID, twin int, meta disk.Meta) error {
-	blocks, err := a.ReadGroup(g)
-	if err != nil {
-		return err
-	}
-	raw := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		raw[i] = b
-	}
-	q := erasure.ComputeQ(a.cfg.PageSize, raw...)
-	return a.WriteQ(g, twin, q, meta)
-}
-
-// VerifyGroup reports whether the given twin's parity equals the XOR of
+// Verify reports whether redundancy page r satisfies its equation over
 // the group's data pages.  Uses Peek I/O so it is free; verification aid.
-func (a *Array) VerifyGroup(g page.GroupID, twin int) (bool, error) {
+func (a *Array) Verify(g page.GroupID, r Red) (bool, error) {
 	pages := a.GroupPages(g)
-	raw := make([][]byte, len(pages))
+	blocks := make([]page.Buf, len(pages))
 	for i, p := range pages {
 		b, err := a.PeekData(p)
 		if err != nil {
 			return false, err
 		}
-		raw[i] = b
+		blocks[i] = b
 	}
-	parity, err := a.PeekParity(g, twin)
+	red, err := a.Peek(g, r)
 	if err != nil {
 		return false, err
 	}
-	return xorparity.Verify(parity, raw...), nil
-}
-
-// VerifyGroupQ reports whether the given twin's Q page equals the
-// GF(2^8) redundancy of the group's data pages — the Q counterpart of
-// VerifyGroup.  Uses Peek I/O so it is free; verification aid.
-func (a *Array) VerifyGroupQ(g page.GroupID, twin int) (bool, error) {
-	pages := a.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	for i, p := range pages {
-		b, err := a.PeekData(p)
-		if err != nil {
-			return false, err
-		}
-		raw[i] = b
-	}
-	q, err := a.PeekQ(g, twin)
-	if err != nil {
-		return false, err
-	}
-	return erasure.VerifyQ(q, raw...), nil
-}
-
-// ReconstructDisk rebuilds every block of a failed-and-replaced disk from
-// the surviving members of each affected parity group, using validTwin to
-// pick the authoritative parity page per group (pass nil to always use
-// twin 0, which is correct for single-parity arrays and for twinned
-// arrays in a fully committed state where the caller has ensured twin 0
-// is current).
-//
-// Data blocks are reconstructed as XOR(valid parity, other data pages).
-// Parity blocks are recomputed as XOR(all data pages); the metadata for a
-// rebuilt parity block is taken from metaFor (or a committed header with
-// timestamp 0 if metaFor is nil).
-func (a *Array) ReconstructDisk(d int, validTwin func(page.GroupID) int, metaFor func(page.GroupID, int) disk.Meta) error {
-	if d < 0 || d >= len(a.disks) {
-		return fmt.Errorf("diskarray: no disk %d", d)
-	}
-	if a.disks[d].Failed() {
-		return fmt.Errorf("diskarray: disk %d must be repaired (replaced) before reconstruction", d)
-	}
-	for g := 0; g < a.numGroups; g++ {
-		gid := page.GroupID(g)
-		// Rebuild parity blocks that lived on d.
-		for twin := 0; twin < a.parities; twin++ {
-			loc := a.ParityLoc(gid, twin)
-			if loc.Disk != d {
-				continue
-			}
-			meta := disk.Meta{State: disk.StateCommitted, Timestamp: 0}
-			if metaFor != nil {
-				meta = metaFor(gid, twin)
-			}
-			if err := a.RecomputeParity(gid, twin, meta); err != nil {
-				return fmt.Errorf("diskarray: rebuild parity of group %d: %w", g, err)
-			}
-		}
-		// Rebuild Q blocks that lived on d.
-		for twin := 0; twin < a.qparities; twin++ {
-			loc := a.QLoc(gid, twin)
-			if loc.Disk != d {
-				continue
-			}
-			meta := disk.Meta{State: disk.StateCommitted, Timestamp: 0}
-			if metaFor != nil {
-				meta = metaFor(gid, twin)
-			}
-			if err := a.RecomputeQ(gid, twin, meta); err != nil {
-				return fmt.Errorf("diskarray: rebuild Q of group %d: %w", g, err)
-			}
-		}
-		// Rebuild the data block of g that lived on d, if any.
-		for _, p := range a.GroupPages(gid) {
-			loc := a.DataLoc(p)
-			if loc.Disk != d {
-				continue
-			}
-			twin := 0
-			if validTwin != nil {
-				twin = validTwin(gid)
-			}
-			parity, _, err := a.ReadParity(gid, twin, nil)
-			if err != nil {
-				return fmt.Errorf("diskarray: read parity of group %d: %w", g, err)
-			}
-			survivors := [][]byte{parity}
-			for _, q := range a.GroupPages(gid) {
-				if q == p {
-					continue
-				}
-				b, _, err := a.ReadData(q, nil)
-				if err != nil {
-					return fmt.Errorf("diskarray: read survivor %d: %w", q, err)
-				}
-				survivors = append(survivors, b)
-			}
-			rebuilt := xorparity.Reconstruct(a.cfg.PageSize, survivors...)
-			if err := a.WriteData(p, rebuilt, disk.Meta{}); err != nil {
-				return fmt.Errorf("diskarray: write rebuilt page %d: %w", p, err)
-			}
-		}
-	}
-	return nil
+	return r.Eq.Holds(red, page.Raw(blocks)...), nil
 }

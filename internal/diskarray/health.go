@@ -73,7 +73,7 @@ type HealingStats struct {
 	// The simulator does not sleep; the counter stands in for wall time.
 	BackoffUnits uint64
 	// AutoFailStops is the number of disks fail-stopped automatically
-	// after FailStopAfter consecutive errored attempts.
+	// after failStopAfter consecutive errored attempts.
 	AutoFailStops uint64
 }
 
@@ -137,11 +137,11 @@ func (a *Array) Healing() HealingStats {
 
 // do runs one block I/O against disk d through the retry layer.
 //
-// Transient errors (disk.ErrTransient) are retried up to RetryAttempts
+// Transient errors (disk.ErrTransient) are retried up to retryAttempts
 // times with deterministic exponential backoff (recorded in abstract
 // units, never slept).  Each errored attempt bumps the disk's
 // consecutive-error count; any success resets it.  When the count reaches
-// FailStopAfter the disk is fail-stopped automatically — a drive that
+// failStopAfter the disk is fail-stopped automatically — a drive that
 // keeps erroring is treated as dead rather than allowed to stall the
 // engine — and the error converts to the ErrFailed class so the layers
 // above serve the request degraded instead of surfacing a spurious
@@ -154,27 +154,26 @@ func (a *Array) do(d int, op func() error) error {
 	for attempt := 1; ; attempt++ {
 		err := op()
 		if err == nil {
-			a.hmu.Lock()
-			a.consec[d] = 0
-			a.hmu.Unlock()
+			if a.consec[d].Load() != 0 {
+				a.consec[d].Store(0)
+			}
 			return nil
 		}
 		if disk.IsTransient(err) {
 			a.hmu.Lock()
 			a.healing.Retries++
-			a.consec[d]++
-			trip := a.consec[d] >= a.cfg.FailStopAfter
+			trip := a.consec[d].Add(1) >= failStopAfter
 			if trip {
 				a.healing.AutoFailStops++
-			} else if attempt < a.cfg.RetryAttempts {
+			} else if attempt < retryAttempts {
 				a.healing.BackoffUnits += 1 << (attempt - 1)
 			}
 			a.hmu.Unlock()
 			if trip {
 				a.disks[d].Fail()
-				return a.noteFailed(d, fmt.Errorf("%w: disk %d fail-stopped after %d consecutive transient errors", disk.ErrFailed, d, a.cfg.FailStopAfter))
+				return a.noteFailed(d, fmt.Errorf("%w: disk %d fail-stopped after %d consecutive transient errors", disk.ErrFailed, d, failStopAfter))
 			}
-			if attempt < a.cfg.RetryAttempts {
+			if attempt < retryAttempts {
 				continue
 			}
 			return err
@@ -237,7 +236,7 @@ func (a *Array) recomputeHealth() {
 		}
 	}
 	for i := range a.consec {
-		a.consec[i] = 0
+		a.consec[i].Store(0)
 	}
 	switch {
 	case len(failed) == 0:
@@ -292,7 +291,7 @@ func (a *Array) BeginRebuild(ds ...int) error {
 	a.health = Rebuilding
 	a.downd = append([]int(nil), ds...)
 	for i := range a.consec {
-		a.consec[i] = 0
+		a.consec[i].Store(0)
 	}
 	return nil
 }

@@ -224,3 +224,13 @@ func IndexInGroup(p PageID, n int) int {
 func FirstInGroup(g GroupID, n int) PageID {
 	return PageID(uint32(g) * uint32(n))
 }
+
+// Raw views page buffers as the plain byte slices the parity kernels
+// take (a nil page stays nil).
+func Raw(pages []Buf) [][]byte {
+	raw := make([][]byte, len(pages))
+	for i, b := range pages {
+		raw[i] = b
+	}
+	return raw
+}

@@ -39,19 +39,24 @@ package recovery
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dirtyset"
 	"repro/internal/disk"
-	"repro/internal/erasure"
+	"repro/internal/diskarray"
 	"repro/internal/page"
 	"repro/internal/record"
 	"repro/internal/wal"
 	"repro/internal/workpool"
-	"repro/internal/xorparity"
 )
+
+// parity and qpage address the two pages of a redundancy index.
+func parity(twin int) diskarray.Red { return diskarray.P.Twin(twin) }
+func qpage(twin int) diskarray.Red  { return diskarray.Q.Twin(twin) }
+
+// invalid is the header of Figure 8's abort transition.
+var invalid = disk.Meta{State: disk.StateInvalid}
 
 // Outcome classifies a transaction from the log.
 type Outcome int
@@ -220,9 +225,9 @@ func CrashRecover(s *core.Store, redo, hard bool) (*Report, error) {
 	// fallbacks (reconstruction from survivors, the logged before-image,
 	// or — only when a committed twin died unobserved in the same instant
 	// as the crash — explicit reported loss).
+	var working []core.WorkingTwinInfo
 	if s.RDA() {
-		working, err := s.ScanWorkingTwins()
-		if err != nil {
+		if working, err = s.ScanWorkingTwins(); err != nil {
 			return nil, err
 		}
 		handled := make(map[page.GroupID]bool)
@@ -245,50 +250,30 @@ func CrashRecover(s *core.Store, redo, hard bool) (*Report, error) {
 				return nil, err
 			}
 		}
-		// Pass 3: rebuild the bitmap and launder winners' working twins.
-		if degraded {
-			deferred, err := s.RebuildAfterCrashDegraded(a.Committed)
-			if err != nil {
-				return nil, err
-			}
-			rep.DeferredParityGroups = deferred
-		} else if err := s.RebuildAfterCrash(a.Committed); err != nil {
-			return nil, err
+	}
+	// Pass 3: rebuild the bitmap and launder winners' working twins.  A
+	// single-parity array has no twins to undo from or launder, but its
+	// groups whose parity block is lost are still handed to the rebuild.
+	if rep.DeferredParityGroups, err = s.RebuildAfterCrash(a.Committed); err != nil {
+		return nil, err
+	}
+	for _, w := range working {
+		if !a.Committed(w.Txn) {
+			continue
 		}
-		for _, w := range working {
-			if !a.Committed(w.Txn) {
-				continue
-			}
-			if degraded && (s.DeadTwin(w.Group) >= 0 || s.DeadQTwin(w.Group) >= 0) {
-				// The degraded bitmap pass re-established this group's
-				// surviving redundancy wholesale (committed, fresh
-				// timestamp); re-stamping the old working header would
-				// resurrect stale state.  The dead slots are the
-				// rebuild's job.
-				continue
-			}
-			meta := disk.Meta{State: disk.StateCommitted, Timestamp: w.Timestamp, Txn: w.Txn}
-			if s.Arr.HasQ() {
-				// Q headers mirror their P twin (the lockstep invariant);
-				// the group's slots are all reachable here — dead-slot
-				// groups were skipped above.
-				if err := s.Arr.WriteQMeta(w.Group, w.Twin, meta); err != nil {
-					return nil, fmt.Errorf("recovery: launder Q twin of group %d: %w", w.Group, err)
-				}
-			}
-			if err := s.Arr.WriteParityMeta(w.Group, w.Twin, meta); err != nil {
-				return nil, fmt.Errorf("recovery: launder twin of group %d: %w", w.Group, err)
-			}
-			rep.LaunderedTwins++
+		if degraded && (s.DeadTwin(w.Group, diskarray.P) >= 0 || s.DeadTwin(w.Group, diskarray.Q) >= 0) {
+			// The degraded bitmap pass re-established this group's
+			// surviving redundancy wholesale (committed, fresh
+			// timestamp); re-stamping the old working header would
+			// resurrect stale state.  The dead slots are the
+			// rebuild's job.
+			continue
 		}
-	} else if degraded {
-		// Single-parity array: no twins to undo from, but groups whose
-		// parity block is lost must still be handed to the rebuild.
-		deferred, err := s.RebuildAfterCrashDegraded(a.Committed)
-		if err != nil {
-			return nil, err
+		meta := disk.Meta{State: disk.StateCommitted, Timestamp: w.Timestamp, Txn: w.Txn}
+		if err := s.WriteIndexMeta(w.Group, w.Twin, meta); err != nil {
+			return nil, fmt.Errorf("recovery: launder twin of group %d: %w", w.Group, err)
 		}
-		rep.DeferredParityGroups = deferred
+		rep.LaunderedTwins++
 	}
 
 	// Pass 3.5: resynchronize parity with the on-disk data.  At this
@@ -395,32 +380,38 @@ func crashUndoWorking(s *core.Store, a *Analysis, w core.WorkingTwinInfo, rep *R
 		rep.UndoneViaParity++
 		return nil
 	}
+	committed := 1 - w.Twin
+	// undone finishes an undo served from the committed index.
+	undone := func() error {
+		rep.UndoneViaReconstruction++
+		return s.WriteIndexMeta(w.Group, w.Twin, invalid)
+	}
+	// fromCommitted restores the page to what the committed index gives it,
+	// reporting false when that index cannot determine it.
+	fromCommitted := func() (bool, error) {
+		dOld, _, err := s.SolvePage(w.Group, w.Page, committed)
+		if err != nil {
+			return false, nil
+		}
+		if err := s.Arr.WriteData(w.Page, dOld, disk.Meta{}); err != nil {
+			return false, fmt.Errorf("recovery: undo page %d from the committed index: %w", w.Page, err)
+		}
+		return true, undone()
+	}
 	switch {
 	case s.PageUnavailable(w.Page):
-		s.Twins.Promote(w.Group, 1-w.Twin)
-		if err := s.InvalidateIndexAlive(w.Group, w.Twin); err != nil {
-			return err
-		}
-		rep.UndoneViaReconstruction++
-		return nil
-	case !s.TwinReadable(w.Group, 1-w.Twin):
-		if s.QTwinReadable(w.Group, 1-w.Twin) {
+		s.Twins.Promote(w.Group, committed)
+		return undone()
+	case !s.TwinReadable(w.Group, parity(committed)):
+		if s.TwinReadable(w.Group, qpage(committed)) {
 			// The committed P twin died with its disk, but its Q partner
 			// survives and describes the same pre-transaction state:
-			// D_old solves through the Q equation directly.
-			dOld, err := s.ReconstructDataAny(w.Group, w.Page, 1-w.Twin)
-			if err == nil {
-				if err := s.Arr.WriteData(w.Page, dOld, disk.Meta{}); err != nil {
-					return fmt.Errorf("recovery: undo page %d via Q: %w", w.Page, err)
-				}
-				if err := s.InvalidateIndexAlive(w.Group, w.Twin); err != nil {
-					return err
-				}
-				rep.UndoneViaReconstruction++
-				return nil
+			// D_old solves through the Q equation directly.  That needs
+			// every other data page; a second loss in the group falls
+			// through to the logged image or to loss.
+			if ok, err := fromCommitted(); ok || err != nil {
+				return err
 			}
-			// The Q route needs every other data page; a second loss in
-			// the group falls through to the logged image or to loss.
 		}
 		if hasLoggedImage(a, w.Txn, w.Page) {
 			// The demotion's log append completed before the crash; the
@@ -429,12 +420,7 @@ func crashUndoWorking(s *core.Store, a *Analysis, w core.WorkingTwinInfo, rep *R
 			// twin's working state along the way.
 			return nil
 		}
-		lost, err := loseGroup(s, w.Group, []page.PageID{w.Page})
-		if err != nil {
-			return err
-		}
-		rep.LostPages = append(rep.LostPages, lost...)
-		return nil
+		return loseGroup(s, w.Group, rep, w.Page)
 	}
 	// The dead member is a sibling data page; w.Page and both twins are
 	// readable.
@@ -448,22 +434,10 @@ func crashUndoWorking(s *core.Store, a *Analysis, w core.WorkingTwinInfo, rep *R
 		// — against two unknowns, the before-image and the dead sibling.
 		// The committed P and Q together solve both; with single twin
 		// parity it is one surviving equation and the group is lost.
-		if dOld, ok := undoResteal(s, w); ok {
-			if err := s.Arr.WriteData(w.Page, dOld, disk.Meta{}); err != nil {
-				return fmt.Errorf("recovery: undo page %d via P+Q: %w", w.Page, err)
-			}
-			if err := s.InvalidateIndexAlive(w.Group, w.Twin); err != nil {
-				return err
-			}
-			rep.UndoneViaReconstruction++
-			return nil
-		}
-		lost, err := loseGroup(s, w.Group, []page.PageID{w.Page})
-		if err != nil {
+		if ok, err := fromCommitted(); ok || err != nil {
 			return err
 		}
-		rep.LostPages = append(rep.LostPages, lost...)
-		return nil
+		return loseGroup(s, w.Group, rep, w.Page)
 	}
 	if err := s.CrashUndoWorkingTwin(w); err != nil {
 		return err
@@ -472,66 +446,19 @@ func crashUndoWorking(s *core.Store, a *Analysis, w core.WorkingTwinInfo, rep *R
 	return nil
 }
 
-// undoResteal solves the before-image of a re-stolen page whose group
-// also lost a sibling data page to a down disk, using the committed
-// index's P and Q equations together — two equations, two unknowns (the
-// before-image and the dead sibling's value).  Reports false when the
-// array has no Q redundancy or the committed index's slots do not both
-// survive.
-func undoResteal(s *core.Store, w core.WorkingTwinInfo) (page.Buf, bool) {
-	return solvePairFromIndex(s, w.Group, w.Page, 1-w.Twin)
-}
-
-// solvePairFromIndex solves data page p of group g from index `from`'s P
-// and Q equations, treating p itself AND the group's one dead data page
-// as the two unknowns — the value returned for p is whatever `from`
-// describes, regardless of p's platter contents.  Reports false when the
-// array has no Q redundancy, either of the index's slots is dead, or a
-// third unknown exceeds the two equations.
-func solvePairFromIndex(s *core.Store, g page.GroupID, p page.PageID, from int) (page.Buf, bool) {
-	if !s.Arr.HasQ() {
-		return nil, false
-	}
-	if !s.TwinReadable(g, from) || !s.QTwinReadable(g, from) {
-		return nil, false
-	}
-	pBuf, _, err := s.Arr.ReadParity(g, from, nil)
+// restoreFromIndex writes data page p back as redundancy index `from`
+// describes it — whatever p's platter holds, and with every unreachable
+// sibling solved alongside it (SolvePage) — under a cleared header: the
+// undo of a steal from its committed index.
+func restoreFromIndex(s *core.Store, g page.GroupID, p page.PageID, from int) error {
+	dOld, _, err := s.SolvePage(g, p, from)
 	if err != nil {
-		return nil, false
+		return err
 	}
-	qBuf, _, err := s.Arr.ReadQ(g, from, nil)
-	if err != nil {
-		return nil, false
+	if err := s.Arr.WriteData(p, dOld, disk.Meta{}); err != nil {
+		return fmt.Errorf("recovery: undo page %d from index %d: %w", p, from, err)
 	}
-	pages := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	i, j := -1, -1
-	for k, q := range pages {
-		switch {
-		case q == p:
-			i = k
-		case s.PageUnavailable(q):
-			if j >= 0 {
-				return nil, false // a third unknown exceeds the equations
-			}
-			j = k
-		default:
-			b, _, rerr := s.Arr.ReadData(q, nil)
-			if rerr != nil {
-				return nil, false
-			}
-			raw[k] = b
-		}
-	}
-	if i < 0 || j < 0 {
-		return nil, false
-	}
-	if i > j {
-		_, dj := erasure.ReconstructTwo(pBuf, qBuf, raw, j, i)
-		return page.Buf(dj), true
-	}
-	di, _ := erasure.ReconstructTwo(pBuf, qBuf, raw, i, j)
-	return page.Buf(di), true
+	return nil
 }
 
 // undoDeadTwinLosers finds loser steals whose working twin sat on the
@@ -553,8 +480,8 @@ func undoDeadTwinLosers(s *core.Store, a *Analysis, handled map[page.GroupID]boo
 		if handled[gid] {
 			continue
 		}
-		dead := s.DeadTwin(gid)
-		if dead < 0 || s.TwinReadable(gid, dead) {
+		dead := s.DeadTwin(gid, diskarray.P)
+		if dead < 0 || s.TwinReadable(gid, parity(dead)) {
 			continue
 		}
 		for _, p := range s.Arr.GroupPages(gid) {
@@ -576,45 +503,37 @@ func undoDeadTwinLosers(s *core.Store, a *Analysis, handled map[page.GroupID]boo
 			// their P partners — arbitrate which index is the committed
 			// one: the one NOT carrying the loser's working state.
 			undoFrom := 1 - dead
-			if !s.TwinReadable(gid, undoFrom) {
+			if !s.TwinReadable(gid, parity(undoFrom)) {
 				for t := 0; t < 2; t++ {
-					if !s.QTwinReadable(gid, t) {
+					if !s.TwinReadable(gid, qpage(t)) {
 						continue
 					}
-					qm, qerr := s.Arr.ReadQMeta(gid, t)
+					qm, qerr := s.Arr.ReadMeta(gid, qpage(t))
 					if qerr == nil && !(qm.State == disk.StateWorking && qm.Txn == m.Txn) {
 						undoFrom = t
 						break
 					}
 				}
 			}
-			// When the group also lost a data sibling, one equation is not
-			// enough: solve the before-image AND the dead sibling together
-			// from the surviving index's P and Q.  The platter is restored
-			// directly — the index's equations already describe exactly the
-			// restored state, so no recompute may touch them (a recompute
-			// would consult the reset twin bitmap this early in recovery).
-			if deadSib := groupLostData(s, gid, p); deadSib {
-				dOld, ok := solvePairFromIndex(s, gid, p, undoFrom)
-				if !ok {
-					lost, lerr := loseGroup(s, gid, []page.PageID{p})
-					if lerr != nil {
-						return lerr
+			dOld, _, err := s.SolvePage(gid, p, undoFrom)
+			if groupLostData(s, gid, p) {
+				// The surviving index's P and Q solved the before-image AND
+				// the dead sibling together — or could not, and both are
+				// lost.  The platter is restored directly: the index's
+				// equations already describe exactly the restored state, so
+				// no recompute may touch them (a recompute would consult the
+				// reset twin bitmap this early in recovery).
+				if err != nil {
+					if err := loseGroup(s, gid, rep, p); err != nil {
+						return err
 					}
-					rep.LostPages = append(rep.LostPages, lost...)
 					break
 				}
-				if err := s.Arr.WriteData(p, dOld, disk.Meta{}); err != nil {
-					return fmt.Errorf("recovery: tag undo of page %d: %w", p, err)
-				}
-				rep.UndoneViaReconstruction++
-				continue
+				err = s.Arr.WriteData(p, dOld, disk.Meta{})
+			} else if err == nil {
+				err = s.WriteCommitted(p, dOld, nil)
 			}
-			dOld, err := s.ReconstructDataAny(gid, p, undoFrom)
 			if err != nil {
-				return fmt.Errorf("recovery: tag undo of page %d: %w", p, err)
-			}
-			if err := s.WriteCommitted(p, dOld, nil); err != nil {
 				return fmt.Errorf("recovery: tag undo of page %d: %w", p, err)
 			}
 			rep.UndoneViaReconstruction++
@@ -654,19 +573,19 @@ func hasLoggedImage(a *Analysis, tx page.TxID, p page.PageID) bool {
 // *readable* redundancy page is rewritten consistent with the remaining
 // data (the first reachable index committed with a fresh timestamp and
 // promoted, the rest obsolete; a Q page mirrors its index's P header).
-// The returned list feeds Report.LostPages — the explicit data-loss
-// event a DBA answers with an archive restore, mirroring the
+// The pages given up are appended to rep.LostPages — the explicit
+// data-loss event a DBA answers with an archive restore, mirroring the
 // RecoverMediaMulti contract for losses beyond redundancy.
-func loseGroup(s *core.Store, g page.GroupID, zero []page.PageID) ([]page.PageID, error) {
+func loseGroup(s *core.Store, g page.GroupID, rep *Report, zero ...page.PageID) error {
 	lost := append([]page.PageID(nil), zero...)
 	for _, p := range zero {
 		if err := s.Arr.WriteData(p, make(page.Buf, s.Arr.PageSize()), disk.Meta{}); err != nil {
-			return nil, fmt.Errorf("recovery: zero lost page %d: %w", p, err)
+			return fmt.Errorf("recovery: zero lost page %d: %w", p, err)
 		}
 	}
 	pages := s.Arr.GroupPages(g)
-	vals := make([][]byte, len(pages))
-	var blocks [][]byte
+	// Positional: a lost member contributes zero to its coefficient.
+	vals := make([]page.Buf, len(pages))
 	for i, q := range pages {
 		if s.PageUnavailable(q) {
 			lost = append(lost, q)
@@ -674,36 +593,29 @@ func loseGroup(s *core.Store, g page.GroupID, zero []page.PageID) ([]page.PageID
 		}
 		b, _, err := s.Arr.ReadData(q, nil)
 		if err != nil {
-			return nil, fmt.Errorf("recovery: read lost group %d page %d: %w", g, q, err)
+			return fmt.Errorf("recovery: read lost group %d page %d: %w", g, q, err)
 		}
 		vals[i] = b
-		blocks = append(blocks, b)
-	}
-	parity := page.Buf(xorparity.Compute(s.Arr.PageSize(), blocks...))
-	var qParity page.Buf
-	if s.Arr.HasQ() {
-		// Positional: a lost member contributes zero to its coefficient.
-		qParity = page.Buf(erasure.ComputeQ(s.Arr.PageSize(), vals...))
 	}
 	first := true
+	eqs := s.Arr.Equations()
 	for twin := 0; twin < s.Arr.ParityPages(); twin++ {
-		pOK := s.TwinReadable(g, twin)
-		qOK := s.Arr.HasQ() && s.QTwinReadable(g, twin)
-		if !pOK && !qOK {
+		var readable [2]bool
+		for _, eq := range eqs {
+			readable[eq] = s.TwinReadable(g, eq.Twin(twin))
+		}
+		if !readable[diskarray.P] && !readable[diskarray.Q] {
 			continue
 		}
 		meta := disk.Meta{State: disk.StateObsolete}
 		if first {
 			meta = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
 		}
-		if qOK {
-			if err := s.Arr.WriteQ(g, twin, qParity, meta); err != nil {
-				return nil, fmt.Errorf("recovery: reset Q of lost group %d: %w", g, err)
-			}
-		}
-		if pOK {
-			if err := s.Arr.WriteParity(g, twin, parity, meta); err != nil {
-				return nil, fmt.Errorf("recovery: reset parity of lost group %d: %w", g, err)
+		for i := len(eqs) - 1; i >= 0; i-- {
+			if r := eqs[i].Twin(twin); readable[r.Eq] {
+				if err := s.RewriteSlot(g, r, vals, meta); err != nil {
+					return fmt.Errorf("recovery: reset lost group %d: %w", g, err)
+				}
 			}
 		}
 		if s.Twins != nil && first {
@@ -712,7 +624,8 @@ func loseGroup(s *core.Store, g page.GroupID, zero []page.PageID) ([]page.PageID
 		first = false
 	}
 	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	return lost, nil
+	rep.LostPages = append(rep.LostPages, lost...)
+	return nil
 }
 
 // repairTorn scans every block for silent corruption — a torn write's
@@ -740,11 +653,10 @@ func loseGroup(s *core.Store, g page.GroupID, zero []page.PageID) ([]page.PageID
 // the twin bitmap.
 func repairTorn(s *core.Store, a *Analysis, rep *Report) (int, error) {
 	type torn struct {
-		parity   bool
-		qparity  bool
-		p        page.PageID // data page, when !parity && !qparity
-		twin     int         // parity/Q twin, when parity or qparity
-		headerOK bool        // the block's own header survived the fault
+		red      bool // a redundancy page (r), else a data page (p)
+		r        diskarray.Red
+		p        page.PageID
+		headerOK bool // the block's own header survived the fault
 	}
 	found := make([][]torn, s.Arr.NumGroups())
 	err := workpool.Run(s.Workers, s.Arr.NumGroups(), func(g int) error {
@@ -762,33 +674,24 @@ func repairTorn(s *core.Store, a *Analysis, rep *Report) (int, error) {
 			}
 			found[g] = append(found[g], torn{p: p, headerOK: errors.Is(err, disk.ErrChecksum)})
 		}
-		for twin := 0; twin < s.Arr.ParityPages(); twin++ {
-			if !s.TwinReadable(gid, twin) {
-				continue
+		// P twins, then Q twins: a Q page's repair reuses the group's P
+		// partner as the authority, which the earlier items of the same
+		// group restore.
+		for _, eq := range s.Arr.Equations() {
+			for twin := 0; twin < s.Arr.ParityPages(); twin++ {
+				r := eq.Twin(twin)
+				if !s.TwinReadable(gid, r) {
+					continue
+				}
+				_, _, err := s.Arr.Read(gid, r, nil)
+				if err == nil {
+					continue
+				}
+				if !disk.IsCorrupt(err) {
+					return fmt.Errorf("recovery: torn scan group %d %s twin %d: %w", g, eq, twin, err)
+				}
+				found[g] = append(found[g], torn{red: true, r: r, headerOK: errors.Is(err, disk.ErrChecksum)})
 			}
-			_, _, err := s.Arr.ReadParity(gid, twin, nil)
-			if err == nil {
-				continue
-			}
-			if !disk.IsCorrupt(err) {
-				return fmt.Errorf("recovery: torn scan group %d twin %d: %w", g, twin, err)
-			}
-			found[g] = append(found[g], torn{parity: true, twin: twin, headerOK: errors.Is(err, disk.ErrChecksum)})
-		}
-		// Q pages last: their repair reuses the group's P partner as the
-		// authority, which the earlier items of the same group restore.
-		for twin := 0; twin < s.Arr.QParityPages(); twin++ {
-			if !s.QTwinReadable(gid, twin) {
-				continue
-			}
-			_, _, err := s.Arr.ReadQ(gid, twin, nil)
-			if err == nil {
-				continue
-			}
-			if !disk.IsCorrupt(err) {
-				return fmt.Errorf("recovery: torn scan group %d Q twin %d: %w", g, twin, err)
-			}
-			found[g] = append(found[g], torn{qparity: true, twin: twin, headerOK: errors.Is(err, disk.ErrChecksum)})
 		}
 		return nil
 	})
@@ -800,18 +703,15 @@ func repairTorn(s *core.Store, a *Analysis, rep *Report) (int, error) {
 		gid := page.GroupID(g)
 		for _, it := range items {
 			switch {
-			case it.qparity:
-				if err := repairTornQ(s, gid, it.twin); err != nil {
-					return repaired, err
-				}
-			case it.parity:
-				if err := repairTornParity(s, a, gid, it.twin, it.headerOK, rep); err != nil {
-					return repaired, err
-				}
+			case it.red && it.r.Eq == diskarray.Q:
+				err = repairTornQ(s, gid, it.r.Twin)
+			case it.red:
+				err = repairTornParity(s, a, gid, it.r.Twin, it.headerOK, rep)
 			default:
-				if err := repairTornData(s, a, gid, it.p, it.headerOK, rep); err != nil {
-					return repaired, err
-				}
+				err = repairTornData(s, a, gid, it.p, it.headerOK, rep)
+			}
+			if err != nil {
+				return repaired, err
 			}
 			repaired++
 		}
@@ -819,89 +719,71 @@ func repairTorn(s *core.Store, a *Analysis, rep *Report) (int, error) {
 	return repaired, nil
 }
 
-// repairTornQ rebuilds a corrupt Q page.  Its P partner — alive (dead
-// slots are excluded by the scan) and already repaired by the earlier
-// items of the same group — is the authority for which data state S the
-// index describes: if the partner's payload verifies against the on-disk
-// data, S is the data itself; otherwise S differs in exactly one member,
-// the page named by the partner's own header (a working steal or a flip
-// pairing) or by the other twin's unresolved working header (this index
-// is then the committed partner of an in-flight steal), and that member
-// solves as P ⊕ (other data).  The rewritten Q mirrors the partner's
-// header (the lockstep invariant).  When no authority can be
-// established — the P partner unreadable, a group member unreachable, or
-// no header naming the differing member — the Q page is zeroed invalid:
-// honest erasure, never a silently wrong equation.
+// repairTornQ rebuilds a corrupt Q page as the mirror of its P partner:
+// the Q equation over the data state the partner describes, under the
+// partner's header (the lockstep invariant).  When no authority can be
+// established the Q page is zeroed invalid: honest erasure, never a
+// silently wrong equation.
 func repairTornQ(s *core.Store, g page.GroupID, twin int) error {
-	invalidate := func() error {
-		zero := make(page.Buf, s.Arr.PageSize())
-		if err := s.Arr.WriteQ(g, twin, zero, disk.Meta{State: disk.StateInvalid}); err != nil {
-			return fmt.Errorf("recovery: invalidate torn Q of group %d: %w", g, err)
-		}
-		return nil
-	}
-	if !s.TwinReadable(g, twin) {
-		return invalidate()
-	}
-	pBuf, pm, err := s.Arr.ReadParity(g, twin, nil)
+	vals, pm, err := describedByP(s, g, twin)
 	if err != nil {
-		return invalidate()
-	}
-	pages := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	for i, p := range pages {
-		if s.PageUnavailable(p) {
-			return invalidate()
-		}
-		b, _, rerr := s.Arr.ReadData(p, nil)
-		if rerr != nil {
-			return invalidate()
-		}
-		raw[i] = b
-	}
-	if xorparity.Verify(pBuf, raw...) {
-		q := erasure.ComputeQ(s.Arr.PageSize(), raw...)
-		if err := s.Arr.WriteQ(g, twin, q, pm); err != nil {
-			return fmt.Errorf("recovery: repair torn Q of group %d: %w", g, err)
+		zero := make(page.Buf, s.Arr.PageSize())
+		if werr := s.Arr.Write(g, qpage(twin), zero, invalid); werr != nil {
+			return fmt.Errorf("recovery: invalidate torn Q of group %d (%v): %w", g, err, werr)
 		}
 		return nil
 	}
-	var named page.PageID
-	foundNamed := false
-	if pm.State == disk.StateWorking || pm.PairedSet {
-		named, foundNamed = pm.DirtyPage, true
-	} else if s.Twins != nil {
-		if om, oerr := s.Arr.ReadParityMeta(g, 1-twin); oerr == nil && om.State == disk.StateWorking {
-			named, foundNamed = om.DirtyPage, true
-		}
-	}
-	if !foundNamed {
-		return invalidate()
-	}
-	idx := -1
-	for i, p := range pages {
-		if p == named {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return invalidate()
-	}
-	others := make([][]byte, 0, len(raw))
-	others = append(others, pBuf)
-	for i, b := range raw {
-		if i != idx {
-			others = append(others, b)
-		}
-	}
-	described := make([][]byte, len(raw))
-	copy(described, raw)
-	described[idx] = xorparity.Reconstruct(s.Arr.PageSize(), others...)
-	q := erasure.ComputeQ(s.Arr.PageSize(), described...)
-	if err := s.Arr.WriteQ(g, twin, q, pm); err != nil {
+	if err := s.RewriteSlot(g, qpage(twin), vals, pm); err != nil {
 		return fmt.Errorf("recovery: repair torn Q of group %d: %w", g, err)
 	}
 	return nil
+}
+
+// describedByP returns the data state S that the P page of redundancy
+// index twin describes, with that page's header, for rebuilding the
+// index's torn Q page.  The P page — alive (dead slots are excluded by the
+// scan) and already repaired by the earlier items of the same group — is
+// the authority.  S differs from the platter in at most one member: the
+// page named by the P page's own header (a working steal or a flip
+// pairing) or, when it names none and does not verify against the platter,
+// by the other twin's unresolved working header (this index is then the
+// committed partner of an in-flight steal); that member's value in S is
+// whatever the P equation solves for it.  Fails when the P page is
+// unreadable, the group has lost more than P alone can solve, or no header
+// names the differing member.
+func describedByP(s *core.Store, g page.GroupID, twin int) ([]page.Buf, disk.Meta, error) {
+	if !s.TwinReadable(g, parity(twin)) {
+		return nil, disk.Meta{}, errors.New("P partner unreadable")
+	}
+	pm, err := s.Arr.ReadMeta(g, parity(twin))
+	if err != nil {
+		return nil, pm, err
+	}
+	// The torn Q page itself is never an equation to solve with.
+	qDisk := s.Arr.Loc(g, qpage(twin)).Disk
+	solveNaming := func(named page.PageID) ([]page.Buf, disk.Meta, error) {
+		if int(named) >= s.Arr.NumPages() || s.Arr.GroupOf(named) != g {
+			return nil, pm, fmt.Errorf("header names page %d of another group", named)
+		}
+		vals, _, err := s.SolveGroup(g, twin, qDisk, s.Arr.DataLoc(named).Disk)
+		return vals, pm, err
+	}
+	if pm.State == disk.StateWorking || pm.PairedSet {
+		return solveNaming(pm.DirtyPage)
+	}
+	vals, _, err := s.SolveGroup(g, twin, qDisk)
+	if err != nil {
+		return nil, pm, err
+	}
+	if ok, err := s.Arr.Verify(g, parity(twin)); ok || err != nil {
+		return vals, pm, err
+	}
+	if s.Twins != nil {
+		if om, err := s.Arr.ReadMeta(g, parity(1-twin)); err == nil && om.State == disk.StateWorking {
+			return solveNaming(om.DirtyPage)
+		}
+	}
+	return nil, pm, errors.New("the P partner disagrees with the platter and no header names the member")
 }
 
 // repairTornData rebuilds a corrupt data page.
@@ -923,18 +805,14 @@ func repairTornData(s *core.Store, a *Analysis, g page.GroupID, p page.PageID, h
 	}
 	if s.RDA() {
 		for twin := 0; twin < 2; twin++ {
-			m, err := s.Arr.ReadParityMeta(g, twin)
+			m, err := s.Arr.ReadMeta(g, parity(twin))
 			if err != nil {
 				return err
 			}
 			if m.State != disk.StateWorking || m.DirtyPage != p || a.Committed(m.Txn) {
 				continue
 			}
-			dOld, err := s.ReconstructData(g, p, 1-twin)
-			if err != nil {
-				return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
-			}
-			if err := s.Arr.WriteData(p, dOld, disk.Meta{}); err != nil {
+			if err := restoreFromIndex(s, g, p, 1-twin); err != nil {
 				return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
 			}
 			return nil
@@ -951,54 +829,19 @@ func repairTornData(s *core.Store, a *Analysis, g page.GroupID, p page.PageID, h
 	if err != nil {
 		return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
 	}
-	if os.Getenv("TRACE_FAULT") != "" {
-		fmt.Printf("TRACE tornrepair page %d group %d from twin %d (headerOK=%v)\n", p, g, twin, headerOK)
-		for tw := 0; tw < 2; tw++ {
-			m, _ := s.Arr.PeekParityMeta(g, tw)
-			fmt.Printf("TRACE   twin %d meta: state=%v ts=%d txn=%d dirty=%d paired=%v committed=%v\n", tw, m.State, m.Timestamp, m.Txn, m.DirtyPage, m.PairedSet, a.Committed(m.Txn))
-		}
-		for _, q := range s.Arr.GroupPages(g) {
-			loc := s.Arr.DataLoc(q)
-			dm, _ := s.Arr.Disk(loc.Disk).PeekMeta(loc.Block)
-			b, _ := s.Arr.PeekData(q)
-			fmt.Printf("TRACE   page %d meta: ts=%d txn=%d chain=%v data=%x\n", q, dm.Timestamp, dm.Txn, dm.ChainSet, b[:8])
-		}
-		for tw := 0; tw < 2; tw++ {
-			r, err := s.ReconstructData(g, p, tw)
-			if err != nil {
-				fmt.Printf("TRACE   reconstruct p from twin %d: err %v\n", tw, err)
-			} else {
-				fmt.Printf("TRACE   reconstruct p from twin %d = %x\n", tw, r[:8])
-			}
-		}
-	}
-	data, err := s.ReconstructData(g, p, twin)
+	data, pm, err := s.SolvePage(g, p, twin)
 	if err != nil {
 		return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
 	}
-	var hdr disk.Meta
-	if headerOK {
-		loc := s.Arr.DataLoc(p)
-		hdr, err = s.Arr.Disk(loc.Disk).PeekMeta(loc.Block)
-		if err != nil {
-			return err
-		}
-	} else {
-		pm, err := s.Arr.PeekParityMeta(g, twin)
-		if err != nil {
-			return err
-		}
-		switch {
-		case pm.State == disk.StateWorking && pm.DirtyPage == p:
-			// Parity-as-redo from a steal twin whose acked data write was
-			// lost: restore the steal's echo header.  The true ChainPrev
-			// is unrecoverable, but chains are only ever walked for
-			// losers and only a committed writer's twin can be the
-			// reconstruction source here.
-			hdr = disk.Meta{Txn: pm.Txn, Timestamp: pm.Timestamp, ChainSet: true}
-		case pm.PairedSet && pm.DirtyPage == p:
-			hdr = disk.Meta{Timestamp: pm.Timestamp}
-		}
+	hdr, err := tornDataHeader(s, p, headerOK, pm)
+	if err != nil {
+		return err
+	}
+	if pm.State == disk.StateWorking && pm.DirtyPage == p && !headerOK {
+		// Parity-as-redo from a steal twin whose acked data write was
+		// lost: restore the steal's echo header.  Only a committed
+		// writer's twin can be the reconstruction source here.
+		hdr = disk.Meta{Txn: pm.Txn, Timestamp: pm.Timestamp, ChainSet: true}
 	}
 	if err := s.Arr.WriteData(p, data, hdr); err != nil {
 		return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
@@ -1006,13 +849,29 @@ func repairTornData(s *core.Store, a *Analysis, g page.GroupID, p page.PageID, h
 	return nil
 }
 
+// tornDataHeader picks the header a repaired data page p goes back under:
+// the one the torn write itself persisted, or — when the fault destroyed
+// the header too (misdirected or lost write) — a resynthesized one: the
+// flip pairing echo when the describing redundancy header pm names this
+// page, and a cleared header otherwise.
+func tornDataHeader(s *core.Store, p page.PageID, headerOK bool, pm disk.Meta) (disk.Meta, error) {
+	if headerOK {
+		loc := s.Arr.DataLoc(p)
+		return s.Arr.Disk(loc.Disk).PeekMeta(loc.Block)
+	}
+	if pm.PairedSet && pm.DirtyPage == p {
+		return disk.Meta{Timestamp: pm.Timestamp}, nil
+	}
+	return disk.Meta{}, nil
+}
+
 // repairTornDataDegraded repairs a corrupt data page in a group that also
 // lost a block to the dead disk.  Only the cases where the surviving
 // redundancy still pins the page down are repairable; anything else is
 // explicit, reported loss via loseGroup.
 func repairTornDataDegraded(s *core.Store, a *Analysis, g page.GroupID, p page.PageID, headerOK bool, rep *Report) error {
-	dead := s.DeadTwin(g)
-	if dead < 0 || s.Twins == nil || !s.TwinReadable(g, 1-dead) {
+	dead := s.DeadTwin(g, diskarray.P)
+	if dead < 0 || s.Twins == nil || !s.TwinReadable(g, parity(1-dead)) {
 		// No alive parity twin to arbitrate from: the group lost a data
 		// page or a Q slot (dead < 0), or — double-degraded — both P
 		// slots.  On a single-parity array a tear plus a dead member is
@@ -1024,15 +883,10 @@ func repairTornDataDegraded(s *core.Store, a *Analysis, g page.GroupID, p page.P
 				return err
 			}
 		}
-		lost, err := loseGroup(s, g, []page.PageID{p})
-		if err != nil {
-			return err
-		}
-		rep.LostPages = append(rep.LostPages, lost...)
-		return nil
+		return loseGroup(s, g, rep, p)
 	}
 	alive := 1 - dead
-	m, err := s.Arr.ReadParityMeta(g, alive)
+	m, err := s.Arr.ReadMeta(g, parity(alive))
 	if err != nil {
 		return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
 	}
@@ -1048,22 +902,17 @@ func repairTornDataDegraded(s *core.Store, a *Analysis, g page.GroupID, p page.P
 			}
 			return nil
 		}
-		if s.Arr.HasQ() && s.QTwinReadable(g, dead) {
+		if s.TwinReadable(g, qpage(dead)) {
 			// The dead committed twin's Q partner still describes the
 			// pre-steal group: undo the steal directly from it.
-			if dOld, rerr := s.ReconstructDataAny(g, p, dead); rerr == nil {
+			if dOld, _, rerr := s.SolvePage(g, p, dead); rerr == nil {
 				if err := s.Arr.WriteData(p, dOld, disk.Meta{}); err != nil {
 					return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
 				}
-				return s.InvalidateIndexAlive(g, alive)
+				return s.WriteIndexMeta(g, alive, invalid)
 			}
 		}
-		lost, err := loseGroup(s, g, []page.PageID{p})
-		if err != nil {
-			return err
-		}
-		rep.LostPages = append(rep.LostPages, lost...)
-		return nil
+		return loseGroup(s, g, rep, p)
 	}
 	if m.State == disk.StateCommitted || (m.State == disk.StateWorking && a.Committed(m.Txn)) {
 		// The surviving twin describes the on-disk group — unless some
@@ -1082,27 +931,16 @@ func repairTornDataDegraded(s *core.Store, a *Analysis, g page.GroupID, p page.P
 				return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
 			}
 			if qm.ChainSet && a.Outcomes[qm.Txn] == OutcomeLoser && !hasLoggedImage(a, qm.Txn, q) && m.State == disk.StateCommitted {
-				lost, err := loseGroup(s, g, []page.PageID{p})
-				if err != nil {
-					return err
-				}
-				rep.LostPages = append(rep.LostPages, lost...)
-				return nil
+				return loseGroup(s, g, rep, p)
 			}
 		}
-		data, err := s.ReconstructData(g, p, alive)
+		data, _, err := s.SolvePage(g, p, alive)
 		if err != nil {
 			return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
 		}
-		var hdr disk.Meta
-		if headerOK {
-			loc := s.Arr.DataLoc(p)
-			hdr, err = s.Arr.Disk(loc.Disk).PeekMeta(loc.Block)
-			if err != nil {
-				return err
-			}
-		} else if m.PairedSet && m.DirtyPage == p {
-			hdr = disk.Meta{Timestamp: m.Timestamp}
+		hdr, err := tornDataHeader(s, p, headerOK, m)
+		if err != nil {
+			return err
 		}
 		if err := s.Arr.WriteData(p, data, hdr); err != nil {
 			return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
@@ -1111,12 +949,7 @@ func repairTornDataDegraded(s *core.Store, a *Analysis, g page.GroupID, p page.P
 	}
 	// Obsolete or invalid survivor: the only twin describing the group
 	// died with the disk.
-	lost, err := loseGroup(s, g, []page.PageID{p})
-	if err != nil {
-		return err
-	}
-	rep.LostPages = append(rep.LostPages, lost...)
-	return nil
+	return loseGroup(s, g, rep, p)
 }
 
 // repairTornDataViaSolve repairs a torn data page in a degraded group by
@@ -1133,15 +966,14 @@ func repairTornDataViaSolve(s *core.Store, a *Analysis, g page.GroupID, p page.P
 	var metas [2]disk.Meta
 	var have [2]bool
 	for t := 0; t < 2; t++ {
-		if s.TwinReadable(g, t) {
-			if m, err := s.Arr.ReadParityMeta(g, t); err == nil {
-				metas[t], have[t] = m, true
+		for _, eq := range s.Arr.Equations() {
+			r := eq.Twin(t)
+			if !s.TwinReadable(g, r) {
 				continue
 			}
-		}
-		if s.QTwinReadable(g, t) {
-			if m, err := s.Arr.ReadQMeta(g, t); err == nil {
+			if m, err := s.Arr.ReadMeta(g, r); err == nil {
 				metas[t], have[t] = m, true
+				break
 			}
 		}
 	}
@@ -1186,29 +1018,16 @@ func repairTornDataViaSolve(s *core.Store, a *Analysis, g page.GroupID, p page.P
 			return false, nil
 		}
 	}
-	vals, err := s.SolveGroup(g, idx)
+	data, _, err := s.SolvePage(g, p, idx)
 	if err != nil {
 		if errors.Is(err, core.ErrUnrecoverableCorruption) {
 			return false, nil
 		}
 		return false, err
 	}
-	var data page.Buf
-	for i, q := range s.Arr.GroupPages(g) {
-		if q == p {
-			data = vals[i]
-		}
-	}
-	hdr := disk.Meta{}
-	if headerOK {
-		loc := s.Arr.DataLoc(p)
-		m, err := s.Arr.Disk(loc.Disk).PeekMeta(loc.Block)
-		if err != nil {
-			return false, err
-		}
-		hdr = m
-	} else if best.PairedSet && best.DirtyPage == p {
-		hdr = disk.Meta{Timestamp: best.Timestamp}
+	hdr, err := tornDataHeader(s, p, headerOK, best)
+	if err != nil {
+		return false, err
 	}
 	if err := s.Arr.WriteData(p, data, hdr); err != nil {
 		return false, fmt.Errorf("recovery: repair torn page %d: %w", p, err)
@@ -1237,7 +1056,7 @@ func repairTornParity(s *core.Store, a *Analysis, g page.GroupID, twin int, head
 	if !headerOK {
 		return repairHeaderlessParity(s, a, g, twin, rep)
 	}
-	hdr, err := s.Arr.PeekParityMeta(g, twin)
+	hdr, err := s.Arr.PeekMeta(g, parity(twin))
 	if err != nil {
 		return err
 	}
@@ -1248,40 +1067,27 @@ func repairTornParity(s *core.Store, a *Analysis, g page.GroupID, twin int, head
 			return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
 		}
 		if dMeta.Txn == hdr.Txn {
-			dOld, err := s.ReconstructData(g, p, 1-twin)
-			if err != nil {
-				return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
-			}
-			if err := s.Arr.WriteData(p, dOld, disk.Meta{}); err != nil {
+			if err := restoreFromIndex(s, g, p, 1-twin); err != nil {
 				return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
 			}
 		}
-		zero := make(page.Buf, s.Arr.PageSize())
-		if err := s.Arr.WriteParity(g, twin, zero, disk.Meta{State: disk.StateInvalid}); err != nil {
-			return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
-		}
-		return s.InvalidateIndexAlive(g, twin)
+		return zeroInvalid(s, g, twin)
 	}
-	if err := recomputeIndex(s, g, twin, hdr); err != nil {
+	if err := s.RecomputeIndex(g, twin, hdr); err != nil {
 		return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
 	}
 	return nil
 }
 
-// recomputeIndex rewrites redundancy index `twin` of group g from the
-// on-disk data — Q first, then P, under the same header (the lockstep
-// invariant).  Dead slots are skipped; the rebuild worker re-derives
-// them once the drive is replaced.
-func recomputeIndex(s *core.Store, g page.GroupID, twin int, meta disk.Meta) error {
-	if s.Arr.HasQ() && s.QSlotAlive(g, twin) {
-		if err := s.Arr.RecomputeQ(g, twin, meta); err != nil {
-			return err
-		}
+// zeroInvalid retires a torn parity twin whose payload nothing describes:
+// the P page is rewritten zeroed and invalid, and the index invalidated
+// on its reachable slots.
+func zeroInvalid(s *core.Store, g page.GroupID, twin int) error {
+	zero := make(page.Buf, s.Arr.PageSize())
+	if err := s.Arr.Write(g, parity(twin), zero, invalid); err != nil {
+		return fmt.Errorf("recovery: zero torn twin %d of group %d: %w", twin, g, err)
 	}
-	if s.ParitySlotAlive(g, twin) {
-		return s.Arr.RecomputeParity(g, twin, meta)
-	}
-	return nil
+	return s.WriteIndexMeta(g, twin, invalid)
 }
 
 // repairHeaderlessParity rebuilds a parity twin whose header cannot be
@@ -1304,24 +1110,19 @@ func recomputeIndex(s *core.Store, g page.GroupID, twin int, meta disk.Meta) err
 //     as fresh committed parity (the Figure 7 rebuild then orders it).
 func repairHeaderlessParity(s *core.Store, a *Analysis, g page.GroupID, twin int, rep *Report) error {
 	if s.Twins != nil {
-		om, err := s.Arr.ReadParityMeta(g, 1-twin)
+		om, err := s.Arr.ReadMeta(g, parity(1-twin))
 		if err != nil {
 			return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
 		}
 		if om.State == disk.StateWorking && !a.Committed(om.Txn) {
 			if hasLoggedImage(a, om.Txn, om.DirtyPage) {
 				meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-				if err := recomputeIndex(s, g, twin, meta); err != nil {
+				if err := s.RecomputeIndex(g, twin, meta); err != nil {
 					return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
 				}
-				return s.InvalidateIndexAlive(g, 1-twin)
+				return s.WriteIndexMeta(g, 1-twin, invalid)
 			}
-			lost, err := loseGroup(s, g, []page.PageID{om.DirtyPage})
-			if err != nil {
-				return err
-			}
-			rep.LostPages = append(rep.LostPages, lost...)
-			return nil
+			return loseGroup(s, g, rep, om.DirtyPage)
 		}
 		for _, q := range s.Arr.GroupPages(g) {
 			_, qm, err := s.Arr.ReadData(q, nil)
@@ -1334,22 +1135,14 @@ func repairHeaderlessParity(s *core.Store, a *Analysis, g page.GroupID, twin int
 			if !qm.ChainSet || a.Outcomes[qm.Txn] != OutcomeLoser || hasLoggedImage(a, qm.Txn, q) {
 				continue
 			}
-			dOld, err := s.ReconstructData(g, q, 1-twin)
-			if err != nil {
+			if err := restoreFromIndex(s, g, q, 1-twin); err != nil {
 				return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
 			}
-			if err := s.Arr.WriteData(q, dOld, disk.Meta{}); err != nil {
-				return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
-			}
-			zero := make(page.Buf, s.Arr.PageSize())
-			if err := s.Arr.WriteParity(g, twin, zero, disk.Meta{State: disk.StateInvalid}); err != nil {
-				return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
-			}
-			return s.InvalidateIndexAlive(g, twin)
+			return zeroInvalid(s, g, twin)
 		}
 	}
 	meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-	if err := recomputeIndex(s, g, twin, meta); err != nil {
+	if err := s.RecomputeIndex(g, twin, meta); err != nil {
 		return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
 	}
 	return nil
@@ -1367,7 +1160,7 @@ func repairHeaderlessParity(s *core.Store, a *Analysis, g page.GroupID, twin int
 // the other twin describes the on-disk group, and the group is declared
 // lost when the torn twin was the only describing one.
 func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin int, headerOK bool, rep *Report) error {
-	hdr, err := s.Arr.PeekParityMeta(g, twin)
+	hdr, err := s.Arr.PeekMeta(g, parity(twin))
 	if err != nil {
 		return err
 	}
@@ -1378,7 +1171,7 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 		// never matches the working-loser or otherDescribes tests.
 		hdr = disk.Meta{State: disk.StateInvalid}
 	}
-	dead := s.DeadTwin(g)
+	dead := s.DeadTwin(g, diskarray.P)
 	if dead >= 0 && s.Twins != nil {
 		if !headerOK {
 			// Whichever twin was the loser's working parity, the committed
@@ -1395,12 +1188,7 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 				if !qm.ChainSet || a.Outcomes[qm.Txn] != OutcomeLoser || hasLoggedImage(a, qm.Txn, q) {
 					continue
 				}
-				lost, err := loseGroup(s, g, []page.PageID{q})
-				if err != nil {
-					return err
-				}
-				rep.LostPages = append(rep.LostPages, lost...)
-				return nil
+				return loseGroup(s, g, rep, q)
 			}
 		}
 		if hdr.State == disk.StateWorking && !a.Committed(hdr.Txn) {
@@ -1418,8 +1206,8 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 				// the before-image is gone; loseGroup also heals the
 				// tear (it rewrites every readable twin).
 				undone := false
-				if s.Arr.HasQ() && s.QTwinReadable(g, dead) {
-					if dOld, rerr := s.ReconstructDataAny(g, p, dead); rerr == nil {
+				if s.TwinReadable(g, qpage(dead)) {
+					if dOld, _, rerr := s.SolvePage(g, p, dead); rerr == nil {
 						if werr := s.Arr.WriteData(p, dOld, disk.Meta{}); werr != nil {
 							return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, werr)
 						}
@@ -1427,12 +1215,7 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 					}
 				}
 				if !undone {
-					lost, err := loseGroup(s, g, []page.PageID{p})
-					if err != nil {
-						return err
-					}
-					rep.LostPages = append(rep.LostPages, lost...)
-					return nil
+					return loseGroup(s, g, rep, p)
 				}
 			}
 			// Untagged (the data write never landed) or rewound later
@@ -1440,7 +1223,7 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 			// consistent, so recompute over it below.
 		}
 		meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		if err := recomputeIndex(s, g, twin, meta); err != nil {
+		if err := s.RecomputeIndex(g, twin, meta); err != nil {
 			return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
 		}
 		s.Twins.Promote(g, twin)
@@ -1449,19 +1232,14 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 	if s.Twins == nil {
 		// Single-parity group with a dead data page and a torn parity
 		// block: one equation, two unknowns.
-		lost, err := loseGroup(s, g, nil)
-		if err != nil {
-			return err
-		}
-		rep.LostPages = append(rep.LostPages, lost...)
-		return nil
+		return loseGroup(s, g, rep)
 	}
 	// A data page is dead and this twin is torn.  If the other twin
 	// describes the on-disk group (Figure 7 says it is current), the torn
 	// one was redundant: invalidate it.  Otherwise the dead page's value
 	// survived only in the torn payload.
 	other := 1 - twin
-	om, err := s.Arr.ReadParityMeta(g, other)
+	om, err := s.Arr.ReadMeta(g, parity(other))
 	if err != nil {
 		return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
 	}
@@ -1469,17 +1247,13 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 		(hdr.State != disk.StateCommitted || om.Timestamp > hdr.Timestamp ||
 			(om.Timestamp == hdr.Timestamp && other < twin))
 	if otherDescribes {
-		zero := make(page.Buf, s.Arr.PageSize())
-		if err := s.Arr.WriteParity(g, twin, zero, disk.Meta{State: disk.StateInvalid}); err != nil {
-			return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
-		}
-		if err := s.InvalidateIndexAlive(g, twin); err != nil {
+		if err := zeroInvalid(s, g, twin); err != nil {
 			return err
 		}
 		s.Twins.Promote(g, other)
 		return nil
 	}
-	if s.Arr.HasQ() && s.QTwinReadable(g, twin) {
+	if s.TwinReadable(g, qpage(twin)) {
 		// The torn twin describes the group and its Q partner survives:
 		// the dead data page solves from the Q equation, and the torn P
 		// payload recomputes from the solved values.  The header comes
@@ -1488,18 +1262,13 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 		// steal caught by the tear) is left to explicit loss.
 		meta := hdr
 		if !headerOK {
-			if qm, qerr := s.Arr.ReadQMeta(g, twin); qerr == nil {
+			if qm, qerr := s.Arr.ReadMeta(g, qpage(twin)); qerr == nil {
 				meta = qm
 			}
 		}
 		if meta.State == disk.StateCommitted {
-			if vals, serr := s.SolveGroup(g, twin); serr == nil {
-				raw := make([][]byte, len(vals))
-				for i, v := range vals {
-					raw[i] = v
-				}
-				pBuf := xorparity.Compute(s.Arr.PageSize(), raw...)
-				if err := s.Arr.WriteParity(g, twin, pBuf, meta); err != nil {
+			if vals, _, serr := s.SolveGroup(g, twin); serr == nil {
+				if err := s.RewriteSlot(g, parity(twin), vals, meta); err != nil {
 					return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
 				}
 				s.Twins.Promote(g, twin)
@@ -1507,12 +1276,7 @@ func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin i
 			}
 		}
 	}
-	lost, err := loseGroup(s, g, nil)
-	if err != nil {
-		return err
-	}
-	rep.LostPages = append(rep.LostPages, lost...)
-	return nil
+	return loseGroup(s, g, rep)
 }
 
 // applyImage writes a logged page or record image back to the database.
@@ -1592,35 +1356,15 @@ func RecoverMedia(s *core.Store, d int, before BeforeImageFunc) error {
 // answer with an archive restore.  With a single failed disk the slice
 // is always empty.
 func RecoverMediaMulti(s *core.Store, ds []int, before BeforeImageFunc) ([]page.GroupID, error) {
-	failed := make(map[int]bool, len(ds))
 	for _, d := range ds {
 		if err := s.Arr.RepairDisk(d); err != nil {
 			return nil, err
 		}
-		failed[d] = true
 	}
 	var lost []page.GroupID
 	for g := 0; g < s.Arr.NumGroups(); g++ {
 		gid := page.GroupID(g)
-		var lostData []page.PageID
-		for _, p := range s.Arr.GroupPages(gid) {
-			if failed[s.Arr.DataLoc(p).Disk] {
-				lostData = append(lostData, p)
-			}
-		}
-		var lostTwins []int
-		for twin := 0; twin < s.Arr.ParityPages(); twin++ {
-			if failed[s.Arr.ParityLoc(gid, twin).Disk] {
-				lostTwins = append(lostTwins, twin)
-			}
-		}
-		var lostQ []int
-		for twin := 0; twin < s.Arr.QParityPages(); twin++ {
-			if failed[s.Arr.QLoc(gid, twin).Disk] {
-				lostQ = append(lostQ, twin)
-			}
-		}
-		ok, err := rebuildGroup(s, gid, lostData, lostTwins, lostQ, before)
+		ok, err := RebuildGroup(s, gid, ds, before)
 		if err != nil {
 			return lost, err
 		}
@@ -1638,6 +1382,7 @@ func RecoverMediaMulti(s *core.Store, ds []int, before BeforeImageFunc) ([]page.
 // (partially zeroed) data so that subsequent operation and verification
 // see a consistent, if lossy, group.
 func resetLostGroupParity(s *core.Store, g page.GroupID) error {
+	eqs := s.Arr.Equations()
 	for twin := 0; twin < s.Arr.ParityPages(); twin++ {
 		meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
 		if twin != 0 {
@@ -1645,13 +1390,10 @@ func resetLostGroupParity(s *core.Store, g page.GroupID) error {
 		}
 		// Unconditional writes: media recovery has already swapped the
 		// dead drives in, even though the store may still flag them down.
-		if s.Arr.HasQ() && twin < s.Arr.QParityPages() {
-			if err := s.Arr.RecomputeQ(g, twin, meta); err != nil {
+		for i := len(eqs) - 1; i >= 0; i-- {
+			if err := s.Arr.Recompute(g, eqs[i].Twin(twin), meta); err != nil {
 				return fmt.Errorf("recovery: reset lost group %d: %w", g, err)
 			}
-		}
-		if err := s.Arr.RecomputeParity(g, twin, meta); err != nil {
-			return fmt.Errorf("recovery: reset lost group %d: %w", g, err)
 		}
 	}
 	if s.Twins != nil {
@@ -1663,11 +1405,31 @@ func resetLostGroupParity(s *core.Store, g page.GroupID) error {
 	return nil
 }
 
-// rebuildGroup reconstructs one group's lost blocks.  It returns false
-// when the loss exceeds the group's redundancy.
-func rebuildGroup(s *core.Store, g page.GroupID, lostData []page.PageID, lostTwins, lostQ []int, before BeforeImageFunc) (bool, error) {
-	if len(lostData) == 0 && len(lostTwins) == 0 && len(lostQ) == 0 {
-		return true, nil
+// RebuildGroup reconstructs the blocks of group g that lived on the given
+// drives, already replaced by fresh ones — the unit of work of media
+// recovery and of the online rebuild alike.  It returns false when the
+// loss exceeds the group's redundancy.
+//
+// Lost data pages come first, solved through the index that tracks the
+// on-disk data (core.SolveGroup: one page from P or, when P is lost too,
+// from its Q partner; two pages from both).  Then every lost redundancy
+// page is recomputed over the whole data (rebuildSlot).  A group with no
+// block on the drives costs no I/O.
+func RebuildGroup(s *core.Store, g page.GroupID, drives []int, before BeforeImageFunc) (bool, error) {
+	onDrives := func(d int) bool {
+		for _, x := range drives {
+			if x == d {
+				return true
+			}
+		}
+		return false
+	}
+	pages := s.Arr.GroupPages(g)
+	var lostData []int // indexes into pages
+	for i, p := range pages {
+		if onDrives(s.Arr.DataLoc(p).Disk) {
+			lostData = append(lostData, i)
+		}
 	}
 	var e dirtyset.Entry
 	dirty := false
@@ -1678,323 +1440,143 @@ func rebuildGroup(s *core.Store, g page.GroupID, lostData []page.PageID, lostTwi
 	// dirty group, the current twin otherwise.
 	onDiskTwin := 0
 	if s.Twins != nil {
+		onDiskTwin = s.Twins.Current(g)
 		if dirty {
 			onDiskTwin = e.WorkingTwin
-		} else {
-			onDiskTwin = s.Twins.Current(g)
 		}
 	}
-	contains := func(set []int, t int) bool {
-		for _, x := range set {
-			if x == t {
-				return true
-			}
+	if len(lostData) > 0 {
+		vals, _, err := s.SolveGroup(g, onDiskTwin, drives...)
+		if errors.Is(err, core.ErrUnrecoverableCorruption) && dirty && len(lostData) == 1 && pages[lostData[0]] != e.Page {
+			// The on-disk-view index is gone, but the committed twin plus
+			// the dirty page's before-image still determine the page.
+			vals, err = solveFromCommitted(s, g, e, lostData[0], drives, before)
 		}
-		return false
-	}
-	lostOnDisk := contains(lostTwins, onDiskTwin)
-	lostOnDiskQ := contains(lostQ, onDiskTwin)
-
-	switch {
-	case len(lostData) > 2:
-		return false, nil
-	case len(lostData) == 2:
-		// Two data pages are two erasures: only the on-disk index's P
-		// and Q equations together determine them.
-		if !s.Arr.HasQ() || lostOnDisk || lostOnDiskQ {
+		if errors.Is(err, core.ErrUnrecoverableCorruption) {
+			// The lost pages' covering redundancy is gone too.
 			return false, nil
 		}
-		if err := rebuildTwoDataFromPQ(s, g, lostData[0], lostData[1], onDiskTwin, dirty, e); err != nil {
-			return false, err
+		if err != nil {
+			return false, fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
 		}
-	case len(lostData) == 1:
-		p := lostData[0]
-		switch {
-		case !lostOnDisk:
-			if err := rebuildDataFromTwin(s, g, p, onDiskTwin, dirty, e); err != nil {
-				return false, err
+		for _, i := range lostData {
+			meta := disk.Meta{}
+			if dirty && pages[i] == e.Page {
+				// Restore the crash-undo tag on the dirty page.
+				meta.Txn = e.Txn
 			}
-		case s.Arr.HasQ() && !lostOnDiskQ:
-			// The on-disk P twin died with the page, but its Q partner
-			// describes the same state (lockstep) and solves p alone.
-			if err := rebuildDataFromQTwin(s, g, p, onDiskTwin, dirty, e); err != nil {
-				return false, err
+			if err := s.Arr.WriteData(pages[i], vals[i], meta); err != nil {
+				return false, fmt.Errorf("recovery: media rebuild page %d: %w", pages[i], err)
 			}
-		case dirty && p != e.Page && before != nil && before(g, e) != nil:
-			// The on-disk-view twin is gone, but the committed twin plus
-			// the dirty page's before-image still determine p:
-			// p = committed ⊕ Σ(other data, dirty page at its before-image).
-			if err := rebuildDataFromCommitted(s, g, p, 1-onDiskTwin, e, before); err != nil {
-				return false, err
-			}
-		default:
-			// The lost page's covering redundancy is gone too.
-			return false, nil
 		}
 	}
-
-	// With the data whole again, recompute every lost twin.  For a dirty
-	// group the working twin goes first: the committed twin's rebuild
-	// reads the working twin's timestamp to order below it (Figure 7).
-	sort.Slice(lostTwins, func(i, j int) bool {
-		return dirty && lostTwins[i] == e.WorkingTwin && lostTwins[j] != e.WorkingTwin
-	})
-	for _, twin := range lostTwins {
-		if err := rebuildParityTwin(s, g, twin, dirty, e, before); err != nil {
-			return false, err
-		}
-	}
-	// Lost Q pages rebuild last, mirroring their (now whole) P partners.
-	for _, twin := range lostQ {
-		if err := rebuildQTwin(s, g, twin, dirty, e, before); err != nil {
-			return false, err
+	// With the data whole again, recompute every lost redundancy page: P
+	// twins first, then the Q pages, which mirror their (now whole) P
+	// partners.  For a dirty group the working twin goes first: the
+	// committed twin's rebuild reads the working twin's timestamp to order
+	// below it (Figure 7).
+	for _, eq := range s.Arr.Equations() {
+		for i := 0; i < s.Arr.ParityPages(); i++ {
+			r := eq.Twin(i)
+			if dirty && s.Twins != nil {
+				r.Twin = e.WorkingTwin ^ i
+			}
+			if !onDrives(s.Arr.Loc(g, r).Disk) {
+				continue
+			}
+			if err := rebuildSlot(s, g, r, dirty, e, before); err != nil {
+				return false, err
+			}
 		}
 	}
 	return true, nil
 }
 
-// rebuildTwoDataFromPQ reconstructs two lost data pages of one group
-// from the given index's P and Q equations plus the surviving members.
-func rebuildTwoDataFromPQ(s *core.Store, g page.GroupID, pa, pb page.PageID, twin int, dirty bool, e dirtyset.Entry) error {
-	pBuf, _, err := s.Arr.ReadParity(g, twin, nil)
+// solveFromCommitted solves a dirty group's one lost bystander page
+// (pages[lost]) through the committed twin's P equation, which describes
+// the group with the dirty page at its retained before-image: the value P
+// solves against the platter is off by exactly the dirty page's delta,
+// D_new ⊕ D_old, which is folded back out.
+func solveFromCommitted(s *core.Store, g page.GroupID, e dirtyset.Entry, lost int, drives []int, before BeforeImageFunc) ([]page.Buf, error) {
+	var img page.Buf
+	if before != nil {
+		img = before(g, e)
+	}
+	if img == nil {
+		return nil, fmt.Errorf("the dirty page's before-image is unavailable: %w", core.ErrUnrecoverableCorruption)
+	}
+	committed := 1 - e.WorkingTwin
+	// The delta algebra is P's; keep the solve off the Q equation.
+	erased := drives
+	if s.Arr.HasQ() {
+		erased = append(append([]int(nil), drives...), s.Arr.Loc(g, qpage(committed)).Disk)
+	}
+	vals, _, err := s.SolveGroup(g, committed, erased...)
 	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
+		return nil, err
 	}
-	qBuf, _, err := s.Arr.ReadQ(g, twin, nil)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-	}
-	pages := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	i, j := -1, -1
-	for k, pg := range pages {
-		switch pg {
-		case pa:
-			i = k
-		case pb:
-			j = k
-		default:
-			b, _, err := s.Arr.ReadData(pg, nil)
-			if err != nil {
-				return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-			}
-			raw[k] = b
+	for i, p := range s.Arr.GroupPages(g) {
+		if p == e.Page {
+			diskarray.P.SmallWrite(vals[lost], vals[i], img, 0)
 		}
 	}
-	if i > j {
-		i, j = j, i
-		pa, pb = pb, pa
-	}
-	di, dj := erasure.ReconstructTwo(pBuf, qBuf, raw, i, j)
-	for _, rec := range []struct {
-		p page.PageID
-		b []byte
-	}{{pa, di}, {pb, dj}} {
-		meta := disk.Meta{}
-		if dirty && rec.p == e.Page {
-			meta.Txn = e.Txn
-		}
-		if err := s.Arr.WriteData(rec.p, rec.b, meta); err != nil {
-			return fmt.Errorf("recovery: media rebuild page %d: %w", rec.p, err)
-		}
-	}
-	return nil
+	return vals, nil
 }
 
-// rebuildDataFromQTwin reconstructs data page p from the given index's Q
-// page (its P partner is lost) and the surviving members.
-func rebuildDataFromQTwin(s *core.Store, g page.GroupID, p page.PageID, twin int, dirty bool, e dirtyset.Entry) error {
-	q, _, err := s.Arr.ReadQ(g, twin, nil)
+// rebuildSlot recomputes one lost redundancy page of group g after the
+// group's data is whole again.  A page of the committed index of a dirty
+// group describes the before-image state, so it is computed with the
+// dirty page's retained before-image in place of its on-disk contents.
+//
+// The header: a Q page mirrors its (now whole) P partner — the lockstep
+// invariant.  A P twin is committed under a fresh timestamp when it is
+// current (or the array's only one), obsolete when it held history, and
+// working with the dirty entry's tag when it is a dirty group's working
+// twin; a dirty group's committed twin keeps the Figure 7 ordering by
+// taking the timestamp just BELOW the surviving working twin's.
+func rebuildSlot(s *core.Store, g page.GroupID, r diskarray.Red, dirty bool, e dirtyset.Entry, before BeforeImageFunc) error {
+	vals, err := s.Arr.ReadGroup(g)
 	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
+		return fmt.Errorf("recovery: media rebuild %s twin %d of group %d: %w", r.Eq, r.Twin, g, err)
 	}
-	pages := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	idx := -1
-	for i, pg := range pages {
-		if pg == p {
-			idx = i
-			continue
-		}
-		b, _, err := s.Arr.ReadData(pg, nil)
-		if err != nil {
-			return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-		}
-		raw[i] = b
-	}
-	rebuilt := erasure.ReconstructOneQ(q, raw, idx)
-	meta := disk.Meta{}
-	if dirty && p == e.Page {
-		meta.Txn = e.Txn
-	}
-	if err := s.Arr.WriteData(p, rebuilt, meta); err != nil {
-		return fmt.Errorf("recovery: media rebuild page %d: %w", p, err)
-	}
-	return nil
-}
-
-// rebuildQTwin recomputes one lost Q page after the group's data and P
-// twins are whole again, under the P partner's header — the lockstep
-// invariant.  The committed partner of a dirty group describes the
-// before-image state, so its Q needs the same retained image the P
-// rebuild does.
-func rebuildQTwin(s *core.Store, g page.GroupID, twin int, dirty bool, e dirtyset.Entry, before BeforeImageFunc) error {
-	pm, err := s.Arr.ReadParityMeta(g, twin)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild Q of group %d: %w", g, err)
-	}
-	pages := s.Arr.GroupPages(g)
-	raw := make([][]byte, len(pages))
-	for i, pg := range pages {
-		b, _, err := s.Arr.ReadData(pg, nil)
-		if err != nil {
-			return fmt.Errorf("recovery: media rebuild Q of group %d: %w", g, err)
-		}
-		raw[i] = b
-	}
-	if dirty && s.Twins != nil && twin != e.WorkingTwin {
+	committedOfDirty := dirty && s.Twins != nil && r.Twin != e.WorkingTwin
+	if committedOfDirty {
 		var img page.Buf
 		if before != nil {
 			img = before(g, e)
 		}
 		if img == nil {
-			return fmt.Errorf("recovery: group %d: committed Q twin lost while dirty and no before-image available", g)
+			return fmt.Errorf("recovery: group %d: committed %s twin lost while dirty and no before-image available", g, r.Eq)
 		}
-		for i, pg := range pages {
-			if pg == e.Page {
-				raw[i] = img
+		for i, p := range s.Arr.GroupPages(g) {
+			if p == e.Page {
+				vals[i] = img
 			}
 		}
 	}
-	q := erasure.ComputeQ(s.Arr.PageSize(), raw...)
-	if err := s.Arr.WriteQ(g, twin, q, pm); err != nil {
-		return fmt.Errorf("recovery: media rebuild Q of group %d: %w", g, err)
-	}
-	return nil
-}
-
-// rebuildDataFromTwin reconstructs data page p from the given twin (which
-// describes the on-disk data) and the surviving members.
-func rebuildDataFromTwin(s *core.Store, g page.GroupID, p page.PageID, twin int, dirty bool, e dirtyset.Entry) error {
-	parity, _, err := s.Arr.ReadParity(g, twin, nil)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-	}
-	survivors := [][]byte{parity}
-	for _, q := range s.Arr.GroupPages(g) {
-		if q == p {
-			continue
+	var meta disk.Meta
+	switch {
+	case r.Eq == diskarray.Q:
+		if meta, err = s.Arr.ReadMeta(g, parity(r.Twin)); err != nil {
+			return fmt.Errorf("recovery: media rebuild Q of group %d: %w", g, err)
 		}
-		b, _, err := s.Arr.ReadData(q, nil)
+	case committedOfDirty:
+		wMeta, err := s.Arr.ReadMeta(g, parity(e.WorkingTwin))
 		if err != nil {
-			return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
+			return err
 		}
-		survivors = append(survivors, b)
-	}
-	rebuilt := xorparity.Reconstruct(s.Arr.PageSize(), survivors...)
-	meta := disk.Meta{}
-	if dirty && p == e.Page {
-		// Restore the crash-undo tag on the dirty page.
-		meta.Txn = e.Txn
-	}
-	if err := s.Arr.WriteData(p, rebuilt, meta); err != nil {
-		return fmt.Errorf("recovery: media rebuild page %d: %w", p, err)
-	}
-	return nil
-}
-
-// rebuildDataFromCommitted reconstructs a non-dirty data page of a dirty
-// group from the committed twin, substituting the dirty page's retained
-// before-image for its on-disk contents.
-func rebuildDataFromCommitted(s *core.Store, g page.GroupID, p page.PageID, committedTwin int, e dirtyset.Entry, before BeforeImageFunc) error {
-	img := before(g, e)
-	if img == nil {
-		return fmt.Errorf("recovery: group %d: need the dirty page's before-image to rebuild page %d; unavailable", g, p)
-	}
-	parity, _, err := s.Arr.ReadParity(g, committedTwin, nil)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-	}
-	survivors := [][]byte{parity}
-	for _, q := range s.Arr.GroupPages(g) {
-		if q == p {
-			continue
+		meta = disk.Meta{State: disk.StateCommitted, Timestamp: wMeta.Timestamp}
+		if meta.Timestamp > 0 {
+			meta.Timestamp--
 		}
-		if q == e.Page {
-			survivors = append(survivors, img)
-			continue
-		}
-		b, _, err := s.Arr.ReadData(q, nil)
-		if err != nil {
-			return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-		}
-		survivors = append(survivors, b)
-	}
-	rebuilt := xorparity.Reconstruct(s.Arr.PageSize(), survivors...)
-	if err := s.Arr.WriteData(p, rebuilt, disk.Meta{}); err != nil {
-		return fmt.Errorf("recovery: media rebuild page %d: %w", p, err)
-	}
-	return nil
-}
-
-// rebuildParityTwin recomputes one lost parity twin of group g.
-func rebuildParityTwin(s *core.Store, g page.GroupID, twin int, dirty bool, e dirtyset.Entry, before BeforeImageFunc) error {
-	ps := s.Arr.PageSize()
-	blocks, err := s.Arr.ReadGroup(g)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild parity of group %d: %w", g, err)
-	}
-	raw := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		raw[i] = b
-	}
-	onDiskParity := xorparity.Compute(ps, raw...)
-
-	// Single-parity array, or any twin of a clean group: parity of the
-	// on-disk data.
-	if s.Twins == nil {
-		meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		return s.Arr.WriteParity(g, twin, onDiskParity, meta)
-	}
-	if !dirty {
-		var meta disk.Meta
-		if twin == s.Twins.Current(g) {
-			meta = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		} else {
-			meta = disk.Meta{State: disk.StateObsolete, Timestamp: 0}
-		}
-		return s.Arr.WriteParity(g, twin, onDiskParity, meta)
-	}
-
-	if twin == e.WorkingTwin {
+	case dirty && s.Twins != nil:
 		// The working twin is by definition the parity of the on-disk
 		// data of a dirty group.
-		meta := disk.Meta{State: disk.StateWorking, Timestamp: s.TM.NextTimestamp(), Txn: e.Txn, DirtyPage: e.Page}
-		return s.Arr.WriteParity(g, twin, onDiskParity, meta)
+		meta = disk.Meta{State: disk.StateWorking, Timestamp: s.TM.NextTimestamp(), Txn: e.Txn, DirtyPage: e.Page}
+	case s.Twins != nil && r.Twin != s.Twins.Current(g):
+		meta = disk.Meta{State: disk.StateObsolete}
+	default:
+		meta = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
 	}
-
-	// The committed twin of a dirty group: parity of the on-disk data
-	// with the dirty page at its before-image.
-	img := before(g, e)
-	if img == nil {
-		return fmt.Errorf("recovery: group %d: committed parity twin lost while dirty and no before-image available", g)
-	}
-	dNew, _, err := s.Arr.ReadData(e.Page, nil)
-	if err != nil {
-		return fmt.Errorf("recovery: media rebuild group %d: %w", g, err)
-	}
-	committedParity := xorparity.Xor(onDiskParity, dNew)
-	xorparity.XorInto(committedParity, img)
-	// Keep the Figure 7 ordering: the rebuilt committed twin must compare
-	// BELOW the surviving working twin.
-	wMeta, err := s.Arr.ReadParityMeta(g, e.WorkingTwin)
-	if err != nil {
-		return err
-	}
-	ts := wMeta.Timestamp
-	if ts > 0 {
-		ts--
-	}
-	meta := disk.Meta{State: disk.StateCommitted, Timestamp: ts}
-	return s.Arr.WriteParity(g, twin, committedParity, meta)
+	return s.RewriteSlot(g, r, vals, meta)
 }

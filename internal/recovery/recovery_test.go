@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -144,7 +145,7 @@ func TestRecoverMediaRejectsMissingBeforeImage(t *testing.T) {
 	g := s.Arr.GroupOf(0)
 	e, _ := s.Dirty.Lookup(g)
 	committedTwin := 1 - e.WorkingTwin
-	d := s.Arr.ParityLoc(g, committedTwin).Disk
+	d := s.Arr.Loc(g, parity(committedTwin)).Disk
 	if err := s.Arr.FailDisk(d); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestRecoverMediaWithBeforeImage(t *testing.T) {
 	g := s.Arr.GroupOf(0)
 	e, _ := s.Dirty.Lookup(g)
 	committedTwin := 1 - e.WorkingTwin
-	d := s.Arr.ParityLoc(g, committedTwin).Disk
+	d := s.Arr.Loc(g, parity(committedTwin)).Disk
 	if err := s.Arr.FailDisk(d); err != nil {
 		t.Fatal(err)
 	}
@@ -197,30 +198,45 @@ func TestRecoverMediaWithBeforeImage(t *testing.T) {
 	}
 }
 
-func TestRecoverMediaSingleParity(t *testing.T) {
-	s := newStore(t, diskarray.RAID5)
-	data := page.NewBuf(page.MinSize)
-	data[0] = 0x77
-	if err := s.WriteCommitted(7, data, nil); err != nil {
-		t.Fatal(err)
-	}
-	for d := 0; d < s.Arr.NumDisks(); d++ {
-		if err := s.Arr.FailDisk(d); err != nil {
-			t.Fatal(err)
+// TestRecoverMediaEveryKindEveryDisk loses each drive of each
+// organization in turn — with and without the Q equation — over random
+// contents: every page must come back bit exact and every redundancy page
+// consistent.
+func TestRecoverMediaEveryKindEveryDisk(t *testing.T) {
+	kinds := []diskarray.Kind{diskarray.RAID5, diskarray.RAID5Twin, diskarray.ParityStripe, diskarray.ParityStripeTwin}
+	for _, kind := range kinds {
+		for _, q := range []bool{false, true} {
+			arr, err := diskarray.New(diskarray.Config{Kind: kind, DataDisks: 3, NumPages: 24, PageSize: page.MinSize, QParity: q && kind.Twinned()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := core.NewStore(arr, wal.New(wal.Config{LogPageSize: 256, WriteCost: 4}), txn.NewManager())
+			rng := rand.New(rand.NewSource(int64(kind) + 10))
+			want := make([]page.Buf, arr.NumPages())
+			for p := range want {
+				want[p] = page.NewBuf(page.MinSize)
+				rng.Read(want[p])
+				if err := s.WriteCommitted(page.PageID(p), want[p], nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for d := 0; d < arr.NumDisks(); d++ {
+				if err := arr.FailDisk(d); err != nil {
+					t.Fatal(err)
+				}
+				if err := RecoverMedia(s, d, nil); err != nil {
+					t.Fatalf("%v q=%v: disk %d: %v", kind, q, d, err)
+				}
+				for p := range want {
+					if got, err := arr.PeekData(page.PageID(p)); err != nil || !got.Equal(want[p]) {
+						t.Fatalf("%v q=%v: after rebuilding disk %d, page %d is wrong (%v)", kind, q, d, p, err)
+					}
+				}
+				if err := s.VerifyParityInvariant(); err != nil {
+					t.Fatalf("%v q=%v: after rebuilding disk %d: %v", kind, q, d, err)
+				}
+			}
 		}
-		if err := RecoverMedia(s, d, nil); err != nil {
-			t.Fatalf("disk %d: %v", d, err)
-		}
-		got, err := s.ReadPage(7, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != 0x77 {
-			t.Fatalf("disk %d: page lost", d)
-		}
-	}
-	if err := s.VerifyParityInvariant(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -232,8 +248,8 @@ func TestRecoverMediaMultiBothTwins(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := s.Arr.GroupOf(0)
-	d0 := s.Arr.ParityLoc(g, 0).Disk
-	d1 := s.Arr.ParityLoc(g, 1).Disk
+	d0 := s.Arr.Loc(g, parity(0)).Disk
+	d1 := s.Arr.Loc(g, parity(1)).Disk
 	if err := s.Arr.FailDisk(d0); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +300,7 @@ func TestRecoverMediaMultiDirtyCommittedPlusData(t *testing.T) {
 	e, _ := s.Dirty.Lookup(g)
 	committedTwin := 1 - e.WorkingTwin
 	victim := pages[1]
-	dA := s.Arr.ParityLoc(g, committedTwin).Disk
+	dA := s.Arr.Loc(g, parity(committedTwin)).Disk
 	dB := s.Arr.DataLoc(victim).Disk
 	if err := s.Arr.FailDisk(dA); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,10 @@
 // its header, putting it in the *working* state; if the transaction
 // commits, that twin becomes the current parity (a pure bookkeeping flip:
 // no I/O), and if it aborts, the twin's timestamp is reset, putting it in
-// the *invalid* state while the other twin remains current.
+// the *invalid* state while the other twin remains current.  The header
+// and payload writes themselves are core.Store's (StealNoLog,
+// WriteIndexMeta): it knows which of an index's slots are reachable and
+// writes a Q partner ahead of each P page.
 //
 // In normal operation the identity of the current twin for each group is
 // kept in a main-memory bitmap.  The bitmap is lost in a crash; it is
@@ -65,48 +68,6 @@ func (m *Manager) Promote(g page.GroupID, twin int) {
 	m.current[g] = uint8(twin)
 }
 
-// WriteWorking writes the new parity image into group g's obsolete twin,
-// stamping it with the writing transaction, timestamp and the covered
-// data page (Figure 8's transition into the working state).  It returns
-// the twin index written.
-func (m *Manager) WriteWorking(g page.GroupID, parity page.Buf, tx page.TxID, ts page.Timestamp, dirtyPage page.PageID) (int, error) {
-	twin := m.Obsolete(g)
-	meta := disk.Meta{State: disk.StateWorking, Timestamp: ts, Txn: tx, DirtyPage: dirtyPage}
-	if err := m.arr.WriteParity(g, twin, parity, meta); err != nil {
-		return 0, fmt.Errorf("twinpage: write working parity of group %d: %w", g, err)
-	}
-	return twin, nil
-}
-
-// RewriteWorking overwrites an existing working twin in place (the
-// re-steal of the same page by the same transaction, Figure 3's dirty
-// self-loop) with a refreshed timestamp.
-func (m *Manager) RewriteWorking(g page.GroupID, twin int, parity page.Buf, tx page.TxID, ts page.Timestamp, dirtyPage page.PageID) error {
-	meta := disk.Meta{State: disk.StateWorking, Timestamp: ts, Txn: tx, DirtyPage: dirtyPage}
-	if err := m.arr.WriteParity(g, twin, parity, meta); err != nil {
-		return fmt.Errorf("twinpage: rewrite working parity of group %d: %w", g, err)
-	}
-	return nil
-}
-
-// Invalidate resets the given twin's timestamp and marks it invalid (the
-// abort transition of Figure 8).  The other twin remains current.  On a
-// QParity array the index's Q partner is invalidated too — Q headers
-// mirror their P twin (the lockstep invariant) even though arbitration
-// only ever reads P headers.
-func (m *Manager) Invalidate(g page.GroupID, twin int) error {
-	meta := disk.Meta{State: disk.StateInvalid, Timestamp: 0}
-	if m.arr.HasQ() {
-		if err := m.arr.WriteQMeta(g, twin, meta); err != nil {
-			return fmt.Errorf("twinpage: invalidate Q twin %d of group %d: %w", g, twin, err)
-		}
-	}
-	if err := m.arr.WriteParityMeta(g, twin, meta); err != nil {
-		return fmt.Errorf("twinpage: invalidate twin %d of group %d: %w", g, twin, err)
-	}
-	return nil
-}
-
 // CurrentParityFromDisk implements Figure 7 extended with transaction
 // outcomes: it reads both twins' headers (two charged transfers) and
 // returns the index of the valid parity page.
@@ -117,11 +78,11 @@ func (m *Manager) Invalidate(g page.GroupID, twin int) error {
 // candidates the one with the larger timestamp wins; ties favour twin 0,
 // matching the formatted state.
 func (m *Manager) CurrentParityFromDisk(g page.GroupID, committed func(page.TxID) bool) (int, error) {
-	m0, err := m.arr.ReadParityMeta(g, 0)
+	m0, err := m.arr.ReadMeta(g, diskarray.P.Twin(0))
 	if err != nil {
 		return 0, fmt.Errorf("twinpage: read twin 0 header of group %d: %w", g, err)
 	}
-	m1, err := m.arr.ReadParityMeta(g, 1)
+	m1, err := m.arr.ReadMeta(g, diskarray.P.Twin(1))
 	if err != nil {
 		return 0, fmt.Errorf("twinpage: read twin 1 header of group %d: %w", g, err)
 	}
@@ -153,25 +114,12 @@ func (m *Manager) CurrentParityFromDisk(g page.GroupID, committed func(page.TxID
 	}
 }
 
-// RebuildBitmap reconstructs the whole bitmap after a crash by scanning
-// every group's parity headers (the paper's background process,
-// Section 4.2).  committed resolves the outcome of transactions found in
-// working-state headers.
-func (m *Manager) RebuildBitmap(committed func(page.TxID) bool) error {
-	for g := range m.current {
-		twin, err := m.CurrentParityFromDisk(page.GroupID(g), committed)
-		if err != nil {
-			return err
-		}
-		m.current[g] = uint8(twin)
-	}
-	return nil
-}
-
 // Reset zeroes the bitmap to the formatted default (twin 0 current).
-// Used to model the loss of main memory in a crash *before* RebuildBitmap
-// runs; reads between the two would be wrong, which is exactly why the
-// paper rebuilds the bitmap before resuming normal processing.
+// Used to model the loss of main memory in a crash *before* recovery's
+// header scan (core.Store.RebuildAfterCrash) promotes each group's
+// CurrentParityFromDisk again; reads between the two would be wrong, which
+// is exactly why the paper rebuilds the bitmap before resuming normal
+// processing.
 func (m *Manager) Reset() {
 	for i := range m.current {
 		m.current[i] = 0

@@ -31,55 +31,17 @@ func TestFormattedStateTwinZeroCurrent(t *testing.T) {
 	}
 }
 
-func TestWriteWorkingTargetsObsoleteTwin(t *testing.T) {
-	a := newTwinArray(t)
-	m := New(a)
-	parity := page.NewBuf(a.PageSize())
-	parity[0] = 0xAB
-	twin, err := m.WriteWorking(2, parity, 5, 100, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if twin != 1 {
-		t.Fatalf("working parity written to twin %d, want the obsolete twin 1", twin)
-	}
-	meta, err := a.PeekParityMeta(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.State != disk.StateWorking || meta.Timestamp != 100 || meta.Txn != 5 {
-		t.Fatalf("working twin header = %+v", meta)
-	}
-	// The bitmap still points at twin 0 until a commit promotes twin 1.
-	if m.Current(2) != 0 {
-		t.Fatalf("current twin changed before commit")
-	}
-	m.Promote(2, twin)
+// pTwin addresses the P page of a twin index.
+func pTwin(t int) diskarray.Red { return diskarray.P.Twin(t) }
+
+func TestPromoteFlipsBitmap(t *testing.T) {
+	m := New(newTwinArray(t))
+	m.Promote(2, m.Obsolete(2))
 	if m.Current(2) != 1 || m.Obsolete(2) != 0 {
 		t.Fatalf("promotion did not flip the bitmap")
 	}
-}
-
-func TestInvalidate(t *testing.T) {
-	a := newTwinArray(t)
-	m := New(a)
-	parity := page.NewBuf(a.PageSize())
-	twin, err := m.WriteWorking(0, parity, 9, 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Invalidate(0, twin); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := a.PeekParityMeta(0, twin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.State != disk.StateInvalid || meta.Timestamp != 0 {
-		t.Fatalf("invalidated twin header = %+v", meta)
-	}
-	if m.Current(0) != 0 {
-		t.Fatalf("current twin must remain 0 after an abort")
+	if m.Current(1) != 0 {
+		t.Fatalf("promotion leaked into another group")
 	}
 }
 
@@ -100,7 +62,7 @@ func TestCurrentParityFigure7(t *testing.T) {
 	}
 
 	// Commit a parity on twin 1 with a larger timestamp: twin 1 wins.
-	if err := a.WriteParity(0, 1, buf, disk.Meta{State: disk.StateCommitted, Timestamp: 7, Txn: 1}); err != nil {
+	if err := a.Write(0, pTwin(1), buf, disk.Meta{State: disk.StateCommitted, Timestamp: 7, Txn: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if twin, err = m.CurrentParityFromDisk(0, nil); err != nil || twin != 1 {
@@ -108,7 +70,7 @@ func TestCurrentParityFigure7(t *testing.T) {
 	}
 
 	// An even larger timestamp back on twin 0 reclaims it.
-	if err := a.WriteParity(0, 0, buf, disk.Meta{State: disk.StateCommitted, Timestamp: 9, Txn: 2}); err != nil {
+	if err := a.Write(0, pTwin(0), buf, disk.Meta{State: disk.StateCommitted, Timestamp: 9, Txn: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if twin, err = m.CurrentParityFromDisk(0, nil); err != nil || twin != 0 {
@@ -125,10 +87,10 @@ func TestTwinStateDiagramFigure8(t *testing.T) {
 	buf := page.NewBuf(a.PageSize())
 
 	// Group 1: twin 0 committed(ts 5); twin 1 working by txn 3 (ts 8).
-	if err := a.WriteParity(1, 0, buf, disk.Meta{State: disk.StateCommitted, Timestamp: 5, Txn: 1}); err != nil {
+	if err := a.Write(1, pTwin(0), buf, disk.Meta{State: disk.StateCommitted, Timestamp: 5, Txn: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteParity(1, 1, buf, disk.Meta{State: disk.StateWorking, Timestamp: 8, Txn: 3}); err != nil {
+	if err := a.Write(1, pTwin(1), buf, disk.Meta{State: disk.StateWorking, Timestamp: 8, Txn: 3}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +108,7 @@ func TestTwinStateDiagramFigure8(t *testing.T) {
 
 	// After undo, the loser's twin is invalidated; the scan must then
 	// pick twin 0 regardless of outcomes.
-	if err := m.Invalidate(1, 1); err != nil {
+	if err := a.WriteMeta(1, pTwin(1), disk.Meta{State: disk.StateInvalid}); err != nil {
 		t.Fatal(err)
 	}
 	if twin, err := m.CurrentParityFromDisk(1, nil); err != nil || twin != 0 {
@@ -158,8 +120,8 @@ func TestNoValidTwinIsAnError(t *testing.T) {
 	a := newTwinArray(t)
 	m := New(a)
 	buf := page.NewBuf(a.PageSize())
-	for twin := 0; twin < 2; twin++ {
-		if err := a.WriteParity(3, twin, buf, disk.Meta{State: disk.StateInvalid}); err != nil {
+	for tw := 0; tw < 2; tw++ {
+		if err := a.Write(3, pTwin(tw), buf, disk.Meta{State: disk.StateInvalid}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,21 +130,25 @@ func TestNoValidTwinIsAnError(t *testing.T) {
 	}
 }
 
-func TestRebuildBitmap(t *testing.T) {
+func TestBitmapRebuiltFromHeaders(t *testing.T) {
 	a := newTwinArray(t)
 	m := New(a)
 	buf := page.NewBuf(a.PageSize())
 	// Scatter some commits: odd groups get twin 1 current.
 	for g := 0; g < a.NumGroups(); g++ {
 		if g%2 == 1 {
-			if err := a.WriteParity(page.GroupID(g), 1, buf, disk.Meta{State: disk.StateCommitted, Timestamp: 3}); err != nil {
+			if err := a.Write(page.GroupID(g), pTwin(1), buf, disk.Meta{State: disk.StateCommitted, Timestamp: 3}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	m.Reset() // crash wipes the bitmap
-	if err := m.RebuildBitmap(nil); err != nil {
-		t.Fatal(err)
+	for g := 0; g < a.NumGroups(); g++ {
+		cur, err := m.CurrentParityFromDisk(page.GroupID(g), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Promote(page.GroupID(g), cur)
 	}
 	for g := 0; g < a.NumGroups(); g++ {
 		want := g % 2
@@ -211,7 +177,7 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := a.RecomputeParity(0, 0, disk.Meta{State: disk.StateCommitted, Timestamp: 1}); err != nil {
+	if err := a.Recompute(0, pTwin(0), disk.Meta{State: disk.StateCommitted, Timestamp: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -225,13 +191,13 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 	for j := range newData {
 		newData[j] = byte(255 - j)
 	}
-	committedParity, _, err := a.ReadParity(0, m.Current(0), nil)
+	committedParity, _, err := a.Read(0, pTwin(m.Current(0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	working := committedParity.Clone()
 	xorparity.SmallWrite(working, oldData, newData)
-	if _, err := m.WriteWorking(0, working, 7, 10, victim); err != nil {
+	if err := a.Write(0, pTwin(m.Obsolete(0)), working, disk.Meta{State: disk.StateWorking, Timestamp: 10, Txn: 7, DirtyPage: victim}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.WriteData(victim, newData, disk.Meta{Txn: 7}); err != nil {
@@ -239,11 +205,11 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 	}
 
 	// Figure 6: D_old = (P ⊕ P') ⊕ D_new.
-	p0, _, err := a.ReadParity(0, 0, nil)
+	p0, _, err := a.Read(0, pTwin(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, _, err := a.ReadParity(0, 1, nil)
+	p1, _, err := a.Read(0, pTwin(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,34 +220,6 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 	recovered := xorparity.UndoTwin(p0, p1, onDisk)
 	if !page.Buf(recovered).Equal(oldData) {
 		t.Fatalf("twin undo did not recover the before-image")
-	}
-}
-
-func TestRewriteWorking(t *testing.T) {
-	a := newTwinArray(t)
-	m := New(a)
-	parity := page.NewBuf(a.PageSize())
-	twin, err := m.WriteWorking(4, parity, 3, 10, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parity[0] = 0xEE
-	if err := m.RewriteWorking(4, twin, parity, 3, 11, 16); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := a.PeekParityMeta(4, twin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.State != disk.StateWorking || meta.Timestamp != 11 || meta.DirtyPage != 16 {
-		t.Fatalf("rewritten header = %+v", meta)
-	}
-	got, err := a.PeekParity(4, twin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0xEE {
-		t.Fatalf("rewrite did not update contents")
 	}
 }
 
@@ -299,16 +237,10 @@ func TestPromotePanicsOnBadTwin(t *testing.T) {
 func TestManagerErrorsOnFailedDisk(t *testing.T) {
 	a := newTwinArray(t)
 	m := New(a)
-	loc := a.ParityLoc(0, 1)
+	loc := a.Loc(0, pTwin(1))
 	a.Disk(loc.Disk).Fail()
-	if _, err := m.WriteWorking(0, page.NewBuf(a.PageSize()), 1, 1, 0); err == nil {
-		t.Fatalf("WriteWorking to a failed disk must error")
-	}
 	if _, err := m.CurrentParityFromDisk(0, nil); err == nil {
 		t.Fatalf("scan over a failed disk must error")
-	}
-	if err := m.RebuildBitmap(nil); err == nil {
-		t.Fatalf("rebuild over a failed disk must error")
 	}
 }
 

@@ -51,42 +51,14 @@ type Txn struct {
 	// true = the page currently has uncommitted changes in the buffer or
 	// on disk attributable to this transaction.
 	Modified map[page.PageID]struct{}
-	// StolenNoLog lists pages written back without UNDO logging, in
-	// steal order; the last element is the current head of the log chain
-	// (Section 4.3).  A page may appear once — a re-steal does not extend
-	// the chain.
-	StolenNoLog []page.PageID
 	// LoggedUndo is the set of pages (page granularity) or the count of
 	// record images (record granularity) for which before-images were
 	// logged.
 	LoggedUndo map[page.PageID]struct{}
-	// ChainHeadLogged reports whether the transaction's chain-head log
-	// record has been written.
-	ChainHeadLogged bool
 	// ModifiedRecords tracks record-granularity before-images already
 	// logged, so each (page, slot) is logged at most once per
 	// transaction.
 	ModifiedRecords map[page.RecordID]struct{}
-}
-
-// InChain reports whether page p is already part of the transaction's
-// no-UNDO-logging chain.
-func (t *Txn) InChain(p page.PageID) bool {
-	for _, q := range t.StolenNoLog {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
-
-// ChainHead returns the most recently chained page, or page.InvalidPage
-// if the chain is empty.
-func (t *Txn) ChainHead() page.PageID {
-	if len(t.StolenNoLog) == 0 {
-		return page.InvalidPage
-	}
-	return t.StolenNoLog[len(t.StolenNoLog)-1]
 }
 
 // Manager allocates transaction ids and timestamps and tracks active

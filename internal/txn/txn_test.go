@@ -67,22 +67,6 @@ func TestActiveSorted(t *testing.T) {
 	}
 }
 
-func TestChainBookkeeping(t *testing.T) {
-	m := NewManager()
-	tx := m.Begin()
-	if tx.ChainHead() != page.InvalidPage {
-		t.Fatalf("empty chain must report InvalidPage")
-	}
-	tx.StolenNoLog = append(tx.StolenNoLog, 5)
-	tx.StolenNoLog = append(tx.StolenNoLog, 9)
-	if !tx.InChain(5) || !tx.InChain(9) || tx.InChain(6) {
-		t.Fatalf("InChain wrong")
-	}
-	if tx.ChainHead() != 9 {
-		t.Fatalf("chain head = %d, want 9", tx.ChainHead())
-	}
-}
-
 func TestTimestampsMonotonicAndSurviveReset(t *testing.T) {
 	m := NewManager()
 	t1 := m.NextTimestamp()

@@ -58,10 +58,9 @@ const (
 	// TypeAfterImage carries a page or record after-image for REDO
 	// (¬FORCE algorithms).
 	TypeAfterImage
-	// TypeChainHead anchors a transaction's log chain: Page is the most
-	// recently stolen no-UNDO-logging page, from which recovery walks the
-	// chain of header pointers backwards (Section 4.3).
-	TypeChainHead
+	// Value 6 is retired: it named the anchor record of a per-transaction
+	// log chain that nothing ever appended.  The types keep their numbers.
+	_
 	// TypeCheckpoint records a checkpoint; Active lists the transactions
 	// alive when it was taken.
 	TypeCheckpoint
@@ -80,8 +79,6 @@ func (t Type) String() string {
 		return "BEFORE"
 	case TypeAfterImage:
 		return "AFTER"
-	case TypeChainHead:
-		return "CHAIN"
 	case TypeCheckpoint:
 		return "CKPT"
 	default:

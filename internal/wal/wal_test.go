@@ -16,7 +16,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 		{Type: TypeBOT, Txn: 1, Slot: NoSlot},
 		{Type: TypeBeforeImage, Txn: 1, Page: 42, Slot: NoSlot, Image: []byte{1, 2, 3}},
 		{Type: TypeBeforeImage, Txn: 1, Page: 43, Slot: 5, Image: []byte("record image")},
-		{Type: TypeChainHead, Txn: 1, Page: 44, Slot: NoSlot},
+		{Type: TypeAfterImage, Txn: 1, Page: 44, Slot: NoSlot, Image: []byte{4}},
 		{Type: TypeCheckpoint, Slot: NoSlot, Active: []page.TxID{1, 7, 9}},
 		{Type: TypeEOT, Txn: 1, Slot: NoSlot},
 	}

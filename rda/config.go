@@ -143,17 +143,6 @@ type Config struct {
 
 	// --- Self-healing knobs (see DESIGN.md §"Self-healing I/O") ---
 
-	// RetryAttempts bounds how many times one block I/O is issued before
-	// a transient error is surfaced (default 4).  Backoff between
-	// attempts is deterministic and charged in abstract units, never
-	// slept.
-	RetryAttempts int
-	// FailStopAfter is K: after K consecutive errored attempts on one
-	// disk the array fail-stops it automatically and serves degraded
-	// (default 3).  The default keeps K < RetryAttempts so a persistently
-	// erroring disk is declared dead within a single retried operation
-	// instead of surfacing an error to the caller.
-	FailStopAfter int
 	// RebuildBatchGroups throttles the online rebuild worker: each
 	// RebuildStep restores at most this many parity groups before
 	// releasing the engine to live transactions (default 8).  Smaller
@@ -237,8 +226,6 @@ func DefaultConfig() Config {
 		LogPageSize:  2020,
 		LogWriteCost: 4,
 
-		RetryAttempts:      4,
-		FailStopAfter:      3,
 		RebuildBatchGroups: 8,
 		ScrubBatchGroups:   8,
 		Workers:            1,
@@ -271,12 +258,6 @@ func (c Config) validate() (Config, error) {
 	}
 	if c.LogWriteCost == 0 {
 		c.LogWriteCost = def.LogWriteCost
-	}
-	if c.RetryAttempts == 0 {
-		c.RetryAttempts = def.RetryAttempts
-	}
-	if c.FailStopAfter == 0 {
-		c.FailStopAfter = def.FailStopAfter
 	}
 	if c.RebuildBatchGroups == 0 {
 		c.RebuildBatchGroups = def.RebuildBatchGroups

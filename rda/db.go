@@ -69,9 +69,9 @@ type txState struct {
 	locks *lock.Manager
 
 	// mu guards the fields below together with the cross-goroutine
-	// Txn bookkeeping (StolenNoLog, LoggedUndo, ChainHeadLogged): those
-	// are mutated not just by the owning goroutine but by any operation
-	// that steals or demotes one of this transaction's dirty pages.  mu
+	// Txn bookkeeping (LoggedUndo): those are mutated not just by the
+	// owning goroutine but by any operation that steals or demotes one of
+	// this transaction's dirty pages.  mu
 	// is near the bottom of the lock order — hold nothing but leaf locks
 	// (log, dirty set, transaction manager, disks) while holding it, and
 	// in particular never the buffer pool's internal mutex.
@@ -191,7 +191,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	arr, err := diskarray.New(diskarray.Config{
 		Kind: kind, DataDisks: cfg.DataDisks, NumPages: cfg.NumPages, PageSize: cfg.PageSize,
-		RetryAttempts: cfg.RetryAttempts, FailStopAfter: cfg.FailStopAfter,
 		QParity: cfg.QParity,
 	})
 	if err != nil {
@@ -238,7 +237,7 @@ func (db *DB) newPool() *buffer.Pool {
 	// fetch reads into the same page.
 	scratch := page.NewBuf(db.cfg.PageSize)
 	p := buffer.New(db.cfg.BufferFrames, db.cfg.PageSize,
-		func(id page.PageID) (page.Buf, error) { return db.store.ReadPageRepair(id, scratch) }, db.writeBack)
+		func(id page.PageID) (page.Buf, error) { return db.store.ReadPage(id, scratch) }, db.writeBack)
 	p.KeepDiskVersions = db.cfg.EOT == Force
 	return p
 }
@@ -283,16 +282,11 @@ func (db *DB) formatRecordPages() error {
 	}
 	for g := 0; g < db.arr.NumGroups(); g++ {
 		for twin := 0; twin < db.arr.ParityPages(); twin++ {
-			meta, err := db.arr.PeekParityMeta(page.GroupID(g), twin)
+			meta, err := db.arr.PeekMeta(page.GroupID(g), diskarray.P.Twin(twin))
 			if err != nil {
 				return err
 			}
-			if twin < db.arr.QParityPages() {
-				if err := db.arr.RecomputeQ(page.GroupID(g), twin, meta); err != nil {
-					return err
-				}
-			}
-			if err := db.arr.RecomputeParity(page.GroupID(g), twin, meta); err != nil {
+			if err := db.store.RecomputeIndex(page.GroupID(g), twin, meta); err != nil {
 				return err
 			}
 		}
@@ -431,6 +425,9 @@ func (db *DB) syncHealth() bool {
 			return false
 		}
 	}
+	// Degraded serving is entered first, so that the demotions below see
+	// which redundancy slots the loss took (core.Store.SlotAlive).
+	db.store.EnterDegraded(downs...)
 	if db.store.Dirty != nil {
 		for g := 0; g < db.arr.NumGroups(); g++ {
 			gid := page.GroupID(g)
@@ -459,7 +456,6 @@ func (db *DB) syncHealth() bool {
 			}
 		}
 	}
-	db.store.EnterDegraded(downs...)
 	return true
 }
 
@@ -488,29 +484,16 @@ func (db *DB) writeBack(f *buffer.Frame) error {
 					return err
 				}
 			}
-			// The chain bookkeeping (stolenBefore, StolenNoLog) is
-			// shared across the owner's goroutines and serializes under
-			// st.mu; the steal's disk transfers touch only per-group
-			// state and run outside it, so a pipelined commit's
-			// per-group flushes overlap.  Recovery identifies stolen
-			// pages by header scan (ChainSet + Txn), never by walking
-			// ChainPrev, so concurrent steals reading the same chain
-			// head are harmless.
+			// The before-image bookkeeping is shared across the owner's
+			// goroutines and serializes under st.mu; the steal's disk
+			// transfers touch only per-group state and run outside it, so
+			// a pipelined commit's per-group flushes overlap.
 			st.mu.Lock()
 			if _, ok := st.stolenBefore[f.Page]; !ok {
 				st.stolenBefore[f.Page] = db.snapshotPage(oldOnDisk)
 			}
-			chainPrev := st.t.ChainHead()
 			st.mu.Unlock()
-			if err := db.store.StealNoLogChained(f.Page, f.Data, oldOnDisk, st.t, chainPrev); err != nil {
-				return err
-			}
-			st.mu.Lock()
-			if !st.t.InChain(f.Page) {
-				st.t.StolenNoLog = append(st.t.StolenNoLog, f.Page)
-			}
-			st.mu.Unlock()
-			return nil
+			return db.store.StealNoLog(f.Page, f.Data, oldOnDisk, st.t)
 		}
 	}
 
@@ -661,71 +644,36 @@ func (db *DB) demoteNoLogSteal(g page.GroupID, e dirtyset.Entry) error {
 	owner.stolenLogged[e.Page] = true
 	owner.mu.Unlock()
 	meta := disk.Meta{State: disk.StateCommitted, Timestamp: db.tm.NextTimestamp()}
-	downSet := make(map[int]bool)
-	for _, d := range db.arr.DownDisks() {
-		downSet[d] = true
+	// The working index already describes the on-disk data: when its P
+	// slot survives it is laundered to committed in place.  When the
+	// working P is the group's lost block — its data page is reachable and
+	// already holds the stolen value — the other index is recomputed
+	// wholesale to describe the on-disk group and committed in its place.
+	// With both P slots dead (double-degraded) the same two choices fall to
+	// the Q slots: the working Q was written in lockstep just before its P
+	// partner and describes the on-disk data too.
+	alive := func(eq diskarray.Eq, twin int) bool {
+		return db.store.SlotAlive(g, eq.Twin(twin))
 	}
-	pAlive := func(t int) bool { return !downSet[db.arr.ParityLoc(g, t).Disk] }
-	qAlive := func(t int) bool {
-		return t < db.arr.QParityPages() && !downSet[db.arr.QLoc(g, t).Disk]
-	}
-	working := e.WorkingTwin
-	switch other := 1 - working; {
-	case pAlive(working):
-		// The working index already describes the on-disk data: launder
-		// it to committed in place, Q mirror first (lockstep).
-		if qAlive(working) {
-			if err := db.arr.WriteQMeta(g, working, meta); err != nil {
-				return fmt.Errorf("rda: demote group %d: %w", g, err)
-			}
-		}
-		if err := db.arr.WriteParityMeta(g, working, meta); err != nil {
-			return fmt.Errorf("rda: demote group %d: %w", g, err)
-		}
-		db.store.Twins.Promote(g, working)
-	case pAlive(other):
-		// The working twin is the group's lost block.  Its data page is
-		// reachable and already holds the stolen value, so the surviving
-		// index is recomputed wholesale to describe the on-disk group and
-		// committed in its place.
-		if qAlive(other) {
-			if err := db.arr.RecomputeQ(g, other, meta); err != nil {
-				return fmt.Errorf("rda: demote group %d: %w", g, err)
-			}
-		}
-		if err := db.arr.RecomputeParity(g, other, meta); err != nil {
-			return fmt.Errorf("rda: demote group %d: %w", g, err)
-		}
-		db.store.Twins.Promote(g, other)
-	case qAlive(working):
-		// Both P slots are dead (double-degraded) but the working Q —
-		// written in lockstep just before its P partner — survives and
-		// describes the on-disk data: launder the Q header alone.
-		if err := db.arr.WriteQMeta(g, working, meta); err != nil {
-			return fmt.Errorf("rda: demote group %d: %w", g, err)
-		}
-		db.store.Twins.Promote(g, working)
-	case qAlive(other):
-		if err := db.arr.RecomputeQ(g, other, meta); err != nil {
-			return fmt.Errorf("rda: demote group %d: %w", g, err)
-		}
-		db.store.Twins.Promote(g, other)
+	working, other := e.WorkingTwin, 1-e.WorkingTwin
+	target := working
+	var err error
+	switch {
+	case alive(diskarray.P, working), !alive(diskarray.P, other) && alive(diskarray.Q, working):
+		err = db.store.WriteIndexMeta(g, working, meta)
+	case alive(diskarray.P, other), alive(diskarray.Q, other):
+		target = other
+		err = db.store.RecomputeIndex(g, other, meta)
 	default:
 		// Unreachable within the loss budget: two down disks cannot take
 		// all four redundancy blocks of one group.
-		return fmt.Errorf("rda: demote group %d: no surviving redundancy index", g)
+		err = errors.New("no surviving redundancy index")
 	}
+	if err != nil {
+		return fmt.Errorf("rda: demote group %d: %w", g, err)
+	}
+	db.store.Twins.Promote(g, target)
 	db.store.Dirty.Clean(g)
-	// The page leaves the owner's no-logging chain.
-	owner.mu.Lock()
-	chain := owner.t.StolenNoLog[:0]
-	for _, q := range owner.t.StolenNoLog {
-		if q != e.Page {
-			chain = append(chain, q)
-		}
-	}
-	owner.t.StolenNoLog = chain
-	owner.mu.Unlock()
 	return nil
 }
 

@@ -127,7 +127,7 @@ func TestCrashDuringDemotionDiskIO(t *testing.T) {
 		if !dirty {
 			t.Fatal("checkpoint flush did not take the no-log steal path")
 		}
-		dead := db.arr.ParityLoc(g, e.WorkingTwin).Disk
+		dead := db.arr.Loc(g, diskarray.P.Twin(e.WorkingTwin)).Disk
 
 		// Fail the working twin's disk with a crash armed at demotion
 		// write k.

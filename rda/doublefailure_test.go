@@ -2,6 +2,7 @@ package rda
 
 import (
 	"bytes"
+	"repro/internal/diskarray"
 	"testing"
 
 	"repro/internal/fault"
@@ -71,8 +72,8 @@ func TestDoubleFailureBothTwinDisks(t *testing.T) {
 	}
 	imgs := loadAll(t, db)
 	g0 := db.arr.GroupOf(0)
-	d0 := db.arr.ParityLoc(g0, 0).Disk
-	d1 := db.arr.ParityLoc(g0, 1).Disk
+	d0 := db.arr.Loc(g0, diskarray.P.Twin(0)).Disk
+	d1 := db.arr.Loc(g0, diskarray.P.Twin(1)).Disk
 	if err := db.FailDisk(d0); err != nil {
 		t.Fatal(err)
 	}

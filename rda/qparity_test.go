@@ -3,6 +3,7 @@ package rda
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/diskarray"
@@ -227,5 +228,53 @@ func TestQParityDegradedScrubRepairs(t *testing.T) {
 	check.Abort()
 	if s := db.Stats(); s.UnrecoverableCorruption != 0 {
 		t.Fatalf("integrity counters %+v, want no unrecoverable refusals", s)
+	}
+}
+
+// TestQParityDegradedRestartAgreesWithFigure7 is the degraded P+Q restart
+// the benchmark found (PR 13).  With a drive down, a write that leaves a
+// page's bytes as they were — the payloads come from a small pool, as the
+// benchmark's do — lands on the obsolete index under a fresh timestamp
+// while the other index keeps describing the data too.  If the next
+// restart then establishes the older index (it has more live slots) and
+// keeps its committed header, the newer committed sibling would win a
+// later Figure 7 scan: VerifyRecovered must accept what every restart
+// leaves behind.
+func TestQParityDegradedRestartAgreesWithFigure7(t *testing.T) {
+	db, err := Open(qparityConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.FailDisk(1); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	pool := [][]byte{fillPage(db, 0), fillPage(db, 1), fillPage(db, 2)}
+	update := func(tx *Tx, n int) {
+		for k := 0; k < n; k++ {
+			p := PageID(rng.Intn(db.NumPages()))
+			if err := tx.WritePage(p, pool[rng.Intn(len(pool))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for cycle := 0; cycle < 5; cycle++ {
+		for i := 0; i < 60; i++ {
+			tx := mustBegin(t, db)
+			update(tx, 2)
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A loser with more pages than the buffer holds, so some of them
+		// reach the platter before the crash.
+		update(mustBegin(t, db), 8)
+		db.Crash()
+		if _, err := db.Recover(); err != nil {
+			t.Fatalf("cycle %d: recover: %v", cycle, err)
+		}
+		if err := db.VerifyRecovered(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
 	}
 }

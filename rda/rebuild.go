@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/disk"
 	"repro/internal/diskarray"
 	"repro/internal/page"
+	"repro/internal/recovery"
 	"repro/internal/workpool"
 )
 
@@ -85,7 +85,7 @@ func (db *DB) rebuildStepLocked(maxGroups int) (bool, error) {
 	// restored-group flags wiped (rda/db.go), so a rebuild resumed after
 	// a crash walks every group on the down disk again — it cannot
 	// certify a group whose parity member recovery deferred without
-	// recomputing that member here (restoreGroup), whatever the
+	// recomputing that member here (recovery.RebuildGroup), whatever the
 	// pre-crash rebuild had already marked restored.
 	db.syncHealth()
 	if !db.store.Degraded() {
@@ -127,9 +127,15 @@ func (db *DB) rebuildStepLocked(maxGroups int) (bool, error) {
 	// fans out.  Workers==1 keeps the exact sequential I/O order the
 	// crash-point schedules replay.
 	if err := workpool.Run(db.cfg.Workers, len(batch), func(i int) error {
+		// Degraded groups are always clean (their steals were demoted when
+		// the disk went down), so no before-image is ever needed.
 		gid := batch[i]
-		if err := db.restoreGroup(gid, downs); err != nil {
-			return err
+		ok, err := recovery.RebuildGroup(db.store, gid, downs, nil)
+		if err != nil {
+			return fmt.Errorf("rda: rebuild group %d: %w", gid, err)
+		}
+		if !ok {
+			return fmt.Errorf("rda: rebuild group %d: %w", gid, ErrUnrecoverableCorruption)
 		}
 		db.store.MarkRestored(gid)
 		return nil
@@ -142,80 +148,6 @@ func (db *DB) rebuildStepLocked(maxGroups int) (bool, error) {
 	db.arr.FinishRebuild()
 	db.store.LeaveDegraded()
 	return true, nil
-}
-
-// restoreGroup reconstructs group g's blocks on the replacement
-// drive(s): lost data pages are solved from the surviving redundancy
-// first (one page from the current P or Q, two pages — possible only on
-// a Q-parity array — from both equations together), then each lost
-// parity twin and Q page is recomputed over the whole data.  Degraded
-// groups are always clean (their steals were demoted when the disk went
-// down), so the current index describes the on-disk data.
-func (db *DB) restoreGroup(g page.GroupID, downs []int) error {
-	downSet := make(map[int]bool, len(downs))
-	for _, d := range downs {
-		downSet[d] = true
-	}
-	cur := 0
-	if db.store.Twins != nil {
-		cur = db.store.Twins.Current(g)
-	}
-	pages := db.arr.GroupPages(g)
-	lostData := 0
-	for _, p := range pages {
-		if downSet[db.arr.DataLoc(p).Disk] {
-			lostData++
-		}
-	}
-	if lostData > 0 {
-		vals, err := db.store.SolveGroup(g, cur)
-		if err != nil {
-			return fmt.Errorf("rda: rebuild group %d: %w", g, err)
-		}
-		for i, p := range pages {
-			if !downSet[db.arr.DataLoc(p).Disk] {
-				continue
-			}
-			if err := db.arr.WriteData(p, vals[i], disk.Meta{}); err != nil {
-				return fmt.Errorf("rda: rebuild page %d: %w", p, err)
-			}
-		}
-	}
-	for twin := 0; twin < db.arr.ParityPages(); twin++ {
-		pLost := downSet[db.arr.ParityLoc(g, twin).Disk]
-		qLost := twin < db.arr.QParityPages() && downSet[db.arr.QLoc(g, twin).Disk]
-		if !pLost && !qLost {
-			continue
-		}
-		var meta disk.Meta
-		switch {
-		case !pLost:
-			// Only the Q page is lost: mirror the surviving P partner's
-			// header (the lockstep invariant).
-			m, err := db.arr.ReadParityMeta(g, twin)
-			if err != nil {
-				return fmt.Errorf("rda: rebuild Q of group %d: %w", g, err)
-			}
-			meta = m
-		case db.store.Twins != nil && cur != twin:
-			// The lost twin held history; its replacement starts over as
-			// an obsolete copy of the current parity.
-			meta = disk.Meta{State: disk.StateObsolete, Timestamp: 0}
-		default:
-			meta = disk.Meta{State: disk.StateCommitted, Timestamp: db.tm.NextTimestamp()}
-		}
-		if qLost {
-			if err := db.arr.RecomputeQ(g, twin, meta); err != nil {
-				return fmt.Errorf("rda: rebuild Q of group %d: %w", g, err)
-			}
-		}
-		if pLost {
-			if err := db.arr.RecomputeParity(g, twin, meta); err != nil {
-				return fmt.Errorf("rda: rebuild parity of group %d: %w", g, err)
-			}
-		}
-	}
-	return nil
 }
 
 // StartRebuild launches the online rebuild worker in a goroutine.  It

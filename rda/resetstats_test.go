@@ -3,6 +3,7 @@ package rda
 import (
 	"errors"
 	"reflect"
+	"repro/internal/diskarray"
 	"testing"
 )
 
@@ -62,7 +63,7 @@ func TestResetStatsZeroesEveryCounterGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := db.arr.GroupOf(44)
-	loc := db.arr.ParityLoc(g, db.store.Twins.Current(g))
+	loc := db.arr.Loc(g, diskarray.P.Twin(db.store.Twins.Current(g)))
 	if err := db.arr.Disk(loc.Disk).Corrupt(loc.Block); err != nil {
 		t.Fatal(err)
 	}

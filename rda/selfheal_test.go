@@ -605,7 +605,7 @@ func TestDemoteLogsUndoBeforeDisk(t *testing.T) {
 	// disk I/O.
 	probe := &undoProbe{log: db.log, page: page.PageID(p)}
 	db.SetInjector(probe)
-	if err := db.FailDisk(db.arr.ParityLoc(g, e.WorkingTwin).Disk); err != nil {
+	if err := db.FailDisk(db.arr.Loc(g, diskarray.P.Twin(e.WorkingTwin)).Disk); err != nil {
 		t.Fatal(err)
 	}
 	db.SetInjector(nil)

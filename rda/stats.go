@@ -3,6 +3,7 @@ package rda
 import (
 	"fmt"
 
+	"repro/internal/diskarray"
 	"repro/internal/page"
 	"repro/internal/wal"
 )
@@ -241,22 +242,19 @@ func (db *DB) InspectGroup(p PageID) (GroupInfo, error) {
 			info.DirtyTxn = uint64(e.Txn)
 		}
 	}
-	for twin := 0; twin < db.arr.ParityPages(); twin++ {
-		meta, err := db.arr.PeekParityMeta(g, twin)
-		if err != nil {
-			return info, err
-		}
-		info.TwinStates = append(info.TwinStates, meta.State.String())
-		info.TwinTimestamps = append(info.TwinTimestamps, uint64(meta.Timestamp))
-	}
-	if db.arr.HasQ() {
-		for twin := 0; twin < db.arr.QParityPages(); twin++ {
-			meta, err := db.arr.PeekQMeta(g, twin)
+	for _, eq := range db.arr.Equations() {
+		for twin := 0; twin < db.arr.ParityPages(); twin++ {
+			meta, err := db.arr.PeekMeta(g, eq.Twin(twin))
 			if err != nil {
 				return info, err
 			}
-			info.QStates = append(info.QStates, meta.State.String())
-			info.QTimestamps = append(info.QTimestamps, uint64(meta.Timestamp))
+			if eq == diskarray.P {
+				info.TwinStates = append(info.TwinStates, meta.State.String())
+				info.TwinTimestamps = append(info.TwinTimestamps, uint64(meta.Timestamp))
+			} else {
+				info.QStates = append(info.QStates, meta.State.String())
+				info.QTimestamps = append(info.QTimestamps, uint64(meta.Timestamp))
+			}
 		}
 	}
 	return info, nil
@@ -279,8 +277,6 @@ func renderLogRecord(r wal.Record) string {
 		return fmt.Sprintf("%6d  CKPT    active=%v", r.LSN, r.Active)
 	case wal.TypeBOT, wal.TypeEOT, wal.TypeAbort:
 		return fmt.Sprintf("%6d  %-6s  txn=%d", r.LSN, r.Type, r.Txn)
-	case wal.TypeChainHead:
-		return fmt.Sprintf("%6d  %-6s  txn=%d head=%d", r.LSN, r.Type, r.Txn, r.Page)
 	default:
 		gran := "page"
 		slot := ""

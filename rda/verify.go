@@ -56,19 +56,17 @@ func (db *DB) VerifyRecovered() error {
 		var metas [2]disk.Meta
 		var have [2]bool
 		for twin := 0; twin < 2; twin++ {
-			switch {
-			case db.store.ParitySlotAlive(gid, twin):
-				m, err := db.arr.PeekParityMeta(gid, twin)
+			for _, eq := range db.arr.Equations() {
+				r := eq.Twin(twin)
+				if !db.store.SlotAlive(gid, r) {
+					continue
+				}
+				m, err := db.arr.PeekMeta(gid, r)
 				if err != nil {
 					return err
 				}
 				metas[twin], have[twin] = m, true
-			case db.arr.HasQ() && db.store.QSlotAlive(gid, twin):
-				m, err := db.arr.PeekQMeta(gid, twin)
-				if err != nil {
-					return err
-				}
-				metas[twin], have[twin] = m, true
+				break
 			}
 		}
 		cur := db.store.Twins.Current(gid)
