@@ -32,6 +32,12 @@
 //
 //	rdacrash -double
 //
+// Both take -torn, which tears the crash write in every family instead of
+// dropping it — a dead disk and a torn block in one schedule:
+//
+//	rdacrash -degraded -torn
+//	rdacrash -double -torn
+//
 // Corrupt mode is the silent-corruption soak: every run plants a bit
 // flip, lost write or misdirected write at a random write index (half
 // the runs crash afterwards too) while online scrub steps interleave
@@ -45,6 +51,7 @@
 //	rdacrash -seed <seed> -sched "crash@w12"
 //	rdacrash -degraded -seed <seed> -sched "faildisk[0]@w0 crash@w13"
 //	rdacrash -double -seed <seed> -sched "faildisk[0]@w0 faildisk[3]@w9 crash@w9"
+//	rdacrash -double -seed <seed> -sched "faildisk[0]@w0 faildisk[3]@w2 torn[head]@w2"
 //	rdacrash -corrupt -seed <seed> -sched "misdirected[21]@w6 crash@w9"
 //
 // The exit status is non-zero if any run violated a recovery invariant.
@@ -69,7 +76,7 @@ func main() {
 		corrupt  = flag.Bool("corrupt", false, "silent-corruption soak: random bit flips, lost and misdirected writes (half crashed on top) with online scrubbing interleaved")
 		mix      = flag.Bool("mix", false, "self-healing soak: transient faults everywhere, alternating crashes and mid-run disk deaths")
 		trans    = flag.Int64("transient", 50, "mix mode: fail every n-th disk access with a transient error (0 disables)")
-		torn     = flag.Bool("torn", false, "tear the crashed write (half payload persists) instead of dropping it")
+		torn     = flag.Bool("torn", false, "explore/degraded/double: tear the crashed write (half payload persists) instead of dropping it")
 		seed     = flag.Int64("seed", 1, "workload seed (soak: master seed for derived runs)")
 		iters    = flag.Int("iters", 100, "soak iterations")
 		txns     = flag.Int("txns", 0, "transactions per workload (0 = default)")

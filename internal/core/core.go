@@ -587,22 +587,25 @@ func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (pa
 		return nil, fmt.Errorf("core: read twin 1 of group %d: %w", g, err)
 	}
 	dNew, _, err := s.Arr.ReadData(p, nil)
-	if err != nil {
-		if !disk.IsCorrupt(err) {
-			return nil, fmt.Errorf("core: read page %d: %w", p, err)
-		}
+	var dOld page.Buf
+	switch {
+	case err == nil:
+		dOld = xorparity.UndoTwin(p0, p1, dNew)
+	case disk.IsCorrupt(err):
 		// The dirty page's on-disk (new) version is corrupt, so the
 		// Figure 6 identity has nothing to XOR against — but the committed
-		// twin still describes the pre-transaction group, whose other
-		// members are untouched, so the before-image comes out directly.
+		// index still describes the pre-transaction group, whose other
+		// members are untouched, so the before-image comes out directly:
+		// D_old = P_cmt ⊕ (other data pages), or the same through the
+		// index's Q page when its P slot is gone.
 		s.deg.corruptDetected.Add(1)
-		dOld, err := s.undoFromCommitted(g, p, workingTwin)
-		if err == nil {
-			s.deg.readRepairs.Add(1)
+		if dOld, _, err = s.SolvePage(g, p, 1-workingTwin); err != nil {
+			return nil, fmt.Errorf("core: undo of page %d from the committed twin: %w", p, err)
 		}
-		return dOld, err
+		s.deg.readRepairs.Add(1)
+	default:
+		return nil, fmt.Errorf("core: read page %d: %w", p, err)
 	}
-	dOld := page.Buf(xorparity.UndoTwin(p0, p1, dNew))
 	if err := s.writeData(p, dOld, disk.Meta{}); err != nil {
 		return nil, err
 	}
@@ -610,23 +613,6 @@ func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (pa
 		return nil, err
 	}
 	return dOld, nil
-}
-
-// undoFromCommitted unwinds a no-log steal of page p without the Figure 6
-// identity: the committed index — the sibling of workingTwin — still
-// describes the pre-transaction group, so the before-image is whatever it
-// gives p: D_old = P_cmt ⊕ (other data pages), or the same through the
-// index's Q page when its P slot is gone.  The page is restored with a
-// cleared header and the working index invalidated.
-func (s *Store) undoFromCommitted(g page.GroupID, p page.PageID, workingTwin int) (page.Buf, error) {
-	dOld, _, err := s.SolvePage(g, p, 1-workingTwin)
-	if err != nil {
-		return nil, fmt.Errorf("core: undo of page %d from the committed twin: %w", p, err)
-	}
-	if err := s.writeData(p, dOld, disk.Meta{}); err != nil {
-		return nil, err
-	}
-	return dOld, s.WriteIndexMeta(g, workingTwin, invalid)
 }
 
 // WorkingTwinInfo describes a working parity twin found by the crash-time
@@ -677,43 +663,44 @@ func (s *Store) ScanWorkingTwins() ([]WorkingTwinInfo, error) {
 }
 
 // CrashUndoWorkingTwin undoes one working twin found by the crash scan,
-// when its writer is a loser.  It is idempotent across repeated crashes:
-// if the covered data page no longer carries the loser's transaction tag,
-// the data restore already happened and only the twin invalidation is
-// (re)applied.
-func (s *Store) CrashUndoWorkingTwin(w WorkingTwinInfo) error {
+// when its writer is a loser, by the Figure 6 identity.  It is idempotent
+// across repeated crashes: if the covered data page no longer carries the
+// loser's transaction tag, the data restore already happened and only the
+// twin invalidation is (re)applied.
+//
+// Figure 6 needs three readable inputs — both P twins and the page as the
+// steal left it.  When one is missing nothing is written and figure6 is
+// false: the committed index still describes the pre-transaction group, and
+// the caller unwinds the steal from it (recovery's undo ladder).
+func (s *Store) CrashUndoWorkingTwin(w WorkingTwinInfo) (figure6 bool, err error) {
+	if s.PageUnavailable(w.Page) {
+		return false, nil
+	}
 	_, meta, err := s.Arr.ReadData(w.Page, nil)
 	if err != nil {
 		if !disk.IsCorrupt(err) {
-			return fmt.Errorf("core: read tagged page %d: %w", w.Page, err)
+			return false, fmt.Errorf("core: read tagged page %d: %w", w.Page, err)
 		}
 		// The tagged page is corrupt, so its header cannot arbitrate.  The
-		// loser's page must end up holding the before-image either way, and
-		// the committed twin supplies it regardless of how far the steal
-		// got.
+		// loser's page must end up holding the before-image either way.
 		s.deg.corruptDetected.Add(1)
-		if _, err := s.undoFromCommitted(w.Group, w.Page, w.Twin); err != nil {
-			return err
-		}
-		s.deg.readRepairs.Add(1)
-		return nil
+		return false, nil
 	}
 	if meta.Txn != w.Txn {
 		// Already restored by a previous, interrupted recovery, or the
 		// crash fell between the working-parity write and the data write:
 		// either way the page holds no state of this writer.
-		return s.WriteIndexMeta(w.Group, w.Twin, invalid)
+		return true, s.WriteIndexMeta(w.Group, w.Twin, invalid)
 	}
-	if meta.Timestamp != w.Timestamp {
+	if meta.Timestamp != w.Timestamp || !s.TwinReadable(w.Group, diskarray.P.Twin(1-w.Twin)) {
 		// The crash fell inside a re-steal, between rewriting the working
-		// twin and the data write: the twin describes a newer page version
-		// than the one on disk, so P ⊕ P′ ⊕ D would yield garbage.  The
-		// committed twin still describes the pre-transaction group.
-		_, err := s.undoFromCommitted(w.Group, w.Page, w.Twin)
-		return err
+		// twin and the data write — the twin describes a newer page version
+		// than the one on disk, so P ⊕ P′ ⊕ D would yield garbage — or the
+		// committed P twin is gone and P ⊕ P′ has nothing to XOR against.
+		return false, nil
 	}
 	_, err = s.undoViaTwins(w.Group, w.Page, w.Twin)
-	return err
+	return true, err
 }
 
 // DescribingTwin picks the parity twin a corrupt data page p must be
@@ -748,42 +735,35 @@ func (s *Store) DescribingTwin(g page.GroupID, p page.PageID, committed func(pag
 		return 0, nil
 	}
 	var metas [2]disk.Meta
-	for twin := 0; twin < 2; twin++ {
-		m, err := s.Arr.ReadMeta(g, diskarray.P.Twin(twin))
-		if err != nil {
+	for twin := range metas {
+		var err error
+		if metas[twin], err = s.IndexMeta(g, twin); err != nil {
 			return 0, fmt.Errorf("core: describing twin of group %d: %w", g, err)
 		}
-		metas[twin] = m
 	}
-	valid := func(m disk.Meta) bool {
-		switch m.State {
-		case disk.StateCommitted, disk.StateObsolete, disk.StateWorking:
-			return true
-		}
-		return false
+	// Figure 7 with every writer counted as committed: the larger
+	// timestamp among the twins that hold parity at all.
+	newest, ok := twinpage.CurrentParity(metas[0], metas[1], anyWriter)
+	if !ok {
+		s.deg.unrecoverable.Add(1)
+		return 0, fmt.Errorf("core: describing twin of group %d: no valid parity twin: %w", g, ErrUnrecoverableCorruption)
 	}
-	newest := 0
-	switch {
-	case valid(metas[0]) && valid(metas[1]):
-		if metas[1].Timestamp > metas[0].Timestamp {
-			newest = 1
-		}
-	case valid(metas[1]):
-		newest = 1
-	case !valid(metas[0]):
-		return 0, fmt.Errorf("core: describing twin of group %d: no valid parity twin", g)
-	}
-	m := metas[newest]
+	m, sibling := metas[newest], twinpage.Valid(metas[1-newest], anyWriter)
 	if m.State != disk.StateWorking && !m.PairedSet {
 		// Names no page (formatted or wholesale-recomputed parity):
 		// nothing can have run ahead of the data.
 		return newest, nil
 	}
 	if m.DirtyPage == p {
-		if m.State == disk.StateWorking && committed != nil && !committed(m.Txn) && valid(metas[1-newest]) {
+		if m.State == disk.StateWorking && committed != nil && !committed(m.Txn) && sibling {
 			return 1 - newest, nil // loser's steal: undo from the sibling
 		}
 		return newest, nil // parity-as-redo: the newest twin defines p
+	}
+	if s.PageUnavailable(m.DirtyPage) {
+		// The named page went with its disk: its echo is unknowable, and
+		// the winner is kept rather than demoted on a guess.
+		return newest, nil
 	}
 	// Bystander repair: check the pairing echo on the named page.  The
 	// raw header is deliberately used — arbitration is about which bytes
@@ -805,11 +785,15 @@ func (s *Store) DescribingTwin(g page.GroupID, p page.PageID, committed func(pag
 		s.deg.unrecoverable.Add(1)
 		return 0, fmt.Errorf("core: repair page %d of group %d: %w: twin %d ran ahead of its data write and the platter-consistent parity version was overwritten in place", p, g, ErrUnrecoverableCorruption, newest)
 	}
-	if valid(metas[1-newest]) {
+	if sibling {
 		return 1 - newest, nil
 	}
 	return newest, nil
 }
+
+// anyWriter is the outcome predicate under which a working twin counts
+// whoever wrote it (DescribingTwin).
+func anyWriter(page.TxID) bool { return true }
 
 // ResyncParity makes every group's current parity twin equal the XOR of
 // its on-disk data pages again.  Crash recovery runs it — after loser
@@ -858,7 +842,7 @@ func (s *Store) resyncGroup(gid page.GroupID) (bool, error) {
 		// members.  If its lost block is a twin, the crash-recovery
 		// bitmap pass already re-established the surviving twin
 		// against the data; if it is a data page, the current parity
-		// *defines* the lost page's value and checkPairedFlip has
+		// *defines* the lost page's value and settleFlip has
 		// already demoted a flip whose data write the crash cut off.
 		// Either way the restarted rebuild recomputes the group's
 		// redundancy.
@@ -941,17 +925,8 @@ func (s *Store) SetInjector(inj disk.Injector) { s.Arr.SetInjector(inj) }
 // RebuildAfterCrash reconstructs the volatile twin bitmap from the
 // on-disk headers, resolving working headers through the supplied outcome
 // function.  Call after all loser working twins have been invalidated.
-//
-// A group with every redundancy slot reachable runs the Current_Parity
-// comparison of Figure 7 — on a healthy array that is all of them.  With
-// disks down, a group whose lost blocks are data pages additionally has
-// its winner checked against the flip pairing (checkPairedFlip), and a
-// group with a dead redundancy slot is *deferred*: the restarted online
-// rebuild recomputes the slot from scratch, and until then the index with
-// the most surviving redundancy is established as the group's sole
-// authority (establishIndex) — or, when a data page is lost as well and
-// nothing can be recomputed, arbitrated from the surviving headers alone
-// (degradedCurrentIndex).  Returns the number of deferred groups.
+// Returns the number of groups with a redundancy slot on a down disk,
+// whose recomputation is deferred to the restarted online rebuild.
 func (s *Store) RebuildAfterCrash(committed func(page.TxID) bool) (int, error) {
 	deferred := 0
 	if s.Twins == nil {
@@ -980,32 +955,31 @@ func (s *Store) RebuildAfterCrash(committed func(page.TxID) bool) (int, error) {
 }
 
 // currentFromDisk settles which twin index of group g — one of whose
-// redundancy slots is unreachable if deadSlot — is current after a crash;
-// see RebuildAfterCrash for the cases.
+// redundancy slots is unreachable if deadSlot — is current after a crash.
+//
+// The decision is Current_Parity (Figure 7) over the two index headers,
+// each read from whichever slot of the index answers (IndexMeta) — on a
+// healthy array that is the whole of it: two header reads and the rule.
+// Two things a disk loss adds:
+//
+//   - A group that lost a data page cannot have its winner verified by
+//     recomputation (ResyncParity skips it), so the winner's flip pairing
+//     is checked instead (settleFlip).
+//   - A group that lost a redundancy slot but no data needs no arbitration
+//     at all: the index with the most surviving redundancy is established
+//     over the readable data as the group's sole authority
+//     (establishIndex), and the restarted rebuild recomputes the rest.
+//
+// Either way a dead-slot group's steal-era headers are then settled on
+// disk (settleSibling), which the laundering pass leaves to this one.
 func (s *Store) currentFromDisk(g page.GroupID, deadSlot bool, committed func(page.TxID) bool) (int, error) {
-	if !deadSlot {
-		cur, err := s.Twins.CurrentParityFromDisk(g, committed)
-		if err == nil && s.GroupDegraded(g) {
-			// The group's lost block(s) are data pages, so the parity
-			// cannot be verified by recomputation (ResyncParity skips
-			// it); check the flip pairing instead and fall back to the
-			// older twin when the Figure 7 winner's data write never
-			// reached disk.
-			cur, err = s.checkPairedFlip(g, cur, committed)
-		}
-		return cur, err
-	}
 	var cur int
 	var kept disk.Meta
 	var err error
-	if s.lostData(g) {
-		// Two overlapping losses hit both a data page and a redundancy
-		// slot (QParity array).
-		cur, kept, err = s.degradedCurrentIndex(g, committed)
-	} else {
-		// Every data page is readable.  Ties favour index 0, matching the
-		// formatted state; a live P weighs above a live Q (reads solve
-		// through the cheap XOR equation).
+	if deadSlot && !s.lostData(g) {
+		// Ties favour index 0, matching the formatted state; a live P
+		// weighs above a live Q (reads solve through the cheap XOR
+		// equation).
 		score := func(t int) (n int) {
 			for _, eq := range s.Arr.Equations() {
 				if s.SlotAlive(g, eq.Twin(t)) {
@@ -1018,11 +992,74 @@ func (s *Store) currentFromDisk(g page.GroupID, deadSlot bool, committed func(pa
 			cur = 1
 		}
 		kept, err = s.establishIndex(g, cur)
+	} else {
+		var metas [2]disk.Meta
+		for t := range metas {
+			if metas[t], err = s.IndexMeta(g, t); err != nil {
+				return 0, err
+			}
+		}
+		var ok bool
+		if cur, ok = twinpage.CurrentParity(metas[0], metas[1], committed); !ok {
+			return 0, fmt.Errorf("core: group %d has no valid parity twin (states %v/%v)", g, metas[0].State, metas[1].State)
+		}
+		if !s.GroupDegraded(g) {
+			return cur, nil
+		}
+		cur, kept, err = s.settleFlip(g, cur, metas, committed)
 	}
-	if err != nil {
+	if err != nil || !deadSlot {
 		return cur, err
 	}
 	return cur, s.settleSibling(g, cur, kept, committed)
+}
+
+// settleFlip validates the Figure 7 winner cur of a group that lost a data
+// page, and returns the index that stays current with its header.  A
+// committed small-write flip records which data page it wrote (DirtyPage +
+// PairedSet) and stamps that page with the parity's timestamp
+// (flipCommitted); if the crash landed between the parity write and the
+// data write, the pair is broken — the winner describes data that never
+// reached disk, and through the parity equation it would assign the
+// unreadable dead page a garbage value.  The other index, untouched by the
+// flip, still describes the on-disk contents, so it is made current again
+// and the half-finished flip invalidated.  The interrupted write's own
+// page is consistent either way: its transaction cannot have logged EOT
+// past an unfinished flush, so the old on-disk contents are exactly what
+// UNDO wants.
+//
+// A pair that names the dead page itself, or a page that no longer reads,
+// is unverifiable; the winner is kept rather than demoted on a guess (a
+// degraded parity-only write carries no pairing, so the first arises only
+// for flips that completed before the disk died with the crash).
+//
+// The fallback index is whatever the flip was computed from — the current
+// index of the clean pre-flip group — so its *payload* describes the
+// on-disk data whatever its header says: committed, obsolete (an older
+// flip's leftover, or the formatted state), or working with a committed
+// writer (a winner's steal the laundering pass has not reached).  All
+// three are Figure 7's valid bases and are laundered to committed; any
+// other header cannot be current under a completed flip, so the winner is
+// kept.
+func (s *Store) settleFlip(g page.GroupID, cur int, metas [2]disk.Meta, committed func(page.TxID) bool) (int, disk.Meta, error) {
+	m, other := metas[cur], metas[1-cur]
+	if m.State != disk.StateCommitted || !m.PairedSet || s.PageUnavailable(m.DirtyPage) || !twinpage.Valid(other, committed) {
+		return cur, m, nil
+	}
+	_, dm, err := s.Arr.ReadData(m.DirtyPage, nil)
+	if err != nil && !disk.IsCorrupt(err) {
+		return cur, m, err
+	}
+	if err != nil || dm.Timestamp == m.Timestamp {
+		return cur, m, nil
+	}
+	if other.State != disk.StateCommitted {
+		other = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
+		if err := s.WriteIndexMeta(g, 1-cur, other); err != nil {
+			return cur, m, err
+		}
+	}
+	return 1 - cur, other, s.WriteIndexMeta(g, cur, invalid)
 }
 
 // lostData reports whether a data page of group g is unreachable.
@@ -1040,7 +1077,7 @@ func (s *Store) lostData(g page.GroupID) bool {
 // alive slot must end in a state Figure 7 agrees with.  The normal
 // post-bitmap laundering pass skips dead-slot groups (their
 // re-establishment is wholesale), but a dead-slot group that kept its
-// steal-era headers — arbitration in degradedCurrentIndex promotes a
+// steal-era headers — Figure 7 in currentFromDisk promotes a
 // committed winner's working twin without rewriting it, and
 // establishIndex only touches the one target index — would otherwise
 // surface working state after restart.  A working slot of cur becomes
@@ -1072,8 +1109,12 @@ func (s *Store) settleSibling(g page.GroupID, cur int, kept disk.Meta, committed
 			}
 			if !judged {
 				judged = true
-				demote = t != cur && m.State == disk.StateCommitted &&
-					(m.Timestamp > kept.Timestamp || (m.Timestamp == kept.Timestamp && t == 0))
+				if t != cur && m.State == disk.StateCommitted {
+					var pair [2]disk.Meta
+					pair[cur], pair[t] = kept, m
+					win, _ := twinpage.CurrentParity(pair[0], pair[1], committed)
+					demote = win == t
+				}
 			}
 			var out disk.Meta
 			switch {
@@ -1135,129 +1176,6 @@ func (s *Store) establishIndex(g page.GroupID, t int) (disk.Meta, error) {
 		}
 	}
 	return kept, nil
-}
-
-// degradedCurrentIndex arbitrates the describing index of a group that
-// lost both a data page and a redundancy slot (two overlapping losses
-// on a QParity array), returning it with its header.  Each index is
-// judged by whatever header of it survives (IndexMeta).  The Figure 7
-// rules apply (committed/obsolete valid, working valid when the writer
-// committed, larger timestamp wins), followed by the paired-flip echo
-// check against the named data page when it is readable: a committed flip
-// whose data write never landed must not define the lost page's value
-// when the other index is usable, so a broken echo launders the other
-// index to committed on its alive slots and demotes the winner.
-func (s *Store) degradedCurrentIndex(g page.GroupID, committed func(page.TxID) bool) (int, disk.Meta, error) {
-	var metas [2]disk.Meta
-	for t := range metas {
-		var err error
-		if metas[t], err = s.IndexMeta(g, t); err != nil {
-			return 0, disk.Meta{}, err
-		}
-	}
-	valid := func(t int) bool {
-		switch metas[t].State {
-		case disk.StateCommitted, disk.StateObsolete:
-			return true
-		case disk.StateWorking:
-			return committed != nil && committed(metas[t].Txn)
-		}
-		return false
-	}
-	var cur int
-	switch {
-	case valid(0) && valid(1):
-		if metas[1].Timestamp > metas[0].Timestamp {
-			cur = 1
-		}
-	case valid(0):
-	case valid(1):
-		cur = 1
-	default:
-		return 0, disk.Meta{}, fmt.Errorf("core: group %d has no valid redundancy index", g)
-	}
-	m := metas[cur]
-	if m.State != disk.StateCommitted || !m.PairedSet || s.PageUnavailable(m.DirtyPage) || !valid(1-cur) {
-		return cur, m, nil
-	}
-	_, dm, err := s.Arr.ReadData(m.DirtyPage, nil)
-	if err != nil || dm.Timestamp == m.Timestamp {
-		// An unreadable named page cannot arbitrate; keep the winner
-		// rather than promote on a guess.
-		return cur, m, nil
-	}
-	other := metas[1-cur]
-	if other.State != disk.StateCommitted {
-		other = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		if err := s.WriteIndexMeta(g, 1-cur, other); err != nil {
-			return cur, m, err
-		}
-	}
-	return 1 - cur, other, s.WriteIndexMeta(g, cur, invalid)
-}
-
-// checkPairedFlip validates the Figure 7 winner of a degraded group
-// whose lost block is a data page.  A committed small-write flip records
-// which data page it wrote (DirtyPage + PairedSet) and stamps that page
-// with the parity's timestamp (flipCommitted); if the crash landed
-// between the parity write and the data write, the pair is broken — the
-// winner describes data that never reached disk, and through the parity
-// equation it would assign the unreadable dead page a garbage value.
-// The other twin, untouched by the flip, still describes the on-disk
-// contents, so it is demoted back to current and the half-finished flip
-// invalidated.  The interrupted write's own page is consistent either
-// way: its transaction cannot have logged EOT past an unfinished flush,
-// so the old on-disk contents are exactly what UNDO wants.
-//
-// A pair that names the dead page itself is unverifiable; the winner is
-// kept (a degraded parity-only write carries no pairing, so this arises
-// only for flips that completed before the disk died with the crash).
-//
-// The fallback twin is whatever the flip was computed from — the current
-// twin of the clean pre-flip group — so its *payload* describes the
-// on-disk data whatever its header says: committed, obsolete (an older
-// flip's leftover, or the formatted state), or working with a committed
-// writer (a winner's steal the laundering pass has not reached).  All
-// three are accepted and laundered to committed; a working header whose
-// writer did not commit cannot be current under a completed flip (the
-// group would have been dirty and the flip never issued), so it is
-// refused defensively.
-func (s *Store) checkPairedFlip(g page.GroupID, cur int, committed func(page.TxID) bool) (int, error) {
-	m, err := s.Arr.ReadMeta(g, diskarray.P.Twin(cur))
-	if err != nil {
-		return cur, err
-	}
-	if m.State != disk.StateCommitted || !m.PairedSet || s.PageUnavailable(m.DirtyPage) {
-		return cur, nil
-	}
-	_, dm, err := s.Arr.ReadData(m.DirtyPage, nil)
-	if err != nil {
-		return cur, err
-	}
-	if dm.Timestamp == m.Timestamp {
-		return cur, nil
-	}
-	om, err := s.Arr.ReadMeta(g, diskarray.P.Twin(1-cur))
-	if err != nil {
-		return cur, err
-	}
-	usable := om.State == disk.StateCommitted || om.State == disk.StateObsolete ||
-		(om.State == disk.StateWorking && committed != nil && committed(om.Txn))
-	if !usable {
-		// No usable fallback — keep the winner rather than promote
-		// garbage.
-		return cur, nil
-	}
-	if om.State != disk.StateCommitted {
-		m := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		if err := s.WriteIndexMeta(g, 1-cur, m); err != nil {
-			return cur, err
-		}
-	}
-	if err := s.WriteIndexMeta(g, cur, invalid); err != nil {
-		return cur, err
-	}
-	return 1 - cur, nil
 }
 
 // ResetVolatile drops the store's main-memory state (Dirty_Set, twin

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -259,12 +260,12 @@ func TestScanWorkingTwinsAndCrashUndo(t *testing.T) {
 		if committed(w.Txn) {
 			continue // winner: leave it, RebuildAfterCrash resolves it
 		}
-		if err := s.CrashUndoWorkingTwin(w); err != nil {
-			t.Fatal(err)
+		if figure6, err := s.CrashUndoWorkingTwin(w); err != nil || !figure6 {
+			t.Fatalf("undo: figure6=%v err=%v", figure6, err)
 		}
 		// Idempotency: a second application (crash during recovery) must
 		// not damage the restored page.
-		if err := s.CrashUndoWorkingTwin(w); err != nil {
+		if _, err := s.CrashUndoWorkingTwin(w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,6 +295,36 @@ func TestScanWorkingTwinsAndCrashUndo(t *testing.T) {
 	}
 	if err := s.VerifyParityInvariant(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebuildAfterCrashNoValidTwin: Current_Parity over two invalid headers
+// has nothing to pick, and the bitmap rebuild must say so rather than
+// promote a default.
+func TestRebuildAfterCrashNoValidTwin(t *testing.T) {
+	s := newStore(t, diskarray.RAID5Twin)
+	buf := page.NewBuf(s.Arr.PageSize())
+	for tw := 0; tw < 2; tw++ {
+		if err := s.Arr.Write(3, diskarray.P.Twin(tw), buf, disk.Meta{State: disk.StateInvalid}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.ResetVolatile()
+	_, err := s.RebuildAfterCrash(nil)
+	if err == nil || !strings.Contains(err.Error(), "no valid parity twin") || !strings.Contains(err.Error(), "group 3") {
+		t.Fatalf("err = %v, want the no-valid-parity-twin error of group 3", err)
+	}
+}
+
+// TestRebuildAfterCrashErrorsOnFailedDisk: a drive that failed without the
+// store having observed it (no degraded mode entered) still holds a P twin
+// the header scan must read; the read error surfaces instead of a guess.
+func TestRebuildAfterCrashErrorsOnFailedDisk(t *testing.T) {
+	s := newStore(t, diskarray.RAID5Twin)
+	s.Arr.Disk(s.Arr.Loc(0, diskarray.P.Twin(1)).Disk).Fail()
+	s.ResetVolatile()
+	if _, err := s.RebuildAfterCrash(nil); !errors.Is(err, disk.ErrFailed) {
+		t.Fatalf("err = %v, want the failed drive's read error", err)
 	}
 }
 

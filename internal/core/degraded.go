@@ -177,6 +177,9 @@ func (s *Store) TwinReadable(g page.GroupID, r diskarray.Red) bool {
 // An index with no reachable slot yields the zero header, whose StateNone
 // no arbitration accepts.
 func (s *Store) IndexMeta(g page.GroupID, twin int) (disk.Meta, error) {
+	if !s.degraded {
+		return s.Arr.ReadMeta(g, diskarray.P.Twin(twin))
+	}
 	for _, eq := range s.Arr.Equations() {
 		if r := eq.Twin(twin); s.SlotAlive(g, r) {
 			return s.Arr.ReadMeta(g, r)

@@ -4,24 +4,40 @@
 // # Crash recovery (Section 4.3)
 //
 // After a crash all main-memory state is gone: the buffer, the lock
-// table, the Dirty_Set and the current-parity bitmap.  Restart proceeds
-// in the following passes, each idempotent so that a crash during
-// recovery simply restarts it:
+// table, the Dirty_Set and the current-parity bitmap.  Restart
+// (CrashRecover) runs these passes in this order, each idempotent so that
+// a crash during recovery simply restarts it; the half-numbered ones run
+// only when there is something for them to find:
 //
-//  1. Analysis — one charged scan of the log determines every
+//   - 1. Analysis — one charged scan of the log determines every
 //     transaction's outcome.  Losers are transactions with a BOT but
 //     neither EOT nor abort record.
-//  2. Parity undo — the twin parity header scan (the same scan the paper
-//     uses to rebuild the current-parity bitmap) locates every group
-//     whose working twin belongs to a loser; the covered data page is
-//     restored as D_old = (P ⊕ P′) ⊕ D_new and the twin invalidated.
-//  3. Bitmap rebuild — Current_Parity (Figure 7) with log outcomes; twins
-//     left in the working state by transactions that actually committed
-//     are laundered to the committed state on disk.
-//  4. Logged undo — losers' logged before-images (pages or records) are
+//   - 1.5 Torn repair (mid-I/O crash only) — every live block is read
+//     once; one that fails verification is one more erasure beside the
+//     group's dead ones and is rebuilt by the decision function of its
+//     kind (repairTornData, repairTornParity, repairTornQ), so that every
+//     later pass can read every block.
+//   - 2. Parity undo — the twin parity header scan (the same scan the
+//     paper uses to rebuild the current-parity bitmap) locates every
+//     group whose working twin belongs to a loser; the covered data page
+//     is restored as D_old = (P ⊕ P′) ⊕ D_new and the twin invalidated.
+//     With an input of that identity gone the undo takes one ladder
+//     (undoSteal): D_old solved through the committed index, else the
+//     logged before-image left to pass 4, else explicit loss.
+//   - 2.5 Tag undo (disk down only) — a loser's working twin on the dead
+//     disk is invisible to the header scan; its steal is found by the
+//     writer's tag on the data page (unresolvedSteal) and takes the same
+//     ladder.
+//   - 3. Bitmap rebuild — Current_Parity (Figure 7) with log outcomes;
+//     twins left in the working state by transactions that actually
+//     committed are laundered to the committed state on disk.
+//   - 3.5 Parity resync (mid-I/O crash only) — every group's current
+//     parity is made to equal XOR(data) again, closing the window where an
+//     in-place parity write ran ahead of its data write.
+//   - 4. Logged undo — losers' logged before-images (pages or records) are
 //     written back through the store, newest first.
-//  5. Abort records are appended for every loser.
-//  6. REDO (¬FORCE algorithms) — winners' after-images logged after the
+//   - 5. Abort records are appended for every loser.
+//   - 6. REDO (¬FORCE algorithms) — winners' after-images logged after the
 //     last checkpoint are replayed in log order.
 //
 // # Media recovery
@@ -39,6 +55,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -205,7 +222,6 @@ func CrashRecover(s *core.Store, redo, hard bool) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Losers: a.Losers}
-	loser := func(tx page.TxID) bool { return a.Outcomes[tx] == OutcomeLoser }
 	degraded := s.Degraded()
 
 	// Pass 1.5: repair torn blocks from redundancy, so every later pass
@@ -220,11 +236,9 @@ func CrashRecover(s *core.Store, redo, hard bool) (*Report, error) {
 	}
 
 	// Pass 2: parity undo via the twin header scan.  With a member down
-	// the scan sees surviving twins only; crashUndoWorking dispatches each
-	// loser twin to the plain Figure 6 identity or to its degraded
-	// fallbacks (reconstruction from survivors, the logged before-image,
-	// or — only when a committed twin died unobserved in the same instant
-	// as the crash — explicit reported loss).
+	// the scan sees surviving twins only; crashUndoWorking takes each loser
+	// twin through the plain Figure 6 identity or, when one of its inputs
+	// is gone, down the undo ladder (undoSteal).
 	var working []core.WorkingTwinInfo
 	if s.RDA() {
 		if working, err = s.ScanWorkingTwins(); err != nil {
@@ -232,7 +246,7 @@ func CrashRecover(s *core.Store, redo, hard bool) (*Report, error) {
 		}
 		handled := make(map[page.GroupID]bool)
 		for _, w := range working {
-			if !loser(w.Txn) {
+			if a.Outcomes[w.Txn] != OutcomeLoser {
 				continue
 			}
 			handled[w.Group] = true
@@ -242,9 +256,9 @@ func CrashRecover(s *core.Store, redo, hard bool) (*Report, error) {
 		}
 		// Pass 2.5 (degraded only): the twin scan cannot see a loser's
 		// working twin that sat on the dead disk.  Those steals are found
-		// by the other half of the paper's machinery — the per-page
-		// transaction tag of the TWIST chain — and unwound from the
-		// surviving committed twin.
+		// by the other half of the paper's machinery — the transaction tag
+		// the steal's data write carries (disk.Meta.ChainSet/Txn) — and
+		// unwound from the surviving committed twin.
 		if degraded {
 			if err := undoDeadTwinLosers(s, a, handled, rep); err != nil {
 				return nil, err
@@ -337,140 +351,125 @@ func CrashRecover(s *core.Store, redo, hard bool) (*Report, error) {
 			delete(lostSet, r.Page)
 		}
 	}
-	if len(lostSet) != len(rep.LostPages) {
-		kept := rep.LostPages[:0]
-		for _, p := range rep.LostPages {
-			if lostSet[p] {
-				kept = append(kept, p)
-			}
-		}
-		rep.LostPages = kept
-	}
+	rep.LostPages = slices.DeleteFunc(rep.LostPages, func(p page.PageID) bool { return !lostSet[p] })
 	return rep, nil
 }
 
-// crashUndoWorking unwinds one loser's working twin.  On a healthy group
-// this is the plain Figure 6 undo (CrashUndoWorkingTwin).  On a group
-// with a member on the dead disk it dispatches by which member is gone:
+// loser reports whether header m is the working header of a no-log steal
+// whose writer did not commit: Figure 8's working state with nothing but
+// an undo ahead of it.
+func (a *Analysis) loser(m disk.Meta) bool {
+	return m.State == disk.StateWorking && !a.Committed(m.Txn)
+}
+
+// undoRung names the rung of the loser-undo ladder that served.
+type undoRung int
+
+const (
+	undoRestored undoRung = iota // D_old is back on the platter
+	undoLogged                   // the logged before-image is pass 4's
+	undoLost                     // beyond the redundancy: loseGroup ran
+)
+
+// undoSteal is the one ladder every undo of a loser's no-log steal of
+// page p climbs down once the plain Figure 6 identity is out of reach:
 //
-//   - the dirty page itself: promote the committed twin and invalidate
-//     the working one — the committed parity now *defines* the page's
-//     before-image, served by reconstruction and materialized by the
-//     rebuild (Figure 6 without the data write);
-//   - the committed twin's P page: (P ⊕ P′) ⊕ D_new has nothing to XOR
-//     against — but on a QParity array the committed index's Q partner
-//     mirrors it (the lockstep invariant) and supplies D_old through the
-//     Q equation.  Only when that is gone too does the undo fall back to
-//     the logged before-image that the eager demotion's log-first
-//     ordering guarantees whenever the disk's death was observed before
-//     the crash.  If the death was *unobserved* (it coincided with the
-//     crash) no demotion ever ran and D_old existed only on the dead
-//     twin: explicit, reported data loss;
-//   - a sibling data page: the undo's own reads never touch it — except
-//     when the crash fell inside a re-steal (twin timestamp ahead of the
-//     data page), whose recovery needs every other data page.  W ⊕ C
-//     cancels the dead sibling but leaves two unknowns in one equation;
-//     with a Q partner the second equation resolves them, otherwise
-//     both pages are lost, explicitly.
-func crashUndoWorking(s *core.Store, a *Analysis, w core.WorkingTwinInfo, rep *Report) error {
-	if !s.GroupDegraded(w.Group) {
-		if err := s.CrashUndoWorkingTwin(w); err != nil {
-			return err
+//  1. the committed index `from` still describes the pre-transaction
+//     group, so D_old is whatever it gives p — whatever p's platter holds,
+//     through P or, when P is gone, its Q partner, with every erased
+//     sibling solved alongside (SolvePage counts the erasures) — restored
+//     under a cleared header.  A page that went with its disk needs no
+//     write: the index now defines its value, served by reconstruction and
+//     materialized by the rebuild;
+//  2. else the before-image the eager demotion logged ahead of its first
+//     disk write, whenever the death was observed before the crash, is
+//     pass 4's to write back;
+//  3. else D_old existed only on blocks that are gone: explicit, reported
+//     loss (loseGroup).
+func undoSteal(s *core.Store, a *Analysis, rep *Report, g page.GroupID, p page.PageID, tx page.TxID, from int) (undoRung, error) {
+	var err error
+	if !s.PageUnavailable(p) {
+		var dOld page.Buf
+		if dOld, _, err = s.SolvePage(g, p, from); err == nil {
+			err = s.Arr.WriteData(p, dOld, disk.Meta{})
 		}
-		rep.UndoneViaParity++
-		return nil
-	}
-	committed := 1 - w.Twin
-	// undone finishes an undo served from the committed index.
-	undone := func() error {
-		rep.UndoneViaReconstruction++
-		return s.WriteIndexMeta(w.Group, w.Twin, invalid)
-	}
-	// fromCommitted restores the page to what the committed index gives it,
-	// reporting false when that index cannot determine it.
-	fromCommitted := func() (bool, error) {
-		dOld, _, err := s.SolvePage(w.Group, w.Page, committed)
-		if err != nil {
-			return false, nil
-		}
-		if err := s.Arr.WriteData(w.Page, dOld, disk.Meta{}); err != nil {
-			return false, fmt.Errorf("recovery: undo page %d from the committed index: %w", w.Page, err)
-		}
-		return true, undone()
 	}
 	switch {
-	case s.PageUnavailable(w.Page):
-		s.Twins.Promote(w.Group, committed)
-		return undone()
-	case !s.TwinReadable(w.Group, parity(committed)):
-		if s.TwinReadable(w.Group, qpage(committed)) {
-			// The committed P twin died with its disk, but its Q partner
-			// survives and describes the same pre-transaction state:
-			// D_old solves through the Q equation directly.  That needs
-			// every other data page; a second loss in the group falls
-			// through to the logged image or to loss.
-			if ok, err := fromCommitted(); ok || err != nil {
-				return err
-			}
+	case err == nil:
+		return undoRestored, nil
+	case !errors.Is(err, core.ErrUnrecoverableCorruption):
+		return undoLost, fmt.Errorf("recovery: undo page %d from index %d: %w", p, from, err)
+	case hasLoggedImage(a, tx, p):
+		// Pass 4 writes the image back through the store, which maintains
+		// redundancy from what the group holds: sound only while p is the
+		// one member the indexes disagree with the platter about.
+		if _, lost := lostData(s, g); !lost {
+			return undoLogged, nil
 		}
-		if hasLoggedImage(a, w.Txn, w.Page) {
-			// The demotion's log append completed before the crash; the
-			// logged-undo pass restores D_old, and its degraded write
-			// re-establishes the surviving parity and launders this
-			// twin's working state along the way.
-			return nil
-		}
-		return loseGroup(s, w.Group, rep, w.Page)
 	}
-	// The dead member is a sibling data page; w.Page and both twins are
-	// readable.
-	_, m, err := s.Arr.ReadData(w.Page, nil)
+	return undoLost, loseGroup(s, g, rep, p)
+}
+
+// crashUndoWorking unwinds one loser's working twin: the Figure 6 identity
+// when its three inputs answer (core.CrashUndoWorkingTwin), the ladder from
+// the committed index when one does not.  A rung-2 twin stays working: pass
+// 4's write of the logged image re-establishes the group's redundancy and
+// Figure 7 never counts a loser's working header.
+func crashUndoWorking(s *core.Store, a *Analysis, w core.WorkingTwinInfo, rep *Report) error {
+	figure6, err := s.CrashUndoWorkingTwin(w)
 	if err != nil {
-		return fmt.Errorf("recovery: read tagged page %d: %w", w.Page, err)
-	}
-	if m.Txn == w.Txn && m.Timestamp != w.Timestamp {
-		// Re-steal entanglement: the working twin describes a newer page
-		// version than the platter, so the undo needs the committed index
-		// — against two unknowns, the before-image and the dead sibling.
-		// The committed P and Q together solve both; with single twin
-		// parity it is one surviving equation and the group is lost.
-		if ok, err := fromCommitted(); ok || err != nil {
-			return err
-		}
-		return loseGroup(s, w.Group, rep, w.Page)
-	}
-	if err := s.CrashUndoWorkingTwin(w); err != nil {
 		return err
 	}
-	rep.UndoneViaParity++
+	if !figure6 {
+		rung, err := undoSteal(s, a, rep, w.Group, w.Page, w.Txn, 1-w.Twin)
+		if err != nil || rung != undoRestored {
+			return err
+		}
+		if err := s.WriteIndexMeta(w.Group, w.Twin, invalid); err != nil {
+			return err
+		}
+	}
+	// The report's split is by what the group had lost, not by the rung.
+	if figure6 || !s.GroupDegraded(w.Group) {
+		rep.UndoneViaParity++
+	} else {
+		rep.UndoneViaReconstruction++
+	}
 	return nil
 }
 
-// restoreFromIndex writes data page p back as redundancy index `from`
-// describes it — whatever p's platter holds, and with every unreachable
-// sibling solved alongside it (SolvePage) — under a cleared header: the
-// undo of a steal from its committed index.
-func restoreFromIndex(s *core.Store, g page.GroupID, p page.PageID, from int) error {
-	dOld, _, err := s.SolvePage(g, p, from)
-	if err != nil {
-		return err
+// unresolvedSteal scans group g's readable data pages for the tag of a
+// loser's no-log steal that nothing has unwound and no logged before-image
+// covers.  The steal's data write carries its writer's tag
+// (disk.Meta.ChainSet/Txn) and every undo clears it, so the tag finds the
+// steals whose working header cannot be read.  A group holds at most one:
+// the Dirty_Set admits one uncovered page per group.
+func unresolvedSteal(s *core.Store, a *Analysis, g page.GroupID) (p page.PageID, tag disk.Meta, found bool, err error) {
+	for _, q := range s.Arr.GroupPages(g) {
+		if s.PageUnavailable(q) {
+			continue
+		}
+		_, m, err := s.Arr.ReadData(q, nil)
+		if err != nil {
+			if disk.IsCorrupt(err) {
+				continue // one more erasure; the solve that follows accounts for it
+			}
+			return 0, m, false, fmt.Errorf("recovery: tag scan of group %d: %w", g, err)
+		}
+		if m.ChainSet && a.Outcomes[m.Txn] == OutcomeLoser && !hasLoggedImage(a, m.Txn, q) {
+			return q, m, true, nil
+		}
 	}
-	if err := s.Arr.WriteData(p, dOld, disk.Meta{}); err != nil {
-		return fmt.Errorf("recovery: undo page %d from index %d: %w", p, from, err)
-	}
-	return nil
+	return 0, disk.Meta{}, false, nil
 }
 
 // undoDeadTwinLosers finds loser steals whose working twin sat on the
-// dead disk, invisible to the twin header scan.  The steal's data write
-// carries the writer's transaction tag (the TWIST chain), so scanning
-// the surviving data pages of every group with an unreadable twin
-// recovers exactly the set: an unresolved loser tag under a dead twin
-// means the dead twin was the working one, hence the surviving twin is
-// the committed one — it describes the group with the page at its
-// before-image, which therefore reconstructs as D_old = P_cmt ⊕ (other
-// data).  A tag whose before-image reached the log (the group was being
-// demoted when the crash hit) is left to the logged-undo pass instead.
+// dead disk, invisible to the twin header scan: an unresolved loser tag
+// under a dead twin means the dead twin was the working one, hence the
+// surviving index — the one not carrying the loser's working header — is
+// the committed one and the steal unwinds down the ladder from it.  The
+// platter is restored directly: the committed index's equations already
+// describe exactly the restored state.
 func undoDeadTwinLosers(s *core.Store, a *Analysis, handled map[page.GroupID]bool, rep *Report) error {
 	if s.Twins == nil {
 		return nil
@@ -484,73 +483,39 @@ func undoDeadTwinLosers(s *core.Store, a *Analysis, handled map[page.GroupID]boo
 		if dead < 0 || s.TwinReadable(gid, parity(dead)) {
 			continue
 		}
-		for _, p := range s.Arr.GroupPages(gid) {
-			if s.PageUnavailable(p) {
-				continue
-			}
-			_, m, err := s.Arr.ReadData(p, nil)
-			if err != nil {
-				return fmt.Errorf("recovery: tag scan of group %d: %w", g, err)
-			}
-			if !m.ChainSet || a.Outcomes[m.Txn] != OutcomeLoser {
-				continue
-			}
-			if hasLoggedImage(a, m.Txn, p) {
-				continue
-			}
-			// The surviving index is normally the other twin; when BOTH P
-			// slots are down (double-degraded) the Q headers — mirrors of
-			// their P partners — arbitrate which index is the committed
-			// one: the one NOT carrying the loser's working state.
-			undoFrom := 1 - dead
-			if !s.TwinReadable(gid, parity(undoFrom)) {
-				for t := 0; t < 2; t++ {
-					if !s.TwinReadable(gid, qpage(t)) {
-						continue
-					}
-					qm, qerr := s.Arr.ReadMeta(gid, qpage(t))
-					if qerr == nil && !(qm.State == disk.StateWorking && qm.Txn == m.Txn) {
-						undoFrom = t
-						break
-					}
-				}
-			}
-			dOld, _, err := s.SolvePage(gid, p, undoFrom)
-			if groupLostData(s, gid, p) {
-				// The surviving index's P and Q solved the before-image AND
-				// the dead sibling together — or could not, and both are
-				// lost.  The platter is restored directly: the index's
-				// equations already describe exactly the restored state, so
-				// no recompute may touch them (a recompute would consult the
-				// reset twin bitmap this early in recovery).
-				if err != nil {
-					if err := loseGroup(s, gid, rep, p); err != nil {
-						return err
-					}
-					break
-				}
-				err = s.Arr.WriteData(p, dOld, disk.Meta{})
-			} else if err == nil {
-				err = s.WriteCommitted(p, dOld, nil)
-			}
-			if err != nil {
-				return fmt.Errorf("recovery: tag undo of page %d: %w", p, err)
-			}
+		p, tag, found, err := unresolvedSteal(s, a, gid)
+		if err != nil {
+			return err
+		}
+		if !found {
+			continue
+		}
+		from := 1 - dead
+		if m, err := s.IndexMeta(gid, from); err != nil {
+			return err
+		} else if m.State == disk.StateNone || (m.State == disk.StateWorking && m.Txn == tag.Txn) {
+			// Both P slots are down and the Q proxies arbitrate.
+			from = dead
+		}
+		rung, err := undoSteal(s, a, rep, gid, p, tag.Txn, from)
+		if err != nil {
+			return fmt.Errorf("recovery: tag undo of page %d: %w", p, err)
+		}
+		if rung == undoRestored {
 			rep.UndoneViaReconstruction++
 		}
 	}
 	return nil
 }
 
-// groupLostData reports whether group g has a data page other than p on
-// a down disk.
-func groupLostData(s *core.Store, g page.GroupID, p page.PageID) bool {
+// lostData returns a data page of group g that sits on a down disk, if any.
+func lostData(s *core.Store, g page.GroupID) (page.PageID, bool) {
 	for _, q := range s.Arr.GroupPages(g) {
-		if q != p && s.PageUnavailable(q) {
-			return true
+		if s.PageUnavailable(q) {
+			return q, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // hasLoggedImage reports whether analysis found a logged before-image of
@@ -704,14 +669,17 @@ func repairTorn(s *core.Store, a *Analysis, rep *Report) (int, error) {
 		for _, it := range items {
 			switch {
 			case it.red && it.r.Eq == diskarray.Q:
-				err = repairTornQ(s, gid, it.r.Twin)
+				err = repairTornQ(s, a, gid, it.r.Twin, rep)
 			case it.red:
 				err = repairTornParity(s, a, gid, it.r.Twin, it.headerOK, rep)
 			default:
 				err = repairTornData(s, a, gid, it.p, it.headerOK, rep)
 			}
 			if err != nil {
-				return repaired, err
+				if it.red {
+					return repaired, fmt.Errorf("recovery: repair torn %s twin %d of group %d: %w", it.r.Eq, it.r.Twin, g, err)
+				}
+				return repaired, fmt.Errorf("recovery: repair torn page %d: %w", it.p, err)
 			}
 			repaired++
 		}
@@ -723,20 +691,25 @@ func repairTorn(s *core.Store, a *Analysis, rep *Report) (int, error) {
 // the Q equation over the data state the partner describes, under the
 // partner's header (the lockstep invariant).  When no authority can be
 // established the Q page is zeroed invalid: honest erasure, never a
-// silently wrong equation.
-func repairTornQ(s *core.Store, g page.GroupID, twin int) error {
+// silently wrong equation — unless the index's P page is gone as well and
+// the group has lost a data page whose describing index
+// (core.DescribingTwin) is this one: the tear then took the last
+// description of that page, and the loss is made explicit.
+func repairTornQ(s *core.Store, a *Analysis, g page.GroupID, twin int, rep *Report) error {
 	vals, pm, err := describedByP(s, g, twin)
-	if err != nil {
-		zero := make(page.Buf, s.Arr.PageSize())
-		if werr := s.Arr.Write(g, qpage(twin), zero, invalid); werr != nil {
-			return fmt.Errorf("recovery: invalidate torn Q of group %d (%v): %w", g, err, werr)
+	if err == nil {
+		return s.RewriteSlot(g, qpage(twin), vals, pm)
+	}
+	if d, lost := lostData(s, g); lost && !s.TwinReadable(g, parity(twin)) {
+		src, derr := s.DescribingTwin(g, d, a.Committed)
+		if errors.Is(derr, core.ErrUnrecoverableCorruption) || (derr == nil && src == twin) {
+			return loseGroup(s, g, rep)
 		}
-		return nil
+		if derr != nil {
+			return derr
+		}
 	}
-	if err := s.RewriteSlot(g, qpage(twin), vals, pm); err != nil {
-		return fmt.Errorf("recovery: repair torn Q of group %d: %w", g, err)
-	}
-	return nil
+	return zeroInvalid(s, g, qpage(twin))
 }
 
 // describedByP returns the data state S that the P page of redundancy
@@ -786,497 +759,211 @@ func describedByP(s *core.Store, g page.GroupID, twin int) ([]page.Buf, disk.Met
 	return nil, pm, errors.New("the P partner disagrees with the platter and no header names the member")
 }
 
-// repairTornData rebuilds a corrupt data page.
+// repairTornData rebuilds a corrupt data page p: the torn block is one
+// more erasure beside the group's dead ones, and the question is only
+// which index to solve it through.
 //
-// If a loser's working twin covers the page, the fault interrupted a
-// no-UNDO steal: the committed twin still describes the pre-transaction
-// group, so the page is restored to its before-image with a cleared
-// header (the parity-undo pass then merely invalidates the twin).
-// Otherwise the fault hit a committed or logged write-back whose parity
-// update preceded it, so the Figure 7 current twin describes the intended
-// contents; the page is rebuilt from it under the header the torn write
-// itself persisted — or, when the fault destroyed the header too
-// (misdirected or lost write), under a resynthesized one: the flip
-// pairing echo is restored when the describing parity names this page,
-// and cleared otherwise.
+//   - A loser's working index names p: the fault interrupted a no-UNDO
+//     steal (or its undo), and p goes back to its before-image down the
+//     undo ladder; the parity-undo pass then merely invalidates the twin.
+//     A rung-2 page gets a zero placeholder, so that pass 4 can read what
+//     it overwrites.
+//   - Otherwise the fault hit a committed or logged write-back whose
+//     parity update preceded it, and p is what its describing index says
+//     (core.DescribingTwin: NOT always the Figure 7 winner — parity
+//     precedes data in both the flip and steal protocols, so the newest
+//     twin may describe a data write that never landed, and solving an
+//     innocent bystander through it would XOR the phantom delta into the
+//     repaired page).  A steal hidden on an unreadable index is found by
+//     its tag, and its page — which the surviving, committed index
+//     describes at its before-image, not as the platter holds it — is
+//     erased alongside p.
+//
+// The page goes back under the header the torn write itself persisted —
+// or, when the fault destroyed the header too (misdirected or lost
+// write), under one resynthesized from the describing index's: the steal's
+// echo when that is a (committed writer's) working header naming p —
+// parity-as-redo of a steal whose acked data write was lost — the flip
+// pairing echo when it pairs p, and a cleared header otherwise.  Erasures
+// beyond the surviving equations are explicit loss.
 func repairTornData(s *core.Store, a *Analysis, g page.GroupID, p page.PageID, headerOK bool, rep *Report) error {
-	if s.GroupDegraded(g) {
-		return repairTornDataDegraded(s, a, g, p, headerOK, rep)
-	}
+	erased, gaveUp := []int{s.Arr.DataLoc(p).Disk}, []page.PageID{p}
 	if s.RDA() {
+		hidden := false
 		for twin := 0; twin < 2; twin++ {
-			m, err := s.Arr.ReadMeta(g, parity(twin))
+			m, err := s.IndexMeta(g, twin)
 			if err != nil {
 				return err
 			}
-			if m.State != disk.StateWorking || m.DirtyPage != p || a.Committed(m.Txn) {
+			hidden = hidden || m.State == disk.StateNone
+			if !a.loser(m) || m.DirtyPage != p {
 				continue
 			}
-			if err := restoreFromIndex(s, g, p, 1-twin); err != nil {
-				return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
+			rung, err := undoSteal(s, a, rep, g, p, m.Txn, 1-twin)
+			if err == nil && rung == undoLogged {
+				err = s.Arr.WriteData(p, make(page.Buf, s.Arr.PageSize()), disk.Meta{})
 			}
-			return nil
+			return err
+		}
+		if hidden {
+			q, _, found, err := unresolvedSteal(s, a, g)
+			if err != nil {
+				return err
+			}
+			if found {
+				erased, gaveUp = append(erased, s.Arr.DataLoc(q).Disk), append(gaveUp, q)
+			}
 		}
 	}
-	// Reconstruct from the twin that describes the on-disk data, which is
-	// NOT always the Figure 7 winner: parity precedes data in both the
-	// flip and steal protocols, so at crash time the newest twin may
-	// describe a data write that never landed, and reconstructing an
-	// innocent bystander from it would XOR the phantom delta into the
-	// repaired page — silent corruption under a perfectly valid header.
-	// DescribingTwin arbitrates via the pairing echo.
 	twin, err := s.DescribingTwin(g, p, a.Committed)
-	if err != nil {
-		return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
+	var vals []page.Buf
+	var pm disk.Meta
+	if err == nil {
+		vals, pm, err = s.SolveGroup(g, twin, erased...)
 	}
-	data, pm, err := s.SolvePage(g, p, twin)
-	if err != nil {
-		return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
+	if errors.Is(err, core.ErrUnrecoverableCorruption) {
+		return loseGroup(s, g, rep, gaveUp...)
 	}
-	hdr, err := tornDataHeader(s, p, headerOK, pm)
 	if err != nil {
 		return err
 	}
-	if pm.State == disk.StateWorking && pm.DirtyPage == p && !headerOK {
-		// Parity-as-redo from a steal twin whose acked data write was
-		// lost: restore the steal's echo header.  Only a committed
-		// writer's twin can be the reconstruction source here.
-		hdr = disk.Meta{Txn: pm.Txn, Timestamp: pm.Timestamp, ChainSet: true}
-	}
-	if err := s.Arr.WriteData(p, data, hdr); err != nil {
-		return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
-	}
-	return nil
-}
-
-// tornDataHeader picks the header a repaired data page p goes back under:
-// the one the torn write itself persisted, or — when the fault destroyed
-// the header too (misdirected or lost write) — a resynthesized one: the
-// flip pairing echo when the describing redundancy header pm names this
-// page, and a cleared header otherwise.
-func tornDataHeader(s *core.Store, p page.PageID, headerOK bool, pm disk.Meta) (disk.Meta, error) {
-	if headerOK {
+	var hdr disk.Meta
+	switch {
+	case headerOK:
 		loc := s.Arr.DataLoc(p)
-		return s.Arr.Disk(loc.Disk).PeekMeta(loc.Block)
+		if hdr, err = s.Arr.Disk(loc.Disk).PeekMeta(loc.Block); err != nil {
+			return err
+		}
+	case pm.State == disk.StateWorking && pm.DirtyPage == p:
+		hdr = disk.Meta{Txn: pm.Txn, Timestamp: pm.Timestamp, ChainSet: true}
+	case pm.PairedSet && pm.DirtyPage == p:
+		hdr = disk.Meta{Timestamp: pm.Timestamp}
 	}
-	if pm.PairedSet && pm.DirtyPage == p {
-		return disk.Meta{Timestamp: pm.Timestamp}, nil
+	for i, q := range s.Arr.GroupPages(g) {
+		if q == p {
+			err = s.Arr.WriteData(p, vals[i], hdr)
+		}
 	}
-	return disk.Meta{}, nil
+	return err
 }
 
-// repairTornDataDegraded repairs a corrupt data page in a group that also
-// lost a block to the dead disk.  Only the cases where the surviving
-// redundancy still pins the page down are repairable; anything else is
-// explicit, reported loss via loseGroup.
-func repairTornDataDegraded(s *core.Store, a *Analysis, g page.GroupID, p page.PageID, headerOK bool, rep *Report) error {
-	dead := s.DeadTwin(g, diskarray.P)
-	if dead < 0 || s.Twins == nil || !s.TwinReadable(g, parity(1-dead)) {
-		// No alive parity twin to arbitrate from: the group lost a data
-		// page or a Q slot (dead < 0), or — double-degraded — both P
-		// slots.  On a single-parity array a tear plus a dead member is
-		// two unknowns against at most one surviving equation; with Q
-		// redundancy the group may still be fully determined.
-		if s.Arr.HasQ() && s.Twins != nil {
-			done, err := repairTornDataViaSolve(s, a, g, p, headerOK)
-			if done || err != nil {
-				return err
-			}
+// repairTornParity rebuilds a corrupt parity twin, deciding by the header
+// the torn write itself persisted — or, when the fault destroyed that too
+// (misdirected or lost write), by what the rest of the group says the
+// header would have been.
+//
+//   - A loser's working header: the tear interrupted the steal's own
+//     parity write.  If the covered data page already carries the writer's
+//     tag the tear hit a re-steal, so the page first goes back to its
+//     before-image down the undo ladder; either way the twin is retired,
+//     zeroed and invalid.
+//   - No trustworthy header, and the OTHER index holds a loser's working
+//     header: this twin was the committed pre-steal parity, the only
+//     carrier of D_old.  If the steal was also logged the log determines
+//     D_old — demote the steal (invalidate the working twin) and rebuild
+//     this twin over the on-disk data; otherwise the before-image is
+//     genuinely gone: explicit loss.
+//   - No trustworthy header, and a member page carries an unresolved loser
+//     tag: the steal's parity write is ordered before its data write, so a
+//     landed tag under a corrupt twin means THIS twin was the loser's
+//     working parity; the page unwinds from the other index and this twin
+//     is retired.
+//   - Any other header — committed, obsolete, a stale working header whose
+//     writer committed, or none at all (then: fresh committed) — belongs to
+//     parity that ran ahead of its data write, or to a latent fault: the
+//     twin is rebuilt under that header (rebuildTornP).
+func repairTornParity(s *core.Store, a *Analysis, g page.GroupID, twin int, headerOK bool, rep *Report) error {
+	var hdr disk.Meta // zero: a header the fault destroyed carries no information
+	if headerOK {
+		var err error
+		if hdr, err = s.Arr.PeekMeta(g, parity(twin)); err != nil {
+			return err
 		}
-		return loseGroup(s, g, rep, p)
 	}
-	alive := 1 - dead
-	m, err := s.Arr.ReadMeta(g, parity(alive))
-	if err != nil {
-		return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
-	}
-	if m.State == disk.StateWorking && !a.Committed(m.Txn) && m.DirtyPage == p {
-		// The tear interrupted a no-log steal whose committed twin died
-		// with the disk: D_old survives on the log (if the eager demotion
-		// got there before the crash) or in the dead index's Q partner.
-		if hasLoggedImage(a, m.Txn, p) {
-			// Zero placeholder; the logged-undo pass restores D_old and
-			// its degraded write re-establishes the surviving parity.
-			if err := s.Arr.WriteData(p, make(page.Buf, s.Arr.PageSize()), disk.Meta{}); err != nil {
-				return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
-			}
-			return nil
-		}
-		if s.TwinReadable(g, qpage(dead)) {
-			// The dead committed twin's Q partner still describes the
-			// pre-steal group: undo the steal directly from it.
-			if dOld, _, rerr := s.SolvePage(g, p, dead); rerr == nil {
-				if err := s.Arr.WriteData(p, dOld, disk.Meta{}); err != nil {
-					return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
-				}
-				return s.WriteIndexMeta(g, alive, invalid)
-			}
-		}
-		return loseGroup(s, g, rep, p)
-	}
-	if m.State == disk.StateCommitted || (m.State == disk.StateWorking && a.Committed(m.Txn)) {
-		// The surviving twin describes the on-disk group — unless some
-		// *other* page carries an unresolved no-log steal whose D_new
-		// the twin does not yet include; that combination leaves the
-		// torn page undetermined.
-		for _, q := range s.Arr.GroupPages(g) {
-			if q == p {
-				continue
-			}
-			_, qm, err := s.Arr.ReadData(q, nil)
-			if err != nil {
-				if disk.IsCorrupt(err) {
-					continue // a second corrupt block; reconstruction below fails loudly
-				}
-				return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
-			}
-			if qm.ChainSet && a.Outcomes[qm.Txn] == OutcomeLoser && !hasLoggedImage(a, qm.Txn, q) && m.State == disk.StateCommitted {
-				return loseGroup(s, g, rep, p)
-			}
-		}
-		data, _, err := s.SolvePage(g, p, alive)
-		if err != nil {
-			return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
-		}
-		hdr, err := tornDataHeader(s, p, headerOK, m)
+	// steal is the working header of the loser's steal this twin was the
+	// working parity of, if any; tagged, whether the steal's data write
+	// landed as well and must be unwound.
+	steal, tagged, demote := hdr, false, false
+	switch {
+	case a.loser(hdr) && !s.PageUnavailable(hdr.DirtyPage):
+		_, dMeta, err := s.Arr.ReadData(hdr.DirtyPage, nil)
 		if err != nil {
 			return err
 		}
-		if err := s.Arr.WriteData(p, data, hdr); err != nil {
-			return fmt.Errorf("recovery: repair torn page %d: %w", p, err)
-		}
-		return nil
-	}
-	// Obsolete or invalid survivor: the only twin describing the group
-	// died with the disk.
-	return loseGroup(s, g, rep, p)
-}
-
-// repairTornDataViaSolve repairs a torn data page in a degraded group by
-// solving the group through a describing index's surviving P/Q
-// equations.  The describing index is picked from the readable headers —
-// alive P slots first, Q mirrors as proxies for dead ones — by the
-// Figure 7 rule: newest committed index, a working index whose writer
-// committed counting as laundered-committed.  Unresolved no-log steals
-// are declined (their before-images belong to the undo machinery, not a
-// blanket solve) and fall back to the caller's explicit loss path, as
-// does a group with fewer surviving equations than erasures.  Returns
-// done=false when the caller must fall back.
-func repairTornDataViaSolve(s *core.Store, a *Analysis, g page.GroupID, p page.PageID, headerOK bool) (bool, error) {
-	var metas [2]disk.Meta
-	var have [2]bool
-	for t := 0; t < 2; t++ {
-		for _, eq := range s.Arr.Equations() {
-			r := eq.Twin(t)
-			if !s.TwinReadable(g, r) {
-				continue
-			}
-			if m, err := s.Arr.ReadMeta(g, r); err == nil {
-				metas[t], have[t] = m, true
-				break
-			}
-		}
-	}
-	idx := -1
-	var best disk.Meta
-	for t := 0; t < 2; t++ {
-		if !have[t] {
-			continue
-		}
-		m := metas[t]
-		if m.State == disk.StateWorking {
-			if !a.Committed(m.Txn) {
-				return false, nil
-			}
-			m.State = disk.StateCommitted
-		}
-		if m.State != disk.StateCommitted {
-			continue
-		}
-		if idx < 0 || m.Timestamp > best.Timestamp {
-			idx, best = t, m
-		}
-	}
-	if idx < 0 {
-		return false, nil
-	}
-	// A member tag of an unresolved no-log steal means the committed
-	// index predates the steal's data write: the solved value for the
-	// stolen page would be stale.  Decline, like the plain degraded path.
-	for _, q := range s.Arr.GroupPages(g) {
-		if q == p || s.PageUnavailable(q) {
-			continue
-		}
-		_, qm, err := s.Arr.ReadData(q, nil)
+		tagged = dMeta.Txn == hdr.Txn
+	case !headerOK && s.Twins != nil:
+		om, err := s.IndexMeta(g, 1-twin)
 		if err != nil {
-			if disk.IsCorrupt(err) {
-				continue // another erasure; SolveGroup accounts for it
+			return err
+		}
+		if demote = a.loser(om); demote {
+			if !hasLoggedImage(a, om.Txn, om.DirtyPage) {
+				return loseGroup(s, g, rep, om.DirtyPage)
 			}
-			return false, fmt.Errorf("recovery: repair torn page %d: %w", p, err)
+		} else if q, tag, found, err := unresolvedSteal(s, a, g); err != nil {
+			return err
+		} else if found {
+			steal, tagged = disk.Meta{State: disk.StateWorking, Txn: tag.Txn, DirtyPage: q}, true
 		}
-		if qm.ChainSet && a.Outcomes[qm.Txn] == OutcomeLoser && !hasLoggedImage(a, qm.Txn, q) {
-			return false, nil
+	}
+	if a.loser(steal) {
+		if tagged {
+			rung, err := undoSteal(s, a, rep, g, steal.DirtyPage, steal.Txn, 1-twin)
+			if err != nil || rung == undoLost {
+				return err // lost: loseGroup rewrote every readable twin, this one included
+			}
 		}
-	}
-	data, _, err := s.SolvePage(g, p, idx)
-	if err != nil {
-		if errors.Is(err, core.ErrUnrecoverableCorruption) {
-			return false, nil
-		}
-		return false, err
-	}
-	hdr, err := tornDataHeader(s, p, headerOK, best)
-	if err != nil {
-		return false, err
-	}
-	if err := s.Arr.WriteData(p, data, hdr); err != nil {
-		return false, fmt.Errorf("recovery: repair torn page %d: %w", p, err)
-	}
-	return true, nil
-}
-
-// repairTornParity rebuilds a corrupt parity twin.
-//
-// A torn twin in the working state whose writer lost means the tear
-// interrupted the steal's parity write itself.  If the covered data page
-// already carries the writer's tag the tear hit a re-steal, so the page
-// is first restored from the committed twin; either way the torn twin is
-// rewritten as invalid with a zero payload.  Any other header — committed,
-// obsolete, or a stale working header whose writer committed — belongs to
-// an in-place read-modify-write that ran ahead of its data write: the
-// payload is recomputed from the on-disk data under the persisted header.
-//
-// A twin whose header did NOT survive the fault (misdirected or lost
-// write) cannot make those decisions from its own header; see
-// repairHeaderlessParity.
-func repairTornParity(s *core.Store, a *Analysis, g page.GroupID, twin int, headerOK bool, rep *Report) error {
-	if s.GroupDegraded(g) {
-		return repairTornParityDegraded(s, a, g, twin, headerOK, rep)
+		return zeroInvalid(s, g, parity(twin))
 	}
 	if !headerOK {
-		return repairHeaderlessParity(s, a, g, twin, rep)
+		hdr = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
 	}
-	hdr, err := s.Arr.PeekMeta(g, parity(twin))
-	if err != nil {
+	if err := rebuildTornP(s, a, g, twin, hdr, rep); err != nil || !demote {
 		return err
 	}
-	if hdr.State == disk.StateWorking && !a.Committed(hdr.Txn) {
-		p := hdr.DirtyPage
-		_, dMeta, err := s.Arr.ReadData(p, nil)
-		if err != nil {
-			return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
-		}
-		if dMeta.Txn == hdr.Txn {
-			if err := restoreFromIndex(s, g, p, 1-twin); err != nil {
-				return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
-			}
-		}
-		return zeroInvalid(s, g, twin)
-	}
-	if err := s.RecomputeIndex(g, twin, hdr); err != nil {
-		return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
-	}
-	return nil
+	return s.WriteIndexMeta(g, 1-twin, invalid)
 }
 
-// zeroInvalid retires a torn parity twin whose payload nothing describes:
-// the P page is rewritten zeroed and invalid, and the index invalidated
-// on its reachable slots.
-func zeroInvalid(s *core.Store, g page.GroupID, twin int) error {
-	zero := make(page.Buf, s.Arr.PageSize())
-	if err := s.Arr.Write(g, parity(twin), zero, invalid); err != nil {
-		return fmt.Errorf("recovery: zero torn twin %d of group %d: %w", twin, g, err)
+// rebuildTornP rewrites torn index twin of group g under header hdr.  With
+// every data page readable the platter is the state the index must
+// describe, and its reachable slots recompute over it (a cut small write
+// can leave Q ahead of P, so both go).  With a data page d erased as well,
+// the torn P is needed only if it is d's describing index
+// (core.DescribingTwin): if not it is retired; if so d lives on in the
+// index's Q partner alone, the P page is rewritten over the values solved
+// through it — and without a Q partner the tear took the last description
+// of d: explicit loss.
+func rebuildTornP(s *core.Store, a *Analysis, g page.GroupID, twin int, hdr disk.Meta, rep *Report) error {
+	d, lost := lostData(s, g)
+	if !lost {
+		return s.RecomputeIndex(g, twin, hdr)
 	}
-	return s.WriteIndexMeta(g, twin, invalid)
-}
-
-// repairHeaderlessParity rebuilds a parity twin whose header cannot be
-// trusted — a misdirected write deposited a foreign one, or a lost write
-// left a stale one.  The decision the header would have made is
-// reconstructed from the rest of the group:
-//
-//   - the OTHER twin holds a loser's working header: this twin was the
-//     committed pre-steal parity, the only carrier of D_old.  If the
-//     steal was also logged the log determines D_old — demote the steal
-//     (invalidate the working twin) and recompute this twin over the
-//     on-disk data; otherwise the before-image is genuinely gone and the
-//     group is abandoned to explicit, reported loss;
-//   - a member page carries an unresolved loser tag: the steal's parity
-//     write is ordered before its data write, so a landed tag under a
-//     corrupt twin means THIS twin was the loser's working parity.  The
-//     page restores from the other (committed) twin and this twin is
-//     invalidated;
-//   - otherwise the on-disk data is authoritative: the twin recomputes
-//     as fresh committed parity (the Figure 7 rebuild then orders it).
-func repairHeaderlessParity(s *core.Store, a *Analysis, g page.GroupID, twin int, rep *Report) error {
-	if s.Twins != nil {
-		om, err := s.Arr.ReadMeta(g, parity(1-twin))
-		if err != nil {
-			return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
-		}
-		if om.State == disk.StateWorking && !a.Committed(om.Txn) {
-			if hasLoggedImage(a, om.Txn, om.DirtyPage) {
-				meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-				if err := s.RecomputeIndex(g, twin, meta); err != nil {
-					return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
-				}
-				return s.WriteIndexMeta(g, 1-twin, invalid)
-			}
-			return loseGroup(s, g, rep, om.DirtyPage)
-		}
-		for _, q := range s.Arr.GroupPages(g) {
-			_, qm, err := s.Arr.ReadData(q, nil)
-			if err != nil {
-				if disk.IsCorrupt(err) {
-					continue // a second corrupt block; reconstruction fails loudly
-				}
-				return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
-			}
-			if !qm.ChainSet || a.Outcomes[qm.Txn] != OutcomeLoser || hasLoggedImage(a, qm.Txn, q) {
-				continue
-			}
-			if err := restoreFromIndex(s, g, q, 1-twin); err != nil {
-				return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
-			}
-			return zeroInvalid(s, g, twin)
-		}
+	src, err := s.DescribingTwin(g, d, a.Committed)
+	if err == nil && src != twin {
+		return zeroInvalid(s, g, parity(twin))
 	}
-	meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-	if err := s.RecomputeIndex(g, twin, meta); err != nil {
-		return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
+	var vals []page.Buf
+	if err == nil {
+		vals, _, err = s.SolveGroup(g, twin, s.Arr.Loc(g, parity(twin)).Disk)
 	}
-	return nil
-}
-
-// repairTornParityDegraded repairs a torn parity twin in a group that
-// also lost a block to the dead disk.
-//
-// If the dead block is the OTHER twin, every data page survives and the
-// torn twin recomputes wholesale — after first unwinding (or declaring
-// lost) any no-log steal whose working header the torn twin carries,
-// since its D_old lives beyond the surviving redundancy unless demotion
-// logged it.  If the dead block is a data page, recomputing the torn
-// payload would need the dead page: the torn twin is invalidated when
-// the other twin describes the on-disk group, and the group is declared
-// lost when the torn twin was the only describing one.
-func repairTornParityDegraded(s *core.Store, a *Analysis, g page.GroupID, twin int, headerOK bool, rep *Report) error {
-	hdr, err := s.Arr.PeekMeta(g, parity(twin))
-	if err != nil {
-		return err
-	}
-	if !headerOK {
-		// The persisted header is foreign or stale (misdirected/lost
-		// write): treat it as carrying no information.  Loser steals are
-		// instead detected by their data tags below; the zero-value header
-		// never matches the working-loser or otherDescribes tests.
-		hdr = disk.Meta{State: disk.StateInvalid}
-	}
-	dead := s.DeadTwin(g, diskarray.P)
-	if dead >= 0 && s.Twins != nil {
-		if !headerOK {
-			// Whichever twin was the loser's working parity, the committed
-			// one is corrupt or dead: an unresolved loser tag means D_old
-			// is beyond the surviving redundancy.
-			for _, q := range s.Arr.GroupPages(g) {
-				_, qm, err := s.Arr.ReadData(q, nil)
-				if err != nil {
-					if disk.IsCorrupt(err) {
-						continue // a second corrupt block; recompute below fails loudly
-					}
-					return fmt.Errorf("recovery: repair corrupt twin of group %d: %w", g, err)
-				}
-				if !qm.ChainSet || a.Outcomes[qm.Txn] != OutcomeLoser || hasLoggedImage(a, qm.Txn, q) {
-					continue
-				}
-				return loseGroup(s, g, rep, q)
-			}
-		}
-		if hdr.State == disk.StateWorking && !a.Committed(hdr.Txn) {
-			p := hdr.DirtyPage
-			_, dMeta, err := s.Arr.ReadData(p, nil)
-			if err != nil {
-				return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
-			}
-			if dMeta.Txn == hdr.Txn && !hasLoggedImage(a, hdr.Txn, p) {
-				// The steal's data write landed, its committed twin died
-				// with the disk, and no demotion logged D_old.  The dead
-				// index's Q partner, if it survives, still describes the
-				// pre-steal group: restore D_old from it and recompute
-				// the torn twin over the restored data below.  Otherwise
-				// the before-image is gone; loseGroup also heals the
-				// tear (it rewrites every readable twin).
-				undone := false
-				if s.TwinReadable(g, qpage(dead)) {
-					if dOld, _, rerr := s.SolvePage(g, p, dead); rerr == nil {
-						if werr := s.Arr.WriteData(p, dOld, disk.Meta{}); werr != nil {
-							return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, werr)
-						}
-						undone = true
-					}
-				}
-				if !undone {
-					return loseGroup(s, g, rep, p)
-				}
-			}
-			// Untagged (the data write never landed) or rewound later
-			// from the log: the on-disk data is (or will be made)
-			// consistent, so recompute over it below.
-		}
-		meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		if err := s.RecomputeIndex(g, twin, meta); err != nil {
-			return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
-		}
-		s.Twins.Promote(g, twin)
-		return nil
-	}
-	if s.Twins == nil {
-		// Single-parity group with a dead data page and a torn parity
-		// block: one equation, two unknowns.
+	if errors.Is(err, core.ErrUnrecoverableCorruption) {
 		return loseGroup(s, g, rep)
 	}
-	// A data page is dead and this twin is torn.  If the other twin
-	// describes the on-disk group (Figure 7 says it is current), the torn
-	// one was redundant: invalidate it.  Otherwise the dead page's value
-	// survived only in the torn payload.
-	other := 1 - twin
-	om, err := s.Arr.ReadMeta(g, parity(other))
 	if err != nil {
-		return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
+		return err
 	}
-	otherDescribes := om.State == disk.StateCommitted &&
-		(hdr.State != disk.StateCommitted || om.Timestamp > hdr.Timestamp ||
-			(om.Timestamp == hdr.Timestamp && other < twin))
-	if otherDescribes {
-		if err := zeroInvalid(s, g, twin); err != nil {
-			return err
-		}
-		s.Twins.Promote(g, other)
-		return nil
+	return s.RewriteSlot(g, parity(twin), vals, hdr)
+}
+
+// zeroInvalid retires a torn redundancy page whose payload nothing
+// describes: it is rewritten zeroed and invalid, and — for a P page, the
+// header Figure 7 reads — its index invalidated on the reachable slots.
+func zeroInvalid(s *core.Store, g page.GroupID, r diskarray.Red) error {
+	zero := make(page.Buf, s.Arr.PageSize())
+	if err := s.Arr.Write(g, r, zero, invalid); err != nil || r.Eq == diskarray.Q {
+		return err
 	}
-	if s.TwinReadable(g, qpage(twin)) {
-		// The torn twin describes the group and its Q partner survives:
-		// the dead data page solves from the Q equation, and the torn P
-		// payload recomputes from the solved values.  The header comes
-		// from the torn block itself when it survived the fault, else
-		// from the Q mirror; anything but a committed one (an in-flight
-		// steal caught by the tear) is left to explicit loss.
-		meta := hdr
-		if !headerOK {
-			if qm, qerr := s.Arr.ReadMeta(g, qpage(twin)); qerr == nil {
-				meta = qm
-			}
-		}
-		if meta.State == disk.StateCommitted {
-			if vals, _, serr := s.SolveGroup(g, twin); serr == nil {
-				if err := s.RewriteSlot(g, parity(twin), vals, meta); err != nil {
-					return fmt.Errorf("recovery: repair torn twin of group %d: %w", g, err)
-				}
-				s.Twins.Promote(g, twin)
-				return nil
-			}
-		}
-	}
-	return loseGroup(s, g, rep)
+	return s.WriteIndexMeta(g, r.Twin, invalid)
 }
 
 // applyImage writes a logged page or record image back to the database.

@@ -343,6 +343,73 @@ func TestRecoverMediaMultiDirtyCommittedPlusData(t *testing.T) {
 	}
 }
 
+// TestRecoverMediaMultiDirtyWorkingPlusData: a dirty group loses the index
+// that tracks its on-disk data — the working twin, P and (on a P+Q array)
+// Q page alike — AND a bystander data page.  The committed twin describes
+// the group with the dirty page at its before-image, so with that image
+// supplied the bystander still solves (solveFromCommitted), and the
+// working twin is then recomputed over the whole data.
+func TestRecoverMediaMultiDirtyWorkingPlusData(t *testing.T) {
+	for _, pq := range []bool{false, true} {
+		arr, err := diskarray.New(diskarray.Config{
+			Kind: diskarray.RAID5Twin, QParity: pq, DataDisks: 4, NumPages: 48, PageSize: page.MinSize,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := core.NewStore(arr, wal.New(wal.Config{LogPageSize: 256, WriteCost: 4}), txn.NewManager())
+		g := page.GroupID(0)
+		pages := s.Arr.GroupPages(g)
+		base := make(map[page.PageID]page.Buf)
+		for i, p := range pages {
+			base[p] = pattern(page.MinSize, byte(0x30+i))
+			if err := s.WriteCommitted(p, base[p], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dirtyPage, victim := pages[0], pages[2]
+		newData := pattern(page.MinSize, 0x9B)
+		if err := s.StealNoLog(dirtyPage, newData, base[dirtyPage], s.TM.Begin()); err != nil {
+			t.Fatal(err)
+		}
+		e, _ := s.Dirty.Lookup(g)
+		drives := []int{s.Arr.DataLoc(victim).Disk}
+		for _, eq := range s.Arr.Equations() {
+			drives = append(drives, s.Arr.Loc(g, eq.Twin(e.WorkingTwin)).Disk)
+		}
+		for _, d := range drives {
+			s.Arr.Disk(d).Fail()
+		}
+		before := func(page.GroupID, dirtyset.Entry) page.Buf { return base[dirtyPage] }
+		// Without the before-image the bystander is beyond the redundancy.
+		if ok, err := RebuildGroup(s, g, drives, nil); err != nil || ok {
+			t.Fatalf("pq=%v: rebuild without the before-image: ok=%v err=%v, want reported loss", pq, ok, err)
+		}
+		lost, err := RecoverMediaMulti(s, drives, before)
+		if err != nil {
+			t.Fatalf("pq=%v: %v", pq, err)
+		}
+		for _, lg := range lost {
+			if lg == g {
+				t.Fatalf("pq=%v: group %d should rebuild via the before-image", pq, g)
+			}
+		}
+		if got, err := s.ReadPage(victim, nil); err != nil || !got.Equal(base[victim]) {
+			t.Fatalf("pq=%v: bystander page not rebuilt (err %v)", pq, err)
+		}
+		if got, err := s.ReadPage(dirtyPage, nil); err != nil || !got.Equal(newData) {
+			t.Fatalf("pq=%v: the dirty page lost its stolen contents (err %v)", pq, err)
+		}
+		if err := s.VerifyParityInvariant(); err != nil {
+			t.Fatalf("pq=%v: %v", pq, err)
+		}
+		// The rebuilt working twin must still fund the undo.
+		if p, restored, err := s.UndoGroupViaParity(g); err != nil || p != dirtyPage || !restored.Equal(base[dirtyPage]) {
+			t.Fatalf("pq=%v: undo after the rebuild broken (err %v)", pq, err)
+		}
+	}
+}
+
 func TestRecoverMediaMultiReportsLoss(t *testing.T) {
 	s := newStore(t, diskarray.RAID5)
 	if err := s.WriteCommitted(0, pattern(page.MinSize, 1), nil); err != nil {

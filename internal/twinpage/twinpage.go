@@ -34,7 +34,6 @@ import (
 // Manager tracks the current twin of every parity group.  The engine
 // serializes access to it along with the rest of its volatile state.
 type Manager struct {
-	arr *diskarray.Array
 	// current[g] is the index (0 or 1) of the current parity twin of
 	// group g.  Volatile: Reset models its loss in a crash.
 	current []uint8
@@ -46,7 +45,7 @@ func New(arr *diskarray.Array) *Manager {
 	if !arr.Twinned() {
 		panic("twinpage: array has no twin parity pages")
 	}
-	return &Manager{arr: arr, current: make([]uint8, arr.NumGroups())}
+	return &Manager{current: make([]uint8, arr.NumGroups())}
 }
 
 // Current returns the current twin index for group g according to the
@@ -68,56 +67,41 @@ func (m *Manager) Promote(g page.GroupID, twin int) {
 	m.current[g] = uint8(twin)
 }
 
-// CurrentParityFromDisk implements Figure 7 extended with transaction
-// outcomes: it reads both twins' headers (two charged transfers) and
-// returns the index of the valid parity page.
-//
-// A twin is a candidate when its header says committed, or when it says
-// working/invalid but committed(txn) reports that its writer committed
-// (the lazy on-disk state trailing a successful commit).  Among
-// candidates the one with the larger timestamp wins; ties favour twin 0,
-// matching the formatted state.
-func (m *Manager) CurrentParityFromDisk(g page.GroupID, committed func(page.TxID) bool) (int, error) {
-	m0, err := m.arr.ReadMeta(g, diskarray.P.Twin(0))
-	if err != nil {
-		return 0, fmt.Errorf("twinpage: read twin 0 header of group %d: %w", g, err)
+// Valid reports whether header m is a basis Current_Parity may pick: a
+// committed page, an obsolete one (old committed parity — still valid,
+// just expected to lose the timestamp comparison), or a working one whose
+// writer committed(txn) reports committed (the lazy on-disk state trailing
+// a successful commit).  Invalid pages and slots no header was read from
+// (StateNone) never are.
+func Valid(m disk.Meta, committed func(page.TxID) bool) bool {
+	switch m.State {
+	case disk.StateCommitted, disk.StateObsolete:
+		return true
+	case disk.StateWorking:
+		return committed != nil && committed(m.Txn)
 	}
-	m1, err := m.arr.ReadMeta(g, diskarray.P.Twin(1))
-	if err != nil {
-		return 0, fmt.Errorf("twinpage: read twin 1 header of group %d: %w", g, err)
+	return false
+}
+
+// CurrentParity is the Current_Parity rule of Figure 7 extended with
+// transaction outcomes — the one statement of it.  Given the headers of a
+// group's two redundancy indexes it returns the index of the valid one:
+// among Valid headers the larger timestamp wins, ties favouring index 0,
+// matching the formatted state.  ok is false when neither is valid.  The
+// rule is pure: whoever calls it has read the headers (two charged
+// transfers on the restart scan) and supplies the log's verdicts.
+func CurrentParity(m0, m1 disk.Meta, committed func(page.TxID) bool) (cur int, ok bool) {
+	v0, v1 := Valid(m0, committed), Valid(m1, committed)
+	if v1 && (!v0 || m1.Timestamp > m0.Timestamp) {
+		return 1, true
 	}
-	valid := func(mm disk.Meta) bool {
-		switch mm.State {
-		case disk.StateCommitted, disk.StateObsolete:
-			// Obsolete pages hold old committed parity: still a valid
-			// basis, just expected to lose the timestamp comparison.
-			return true
-		case disk.StateWorking:
-			return committed != nil && committed(mm.Txn)
-		default:
-			return false
-		}
-	}
-	v0, v1 := valid(m0), valid(m1)
-	switch {
-	case v0 && v1:
-		if m1.Timestamp > m0.Timestamp {
-			return 1, nil
-		}
-		return 0, nil
-	case v0:
-		return 0, nil
-	case v1:
-		return 1, nil
-	default:
-		return 0, fmt.Errorf("twinpage: group %d has no valid parity twin (states %v/%v)", g, m0.State, m1.State)
-	}
+	return 0, v0
 }
 
 // Reset zeroes the bitmap to the formatted default (twin 0 current).
 // Used to model the loss of main memory in a crash *before* recovery's
 // header scan (core.Store.RebuildAfterCrash) promotes each group's
-// CurrentParityFromDisk again; reads between the two would be wrong, which
+// CurrentParity again; reads between the two would be wrong, which
 // is exactly why the paper rebuilds the bitmap before resuming normal
 // processing.
 func (m *Manager) Reset() {

@@ -1,7 +1,6 @@
 package twinpage
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -34,6 +33,20 @@ func TestFormattedStateTwinZeroCurrent(t *testing.T) {
 // pTwin addresses the P page of a twin index.
 func pTwin(t int) diskarray.Red { return diskarray.P.Twin(t) }
 
+// headers reads the P headers of group g's two twins, the two transfers the
+// restart scan charges before it applies the rule.
+func headers(t *testing.T, a *diskarray.Array, g page.GroupID) (m0, m1 disk.Meta) {
+	t.Helper()
+	var err error
+	if m0, err = a.ReadMeta(g, pTwin(0)); err != nil {
+		t.Fatal(err)
+	}
+	if m1, err = a.ReadMeta(g, pTwin(1)); err != nil {
+		t.Fatal(err)
+	}
+	return m0, m1
+}
+
 func TestPromoteFlipsBitmap(t *testing.T) {
 	m := New(newTwinArray(t))
 	m.Promote(2, m.Obsolete(2))
@@ -49,32 +62,30 @@ func TestPromoteFlipsBitmap(t *testing.T) {
 // Current_Parity algorithm.
 func TestCurrentParityFigure7(t *testing.T) {
 	a := newTwinArray(t)
-	m := New(a)
 	buf := page.NewBuf(a.PageSize())
 
 	// Freshly formatted: twin 0 (committed, ts 0) wins the tie.
-	twin, err := m.CurrentParityFromDisk(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if twin != 0 {
-		t.Fatalf("formatted group: current twin %d, want 0", twin)
+	m0, m1 := headers(t, a, 0)
+	if twin, ok := CurrentParity(m0, m1, nil); !ok || twin != 0 {
+		t.Fatalf("formatted group: current twin %d ok = %v, want twin 0", twin, ok)
 	}
 
 	// Commit a parity on twin 1 with a larger timestamp: twin 1 wins.
 	if err := a.Write(0, pTwin(1), buf, disk.Meta{State: disk.StateCommitted, Timestamp: 7, Txn: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if twin, err = m.CurrentParityFromDisk(0, nil); err != nil || twin != 1 {
-		t.Fatalf("twin = %d err = %v, want twin 1", twin, err)
+	m0, m1 = headers(t, a, 0)
+	if twin, ok := CurrentParity(m0, m1, nil); !ok || twin != 1 {
+		t.Fatalf("twin = %d ok = %v, want twin 1", twin, ok)
 	}
 
 	// An even larger timestamp back on twin 0 reclaims it.
 	if err := a.Write(0, pTwin(0), buf, disk.Meta{State: disk.StateCommitted, Timestamp: 9, Txn: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if twin, err = m.CurrentParityFromDisk(0, nil); err != nil || twin != 0 {
-		t.Fatalf("twin = %d err = %v, want twin 0", twin, err)
+	m0, m1 = headers(t, a, 0)
+	if twin, ok := CurrentParity(m0, m1, nil); !ok || twin != 0 {
+		t.Fatalf("twin = %d ok = %v, want twin 0", twin, ok)
 	}
 }
 
@@ -83,7 +94,6 @@ func TestCurrentParityFigure7(t *testing.T) {
 // writer; working-with-committed writer wins over old committed.
 func TestTwinStateDiagramFigure8(t *testing.T) {
 	a := newTwinArray(t)
-	m := New(a)
 	buf := page.NewBuf(a.PageSize())
 
 	// Group 1: twin 0 committed(ts 5); twin 1 working by txn 3 (ts 8).
@@ -98,12 +108,13 @@ func TestTwinStateDiagramFigure8(t *testing.T) {
 	notCommitted := func(tx page.TxID) bool { return false }
 
 	// Writer committed: the working twin is the real current parity.
-	if twin, err := m.CurrentParityFromDisk(1, committed); err != nil || twin != 1 {
-		t.Fatalf("twin = %d err = %v, want working twin 1 (writer committed)", twin, err)
+	m0, m1 := headers(t, a, 1)
+	if twin, ok := CurrentParity(m0, m1, committed); !ok || twin != 1 {
+		t.Fatalf("twin = %d ok = %v, want working twin 1 (writer committed)", twin, ok)
 	}
 	// Writer lost: the committed twin stays current.
-	if twin, err := m.CurrentParityFromDisk(1, notCommitted); err != nil || twin != 0 {
-		t.Fatalf("twin = %d err = %v, want committed twin 0 (writer aborted)", twin, err)
+	if twin, ok := CurrentParity(m0, m1, notCommitted); !ok || twin != 0 {
+		t.Fatalf("twin = %d ok = %v, want committed twin 0 (writer aborted)", twin, ok)
 	}
 
 	// After undo, the loser's twin is invalidated; the scan must then
@@ -111,22 +122,29 @@ func TestTwinStateDiagramFigure8(t *testing.T) {
 	if err := a.WriteMeta(1, pTwin(1), disk.Meta{State: disk.StateInvalid}); err != nil {
 		t.Fatal(err)
 	}
-	if twin, err := m.CurrentParityFromDisk(1, nil); err != nil || twin != 0 {
-		t.Fatalf("twin = %d err = %v, want 0 after invalidation", twin, err)
+	m0, m1 = headers(t, a, 1)
+	if twin, ok := CurrentParity(m0, m1, nil); !ok || twin != 0 {
+		t.Fatalf("twin = %d ok = %v, want 0 after invalidation", twin, ok)
 	}
 }
 
-func TestNoValidTwinIsAnError(t *testing.T) {
+// TestNoValidTwin: two invalid headers leave the rule nothing to pick.  The
+// restart scan turns that into an error (core's
+// TestRebuildAfterCrashNoValidTwin).
+func TestNoValidTwin(t *testing.T) {
 	a := newTwinArray(t)
-	m := New(a)
 	buf := page.NewBuf(a.PageSize())
 	for tw := 0; tw < 2; tw++ {
 		if err := a.Write(3, pTwin(tw), buf, disk.Meta{State: disk.StateInvalid}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.CurrentParityFromDisk(3, nil); err == nil || !strings.Contains(err.Error(), "no valid parity twin") {
-		t.Fatalf("err = %v, want no-valid-twin error", err)
+	m0, m1 := headers(t, a, 3)
+	if twin, ok := CurrentParity(m0, m1, func(page.TxID) bool { return true }); ok || twin != 0 {
+		t.Fatalf("twin = %d ok = %v over two invalid headers, want 0, false", twin, ok)
+	}
+	if Valid(m0, nil) || Valid(disk.Meta{}, nil) {
+		t.Fatalf("an invalid or unread (StateNone) header must never be a valid basis")
 	}
 }
 
@@ -144,9 +162,10 @@ func TestBitmapRebuiltFromHeaders(t *testing.T) {
 	}
 	m.Reset() // crash wipes the bitmap
 	for g := 0; g < a.NumGroups(); g++ {
-		cur, err := m.CurrentParityFromDisk(page.GroupID(g), nil)
-		if err != nil {
-			t.Fatal(err)
+		m0, m1 := headers(t, a, page.GroupID(g))
+		cur, ok := CurrentParity(m0, m1, nil)
+		if !ok {
+			t.Fatalf("group %d: no valid twin", g)
 		}
 		m.Promote(page.GroupID(g), cur)
 	}
@@ -232,16 +251,6 @@ func TestPromotePanicsOnBadTwin(t *testing.T) {
 		}
 	}()
 	m.Promote(0, 2)
-}
-
-func TestManagerErrorsOnFailedDisk(t *testing.T) {
-	a := newTwinArray(t)
-	m := New(a)
-	loc := a.Loc(0, pTwin(1))
-	a.Disk(loc.Disk).Fail()
-	if _, err := m.CurrentParityFromDisk(0, nil); err == nil {
-		t.Fatalf("scan over a failed disk must error")
-	}
 }
 
 func TestNewPanicsOnSingleParity(t *testing.T) {

@@ -65,8 +65,9 @@ type Options struct {
 	// through the paper's no-UNDO-logging path — the state the crash
 	// sweep most needs to interrupt.
 	OpsPerTx int
-	// Torn makes Explore tear write k itself (half the payload and the
-	// full header persist) instead of dropping it cleanly.
+	// Torn makes the exhaustive sweeps (Explore, ExploreDegraded,
+	// ExploreDouble) tear write k itself (half the payload and the full
+	// header persist) instead of dropping it cleanly.
 	Torn bool
 	// Workers sets the engine's internal parallelism (rda.Config.Workers:
 	// rebuild batches, recovery scans, bulk loads).  The workload itself
@@ -99,6 +100,16 @@ type Options struct {
 	// 0 or 1 keeps the synchronous drive model (dequeue order == submit
 	// order, byte-replayable).
 	QueueDepth int
+}
+
+// cut is the rule an exhaustive sweep stops the run with at write k: a
+// clean crash, or in torn mode a tear of write k itself, alternating which
+// half of the payload persists so both torn shapes are covered.
+func (o *Options) cut(k int64) fault.Rule {
+	if o.Torn {
+		return fault.TornWrite(k, k%2 == 0)
+	}
+	return fault.CrashAfterNWrites(k)
 }
 
 func (o *Options) fill() {
@@ -510,14 +521,7 @@ func Explore(opts Options, progress func(done, total int64)) (*Result, error) {
 	}
 	res := &Result{TotalWrites: total}
 	for k := int64(0); k < total; k++ {
-		var sched fault.Schedule
-		if opts.Torn {
-			// Alternate which half of the torn payload persists so both
-			// torn shapes are covered across the sweep.
-			sched = fault.Schedule{fault.TornWrite(k, k%2 == 0)}
-		} else {
-			sched = fault.Schedule{fault.CrashAfterNWrites(k)}
-		}
+		sched := fault.Schedule{opts.cut(k)}
 		res.Runs++
 		if err := RunSchedule(opts, sched); err != nil {
 			res.Violations = append(res.Violations, Violation{Seed: opts.Seed, Schedule: sched, Err: err})
@@ -581,6 +585,12 @@ func countDegraded(opts Options, d int) (workload, full int64, err error) {
 //   - crash mid-rebuild: FailDisk(0, 0) plus a crash at every write
 //     index inside the online rebuild that follows the workload — the
 //     restarted rebuild must reconstruct every group from scratch.
+//
+// With Options.Torn every family tears write k instead of dropping it: the
+// torn block is one more erasure beside the dead disk.  On single twin
+// parity that pair can exceed a group's one surviving equation, so loss is
+// legal wherever the two share a group; with Options.QParity it stays
+// inside the two-erasure budget and is legal only when coinciding.
 func ExploreDegraded(opts Options, progress func(done, total int64)) (*Result, error) {
 	opts.fill()
 	wDeg, wFull, err := countDegraded(opts, 0)
@@ -599,10 +609,13 @@ func ExploreDegraded(opts Options, progress func(done, total int64)) (*Result, e
 	res := &Result{TotalWrites: wDeg}
 	total := wFull + wHealthy
 	var done int64
-	run := func(sched fault.Schedule) {
+	run := func(sched fault.Schedule, lossLegal bool) {
 		res.Runs++
 		rep, err := RunDegradedSchedule(opts, sched)
 		res.absorb(rep)
+		if err == nil && !lossLegal && rep != nil && len(rep.LostPages) > 0 {
+			err = fmt.Errorf("recovery lost pages %v with the disk's death observed long before the crash", rep.LostPages)
+		}
 		if err != nil {
 			res.Violations = append(res.Violations, Violation{Seed: opts.Seed, Schedule: sched, Err: err})
 		}
@@ -612,12 +625,16 @@ func ExploreDegraded(opts Options, progress func(done, total int64)) (*Result, e
 		}
 	}
 	// Disk-down and crash-mid-rebuild families share one schedule shape;
-	// the crash index decides which regime it lands in.
+	// the crash index decides which regime it lands in.  The death was
+	// observed, so every no-log steal it touched was demoted and logged:
+	// nothing may be lost — except to a tear on single twin parity, where
+	// the torn block and the dead one can be two unknowns of a group's one
+	// surviving equation.  P+Q has an equation for each.
 	for k := int64(0); k < wFull; k++ {
-		run(fault.Schedule{fault.FailDisk(0, 0), fault.CrashAfterNWrites(k)})
+		run(fault.Schedule{fault.FailDisk(0, 0), opts.cut(k)}, opts.Torn && !opts.QParity)
 	}
 	for k := int64(0); k < wHealthy; k++ {
-		run(fault.Schedule{fault.FailDisk(int(k)%numDisks, k), fault.CrashAfterNWrites(k)})
+		run(fault.Schedule{fault.FailDisk(int(k)%numDisks, k), opts.cut(k)}, true)
 	}
 	return res, nil
 }
@@ -674,6 +691,11 @@ func countDouble(opts Options, dA, dB int) (workload, full int64, err error) {
 //     second loss is unobserved before the crash, so recovery discovers
 //     the double-degraded array at restart (the only family where
 //     explicit data loss is legal).
+//
+// With Options.Torn every family tears write k instead of dropping it.  A
+// tear on top of two dead drives exceeds P+Q exactly when all three faults
+// share a group, so explicit loss is then legal in both families — a
+// failed restart never is.
 func ExploreDouble(opts Options, progress func(done, total int64)) (*Result, error) {
 	opts.fill()
 	opts.QParity = true
@@ -708,13 +730,13 @@ func ExploreDouble(opts Options, progress func(done, total int64)) (*Result, err
 	// Both-down and crash-mid-two-drive-rebuild share one schedule shape;
 	// the crash index decides which regime it lands in.
 	for k := int64(0); k < wFull; k++ {
-		run(fault.Schedule{fault.FailDisk(0, 0), fault.FailDisk(1, 0), fault.CrashAfterNWrites(k)})
+		run(fault.Schedule{fault.FailDisk(0, 0), fault.FailDisk(1, 0), opts.cut(k)})
 	}
 	// Second death coinciding with the crash, rotating over every disk
 	// other than the one already down.
 	for k := int64(0); k < wDeg; k++ {
 		d2 := 1 + int(k)%(numDisks-1)
-		run(fault.Schedule{fault.FailDisk(0, 0), fault.FailDisk(d2, k), fault.CrashAfterNWrites(k)})
+		run(fault.Schedule{fault.FailDisk(0, 0), fault.FailDisk(d2, k), opts.cut(k)})
 	}
 	return res, nil
 }

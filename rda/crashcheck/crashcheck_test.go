@@ -1,6 +1,7 @@
 package crashcheck
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -226,6 +227,59 @@ func TestExploreDegraded(t *testing.T) {
 		}
 		if res.DeferredParityGroups == 0 {
 			t.Errorf("%v: sweep never deferred a parity group — dead-twin recovery untested", layout)
+		}
+	}
+}
+
+// TestExploreDegradedTorn is the in-tree version of `rdacrash -degraded
+// -torn`: every family of the degraded sweep with write k torn instead of
+// dropped — a dead disk and a torn block in one schedule — on twin parity
+// (where the pair may cost a group, explicitly) and on P+Q (where it is
+// inside the two-erasure budget and only a coinciding death may lose; the
+// CLI has no one-dead sweep on P+Q, so this test is that family's sweep).
+// The bugs this axis found sat at the default workload size and at
+// OpsPerTx 14, not at small(), so all three sizes run.
+func TestExploreDegradedTorn(t *testing.T) {
+	for _, layout := range []rda.Layout{rda.DataStriping, rda.ParityStriping} {
+		sizes := []Options{small(layout)}
+		for seed := int64(1); seed <= 2; seed++ {
+			sizes = append(sizes, Options{Layout: layout, Seed: seed}, Options{Layout: layout, Seed: seed, OpsPerTx: 14})
+		}
+		for _, opts := range sizes {
+			for _, pq := range []bool{false, true} {
+				opts.Torn, opts.QParity = true, pq
+				name := fmt.Sprintf("%v seed=%d txns=%d ops=%d pq=%v", layout, opts.Seed, opts.Txns, opts.OpsPerTx, pq)
+				res, err := ExploreDegraded(opts, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Runs == 0 {
+					t.Fatalf("%s: no torn degraded crash points explored", name)
+				}
+				for _, v := range res.Violations {
+					t.Errorf("%s: %s", name, v)
+				}
+			}
+		}
+	}
+}
+
+// TestExploreDoubleTorn is the in-tree version of `rdacrash -double
+// -torn`: a tear on top of two dead drives.  Beyond P+Q when all three
+// faults share a group — reported loss then, never a failed restart.
+func TestExploreDoubleTorn(t *testing.T) {
+	for _, layout := range []rda.Layout{rda.DataStriping, rda.ParityStriping} {
+		opts := small(layout)
+		opts.Torn = true
+		res, err := ExploreDouble(opts, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", layout, err)
+		}
+		for _, v := range res.Violations {
+			t.Errorf("%v: %s", layout, v)
+		}
+		if res.DataLossRuns == 0 {
+			t.Errorf("%v: no run lost a page — the three-faults-in-one-group outcome is untested", layout)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -228,8 +230,11 @@ func fpScenarios() []fpScenario {
 	pq.QParity = true
 	// Torn head, clean cut, torn tail.
 	cuts := []fpCut{{after: 60, torn: true, head: true}, {after: 45}, {after: 33, torn: true}}
-	// A tear on top of two dead drives is a third fault in one group:
-	// beyond P+Q, so that scenario is cut cleanly.
+	// A tear on top of two dead drives is a third erasure wherever the
+	// three share a group: the restart then reports the group's pages in
+	// LostPages (rdacrash -double -torn holds it to that) and the run's
+	// closing every-page-reads-back check would have to excuse them, so
+	// that scenario is cut cleanly.
 	clean := []fpCut{{after: 60}, {after: 45}, {after: 33}}
 	return []fpScenario{
 		{name: "twin-raid5", cfg: smallConfig(PageLogging, Force, true, DataStriping), scrubAt: 20, cuts: cuts},
@@ -405,7 +410,12 @@ func fpRun(t *testing.T, sc fpScenario, online bool) []string {
 }
 
 // fingerprintGolden holds the fingerprints recorded at the commit before
-// the P/Q unification (72c3d0f), keyed by scenario and rebuild kind.
+// the P/Q unification (72c3d0f), keyed by scenario and rebuild kind.  Every
+// clean-cut phase still stands as recorded there.  Re-recorded when torn
+// repair lost its degraded copies (PR 16) are three torn-cut restarts, whose
+// write stream changed — CHANGES.md names the decision behind each:
+// restart-hard2 of twin-raid5-one-dead (workload-after follows: one
+// timestamp fewer is drawn) and restart-hard0/-hard2 of pq-one-dead.
 var fingerprintGolden = map[string][]string{
 	"twin-raid5/repair": {
 		"load: w=30 r=0 h=d5cb9f33f475de0c",
@@ -429,8 +439,8 @@ var fingerprintGolden = map[string][]string{
 		"restart-hard1-workload: w=45 r=118 h=657906be2fbc7210",
 		"restart-hard1: w=11 r=158 h=8371dbcf811f2dee",
 		"restart-hard2-workload: w=34 r=71 h=0b6aff28b61646ec",
-		"restart-hard2: w=10 r=157 h=2f734a23e3d56c97",
-		"workload-after: w=54 r=146 h=f1841f2406d6f649",
+		"restart-hard2: w=10 r=149 h=6401ae6313abc0fe",
+		"workload-after: w=54 r=146 h=45414919df2bc3da",
 		"platter=0576e7e8e3195df9",
 	},
 	"twin-raid5-one-dead/rebuild": {
@@ -442,8 +452,8 @@ var fingerprintGolden = map[string][]string{
 		"restart-hard1-workload: w=45 r=118 h=657906be2fbc7210",
 		"restart-hard1: w=11 r=158 h=8371dbcf811f2dee",
 		"restart-hard2-workload: w=34 r=71 h=0b6aff28b61646ec",
-		"restart-hard2: w=10 r=157 h=2f734a23e3d56c97",
-		"workload-after: w=54 r=146 h=f1841f2406d6f649",
+		"restart-hard2: w=10 r=149 h=6401ae6313abc0fe",
+		"workload-after: w=54 r=146 h=45414919df2bc3da",
 		"platter=0576e7e8e3195df9",
 	},
 	"pq/repair": {
@@ -464,11 +474,11 @@ var fingerprintGolden = map[string][]string{
 		"workload: w=209 r=408 h=e0049cdbca3bd994",
 		"restart: w=7 r=106 h=69d7a1ef392d4a8e",
 		"restart-hard0-workload: w=61 r=116 h=e6497c1dc28e9dd8",
-		"restart-hard0: w=19 r=207 h=a72f7f99834d2ca7",
+		"restart-hard0: w=19 r=195 h=850b30f68c0f07ec",
 		"restart-hard1-workload: w=45 r=93 h=99fb9d1b5ef13858",
 		"restart-hard1: w=17 r=208 h=1bdb00b6eeeb5c11",
 		"restart-hard2-workload: w=34 r=74 h=c1175d4efff38ddd",
-		"restart-hard2: w=14 r=201 h=cf006890311c2a54",
+		"restart-hard2: w=14 r=189 h=337f8c5262038a27",
 		"workload-after: w=45 r=73 h=812a0e68b071c3f2",
 		"platter=5222667aed728069",
 	},
@@ -477,11 +487,11 @@ var fingerprintGolden = map[string][]string{
 		"workload: w=209 r=408 h=e0049cdbca3bd994",
 		"restart: w=7 r=106 h=69d7a1ef392d4a8e",
 		"restart-hard0-workload: w=61 r=116 h=e6497c1dc28e9dd8",
-		"restart-hard0: w=19 r=207 h=a72f7f99834d2ca7",
+		"restart-hard0: w=19 r=195 h=850b30f68c0f07ec",
 		"restart-hard1-workload: w=45 r=93 h=99fb9d1b5ef13858",
 		"restart-hard1: w=17 r=208 h=1bdb00b6eeeb5c11",
 		"restart-hard2-workload: w=34 r=74 h=c1175d4efff38ddd",
-		"restart-hard2: w=14 r=201 h=cf006890311c2a54",
+		"restart-hard2: w=14 r=189 h=337f8c5262038a27",
 		"workload-after: w=45 r=73 h=812a0e68b071c3f2",
 		"platter=5222667aed728069",
 	},
@@ -526,6 +536,34 @@ var fingerprintGolden = map[string][]string{
 	},
 }
 
+// fingerprintFewerReads is the one column of the goldens PR 16 moved
+// without moving a write: header reads a restart no longer issues, by
+// scenario and phase.  The restart's one echo check (core.settleFlip)
+// judges the header Figure 7 has just read, where the two copies it
+// replaced read the winner's header a second time before looking at it —
+// with one disk down, one transfer per group that lost a data page.  The
+// w= and h= of these phases stay pinned to the 72c3d0f recordings above.
+var fingerprintFewerReads = map[string]map[string]int{
+	"twin-raid5-one-dead": {"restart": 8, "restart-hard0": 1, "restart-hard1": 8},
+	"pq-one-dead":         {"restart": 6, "restart-hard1": 6},
+	"pq-two-dead":         {"restart": 1, "restart-hard0": 1, "restart-hard1": 1, "restart-hard2": 1},
+}
+
+// fpFewerReads applies fingerprintFewerReads to one golden line.
+func fpFewerReads(scenario, line string) string {
+	phase, rest, _ := strings.Cut(line, ": ")
+	n := fingerprintFewerReads[scenario][phase]
+	if n == 0 {
+		return line
+	}
+	var w, r int
+	var h string
+	if _, err := fmt.Sscanf(rest, "w=%d r=%d h=%s", &w, &r, &h); err != nil {
+		panic(fmt.Sprintf("golden line %q: %v", line, err))
+	}
+	return fmt.Sprintf("%s: w=%d r=%d h=%s", phase, w, r-n, h)
+}
+
 func TestWriteSequenceFingerprint(t *testing.T) {
 	for _, sc := range fpScenarios() {
 		for _, online := range []bool{false, true} {
@@ -539,11 +577,11 @@ func TestWriteSequenceFingerprint(t *testing.T) {
 			name := sc.name + "/" + kind
 			t.Run(name, func(t *testing.T) {
 				got := fpRun(t, sc, online)
-				want := fingerprintGolden[name]
-				same := len(got) == len(want)
-				for i := 0; same && i < len(got); i++ {
-					same = got[i] == want[i]
+				want := slices.Clone(fingerprintGolden[name])
+				for i, line := range want {
+					want[i] = fpFewerReads(sc.name, line)
 				}
+				same := slices.Equal(got, want)
 				if !same {
 					t.Errorf("fingerprint differs from the golden\n got: %q\nwant: %q", got, want)
 				}
