@@ -38,6 +38,12 @@
 //	rdacrash -degraded -torn
 //	rdacrash -double -torn
 //
+// Every mode takes -noforce, which runs the engine ¬FORCE (checkpoints
+// inside the workload) so that restarts REDO winners from the log:
+//
+//	rdacrash -explore -noforce
+//	rdacrash -degraded -noforce
+//
 // Corrupt mode is the silent-corruption soak: every run plants a bit
 // flip, lost write or misdirected write at a random write index (half
 // the runs crash afterwards too) while online scrub steps interleave
@@ -77,6 +83,7 @@ func main() {
 		mix      = flag.Bool("mix", false, "self-healing soak: transient faults everywhere, alternating crashes and mid-run disk deaths")
 		trans    = flag.Int64("transient", 50, "mix mode: fail every n-th disk access with a transient error (0 disables)")
 		torn     = flag.Bool("torn", false, "explore/degraded/double: tear the crashed write (half payload persists) instead of dropping it")
+		noforce  = flag.Bool("noforce", false, "run the engine ¬FORCE with checkpoints in the workload, so every restart has winners to REDO")
 		seed     = flag.Int64("seed", 1, "workload seed (soak: master seed for derived runs)")
 		iters    = flag.Int("iters", 100, "soak iterations")
 		txns     = flag.Int("txns", 0, "transactions per workload (0 = default)")
@@ -102,7 +109,13 @@ func main() {
 	}
 
 	opts := func(l rda.Layout) crashcheck.Options {
-		return crashcheck.Options{Layout: l, Seed: *seed, Txns: *txns, OpsPerTx: *ops, Torn: *torn, Workers: *workers, QueueDepth: *qdepth}
+		return crashcheck.Options{Layout: l, Seed: *seed, Txns: *txns, OpsPerTx: *ops, Torn: *torn, NoForce: *noforce, Workers: *workers, QueueDepth: *qdepth}
+	}
+
+	// replay is what a printed replay line needs beside its mode flag.
+	replay := ""
+	if *noforce {
+		replay = "-noforce "
 	}
 
 	failed := false
@@ -157,7 +170,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
 				os.Exit(1)
 			}
-			report(l, res, "-double ")
+			report(l, res, replay+"-double ")
 			failed = failed || len(res.Violations) > 0
 		}
 	case *degraded:
@@ -172,7 +185,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
 				os.Exit(1)
 			}
-			report(l, res, "-degraded ")
+			report(l, res, replay+"-degraded ")
 			failed = failed || len(res.Violations) > 0
 		}
 	case *explore:
@@ -191,7 +204,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
 				os.Exit(1)
 			}
-			report(l, res, "")
+			report(l, res, replay)
 			failed = failed || len(res.Violations) > 0
 		}
 	case *corrupt:
@@ -201,7 +214,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
 				os.Exit(1)
 			}
-			report(l, res, "-corrupt ")
+			report(l, res, replay+"-corrupt ")
 			fmt.Printf("%v: integrity: %d corrupt block(s) detected, %d read repair(s), %d scrub repair(s), %d group(s) scrubbed, %d unrecoverable\n",
 				l, res.CorruptBlocksDetected, res.ReadRepairs, res.ScrubRepairs, res.ScrubbedGroups, res.UnrecoverableCorruption)
 			failed = failed || len(res.Violations) > 0
@@ -213,7 +226,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
 				os.Exit(1)
 			}
-			report(l, res, fmt.Sprintf("-mix -transient %d ", *trans))
+			report(l, res, replay+fmt.Sprintf("-mix -transient %d ", *trans))
 			failed = failed || len(res.Violations) > 0
 		}
 	case *soak:
@@ -223,7 +236,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
 				os.Exit(1)
 			}
-			report(l, res, "")
+			report(l, res, replay)
 			failed = failed || len(res.Violations) > 0
 		}
 	default:

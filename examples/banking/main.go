@@ -118,8 +118,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("crash: %d loser(s) rolled back (%d via twin parity, %d via log, %d redone)\n",
-		rep.Losers, rep.UndoneViaParity, rep.UndoneViaLog, rep.Redone)
+	fmt.Printf("crash: %d loser(s) rolled back (%d via twin parity, %d via log); %d image(s) redone over %d page(s), %d written\n",
+		rep.Losers, rep.UndoneViaParity, rep.UndoneViaLog, rep.Redone, rep.RedonePages, rep.RedoneWrites)
 
 	if got, err := bank.TotalIn(db); err != nil || got != want {
 		log.Fatalf("books do not balance after recovery: %d != %d (%v)", got, want, err)

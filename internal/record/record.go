@@ -213,14 +213,16 @@ func EncodeImage(img Image) []byte {
 	return out
 }
 
-// DecodeImage parses a payload produced by EncodeImage.
+// DecodeImage parses a payload produced by EncodeImage.  The image's Data
+// aliases b: restart decodes one per replayed log record and applies it at
+// once, so it is a view of the payload, not a copy.
 func DecodeImage(b []byte) (Image, error) {
 	if len(b) < 1 {
 		return Image{}, errors.New("record: empty image payload")
 	}
 	img := Image{Present: b[0] == 1}
 	if img.Present {
-		img.Data = append([]byte(nil), b[1:]...)
+		img.Data = b[1:]
 	}
 	return img, nil
 }

@@ -35,10 +35,12 @@
 //     parity is made to equal XOR(data) again, closing the window where an
 //     in-place parity write ran ahead of its data write.
 //   - 4. Logged undo — losers' logged before-images (pages or records) are
-//     written back through the store, newest first.
+//     applied newest first, each through the applier pass 6 uses: a page
+//     the platter already shows as it was is not rewritten.
 //   - 5. Abort records are appended for every loser.
-//   - 6. REDO (¬FORCE algorithms) — winners' after-images logged after the
-//     last checkpoint are replayed in log order.
+//   - 6. REDO (¬FORCE algorithms) — each page touched by a winner's
+//     post-checkpoint image is read once, its images applied in LSN order,
+//     and written through the committed path only if it changed.
 //
 // # Media recovery
 //
@@ -53,10 +55,11 @@
 package recovery
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dirtyset"
@@ -98,10 +101,13 @@ type Analysis struct {
 	// LoserImages holds each loser's before-image records in log order.
 	LoserImages map[page.TxID][]wal.Record
 	// RedoImages holds winners' after-image records with LSN after the
-	// last checkpoint, in log order.
+	// last checkpoint, in log order; pass 6 reorders them by (page, LSN).
 	RedoImages []wal.Record
 	// Records is the total number of log records scanned.
 	Records int
+	// mustWrite holds the pages whose logged undo is written even if already
+	// in place: undoSteal's rung 2 left a working twin for that write to retire.
+	mustWrite map[page.PageID]bool
 }
 
 // Committed returns an outcome predicate suitable for
@@ -121,24 +127,20 @@ func (a *Analysis) Committed(tx page.TxID) bool {
 	return o == OutcomeCommitted || o == OutcomeUnknown
 }
 
-// Analyze performs the (charged) analysis scan.
+// Analyze performs the (charged) analysis scan.  It keeps the outcomes and
+// the only records a later pass reads — before-images and the after-images
+// past the latest checkpoint seen — to classify once the outcomes are known.
 func Analyze(log *wal.Log) (*Analysis, error) {
 	a := &Analysis{
 		Outcomes:    make(map[page.TxID]Outcome),
 		LoserImages: make(map[page.TxID][]wal.Record),
+		mustWrite:   make(map[page.PageID]bool),
 	}
-	var all []wal.Record
+	var before []wal.Record
+	var last wal.LSN
 	if err := log.Scan(1, func(r wal.Record) bool {
-		all = append(all, r)
-		return true
-	}); err != nil {
-		return nil, fmt.Errorf("recovery: analysis scan: %w", err)
-	}
-	a.Records = len(all)
-	if len(all) > 0 {
-		log.ChargeScan(1, all[len(all)-1].LSN)
-	}
-	for _, r := range all {
+		a.Records++
+		last = r.LSN
 		switch r.Type {
 		case wal.TypeBOT:
 			if a.Outcomes[r.Txn] == OutcomeUnknown {
@@ -150,26 +152,31 @@ func Analyze(log *wal.Log) (*Analysis, error) {
 			a.Outcomes[r.Txn] = OutcomeAborted
 		case wal.TypeCheckpoint:
 			a.CheckpointLSN = r.LSN
+			a.RedoImages = a.RedoImages[:0]
+		case wal.TypeBeforeImage:
+			before = append(before, r)
+		case wal.TypeAfterImage:
+			a.RedoImages = append(a.RedoImages, r)
 		}
+		return true
+	}); err != nil {
+		return nil, fmt.Errorf("recovery: analysis scan: %w", err)
 	}
+	log.ChargeScan(1, last) // charges nothing for an empty log
 	for tx, o := range a.Outcomes {
 		if o == OutcomeLoser {
 			a.Losers = append(a.Losers, tx)
 		}
 	}
-	sort.Slice(a.Losers, func(i, j int) bool { return a.Losers[i] < a.Losers[j] })
-	for _, r := range all {
-		switch r.Type {
-		case wal.TypeBeforeImage:
-			if a.Outcomes[r.Txn] == OutcomeLoser {
-				a.LoserImages[r.Txn] = append(a.LoserImages[r.Txn], r)
-			}
-		case wal.TypeAfterImage:
-			if a.Outcomes[r.Txn] == OutcomeCommitted && r.LSN > a.CheckpointLSN {
-				a.RedoImages = append(a.RedoImages, r)
-			}
+	slices.Sort(a.Losers)
+	for _, r := range before {
+		if a.Outcomes[r.Txn] == OutcomeLoser {
+			a.LoserImages[r.Txn] = append(a.LoserImages[r.Txn], r)
 		}
 	}
+	a.RedoImages = slices.DeleteFunc(a.RedoImages, func(r wal.Record) bool {
+		return a.Outcomes[r.Txn] != OutcomeCommitted
+	})
 	return a, nil
 }
 
@@ -179,6 +186,8 @@ type Report struct {
 	UndoneViaParity int // data pages restored from twin parity
 	UndoneViaLog    int // before-images written back
 	Redone          int // after-images replayed
+	RedonePages     int // distinct pages REDO read
+	RedoneWrites    int // of those, pages it had to write
 	LaunderedTwins  int // winner working twins promoted on disk
 	RepairedTorn    int // torn blocks rebuilt from redundancy
 	ResyncedGroups  int // groups whose parity was resynchronized
@@ -304,32 +313,24 @@ func CrashRecover(s *core.Store, redo, hard bool) (*Report, error) {
 		rep.ResyncedGroups = n
 	}
 
-	// The loss declarations above (Pass 2/2.5) run before the log-based
-	// passes, so a page can be declared lost and *then* rewritten by a
-	// full-page log image — its content is log-determined after all, and
-	// leaving it in LostPages would misreport recoverable (non-zero)
-	// state as explicit loss.  Track the set and drop re-determined
-	// pages; record-level images cannot re-determine a lost page (the
-	// page base they would patch is gone), so they are skipped and the
-	// page stays zeroed and reported.
-	lostSet := make(map[page.PageID]bool, len(rep.LostPages))
+	// Passes 4 and 6 share one applier and its two page buffers.  It holds
+	// the pages declared lost above and strikes the ones a full-page log
+	// image re-determines after all.
+	ap := applier{s: s, a: a, lost: make(map[page.PageID]bool, len(rep.LostPages)), old: s.Pages.Get(), new: s.Pages.Get()}
+	defer s.Pages.Put(ap.old, ap.new)
 	for _, p := range rep.LostPages {
-		lostSet[p] = true
+		ap.lost[p] = true
 	}
 
 	// Pass 4: logged undo, newest first per loser.
 	for _, tx := range a.Losers {
 		images := a.LoserImages[tx]
 		for i := len(images) - 1; i >= 0; i-- {
-			r := images[i]
-			if lostSet[r.Page] && r.Slot != wal.NoSlot {
-				continue
+			n, _, err := ap.apply(images[i:i+1], false)
+			if err != nil {
+				return nil, fmt.Errorf("recovery: undo txn %d page %d: %w", tx, images[i].Page, err)
 			}
-			if err := applyImage(s, r, false); err != nil {
-				return nil, fmt.Errorf("recovery: undo txn %d page %d: %w", tx, r.Page, err)
-			}
-			rep.UndoneViaLog++
-			delete(lostSet, r.Page)
+			rep.UndoneViaLog += n
 		}
 	}
 
@@ -340,18 +341,11 @@ func CrashRecover(s *core.Store, redo, hard bool) (*Report, error) {
 
 	// Pass 6: REDO.
 	if redo {
-		for _, r := range a.RedoImages {
-			if lostSet[r.Page] && r.Slot != wal.NoSlot {
-				continue
-			}
-			if err := applyImage(s, r, true); err != nil {
-				return nil, fmt.Errorf("recovery: redo txn %d page %d: %w", r.Txn, r.Page, err)
-			}
-			rep.Redone++
-			delete(lostSet, r.Page)
+		if err := ap.redo(a.RedoImages, rep); err != nil {
+			return nil, err
 		}
 	}
-	rep.LostPages = slices.DeleteFunc(rep.LostPages, func(p page.PageID) bool { return !lostSet[p] })
+	rep.LostPages = slices.DeleteFunc(rep.LostPages, func(p page.PageID) bool { return !ap.lost[p] })
 	return rep, nil
 }
 
@@ -404,6 +398,7 @@ func undoSteal(s *core.Store, a *Analysis, rep *Report, g page.GroupID, p page.P
 		// redundancy from what the group holds: sound only while p is the
 		// one member the indexes disagree with the platter about.
 		if _, lost := lostData(s, g); !lost {
+			a.mustWrite[p] = true
 			return undoLogged, nil
 		}
 	}
@@ -588,7 +583,7 @@ func loseGroup(s *core.Store, g page.GroupID, rep *Report, zero ...page.PageID) 
 		}
 		first = false
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
+	slices.Sort(lost)
 	rep.LostPages = append(rep.LostPages, lost...)
 	return nil
 }
@@ -959,45 +954,110 @@ func rebuildTornP(s *core.Store, a *Analysis, g page.GroupID, twin int, hdr disk
 // describes: it is rewritten zeroed and invalid, and — for a P page, the
 // header Figure 7 reads — its index invalidated on the reachable slots.
 func zeroInvalid(s *core.Store, g page.GroupID, r diskarray.Red) error {
-	zero := make(page.Buf, s.Arr.PageSize())
+	zero := s.Pages.Get()
+	defer s.Pages.Put(zero)
+	zero.Zero()
 	if err := s.Arr.Write(g, r, zero, invalid); err != nil || r.Eq == diskarray.Q {
 		return err
 	}
 	return s.WriteIndexMeta(g, r.Twin, invalid)
 }
 
-// applyImage writes a logged page or record image back to the database.
-// committedWrite selects the committed write path (REDO) versus the
-// logged-undo path.
-func applyImage(s *core.Store, r wal.Record, committedWrite bool) error {
-	var data page.Buf
-	if r.Slot == wal.NoSlot {
-		data = page.Buf(r.Image).Clone()
-		if len(data) != s.Arr.PageSize() {
-			return fmt.Errorf("recovery: page image of %d bytes for %d-byte pages", len(data), s.Arr.PageSize())
+// applier brings data pages up to date with logged images: pass 4's
+// before-images one at a time, pass 6's after-images a page at a time.
+type applier struct {
+	s        *core.Store
+	a        *Analysis
+	lost     map[page.PageID]bool // declared lost and not re-determined since
+	old, new page.Buf             // a page as read, and as replayed
+}
+
+// redo is pass 6: winners' post-checkpoint images ordered by (page, LSN),
+// one apply per page in ascending order (group order under data striping).
+// Pages of one group are not folded into one parity write: a partial-group
+// batch has bystanders a tear would corrupt (see core.WriteStripeLogged).
+func (ap *applier) redo(imgs []wal.Record, rep *Report) error {
+	slices.SortFunc(imgs, func(x, y wal.Record) int {
+		return cmp.Or(cmp.Compare(x.Page, y.Page), cmp.Compare(x.LSN, y.LSN))
+	})
+	for len(imgs) > 0 {
+		k := 1
+		for k < len(imgs) && imgs[k].Page == imgs[0].Page {
+			k++
 		}
-	} else {
-		img, err := record.DecodeImage(r.Image)
+		n, wrote, err := ap.apply(imgs[:k], true)
 		if err != nil {
-			return err
+			return fmt.Errorf("recovery: redo page %d: %w", imgs[0].Page, err)
 		}
-		cur, err := s.ReadPage(r.Page, nil)
-		if err != nil {
-			return err
+		rep.Redone += n
+		if n > 0 {
+			rep.RedonePages++
 		}
+		if wrote {
+			rep.RedoneWrites++
+		}
+		imgs = imgs[k:]
+	}
+	return nil
+}
+
+// apply replays imgs — logged images of ONE page, in the order they take
+// effect — and reports how many it accounted for and whether the page had
+// to be written.  A full-page image supersedes everything before it, so
+// replay starts at the last one; it alone re-determines a lost page — a
+// record image has no base left to patch, so without one the page stays
+// zeroed and reported.  The page is read once (verified and read-repaired
+// like every read) and written only if the replay changed it: equal bytes
+// mean the platter already shows every image, whichever write put it
+// there, so no timestamp is drawn and no twin flips.  A write is the
+// store's ordinary crash-atomic page write, WriteCommitted for REDO and
+// WriteLogged for logged undo, with the page just read as its old contents.
+func (ap *applier) apply(imgs []wal.Record, committed bool) (applied int, wrote bool, err error) {
+	s, p := ap.s, imgs[0].Page
+	full := len(imgs) - 1
+	for full >= 0 && imgs[full].Slot != wal.NoSlot {
+		full--
+	}
+	if ap.lost[p] && full < 0 {
+		return 0, false, nil
+	}
+	delete(ap.lost, p)
+	old, err := s.ReadPage(p, ap.old)
+	if err != nil {
+		return 0, false, err
+	}
+	cur, base := ap.new, old
+	if full >= 0 {
+		base = imgs[full].Image
+	}
+	if len(base) != len(cur) {
+		return 0, false, fmt.Errorf("recovery: page image of %d bytes for %d-byte pages", len(base), len(cur))
+	}
+	copy(cur, base)
+	if rest := imgs[full+1:]; len(rest) > 0 {
 		view, err := record.View(cur)
 		if err != nil {
-			return fmt.Errorf("recovery: page %d: %w", r.Page, err)
+			return 0, false, fmt.Errorf("recovery: page %d: %w", p, err)
 		}
-		if err := view.Apply(int(r.Slot), img); err != nil {
-			return err
+		for _, r := range rest {
+			img, err := record.DecodeImage(r.Image)
+			if err != nil {
+				return 0, false, err
+			}
+			if err := view.Apply(int(r.Slot), img); err != nil {
+				return 0, false, err
+			}
 		}
-		data = cur
 	}
-	if committedWrite {
-		return s.WriteCommitted(r.Page, data, nil)
+	if bytes.Equal(cur, old) && !ap.a.mustWrite[p] {
+		return len(imgs), false, nil
 	}
-	return s.WriteLogged(r.Page, data, nil)
+	if committed {
+		err = s.WriteCommitted(p, cur, old)
+	} else {
+		err = s.WriteLogged(p, cur, old)
+	}
+	return len(imgs), err == nil, err
 }
 
 // BeforeImageFunc supplies the in-memory before-image of the page that

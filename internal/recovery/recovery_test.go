@@ -7,8 +7,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dirtyset"
+	"repro/internal/disk"
 	"repro/internal/diskarray"
 	"repro/internal/page"
+	"repro/internal/record"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -441,4 +443,207 @@ func pattern(size int, seed byte) page.Buf {
 		b[i] = seed + byte(i)
 	}
 	return b
+}
+
+// recordPage returns a formatted record page holding the given slots.
+func recordPage(t testing.TB, size, recSize int, recs map[int][]byte) page.Buf {
+	t.Helper()
+	b := page.NewBuf(size)
+	if err := record.Format(b, recSize); err != nil {
+		t.Fatal(err)
+	}
+	v, err := record.View(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot, rec := range recs {
+		if err := v.Write(slot, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// logRecordImage appends winner tx's after-image of one record.
+func logRecordImage(s *core.Store, tx page.TxID, p page.PageID, slot int, rec []byte) {
+	s.Log.Append(wal.Record{Type: wal.TypeAfterImage, Txn: tx, Page: p, Slot: int32(slot),
+		Image: record.EncodeImage(record.Image{Present: true, Data: rec})})
+}
+
+// TestCrashRecoverRedoIdempotent: REDO reads each page once, writes only
+// the pages its images change, and a second restart over the same log —
+// no checkpoint in between — finds every page current and writes nothing.
+func TestCrashRecoverRedoIdempotent(t *testing.T) {
+	const recSize = 8
+	s := newStore(t, diskarray.RAID5Twin)
+	rec := func(seed byte) []byte { return pattern(recSize, seed) }
+	// Page 3 takes three record images, page 9 a full-page image, and page
+	// 20 already holds what its two images produce.
+	for p, recs := range map[page.PageID]map[int][]byte{3: nil, 9: nil, 20: {0: rec(7), 1: rec(8)}} {
+		if err := s.WriteCommitted(p, recordPage(t, page.MinSize, recSize, recs), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := recordPage(t, page.MinSize, recSize, map[int][]byte{2: rec(9)})
+	s.Log.Append(wal.Record{Type: wal.TypeBOT, Txn: 1, Slot: wal.NoSlot})
+	logRecordImage(s, 1, 3, 0, rec(1))
+	logRecordImage(s, 1, 20, 0, rec(7))
+	logRecordImage(s, 1, 3, 1, rec(2))
+	s.Log.Append(wal.Record{Type: wal.TypeEOT, Txn: 1, Slot: wal.NoSlot})
+	s.Log.Append(wal.Record{Type: wal.TypeBOT, Txn: 2, Slot: wal.NoSlot})
+	logRecordImage(s, 2, 3, 0, rec(3)) // overwrites txn 1's slot 0
+	logRecordImage(s, 2, 20, 1, rec(8))
+	s.Log.Append(wal.Record{Type: wal.TypeAfterImage, Txn: 2, Page: 9, Slot: wal.NoSlot, Image: full})
+	s.Log.Append(wal.Record{Type: wal.TypeEOT, Txn: 2, Slot: wal.NoSlot})
+	const images, pages, stale = 6, 3, 2
+
+	// The cost of a restart with nothing to apply: the header scans.
+	restart := func(redo bool) (*Report, disk.Stats) {
+		t.Helper()
+		s.ResetVolatile()
+		before := s.Arr.Stats()
+		rep, err := CrashRecover(s, redo, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := s.Arr.Stats()
+		return rep, disk.Stats{Reads: after.Reads - before.Reads, Writes: after.Writes - before.Writes}
+	}
+	_, scan := restart(false)
+	if scan.Writes != 0 {
+		t.Fatalf("restart without REDO wrote %d block(s)", scan.Writes)
+	}
+
+	rep, io := restart(true)
+	if rep.Redone != images || rep.RedonePages != pages || rep.RedoneWrites != stale {
+		t.Fatalf("first restart: redone %d image(s) over %d page(s), %d written; want %d/%d/%d",
+			rep.Redone, rep.RedonePages, rep.RedoneWrites, images, pages, stale)
+	}
+	// One read per page; a written page adds the a = 3 small write: parity
+	// read, parity write, data write.
+	if r, w := io.Reads-scan.Reads, io.Writes; r != pages+stale || w != 2*stale {
+		t.Fatalf("first restart: REDO cost %d read(s) and %d write(s), want %d and %d", r, w, pages+stale, 2*stale)
+	}
+	want := map[page.PageID]page.Buf{
+		3:  recordPage(t, page.MinSize, recSize, map[int][]byte{0: rec(3), 1: rec(2)}),
+		9:  full,
+		20: recordPage(t, page.MinSize, recSize, map[int][]byte{0: rec(7), 1: rec(8)}),
+	}
+	for p, img := range want {
+		if got, err := s.ReadPage(p, nil); err != nil || !got.Equal(img) {
+			t.Fatalf("page %d after REDO: %v (err %v)", p, got, err)
+		}
+	}
+
+	rep, io = restart(true)
+	if rep.Redone != images || rep.RedonePages != pages || rep.RedoneWrites != 0 {
+		t.Fatalf("second restart: redone %d image(s) over %d page(s), %d written; want %d/%d/0",
+			rep.Redone, rep.RedonePages, rep.RedoneWrites, images, pages)
+	}
+	if r := io.Reads - scan.Reads; r != pages || io.Writes != 0 {
+		t.Fatalf("second restart: REDO cost %d read(s) and %d write(s), want %d and 0", r, io.Writes, pages)
+	}
+	if err := s.VerifyParityInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// redoStore builds the leaf benchmark's restart: a twinned array of 2 KiB
+// pages and a log of perPage committed record images for each of the first
+// pages pages, of which every seventh page (≈ 15 %) is stale on the platter
+// and the rest already hold what their images produce.  reset puts the
+// stale pages back after a restart has redone them.
+func redoStore(tb testing.TB, pages, perPage int) (s *core.Store, reset func()) {
+	tb.Helper()
+	const pageSize, recSize = 2048, 100
+	arr, err := diskarray.New(diskarray.Config{Kind: diskarray.RAID5Twin, DataDisks: 4, NumPages: pages, PageSize: pageSize})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s = core.NewStore(arr, wal.New(wal.DefaultConfig()), txn.NewManager())
+	blank := recordPage(tb, pageSize, recSize, nil)
+	load := make([]page.Buf, pages)
+	var stale []page.PageID
+	s.Log.Append(wal.Record{Type: wal.TypeBOT, Txn: 1, Slot: wal.NoSlot})
+	for p := range load {
+		recs := make(map[int][]byte, perPage)
+		for slot := 0; slot < perPage; slot++ {
+			recs[slot] = pattern(recSize, byte(p+slot))
+		}
+		load[p] = recordPage(tb, pageSize, recSize, recs)
+		if p%7 == 0 {
+			load[p] = blank
+			stale = append(stale, page.PageID(p))
+		}
+	}
+	// Images of one page are spread over the log, as commits leave them.
+	for slot := 0; slot < perPage; slot++ {
+		for p := range load {
+			logRecordImage(s, 1, page.PageID(p), slot, pattern(recSize, byte(p+slot)))
+		}
+	}
+	s.Log.Append(wal.Record{Type: wal.TypeEOT, Txn: 1, Slot: wal.NoSlot})
+	if _, err := s.BulkLoad(0, load); err != nil {
+		tb.Fatal(err)
+	}
+	return s, func() {
+		for _, p := range stale {
+			if err := s.WriteCommitted(p, blank, nil); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkCrashRecoverRedo is the leaf benchmark of pass 6 at the shape
+// the retrieval_noforce workload gives it: ≈ 4 000 record images over
+// ≈ 2 000 pages, ≈ 85 % of them already current.  ns/op is one whole
+// quiescent restart, header scans and analysis included.
+func BenchmarkCrashRecoverRedo(b *testing.B) {
+	const pages, perPage = 2000, 2
+	s, reset := redoStore(b, pages, perPage)
+	var transfers int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		reset()
+		s.ResetVolatile()
+		before := s.Arr.Stats().Transfers()
+		b.StartTimer()
+		rep, err := CrashRecover(s, true, false)
+		if err != nil || rep.Redone != pages*perPage {
+			b.Fatalf("redone %d, err %v", rep.Redone, err)
+		}
+		transfers += s.Arr.Stats().Transfers() - before
+	}
+	images := float64(b.N) * pages * perPage
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/images, "ns/image")
+	b.ReportMetric(float64(transfers)/images, "transfers/image")
+}
+
+// TestRedoAllocationsIndependentOfImages: pass 6 works in the applier's two
+// page buffers, so replaying four times the images over the same pages
+// allocates no more — what is left is one record view per page.
+func TestRedoAllocationsIndependentOfImages(t *testing.T) {
+	const pages = 64
+	allocs := func(perPage int) float64 {
+		s, _ := redoStore(t, pages, perPage)
+		a, err := Analyze(s.Log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ap := applier{s: s, a: a, lost: map[page.PageID]bool{}, old: s.Pages.Get(), new: s.Pages.Get()}
+		return testing.AllocsPerRun(10, func() {
+			rep := &Report{}
+			if err := ap.redo(a.RedoImages, rep); err != nil || rep.Redone != pages*perPage {
+				t.Fatalf("redone %d, err %v", rep.Redone, err)
+			}
+		})
+	}
+	few, many := allocs(2), allocs(8)
+	t.Logf("allocs: %v for 2 images a page, %v for 8", few, many)
+	if many > few || few > 2*pages {
+		t.Fatalf("pass 6 allocated %.0f time(s) for 2 images a page and %.0f for 8, over %d pages", few, many, pages)
+	}
 }

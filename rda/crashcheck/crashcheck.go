@@ -34,6 +34,13 @@
 // members, with explicit (zeroed, reported) data loss tolerated only
 // when the death and the crash coincide.
 //
+// Every sweep also runs ¬FORCE (Options.NoForce), the only discipline under
+// which a restart has winners to REDO: commits leave their pages in the
+// buffer, the workload takes checkpoints of its own, and the crash points
+// land between a commit and the write-back of its pages, and inside the
+// checkpoints.  Options.Records makes each write one record slot, so REDO
+// replays several images per page.
+//
 // Because the workload, the buffer manager, and the fault plane are all
 // deterministic, a failing run is identified completely by its seed and
 // schedule, both of which print in a replayable syntax.
@@ -46,6 +53,7 @@ import (
 	"math/rand"
 
 	"repro/internal/fault"
+	"repro/internal/record"
 	"repro/rda"
 )
 
@@ -100,6 +108,18 @@ type Options struct {
 	// 0 or 1 keeps the synchronous drive model (dequeue order == submit
 	// order, byte-replayable).
 	QueueDepth int
+	// NoForce runs the engine ¬FORCE (rda.NoForce): commits leave their
+	// pages in the buffer, so a restart has winners to REDO.  The workload
+	// then takes an action-consistent checkpoint after every fourth
+	// transaction and at its end — part of the write clock, so the sweeps
+	// crash inside checkpoints too — and the oracle's raw platter peeks
+	// follow a checkpoint.
+	NoForce bool
+	// Records runs the engine with record logging: every write of the
+	// workload is a WriteRecord of one slot, the oracle keeps the page
+	// images those slot writes produce, and REDO under NoForce replays
+	// record images (several per page) instead of page images.
+	Records bool
 }
 
 // cut is the rule an exhaustive sweep stops the run with at write k: a
@@ -125,7 +145,7 @@ func (o *Options) fill() {
 // sweep stays cheap, with fewer buffer frames than the working set so
 // eviction steals (the paper's no-UNDO-logging path) actually happen.
 func dbConfig(opts Options) rda.Config {
-	return rda.Config{
+	cfg := rda.Config{
 		DataDisks:    4,
 		NumPages:     48,
 		PageSize:     64,
@@ -140,7 +160,19 @@ func dbConfig(opts Options) rda.Config {
 		Workers:      opts.Workers,
 		QueueDepth:   opts.QueueDepth,
 	}
+	if opts.NoForce {
+		cfg.EOT = rda.NoForce
+	}
+	if opts.Records {
+		cfg.Logging = rda.RecordLogging
+		cfg.RecordSize = recordSize
+	}
+	return cfg
 }
+
+// recordSize is the Records workload's record length: seven slots on the
+// explorer's 64-byte pages.
+const recordSize = 8
 
 // Violation is one failed crash-and-recover run, identified by the seed
 // and schedule that reproduce it.
@@ -272,6 +304,9 @@ func (d *driver) run() (crash *fault.Crash, err error) {
 	}()
 	npages := d.db.NumPages()
 	for t := 0; t < d.opts.Txns; t++ {
+		if err := d.checkpoint(t); err != nil {
+			return nil, err
+		}
 		tx, err := d.db.Begin()
 		if err != nil {
 			return nil, fmt.Errorf("txn %d begin: %w", t, err)
@@ -280,7 +315,14 @@ func (d *driver) run() (crash *fault.Crash, err error) {
 		abort := d.rng.Intn(6) == 0
 		for op := 0; op < d.opts.OpsPerTx; op++ {
 			p := rda.PageID(d.rng.Intn(npages))
-			if d.rng.Intn(4) == 0 {
+			read := d.rng.Intn(4) == 0
+			if d.opts.Records {
+				if err := d.recordOp(tx, t, op, p, read); err != nil {
+					return nil, fmt.Errorf("txn %d page %d: %w", t, p, err)
+				}
+				continue
+			}
+			if read {
 				got, err := tx.ReadPage(p)
 				if err != nil {
 					return nil, fmt.Errorf("txn %d read page %d: %w", t, p, err)
@@ -292,11 +334,7 @@ func (d *driver) run() (crash *fault.Crash, err error) {
 				// else (a stale lost-write ghost, a misdirected payload, a
 				// rotted block) is the silent corruption the integrity
 				// plane exists to make impossible.
-				want, ok := d.pending[p]
-				if !ok {
-					want = d.expected(p)
-				}
-				if !bytes.Equal(got, want) {
+				if !bytes.Equal(got, d.current(p)) {
 					return nil, fmt.Errorf("txn %d read of page %d served corrupt data", t, p)
 				}
 				continue
@@ -329,16 +367,68 @@ func (d *driver) run() (crash *fault.Crash, err error) {
 			}
 		}
 	}
-	return nil, nil
+	return nil, d.checkpoint(d.opts.Txns)
+}
+
+// checkpoint takes the NoForce workload's checkpoint before transaction t:
+// every fourth one and the end of the workload.
+func (d *driver) checkpoint(t int) error {
+	if !d.opts.NoForce || t == 0 || (t%4 != 0 && t != d.opts.Txns) {
+		return nil
+	}
+	if err := d.db.Checkpoint(); err != nil {
+		return fmt.Errorf("checkpoint before txn %d: %w", t, err)
+	}
+	return nil
 }
 
 // expected returns the oracle image of page p: its last committed write,
-// or the formatted zero page.
+// or the formatted page (zero; the empty record layout under Records).
 func (d *driver) expected(p rda.PageID) []byte {
 	if img, ok := d.committed[p]; ok {
 		return img
 	}
-	return make([]byte, d.db.PageSize())
+	blank := make([]byte, d.db.PageSize())
+	if d.opts.Records {
+		_ = record.Format(blank, recordSize) // fails only on a size dbConfig never sets
+	}
+	return blank
+}
+
+// current returns the image a read of page p by the running transaction
+// must see: its own pending write, else the last committed image.
+func (d *driver) current(p rda.PageID) []byte {
+	if img, ok := d.pending[p]; ok {
+		return img
+	}
+	return d.expected(p)
+}
+
+// recordOp is one workload operation on page p under Options.Records: a
+// read of one slot checked against the oracle's image of the page, or a
+// write of one slot folded into it.  Slot and record depend only on (seed,
+// txn, op, p), like pageImage.
+func (d *driver) recordOp(tx *rda.Tx, txn, op int, p rda.PageID, read bool) error {
+	img := append([]byte(nil), d.current(p)...)
+	view, err := record.View(img)
+	if err != nil {
+		return err
+	}
+	slot := (txn + op) % view.Slots()
+	if read {
+		want, werr := view.Read(slot)
+		got, err := tx.ReadRecord(p, slot)
+		if (err == nil) != (werr == nil) || !bytes.Equal(got, want) {
+			return fmt.Errorf("read of slot %d served corrupt data (%v)", slot, err)
+		}
+		return nil
+	}
+	rec := d.pageImage(txn, op, p)[:recordSize]
+	if err := tx.WriteRecord(p, slot, rec); err != nil {
+		return err
+	}
+	d.pending[p] = img
+	return view.Write(slot, rec)
 }
 
 // verify compares every on-disk page against the oracle.  If the crash
@@ -405,8 +495,18 @@ func (d *driver) probe() error {
 		return fmt.Errorf("probe begin: %w", err)
 	}
 	p := rda.PageID(0)
+	for d.opts.Records && d.lost[p] {
+		p++ // a lost page is zeroed, not formatted: it takes no record
+	}
 	img := d.pageImage(1<<20, 0, p)
-	if err := tx.WritePage(p, img); err != nil {
+	if d.opts.Records {
+		d.pending = make(map[rda.PageID][]byte)
+		err = d.recordOp(tx, 1<<20, 0, p, false)
+		img = d.pending[p]
+	} else {
+		err = tx.WritePage(p, img)
+	}
+	if err != nil {
 		return fmt.Errorf("probe write: %w", err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -423,6 +523,13 @@ func (d *driver) probe() error {
 		}
 		if done {
 			break
+		}
+	}
+	if d.opts.NoForce {
+		// The commit left the page in the buffer; the platter peek below
+		// needs it written back.
+		if err := d.db.Checkpoint(); err != nil {
+			return fmt.Errorf("probe checkpoint: %w", err)
 		}
 	}
 	got, err := d.db.PeekPage(p)
@@ -826,6 +933,8 @@ func runCombined(opts Options, sched fault.Schedule, transientEvery int64) (*rda
 				total.UndoneViaParity += rep.UndoneViaParity
 				total.UndoneViaLog += rep.UndoneViaLog
 				total.Redone += rep.Redone
+				total.RedonePages += rep.RedonePages
+				total.RedoneWrites += rep.RedoneWrites
 				total.RepairedTorn += rep.RepairedTorn
 				total.ResyncedGroups += rep.ResyncedGroups
 				total.UndoneViaReconstruction += rep.UndoneViaReconstruction

@@ -339,3 +339,75 @@ func TestMixFailDiskEveryIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestExploreNoForce is the in-tree crash sweep of the REDO pass: the
+// engine runs ¬FORCE, so every restart replays winners' after-images —
+// page images, and with Records several record images per page — and the
+// sweep also lands inside the workload's checkpoints.  Clean cuts, torn
+// cuts and one disk down; the larger sizes are `rdacrash -noforce`.
+func TestExploreNoForce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweep")
+	}
+	for _, layout := range []rda.Layout{rda.DataStriping, rda.ParityStriping} {
+		for _, records := range []bool{false, true} {
+			for _, torn := range []bool{false, true} {
+				opts := Options{Layout: layout, Seed: 2, Txns: 5, NoForce: true, Records: records, Torn: torn}
+				name := fmt.Sprintf("%v records=%v torn=%v", layout, records, torn)
+				res, err := Explore(opts, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Runs == 0 {
+					t.Fatalf("%s: no crash points explored", name)
+				}
+				for _, v := range res.Violations {
+					t.Errorf("%s: %s", name, v)
+				}
+				t.Logf("%s: %d run(s), %d violation(s)", name, res.Runs, len(res.Violations))
+			}
+			opts := Options{Layout: layout, Seed: 2, Txns: 3, NoForce: true, Records: records}
+			res, err := ExploreDegraded(opts, nil)
+			if err != nil {
+				t.Fatalf("%v records=%v degraded: %v", layout, records, err)
+			}
+			for _, v := range res.Violations {
+				t.Errorf("%v records=%v degraded: %s", layout, records, v)
+			}
+			t.Logf("%v records=%v degraded: %d run(s), %d violation(s), %d with loss", layout, records, res.Runs, len(res.Violations), res.DataLossRuns)
+		}
+	}
+}
+
+// TestNoForceWorkloadRedoes proves the NoForce sweeps are not vacuous: a
+// crash late in the workload leaves winners whose pages never reached the
+// platter, and under Records several images of one page.
+func TestNoForceWorkloadRedoes(t *testing.T) {
+	for _, records := range []bool{false, true} {
+		opts := Options{Layout: rda.DataStriping, Seed: 2, Txns: 3, NoForce: true, Records: records}
+		opts.fill()
+		db, err := rda.Open(dbConfig(opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.NoForce = false // run the same transactions with no checkpoint at the end
+		d := newDriver(db, opts)
+		if crash, err := d.run(); err != nil || crash != nil {
+			t.Fatalf("records=%v: run: crash=%v err=%v", records, crash, err)
+		}
+		db.Crash()
+		rep, err := db.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Redone == 0 || rep.RedoneWrites == 0 {
+			t.Fatalf("records=%v: restart redid %d image(s) with %d write(s): the sweep has no REDO to interrupt", records, rep.Redone, rep.RedoneWrites)
+		}
+		if records && rep.RedonePages >= rep.Redone {
+			t.Fatalf("records=%v: %d image(s) over %d page(s): nothing to coalesce", records, rep.Redone, rep.RedonePages)
+		}
+		if err := d.verify(); err != nil {
+			t.Fatalf("records=%v: %v", records, err)
+		}
+	}
+}

@@ -821,6 +821,13 @@ type RecoveryReport struct {
 	UndoneViaLog int
 	// Redone counts after-images replayed (¬FORCE).
 	Redone int
+	// RedonePages counts the distinct pages those images touch: REDO reads
+	// each once and replays all of its images on the copy.
+	RedonePages int
+	// RedoneWrites counts the pages among them that REDO had to write; the
+	// rest already held, byte for byte, what their images produce (they
+	// were written back before the crash) and cost one read.
+	RedoneWrites int
 	// RepairedTorn counts torn blocks rebuilt from redundancy (mid-I/O
 	// crashes only).
 	RepairedTorn int
@@ -938,6 +945,8 @@ func (db *DB) Recover() (*RecoveryReport, error) {
 		UndoneViaParity:         rep.UndoneViaParity,
 		UndoneViaLog:            rep.UndoneViaLog,
 		Redone:                  rep.Redone,
+		RedonePages:             rep.RedonePages,
+		RedoneWrites:            rep.RedoneWrites,
 		RepairedTorn:            rep.RepairedTorn,
 		ResyncedGroups:          rep.ResyncedGroups,
 		UndoneViaReconstruction: rep.UndoneViaReconstruction,

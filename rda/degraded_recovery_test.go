@@ -286,3 +286,67 @@ func TestHealthyRecoverNoDegradedCounters(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoverDiskDiesDuringRedo: a drive fail-stops under REDO's own
+// writes.  Recover's retry loop observes the loss and runs the passes again
+// degraded; REDO, re-entered over the same log, finds the pages it had
+// already written current, writes the rest around the dead drive, and every
+// committed record reads back.
+func TestRecoverDiskDiesDuringRedo(t *testing.T) {
+	for name, qparity := range map[string]bool{"twin": false, "pq": true} {
+		cfg := smallConfig(RecordLogging, NoForce, true, DataStriping)
+		cfg.QParity = qparity
+		cfg.BufferFrames = cfg.NumPages // nothing reaches the platter before the crash
+		t.Run(name, func(t *testing.T) {
+			db, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Three transactions write one slot each of the same 16 pages.
+			rec := func(p PageID, slot int) []byte { return fillPage(db, byte(16*slot+int(p)))[:cfg.RecordSize] }
+			const pages, slots = 16, 3
+			for slot := 0; slot < slots; slot++ {
+				tx := mustBegin(t, db)
+				for p := PageID(0); p < pages; p++ {
+					if err := tx.WriteRecord(p, slot, rec(p, slot)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.Crash()
+			// No loser, no working twin: the restart's first writes are pass
+			// 6's.  Disk 2 dies once five of them have landed.
+			plane := fault.NewPlane(fault.Schedule{fault.FailDisk(2, 5)})
+			db.SetInjector(plane)
+			rep, err := db.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := db.Health(); h != diskarray.Degraded {
+				t.Fatalf("health after recovery = %v: the drive did not die under REDO", h)
+			}
+			if rep.Redone != pages*slots || rep.RedonePages != pages || rep.RedoneWrites >= pages {
+				t.Fatalf("re-entered REDO: %d image(s) over %d page(s), %d written; want %d over %d and fewer writes than pages",
+					rep.Redone, rep.RedonePages, rep.RedoneWrites, pages*slots, pages)
+			}
+			if err := db.VerifyRecovered(); err != nil {
+				t.Fatal(err)
+			}
+			check := mustBegin(t, db)
+			for p := PageID(0); p < pages; p++ {
+				for slot := 0; slot < slots; slot++ {
+					got, err := check.ReadRecord(p, slot)
+					if err != nil || !bytes.Equal(got, rec(p, slot)) {
+						t.Fatalf("page %d slot %d after recovery: %x (err %v)", p, slot, got, err)
+					}
+				}
+			}
+			if err := check.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
