@@ -120,6 +120,9 @@ func main() {
 	}
 	fmt.Printf("crash: %d loser(s) rolled back (%d via twin parity, %d via log); %d image(s) redone over %d page(s), %d written\n",
 		rep.Losers, rep.UndoneViaParity, rep.UndoneViaLog, rep.Redone, rep.RedonePages, rep.RedoneWrites)
+	for _, p := range rep.Passes {
+		fmt.Printf("  pass %-12s %5d array transfer(s)  %v\n", p.Name, p.Transfers, p.Duration)
+	}
 
 	if got, err := bank.TotalIn(db); err != nil || got != want {
 		log.Fatalf("books do not balance after recovery: %d != %d (%v)", got, want, err)

@@ -28,8 +28,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync/atomic"
 
 	"repro/internal/dirtyset"
 	"repro/internal/disk"
@@ -38,7 +36,6 @@ import (
 	"repro/internal/twinpage"
 	"repro/internal/txn"
 	"repro/internal/wal"
-	"repro/internal/workpool"
 	"repro/internal/xorparity"
 )
 
@@ -57,8 +54,8 @@ type Store struct {
 	// before-images on it too.
 	Pages *page.FreeList
 
-	// Workers bounds the store's internal parallelism for whole-array
-	// scans (parity resync, bulk load); <= 1 runs them inline in index
+	// Workers bounds the store's internal parallelism for whole-array loops
+	// (bulk load; restart's, see Lanes); <= 1 runs them inline in index
 	// order.  Set once by the engine at Open, before the store is shared.
 	Workers int
 
@@ -615,54 +612,7 @@ func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (pa
 	return dOld, nil
 }
 
-// WorkingTwinInfo describes a working parity twin found by the crash-time
-// header scan.
-type WorkingTwinInfo struct {
-	Group     page.GroupID
-	Twin      int
-	Txn       page.TxID
-	Page      page.PageID // the covered data page (header's DirtyPage)
-	Timestamp page.Timestamp
-}
-
-// ScanWorkingTwins reads every group's twin parity headers (two charged
-// transfers per group — the paper's background bitmap scan, Section 4.2)
-// and returns the twins found in the working state, sorted by group.
-//
-// On a degraded array twins on the down disk are skipped: the drive is
-// gone (or, mid-rebuild, untrusted unless its header proves a
-// post-swap write — a StateNone header is never working, so reading the
-// replacement directly is sufficient there).  Recovery finds the steals
-// such twins described through the data pages' transaction tags instead.
-func (s *Store) ScanWorkingTwins() ([]WorkingTwinInfo, error) {
-	if s.Twins == nil {
-		return nil, nil
-	}
-	var out []WorkingTwinInfo
-	for g := 0; g < s.Arr.NumGroups(); g++ {
-		gid := page.GroupID(g)
-		for twin := 0; twin < 2; twin++ {
-			r := diskarray.P.Twin(twin)
-			if s.degraded && !s.replacement && !s.SlotAlive(gid, r) {
-				continue
-			}
-			meta, err := s.Arr.ReadMeta(gid, r)
-			if err != nil {
-				return nil, fmt.Errorf("core: scan group %d twin %d: %w", g, twin, err)
-			}
-			if meta.State == disk.StateWorking {
-				out = append(out, WorkingTwinInfo{
-					Group: gid, Twin: twin, Txn: meta.Txn,
-					Page: meta.DirtyPage, Timestamp: meta.Timestamp,
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
-	return out, nil
-}
-
-// CrashUndoWorkingTwin undoes one working twin found by the crash scan,
+// CrashUndoWorkingTwin undoes one working twin found by the restart walk,
 // when its writer is a loser, by the Figure 6 identity.  It is idempotent
 // across repeated crashes: if the covered data page no longer carries the
 // loser's transaction tag, the data restore already happened and only the
@@ -673,13 +623,13 @@ func (s *Store) ScanWorkingTwins() ([]WorkingTwinInfo, error) {
 // false: the committed index still describes the pre-transaction group, and
 // the caller unwinds the steal from it (recovery's undo ladder).
 func (s *Store) CrashUndoWorkingTwin(w WorkingTwinInfo) (figure6 bool, err error) {
-	if s.PageUnavailable(w.Page) {
+	if s.PageUnavailable(w.DirtyPage) {
 		return false, nil
 	}
-	_, meta, err := s.Arr.ReadData(w.Page, nil)
+	_, meta, err := s.Arr.ReadData(w.DirtyPage, nil)
 	if err != nil {
 		if !disk.IsCorrupt(err) {
-			return false, fmt.Errorf("core: read tagged page %d: %w", w.Page, err)
+			return false, fmt.Errorf("core: read tagged page %d: %w", w.DirtyPage, err)
 		}
 		// The tagged page is corrupt, so its header cannot arbitrate.  The
 		// loser's page must end up holding the before-image either way.
@@ -699,7 +649,7 @@ func (s *Store) CrashUndoWorkingTwin(w WorkingTwinInfo) (figure6 bool, err error
 		// committed P twin is gone and P ⊕ P′ has nothing to XOR against.
 		return false, nil
 	}
-	_, err = s.undoViaTwins(w.Group, w.Page, w.Twin)
+	_, err = s.undoViaTwins(w.Group, w.DirtyPage, w.Twin)
 	return true, err
 }
 
@@ -794,35 +744,6 @@ func (s *Store) DescribingTwin(g page.GroupID, p page.PageID, committed func(pag
 // anyWriter is the outcome predicate under which a working twin counts
 // whoever wrote it (DescribingTwin).
 func anyWriter(page.TxID) bool { return true }
-
-// ResyncParity makes every group's current parity twin equal the XOR of
-// its on-disk data pages again.  Crash recovery runs it — after loser
-// working twins are invalidated and the bitmap is rebuilt, before logged
-// undo — to close the window where an in-place parity read-modify-write
-// ran ahead of its data write (or a committed twin flip ran ahead of the
-// data write behind it).  Returns the number of groups repaired.
-//
-// If the other twin of a twinned group already matches the data, the
-// group simply never finished switching: the matching twin is promoted
-// and the stale one invalidated.  Otherwise the current twin's payload
-// is recomputed in place, keeping its header.
-// Groups are verified (and, when needed, repaired) independently, so the
-// scan fans out across Workers; each worker touches only its own group's
-// blocks and bitmap slot.  Workers <= 1 scans inline in group order.
-func (s *Store) ResyncParity() (int, error) {
-	var fixed atomic.Int64
-	err := workpool.Run(s.Workers, s.Arr.NumGroups(), func(g int) error {
-		did, err := s.resyncGroup(page.GroupID(g))
-		if err != nil {
-			return err
-		}
-		if did {
-			fixed.Add(1)
-		}
-		return nil
-	})
-	return int(fixed.Load()), err
-}
 
 // resyncGroup verifies the current index of one group against its data
 // pages, equation by equation, and repairs mismatches, reporting whether a
@@ -922,38 +843,6 @@ func (s *Store) resyncSettleP(gid page.GroupID, cur int) (bool, error) {
 // the store's array.
 func (s *Store) SetInjector(inj disk.Injector) { s.Arr.SetInjector(inj) }
 
-// RebuildAfterCrash reconstructs the volatile twin bitmap from the
-// on-disk headers, resolving working headers through the supplied outcome
-// function.  Call after all loser working twins have been invalidated.
-// Returns the number of groups with a redundancy slot on a down disk,
-// whose recomputation is deferred to the restarted online rebuild.
-func (s *Store) RebuildAfterCrash(committed func(page.TxID) bool) (int, error) {
-	deferred := 0
-	if s.Twins == nil {
-		// Single parity keeps no bitmap; just count the groups whose
-		// parity block is gone so the caller can report them deferred.
-		for g := 0; g < s.Arr.NumGroups(); g++ {
-			if s.hasDeadSlot(page.GroupID(g)) {
-				deferred++
-			}
-		}
-		return deferred, nil
-	}
-	for g := 0; g < s.Arr.NumGroups(); g++ {
-		gid := page.GroupID(g)
-		deadSlot := s.hasDeadSlot(gid)
-		if deadSlot {
-			deferred++
-		}
-		cur, err := s.currentFromDisk(gid, deadSlot, committed)
-		if err != nil {
-			return deferred, fmt.Errorf("core: bitmap rebuild of group %d: %w", g, err)
-		}
-		s.Twins.Promote(gid, cur)
-	}
-	return deferred, nil
-}
-
 // currentFromDisk settles which twin index of group g — one of whose
 // redundancy slots is unreachable if deadSlot — is current after a crash.
 //
@@ -963,7 +852,7 @@ func (s *Store) RebuildAfterCrash(committed func(page.TxID) bool) (int, error) {
 // Two things a disk loss adds:
 //
 //   - A group that lost a data page cannot have its winner verified by
-//     recomputation (ResyncParity skips it), so the winner's flip pairing
+//     recomputation (Resync skips it), so the winner's flip pairing
 //     is checked instead (settleFlip).
 //   - A group that lost a redundancy slot but no data needs no arbitration
 //     at all: the index with the most surviving redundancy is established

@@ -248,18 +248,23 @@ func TestScanWorkingTwinsAndCrashUndo(t *testing.T) {
 
 	s.ResetVolatile() // crash
 
-	found, err := s.ScanWorkingTwins()
+	committed := func(id page.TxID) bool { return id == txns[0].ID }
+	walk, err := s.WalkGroups(committed, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, err := walk.Working()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(found) != 3 {
-		t.Fatalf("scan found %d working twins, want 3 (one lazily committed)", len(found))
+		t.Fatalf("walk found %d working twins, want 3 (one lazily committed)", len(found))
 	}
-	committed := func(id page.TxID) bool { return id == txns[0].ID }
 	for _, w := range found {
 		if committed(w.Txn) {
-			continue // winner: leave it, RebuildAfterCrash resolves it
+			continue // winner: leave it, Settle resolves it
 		}
+		walk.Touch(w.Group)
 		if figure6, err := s.CrashUndoWorkingTwin(w); err != nil || !figure6 {
 			t.Fatalf("undo: figure6=%v err=%v", figure6, err)
 		}
@@ -269,7 +274,7 @@ func TestScanWorkingTwinsAndCrashUndo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.RebuildAfterCrash(committed); err != nil {
+	if _, err := walk.Settle(); err != nil {
 		t.Fatal(err)
 	}
 	// Losers' pages are back to committed contents; winner's page keeps
@@ -281,7 +286,7 @@ func TestScanWorkingTwinsAndCrashUndo(t *testing.T) {
 		}
 		isWinner := false
 		for _, f := range found {
-			if f.Page == p && committed(f.Txn) {
+			if f.DirtyPage == p && committed(f.Txn) {
 				isWinner = true
 			}
 		}
@@ -299,8 +304,8 @@ func TestScanWorkingTwinsAndCrashUndo(t *testing.T) {
 }
 
 // TestRebuildAfterCrashNoValidTwin: Current_Parity over two invalid headers
-// has nothing to pick, and the bitmap rebuild must say so rather than
-// promote a default.
+// has nothing to pick, and the bitmap pass of the walk must say so rather
+// than promote a default.
 func TestRebuildAfterCrashNoValidTwin(t *testing.T) {
 	s := newStore(t, diskarray.RAID5Twin)
 	buf := page.NewBuf(s.Arr.PageSize())
@@ -310,7 +315,10 @@ func TestRebuildAfterCrashNoValidTwin(t *testing.T) {
 		}
 	}
 	s.ResetVolatile()
-	_, err := s.RebuildAfterCrash(nil)
+	walk, err := s.WalkGroups(nil, false)
+	if err == nil {
+		_, err = walk.Settle()
+	}
 	if err == nil || !strings.Contains(err.Error(), "no valid parity twin") || !strings.Contains(err.Error(), "group 3") {
 		t.Fatalf("err = %v, want the no-valid-parity-twin error of group 3", err)
 	}
@@ -318,13 +326,13 @@ func TestRebuildAfterCrashNoValidTwin(t *testing.T) {
 
 // TestRebuildAfterCrashErrorsOnFailedDisk: a drive that failed without the
 // store having observed it (no degraded mode entered) still holds a P twin
-// the header scan must read; the read error surfaces instead of a guess.
+// the walk must read; the read error surfaces instead of a guess.
 func TestRebuildAfterCrashErrorsOnFailedDisk(t *testing.T) {
 	s := newStore(t, diskarray.RAID5Twin)
 	s.Arr.Disk(s.Arr.Loc(0, diskarray.P.Twin(1)).Disk).Fail()
 	s.ResetVolatile()
-	if _, err := s.RebuildAfterCrash(nil); !errors.Is(err, disk.ErrFailed) {
-		t.Fatalf("err = %v, want the failed drive's read error", err)
+	if _, err := s.WalkGroups(nil, false); !errors.Is(err, disk.ErrFailed) || !strings.Contains(err.Error(), "group 0") {
+		t.Fatalf("err = %v, want the failed drive's read error, naming group 0", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/disk"
+	"repro/internal/workpool"
 )
 
 // Health is the array's availability state.  The machine moves
@@ -254,20 +255,20 @@ func (a *Array) recomputeHealth() {
 }
 
 // ProbeDisks touches every drive once — one charged header read of block
-// 0 each, the restart-time spin-up check — so that any disk that died at
-// (or since) the crash is discovered by the health machine *before*
-// recovery plans its passes, instead of surfacing as a surprise error in
-// the middle of one.  Probe errors are not returned: the point is the
-// health-machine side effect, and a dead drive's groups are handled by
-// the degraded recovery path.
-func (a *Array) ProbeDisks() {
-	for d := range a.disks {
-		dd := a.disks[d]
+// 0 each, the restart-time spin-up check, `workers` drives at a time — so
+// that any disk that died at (or since) the crash is discovered by the
+// health machine *before* recovery plans its passes, instead of surfacing
+// as a surprise error in the middle of one.  Probe errors are not returned:
+// the point is the health-machine side effect, and a dead drive's groups
+// are handled by the degraded recovery path.
+func (a *Array) ProbeDisks(workers int) {
+	_ = workpool.Run(workers, len(a.disks), func(d int) error {
 		_ = a.do(d, func() error {
-			_, err := dd.ReadMeta(0)
+			_, err := a.disks[d].ReadMeta(0)
 			return err
 		})
-	}
+		return nil
+	})
 }
 
 // BeginRebuild swaps fresh zeroed drives in for the given down disks and

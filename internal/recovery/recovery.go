@@ -6,34 +6,40 @@
 // After a crash all main-memory state is gone: the buffer, the lock
 // table, the Dirty_Set and the current-parity bitmap.  Restart
 // (CrashRecover) runs these passes in this order, each idempotent so that
-// a crash during recovery simply restarts it; the half-numbered ones run
+// a crash during recovery simply restarts it; the lettered and halved ones run
 // only when there is something for them to find:
 //
 //   - 1. Analysis — one charged scan of the log determines every
 //     transaction's outcome.  Losers are transactions with a BOT but
 //     neither EOT nor abort record.
-//   - 1.5 Torn repair (mid-I/O crash only) — every live block is read
-//     once; one that fails verification is one more erasure beside the
-//     group's dead ones and is rebuilt by the decision function of its
-//     kind (repairTornData, repairTornParity, repairTornQ), so that every
-//     later pass can read every block.
-//   - 2. Parity undo — the twin parity header scan (the same scan the
-//     paper uses to rebuild the current-parity bitmap) locates every
-//     group whose working twin belongs to a loser; the covered data page
-//     is restored as D_old = (P ⊕ P′) ⊕ D_new and the twin invalidated.
-//     With an input of that identity gone the undo takes one ladder
-//     (undoSteal): D_old solved through the committed index, else the
-//     logged before-image left to pass 4, else explicit loss.
-//   - 2.5 Tag undo (disk down only) — a loser's working twin on the dead
-//     disk is invisible to the header scan; its steal is found by the
-//     writer's tag on the data page (unresolvedSteal) and takes the same
-//     ladder.
-//   - 3. Bitmap rebuild — Current_Parity (Figure 7) with log outcomes;
-//     twins left in the working state by transactions that actually
-//     committed are laundered to the committed state on disk.
-//   - 3.5 Parity resync (mid-I/O crash only) — every group's current
-//     parity is made to equal XOR(data) again, closing the window where an
-//     in-place parity write ran ahead of its data write.
+//   - 2. Group walk — every parity group is visited once (core.WalkGroups),
+//     core.Store.Lanes groups at a time, and its twin parity headers read —
+//     the scan the paper rebuilds the current-parity bitmap with — into a
+//     table every pass up to 3.5 answers from.  After a mid-I/O crash the
+//     visit reads every live block verified instead: the same headers, the
+//     blocks that fail, and whether the group's parity holds.
+//   - 2b. Torn repair (mid-I/O crash only) — a block that failed is one
+//     more erasure beside the group's dead ones, rebuilt by the decision
+//     function of its kind (repairTornData, repairTornParity, repairTornQ),
+//     so that every later pass can read every block.
+//   - 2c. Parity undo — for every group whose working twin belongs to a
+//     loser the covered data page is restored as D_old = (P ⊕ P′) ⊕ D_new
+//     and the twin invalidated.  With an input of that identity gone the
+//     undo takes one ladder (undoSteal): D_old solved through the committed
+//     index, else the logged before-image left to pass 4, else explicit loss.
+//   - 2d. Tag undo (disk down only) — a loser's working twin on the dead
+//     disk is invisible to the walk; its steal is found by the writer's tag
+//     on the data page (unresolvedSteal) and takes the same ladder.
+//   - 3. Bitmap rebuild — Current_Parity (Figure 7) with log outcomes over
+//     the table: a loser's working header is invalid to it before the undo
+//     as its invalid rewrite is after.  Only a group that 2b–2d rewrote, or
+//     that lost a block, is read from the platter again.  Twins left working
+//     by transactions that committed are then laundered to the committed
+//     state on disk, Lanes at a time.
+//   - 3.5 Parity resync (mid-I/O crash only) — the current parity of every
+//     group the walk did not find in order, or rewritten since, is made to
+//     satisfy its equations again, closing the window where an in-place
+//     parity write ran ahead of its data write.
 //   - 4. Logged undo — losers' logged before-images (pages or records) are
 //     applied newest first, each through the applier pass 6 uses: a page
 //     the platter already shows as it was is not rewritten.
@@ -60,6 +66,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dirtyset"
@@ -111,7 +118,7 @@ type Analysis struct {
 }
 
 // Committed returns an outcome predicate suitable for
-// core.Store.RebuildAfterCrash.
+// core.Store.WalkGroups.
 //
 // A transaction UNKNOWN to the log is treated as committed.  This is
 // what makes log truncation safe: a working parity twin can outlive its
@@ -212,6 +219,16 @@ type Report struct {
 	// is made consistent, and the caller decides how loudly to escalate
 	// — explicit, reported loss, never silent corruption.
 	LostPages []page.PageID
+	// Passes lists the passes that ran, in order.
+	Passes []Pass
+}
+
+// Pass is one restart pass as it ran: its array transfers (the log's are
+// the log's own) and its wall-clock time.
+type Pass struct {
+	Name      string
+	Transfers int64
+	Duration  time.Duration
 }
 
 // CrashRecover runs the full restart sequence described in the package
@@ -219,98 +236,95 @@ type Report struct {
 // FORCE algorithms have nothing to redo.
 //
 // hard marks a restart after a mid-I/O crash (the fault plane's crash
-// points, as opposed to db.Crash()'s quiescent loss of volatile state).
-// It enables two extra passes that only mid-I/O interleavings need: the
-// torn-block repair scan after analysis, and the parity resynchronization
-// after the bitmap rebuild, closing the window where an in-place parity
-// read-modify-write ran ahead of its data write.  Quiescent restarts skip
-// both so their transfer counts match the paper's cost model.
+// points, as opposed to db.Crash()'s quiescent loss of volatile state): the
+// walk then reads whole blocks, and torn repair and parity resync run.
+// Quiescent restarts need none of it, and their transfer counts match the
+// paper's cost model.
 func CrashRecover(s *core.Store, redo, hard bool) (*Report, error) {
+	rep := &Report{}
+	at, n := time.Now(), s.Arr.Stats().Transfers()
+	done := func(pass string) { // everything since the previous call
+		now, m := time.Now(), s.Arr.Stats().Transfers()
+		rep.Passes = append(rep.Passes, Pass{Name: pass, Transfers: m - n, Duration: now.Sub(at)})
+		at, n = now, m
+	}
 	a, err := Analyze(s.Log)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Losers: a.Losers}
-	degraded := s.Degraded()
+	rep.Losers = a.Losers
+	done("analyze")
 
-	// Pass 1.5: repair torn blocks from redundancy, so every later pass
-	// can read every block.  On a degraded array the scan covers the
-	// surviving members only.
-	if hard {
-		n, err := repairTorn(s, a, rep)
-		if err != nil {
-			return nil, err
-		}
-		rep.RepairedTorn = n
-	}
-
-	// Pass 2: parity undo via the twin header scan.  With a member down
-	// the scan sees surviving twins only; crashUndoWorking takes each loser
-	// twin through the plain Figure 6 identity or, when one of its inputs
-	// is gone, down the undo ladder (undoSteal).
-	var working []core.WorkingTwinInfo
-	if s.RDA() {
-		if working, err = s.ScanWorkingTwins(); err != nil {
-			return nil, err
-		}
-		handled := make(map[page.GroupID]bool)
-		for _, w := range working {
-			if a.Outcomes[w.Txn] != OutcomeLoser {
-				continue
-			}
-			handled[w.Group] = true
-			if err := crashUndoWorking(s, a, w, rep); err != nil {
-				return nil, fmt.Errorf("recovery: parity undo of group %d: %w", w.Group, err)
-			}
-		}
-		// Pass 2.5 (degraded only): the twin scan cannot see a loser's
-		// working twin that sat on the dead disk.  Those steals are found
-		// by the other half of the paper's machinery — the transaction tag
-		// the steal's data write carries (disk.Meta.ChainSet/Txn) — and
-		// unwound from the surviving committed twin.
-		if degraded {
-			if err := undoDeadTwinLosers(s, a, handled, rep); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Pass 3: rebuild the bitmap and launder winners' working twins.  A
-	// single-parity array has no twins to undo from or launder, but its
-	// groups whose parity block is lost are still handed to the rebuild.
-	if rep.DeferredParityGroups, err = s.RebuildAfterCrash(a.Committed); err != nil {
+	// Pass 2: the group walk; 2b: the repair of the torn blocks it found.
+	walk, err := s.WalkGroups(a.Committed, hard)
+	if err != nil {
 		return nil, err
 	}
-	for _, w := range working {
-		if !a.Committed(w.Txn) {
-			continue
-		}
-		if degraded && (s.DeadTwin(w.Group, diskarray.P) >= 0 || s.DeadTwin(w.Group, diskarray.Q) >= 0) {
-			// The degraded bitmap pass re-established this group's
-			// surviving redundancy wholesale (committed, fresh
-			// timestamp); re-stamping the old working header would
-			// resurrect stale state.  The dead slots are the
-			// rebuild's job.
-			continue
-		}
-		meta := disk.Meta{State: disk.StateCommitted, Timestamp: w.Timestamp, Txn: w.Txn}
-		if err := s.WriteIndexMeta(w.Group, w.Twin, meta); err != nil {
-			return nil, fmt.Errorf("recovery: launder twin of group %d: %w", w.Group, err)
-		}
-		rep.LaunderedTwins++
-	}
-
-	// Pass 3.5: resynchronize parity with the on-disk data.  At this
-	// point no working twins remain (losers' invalidated, winners'
-	// laundered) and all remaining undo/redo is log-based, so forcing
-	// every group's current parity to XOR(data) is safe — and necessary
-	// when the crash fell between an in-place parity write and the data
-	// write behind it.
+	done("walk")
 	if hard {
-		n, err := s.ResyncParity()
-		if err != nil {
+		if rep.RepairedTorn, err = repairTorn(s, a, walk, rep); err != nil {
 			return nil, err
 		}
-		rep.ResyncedGroups = n
+		done("torn repair")
+	}
+
+	// Pass 2c: parity undo of the losers among the working twins the walk
+	// found (with a member down, among the surviving ones).
+	working, err := walk.Working()
+	if err != nil {
+		return nil, err
+	}
+	handled := make(map[page.GroupID]bool)
+	for _, w := range working {
+		if a.Outcomes[w.Txn] != OutcomeLoser {
+			continue
+		}
+		handled[w.Group] = true
+		walk.Touch(w.Group)
+		if err := crashUndoWorking(s, a, w, rep); err != nil {
+			return nil, fmt.Errorf("recovery: parity undo of group %d: %w", w.Group, err)
+		}
+	}
+	// Pass 2d: steals whose working twin sat on a dead disk, found by tag.
+	if s.Degraded() && s.RDA() {
+		if err := undoDeadTwinLosers(s, a, handled, rep); err != nil {
+			return nil, err
+		}
+	}
+	done("undo")
+
+	// Pass 3: rebuild the bitmap and launder winners' working twins.  A
+	// single-parity array has no twins to undo from or launder, but its
+	// groups whose parity block is lost are still counted deferred.
+	if rep.DeferredParityGroups, err = walk.Settle(); err != nil {
+		return nil, err
+	}
+	done("bitmap")
+	// One header rewrite per winner, each on a twin of its own.  A dead-slot
+	// group's surviving redundancy was re-established wholesale by the bitmap
+	// pass (committed, fresh timestamp); re-stamping the old working header
+	// would resurrect stale state.  The dead slots are the rebuild's job.
+	winners := slices.DeleteFunc(working, func(w core.WorkingTwinInfo) bool {
+		return !a.Committed(w.Txn) || s.Degraded() && (s.DeadTwin(w.Group, diskarray.P) >= 0 || s.DeadTwin(w.Group, diskarray.Q) >= 0)
+	})
+	if err := workpool.Run(s.Lanes(), len(winners), func(i int) error {
+		w := winners[i]
+		return s.WriteIndexMeta(w.Group, w.Twin, disk.Meta{State: disk.StateCommitted, Timestamp: w.Timestamp, Txn: w.Txn})
+	}); err != nil {
+		return nil, fmt.Errorf("recovery: launder a winner's twin: %w", err)
+	}
+	rep.LaunderedTwins = len(winners)
+	done("launder")
+
+	// Pass 3.5: resynchronize parity with the on-disk data.  No working twin
+	// remains (losers' invalidated, winners' laundered) and all remaining
+	// undo/redo is log-based, so forcing a group's current parity to its
+	// equations over the data is safe.
+	if hard {
+		if rep.ResyncedGroups, err = walk.Resync(); err != nil {
+			return nil, err
+		}
+		done("resync")
 	}
 
 	// Passes 4 and 6 share one applier and its two page buffers.  It holds
@@ -338,12 +352,14 @@ func CrashRecover(s *core.Store, redo, hard bool) (*Report, error) {
 	for _, tx := range a.Losers {
 		s.Log.Append(wal.Record{Type: wal.TypeAbort, Txn: tx, Slot: wal.NoSlot})
 	}
+	done("logged undo")
 
 	// Pass 6: REDO.
 	if redo {
 		if err := ap.redo(a.RedoImages, rep); err != nil {
 			return nil, err
 		}
+		done("redo")
 	}
 	rep.LostPages = slices.DeleteFunc(rep.LostPages, func(p page.PageID) bool { return !ap.lost[p] })
 	return rep, nil
@@ -416,7 +432,7 @@ func crashUndoWorking(s *core.Store, a *Analysis, w core.WorkingTwinInfo, rep *R
 		return err
 	}
 	if !figure6 {
-		rung, err := undoSteal(s, a, rep, w.Group, w.Page, w.Txn, 1-w.Twin)
+		rung, err := undoSteal(s, a, rep, w.Group, w.DirtyPage, w.Txn, 1-w.Twin)
 		if err != nil || rung != undoRestored {
 			return err
 		}
@@ -459,7 +475,7 @@ func unresolvedSteal(s *core.Store, a *Analysis, g page.GroupID) (p page.PageID,
 }
 
 // undoDeadTwinLosers finds loser steals whose working twin sat on the
-// dead disk, invisible to the twin header scan: an unresolved loser tag
+// dead disk, invisible to the group walk: an unresolved loser tag
 // under a dead twin means the dead twin was the working one, hence the
 // surviving index — the one not carrying the loser's working header — is
 // the committed one and the steal unwinds down the ladder from it.  The
@@ -588,98 +604,33 @@ func loseGroup(s *core.Store, g page.GroupID, rep *Report, zero ...page.PageID) 
 	return nil
 }
 
-// repairTorn scans every block for silent corruption — a torn write's
-// checksum mismatch, a misdirected write's stamp mismatch, or a lost
-// write's ledger mismatch — and rebuilds its payload from the group's
-// redundancy, so every later pass can read every block.  A torn write IS
-// the crash, so at most one block per restart is torn, but the scan
-// handles any number (latent faults accumulate).  The scan's reads are
-// charged, like every recovery pass.  On a degraded array the scan skips
-// the dead disk's blocks; a corrupt block in a group that ALSO lost a
-// member to the disk is repaired from what survives, or reported lost
-// when the two together exceed the redundancy.
-//
-// Each finding records whether the block's own header is still
-// trustworthy: a checksum failure damages only the payload (the header is
-// out-of-band and the block's own), while a misdirected write deposits a
-// foreign header and a lost write leaves a stale one — those repairs must
-// resynthesize the header from the rest of the group.
-//
-// The scan — a charged read of every live block — is the expensive part
-// and touches nothing shared, so it fans out across the store's Workers,
-// each worker filling its own group's slot of the findings table.  The
-// repairs themselves (at most one per restart in practice) then run
-// sequentially in group order, because they mutate the shared Report and
-// the twin bitmap.
-func repairTorn(s *core.Store, a *Analysis, rep *Report) (int, error) {
-	type torn struct {
-		red      bool // a redundancy page (r), else a data page (p)
-		r        diskarray.Red
-		p        page.PageID
-		headerOK bool // the block's own header survived the fault
-	}
-	found := make([][]torn, s.Arr.NumGroups())
-	err := workpool.Run(s.Workers, s.Arr.NumGroups(), func(g int) error {
-		gid := page.GroupID(g)
-		for _, p := range s.Arr.GroupPages(gid) {
-			if s.PageUnavailable(p) {
-				continue
-			}
-			_, _, err := s.Arr.ReadData(p, nil)
-			if err == nil {
-				continue
-			}
-			if !disk.IsCorrupt(err) {
-				return fmt.Errorf("recovery: torn scan page %d: %w", p, err)
-			}
-			found[g] = append(found[g], torn{p: p, headerOK: errors.Is(err, disk.ErrChecksum)})
+// repairTorn rebuilds the payload of every block the hard walk found
+// silently corrupt — a torn write's checksum mismatch, a misdirected
+// write's stamp mismatch, or a lost write's ledger mismatch — from the
+// group's redundancy, so every later pass can read every block.  A torn
+// write IS the crash, so at most one block per restart is torn, but any
+// number is handled (latent faults accumulate).  The scan is the walk's:
+// its charged, verified read of every live block is the one full pass a
+// hard restart makes over the array.  The repairs run one after another in
+// group order — they mutate the shared Report and the twin bitmap — and
+// leave their group touched.
+func repairTorn(s *core.Store, a *Analysis, walk *core.GroupWalk, rep *Report) (int, error) {
+	for n, it := range walk.Torn {
+		var err error
+		switch {
+		case it.IsRed && it.Red.Eq == diskarray.Q:
+			err = repairTornQ(s, a, it.Group, it.Red.Twin, rep)
+		case it.IsRed:
+			err = repairTornParity(s, a, it.Group, it.Red.Twin, it.HeaderOK, rep)
+		default:
+			err = repairTornData(s, a, it.Group, it.Page, it.HeaderOK, rep)
 		}
-		// P twins, then Q twins: a Q page's repair reuses the group's P
-		// partner as the authority, which the earlier items of the same
-		// group restore.
-		for _, eq := range s.Arr.Equations() {
-			for twin := 0; twin < s.Arr.ParityPages(); twin++ {
-				r := eq.Twin(twin)
-				if !s.TwinReadable(gid, r) {
-					continue
-				}
-				_, _, err := s.Arr.Read(gid, r, nil)
-				if err == nil {
-					continue
-				}
-				if !disk.IsCorrupt(err) {
-					return fmt.Errorf("recovery: torn scan group %d %s twin %d: %w", g, eq, twin, err)
-				}
-				found[g] = append(found[g], torn{red: true, r: r, headerOK: errors.Is(err, disk.ErrChecksum)})
-			}
+		if err != nil {
+			return n, fmt.Errorf("recovery: repair torn block %+v: %w", it, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
+		walk.Touch(it.Group)
 	}
-	repaired := 0
-	for g, items := range found {
-		gid := page.GroupID(g)
-		for _, it := range items {
-			switch {
-			case it.red && it.r.Eq == diskarray.Q:
-				err = repairTornQ(s, a, gid, it.r.Twin, rep)
-			case it.red:
-				err = repairTornParity(s, a, gid, it.r.Twin, it.headerOK, rep)
-			default:
-				err = repairTornData(s, a, gid, it.p, it.headerOK, rep)
-			}
-			if err != nil {
-				if it.red {
-					return repaired, fmt.Errorf("recovery: repair torn %s twin %d of group %d: %w", it.r.Eq, it.r.Twin, g, err)
-				}
-				return repaired, fmt.Errorf("recovery: repair torn page %d: %w", it.p, err)
-			}
-			repaired++
-		}
-	}
-	return repaired, nil
+	return len(walk.Torn), nil
 }
 
 // repairTornQ rebuilds a corrupt Q page as the mirror of its P partner:

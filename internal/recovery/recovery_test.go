@@ -115,7 +115,11 @@ func TestCrashRecoverLaundersWinnerTwins(t *testing.T) {
 		t.Fatalf("laundered = %d, want 1", rep.LaunderedTwins)
 	}
 	// After recovery no working twins remain and the data survives.
-	working, err := s.ScanWorkingTwins()
+	walk, err := s.WalkGroups(nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	working, err := walk.Working()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func CurrentParity(m0, m1 disk.Meta, committed func(page.TxID) bool) (cur int, o
 
 // Reset zeroes the bitmap to the formatted default (twin 0 current).
 // Used to model the loss of main memory in a crash *before* recovery's
-// header scan (core.Store.RebuildAfterCrash) promotes each group's
+// group walk (core.Store.WalkGroups, Settle) promotes each group's
 // CurrentParity again; reads between the two would be wrong, which
 // is exactly why the paper rebuilds the bitmap before resuming normal
 // processing.

@@ -23,6 +23,14 @@ import "sync"
 // concurrent goroutines.  See the package comment for the sequential,
 // panic and error contracts.
 func Run(workers, n int, fn func(i int) error) error {
+	return RunLanes(workers, n, func(_, i int) error { return fn(i) })
+}
+
+// RunLanes is Run for loops whose workers keep state of their own (scratch
+// pages): fn also receives the number of the worker running it, in
+// [0, workers), and calls with one lane number never overlap.  The inline
+// loop is lane 0.
+func RunLanes(workers, n int, fn func(lane, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -31,7 +39,7 @@ func Run(workers, n int, fn func(i int) error) error {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -47,7 +55,7 @@ func Run(workers, n int, fn func(i int) error) error {
 		panicked bool
 		wg       sync.WaitGroup
 	)
-	worker := func() {
+	worker := func(lane int) {
 		defer wg.Done()
 		for {
 			mu.Lock()
@@ -68,7 +76,7 @@ func Run(workers, n int, fn func(i int) error) error {
 						mu.Unlock()
 					}
 				}()
-				if err := fn(i); err != nil {
+				if err := fn(lane, i); err != nil {
 					mu.Lock()
 					if firstErr == nil || i < errIdx {
 						firstErr, errIdx = err, i
@@ -80,7 +88,7 @@ func Run(workers, n int, fn func(i int) error) error {
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go worker()
+		go worker(w)
 	}
 	wg.Wait()
 	if panicked {

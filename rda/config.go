@@ -158,11 +158,15 @@ type Config struct {
 	ScrubBatchGroups int
 
 	// Workers bounds the engine's internal parallelism for the
-	// embarrassingly parallel disk loops: rebuild batches, recovery-time
-	// torn-repair and parity-resync scans, and bulk-load stripe writes.
-	// The default of 1 runs every loop inline in deterministic order —
-	// required for replayable crash-point schedules — while larger
-	// values fan the per-group work across a bounded worker pool.
+	// embarrassingly parallel disk loops: rebuild batches, bulk-load
+	// stripe writes, and restart's group walk, laundering writes, parity
+	// resync and drive probe.  The default of 1 runs every loop inline in
+	// deterministic order — required for replayable crash-point schedules
+	// — while larger values fan the per-group work across a bounded worker
+	// pool.  When the drives queue (QueueDepth > 1) restart ignores it and
+	// runs one lane per member drive instead: a queued drive serves one
+	// transfer at a time, so that is the width that keeps every drive busy,
+	// and QueueDepth already bounds what is outstanding.
 	// Transaction concurrency itself is not limited by this knob; any
 	// number of goroutines may run transactions against the engine, and
 	// transactions on disjoint parity groups proceed in parallel under

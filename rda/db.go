@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -828,6 +829,10 @@ type RecoveryReport struct {
 	// rest already held, byte for byte, what their images produce (they
 	// were written back before the crash) and cost one read.
 	RedoneWrites int
+	// LaunderedTwins counts winners' working twins promoted to committed
+	// on disk (RDA): steals whose writer's EOT the header had not caught up
+	// with.
+	LaunderedTwins int
 	// RepairedTorn counts torn blocks rebuilt from redundancy (mid-I/O
 	// crashes only).
 	RepairedTorn int
@@ -849,7 +854,15 @@ type RecoveryReport struct {
 	// before-image never ran.  The pages are zeroed and parity made
 	// consistent: explicit, reported loss, never silent corruption.
 	LostPages []PageID
+	// Passes lists the restart's passes in the order they ran, each with the
+	// array transfers it made and the time it took; they sum to the
+	// restart's transfers.  A mid-I/O restart's drive probe comes first.
+	Passes []RecoveryPass
 }
+
+// RecoveryPass is one pass of a restart (see internal/recovery for what
+// each does).
+type RecoveryPass = recovery.Pass
 
 // Recover restarts a crashed database: log analysis, UNDO of losers
 // (twin-parity scan first, then logged before-images), current-parity
@@ -876,13 +889,16 @@ func (db *DB) Recover() (*RecoveryReport, error) {
 	if !db.crashed {
 		return nil, errors.New("rda: Recover on a running database")
 	}
+	var passes []RecoveryPass
 	if db.dirtyCrash {
 		// A mid-I/O crash can kill a drive in the same instant without
 		// the health machine observing it (fail-stops latch on first
 		// access).  Spin up every drive once so the passes plan against
 		// the array's true health instead of hitting a surprise error
 		// mid-pass.
-		db.arr.ProbeDisks()
+		at, n := time.Now(), db.arr.Stats().Transfers()
+		db.arr.ProbeDisks(db.store.Lanes())
+		passes = append(passes, RecoveryPass{Name: "probe", Transfers: db.arr.Stats().Transfers() - n, Duration: time.Since(at)})
 	}
 	var rep *recovery.Report
 	for attempt := 0; ; attempt++ {
@@ -915,7 +931,7 @@ func (db *DB) Recover() (*RecoveryReport, error) {
 		// retry needs a fresh disk death, and the second overlapping
 		// loss trips it.
 		if errors.Is(err, disk.ErrFailed) && attempt < db.arr.NumDisks() {
-			db.arr.ProbeDisks()
+			db.arr.ProbeDisks(db.store.Lanes())
 			continue
 		}
 		return nil, fmt.Errorf("rda: recovery: %w", err)
@@ -947,11 +963,13 @@ func (db *DB) Recover() (*RecoveryReport, error) {
 		Redone:                  rep.Redone,
 		RedonePages:             rep.RedonePages,
 		RedoneWrites:            rep.RedoneWrites,
+		LaunderedTwins:          rep.LaunderedTwins,
 		RepairedTorn:            rep.RepairedTorn,
 		ResyncedGroups:          rep.ResyncedGroups,
 		UndoneViaReconstruction: rep.UndoneViaReconstruction,
 		DeferredParityGroups:    rep.DeferredParityGroups,
 		LostPages:               lost,
+		Passes:                  append(passes, rep.Passes...),
 	}, nil
 }
 

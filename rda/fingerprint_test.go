@@ -462,17 +462,22 @@ func fpRun(t *testing.T, sc fpScenario, online bool) []string {
 //     write not made also leaves the other twin current and with it other
 //     slots on the dead drives.  load, workload and the soft restart of
 //     every FORCE scenario stand as recorded at 72c3d0f.
+//   - PR 18 (restart reads each group's headers once; a hard restart's
+//     block walk carries them): the r= of every restart* phase fell, except
+//     the soft restarts of the three dead-disk scenarios, whose groups all
+//     hold a block on a dead drive and are settled from the platter as
+//     before.  No w=, h= or platter= moved.
 var fingerprintGolden = map[string][]string{
 	"twin-raid5/repair": {
 		"load: w=30 r=0 h=d5cb9f33f475de0c",
 		"workload: w=159 r=241 h=53251ff540f07a01",
-		"restart: w=14 r=48 h=626591a2172af98d",
+		"restart: w=14 r=24 h=626591a2172af98d",
 		"restart-hard0-workload: w=61 r=73 h=e4aae13d6308708e",
-		"restart-hard0: w=31 r=163 h=61010321b9c245fe",
+		"restart-hard0: w=31 r=135 h=61010321b9c245fe",
 		"restart-hard1-workload: w=45 r=63 h=611dedd0099f8039",
-		"restart-hard1: w=24 r=151 h=b6e712f46196c4e2",
+		"restart-hard1: w=24 r=113 h=b6e712f46196c4e2",
 		"restart-hard2-workload: w=34 r=43 h=a3907150e389b4d7",
-		"restart-hard2: w=17 r=146 h=b5de72f4e1529ba9",
+		"restart-hard2: w=17 r=106 h=b5de72f4e1529ba9",
 		"workload-after: w=51 r=57 h=2830b6d9c40825d6",
 		"platter=6fac615b1ffbb94d",
 	},
@@ -481,11 +486,11 @@ var fingerprintGolden = map[string][]string{
 		"workload: w=145 r=351 h=3a7b3987bf3088bd",
 		"restart: w=1 r=75 h=9379f8d7055a1b2d",
 		"restart-hard0-workload: w=61 r=141 h=4401d276bbbafc23",
-		"restart-hard0: w=20 r=175 h=3e9c867e704ba8fb",
+		"restart-hard0: w=20 r=157 h=3e9c867e704ba8fb",
 		"restart-hard1-workload: w=45 r=118 h=0ed7b88854bd1123",
-		"restart-hard1: w=9 r=150 h=46d52526462b2069",
+		"restart-hard1: w=9 r=130 h=46d52526462b2069",
 		"restart-hard2-workload: w=34 r=71 h=928213ce7a216725",
-		"restart-hard2: w=8 r=153 h=8d60d69a6619a735",
+		"restart-hard2: w=8 r=134 h=8d60d69a6619a735",
 		"workload-after: w=54 r=146 h=08b0f34c0338ac94",
 		"platter=20262563481c53f9",
 	},
@@ -494,24 +499,24 @@ var fingerprintGolden = map[string][]string{
 		"workload: w=145 r=351 h=3a7b3987bf3088bd",
 		"restart: w=1 r=75 h=9379f8d7055a1b2d",
 		"restart-hard0-workload: w=61 r=141 h=4401d276bbbafc23",
-		"restart-hard0: w=20 r=175 h=3e9c867e704ba8fb",
+		"restart-hard0: w=20 r=157 h=3e9c867e704ba8fb",
 		"restart-hard1-workload: w=45 r=118 h=0ed7b88854bd1123",
-		"restart-hard1: w=9 r=150 h=46d52526462b2069",
+		"restart-hard1: w=9 r=130 h=46d52526462b2069",
 		"restart-hard2-workload: w=34 r=71 h=928213ce7a216725",
-		"restart-hard2: w=8 r=153 h=8d60d69a6619a735",
+		"restart-hard2: w=8 r=134 h=8d60d69a6619a735",
 		"workload-after: w=54 r=146 h=08b0f34c0338ac94",
 		"platter=20262563481c53f9",
 	},
 	"pq/repair": {
 		"load: w=36 r=0 h=77031149d39a77a1",
 		"workload: w=244 r=327 h=3fc1399813a2c390",
-		"restart: w=28 r=48 h=d8987035f3b4e6fa",
+		"restart: w=28 r=24 h=d8987035f3b4e6fa",
 		"restart-hard0-workload: w=61 r=66 h=7da6e31d6ab8a24c",
-		"restart-hard0: w=25 r=157 h=514f0e8b76c7319d",
+		"restart-hard0: w=25 r=113 h=514f0e8b76c7319d",
 		"restart-hard1-workload: w=45 r=58 h=f22bf7c40e0f06ee",
-		"restart-hard1: w=25 r=164 h=d3de3f2a6f844710",
+		"restart-hard1: w=25 r=122 h=d3de3f2a6f844710",
 		"restart-hard2-workload: w=34 r=36 h=85c3ed2a35ed3611",
-		"restart-hard2: w=23 r=169 h=d9f794106158d3ed",
+		"restart-hard2: w=23 r=133 h=d9f794106158d3ed",
 		"workload-after: w=109 r=112 h=4025aba69ee37698",
 		"platter=75335a141731b5b1",
 	},
@@ -520,11 +525,11 @@ var fingerprintGolden = map[string][]string{
 		"workload: w=209 r=408 h=e0049cdbca3bd994",
 		"restart: w=7 r=106 h=69d7a1ef392d4a8e",
 		"restart-hard0-workload: w=61 r=116 h=e6497c1dc28e9dd8",
-		"restart-hard0: w=16 r=197 h=fb9b4679ff45e1c8",
+		"restart-hard0: w=16 r=177 h=fb9b4679ff45e1c8",
 		"restart-hard1-workload: w=45 r=93 h=4275cce4ed29a6a7",
-		"restart-hard1: w=14 r=208 h=fb6b7dedbd74bc4c",
+		"restart-hard1: w=14 r=186 h=fb6b7dedbd74bc4c",
 		"restart-hard2-workload: w=34 r=74 h=83bfb33ea504f863",
-		"restart-hard2: w=11 r=193 h=fbf8e7f5b60080b1",
+		"restart-hard2: w=11 r=173 h=fbf8e7f5b60080b1",
 		"workload-after: w=45 r=73 h=a4c941fbae86ab54",
 		"platter=1f69042f44d6a2a9",
 	},
@@ -533,11 +538,11 @@ var fingerprintGolden = map[string][]string{
 		"workload: w=209 r=408 h=e0049cdbca3bd994",
 		"restart: w=7 r=106 h=69d7a1ef392d4a8e",
 		"restart-hard0-workload: w=61 r=116 h=e6497c1dc28e9dd8",
-		"restart-hard0: w=16 r=197 h=fb9b4679ff45e1c8",
+		"restart-hard0: w=16 r=177 h=fb9b4679ff45e1c8",
 		"restart-hard1-workload: w=45 r=93 h=4275cce4ed29a6a7",
-		"restart-hard1: w=14 r=208 h=fb6b7dedbd74bc4c",
+		"restart-hard1: w=14 r=186 h=fb6b7dedbd74bc4c",
 		"restart-hard2-workload: w=34 r=74 h=83bfb33ea504f863",
-		"restart-hard2: w=11 r=193 h=fbf8e7f5b60080b1",
+		"restart-hard2: w=11 r=173 h=fbf8e7f5b60080b1",
 		"workload-after: w=45 r=73 h=a4c941fbae86ab54",
 		"platter=1f69042f44d6a2a9",
 	},
@@ -546,11 +551,11 @@ var fingerprintGolden = map[string][]string{
 		"workload: w=179 r=496 h=f10fc4b5365b25b2",
 		"restart: w=0 r=102 h=0000000000000000",
 		"restart-hard0-workload: w=60 r=164 h=1f9c89219de4f7c4",
-		"restart-hard0: w=21 r=230 h=dcc8179536987b15",
+		"restart-hard0: w=21 r=213 h=dcc8179536987b15",
 		"restart-hard1-workload: w=45 r=126 h=aa02722ab51984bb",
-		"restart-hard1: w=12 r=216 h=f13f7243f4d58a4a",
+		"restart-hard1: w=12 r=199 h=f13f7243f4d58a4a",
 		"restart-hard2-workload: w=33 r=75 h=5f834ee12b3e6061",
-		"restart-hard2: w=15 r=211 h=c4b46b0a80c88f67",
+		"restart-hard2: w=15 r=194 h=c4b46b0a80c88f67",
 		"workload-after: w=46 r=120 h=67cf00827948fb99",
 		"platter=73a8d86103279aa6",
 	},
@@ -559,37 +564,37 @@ var fingerprintGolden = map[string][]string{
 		"workload: w=179 r=496 h=f10fc4b5365b25b2",
 		"restart: w=0 r=102 h=0000000000000000",
 		"restart-hard0-workload: w=60 r=164 h=1f9c89219de4f7c4",
-		"restart-hard0: w=21 r=230 h=dcc8179536987b15",
+		"restart-hard0: w=21 r=213 h=dcc8179536987b15",
 		"restart-hard1-workload: w=45 r=126 h=aa02722ab51984bb",
-		"restart-hard1: w=12 r=216 h=f13f7243f4d58a4a",
+		"restart-hard1: w=12 r=199 h=f13f7243f4d58a4a",
 		"restart-hard2-workload: w=33 r=75 h=5f834ee12b3e6061",
-		"restart-hard2: w=15 r=211 h=c4b46b0a80c88f67",
+		"restart-hard2: w=15 r=194 h=c4b46b0a80c88f67",
 		"workload-after: w=46 r=120 h=67cf00827948fb99",
 		"platter=73a8d86103279aa6",
 	},
 	"parity-striping-noforce/repair": {
 		"load: w=48 r=48 h=e0b7c38ccf14711d",
 		"workload: w=175 r=321 h=3d67b7994591e458",
-		"restart: w=3 r=65 h=73b71d0ade77058f",
+		"restart: w=3 r=41 h=73b71d0ade77058f",
 		"restart-hard0-workload: w=62 r=98 h=9cd0547b7d31f8bb",
-		"restart-hard0: w=11 r=156 h=49e449431b12f074",
+		"restart-hard0: w=11 r=114 h=49e449431b12f074",
 		"restart-hard1-workload: w=45 r=83 h=e25c054233911b9b",
-		"restart-hard1: w=18 r=147 h=0f69d72f36594aa9",
+		"restart-hard1: w=18 r=99 h=0f69d72f36594aa9",
 		"restart-hard2-workload: w=34 r=50 h=eee3afcb6eb9fca2",
-		"restart-hard2: w=21 r=153 h=dd8dfa80f31bec1b",
+		"restart-hard2: w=21 r=111 h=dd8dfa80f31bec1b",
 		"workload-after: w=52 r=95 h=52d1cd964fdbc08c",
 		"platter=35c026feb47e5d29",
 	},
 	"record-noforce/repair": {
 		"load: w=30 r=0 h=a96d9ce674409459",
 		"workload: w=175 r=331 h=17900df6ff9466f9",
-		"restart: w=3 r=65 h=480bddb6447cffc4",
+		"restart: w=3 r=41 h=480bddb6447cffc4",
 		"restart-hard0-workload: w=61 r=98 h=dbc4b2b09a85196f",
-		"restart-hard0: w=11 r=162 h=17ecc04582c485a6",
+		"restart-hard0: w=11 r=124 h=17ecc04582c485a6",
 		"restart-hard1-workload: w=45 r=84 h=32aa6a3c152b77f5",
-		"restart-hard1: w=20 r=152 h=829a45bdbd20e4d4",
+		"restart-hard1: w=20 r=104 h=829a45bdbd20e4d4",
 		"restart-hard2-workload: w=34 r=64 h=801d3038309d6ad6",
-		"restart-hard2: w=9 r=140 h=f8b40f542949f1ad",
+		"restart-hard2: w=9 r=96 h=f8b40f542949f1ad",
 		"workload-after: w=55 r=97 h=1f48d68f6ba55c95",
 		"platter=8d8953249965cbbf",
 	},
