@@ -1,64 +1,37 @@
-// Command rdacrash explores crash points of the RDA engine.
+// Command rdacrash crashes the RDA engine at every point of a seeded
+// workload and verifies recovery each time, for both array layouts.
 //
-// Exhaustive mode crashes a deterministic seeded workload at every block
-// write index and verifies recovery each time, for both array layouts:
+// There is one cycle — workload, crash, recovery, rebuild, scrub, oracle,
+// probe — and every flag is an axis of it.  With no -soak and no -sched it
+// is the exhaustive sweep, a crash at every block write index:
 //
-//	rdacrash -explore
-//	rdacrash -explore -torn        # tear each write instead
+//	rdacrash                       # healthy array, clean crashes
+//	rdacrash -torn                 # tear write k itself instead of dropping it
+//	rdacrash -dead 1               # one disk down: dead from the start (crash
+//	                               # points reach into the online rebuild), and
+//	                               # dying at the crash write itself
+//	rdacrash -dead 2 -qparity      # the same with two down on a P+Q array
+//	rdacrash -dead 1 -qparity -torn  # any combination: a dead disk, a second
+//	                               # equation and a torn block in one schedule
+//	rdacrash -noforce [-records]   # engine ¬FORCE (checkpoints in the
+//	                               # workload), so restarts REDO winners
+//	rdacrash -queue-depth 8        # async pipeline: crash at every dequeue
 //
-// Soak mode runs randomized crash points over derived seeds:
+// -soak draws random schedules over derived seeds instead, from one of
+// three generators:
 //
-//	rdacrash -soak -seed 7 -iters 200
+//	rdacrash -soak crash -seed 7 -iters 200
+//	rdacrash -soak mix -transient 50 -seed 7 -iters 50     # disk deaths, crashes
+//	                               # and both, under a masked transient-error rate
+//	rdacrash -soak corrupt -scrub -seed 7 -iters 100       # bit flips, lost and
+//	                               # misdirected writes, scrubbing interleaved
 //
-// Mix mode is the self-healing soak: every run executes under a
-// background transient-error rate (masked by the retry layer), and
-// iterations alternate between random crash points and mid-run disk
-// deaths served degraded and rebuilt online:
+// Every failure prints its seed and schedule beside the axis flags it ran
+// under; -sched replays exactly that line, whatever produced it:
 //
-//	rdacrash -mix -seed 7 -iters 50 -transient 50
-//
-// Degraded mode is the exhaustive sweep with one disk down: it crashes
-// the workload at every write index while a disk is dead from the start
-// (covering crash points inside the restarted online rebuild, too), then
-// sweeps schedules where the disk death *coincides* with the crash
-// write:
-//
-//	rdacrash -degraded
-//
-// Double mode is the same sweep against a P+Q (RAID-6 style) array with
-// TWO disks down: one family runs with both disks dead from the start
-// (crash points spanning the double-degraded workload and the two-drive
-// rebuild), the other kills the second disk at the crash write itself:
-//
-//	rdacrash -double
-//
-// Both take -torn, which tears the crash write in every family instead of
-// dropping it — a dead disk and a torn block in one schedule:
-//
-//	rdacrash -degraded -torn
-//	rdacrash -double -torn
-//
-// Every mode takes -noforce, which runs the engine ¬FORCE (checkpoints
-// inside the workload) so that restarts REDO winners from the log:
-//
-//	rdacrash -explore -noforce
-//	rdacrash -degraded -noforce
-//
-// Corrupt mode is the silent-corruption soak: every run plants a bit
-// flip, lost write or misdirected write at a random write index (half
-// the runs crash afterwards too) while online scrub steps interleave
-// with the workload, and every read is held to the integrity plane's
-// oracle — committed data is never served corrupt:
-//
-//	rdacrash -corrupt -seed 7 -iters 100
-//
-// Every failure prints its seed and schedule; replay one with:
-//
-//	rdacrash -seed <seed> -sched "crash@w12"
-//	rdacrash -degraded -seed <seed> -sched "faildisk[0]@w0 crash@w13"
-//	rdacrash -double -seed <seed> -sched "faildisk[0]@w0 faildisk[3]@w9 crash@w9"
-//	rdacrash -double -seed <seed> -sched "faildisk[0]@w0 faildisk[3]@w2 torn[head]@w2"
-//	rdacrash -corrupt -seed <seed> -sched "misdirected[21]@w6 crash@w9"
+//	rdacrash -layout data -seed <seed> -sched "crash@w12"
+//	rdacrash -qparity -layout data -seed <seed> -sched "faildisk[0]@w0 faildisk[3]@w2 torn[head]@w2"
+//	rdacrash -scrub -layout parity -seed <seed> -sched "misdirected[21]@w6 crash@w9"
 //
 // The exit status is non-zero if any run violated a recovery invariant.
 package main
@@ -75,23 +48,22 @@ import (
 
 func main() {
 	var (
-		explore  = flag.Bool("explore", false, "exhaustively crash at every write index")
-		degraded = flag.Bool("degraded", false, "exhaustive crash sweep with one disk down: crashes across the degraded workload, the online rebuild, and coinciding with the disk death itself")
-		double   = flag.Bool("double", false, "exhaustive double-fault crash sweep on a P+Q array: two disks dead from the start, plus a second death coinciding with the crash write")
-		soak     = flag.Bool("soak", false, "randomized crash points over derived seeds")
-		corrupt  = flag.Bool("corrupt", false, "silent-corruption soak: random bit flips, lost and misdirected writes (half crashed on top) with online scrubbing interleaved")
-		mix      = flag.Bool("mix", false, "self-healing soak: transient faults everywhere, alternating crashes and mid-run disk deaths")
-		trans    = flag.Int64("transient", 50, "mix mode: fail every n-th disk access with a transient error (0 disables)")
-		torn     = flag.Bool("torn", false, "explore/degraded/double: tear the crashed write (half payload persists) instead of dropping it")
-		noforce  = flag.Bool("noforce", false, "run the engine ¬FORCE with checkpoints in the workload, so every restart has winners to REDO")
-		seed     = flag.Int64("seed", 1, "workload seed (soak: master seed for derived runs)")
-		iters    = flag.Int("iters", 100, "soak iterations")
-		txns     = flag.Int("txns", 0, "transactions per workload (0 = default)")
-		ops      = flag.Int("ops", 0, "page operations per transaction (0 = default)")
-		sched    = flag.String("sched", "", `replay one schedule (e.g. "crash@w12" or "torn[head]@w3") and exit`)
-		layouts  = flag.String("layout", "both", "array layout: data, parity, or both")
-		workers  = flag.Int("workers", 0, "engine-internal parallelism for recovery/rebuild scans (0 = deterministic single worker)")
-		qdepth   = flag.Int("queue-depth", 0, "per-drive request queue depth; > 1 enables the async I/O pipeline, so crash sweeps land at every queue-DEQUEUE index (0/1 = synchronous, byte-replayable)")
+		dead    = flag.Int("dead", 0, "drives dead from the start (0, 1, or 2 with -qparity); the sweep adds the family where the last of them dies at the crash write itself")
+		qparity = flag.Bool("qparity", false, "P+Q array: two redundancy equations per group")
+		torn    = flag.Bool("torn", false, "sweep: tear the crashed write (half payload persists) instead of dropping it")
+		noforce = flag.Bool("noforce", false, "run the engine ¬FORCE with checkpoints in the workload, so every restart has winners to REDO")
+		records = flag.Bool("records", false, "record logging: every workload write is one record slot, several log images per page")
+		scrub   = flag.Bool("scrub", false, "interleave online scrub steps with the workload and end every run with a full scrub cycle")
+		trans   = flag.Int64("transient", 0, "fail every n-th disk access with a transient error the retry layer must mask (0 disables)")
+		soak    = flag.String("soak", "", "randomized schedules over derived seeds instead of the sweep: crash, mix or corrupt")
+		seed    = flag.Int64("seed", 1, "workload seed (soak: master seed for derived runs)")
+		iters   = flag.Int("iters", 100, "soak iterations")
+		txns    = flag.Int("txns", 0, "transactions per workload (0 = default)")
+		ops     = flag.Int("ops", 0, "page operations per transaction (0 = default)")
+		sched   = flag.String("sched", "", `replay one schedule (e.g. "crash@w12" or "faildisk[0]@w0 torn[head]@w3") and exit`)
+		layouts = flag.String("layout", "both", "array layout: data, parity, or both")
+		workers = flag.Int("workers", 0, "engine-internal parallelism for recovery/rebuild scans (0 = deterministic single worker)")
+		qdepth  = flag.Int("queue-depth", 0, "per-drive request queue depth; > 1 enables the async I/O pipeline, so crash sweeps land at every queue-DEQUEUE index (0/1 = synchronous, byte-replayable)")
 	)
 	flag.Parse()
 
@@ -107,157 +79,95 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rdacrash: unknown -layout %q\n", *layouts)
 		os.Exit(2)
 	}
-
-	opts := func(l rda.Layout) crashcheck.Options {
-		return crashcheck.Options{Layout: l, Seed: *seed, Txns: *txns, OpsPerTx: *ops, Torn: *torn, NoForce: *noforce, Workers: *workers, QueueDepth: *qdepth}
-	}
-
-	// replay is what a printed replay line needs beside its mode flag.
-	replay := ""
-	if *noforce {
-		replay = "-noforce "
-	}
-
-	failed := false
-	switch {
-	case *sched != "":
-		s, err := fault.ParseSchedule(*sched)
-		if err != nil {
+	var replay fault.Schedule
+	if *sched != "" {
+		var err error
+		if replay, err = fault.ParseSchedule(*sched); err != nil {
 			fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
 			os.Exit(2)
 		}
-		for _, l := range lays {
-			// Mix- and degraded-mode replays (disk deaths, transient
-			// rates) need their own harness; add -mix/-degraded (and the
-			// original -transient rate) to the replay command line.
-			var err error
-			switch {
-			case *corrupt:
-				o := opts(l)
-				o.Scrub = true
-				_, err = crashcheck.RunCorruptSchedule(o, s)
-			case *degraded, *double:
-				o := opts(l)
-				o.QParity = *double
-				var rep *rda.RecoveryReport
-				rep, err = crashcheck.RunDegradedSchedule(o, s)
-				if rep != nil {
-					fmt.Printf("%v: recovery report: losers=%d undoneViaParity=%d undoneViaLog=%d undoneViaReconstruction=%d deferredParityGroups=%d lostPages=%d\n",
-						l, rep.Losers, rep.UndoneViaParity, rep.UndoneViaLog,
-						rep.UndoneViaReconstruction, rep.DeferredParityGroups, len(rep.LostPages))
-				}
-			case *mix:
-				err = crashcheck.RunMixSchedule(opts(l), s, *trans)
-			default:
-				err = crashcheck.RunSchedule(opts(l), s)
+	}
+
+	// axes is what a replay line needs beside layout, seed and schedule:
+	// every engine and workload flag as given.  What picks the schedules
+	// stays out — the schedule itself carries its deaths and its cut.
+	axes := ""
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "dead", "torn", "soak", "iters", "seed", "sched", "layout":
+			return
+		}
+		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok && b.IsBoolFlag() {
+			axes += "-" + f.Name + " "
+		} else {
+			axes += fmt.Sprintf("-%s %s ", f.Name, f.Value)
+		}
+	})
+
+	failed := false
+	for _, l := range lays {
+		opts := crashcheck.Options{
+			Layout: l, Seed: *seed, Txns: *txns, OpsPerTx: *ops,
+			Dead: *dead, QParity: *qparity, Torn: *torn, NoForce: *noforce, Records: *records,
+			Scrub: *scrub, TransientEvery: *trans, Workers: *workers, QueueDepth: *qdepth,
+		}
+		if replay != nil {
+			rep, _, err := crashcheck.Run(opts, replay)
+			if rep != nil {
+				fmt.Printf("%v: recovery report: losers=%d undoneViaParity=%d undoneViaLog=%d undoneViaReconstruction=%d deferredParityGroups=%d lostPages=%d\n",
+					l, rep.Losers, rep.UndoneViaParity, rep.UndoneViaLog,
+					rep.UndoneViaReconstruction, rep.DeferredParityGroups, len(rep.LostPages))
 			}
 			if err != nil {
-				fmt.Printf("%v: FAIL seed=%d sched=%q: %v\n", l, *seed, s, err)
+				fmt.Printf("%v: FAIL seed=%d sched=%q: %v\n", l, *seed, replay, err)
 				failed = true
 			} else {
-				fmt.Printf("%v: ok seed=%d sched=%q\n", l, *seed, s)
+				fmt.Printf("%v: ok seed=%d sched=%q\n", l, *seed, replay)
 			}
+			continue
 		}
-	case *double:
-		for _, l := range lays {
-			res, err := crashcheck.ExploreDouble(opts(l), func(done, total int64) {
-				if done%64 == 0 || done == total {
-					fmt.Printf("\r%v: double-fault crash %d/%d", l, done, total)
-				}
-			})
-			fmt.Println()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
-				os.Exit(1)
-			}
-			report(l, res, replay+"-double ")
-			failed = failed || len(res.Violations) > 0
-		}
-	case *degraded:
-		for _, l := range lays {
-			res, err := crashcheck.ExploreDegraded(opts(l), func(done, total int64) {
-				if done%64 == 0 || done == total {
-					fmt.Printf("\r%v: degraded crash %d/%d", l, done, total)
-				}
-			})
-			fmt.Println()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
-				os.Exit(1)
-			}
-			report(l, res, replay+"-degraded ")
-			failed = failed || len(res.Violations) > 0
-		}
-	case *explore:
-		for _, l := range lays {
-			mode := "clean"
+		var res *crashcheck.Result
+		var err error
+		if *soak != "" {
+			res, err = crashcheck.Soak(opts, *iters, crashcheck.Generator(*soak))
+		} else {
+			cut := "clean"
 			if *torn {
-				mode = "torn"
+				cut = "torn"
 			}
-			res, err := crashcheck.Explore(opts(l), func(done, total int64) {
+			res, err = crashcheck.Sweep(opts, func(done, total int64) {
 				if done%64 == 0 || done == total {
-					fmt.Printf("\r%v: %s crash %d/%d", l, mode, done, total)
+					fmt.Printf("\r%v: %s crash %d/%d", l, cut, done, total)
 				}
 			})
 			fmt.Println()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
-				os.Exit(1)
-			}
-			report(l, res, replay)
-			failed = failed || len(res.Violations) > 0
 		}
-	case *corrupt:
-		for _, l := range lays {
-			res, err := crashcheck.CorruptSoak(opts(l), *iters)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
-				os.Exit(1)
-			}
-			report(l, res, replay+"-corrupt ")
-			fmt.Printf("%v: integrity: %d corrupt block(s) detected, %d read repair(s), %d scrub repair(s), %d group(s) scrubbed, %d unrecoverable\n",
-				l, res.CorruptBlocksDetected, res.ReadRepairs, res.ScrubRepairs, res.ScrubbedGroups, res.UnrecoverableCorruption)
-			failed = failed || len(res.Violations) > 0
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
+			os.Exit(1)
 		}
-	case *mix:
-		for _, l := range lays {
-			res, err := crashcheck.MixSoak(opts(l), *iters, *trans)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
-				os.Exit(1)
-			}
-			report(l, res, replay+fmt.Sprintf("-mix -transient %d ", *trans))
-			failed = failed || len(res.Violations) > 0
-		}
-	case *soak:
-		for _, l := range lays {
-			res, err := crashcheck.Soak(opts(l), *iters)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rdacrash: %v\n", err)
-				os.Exit(1)
-			}
-			report(l, res, replay)
-			failed = failed || len(res.Violations) > 0
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
+		report(l, res, axes)
+		failed = failed || len(res.Violations) > 0
 	}
 	if failed {
 		os.Exit(1)
 	}
 }
 
-func report(l rda.Layout, res *crashcheck.Result, extra string) {
+func report(l rda.Layout, res *crashcheck.Result, axes string) {
 	fmt.Printf("%v: %d run(s), %d write(s) per workload, %d violation(s)\n",
 		l, res.Runs, res.TotalWrites, len(res.Violations))
 	if res.UndoneViaReconstruction+res.DeferredParityGroups+res.DataLossRuns > 0 {
 		fmt.Printf("%v: degraded recovery: %d undo(s) via reconstruction, %d deferred parity group(s), %d run(s) with explicit loss (%d page(s))\n",
 			l, res.UndoneViaReconstruction, res.DeferredParityGroups, res.DataLossRuns, res.LostPages)
 	}
+	if res.CorruptBlocksDetected+res.ScrubbedGroups > 0 {
+		fmt.Printf("%v: integrity: %d corrupt block(s) detected, %d read repair(s), %d scrub repair(s), %d group(s) scrubbed, %d unrecoverable\n",
+			l, res.CorruptBlocksDetected, res.ReadRepairs, res.ScrubRepairs, res.ScrubbedGroups, res.UnrecoverableCorruption)
+	}
 	for _, v := range res.Violations {
 		fmt.Printf("  FAIL %s\n", v)
-		fmt.Printf("       replay: rdacrash %s-layout %s -seed %d -sched %q\n", extra, layoutFlag(l), v.Seed, v.Schedule)
+		fmt.Printf("       replay: rdacrash %s-layout %s -seed %d -sched %q\n", axes, layoutFlag(l), v.Seed, v.Schedule)
 	}
 }
 

@@ -1,49 +1,30 @@
-// Package crashcheck is the crash-point explorer for the RDA engine.
+// Package crashcheck is the crash-and-recover checker for the RDA engine.
 //
-// The paper's central claim (Section 4) is that twin-parity undo makes
-// the database recoverable from a crash at *any* instant, without UNDO
-// log writes for stolen pages.  This package turns that claim into a
-// machine-checked property:
+// The paper's central claim (Section 4) is that ONE redundancy mechanism
+// makes the database recoverable from a crash at *any* instant, without
+// UNDO log writes for stolen pages, and from the loss of a disk — at once.
+// This package turns the claim into a machine-checked property, with one of
+// each moving part (DESIGN.md, "Fault plane", has the family table):
 //
-//  1. run a deterministic seeded workload once under a counting fault
-//     plane and record W, the total number of block writes it issues;
-//  2. for every write index k in [0, W), re-run the identical workload,
-//     crash it at write k (cleanly, or tearing write k itself in torn
-//     mode), run crash recovery, and verify the recovered state.
+//   - one cycle, Run: a deterministic seeded workload under a fault
+//     schedule, then {CrashHard, Recover, VerifyRecovered} → online rebuild
+//     → scrub cycle, repeated until no crash rule fires, then the
+//     committed-state oracle (durability, no uncommitted data, atomicity of
+//     the one interrupted commit, every read served clean) and a probe
+//     transaction.  What the run may legally report is read off the
+//     schedule (lawOf), never off the caller;
+//   - one exhaustive enumerator, Sweep: the cut (Options.cut: a clean crash
+//     or a tear) at every write index, with Options.Dead drives dead from
+//     the start and with the last of them dying at the cut instead;
+//   - one randomized loop, Soak, over three schedule generators (Crashes,
+//     Mix, Corrupt).
 //
-// The verified invariants after each crash:
-//
-//   - every page a committed transaction wrote holds its last committed
-//     image (durability);
-//   - no page shows data from an uncommitted transaction (no-UNDO steal
-//     really undone);
-//   - the single transaction whose Commit the crash may have interrupted
-//     is atomic — all of its pages are new or all are old;
-//   - each group's current parity twin equals the XOR of its data pages,
-//     no working-state twin survives, the twin-state pair is one a legal
-//     Figure 8 history can produce, the Current_Parity bitmap matches a
-//     Figure 7 recomputation, and the Dirty_Set is empty
-//     (DB.VerifyRecovered);
-//   - the database still works: a probe transaction commits and its
-//     update is durable and parity-consistent.
-//
-// The same property holds degraded: ExploreDegraded repeats the sweep
-// with one disk already down, with the disk death coinciding with the
-// crash, and with the crash landing inside the online rebuild — degraded
-// crash recovery must preserve every invariant above on the surviving
-// members, with explicit (zeroed, reported) data loss tolerated only
-// when the death and the crash coincide.
-//
-// Every sweep also runs ¬FORCE (Options.NoForce), the only discipline under
-// which a restart has winners to REDO: commits leave their pages in the
-// buffer, the workload takes checkpoints of its own, and the crash points
-// land between a commit and the write-back of its pages, and inside the
-// checkpoints.  Options.Records makes each write one record slot, so REDO
-// replays several images per page.
-//
-// Because the workload, the buffer manager, and the fault plane are all
-// deterministic, a failing run is identified completely by its seed and
-// schedule, both of which print in a replayable syntax.
+// Every other dimension — layout, P+Q, ¬FORCE, record logging, scrubbing,
+// a transient-error rate, engine workers, queue depth — is an Options
+// field, so a cell of the fault space is one Options literal.  Workload,
+// buffer manager and fault plane are deterministic: a failing run is
+// identified completely by its options, seed and schedule, all of which
+// print in a replayable syntax.
 package crashcheck
 
 import (
@@ -51,19 +32,20 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 
 	"repro/internal/fault"
 	"repro/internal/record"
 	"repro/rda"
 )
 
-// Options configures an exploration.
+// Options configures a run, a sweep or a soak.
 type Options struct {
-	// Layout selects the array organization (the explorer is run once
-	// per layout: DataStriping exercises RAID5Twin, ParityStriping
-	// exercises ParityStripeTwin).
+	// Layout selects the array organization (DataStriping exercises
+	// RAID5Twin, ParityStriping exercises ParityStripeTwin).
 	Layout rda.Layout
-	// Seed drives the workload generator.
+	// Seed drives the workload generator (Soak: the master seed the
+	// per-iteration seeds derive from).
 	Seed int64
 	// Txns is the number of transactions in the workload (default 8).
 	Txns int
@@ -73,8 +55,12 @@ type Options struct {
 	// through the paper's no-UNDO-logging path — the state the crash
 	// sweep most needs to interrupt.
 	OpsPerTx int
-	// Torn makes the exhaustive sweeps (Explore, ExploreDegraded,
-	// ExploreDouble) tear write k itself (half the payload and the full
+	// Dead is the number of drives dead from the start (0, 1, or 2 with
+	// QParity): Sweep runs its families under that many faildisk[d]@w0
+	// rules, Soak prefixes every generated schedule with them and draws
+	// indexes against the write clock of the workload so degraded.
+	Dead int
+	// Torn makes Sweep tear write k itself (half the payload and the full
 	// header persist) instead of dropping it cleanly.
 	Torn bool
 	// Workers sets the engine's internal parallelism (rda.Config.Workers:
@@ -88,13 +74,11 @@ type Options struct {
 	// Scrub interleaves the online scrubber with the workload: one
 	// ScrubStep after every transaction, so verification reads (and the
 	// repair writes they trigger) mix with live commits and schedule
-	// rules can land inside scrub I/O.  Used by the corruption soak.
+	// rules can land inside scrub I/O.  The run then ends with a full
+	// scrub cycle (as does any run whose schedule plants a silent fault).
 	Scrub bool
-	// QParity runs the sweep on a P+Q (RAID-6 style) array: two
-	// redundancy equations per group, so two overlapping disk deaths
-	// stay within budget.  ExploreDouble forces it on; the other modes
-	// accept it to re-run their single-fault sweeps over the richer
-	// geometry.
+	// QParity runs on a P+Q (RAID-6 style) array: two redundancy equations
+	// per group, so two overlapping erasures stay within budget.
 	QParity bool
 	// QueueDepth sets the engine's per-drive request queue depth
 	// (rda.Config.QueueDepth).  With a depth > 1 the async pipeline is
@@ -120,6 +104,11 @@ type Options struct {
 	// images those slot writes produce, and REDO under NoForce replays
 	// record images (several per page) instead of page images.
 	Records bool
+	// TransientEvery, when positive, fails every n-th disk access once with
+	// a transient error for the whole run, recovery included.  The retry
+	// layer must mask every one: the run fails if any surfaces, or if
+	// faults were injected and no retry was recorded.
+	TransientEvery int64
 }
 
 // cut is the rule an exhaustive sweep stops the run with at write k: a
@@ -130,6 +119,15 @@ func (o *Options) cut(k int64) fault.Rule {
 		return fault.TornWrite(k, k%2 == 0)
 	}
 	return fault.CrashAfterNWrites(k)
+}
+
+// budget is the number of erasures one parity group absorbs: one equation
+// on twin parity, two on P+Q.
+func (o *Options) budget() int {
+	if o.QParity {
+		return 2
+	}
+	return 1
 }
 
 func (o *Options) fill() {
@@ -147,8 +145,8 @@ func (o *Options) fill() {
 func dbConfig(opts Options) rda.Config {
 	cfg := rda.Config{
 		DataDisks:    4,
-		NumPages:     48,
-		PageSize:     64,
+		NumPages:     numPages,
+		PageSize:     pageSize,
 		BufferFrames: 6,
 		Layout:       opts.Layout,
 		Logging:      rda.PageLogging,
@@ -170,9 +168,14 @@ func dbConfig(opts Options) rda.Config {
 	return cfg
 }
 
-// recordSize is the Records workload's record length: seven slots on the
-// explorer's 64-byte pages.
-const recordSize = 8
+// The explorer's page geometry, which the Corrupt generator also draws its
+// operands against; recordSize is the Records workload's record length,
+// seven slots on a page.
+const (
+	numPages   = 48
+	pageSize   = 64
+	recordSize = 8
+)
 
 // Violation is one failed crash-and-recover run, identified by the seed
 // and schedule that reproduce it.
@@ -187,29 +190,26 @@ func (v Violation) String() string {
 	return fmt.Sprintf("seed=%d sched=%q: %v", v.Seed, v.Schedule, v.Err)
 }
 
-// Result summarizes an exploration.
+// Result summarizes a sweep or a soak.
 type Result struct {
-	// TotalWrites is W for the last counted workload (0 for Replay).
+	// TotalWrites is W, the write count of the last counted workload.
 	TotalWrites int64
 	// Runs is the number of crash-and-recover cycles performed.
 	Runs int
 	// Violations holds every failed run.
 	Violations []Violation
 
-	// Degraded-sweep aggregates (RunDegradedSchedule-based modes only),
-	// summed over every recovery the sweep performed.
+	// Degraded-recovery aggregates, summed over every restart of every run.
 	UndoneViaReconstruction int
 	DeferredParityGroups    int
-	// DataLossRuns counts runs whose recovery reported lost pages — legal
-	// only for schedules where the disk death coincides with the crash.
+	// DataLossRuns counts runs whose recovery reported lost pages, LostPages
+	// the pages they reported.
 	DataLossRuns int
-	// LostPages is the total number of pages those runs reported lost.
-	LostPages int
+	LostPages    int
 
-	// Integrity-plane aggregates (CorruptSoak only): the engine's
-	// corruption counters summed over every run, evidence that the soak's
-	// planted faults were actually detected and repaired rather than
-	// never touched.
+	// Integrity-plane aggregates: the engine's corruption counters summed
+	// over every run — evidence that planted faults were actually detected
+	// and repaired rather than never touched.
 	CorruptBlocksDetected   int64
 	ReadRepairs             int64
 	ScrubRepairs            int64
@@ -217,62 +217,62 @@ type Result struct {
 	UnrecoverableCorruption int64
 }
 
-// absorbStats folds one run's integrity counters into the aggregates.
-func (r *Result) absorbStats(s rda.Stats) {
+// run performs one cycle and folds its outcome into the aggregates.
+func (r *Result) run(opts Options, sched fault.Schedule) {
+	r.Runs++
+	rep, s, err := Run(opts, sched)
+	if rep != nil {
+		r.UndoneViaReconstruction += rep.UndoneViaReconstruction
+		r.DeferredParityGroups += rep.DeferredParityGroups
+		if len(rep.LostPages) > 0 {
+			r.DataLossRuns++
+			r.LostPages += len(rep.LostPages)
+		}
+	}
 	r.CorruptBlocksDetected += s.CorruptBlocksDetected
 	r.ReadRepairs += s.ReadRepairs
 	r.ScrubRepairs += s.ScrubRepairs
 	r.ScrubbedGroups += s.ScrubbedGroups
 	r.UnrecoverableCorruption += s.UnrecoverableCorruption
-}
-
-// absorb folds one run's recovery report into the sweep aggregates.
-func (r *Result) absorb(rep *rda.RecoveryReport) {
-	if rep == nil {
-		return
-	}
-	r.UndoneViaReconstruction += rep.UndoneViaReconstruction
-	r.DeferredParityGroups += rep.DeferredParityGroups
-	if len(rep.LostPages) > 0 {
-		r.DataLossRuns++
-		r.LostPages += len(rep.LostPages)
+	if err != nil {
+		r.Violations = append(r.Violations, Violation{Seed: opts.Seed, Schedule: sched, Err: err})
 	}
 }
 
 // driver runs the deterministic workload and carries the oracle: the
 // page images every committed transaction has durably written.
 type driver struct {
-	db   *rda.DB
-	opts Options
-	rng  *rand.Rand
+	db    *rda.DB
+	plane *fault.Plane
+	opts  Options
+	rng   *rand.Rand
 
 	committed map[rda.PageID][]byte
 	pending   map[rda.PageID][]byte // current transaction's writes
 	inCommit  bool                  // crash may have interrupted an EOT
 	// lost holds pages recovery reported as beyond the surviving
-	// redundancy (coinciding crash + disk death only): the oracle expects
-	// them zeroed — explicit loss, never silent corruption.
+	// redundancy: verify holds them to the explicit-loss contract (zeroed)
+	// instead of the committed oracle — never silent corruption.
 	lost map[rda.PageID]bool
 }
 
-func newDriver(db *rda.DB, opts Options) *driver {
+// start opens a fresh database with the schedule's fault plane installed.
+func start(opts Options, sched fault.Schedule) (*driver, error) {
+	db, err := rda.Open(dbConfig(opts))
+	if err != nil {
+		return nil, err
+	}
+	plane := fault.NewPlane(sched)
+	plane.SetTransientEvery(opts.TransientEvery)
+	db.SetInjector(plane)
 	return &driver{
 		db:        db,
+		plane:     plane,
 		opts:      opts,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
 		committed: make(map[rda.PageID][]byte),
-	}
-}
-
-// noteLost records pages recovery declared lost; verify holds them to
-// the explicit-loss contract (zeroed) instead of the committed oracle.
-func (d *driver) noteLost(pages []rda.PageID) {
-	if d.lost == nil {
-		d.lost = make(map[rda.PageID]bool)
-	}
-	for _, p := range pages {
-		d.lost[p] = true
-	}
+		lost:      make(map[rda.PageID]bool),
+	}, nil
 }
 
 // pageImage is the deterministic content transaction txn writes to page
@@ -288,28 +288,18 @@ func (d *driver) pageImage(txn, op int, p rda.PageID) []byte {
 	return out
 }
 
-// run executes the seeded workload.  It returns the crash sentinel if a
-// schedule rule fired mid-run, nil if the workload completed.  All rng
-// draws happen in a fixed order, so every run with the same seed issues
-// the identical I/O sequence up to the crash point.
-func (d *driver) run() (crash *fault.Crash, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, ok := fault.AsCrash(r)
-			if !ok {
-				panic(r)
-			}
-			crash = c
-		}
-	}()
+// workload executes the seeded workload.  All rng draws happen in a fixed
+// order, so every run with the same seed issues the identical I/O sequence
+// up to the crash point (a crash rule unwinds it as a panic; see guard).
+func (d *driver) workload() error {
 	npages := d.db.NumPages()
 	for t := 0; t < d.opts.Txns; t++ {
 		if err := d.checkpoint(t); err != nil {
-			return nil, err
+			return err
 		}
 		tx, err := d.db.Begin()
 		if err != nil {
-			return nil, fmt.Errorf("txn %d begin: %w", t, err)
+			return fmt.Errorf("txn %d begin: %w", t, err)
 		}
 		d.pending = make(map[rda.PageID][]byte)
 		abort := d.rng.Intn(6) == 0
@@ -318,14 +308,14 @@ func (d *driver) run() (crash *fault.Crash, err error) {
 			read := d.rng.Intn(4) == 0
 			if d.opts.Records {
 				if err := d.recordOp(tx, t, op, p, read); err != nil {
-					return nil, fmt.Errorf("txn %d page %d: %w", t, p, err)
+					return fmt.Errorf("txn %d page %d: %w", t, p, err)
 				}
 				continue
 			}
 			if read {
 				got, err := tx.ReadPage(p)
 				if err != nil {
-					return nil, fmt.Errorf("txn %d read page %d: %w", t, p, err)
+					return fmt.Errorf("txn %d read page %d: %w", t, p, err)
 				}
 				// Per-read oracle: the workload is single-threaded, so
 				// every successful read has exactly one legal value — the
@@ -335,39 +325,49 @@ func (d *driver) run() (crash *fault.Crash, err error) {
 				// rotted block) is the silent corruption the integrity
 				// plane exists to make impossible.
 				if !bytes.Equal(got, d.current(p)) {
-					return nil, fmt.Errorf("txn %d read of page %d served corrupt data", t, p)
+					return fmt.Errorf("txn %d read of page %d served corrupt data", t, p)
 				}
 				continue
 			}
 			img := d.pageImage(t, op, p)
 			if err := tx.WritePage(p, img); err != nil {
-				return nil, fmt.Errorf("txn %d write page %d: %w", t, p, err)
+				return fmt.Errorf("txn %d write page %d: %w", t, p, err)
 			}
 			d.pending[p] = img
 		}
 		if abort {
 			if err := tx.Abort(); err != nil {
-				return nil, fmt.Errorf("txn %d abort: %w", t, err)
+				return fmt.Errorf("txn %d abort: %w", t, err)
 			}
 			d.pending = nil
 			continue
 		}
-		d.inCommit = true
-		if err := tx.Commit(); err != nil {
-			return nil, fmt.Errorf("txn %d commit: %w", t, err)
+		if err := d.commit(tx); err != nil {
+			return fmt.Errorf("txn %d commit: %w", t, err)
 		}
-		d.inCommit = false
-		for p, img := range d.pending {
-			d.committed[p] = img
-		}
-		d.pending = nil
 		if d.opts.Scrub {
 			if _, _, err := d.db.ScrubStep(1); err != nil {
-				return nil, fmt.Errorf("scrub step after txn %d: %w", t, err)
+				return fmt.Errorf("scrub step after txn %d: %w", t, err)
 			}
 		}
 	}
-	return nil, d.checkpoint(d.opts.Txns)
+	return d.checkpoint(d.opts.Txns)
+}
+
+// commit ends tx and keeps the oracle in step: while Commit runs the
+// transaction's outcome is ambiguous to a crash (inCommit); once it
+// returns, its pending images are the committed ones.
+func (d *driver) commit(tx *rda.Tx) error {
+	d.inCommit = true
+	if err := tx.Commit(); err != nil {
+		return err
+	}
+	d.inCommit = false
+	for p, img := range d.pending {
+		d.committed[p] = img
+	}
+	d.pending = nil
+	return nil
 }
 
 // checkpoint takes the NoForce workload's checkpoint before transaction t:
@@ -488,7 +488,9 @@ func (d *driver) verify() error {
 }
 
 // probe checks that the recovered database still accepts and persists a
-// transaction.
+// transaction.  Its commit goes through the same bookkeeping as the
+// workload's, so a late crash rule firing in here leaves the oracle an
+// ordinary interrupted (or just-committed) transaction to judge.
 func (d *driver) probe() error {
 	tx, err := d.db.Begin()
 	if err != nil {
@@ -498,32 +500,28 @@ func (d *driver) probe() error {
 	for d.opts.Records && d.lost[p] {
 		p++ // a lost page is zeroed, not formatted: it takes no record
 	}
-	img := d.pageImage(1<<20, 0, p)
+	d.pending = make(map[rda.PageID][]byte)
 	if d.opts.Records {
-		d.pending = make(map[rda.PageID][]byte)
 		err = d.recordOp(tx, 1<<20, 0, p, false)
-		img = d.pending[p]
 	} else {
-		err = tx.WritePage(p, img)
+		img := d.pageImage(1<<20, 0, p)
+		if err = tx.WritePage(p, img); err == nil {
+			d.pending[p] = img
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("probe write: %w", err)
 	}
-	if err := tx.Commit(); err != nil {
+	img := d.pending[p]
+	if err := d.commit(tx); err != nil {
 		return fmt.Errorf("probe commit: %w", err)
 	}
 	// A disk can die during the probe itself (a late FailDisk rule): the
 	// commit then lives only in parity, which the raw platter peek below
 	// cannot see.  Rebuild first so redundancy-only state is
 	// materialized; an instant no-op on a healthy array.
-	for {
-		done, err := d.db.RebuildStep(0)
-		if err != nil {
-			return fmt.Errorf("probe rebuild: %w", err)
-		}
-		if done {
-			break
-		}
+	if err := pump(d.rebuildStep); err != nil {
+		return fmt.Errorf("probe rebuild: %w", err)
 	}
 	if d.opts.NoForce {
 		// The commit left the page in the buffer; the platter peek below
@@ -542,714 +540,415 @@ func (d *driver) probe() error {
 	return d.db.VerifyParity()
 }
 
-// CountWrites runs the workload once under a pure counting plane and
-// returns W, the number of block writes it issues.  It also sanity-checks
-// the final state against the oracle, so a broken workload is caught
-// before any crash is injected.
-func CountWrites(opts Options) (int64, error) {
-	opts.fill()
-	db, err := rda.Open(dbConfig(opts))
-	if err != nil {
-		return 0, err
-	}
-	plane := fault.NewPlane(nil)
-	db.SetInjector(plane)
-	d := newDriver(db, opts)
-	crash, err := d.run()
-	if err != nil {
-		return 0, fmt.Errorf("counting run: %w", err)
-	}
-	if crash != nil {
-		return 0, fmt.Errorf("counting run crashed: %v", crash)
-	}
-	if err := d.verify(); err != nil {
-		return 0, fmt.Errorf("counting run final state: %w", err)
-	}
-	return plane.Writes(), nil
+// guard runs step, converting a crash-rule panic (a crash point landing on
+// one of step's writes) into a returned sentinel so the caller can run
+// recovery and resume.  Everything a schedule rule can fire inside — the
+// workload, the pumps, the probe — runs under it: no schedule makes Run
+// panic.
+func guard(step func() error) (crash *fault.Crash, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			c, ok := fault.AsCrash(r)
+			if !ok {
+				panic(r)
+			}
+			crash = c
+		}
+	}()
+	return nil, step()
 }
 
-// RunSchedule performs one crash-and-recover cycle: the seeded workload
-// under the given fault schedule, then CrashHard + Recover + every
-// invariant check.  A nil error means the run survived.  If no schedule
-// rule fires the workload completes and only the final state is checked.
-func RunSchedule(opts Options, sched fault.Schedule) error {
-	opts.fill()
-	db, err := rda.Open(dbConfig(opts))
-	if err != nil {
-		return err
-	}
-	plane := fault.NewPlane(sched)
-	db.SetInjector(plane)
-	d := newDriver(db, opts)
-	crash, err := d.run()
-	if err != nil {
-		return fmt.Errorf("workload: %w", err)
-	}
-	if crash == nil {
-		// Schedule never fired (e.g. a torn rule landed on a header-only
-		// write, which cannot tear).  Vacuous crash, real final check.
-		if err := d.verify(); err != nil {
-			return fmt.Errorf("uncrashed final state: %w", err)
+// pump calls step until it reports done.
+func pump(step func() (done bool, err error)) error {
+	for {
+		done, err := step()
+		if done || err != nil {
+			return err
 		}
-		return nil
 	}
-	db.CrashHard()
-	rep, err := db.Recover()
-	if err != nil {
-		return fmt.Errorf("recover after %v: %w", crash, err)
+}
+
+// rebuildStep is the pump step of the online rebuild: done at once on a
+// healthy array.
+func (d *driver) rebuildStep() (bool, error) { return d.db.RebuildStep(0) }
+
+// scrubCycle returns the pump step of one full online scrub cycle —
+// NumGroups cursor slots, so every group is visited even when the
+// workload's interleaved steps left the shared cursor mid-array.
+func (d *driver) scrubCycle() func() (bool, error) {
+	covered := 0
+	return func() (bool, error) {
+		rep, _, err := d.db.ScrubStep(0)
+		if rep != nil {
+			covered += rep.GroupsScanned + rep.GroupsSkipped
+		}
+		return covered >= d.db.NumGroups(), err
 	}
-	// Healthy-array regression guard: RunSchedule's schedules never kill
-	// a disk, so the degraded recovery machinery must stay completely
-	// cold — any non-zero counter means the degraded path leaked into
-	// the common case.
-	if rep.UndoneViaReconstruction != 0 || rep.DeferredParityGroups != 0 || len(rep.LostPages) != 0 {
-		return fmt.Errorf("healthy restart took the degraded path after %v: reconstruction=%d deferred=%d lost=%v",
-			crash, rep.UndoneViaReconstruction, rep.DeferredParityGroups, rep.LostPages)
+}
+
+// law is what a schedule makes legal for the run under it.
+type law struct {
+	// degraded: restarts may report reconstruction undos, deferred parity
+	// groups or lost pages at all.  Otherwise the degraded recovery
+	// machinery must stay completely cold: a non-zero counter means the
+	// degraded path leaked into the common case.
+	degraded bool
+	// loss: a restart may report LostPages, which the oracle then requires
+	// zeroed rather than matching their committed images.
+	loss bool
+	// typed: ErrUnrecoverableCorruption anywhere in the run ends it as a
+	// pass — damage beyond the redundancy, surfaced as the typed error and
+	// never as garbage bytes.
+	typed bool
+	// silent: latent damage is planted, so a full scrub cycle follows
+	// recovery and the raw platter peeks see only clean blocks.
+	silent bool
+}
+
+// lawOf reads the law off the schedule.  Each fault is one erasure (a
+// misdirected write two: the victim block and the stale target) and a
+// group absorbs opts.budget() of them, but the kinds differ in what the
+// engine knows:
+//
+//   - a drive dead from the start (faildisk@w0) was observed long before
+//     any crash, so every no-log steal it touched was demoted and logged:
+//     nothing may be lost beside it — until one more erasure joins in (a
+//     tear, a silent fault) and together they exceed the budget wherever
+//     they share a group;
+//   - a drive dying mid-run may die at the crash write itself, unobserved:
+//     the demotion that would have logged a loser's before-image never ran
+//     and recovery discovers the death at restart, so loss is legal;
+//   - a silent fault is never observed, so alone it can destroy the only
+//     copy of a loser's before-image (the committed twin of a dirty group):
+//     loss is legal; the typed error needs the budget exceeded, which on
+//     twin parity a misdirected write manages by itself when it lands in
+//     its target's own group.
+func lawOf(opts Options, sched fault.Schedule) law {
+	var dead0, late, extra int
+	var l law
+	for _, r := range sched {
+		switch r.Kind {
+		case fault.KindFailDisk:
+			if r.After == 0 {
+				dead0++
+			} else {
+				late++
+			}
+		case fault.KindTorn:
+			extra++
+		case fault.KindBitFlip, fault.KindLostWrite:
+			extra++
+			l.silent = true
+		case fault.KindMisdirected:
+			extra += 2
+			l.silent = true
+		}
 	}
-	if err := db.VerifyRecovered(); err != nil {
-		return fmt.Errorf("after %v: %w", crash, err)
+	beyond := extra > 0 && dead0+late+extra > opts.budget()
+	l.degraded = dead0+late > 0 || l.silent
+	l.loss = late > 0 || beyond || (l.silent && dead0 == 0)
+	l.typed = l.silent && beyond
+	return l
+}
+
+// admits holds one restart's report to the law.
+func (l law) admits(rep *rda.RecoveryReport) error {
+	if !l.degraded && (rep.UndoneViaReconstruction != 0 || rep.DeferredParityGroups != 0 || len(rep.LostPages) != 0) {
+		return fmt.Errorf("healthy restart took the degraded path: reconstruction=%d deferred=%d lost=%v",
+			rep.UndoneViaReconstruction, rep.DeferredParityGroups, rep.LostPages)
 	}
-	if err := d.verify(); err != nil {
-		return fmt.Errorf("after %v: %w", crash, err)
-	}
-	if err := d.probe(); err != nil {
-		return fmt.Errorf("after %v: %w", crash, err)
+	if !l.loss && len(rep.LostPages) > 0 {
+		return fmt.Errorf("recovery lost pages %v inside the redundancy its schedule leaves", rep.LostPages)
 	}
 	return nil
 }
 
-// Explore is the exhaustive sweep: count W, then crash at every write
-// index in [0, W).  progress, when non-nil, is called after each run.
-func Explore(opts Options, progress func(done, total int64)) (*Result, error) {
-	opts.fill()
-	total, err := CountWrites(opts)
-	if err != nil {
-		return nil, err
+// accumulate folds one restart's report into the run's: numeric fields
+// add, slices append.  By reflection, so a field rda.RecoveryReport gains
+// is summed without an edit here (and one of a kind this cannot fold fails
+// loudly instead of being dropped).
+func accumulate(total, rep *rda.RecoveryReport) *rda.RecoveryReport {
+	if total == nil {
+		return rep
 	}
-	res := &Result{TotalWrites: total}
-	for k := int64(0); k < total; k++ {
-		sched := fault.Schedule{opts.cut(k)}
-		res.Runs++
-		if err := RunSchedule(opts, sched); err != nil {
-			res.Violations = append(res.Violations, Violation{Seed: opts.Seed, Schedule: sched, Err: err})
-		}
-		if progress != nil {
-			progress(k+1, total)
+	t, r := reflect.ValueOf(total).Elem(), reflect.ValueOf(rep).Elem()
+	for i := 0; i < t.NumField(); i++ {
+		switch f := t.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + r.Field(i).Int())
+		case reflect.Slice:
+			f.Set(reflect.AppendSlice(f, r.Field(i)))
+		default:
+			panic(fmt.Sprintf("crashcheck: RecoveryReport.%s is of a kind accumulate does not fold", t.Type().Field(i).Name))
 		}
 	}
-	return res, nil
+	return total
 }
 
-// countDegraded measures the write clock of a degraded run: the seeded
-// workload under a FailDisk(d, 0) schedule, then the online rebuild
-// pumped to completion.  It returns the write count at workload end and
-// at rebuild end — the two bounds the degraded sweep needs (crash
-// indexes below the first interrupt the degraded workload; indexes
-// between the two land inside the restarted rebuild).  The final state
-// is sanity-checked against the oracle.
-func countDegraded(opts Options, d int) (workload, full int64, err error) {
-	opts.fill()
-	db, err := rda.Open(dbConfig(opts))
-	if err != nil {
-		return 0, 0, err
-	}
-	plane := fault.NewPlane(fault.Schedule{fault.FailDisk(d, 0)})
-	db.SetInjector(plane)
-	drv := newDriver(db, opts)
-	crash, err := drv.run()
-	if err != nil {
-		return 0, 0, fmt.Errorf("degraded counting run: %w", err)
-	}
-	if crash != nil {
-		return 0, 0, fmt.Errorf("degraded counting run crashed: %v", crash)
-	}
-	workload = plane.Writes()
-	crash, err = pumpRebuild(db)
-	if err != nil {
-		return 0, 0, fmt.Errorf("degraded counting rebuild: %w", err)
-	}
-	if crash != nil {
-		return 0, 0, fmt.Errorf("degraded counting rebuild crashed: %v", crash)
-	}
-	full = plane.Writes()
-	if err := drv.verify(); err != nil {
-		return 0, 0, fmt.Errorf("degraded counting final state: %w", err)
-	}
-	return workload, full, nil
-}
-
-// ExploreDegraded is the degraded-restart sweep — the machine check that
-// one redundancy mechanism really funds media AND transaction recovery
-// at once.  Three schedule families, every run a RunDegradedSchedule
-// cycle (degraded crash recovery, restarted rebuild, oracle + probe):
+// Run performs one crash-and-recover cycle: the seeded workload under the
+// fault schedule, then crash recovery for as long as crash rules keep
+// firing, the online rebuild, a scrub cycle, and the oracle and probe
+// checks.  A nil error means the run survived.  It returns the recovery
+// report — summed over the restarts; nil if no crash rule fired — and the
+// engine's final counters.
 //
-//   - disk already down: FailDisk(0, 0) plus a crash at every write
-//     index of the degraded workload — restart with a member long dead;
-//   - coinciding: FailDisk(k%D, k) plus a crash at write k, for every k
-//     of the healthy workload — the death is unobserved before the
-//     crash, recovery discovers it at restart (the only family where
-//     explicit data loss is legal);
-//   - crash mid-rebuild: FailDisk(0, 0) plus a crash at every write
-//     index inside the online rebuild that follows the workload — the
-//     restarted rebuild must reconstruct every group from scratch.
-//
-// With Options.Torn every family tears write k instead of dropping it: the
-// torn block is one more erasure beside the dead disk.  On single twin
-// parity that pair can exceed a group's one surviving equation, so loss is
-// legal wherever the two share a group; with Options.QParity it stays
-// inside the two-erasure budget and is legal only when coinciding.
-func ExploreDegraded(opts Options, progress func(done, total int64)) (*Result, error) {
+// A schedule may combine any rules.  With a disk death, the workload must
+// complete with no surfaced error (degraded serving masks the dead disk,
+// the retry layer masks Options.TransientEvery), crash recovery runs
+// degraded, and the restarted rebuild restores full redundancy before the
+// oracle looks.  With a silent fault, planted damage must be repaired from
+// redundancy on first contact — hot-path read, scrub or recovery.
+func Run(opts Options, sched fault.Schedule) (*rda.RecoveryReport, rda.Stats, error) {
 	opts.fill()
-	wDeg, wFull, err := countDegraded(opts, 0)
+	d, err := start(opts, sched)
 	if err != nil {
-		return nil, err
+		return nil, rda.Stats{}, err
 	}
-	wHealthy, err := CountWrites(opts)
-	if err != nil {
-		return nil, err
+	law := lawOf(opts, sched)
+	rep, err := d.cycle(sched, law)
+	if law.typed && errors.Is(err, rda.ErrUnrecoverableCorruption) {
+		err = nil
 	}
-	geom, err := rda.Open(dbConfig(opts))
-	if err != nil {
-		return nil, err
-	}
-	numDisks := geom.NumDisks()
-	res := &Result{TotalWrites: wDeg}
-	total := wFull + wHealthy
-	var done int64
-	run := func(sched fault.Schedule, lossLegal bool) {
-		res.Runs++
-		rep, err := RunDegradedSchedule(opts, sched)
-		res.absorb(rep)
-		if err == nil && !lossLegal && rep != nil && len(rep.LostPages) > 0 {
-			err = fmt.Errorf("recovery lost pages %v with the disk's death observed long before the crash", rep.LostPages)
-		}
-		if err != nil {
-			res.Violations = append(res.Violations, Violation{Seed: opts.Seed, Schedule: sched, Err: err})
-		}
-		done++
-		if progress != nil {
-			progress(done, total)
-		}
-	}
-	// Disk-down and crash-mid-rebuild families share one schedule shape;
-	// the crash index decides which regime it lands in.  The death was
-	// observed, so every no-log steal it touched was demoted and logged:
-	// nothing may be lost — except to a tear on single twin parity, where
-	// the torn block and the dead one can be two unknowns of a group's one
-	// surviving equation.  P+Q has an equation for each.
-	for k := int64(0); k < wFull; k++ {
-		run(fault.Schedule{fault.FailDisk(0, 0), opts.cut(k)}, opts.Torn && !opts.QParity)
-	}
-	for k := int64(0); k < wHealthy; k++ {
-		run(fault.Schedule{fault.FailDisk(int(k)%numDisks, k), opts.cut(k)}, true)
-	}
-	return res, nil
+	return rep, d.db.Stats(), err
 }
 
-// countDouble measures the write clock of a double-degraded run: the
-// seeded workload with two disks dead from the start (QParity budget),
-// then the two-drive online rebuild pumped to completion.  It returns
-// the write count at workload end and at rebuild end, the bounds the
-// double-fault sweep needs.
-func countDouble(opts Options, dA, dB int) (workload, full int64, err error) {
-	opts.fill()
-	db, err := rda.Open(dbConfig(opts))
-	if err != nil {
-		return 0, 0, err
-	}
-	plane := fault.NewPlane(fault.Schedule{fault.FailDisk(dA, 0), fault.FailDisk(dB, 0)})
-	db.SetInjector(plane)
-	drv := newDriver(db, opts)
-	crash, err := drv.run()
-	if err != nil {
-		return 0, 0, fmt.Errorf("double-degraded counting run: %w", err)
-	}
-	if crash != nil {
-		return 0, 0, fmt.Errorf("double-degraded counting run crashed: %v", crash)
-	}
-	workload = plane.Writes()
-	crash, err = pumpRebuild(db)
-	if err != nil {
-		return 0, 0, fmt.Errorf("double-degraded counting rebuild: %w", err)
-	}
-	if crash != nil {
-		return 0, 0, fmt.Errorf("double-degraded counting rebuild crashed: %v", crash)
-	}
-	full = plane.Writes()
-	if err := drv.verify(); err != nil {
-		return 0, 0, fmt.Errorf("double-degraded counting final state: %w", err)
-	}
-	return workload, full, nil
-}
-
-// ExploreDouble is the double-fault sweep — the machine check that the
-// P+Q array's two redundancy equations really fund transaction recovery
-// with TWO members gone.  It forces QParity on and runs two schedule
-// families, every run a RunDegradedSchedule cycle (double-degraded
-// crash recovery, restarted two-drive rebuild, oracle + probe):
-//
-//   - both disks down from the start: FailDisk(0,0) + FailDisk(1,0)
-//     plus a crash at every write index of the double-degraded workload
-//     AND of the two-drive rebuild that follows it — restart with two
-//     members long dead, and crashes landing inside the rebuild;
-//   - second death coinciding with the crash: FailDisk(0,0) plus a
-//     second death at write k on a rotating other disk, plus a crash at
-//     the same k, for every k of the single-degraded workload — the
-//     second loss is unobserved before the crash, so recovery discovers
-//     the double-degraded array at restart (the only family where
-//     explicit data loss is legal).
-//
-// With Options.Torn every family tears write k instead of dropping it.  A
-// tear on top of two dead drives exceeds P+Q exactly when all three faults
-// share a group, so explicit loss is then legal in both families — a
-// failed restart never is.
-func ExploreDouble(opts Options, progress func(done, total int64)) (*Result, error) {
-	opts.fill()
-	opts.QParity = true
-	wDouble, wFull, err := countDouble(opts, 0, 1)
-	if err != nil {
-		return nil, err
-	}
-	wDeg, _, err := countDegraded(opts, 0)
-	if err != nil {
-		return nil, err
-	}
-	geom, err := rda.Open(dbConfig(opts))
-	if err != nil {
-		return nil, err
-	}
-	numDisks := geom.NumDisks()
-	res := &Result{TotalWrites: wDouble}
-	total := wFull + wDeg
-	var done int64
-	run := func(sched fault.Schedule) {
-		res.Runs++
-		rep, err := RunDegradedSchedule(opts, sched)
-		res.absorb(rep)
-		if err != nil {
-			res.Violations = append(res.Violations, Violation{Seed: opts.Seed, Schedule: sched, Err: err})
-		}
-		done++
-		if progress != nil {
-			progress(done, total)
-		}
-	}
-	// Both-down and crash-mid-two-drive-rebuild share one schedule shape;
-	// the crash index decides which regime it lands in.
-	for k := int64(0); k < wFull; k++ {
-		run(fault.Schedule{fault.FailDisk(0, 0), fault.FailDisk(1, 0), opts.cut(k)})
-	}
-	// Second death coinciding with the crash, rotating over every disk
-	// other than the one already down.
-	for k := int64(0); k < wDeg; k++ {
-		d2 := 1 + int(k)%(numDisks-1)
-		run(fault.Schedule{fault.FailDisk(0, 0), fault.FailDisk(d2, k), opts.cut(k)})
-	}
-	return res, nil
-}
-
-// RunMixSchedule is RunSchedule with a background transient-error rate
-// (every transientEvery-th access fails once; 0 disables) and support for
-// mid-run disk deaths.  A FailDisk rule must complete the workload with
-// no surfaced error — the retry layer masks the transients and degraded
-// serving masks the dead disk — after which the online rebuild is pumped
-// to completion and the oracle, parity invariant and probe checks run
-// against the restored array.  Crash rules behave as in RunSchedule
-// (recovery runs under the same transient rate).
-//
-// A schedule MAY combine a crash and a disk death: crash recovery runs
-// degraded (rda.Recover with one member down), the restarted rebuild is
-// pumped to completion — re-entering recovery if a crash rule fires
-// mid-rebuild — and the same oracle applies.  A loser undo whose needed
-// committed twin died with the disk falls back to the before-image the
-// eager demotion logged; only when the death was never observed before
-// the crash (the two coincide) can that image be missing, and recovery
-// then reports the affected pages in RecoveryReport.LostPages — the one
-// case the oracle excuses, requiring the pages zeroed rather than
-// matching their committed images.  Loss under any schedule where the
-// death does not coincide with the crash is a violation.
-func RunMixSchedule(opts Options, sched fault.Schedule, transientEvery int64) error {
-	_, err := runCombined(opts, sched, transientEvery)
-	return err
-}
-
-// RunDegradedSchedule performs one combined-fault crash-and-recover
-// cycle (see RunMixSchedule for the contract) and returns the recovery
-// report — counters summed if a crash mid-rebuild forced a second
-// restart; nil if no crash rule fired.  It is the single-run unit of
-// ExploreDegraded and of the rdacrash -degraded -sched replay.
-func RunDegradedSchedule(opts Options, sched fault.Schedule) (*rda.RecoveryReport, error) {
-	return runCombined(opts, sched, 0)
-}
-
-// schedKillsDisk reports whether the schedule contains a FailDisk rule.
-func schedKillsDisk(sched fault.Schedule) bool {
-	for _, r := range sched {
-		if r.Kind == fault.KindFailDisk {
-			return true
-		}
-	}
-	return false
-}
-
-// runCombined is the shared engine behind RunMixSchedule and
-// RunDegradedSchedule: workload, crash recovery (possibly degraded),
-// rebuild convergence, and the oracle/probe/transient checks.
-func runCombined(opts Options, sched fault.Schedule, transientEvery int64) (*rda.RecoveryReport, error) {
-	opts.fill()
-	db, err := rda.Open(dbConfig(opts))
-	if err != nil {
-		return nil, err
-	}
-	plane := fault.NewPlane(sched)
-	plane.SetTransientEvery(transientEvery)
-	db.SetInjector(plane)
-	d := newDriver(db, opts)
-	killsDisk := schedKillsDisk(sched)
-	crash, err := d.run()
+func (d *driver) cycle(sched fault.Schedule, law law) (total *rda.RecoveryReport, err error) {
+	crash, err := guard(d.workload)
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	// Recover-and-rebuild convergence: a crash sends the run through
-	// CrashHard + Recover; the rebuild pump afterwards can itself hit a
-	// late crash rule (crash-mid-rebuild schedules) and loop back.  Each
-	// round consumes at least one of the schedule's one-shot rules, so
-	// the loop is bounded.
-	var total *rda.RecoveryReport
+	// Convergence: a crash sends the run through CrashHard + Recover; the
+	// pumps and the probe afterwards can themselves hit a late crash rule
+	// (a crash mid-rebuild, mid-scrub-repair, or past the end of the
+	// workload) and loop back.  Each round consumes at least one of the
+	// schedule's one-shot rules, so the loop is bounded.
 	for round := 0; ; round++ {
 		if crash != nil {
 			if round > len(sched)+1 {
 				return total, fmt.Errorf("crash recovery did not converge after %d rounds", round)
 			}
-			db.CrashHard()
-			rep, err := db.Recover()
+			d.db.CrashHard()
+			rep, err := d.db.Recover()
 			if err != nil {
 				return total, fmt.Errorf("recover after %v: %w", crash, err)
 			}
-			if total == nil {
-				total = rep
-			} else {
-				total.Losers += rep.Losers
-				total.UndoneViaParity += rep.UndoneViaParity
-				total.UndoneViaLog += rep.UndoneViaLog
-				total.Redone += rep.Redone
-				total.RedonePages += rep.RedonePages
-				total.RedoneWrites += rep.RedoneWrites
-				total.RepairedTorn += rep.RepairedTorn
-				total.ResyncedGroups += rep.ResyncedGroups
-				total.UndoneViaReconstruction += rep.UndoneViaReconstruction
-				total.DeferredParityGroups += rep.DeferredParityGroups
-				total.LostPages = append(total.LostPages, rep.LostPages...)
+			total = accumulate(total, rep)
+			if err := law.admits(rep); err != nil {
+				return total, fmt.Errorf("after %v: %w", crash, err)
 			}
-			if !killsDisk && (rep.UndoneViaReconstruction != 0 || rep.DeferredParityGroups != 0 || len(rep.LostPages) != 0) {
-				return total, fmt.Errorf("healthy restart took the degraded path after %v: reconstruction=%d deferred=%d lost=%v",
-					crash, rep.UndoneViaReconstruction, rep.DeferredParityGroups, rep.LostPages)
+			for _, p := range rep.LostPages {
+				d.lost[p] = true
 			}
-			if len(rep.LostPages) > 0 {
-				if !killsDisk {
-					return total, fmt.Errorf("recovery after %v lost pages %v with no disk death in the schedule", crash, rep.LostPages)
-				}
-				d.noteLost(rep.LostPages)
-			}
-			if err := db.VerifyRecovered(); err != nil {
+			if err := d.db.VerifyRecovered(); err != nil {
 				return total, fmt.Errorf("after %v: %w", crash, err)
 			}
 		}
-		// The workload completed or recovery did; if a disk is (still)
-		// down the array serves degraded.  Rebuild it online — a no-op
-		// when healthy — re-entering recovery if the pump crashes.
-		crash, err = pumpRebuild(db)
+		// The workload completed or recovery did.  If a disk is (still)
+		// down the array serves degraded: rebuild it online.  Then a full
+		// scrub cycle repairs whatever latent damage is left on the
+		// platter, so the raw-peek verification sees only clean blocks.
+		crash, err = guard(func() error {
+			if err := pump(d.rebuildStep); err != nil {
+				return fmt.Errorf("online rebuild: %w", err)
+			}
+			if d.opts.Scrub || law.silent {
+				if err := pump(d.scrubCycle()); err != nil {
+					return fmt.Errorf("online scrub: %w", err)
+				}
+			}
+			return nil
+		})
 		if err != nil {
-			return total, fmt.Errorf("online rebuild: %w", err)
+			return total, err
+		}
+		if crash != nil {
+			continue
+		}
+		crash, err = guard(func() error {
+			if err := d.verify(); err != nil {
+				return err
+			}
+			return d.probe()
+		})
+		if err != nil {
+			return total, fmt.Errorf("after %v: %w", sched, err)
 		}
 		if crash == nil {
 			break
 		}
 	}
-	if err := d.verify(); err != nil {
-		return total, fmt.Errorf("after %v: %w", sched, err)
-	}
-	if err := d.probe(); err != nil {
-		return total, fmt.Errorf("after %v: %w", sched, err)
-	}
-	if transientEvery > 0 && plane.Reads()+plane.Writes() >= transientEvery && db.Stats().IORetries == 0 {
-		return total, fmt.Errorf("transient rate 1/%d injected faults but the retry layer recorded none", transientEvery)
+	if n := d.opts.TransientEvery; n > 0 && d.plane.Reads()+d.plane.Writes() >= n && d.db.Stats().IORetries == 0 {
+		return total, fmt.Errorf("transient rate 1/%d injected faults but the retry layer recorded none", n)
 	}
 	return total, nil
 }
 
-// pumpRebuild drives the online rebuild to completion, converting a
-// crash-rule panic (a crash point landing inside a rebuild write) into a
-// returned sentinel so the caller can run recovery and resume.
-func pumpRebuild(db *rda.DB) (crash *fault.Crash, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, ok := fault.AsCrash(r)
-			if !ok {
-				panic(r)
-			}
-			crash = c
-		}
-	}()
-	for {
-		done, err := db.RebuildStep(0)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return nil, nil
-		}
+// deadPrefix is the schedule of n drives dead from the start.
+func deadPrefix(n int) fault.Schedule {
+	var s fault.Schedule
+	for d := 0; d < n; d++ {
+		s = append(s, fault.FailDisk(d, 0))
 	}
+	return s
 }
 
-// MixSoak performs iters randomized self-healing cycles under a constant
-// background transient-error rate.  Iterations rotate between the crash
-// discipline of Soak (crash or torn write at a random index, then
-// recovery), a mid-run disk death (FailDisk at a random write index,
-// then degraded serving and an online rebuild), and the combined case —
-// a disk death AND a crash in one schedule, exercising degraded crash
-// recovery, including coinciding death-and-crash indexes where explicit
-// data loss is the legal outcome.  Every run must preserve the
-// committed-state oracle; the transient faults must be invisible
-// throughout.
-func MixSoak(opts Options, iters int, transientEvery int64) (*Result, error) {
+// count measures the write clock of the workload under a prefix of
+// faildisk[d]@w0 rules: the seeded workload on a pure counting plane, then
+// the online rebuild pumped to completion.  It returns the write count at
+// workload end and at rebuild end (equal when nothing is dead) — crash
+// indexes below the first interrupt the workload, indexes between the two
+// land inside the restarted rebuild.  The final state is checked against
+// the oracle, so a broken workload is caught before any crash is injected.
+func count(opts Options, prefix fault.Schedule) (workload, full int64, err error) {
 	opts.fill()
-	probe, err := rda.Open(dbConfig(opts))
+	opts.TransientEvery = 0 // the clock is the workload's own: no retried access on it
+	d, err := start(opts, prefix)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := d.workload(); err != nil {
+		return 0, 0, fmt.Errorf("counting run under %v: %w", prefix, err)
+	}
+	workload = d.plane.Writes()
+	if err := pump(d.rebuildStep); err != nil {
+		return 0, 0, fmt.Errorf("counting rebuild under %v: %w", prefix, err)
+	}
+	if err := d.verify(); err != nil {
+		return 0, 0, fmt.Errorf("counting run under %v, final state: %w", prefix, err)
+	}
+	return workload, d.plane.Writes(), nil
+}
+
+// family is one schedule shape of a Sweep: dead drives down from the start,
+// one more dying at the cut itself or not, the cut at every k below upTo.
+type family struct {
+	dead     int
+	coincide bool
+	upTo     int64
+}
+
+// Sweep is the exhaustive enumerator — the machine check that one
+// redundancy mechanism funds media AND transaction recovery at once.  With
+// n = Options.Dead it runs the cut (Options.cut) at every write index k of
+// two schedule families:
+//
+//	dead long before   faildisk[0..n)@w0 cut@k          k in [0, rebuild end)
+//	coinciding (n ≥ 1) faildisk[0..n-1)@w0 faildisk[d]@k cut@k
+//	                                          k in [0, end of the (n-1)-dead workload)
+//
+// The first restarts with n members long dead — n = 0 is the healthy sweep
+// — and its indexes past the workload land inside the online rebuild, which
+// the restart must redo from scratch.  In the second the n-th death, d
+// rotating over the surviving drives, is unobserved before the crash:
+// recovery discovers it at restart.  Where each may lose pages is lawOf's
+// to say; a failed restart is never legal.  progress, when non-nil, is
+// called after each run.
+func Sweep(opts Options, progress func(done, total int64)) (*Result, error) {
+	opts.fill()
+	n := opts.Dead
+	if n < 0 || n > opts.budget() {
+		return nil, fmt.Errorf("crashcheck: %d dead drive(s) exceed the array's redundancy (QParity=%v)", n, opts.QParity)
+	}
+	geo, err := start(opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	numDisks := probe.NumDisks()
-	meta := rand.New(rand.NewSource(opts.Seed))
-	res := &Result{}
-	for i := 0; i < iters; i++ {
-		o := opts
-		o.Seed = int64(meta.Uint64() >> 1)
-		total, err := CountWrites(o)
+	workload, full, err := count(opts, deadPrefix(n))
+	if err != nil {
+		return nil, err
+	}
+	families := []family{{dead: n, upTo: full}}
+	if n > 0 {
+		below, _, err := count(opts, deadPrefix(n-1))
 		if err != nil {
 			return nil, err
 		}
-		if total == 0 {
-			continue
+		families = append(families, family{dead: n - 1, coincide: true, upTo: below})
+	}
+	res := &Result{TotalWrites: workload}
+	var done, total int64
+	for _, f := range families {
+		total += f.upTo
+	}
+	for _, f := range families {
+		for k := int64(0); k < f.upTo; k++ {
+			sched := deadPrefix(f.dead)
+			if f.coincide {
+				sched = append(sched, fault.FailDisk(f.dead+int(k)%(geo.db.NumDisks()-f.dead), k))
+			}
+			res.run(opts, append(sched, opts.cut(k)))
+			done++
+			if progress != nil {
+				progress(done, total)
+			}
 		}
-		res.TotalWrites = total
+	}
+	return res, nil
+}
+
+// Generator names the schedule a Soak iteration draws.
+type Generator string
+
+// The three generators.  Their draw orders are fixed: a soak is
+// reproducible from its master seed only while they stay so.
+const (
+	// Crashes: a clean crash, or one time in three a tear, at a random
+	// write index.
+	Crashes Generator = "crash"
+	// Mix rotates between a mid-run disk death alone (degraded serving and
+	// an online rebuild, no crash), a crash or tear alone, and the two in
+	// one schedule — degraded crash recovery, half of the time with the
+	// death at the crash write itself, where explicit loss is legal.  Meant
+	// to run under Options.TransientEvery, which must stay invisible.
+	Mix Generator = "mix"
+	// Corrupt rotates the planted silent fault among a bit flip, a lost
+	// write and a misdirected write at a random write index; half the runs
+	// additionally crash at a random later index.  Meant to run with
+	// Options.Scrub, so scrub steps interleave with the workload.
+	Corrupt Generator = "corrupt"
+)
+
+// generators draw one schedule for iteration i of a soak from meta, against
+// a workload of total writes on an array of that many disks.
+var generators = map[Generator]func(meta *rand.Rand, i int, total int64, disks int) fault.Schedule{
+	Crashes: func(meta *rand.Rand, _ int, total int64, _ int) fault.Schedule {
 		k := meta.Int63n(total)
-		disk := meta.Intn(numDisks)
+		if meta.Intn(3) == 0 {
+			return fault.Schedule{fault.TornWrite(k, meta.Intn(2) == 0)}
+		}
+		return fault.Schedule{fault.CrashAfterNWrites(k)}
+	},
+	Mix: func(meta *rand.Rand, i int, total int64, disks int) fault.Schedule {
+		k := meta.Int63n(total)
+		disk := meta.Intn(disks)
 		tornHead := meta.Intn(2) == 0
 		wantTorn := meta.Intn(3) == 0
 		coincide := meta.Intn(2) == 0
 		k2 := meta.Int63n(total)
-		var sched fault.Schedule
 		switch i % 3 {
 		case 0:
-			sched = fault.Schedule{fault.FailDisk(disk, k)}
+			return fault.Schedule{fault.FailDisk(disk, k)}
 		case 1:
 			if wantTorn {
-				sched = fault.Schedule{fault.TornWrite(k, tornHead)}
-			} else {
-				sched = fault.Schedule{fault.CrashAfterNWrites(k)}
+				return fault.Schedule{fault.TornWrite(k, tornHead)}
 			}
-		default:
-			if coincide {
-				k2 = k
-			}
-			sched = fault.Schedule{fault.FailDisk(disk, k), fault.CrashAfterNWrites(k2)}
+			return fault.Schedule{fault.CrashAfterNWrites(k)}
 		}
-		res.Runs++
-		if err := RunMixSchedule(o, sched, transientEvery); err != nil {
-			res.Violations = append(res.Violations, Violation{Seed: o.Seed, Schedule: sched, Err: err})
+		if coincide {
+			k2 = k
 		}
-	}
-	return res, nil
-}
-
-// schedSilentFault reports whether the schedule plants silent corruption
-// (a bitflip, lost write or misdirected write).
-func schedSilentFault(sched fault.Schedule) bool {
-	for _, r := range sched {
-		switch r.Kind {
-		case fault.KindBitFlip, fault.KindLostWrite, fault.KindMisdirected:
-			return true
-		}
-	}
-	return false
-}
-
-// schedHasMisdirected reports whether the schedule misdirects a write.
-func schedHasMisdirected(sched fault.Schedule) bool {
-	for _, r := range sched {
-		if r.Kind == fault.KindMisdirected {
-			return true
-		}
-	}
-	return false
-}
-
-// pumpScrub drives one full online scrub cycle — NumGroups cursor
-// slots, so every group is visited even when the workload's interleaved
-// steps left the shared cursor mid-array — converting a crash-rule
-// panic (a crash point landing inside a scrub repair write) into a
-// returned sentinel, like pumpRebuild.
-func pumpScrub(db *rda.DB) (crash *fault.Crash, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			c, ok := fault.AsCrash(r)
-			if !ok {
-				panic(r)
-			}
-			crash = c
-		}
-	}()
-	for covered := 0; covered < db.NumGroups(); {
-		rep, _, err := db.ScrubStep(0)
-		if rep != nil {
-			covered += rep.GroupsScanned + rep.GroupsSkipped
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
-
-// RunCorruptSchedule performs one silent-corruption crash-and-recover
-// cycle: the seeded workload (with online scrub steps interleaved when
-// opts.Scrub is set) under a schedule of bitflip/lostwrite/misdirected
-// rules, optionally crashed; then recovery, a full online scrub cycle,
-// and the oracle and probe checks.  The property verified is the
-// integrity plane's contract: committed data is never *served* corrupt —
-// every read returns the oracle image or a typed error, planted damage
-// is repaired from redundancy on first contact (hot-path read, scrub or
-// recovery), and damage beyond the redundancy surfaces as
-// ErrUnrecoverableCorruption or explicit zeroed loss, never as garbage
-// bytes.
-//
-// Two outcomes are legal only because the fault demands them: a
-// misdirected write that lands in its target's own parity group damages
-// two blocks of one group — beyond single parity — so
-// ErrUnrecoverableCorruption anywhere in the run ends it as a pass; and
-// a silent fault that destroys the only copy of a loser's before-image
-// (e.g. the committed twin of a dirty group) may surface as explicit
-// recovery-reported loss, which the oracle then requires to be zeroed.
-func RunCorruptSchedule(opts Options, sched fault.Schedule) (*rda.RecoveryReport, error) {
-	rep, _, err := runCorruptSchedule(opts, sched)
-	return rep, err
-}
-
-// runCorruptSchedule is RunCorruptSchedule plus the engine's final stats
-// snapshot, so the soak can aggregate the integrity-plane counters.
-func runCorruptSchedule(opts Options, sched fault.Schedule) (*rda.RecoveryReport, rda.Stats, error) {
-	opts.fill()
-	db, err := rda.Open(dbConfig(opts))
-	if err != nil {
-		return nil, rda.Stats{}, err
-	}
-	rep, err := runCorruptOn(db, opts, sched)
-	return rep, db.Stats(), err
-}
-
-func runCorruptOn(db *rda.DB, opts Options, sched fault.Schedule) (*rda.RecoveryReport, error) {
-	plane := fault.NewPlane(sched)
-	db.SetInjector(plane)
-	d := newDriver(db, opts)
-	silent := schedSilentFault(sched)
-	misdirected := schedHasMisdirected(sched)
-	legalDoubleFault := func(err error) bool {
-		return misdirected && errors.Is(err, rda.ErrUnrecoverableCorruption)
-	}
-	crash, err := d.run()
-	if err != nil {
-		if legalDoubleFault(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	var total *rda.RecoveryReport
-	for round := 0; ; round++ {
-		if crash != nil {
-			if round > len(sched)+1 {
-				return total, fmt.Errorf("crash recovery did not converge after %d rounds", round)
-			}
-			db.CrashHard()
-			rep, err := db.Recover()
-			if err != nil {
-				if legalDoubleFault(err) {
-					return total, nil
-				}
-				return total, fmt.Errorf("recover after %v: %w", crash, err)
-			}
-			if total == nil {
-				total = rep
-			} else {
-				total.LostPages = append(total.LostPages, rep.LostPages...)
-			}
-			if len(rep.LostPages) > 0 {
-				if !silent {
-					return total, fmt.Errorf("recovery after %v lost pages %v with no silent fault in the schedule", crash, rep.LostPages)
-				}
-				d.noteLost(rep.LostPages)
-			}
-			if err := db.VerifyRecovered(); err != nil {
-				return total, fmt.Errorf("after %v: %w", crash, err)
-			}
-		}
-		// A full scrub cycle repairs whatever latent damage recovery (or
-		// an uncrashed workload) left on the platter, so the raw-peek
-		// verification below sees only clean blocks.
-		crash, err = pumpScrub(db)
-		if err != nil {
-			if legalDoubleFault(err) {
-				return total, nil
-			}
-			return total, fmt.Errorf("online scrub: %w", err)
-		}
-		if crash == nil {
-			break
-		}
-	}
-	if err := d.verify(); err != nil {
-		return total, fmt.Errorf("after %v: %w", sched, err)
-	}
-	if err := d.probe(); err != nil {
-		return total, fmt.Errorf("after %v: %w", sched, err)
-	}
-	return total, nil
-}
-
-// CorruptSoak performs iters randomized silent-corruption cycles — the
-// machine check behind the integrity plane.  Iterations rotate the
-// planted fault among a bit flip, a lost write and a misdirected write
-// at a random write index, half of them additionally crash at a random
-// later index, and every run interleaves online scrub steps with the
-// workload (opts.Scrub is forced on).  Each run must satisfy the
-// RunCorruptSchedule contract; like the other soaks, a whole run is
-// reproducible from one seed and any failure from its printed seed and
-// schedule.
-func CorruptSoak(opts Options, iters int) (*Result, error) {
-	opts.fill()
-	opts.Scrub = true
-	cfg := dbConfig(opts)
-	meta := rand.New(rand.NewSource(opts.Seed))
-	res := &Result{}
-	for i := 0; i < iters; i++ {
-		o := opts
-		o.Seed = int64(meta.Uint64() >> 1)
-		total, err := CountWrites(o)
-		if err != nil {
-			return nil, err
-		}
-		if total == 0 {
-			continue
-		}
-		res.TotalWrites = total
+		return fault.Schedule{fault.FailDisk(disk, k), fault.CrashAfterNWrites(k2)}
+	},
+	Corrupt: func(meta *rand.Rand, i int, total int64, _ int) fault.Schedule {
 		k := meta.Int63n(total)
 		var rule fault.Rule
 		switch i % 3 {
 		case 0:
-			rule = fault.BitFlip(k, meta.Intn(cfg.PageSize*8))
+			rule = fault.BitFlip(k, meta.Intn(pageSize*8))
 		case 1:
 			rule = fault.LostWrite(k)
 		default:
-			rule = fault.Misdirected(k, meta.Intn(cfg.NumPages))
+			rule = fault.Misdirected(k, meta.Intn(numPages))
 		}
 		sched := fault.Schedule{rule}
 		if meta.Intn(2) == 0 && total > k+1 {
@@ -1262,48 +961,47 @@ func CorruptSoak(opts Options, iters int) (*Result, error) {
 			// repair I/O instead of the workload's.
 			sched = append(sched, fault.CrashAfterNWrites(k+1+meta.Int63n(total-k-1)))
 		}
-		res.Runs++
-		rep, stats, err := runCorruptSchedule(o, sched)
-		res.absorb(rep)
-		res.absorbStats(stats)
-		if err != nil {
-			res.Violations = append(res.Violations, Violation{Seed: o.Seed, Schedule: sched, Err: err})
-		}
-	}
-	return res, nil
+		return sched
+	},
 }
 
-// Soak performs iters randomized crash-and-recover cycles.  Each
-// iteration derives a fresh workload seed and a random crash point (and
-// randomly chooses clean vs torn) from opts.Seed, so a whole soak run is
-// reproducible from one number and any single failure is reproducible
-// from its printed seed and schedule.
-func Soak(opts Options, iters int) (*Result, error) {
+// Soak performs iters randomized cycles.  Each iteration derives a fresh
+// workload seed from opts.Seed, counts that workload's writes under
+// Options.Dead drives dead from the start, and has gen draw a schedule
+// against that clock (prefixed with the deaths) — so a whole soak is
+// reproducible from one number and any single failure from its printed
+// seed and schedule.  Every run is held to Run's contract.
+func Soak(opts Options, iters int, gen Generator) (*Result, error) {
 	opts.fill()
+	draw, ok := generators[gen]
+	if !ok {
+		return nil, fmt.Errorf("crashcheck: unknown schedule generator %q", gen)
+	}
+	geo, err := start(opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	prefix := deadPrefix(opts.Dead)
 	meta := rand.New(rand.NewSource(opts.Seed))
 	res := &Result{}
 	for i := 0; i < iters; i++ {
 		o := opts
 		o.Seed = int64(meta.Uint64() >> 1)
-		total, err := CountWrites(o)
+		total, _, err := count(o, prefix)
 		if err != nil {
-			return nil, err
+			if len(prefix) == 0 {
+				return nil, err
+			}
+			// Degraded serving failed with nothing injected but the deaths:
+			// a finding, recorded as the run under the prefix alone.
+			res.run(o, prefix)
+			continue
 		}
 		if total == 0 {
 			continue
 		}
 		res.TotalWrites = total
-		k := meta.Int63n(total)
-		var sched fault.Schedule
-		if meta.Intn(3) == 0 {
-			sched = fault.Schedule{fault.TornWrite(k, meta.Intn(2) == 0)}
-		} else {
-			sched = fault.Schedule{fault.CrashAfterNWrites(k)}
-		}
-		res.Runs++
-		if err := RunSchedule(o, sched); err != nil {
-			res.Violations = append(res.Violations, Violation{Seed: o.Seed, Schedule: sched, Err: err})
-		}
+		res.run(o, append(deadPrefix(opts.Dead), draw(meta, i, total, geo.db.NumDisks())...))
 	}
 	return res, nil
 }

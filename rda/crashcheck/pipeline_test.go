@@ -1,49 +1,21 @@
 package crashcheck
 
-import (
-	"testing"
-
-	"repro/rda"
-)
+import "testing"
 
 // The dequeue-index sweep: with QueueDepth > 1 every disk transfer
 // passes through a per-drive request queue and the fault plane observes
-// it at dequeue time, so Explore's crash-at-every-write-index sweep
-// becomes a crash-at-every-DEQUEUE-index sweep.  The recovery oracle
-// (durability, atomicity, parity, twin invariants) must hold at every
-// index even though the pipeline's intra-operation batches make the
-// interleaving scheduler-dependent.
+// it at dequeue time, so Sweep's crash-at-every-write-index becomes a
+// crash-at-every-DEQUEUE-index sweep.  The recovery oracle (durability,
+// atomicity, parity, twin invariants) must hold at every index even though
+// the pipeline's intra-operation batches make the interleaving
+// scheduler-dependent.
 
 func TestExploreQueueDepth(t *testing.T) {
-	for _, layout := range []rda.Layout{rda.DataStriping, rda.ParityStriping} {
-		opts := small(layout)
-		opts.QueueDepth = 4
-		res, err := Explore(opts, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", layout, err)
-		}
-		if res.Runs == 0 {
-			t.Fatalf("%v: no crash points explored", layout)
-		}
-		for _, v := range res.Violations {
-			t.Errorf("%v: %s", layout, v)
-		}
-	}
+	sweepRows(t, both(Options{Seed: 1, Txns: 4, OpsPerTx: 3, QueueDepth: 4}), nil)
 }
 
 func TestExploreQueueDepthTorn(t *testing.T) {
-	for _, layout := range []rda.Layout{rda.DataStriping, rda.ParityStriping} {
-		opts := small(layout)
-		opts.QueueDepth = 4
-		opts.Torn = true
-		res, err := Explore(opts, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", layout, err)
-		}
-		for _, v := range res.Violations {
-			t.Errorf("%v: %s", layout, v)
-		}
-	}
+	sweepRows(t, both(Options{Seed: 1, Txns: 4, OpsPerTx: 3, QueueDepth: 4, Torn: true}), nil)
 }
 
 // A deeper workload than small(): more transactions dirtying more pages
@@ -53,14 +25,5 @@ func TestExploreQueueDepthSteals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive sweep")
 	}
-	for _, layout := range []rda.Layout{rda.DataStriping, rda.ParityStriping} {
-		opts := Options{Layout: layout, Seed: 3, Txns: 4, OpsPerTx: 8, QueueDepth: 4}
-		res, err := Explore(opts, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", layout, err)
-		}
-		for _, v := range res.Violations {
-			t.Errorf("%v: %s", layout, v)
-		}
-	}
+	sweepRows(t, both(Options{Seed: 3, Txns: 4, OpsPerTx: 8, QueueDepth: 4}), nil)
 }

@@ -1,6 +1,8 @@
 package crashcheck
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -57,11 +59,7 @@ func TestDegradedScheduleRegressions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := fault.ParseSchedule(tc.sched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := RunDegradedSchedule(tc.opts, s); err != nil {
+			if err := replay(t, tc.opts, tc.sched); err != nil {
 				t.Fatalf("seed=%d sched=%q: %v", tc.opts.Seed, tc.sched, err)
 			}
 		})
@@ -70,8 +68,8 @@ func TestDegradedScheduleRegressions(t *testing.T) {
 
 // TestTornDeadDiskScheduleRegressions replays the schedules the first
 // torn × dead-disk sweep found (a FailDisk and a TornWrite in one
-// schedule, which no enumerator produced before Options.Torn reached
-// ExploreDegraded and ExploreDouble).  All six put the disk's death at the
+// schedule, which no enumerator produced before Options.Torn reached the
+// dead-disk families).  All six put the disk's death at the
 // torn write itself — unobserved before the crash — and failed while torn
 // repair kept a separate decision table for degraded groups:
 //
@@ -101,13 +99,164 @@ func TestTornDeadDiskScheduleRegressions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.sched, func(t *testing.T) {
-			s, err := fault.ParseSchedule(tc.sched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := RunDegradedSchedule(tc.opts, s); err != nil {
+			if err := replay(t, tc.opts, tc.sched); err != nil {
 				t.Fatalf("layout=%v seed=%d ops=%d pq=%v sched=%q: %v", tc.opts.Layout, tc.opts.Seed, tc.opts.OpsPerTx, tc.opts.QParity, tc.sched, err)
 			}
 		})
+	}
+}
+
+// TestCutPastTheEndOfTheRun pins the schedules that used to escape Run as
+// a Go panic: with disk 0 dead the workload and its rebuild end at write
+// 110, so crash@w110 and crash@w111 fire inside the probe's commit — which
+// sat outside every recover().  The probe now runs under the same guard as
+// the workload and the pumps: the crash re-enters the convergence loop and
+// the probe's transaction is one more interrupted commit to the oracle.
+// The mix soak draws such indexes (a crash against the healthy write clock
+// beside a disk death).
+func TestCutPastTheEndOfTheRun(t *testing.T) {
+	opts := Options{Layout: rda.DataStriping, Seed: 1}
+	_, full, err := count(opts, deadPrefix(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full != 110 {
+		t.Fatalf("the one-dead run ends at write %d, not 110: the schedules below no longer land in the probe", full)
+	}
+	for _, sched := range []string{"faildisk[0]@w0 crash@w110", "faildisk[0]@w0 crash@w111", "faildisk[0]@w0 torn[head]@w110"} {
+		s, err := fault.ParseSchedule(sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _, err := Run(opts, s)
+		if err != nil {
+			t.Errorf("sched %q: %v", sched, err)
+		}
+		if rep == nil {
+			t.Errorf("sched %q: the cut never fired", sched)
+		}
+	}
+}
+
+// TestKnownViolations pins the schedules that are known NOT to hold, each
+// with the text it fails with.  A row passes while it still fails that way;
+// the day a fix makes a row hold, this test fails and the fixer deletes the
+// row in the same change (and strikes it from ROADMAP item 1).  Each row is
+// a CLI replay: rdacrash [-qparity] [-records] [-scrub] [-ops N] -layout L
+// -seed S -sched "...".
+func TestKnownViolations(t *testing.T) {
+	data, parity := rda.DataStriping, rda.ParityStriping
+	for _, row := range []struct {
+		opts  Options
+		sched string
+		text  string
+	}{
+		// ROADMAP item 1(a): the second death lands inside an abort's Figure
+		// 6 reads, on the live path, before any crash.
+		{Options{Layout: data, Seed: 6, QParity: true}, "faildisk[0]@w0 faildisk[4]@w3 crash@w3",
+			"read twin 1 of group 11: disk 4 block 11: disk: drive has failed"},
+		// 1(b): a demotion's recompute reads the first dead drive.
+		{Options{Layout: data, Seed: 6, QParity: true}, "faildisk[0]@w0 faildisk[4]@w10 crash@w10",
+			"recompute Q twin 0 of group 3: disk 0 block 3: disk: drive has failed"},
+		// 1(c): hasLoggedImage is page-granular, record undo logging is not.
+		{Options{Layout: data, Seed: 1, OpsPerTx: 14, Records: true}, "faildisk[0]@w90 crash@w90",
+			"page 24 of interrupted commit matches neither old nor new image"},
+
+		// ROADMAP item 1(d): a silent fault beside a dead disk, the family
+		// `rdacrash -dead 1 [-qparity] -soak corrupt -scrub` draws
+		// (EXPERIMENTS.md has the counts by kind).  The shortest schedules of
+		// each kind:
+		// raw integrity errors surfaced untyped from degraded reads;
+		{Options{Layout: data, Seed: 1844251811135350922, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w6",
+			"degraded parity of group 8: read page 33: disk 5 block 8: stored payload differs from last acknowledged write"},
+		{Options{Layout: data, Seed: 7371530377746533253, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w3",
+			"read Q twin 0 of group 2: disk 4 block 2: stored payload differs from last acknowledged write"},
+		{Options{Layout: data, Seed: 122379170719364322, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w37",
+			"degraded parity of group 7: read page 31: disk 6 block 7: stored payload differs from last acknowledged write"},
+		// the typed error inside the P+Q budget: a parity repair reads the
+		// dead drive instead of solving through Q;
+		{Options{Layout: parity, Seed: 99025937935822767, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w8",
+			"parity repair of group 9 twin 1: disk 0 block 9: disk: drive has failed: core: corrupt block unrecoverable"},
+		{Options{Layout: parity, Seed: 1095699447986013226, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w30",
+			"parity repair of group 2 twin 0: disk 0 block 2: disk: drive has failed: core: corrupt block unrecoverable"},
+		{Options{Layout: data, Seed: 1719288583827916043, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w89",
+			"parity repair of group 9 twin 1: disk 0 block 9: disk: drive has failed: core: corrupt block unrecoverable"},
+		// silent divergence from the committed state;
+		{Options{Layout: parity, Seed: 4053180209853662663, Scrub: true}, "faildisk[0]@w0 lostwrite@w2 crash@w4",
+			"page 7 diverges from last committed image"},
+		{Options{Layout: data, Seed: 9120158391902269642, Scrub: true}, "faildisk[0]@w0 lostwrite@w2 crash@w28",
+			"page 8 diverges from last committed image"},
+		{Options{Layout: parity, Seed: 9120158391902269642, Scrub: true}, "faildisk[0]@w0 lostwrite@w2 crash@w28",
+			"page 4 diverges from last committed image"},
+		// an online scrub step beside a dead disk, nothing else injected;
+		{Options{Layout: data, Seed: 353652144844183085, QParity: true, Scrub: true}, "faildisk[0]@w0",
+			"scrub group 0: read P twin 0: disk 0 block 0: disk: drive has failed"},
+		{Options{Layout: data, Seed: 603826016423657678, QParity: true, Scrub: true}, "faildisk[0]@w0",
+			"scrub group 0: read P twin 0: disk 0 block 0: disk: drive has failed"},
+		{Options{Layout: parity, Seed: 1085655321971841999, Scrub: true}, "faildisk[0]@w0",
+			"scrub group 0: read P twin 0: disk 0 block 0: disk: drive has failed"},
+		// a broken twin-state invariant after restart (the one such run);
+		{Options{Layout: parity, Seed: 3519546715566706830, Scrub: true}, "faildisk[0]@w0 misdirected[4]@w63 crash@w69",
+			"group 4 current twin 1 in state obsolete, want committed"},
+		// and reported loss inside the P+Q budget (the one such run).
+		{Options{Layout: data, Seed: 8922020132844189146, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w92 crash@w105",
+			"recovery lost pages [16] inside the redundancy its schedule leaves"},
+
+		// ROADMAP item 1(e): the Q page has no read repair — the corruption
+		// soak on a healthy P+Q array, `rdacrash -qparity -soak corrupt -scrub`.
+		{Options{Layout: parity, Seed: 2317293830143440259, QParity: true, Scrub: true}, "lostwrite@w6",
+			"read Q twin 1 of group 3: disk 4 block 3: stored payload differs from last acknowledged write"},
+		{Options{Layout: data, Seed: 2754604374955026588, QParity: true, Scrub: true}, "lostwrite@w9",
+			"read Q twin 1 of group 3: disk 6 block 3: stored payload differs from last acknowledged write"},
+		{Options{Layout: parity, Seed: 3527610817934550240, QParity: true, Scrub: true}, "lostwrite@w6",
+			"read Q twin 1 of group 9: disk 7 block 9: stored payload differs from last acknowledged write"},
+	} {
+		err := replay(t, row.opts, row.sched)
+		switch {
+		case err == nil:
+			t.Errorf("%s sched=%q holds now: delete its row here and its line in ROADMAP item 1", label(row.opts), row.sched)
+		case !strings.Contains(err.Error(), row.text):
+			t.Errorf("%s sched=%q fails differently:\n got %v\nwant ...%s...", label(row.opts), row.sched, err, row.text)
+		}
+	}
+}
+
+// TestAccumulateFoldsEveryField fills every field of a RecoveryReport,
+// folds the report into a copy of itself and expects every number doubled
+// and every slice twice as long — so the summed report Run returns cannot
+// forget a field (as the hand-written sums forgot LaunderedTwins and
+// Passes), and a field of a new kind fails here instead of in a sweep.
+func TestAccumulateFoldsEveryField(t *testing.T) {
+	fill := func() *rda.RecoveryReport {
+		rep := &rda.RecoveryReport{}
+		v := reflect.ValueOf(rep).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(int64(i + 1))
+			case reflect.Slice:
+				f.Set(reflect.MakeSlice(f.Type(), i+1, i+1))
+			default:
+				t.Fatalf("RecoveryReport.%s is a %v: teach accumulate (and this test) to fold it", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		return rep
+	}
+	if got := accumulate(nil, fill()); !reflect.DeepEqual(got, fill()) {
+		t.Fatalf("folding into nothing changed the report: %+v", got)
+	}
+	v := reflect.ValueOf(accumulate(fill(), fill())).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Slice:
+			if f.Len() != 2*(i+1) {
+				t.Errorf("%s: %d element(s) after folding %d into %d", name, f.Len(), i+1, i+1)
+			}
+		default:
+			if f.Int() != int64(2*(i+1)) {
+				t.Errorf("%s: %d after folding %d into %d", name, f.Int(), i+1, i+1)
+			}
+		}
 	}
 }

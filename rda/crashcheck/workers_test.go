@@ -20,15 +20,7 @@ import (
 // TestSoakWithWorkers is the randomized crash-and-recover soak with
 // parallel recovery scans.
 func TestSoakWithWorkers(t *testing.T) {
-	opts := small(rda.DataStriping)
-	opts.Workers = 4
-	res, err := Soak(opts, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("%v", v)
-	}
+	soakRows(t, []Options{{Layout: rda.DataStriping, Seed: 1, Txns: 4, OpsPerTx: 3, Workers: 4}}, 8, Crashes)
 }
 
 // TestDegradedScheduleWithWorkers crashes inside the parallel online
@@ -41,7 +33,7 @@ func TestDegradedScheduleWithWorkers(t *testing.T) {
 	}
 	opts := small(rda.DataStriping)
 	opts.Workers = 4
-	_, full, err := countDegraded(opts, 0)
+	_, full, err := count(opts, deadPrefix(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +41,8 @@ func TestDegradedScheduleWithWorkers(t *testing.T) {
 	// parallel write order varies run to run anyway, so each index is a
 	// fresh interleaving, not a replay.
 	for k := int64(0); k < full; k += 3 {
-		sched := fault.Schedule{fault.FailDisk(0, 0), fault.CrashAfterNWrites(k)}
-		if _, err := RunDegradedSchedule(opts, sched); err != nil {
+		sched := append(deadPrefix(1), fault.CrashAfterNWrites(k))
+		if _, _, err := Run(opts, sched); err != nil {
 			t.Errorf("workers=4 %v: %v", sched, err)
 		}
 	}
@@ -58,23 +50,21 @@ func TestDegradedScheduleWithWorkers(t *testing.T) {
 
 // TestMixTransientWithWorkers combines a background transient-error
 // rate, a mid-run disk death and a crash, all with parallel recovery
-// and rebuild scans.
+// and rebuild scans.  The last index puts the crash past the end of the
+// workload, inside the probe.
 func TestMixTransientWithWorkers(t *testing.T) {
 	opts := small(rda.DataStriping)
-	opts.Workers = 4
-	total, err := CountWrites(opts)
+	opts.Workers, opts.TransientEvery = 4, 7
+	total, _, err := count(opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total < 3 {
 		t.Fatalf("workload too small: %d writes", total)
 	}
-	// The crash index must stay inside the workload's write range
-	// (crashes landing after the last workload write would fire inside
-	// the probe, outside any recover harness).
-	for _, k := range []int64{0, total / 2, total - 2} {
+	for _, k := range []int64{0, total / 2, total - 2, total} {
 		sched := fault.Schedule{fault.FailDisk(1, k), fault.CrashAfterNWrites(k + 1)}
-		if err := RunMixSchedule(opts, sched, 7); err != nil {
+		if _, _, err := Run(opts, sched); err != nil {
 			t.Errorf("workers=4 %v: %v", sched, err)
 		}
 	}
