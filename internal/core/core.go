@@ -55,17 +55,10 @@ type Store struct {
 	Pages *page.FreeList
 
 	// Workers bounds the store's internal parallelism for whole-array loops
-	// (bulk load; restart's, see Lanes); <= 1 runs them inline in index
-	// order.  Set once by the engine at Open, before the store is shared.
+	// (bulk load; restart's and media recovery's, see Lanes); <= 1 runs them
+	// inline in index order.  Set once by the engine at Open, before the
+	// store is shared.
 	Workers int
-
-	// Pipelined enables intra-operation transfer overlap: the small-write
-	// RMW issues its two reads (old data, old parity) concurrently — they
-	// live on different drives — and full-stripe writes fan their data
-	// transfers out across the group's drives.  Writes whose order the
-	// recovery protocol relies on (parity before data) stay sequential.
-	// Set once by the engine at Open, before the store is shared.
-	Pipelined bool
 
 	// Degraded-serving state (degraded.go).
 	degraded bool
@@ -214,8 +207,7 @@ func (s *Store) oldForSmallWrite(p page.PageID, cachedOld page.Buf) (old, scratc
 // images are pages from s.Pages that the old redundancy was read into and
 // the update folded into in place; the caller writes them out and puts
 // them back.  Width-1 (mirrored) groups get copies of the data with no
-// reads at all.  The reads all target different drives, so a pipelined
-// store overlaps them.
+// reads at all.
 func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cachedOld, data page.Buf) (imgs [2]page.Buf, err error) {
 	eqs := s.Arr.Equations()
 	for _, eq := range eqs {
@@ -227,36 +219,27 @@ func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cached
 		}
 		return imgs, nil
 	}
-	var oldData, scratch page.Buf
+	// Read 0 is the page's old contents, the rest the old redundancy: all
+	// on different drives.  Reads commute, so issuing them together changes
+	// no recovery-visible order.
+	oldData, first := cachedOld, 0
+	if cachedOld != nil {
+		first = 1 // a=3: the old contents came along
+	}
+	var scratch page.Buf
 	defer func() { s.Pages.Put(scratch) }()
-	reads := make([]func() error, 1, 3)
-	reads[0] = func() error {
+	err = s.Arr.Together(1+len(eqs)-first, func(i int) error {
 		var e error
-		oldData, scratch, e = s.oldOnDisk(p, cachedOld)
-		return e
-	}
-	for _, eq := range eqs {
-		r := eq.Twin(twin)
-		reads = append(reads, func() error {
-			var e error
-			if imgs[r.Eq], _, e = s.readRed(g, r, imgs[r.Eq]); e != nil {
-				return fmt.Errorf("core: read %s twin %d of group %d: %w", r.Eq, twin, g, e)
-			}
-			return nil
-		})
-	}
-	if s.Pipelined && cachedOld == nil {
-		// The a=4 case needs every read and they target different
-		// drives: overlap them.  Reads commute, so this changes no
-		// recovery-visible ordering.
-		err = diskarray.Batch(reads...)
-	} else {
-		for _, r := range reads {
-			if err = r(); err != nil {
-				break
-			}
+		if i += first; i == 0 {
+			oldData, scratch, e = s.oldOnDisk(p, nil)
+			return e
 		}
-	}
+		r := eqs[i-1].Twin(twin)
+		if imgs[r.Eq], _, e = s.readRed(g, r, imgs[r.Eq]); e != nil {
+			return fmt.Errorf("core: read %s twin %d of group %d: %w", r.Eq, twin, g, e)
+		}
+		return nil
+	})
 	if err != nil {
 		s.Pages.Put(imgs[:]...)
 		return [2]page.Buf{}, err
@@ -432,25 +415,10 @@ func (s *Store) WriteStripeLogged(g page.GroupID, pages []page.PageID, datas []p
 		return err
 	}
 	s.Twins.Promote(g, obsolete)
-	if last > 0 {
-		ops := make([]func() error, last)
-		for i := 0; i < last; i++ {
-			i := i
-			ops[i] = func() error {
-				return s.writeData(pages[i], datas[i], disk.Meta{Timestamp: ts})
-			}
-		}
-		if s.Pipelined {
-			if err := diskarray.Batch(ops...); err != nil {
-				return err
-			}
-		} else {
-			for _, op := range ops {
-				if err := op(); err != nil {
-					return err
-				}
-			}
-		}
+	if err := s.Arr.Together(last, func(i int) error {
+		return s.writeData(pages[i], datas[i], disk.Meta{Timestamp: ts})
+	}); err != nil {
+		return err
 	}
 	return s.writeData(pages[last], datas[last], disk.Meta{Timestamp: ts})
 }
@@ -575,20 +543,33 @@ func (s *Store) UndoGroupViaParity(g page.GroupID) (page.PageID, page.Buf, error
 // (through UndoGroupViaParity) and crash recovery (which has no
 // Dirty_Set and supplies the page and twin from the header scan).
 func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (page.Buf, error) {
-	p0, _, err := s.readRed(g, diskarray.P.Twin(0), nil)
+	// Figure 6's three inputs sit on three drives: both P twins and the page
+	// as the steal left it, whose corruption is the one error that is not
+	// the end of the undo.
+	var in [3]page.Buf
+	corrupt := false
+	err := s.Arr.Together(len(in), func(i int) error {
+		var err error
+		if i < 2 {
+			if in[i], _, err = s.readRed(g, diskarray.P.Twin(i), nil); err != nil {
+				return fmt.Errorf("core: read twin %d of group %d: %w", i, g, err)
+			}
+			return nil
+		}
+		if in[i], _, err = s.Arr.ReadData(p, nil); disk.IsCorrupt(err) {
+			corrupt = true
+		} else if err != nil {
+			return fmt.Errorf("core: read page %d: %w", p, err)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: read twin 0 of group %d: %w", g, err)
+		return nil, err
 	}
-	p1, _, err := s.readRed(g, diskarray.P.Twin(1), nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: read twin 1 of group %d: %w", g, err)
-	}
-	dNew, _, err := s.Arr.ReadData(p, nil)
 	var dOld page.Buf
-	switch {
-	case err == nil:
-		dOld = xorparity.UndoTwin(p0, p1, dNew)
-	case disk.IsCorrupt(err):
+	if !corrupt {
+		dOld = xorparity.UndoTwin(in[0], in[1], in[2])
+	} else {
 		// The dirty page's on-disk (new) version is corrupt, so the
 		// Figure 6 identity has nothing to XOR against — but the committed
 		// index still describes the pre-transaction group, whose other
@@ -600,8 +581,6 @@ func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (pa
 			return nil, fmt.Errorf("core: undo of page %d from the committed twin: %w", p, err)
 		}
 		s.deg.readRepairs.Add(1)
-	default:
-		return nil, fmt.Errorf("core: read page %d: %w", p, err)
 	}
 	if err := s.writeData(p, dOld, disk.Meta{}); err != nil {
 		return nil, err
@@ -794,7 +773,7 @@ func (s *Store) resyncGroup(gid page.GroupID) (bool, error) {
 		if err != nil {
 			return did, err
 		}
-		if err := s.Arr.Recompute(gid, r, meta); err != nil {
+		if err := s.Recompute(gid, r, meta); err != nil {
 			return did, fmt.Errorf("core: resync %s of group %d: %w", eq, gid, err)
 		}
 	}
@@ -1056,7 +1035,7 @@ func (s *Store) establishIndex(g page.GroupID, t int) (disk.Meta, error) {
 				}
 				m = fresh
 			}
-			if err := s.Arr.Recompute(g, r, m); err != nil {
+			if err := s.Recompute(g, r, m); err != nil {
 				return kept, fmt.Errorf("core: recompute surviving %s twin of group %d: %w", eq, g, err)
 			}
 		}

@@ -14,6 +14,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/disk"
@@ -238,7 +240,7 @@ func (s *Store) writeIndex(g page.GroupID, twin int, imgs [2]page.Buf, meta disk
 func (s *Store) RecomputeIndex(g page.GroupID, twin int, meta disk.Meta) error {
 	slots, n := s.aliveSlots(g, twin)
 	for _, r := range slots[:n] {
-		if err := s.Arr.Recompute(g, r, meta); err != nil {
+		if err := s.Recompute(g, r, meta); err != nil {
 			return fmt.Errorf("core: recompute %s twin %d of group %d: %w", r.Eq, twin, g, err)
 		}
 	}
@@ -398,10 +400,15 @@ func (sol *solved) hdr() disk.Meta {
 // block per disk, so within g a disk number names one member, data or
 // redundancy.
 //
-// The data members are read first and the equations lazily — none at zero
+// The equations are read only as the erasures call for them — none at zero
 // erasures, P alone at one (Q only when P is itself dead, corrupt or
 // erased), both at two — so the transfer counts of the classic
-// single-loss paths are unchanged by the Q machinery.  Erasures beyond
+// single-loss paths are unchanged by the Q machinery.  The member reads go
+// out together when the drives queue (diskarray.Together), and with them
+// the equation pages that the erasures known beforehand — a dead disk, the
+// caller's — already call for; a member found corrupt by its read asks for
+// the equation it is missing afterwards.  On synchronous drives that is the
+// members in group order, then P, then Q.  Erasures beyond
 // what the reachable equations can solve surface as
 // ErrUnrecoverableCorruption.  The second result is the header of the
 // redundancy page the solve read (zero when it read none).  The returned
@@ -437,34 +444,24 @@ func (s *Store) solve(g page.GroupID, twin int, erased []int) (solved, error) {
 		return false
 	}
 	sol := solved{pages: s.Arr.GroupPages(g)}
-	sol.vals = make([]page.Buf, len(sol.pages))
+	n := len(sol.pages)
+	sol.vals = make([]page.Buf, n)
 	for i, p := range sol.pages {
 		if s.PageUnavailable(p) || gone(s.Arr.DataLoc(p).Disk) {
 			sol.erased = append(sol.erased, i)
-			continue
 		}
-		b, _, err := s.Arr.ReadData(p, s.Pages.Get())
-		if err != nil {
-			if !disk.IsCorrupt(err) {
-				return sol, fmt.Errorf("core: solve group %d: read page %d: %w", g, p, err)
-			}
-			s.deg.corruptDetected.Add(1)
-			sol.erased = append(sol.erased, i)
-			continue
-		}
-		sol.vals[i] = b
 	}
-	if len(sol.erased) == 0 {
-		return sol, nil
-	}
+	// The erasures known before the first read already call for equation
+	// pages, and those ride along with the member reads: P at one or more,
+	// Q at two, or at one when P is itself erased or surely dead (a slot a
+	// replacement drive may have rewritten answers by its own probe, and Q
+	// waits for it).  These are the pages the lazy rule below would ask for
+	// anyway, so the transfer count is what it would be reading P and Q last.
 	var eqs [2][]byte
-	for _, eq := range s.Arr.Equations() {
-		if eq == diskarray.Q && len(sol.erased) == 1 && eqs[diskarray.P] != nil {
-			break
-		}
+	readEq := func(eq diskarray.Eq) error {
 		r := eq.Twin(twin)
 		if gone(s.Arr.Loc(g, r).Disk) || !s.TwinReadable(g, r) {
-			continue
+			return nil
 		}
 		b, m, err := s.Arr.Read(g, r, s.Pages.Get())
 		sol.red[eq].read, sol.red[eq].err, sol.red[eq].meta = true, err, m
@@ -474,7 +471,61 @@ func (s *Store) solve(g page.GroupID, twin int, erased []int) (solved, error) {
 		case disk.IsCorrupt(err):
 			s.deg.corruptDetected.Add(1)
 		default:
-			return sol, fmt.Errorf("core: solve group %d: read %s twin %d: %w", g, eq, twin, err)
+			return fmt.Errorf("core: solve group %d: read %s twin %d: %w", g, eq, twin, err)
+		}
+		return nil
+	}
+	known := sol.erased
+	riding := 0 // equation pages in the batch: P, then Q
+	switch p := diskarray.P.Twin(twin); {
+	case len(known) == 0:
+	case !s.Arr.HasQ():
+		riding = 1
+	case len(known) > 1, gone(s.Arr.Loc(g, p).Disk), !s.SlotAlive(g, p) && !s.replacement:
+		riding = 2
+	default:
+		riding = 1
+	}
+	err := s.Arr.Together(n+riding, func(i int) error {
+		if i >= n {
+			return readEq(diskarray.Eq(i - n))
+		}
+		if slices.Contains(known, i) {
+			return nil
+		}
+		b, _, err := s.Arr.ReadData(sol.pages[i], s.Pages.Get())
+		if err != nil {
+			if !disk.IsCorrupt(err) {
+				return fmt.Errorf("core: solve group %d: read page %d: %w", g, sol.pages[i], err)
+			}
+			s.deg.corruptDetected.Add(1)
+			return nil
+		}
+		sol.vals[i] = b
+		return nil
+	})
+	if err != nil {
+		return sol, err
+	}
+	// Classified in member order: a member without a value is an erasure,
+	// known beforehand or found corrupt by its read.
+	sol.erased = sol.erased[:0]
+	for i, v := range sol.vals {
+		if v == nil {
+			sol.erased = append(sol.erased, i)
+		}
+	}
+	if len(sol.erased) == 0 {
+		return sol, nil
+	}
+	// A corruption the reads discovered asks for the equation it is missing
+	// now: P at the first erasure, Q when P did not come or at the second.
+	for _, eq := range s.Arr.Equations()[riding:] {
+		if eq == diskarray.Q && len(sol.erased) == 1 && eqs[diskarray.P] != nil {
+			break
+		}
+		if err := readEq(eq); err != nil {
+			return sol, err
 		}
 	}
 	pBuf, qBuf := eqs[diskarray.P], eqs[diskarray.Q]
@@ -589,8 +640,8 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		}
 	}
 	// The new redundancy is accumulated member by member — P ⊕= D_i,
-	// Q ⊕= g^i·D_i — in pages from s.Pages, and the sibling reads share
-	// one more.  A single-parity array keeps P alone.
+	// Q ⊕= g^i·D_i — in pages from s.Pages, like the sibling reads.  A
+	// single-parity array keeps P alone.
 	eqs := s.Arr.Equations()
 	if s.Twins == nil {
 		eqs = eqs[:1]
@@ -625,17 +676,26 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		}
 		s.Pages.Put(old...)
 	} else {
-		member := s.Pages.Get()
-		defer s.Pages.Put(member)
-		for i, q := range pages {
-			if q == p {
-				continue
+		// Each sibling is read into a page of its own — on synchronous
+		// drives the same one, back on the free list between reads — and
+		// folded in as it arrives: the sums commute.
+		var folding sync.Mutex
+		if err := s.Arr.Together(len(pages), func(i int) error {
+			if i == idx {
+				return nil
 			}
-			var err error
-			if member, _, err = s.Arr.ReadData(q, member); err != nil {
-				return fmt.Errorf("core: degraded parity of group %d: read page %d: %w", g, q, err)
+			member := s.Pages.Get()
+			defer s.Pages.Put(member)
+			b, _, err := s.Arr.ReadData(pages[i], member)
+			if err != nil {
+				return fmt.Errorf("core: degraded parity of group %d: read page %d: %w", g, pages[i], err)
 			}
-			fold(i, member)
+			folding.Lock()
+			fold(i, b)
+			folding.Unlock()
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
 

@@ -27,8 +27,9 @@ func allocatedPer(n int, fn func()) float64 {
 // redundancy images of a write: they are drawn from Store.Pages and go
 // back when the write returns, so a warmed store writes — healthy small
 // writes on every organization, updates of both twins of a dirty group,
-// and degraded P+Q writes and reads — without allocating a page, and the
-// parity invariant holds throughout.
+// a redundancy page recomputed from its group, a hard walk's visit to a
+// group, and degraded P+Q writes and reads — without allocating a page, and
+// the parity invariant holds throughout.
 func TestWritesReuseTheirRedundancyPages(t *testing.T) {
 	const size = 2048
 	build := func(kind diskarray.Kind, q bool) *Store {
@@ -84,6 +85,31 @@ func TestWritesReuseTheirRedundancyPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}))
+
+	// A redundancy page recomputed from the platter: the group is read into
+	// pages from the list and the page computed in one more.
+	s = build(diskarray.RAID5Twin, true)
+	check("recompute", s, allocatedPer(200, func() {
+		i++
+		r := diskarray.Eq(i % 2).Twin(s.currentTwin(3))
+		meta, err := s.Arr.PeekMeta(3, r)
+		if err == nil {
+			err = s.Recompute(3, r, meta)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}))
+
+	// The hard walk: a lane reads every group it visits into the same pages
+	// and sums the equations in one more, so a visit allocates no page.
+	s = build(diskarray.RAID5Twin, true)
+	check("hard walk, per group", s, allocatedPer(50, func() {
+		w, err := s.WalkGroups(anyWriter, true)
+		if err != nil || len(w.Torn) != 0 {
+			t.Fatalf("hard walk of a sound array: torn %v, err %v", w.Torn, err)
+		}
+	})/float64(s.Arr.NumGroups()))
 
 	// One drive down on a P+Q array: wholesale degraded writes, and
 	// degraded reads into the caller's page.

@@ -113,7 +113,7 @@ func (s *Store) readRed(g page.GroupID, r diskarray.Red, dst page.Buf) (page.Buf
 	} else {
 		meta = s.synthesizeParityMeta(g, twin)
 	}
-	if rerr := s.Arr.Recompute(g, r, meta); rerr != nil {
+	if rerr := s.Recompute(g, r, meta); rerr != nil {
 		if disk.IsCorrupt(rerr) || errors.Is(rerr, disk.ErrFailed) {
 			s.deg.unrecoverable.Add(1)
 			return nil, disk.Meta{}, fmt.Errorf("core: parity repair of group %d twin %d: %v: %w", g, twin, rerr, ErrUnrecoverableCorruption)

@@ -262,10 +262,42 @@ func (s *Store) healIndex(g page.GroupID, twin int, eqs []diskarray.Eq, verify b
 // the given data values (a nil value counts as a zero page), under the
 // given header.
 func (s *Store) RewriteSlot(g page.GroupID, r diskarray.Red, vals []page.Buf, meta disk.Meta) error {
-	if err := s.Arr.Write(g, r, r.Eq.Compute(s.Arr.PageSize(), page.Raw(vals)...), meta); err != nil {
+	if err := s.rewriteSlot(g, r, vals, meta); err != nil {
 		return fmt.Errorf("core: rewrite %s twin %d of group %d: %w", r.Eq, r.Twin, g, err)
 	}
 	return nil
+}
+
+// rewriteSlot computes the page in scratch from s.Pages and writes it.
+func (s *Store) rewriteSlot(g page.GroupID, r diskarray.Red, vals []page.Buf, meta disk.Meta) error {
+	img := s.Pages.Get()
+	defer s.Pages.Put(img)
+	r.Eq.ComputeInto(img, page.Raw(vals)...)
+	return s.Arr.Write(g, r, img, meta)
+}
+
+// ReadGroup reads all N data pages of group g, together when the drives
+// queue, into pages from s.Pages: the caller puts them back when it is done
+// with them, after an error too.
+func (s *Store) ReadGroup(g page.GroupID) ([]page.Buf, error) {
+	bufs := make([]page.Buf, s.Arr.GroupWidth())
+	for i := range bufs {
+		bufs[i] = s.Pages.Get()
+	}
+	return bufs, s.Arr.ReadGroup(g, bufs)
+}
+
+// Recompute reads the whole group and rewrites redundancy page r as its
+// equation over what it read, under the given header: the full-stripe
+// fallback of resync, parity repair and media recovery of a redundancy
+// block.  Every data page of the group must be readable.
+func (s *Store) Recompute(g page.GroupID, r diskarray.Red, meta disk.Meta) error {
+	vals, err := s.ReadGroup(g)
+	defer s.Pages.Put(vals...)
+	if err != nil {
+		return err
+	}
+	return s.rewriteSlot(g, r, vals, meta)
 }
 
 // computeIndex returns, by equation, the redundancy pages of a group

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -12,14 +13,16 @@ import (
 	"repro/internal/workpool"
 )
 
-// Lanes is the width of every restart fan-out: the group walk, the
-// laundering writes, the resync and the drive probe.  On synchronous drives
-// it is Workers (1: the plain loop in group order that replayable crash
-// schedules require).  When the drives queue it is one lane per drive: a
-// queued drive serves one transfer at a time and its queue depth bounds what
-// is outstanding, so fewer lanes leave drives idle and more only wait in line.
+// Lanes is the width of every whole-array fan-out over parity groups:
+// restart's group walk, laundering writes, resync and drive probe, and the
+// groups of media recovery and of an online rebuild step.  On synchronous
+// drives it is Workers (1: the plain loop in group order that replayable
+// crash schedules require).  When the drives queue it is one lane per drive:
+// a queued drive serves one transfer at a time and its queue depth bounds
+// what is outstanding, so fewer lanes leave drives idle and more only wait in
+// line.
 func (s *Store) Lanes() int {
-	if s.Pipelined {
+	if s.Arr.Queued() {
 		return s.Arr.NumDisks()
 	}
 	return max(s.Workers, 1)
@@ -76,22 +79,24 @@ func (s *Store) WalkGroups(committed func(page.TxID) bool, hard bool) (*GroupWal
 	w := &GroupWalk{s: s, committed: committed, groups: make([]groupScan, s.Arr.NumGroups())}
 	// Each lane of a hard walk reads into pages of its own, handed back here.
 	var torn [][]TornBlock
-	var bufs [][]page.Buf
+	var scratch []walkScratch
 	if hard {
-		torn, bufs = make([][]TornBlock, len(w.groups)), make([][]page.Buf, s.Lanes())
+		torn, scratch = make([][]TornBlock, len(w.groups)), make([]walkScratch, s.Lanes())
 	}
 	err := workpool.RunLanes(s.Lanes(), len(w.groups), func(lane, g int) (err error) {
 		if !hard {
 			return w.readHeaders(page.GroupID(g))
 		}
-		for len(bufs[lane]) < s.Arr.GroupWidth()+2*s.Arr.ParityPages() {
-			bufs[lane] = append(bufs[lane], s.Pages.Get())
+		sc := &scratch[lane]
+		if sc.w == nil {
+			sc.init(w)
 		}
-		torn[g], err = w.readBlocks(page.GroupID(g), bufs[lane])
+		torn[g], err = sc.readBlocks(page.GroupID(g))
 		return err
 	})
-	for _, b := range bufs {
-		s.Pages.Put(b...)
+	for _, sc := range scratch {
+		s.Pages.Put(sc.bufs...)
+		s.Pages.Put(sc.sum)
 	}
 	for _, t := range torn {
 		w.Torn = append(w.Torn, t...)
@@ -121,38 +126,68 @@ func (w *GroupWalk) readHeaders(g page.GroupID) error {
 	return nil
 }
 
+// walkScratch is one lane of a hard walk: the pages it reads each group
+// into in turn — one per block, data first and then redundancy page {eq,
+// twin} at 2·twin+eq — beside each the error of a block that failed
+// verification, and a page to sum an equation in.  Everything a group's visit
+// needs is here and made once, so a visit allocates nothing of its own but
+// the torn blocks it finds.
+type walkScratch struct {
+	w    *GroupWalk
+	bufs []page.Buf
+	raw  [][]byte // the data pages of bufs, as the parity kernels take them
+	errs []error
+	sum  page.Buf
+	read func(i int) error // readBlock, bound once
+
+	// The group being visited.
+	g     page.GroupID
+	pages []page.PageID
+}
+
+func (sc *walkScratch) init(w *GroupWalk) {
+	s := w.s
+	sc.w, sc.read, sc.sum = w, sc.readBlock, s.Pages.Get()
+	for len(sc.bufs) < s.Arr.GroupWidth()+2*s.Arr.ParityPages() {
+		sc.bufs = append(sc.bufs, s.Pages.Get())
+	}
+	sc.raw, sc.errs = page.Raw(sc.bufs[:s.Arr.GroupWidth()]), make([]error, len(sc.bufs))
+}
+
+// slot is the redundancy page read i-th of a group of n data pages: the P
+// twins, then the Q twins.
+func (sc *walkScratch) slot(i int) diskarray.Red {
+	twins := sc.w.s.Arr.ParityPages()
+	i -= len(sc.pages)
+	return diskarray.Eq(i / twins).Twin(i % twins)
+}
+
 // readBlocks is the hard walk's visit: every live block of group g read
-// verified into bufs.  A block that fails is returned torn; one on a dead
-// disk is skipped.
-func (w *GroupWalk) readBlocks(g page.GroupID, bufs []page.Buf) (torn []TornBlock, _ error) {
+// verified into sc, all of them together when the drives queue.  A block
+// that fails is returned torn, in the order data, P twins, Q twins; one on a
+// dead disk is skipped.
+func (sc *walkScratch) readBlocks(g page.GroupID) (torn []TornBlock, _ error) {
+	w := sc.w
 	s, e := w.s, &w.groups[g]
-	pages := s.Arr.GroupPages(g)
-	data, red := bufs[:len(pages)], bufs[len(pages):]
-	for i, p := range pages {
-		if s.PageUnavailable(p) {
+	sc.g, sc.pages = g, s.Arr.GroupPages(g)
+	n := len(sc.pages)
+	red := sc.bufs[n:]
+	errs := sc.errs[:n+len(s.Arr.Equations())*s.Arr.ParityPages()]
+	clear(errs)
+	if err := s.Arr.Together(len(errs), sc.read); err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err == nil {
 			continue
 		}
-		if _, _, err := s.Arr.ReadData(p, data[i]); disk.IsCorrupt(err) {
-			torn = append(torn, TornBlock{Group: g, Page: p, HeaderOK: errors.Is(err, disk.ErrChecksum)})
-		} else if err != nil {
-			return nil, fmt.Errorf("core: torn scan page %d: %w", p, err)
+		t := TornBlock{Group: g, HeaderOK: errors.Is(err, disk.ErrChecksum)}
+		if i < n {
+			t.Page = sc.pages[i]
+		} else {
+			t.IsRed, t.Red = true, sc.slot(i)
 		}
-	}
-	for _, eq := range s.Arr.Equations() {
-		for twin := 0; twin < s.Arr.ParityPages(); twin++ {
-			r := eq.Twin(twin)
-			if !s.TwinReadable(g, r) {
-				continue
-			}
-			_, m, err := s.Arr.Read(g, r, red[2*twin+int(eq)])
-			if disk.IsCorrupt(err) {
-				torn = append(torn, TornBlock{Group: g, IsRed: true, Red: r, HeaderOK: errors.Is(err, disk.ErrChecksum)})
-			} else if err != nil {
-				return nil, fmt.Errorf("core: torn scan group %d %s twin %d: %w", g, eq, twin, err)
-			} else if eq == diskarray.P {
-				e.metas[twin] = m
-			}
-		}
+		torn = append(torn, t)
 	}
 	cur, ok := 0, true
 	if s.Twins != nil {
@@ -160,9 +195,44 @@ func (w *GroupWalk) readBlocks(g page.GroupID, bufs []page.Buf) (torn []TornBloc
 	}
 	e.verified = ok && len(torn) == 0 && !s.GroupDegraded(g)
 	for _, eq := range s.Arr.Equations() {
-		e.verified = e.verified && eq.Holds(red[2*cur+int(eq)], page.Raw(data)...)
+		if !e.verified {
+			break
+		}
+		eq.ComputeInto(sc.sum, sc.raw...)
+		e.verified = bytes.Equal(sc.sum, red[2*cur+int(eq)])
 	}
 	return torn, nil
+}
+
+// readBlock is the i-th read of the group sc is visiting, writing state of
+// its own index only (Together).
+func (sc *walkScratch) readBlock(i int) error {
+	s, g, n := sc.w.s, sc.g, len(sc.pages)
+	if i < n {
+		p := sc.pages[i]
+		if s.PageUnavailable(p) {
+			return nil
+		}
+		if _, _, err := s.Arr.ReadData(p, sc.bufs[i]); disk.IsCorrupt(err) {
+			sc.errs[i] = err
+		} else if err != nil {
+			return fmt.Errorf("core: torn scan page %d: %w", p, err)
+		}
+		return nil
+	}
+	r := sc.slot(i)
+	if !s.TwinReadable(g, r) {
+		return nil
+	}
+	_, m, err := s.Arr.Read(g, r, sc.bufs[n+2*r.Twin+int(r.Eq)])
+	if disk.IsCorrupt(err) {
+		sc.errs[i] = err
+	} else if err != nil {
+		return fmt.Errorf("core: torn scan group %d %s twin %d: %w", g, r.Eq, r.Twin, err)
+	} else if r.Eq == diskarray.P {
+		sc.w.groups[g].metas[r.Twin] = m
+	}
+	return nil
 }
 
 // Touch records that a pass rewrote group g since the walk read it.

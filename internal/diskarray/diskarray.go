@@ -153,6 +153,21 @@ func (e Eq) Compute(size int, blocks ...[]byte) []byte {
 	return erasure.ComputeQ(size, blocks...)
 }
 
+// ComputeInto is Compute into dst, a page the caller owns and need not
+// have cleared.
+func (e Eq) ComputeInto(dst []byte, blocks ...[]byte) {
+	clear(dst)
+	for i, b := range blocks {
+		switch {
+		case b == nil:
+		case e == P:
+			erasure.AddInto(dst, b)
+		default:
+			erasure.MulAddInto(dst, b, erasure.Exp(i))
+		}
+	}
+}
+
 // Holds reports whether the redundancy page red satisfies the equation
 // over the given data blocks.
 func (e Eq) Holds(red []byte, blocks ...[]byte) bool {
@@ -774,30 +789,18 @@ func (a *Array) ResetStats() {
 
 // --- Whole-group operations -------------------------------------------------
 
-// ReadGroup reads all N data pages of group g.
-func (a *Array) ReadGroup(g page.GroupID) ([]page.Buf, error) {
+// ReadGroup reads all N data pages of group g, issued together when the
+// drives queue: page i into bufs[i], the caller's page to reuse (a nil entry
+// gets a fresh one).  len(bufs) is N.
+func (a *Array) ReadGroup(g page.GroupID, bufs []page.Buf) error {
 	pages := a.GroupPages(g)
-	out := make([]page.Buf, len(pages))
-	for i, p := range pages {
-		b, _, err := a.ReadData(p, nil)
-		if err != nil {
-			return nil, err
+	return a.Together(len(pages), func(i int) error {
+		b, _, err := a.ReadData(pages[i], bufs[i])
+		if err == nil {
+			bufs[i] = b
 		}
-		out[i] = b
-	}
-	return out, nil
-}
-
-// Recompute reads the whole group and rewrites redundancy page r with the
-// freshly computed equation and the supplied metadata.  It is the
-// full-stripe fallback used by scrubbing, formatting of non-zero state
-// and media recovery of redundancy blocks.
-func (a *Array) Recompute(g page.GroupID, r Red, meta disk.Meta) error {
-	blocks, err := a.ReadGroup(g)
-	if err != nil {
 		return err
-	}
-	return a.Write(g, r, r.Eq.Compute(a.cfg.PageSize, page.Raw(blocks)...), meta)
+	})
 }
 
 // Verify reports whether redundancy page r satisfies its equation over

@@ -1,6 +1,7 @@
 package diskarray
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -224,7 +225,11 @@ func fillRandom(t *testing.T, a *Array, seed int64) map[page.PageID]page.Buf {
 			if twin == 1 {
 				meta.State = disk.StateObsolete
 			}
-			if err := a.Recompute(page.GroupID(g), Red{P, twin}, meta); err != nil {
+			blocks := make([]page.Buf, a.GroupWidth())
+			if err := a.ReadGroup(page.GroupID(g), blocks); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Write(page.GroupID(g), Red{P, twin}, P.Compute(a.PageSize(), page.Raw(blocks)...), meta); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -383,5 +388,26 @@ func TestQuickTilingAnyGeometry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestComputeIntoMatchesCompute: the in-place form overwrites whatever its
+// page held and agrees with Compute on both equations, holes included.
+func TestComputeIntoMatchesCompute(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	blocks := make([][]byte, 5)
+	for i := range blocks {
+		if i != 2 {
+			blocks[i] = make([]byte, page.MinSize)
+			r.Read(blocks[i])
+		}
+	}
+	for _, eq := range []Eq{P, Q} {
+		dst := make([]byte, page.MinSize)
+		r.Read(dst)
+		eq.ComputeInto(dst, blocks...)
+		if !bytes.Equal(dst, eq.Compute(page.MinSize, blocks...)) {
+			t.Errorf("%s: ComputeInto differs from Compute", eq)
+		}
 	}
 }

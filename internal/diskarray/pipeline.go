@@ -1,9 +1,12 @@
 package diskarray
 
 // Pipelined-mode plumbing: queue lifecycle fan-out across the member
-// drives, and a small fork/join helper for overlapping the independent
-// transfers of one logical operation (the small-write RMW's two reads,
-// the per-group flush's data writes) across drives.
+// drives, and the fork/join for the independent transfers of one logical
+// array operation.  The rule lives in Together: a group's member reads (the
+// solver's, a whole-group read, the hard walk's), the small-write RMW's
+// reads and a full-stripe write's data writes are outstanding on their
+// drives at once when the drives queue, and issued one after another, in
+// the order they always were, when they do not.
 
 // StartQueues enables the per-drive request queue on every member disk
 // (see disk.Disk.StartQueue).  depth is the per-drive queue depth,
@@ -30,33 +33,55 @@ func (a *Array) ResetQueues() {
 	}
 }
 
-// Batch runs the given operations concurrently and joins them all.  It
-// exists for the transfers of ONE logical array operation whose members
-// are independent — never for writes whose order the recovery protocol
-// relies on (parity before data stays sequential).  The first non-nil
-// error in argument order is returned; if any operation panicked, the
-// earliest panic in argument order is re-raised on the caller's
-// goroutine after every branch has finished, so a crash injected into
-// one branch still produces a deterministic, fully-joined failure.
-func Batch(ops ...func() error) error {
-	if len(ops) == 1 {
-		return ops[0]()
+// Queued reports whether the member drives queue their transfers
+// (StartQueues): only then can two transfers of one caller overlap.
+func (a *Array) Queued() bool { return a.disks[0].QueueEnabled() }
+
+// Together runs op(0) … op(n-1), the transfers of ONE logical array
+// operation whose members are independent — never writes whose order the
+// recovery protocol relies on (parity before data stays sequential).
+//
+// On queued drives the transfers are issued together and joined: every op
+// runs, the first error in index order is returned, and results are the
+// caller's to classify in index order afterwards.  On synchronous drives
+// nothing could overlap, so it is the plain loop — index order, stopping at
+// the first error — that replayable crash schedules and the write-sequence
+// fingerprints were recorded on.  An op must therefore be correct both
+// after its predecessors and beside them: it writes only state of its own
+// index.
+func (a *Array) Together(n int, op func(i int) error) error {
+	if n > 1 && a.Queued() {
+		return forkJoin(n, op)
 	}
-	errs := make([]error, len(ops))
-	panics := make([]any, len(ops))
-	done := make(chan int, len(ops))
-	for i, op := range ops {
-		go func(i int, op func() error) {
+	for i := 0; i < n; i++ {
+		if err := op(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// forkJoin runs op(0) … op(n-1) on goroutines of their own and joins them
+// all.  The first non-nil error in index order is returned; if any op
+// panicked, the earliest panic in index order is re-raised on the caller's
+// goroutine after every branch has finished, so a crash injected into one
+// branch still produces a deterministic, fully-joined failure.
+func forkJoin(n int, op func(i int) error) error {
+	errs := make([]error, n)
+	panics := make([]any, n)
+	done := make(chan struct{}, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
 			defer func() {
 				if r := recover(); r != nil {
 					panics[i] = r
 				}
-				done <- i
+				done <- struct{}{}
 			}()
-			errs[i] = op()
-		}(i, op)
+			errs[i] = op(i)
+		}(i)
 	}
-	for range ops {
+	for i := 0; i < n; i++ {
 		<-done
 	}
 	for _, p := range panics {

@@ -66,6 +66,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -1059,21 +1060,24 @@ func RecoverMediaMulti(s *core.Store, ds []int, before BeforeImageFunc) ([]page.
 			return nil, err
 		}
 	}
+	// Groups rebuild independently of one another, so they go Lanes() at a
+	// time: every drive busy when the drives queue, the plain loop in group
+	// order on a synchronous store with one worker.
+	var mu sync.Mutex
 	var lost []page.GroupID
-	for g := 0; g < s.Arr.NumGroups(); g++ {
+	err := workpool.Run(s.Lanes(), s.Arr.NumGroups(), func(g int) error {
 		gid := page.GroupID(g)
 		ok, err := RebuildGroup(s, gid, ds, before)
-		if err != nil {
-			return lost, err
+		if err != nil || ok {
+			return err
 		}
-		if !ok {
-			lost = append(lost, gid)
-			if err := resetLostGroupParity(s, gid); err != nil {
-				return lost, err
-			}
-		}
-	}
-	return lost, nil
+		mu.Lock()
+		lost = append(lost, gid)
+		mu.Unlock()
+		return resetLostGroupParity(s, gid)
+	})
+	slices.Sort(lost)
+	return lost, err
 }
 
 // resetLostGroupParity recomputes a data-loss group's parity over its
@@ -1089,7 +1093,7 @@ func resetLostGroupParity(s *core.Store, g page.GroupID) error {
 		// Unconditional writes: media recovery has already swapped the
 		// dead drives in, even though the store may still flag them down.
 		for i := len(eqs) - 1; i >= 0; i-- {
-			if err := s.Arr.Recompute(g, eqs[i].Twin(twin), meta); err != nil {
+			if err := s.Recompute(g, eqs[i].Twin(twin), meta); err != nil {
 				return fmt.Errorf("recovery: reset lost group %d: %w", g, err)
 			}
 		}
@@ -1233,7 +1237,8 @@ func solveFromCommitted(s *core.Store, g page.GroupID, e dirtyset.Entry, lost in
 // twin; a dirty group's committed twin keeps the Figure 7 ordering by
 // taking the timestamp just BELOW the surviving working twin's.
 func rebuildSlot(s *core.Store, g page.GroupID, r diskarray.Red, dirty bool, e dirtyset.Entry, before BeforeImageFunc) error {
-	vals, err := s.Arr.ReadGroup(g)
+	vals, err := s.ReadGroup(g)
+	defer s.Pages.Put(vals...)
 	if err != nil {
 		return fmt.Errorf("recovery: media rebuild %s twin %d of group %d: %w", r.Eq, r.Twin, g, err)
 	}
@@ -1248,7 +1253,7 @@ func rebuildSlot(s *core.Store, g page.GroupID, r diskarray.Red, dirty bool, e d
 		}
 		for i, p := range s.Arr.GroupPages(g) {
 			if p == e.Page {
-				vals[i] = img
+				copy(vals[i], img)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -649,5 +650,48 @@ func TestRedoAllocationsIndependentOfImages(t *testing.T) {
 	t.Logf("allocs: %v for 2 images a page, %v for 8", few, many)
 	if many > few || few > 2*pages {
 		t.Fatalf("pass 6 allocated %.0f time(s) for 2 images a page and %.0f for 8, over %d pages", few, many, pages)
+	}
+}
+
+// TestParitySlotRebuildReusesPages: rebuilding a group's lost redundancy
+// page reads the group into pages from Store.Pages, computes the page in one
+// more and hands them all back, so a warmed store rebuilds parity slots —
+// P and Q, current and obsolete — without allocating a page.
+func TestParitySlotRebuildReusesPages(t *testing.T) {
+	const size = 2048
+	arr, err := diskarray.New(diskarray.Config{Kind: diskarray.RAID5Twin, DataDisks: 4, NumPages: 48, PageSize: size, QParity: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewStore(arr, wal.New(wal.DefaultConfig()), txn.NewManager())
+	for p := 0; p < arr.NumPages(); p++ {
+		if err := s.WriteCommitted(page.PageID(p), pattern(size, byte(p)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const g = 5
+	slot := 0
+	rebuild := func() {
+		r := diskarray.Eq(slot % 2).Twin(slot / 2 % 2)
+		slot++
+		if ok, err := RebuildGroup(s, g, []int{arr.Loc(g, r).Disk}, nil); err != nil || !ok {
+			t.Fatalf("rebuild %s twin %d: ok %v, err %v", r.Eq, r.Twin, ok, err)
+		}
+	}
+	rebuild()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		rebuild()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	t.Logf("%.0f bytes allocated per parity-slot rebuild", per)
+	if per >= size/2 {
+		t.Errorf("%.0f bytes allocated per parity-slot rebuild, want well under one %d-byte page", per, size)
+	}
+	if err := s.VerifyParityInvariant(); err != nil {
+		t.Error(err)
 	}
 }

@@ -196,7 +196,11 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := a.Recompute(0, pTwin(0), disk.Meta{State: disk.StateCommitted, Timestamp: 1}); err != nil {
+	blocks := make([]page.Buf, len(pages))
+	if err := a.ReadGroup(0, blocks); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Write(0, pTwin(0), diskarray.P.Compute(ps, page.Raw(blocks)...), disk.Meta{State: disk.StateCommitted, Timestamp: 1}); err != nil {
 		t.Fatal(err)
 	}
 

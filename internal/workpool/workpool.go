@@ -1,6 +1,6 @@
 // Package workpool runs the engine's embarrassingly parallel disk loops
-// — rebuild batches, recovery-time torn-repair and parity-resync scans,
-// bulk-load stripe writes — across a bounded set of workers.
+// — media recovery and rebuild batches, the restart's group walk and
+// parity resync, bulk-load stripe writes — across a bounded set of workers.
 //
 // The contract is shaped by the fault-injection plane:
 //

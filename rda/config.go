@@ -147,7 +147,11 @@ type Config struct {
 	// RebuildStep restores at most this many parity groups before
 	// releasing the engine to live transactions (default 8).  Smaller
 	// batches favour transaction latency, larger ones rebuild speed —
-	// the classic rebuild-rate trade-off.
+	// the classic rebuild-rate trade-off.  The batch also caps the width of
+	// the online rebuild: its groups are restored side by side (see
+	// Workers), so on queued drives the default of 8 keeps at most eight of,
+	// say, twelve lanes busy.  Media recovery (RepairDisk, RepairDisks)
+	// holds the engine throughout and is not throttled.
 	RebuildBatchGroups int
 	// ScrubBatchGroups throttles the online scrub worker the same way:
 	// each ScrubStep verifies at most this many parity groups before
@@ -158,15 +162,16 @@ type Config struct {
 	ScrubBatchGroups int
 
 	// Workers bounds the engine's internal parallelism for the
-	// embarrassingly parallel disk loops: rebuild batches, bulk-load
-	// stripe writes, and restart's group walk, laundering writes, parity
-	// resync and drive probe.  The default of 1 runs every loop inline in
-	// deterministic order — required for replayable crash-point schedules
-	// — while larger values fan the per-group work across a bounded worker
-	// pool.  When the drives queue (QueueDepth > 1) restart ignores it and
-	// runs one lane per member drive instead: a queued drive serves one
-	// transfer at a time, so that is the width that keeps every drive busy,
-	// and QueueDepth already bounds what is outstanding.
+	// embarrassingly parallel disk loops: bulk-load stripe writes, media
+	// recovery's and the online rebuild's groups, and restart's group walk,
+	// laundering writes, parity resync and drive probe.  The default of 1
+	// runs every loop inline in deterministic order — required for
+	// replayable crash-point schedules — while larger values fan the
+	// per-group work across a bounded worker pool.  When the drives queue
+	// (QueueDepth > 1) restart, media recovery and the online rebuild ignore
+	// it and run one lane per member drive instead: a queued drive serves
+	// one transfer at a time, so that is the width that keeps every drive
+	// busy, and QueueDepth already bounds what is outstanding.
 	// Transaction concurrency itself is not limited by this knob; any
 	// number of goroutines may run transactions against the engine, and
 	// transactions on disjoint parity groups proceed in parallel under
@@ -192,8 +197,10 @@ type Config struct {
 	// of that depth drained by a per-drive scheduler goroutine: transfers
 	// to one drive are reordered elevator-style over block addresses and
 	// overlap with transfers to other drives, and the engine issues the
-	// independent transfers of one operation (the small-write RMW's two
-	// reads, a full-stripe write's data writes) as concurrent batches.
+	// independent transfers of one operation (the small-write RMW's
+	// reads, a full-stripe write's data writes, the member reads of a
+	// reconstruction, a whole-group read or the restart's torn scan)
+	// together.
 	// The default of 1 keeps the synchronous drive model: every transfer
 	// completes before the next is issued, in submission order — required
 	// for byte-replayable crash schedules.

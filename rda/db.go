@@ -211,7 +211,6 @@ func Open(cfg Config) (*DB, error) {
 	arr.SetLatency(cfg.IODelay)
 	if cfg.QueueDepth > 1 {
 		arr.StartQueues(cfg.QueueDepth, cfg.QueueWindow)
-		db.store.Pipelined = true
 	}
 	if cfg.GroupCommitWindow > 0 {
 		db.forcer = wal.NewForcer(db.log, cfg.GroupCommitWindow)

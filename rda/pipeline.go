@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/diskarray"
 	"repro/internal/page"
 	"repro/internal/wal"
 )
@@ -26,7 +25,7 @@ import (
 // latches.
 func (db *DB) flushForce(st *txState) error {
 	pages := sortedPages(st.t.Modified)
-	if !db.store.Pipelined {
+	if !db.arr.Queued() {
 		for _, p := range pages {
 			if err := db.pool.FlushPage(p); err != nil {
 				return err
@@ -47,15 +46,12 @@ func (db *DB) flushForce(st *txState) error {
 	if len(groups) == 1 {
 		return db.flushGroup(st, groups[0], byGroup[groups[0]])
 	}
-	ops := make([]func() error, len(groups))
-	for i, g := range groups {
-		g := g
-		ops[i] = func() error { return db.flushGroup(st, g, byGroup[g]) }
-	}
-	// Batch joins every branch and surfaces the first error (or the
+	// Together joins every branch and surfaces the first error (or the
 	// earliest crash panic) in group order, keeping failures
 	// deterministic per-interleaving.
-	return diskarray.Batch(ops...)
+	return db.arr.Together(len(groups), func(i int) error {
+		return db.flushGroup(st, groups[i], byGroup[groups[i]])
+	})
 }
 
 // flushGroup flushes one group's modified pages: the full-stripe

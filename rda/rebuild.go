@@ -59,8 +59,11 @@ func (db *DB) RebuildProgress() RebuildProgress {
 // each step runs atomically under the exclusive recovery gate, so live
 // transactions interleave between batches — the throttling knob trades
 // transaction latency against rebuild time.  Within a batch the group
-// reconstructions fan out across Config.Workers (they touch disjoint
-// groups, so they are independent).  Restored groups leave degraded
+// reconstructions run side by side (they touch disjoint groups, so they
+// are independent): Config.Workers at a time on synchronous drives — one,
+// the default, in group order — and one per drive on queued ones, each
+// issuing its member reads together, so the batch size is also the widest
+// a step gets.  Restored groups leave degraded
 // serving immediately; when the last one is restored the array returns
 // to Healthy and (true, nil) is reported.  Resumable: steps may be
 // interleaved with any transaction work and repeat after errors.
@@ -124,9 +127,9 @@ func (db *DB) rebuildStepLocked(maxGroups int) (bool, error) {
 	}
 	// Groups are independent — each reconstruction reads its own members
 	// and writes its own block on the replacement drive — so the batch
-	// fans out.  Workers==1 keeps the exact sequential I/O order the
-	// crash-point schedules replay.
-	if err := workpool.Run(db.cfg.Workers, len(batch), func(i int) error {
+	// fans out at the store's width: on synchronous drives with one worker
+	// the exact sequential I/O order the crash-point schedules replay.
+	if err := workpool.Run(db.store.Lanes(), len(batch), func(i int) error {
 		// Degraded groups are always clean (their steals were demoted when
 		// the disk went down), so no before-image is ever needed.
 		gid := batch[i]
