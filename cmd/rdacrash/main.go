@@ -16,6 +16,8 @@
 //	rdacrash -noforce [-records]   # engine ¬FORCE (checkpoints in the
 //	                               # workload), so restarts REDO winners
 //	rdacrash -queue-depth 8        # async pipeline: crash at every dequeue
+//	rdacrash -frames 16            # a pool that keeps a transaction's pages to
+//	                               # its EOT: crash inside the per-group flush chain
 //
 // -soak draws random schedules over derived seeds instead, from one of
 // three generators:
@@ -60,6 +62,7 @@ func main() {
 		iters   = flag.Int("iters", 100, "soak iterations")
 		txns    = flag.Int("txns", 0, "transactions per workload (0 = default)")
 		ops     = flag.Int("ops", 0, "page operations per transaction (0 = default)")
+		frames  = flag.Int("frames", 0, "buffer pool frames (0 = default 6, fewer than a transaction touches; 16 keeps its pages resident to the EOT flush)")
 		sched   = flag.String("sched", "", `replay one schedule (e.g. "crash@w12" or "faildisk[0]@w0 torn[head]@w3") and exit`)
 		layouts = flag.String("layout", "both", "array layout: data, parity, or both")
 		workers = flag.Int("workers", 0, "engine-internal parallelism for recovery/rebuild scans (0 = deterministic single worker)")
@@ -107,7 +110,7 @@ func main() {
 	failed := false
 	for _, l := range lays {
 		opts := crashcheck.Options{
-			Layout: l, Seed: *seed, Txns: *txns, OpsPerTx: *ops,
+			Layout: l, Seed: *seed, Txns: *txns, OpsPerTx: *ops, Frames: *frames,
 			Dead: *dead, QParity: *qparity, Torn: *torn, NoForce: *noforce, Records: *records,
 			Scrub: *scrub, TransientEvery: *trans, Workers: *workers, QueueDepth: *qdepth,
 		}

@@ -26,12 +26,17 @@
 // pool safely.  Frame *contents* (Data, DiskVersion, Dirty, Modifiers,
 // Residue) are not guarded here — the engine serializes them with its
 // per-group latches (a frame's group latch is held whenever its content
-// or steal bookkeeping is read or written).  Eviction bridges the two
-// worlds: a victim frame may belong to a group whose latch the evicting
-// operation does not hold, so Get threads an EvictGuard through which the
-// engine try-acquires the victim's group latch; an unguardable victim is
-// skipped, and if every candidate is merely guard-blocked (never the case
-// single-threaded) Get yields and retries rather than failing.
+// or steal bookkeeping is read or written).  That is also what lets a miss
+// read its page with the mutex released: the frame is in the map, pinned,
+// before the read starts, nothing evicts a pinned frame, and nobody else
+// may touch the page without the latch the missing caller holds — so a
+// transfer in flight stalls nobody but the operation that asked for it.
+// Eviction bridges the two worlds: a victim frame may belong to a group
+// whose latch the evicting operation does not hold, so Get threads an
+// EvictGuard through which the engine try-acquires the victim's group
+// latch; an unguardable victim is skipped, and if every candidate is
+// merely guard-blocked (never the case single-threaded) Get yields and
+// retries rather than failing.
 package buffer
 
 import (
@@ -112,10 +117,16 @@ func (f *Frame) ModifierList() []page.TxID {
 // with the pool's internal mutex held).
 type WriteBack func(f *Frame) error
 
-// Fetch loads a page image from the array on a buffer miss.  The pool
-// copies the image into the frame's own buffer before it releases its
-// mutex, and misses are serialized by that mutex, so the callback may hand
-// back the same scratch page every time.
+// FetchInto reads page p's image from the array into dst — the missing
+// frame's own buffer — on a buffer miss.  It runs with the pool mutex
+// released and may run for several pages at once; it may fail or panic (a
+// fault-injection crash point inside the read), and the pool then takes
+// the frame out again.
+type FetchInto func(p page.PageID, dst page.Buf) error
+
+// Fetch is the older miss callback New still takes: it returns the image
+// and the pool copies it into the frame (see New).  Misses run side by
+// side, so no two calls may hand back the same page.
 type Fetch func(p page.PageID) (page.Buf, error)
 
 // EvictGuard lets the engine interpose its per-group latches on eviction:
@@ -139,6 +150,7 @@ type Stats struct {
 var (
 	ErrNoFrames = errors.New("buffer: all frames pinned")
 	ErrNotHeld  = errors.New("buffer: page not resident")
+	ErrDropped  = errors.New("buffer: pool dropped while the page was loading")
 )
 
 // Pool is the buffer pool.
@@ -150,10 +162,16 @@ type Pool struct {
 	// write-back, under the pool mutex; set it before the pool is shared.
 	KeepDiskVersions bool
 
-	// mu guards frames, lru, pin counts and stats.  It is held across
-	// miss fetches and eviction write-backs (both leaf disk work), but
-	// never across the FlushPage write-back, so concurrent commits
-	// force-flushing disjoint groups overlap their I/O.
+	// FetchInto is the miss path (see the type).  New derives it from its
+	// fetch argument; an owner that can read straight into the frame sets
+	// it instead, like KeepDiskVersions before the pool is shared.
+	FetchInto FetchInto
+
+	// mu guards frames, lru, free, pin counts and stats.  It is held
+	// across eviction write-backs (leaf disk work), but never across a
+	// miss's read or the FlushPage write-back, so a driver waiting for a
+	// page and concurrent commits force-flushing disjoint groups leave
+	// the pool open to everyone else.
 	mu     sync.Mutex
 	frames map[page.PageID]*Frame
 	lru    Frame    // ring sentinel: lru.next is the most, lru.prev the least recently used frame
@@ -161,11 +179,11 @@ type Pool struct {
 	stats  Stats
 
 	writeBack WriteBack
-	fetch     Fetch
 }
 
 // New creates a pool of `capacity` frames (the paper's B) over pages of
-// the given size.
+// the given size.  A non-nil fetch becomes the pool's FetchInto, its image
+// copied into the frame; with nil the owner sets FetchInto itself.
 func New(capacity, pageSize int, fetch Fetch, writeBack WriteBack) *Pool {
 	if capacity < 1 {
 		panic("buffer: capacity must be positive")
@@ -175,8 +193,20 @@ func New(capacity, pageSize int, fetch Fetch, writeBack WriteBack) *Pool {
 		pageSize:         pageSize,
 		KeepDiskVersions: true,
 		frames:           make(map[page.PageID]*Frame, capacity),
-		fetch:            fetch,
 		writeBack:        writeBack,
+	}
+	if fetch != nil {
+		bp.FetchInto = func(p page.PageID, dst page.Buf) error {
+			data, err := fetch(p)
+			if err != nil {
+				return err
+			}
+			if len(data) != len(dst) {
+				return page.ErrBadSize
+			}
+			copy(dst, data)
+			return nil
+		}
 	}
 	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
 	return bp
@@ -258,11 +288,18 @@ func (bp *Pool) DirtyPages() []page.PageID {
 // When every eviction candidate is blocked by the guard, Get yields and
 // retries — the latch holders blocking it cannot in turn be waiting on
 // this Get, so progress is guaranteed.
+//
+// The read of a miss runs with the pool mutex released (load), so callers
+// must exclude one another per page — the engine's group latch does: a
+// second Get of a page whose first is still loading would be handed the
+// half-read frame.
 func (bp *Pool) Get(p page.PageID, guard EvictGuard) (*Frame, error) {
-	// The mutex is released by defer, never explicitly: the write-back
-	// and fetch callbacks below can panic (fault-injection crash points
-	// fire inside disk I/O), and the crash harness then needs to take the
-	// mutex again to drop the pool.
+	// Whatever leaves this function, a panic included, leaves it through
+	// the deferred Unlock: the write-back and fetch callbacks below can
+	// panic (fault-injection crash points fire inside disk I/O), and the
+	// crash harness then needs to take the mutex again to drop the pool.
+	// The two places that release it in between — the yield below and
+	// load — retake it before they return or unwind, for that reason.
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for {
@@ -287,13 +324,6 @@ func (bp *Pool) Get(p page.PageID, guard EvictGuard) (*Frame, error) {
 		}
 	}
 	bp.stats.Misses++
-	data, err := bp.fetch(p)
-	if err != nil {
-		return nil, fmt.Errorf("buffer: fetch page %d: %w", p, err)
-	}
-	if len(data) != bp.pageSize {
-		return nil, fmt.Errorf("buffer: fetch page %d: %w", p, page.ErrBadSize)
-	}
 	var f *Frame
 	if n := len(bp.free); n > 0 {
 		f, bp.free = bp.free[n-1], bp.free[:n-1]
@@ -301,12 +331,45 @@ func (bp *Pool) Get(p page.PageID, guard EvictGuard) (*Frame, error) {
 	} else {
 		f = &Frame{Data: page.NewBuf(bp.pageSize), Modifiers: make(map[page.TxID]struct{})}
 	}
+	// Resident and pinned before the read starts: the frame counts against
+	// the capacity and no eviction picks it while it loads.
 	f.Page, f.pins = p, 1
-	copy(f.Data, data)
-	bp.syncDiskVersion(f)
 	f.linkAfter(&bp.lru)
 	bp.frames[p] = f
+	if err := bp.load(f); err != nil {
+		return nil, fmt.Errorf("buffer: fetch page %d: %w", p, err)
+	}
+	bp.syncDiskVersion(f)
 	return f, nil
+}
+
+// load (pool mutex held on entry and on return, released in between) reads
+// the just-installed, pinned frame's page into its own buffer.  A read that
+// fails — by error or by panic — takes the frame out again, so the pool is
+// left as if the miss had never started.  DropAll may have emptied the pool
+// meanwhile: then there is nothing to take out, and a read that succeeded
+// all the same is ErrDropped — its frame is no longer the pool's, and an
+// Unpin or FlushPage of the page would not find it.
+func (bp *Pool) load(f *Frame) (err error) {
+	loaded := false
+	bp.mu.Unlock()
+	defer func() {
+		bp.mu.Lock()
+		switch {
+		case bp.frames[f.Page] != f:
+			if loaded {
+				err = ErrDropped
+			}
+		case !loaded:
+			f.pins = 0
+			bp.remove(f)
+		}
+	}()
+	if err := bp.FetchInto(f.Page, f.Data); err != nil {
+		return err
+	}
+	loaded = true
+	return nil
 }
 
 // evictOne (pool mutex held) evicts the least recently used unpinned
@@ -423,6 +486,14 @@ func (bp *Pool) remove(f *Frame) {
 // content stable — so concurrent commits flushing disjoint groups
 // overlap their disk work.
 func (bp *Pool) FlushPage(p page.PageID) error {
+	return bp.FlushPageWith(p, bp.writeBack)
+}
+
+// FlushPageWith is FlushPage through the write the caller names instead of
+// the pool's WriteBack: an EOT flush that has decided for a whole group
+// which page is logged and which the redundancy covers hands each frame
+// its part of that decision.
+func (bp *Pool) FlushPageWith(p page.PageID, write WriteBack) error {
 	bp.mu.Lock()
 	f, ok := bp.frames[p]
 	if !ok || !f.Dirty {
@@ -431,7 +502,7 @@ func (bp *Pool) FlushPage(p page.PageID) error {
 	}
 	f.pins++
 	bp.mu.Unlock()
-	err := bp.writeBack(f)
+	err := write(f)
 	bp.mu.Lock()
 	f.pins--
 	if err == nil {

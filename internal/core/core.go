@@ -79,11 +79,19 @@ type Store struct {
 // maxFreePages bounds the idle pages Store.Pages keeps.  The scratch of a
 // write in flight is two or three pages, drawn and returned within one
 // call; the rest absorbs the before-images a committing transaction hands
-// back until the running ones draw them again.  On the benchmark's update
-// workloads 16 / 32 / 64 idle pages leave 24 / 19 / 17 KiB allocated per
-// commit, but 32 already shows in the live heap of the smallest
-// configuration (+1.7 % of 2.5 MiB, 64: +3 %), so 16.
-const maxFreePages = 16
+// back until the running ones draw them again — more of them at once since
+// two drivers stopped taking turns at the buffer pool's mutex (PR 23), which
+// is when 16 stopped being enough.  At 16 / 32 / 64 idle pages the
+// benchmark's workloads allocate per commit and keep live (seed 21, full
+// scale; retrieval_noforce is 18.48 KiB and 60.67 MiB at all three):
+//
+//	pipelined_io   37.1 / 28.2 / 25.8 KiB   2.540 / 2.548 / 2.573 MiB
+//	oltp_force     24.6 / 19.4 / 17.5 KiB   49.53 / 49.57 / 49.62 MiB
+//	degraded_pq    27.9 / 24.6 / 23.5 KiB   58.69 / 58.72 / 58.78 MiB
+//
+// 32 takes most of what there is to take for +0.3 % of the smallest heap;
+// 64 takes a tenth more for +1.3 %, half of that heap's 3 % bound.
+const maxFreePages = 32
 
 // NewStore wires a store over the given array.  RDA recovery is enabled
 // iff the array is twinned (the engine validates the combination).
@@ -133,30 +141,77 @@ func (s *Store) currentTwin(g page.GroupID) int {
 // page is preserved.  Single-parity arrays do the classic
 // read-modify-write.
 func (s *Store) WriteCommitted(p page.PageID, data, cachedOld page.Buf) error {
-	g := s.Arr.GroupOf(p)
-	if s.writeDegradedNeeded(g, p) {
-		return s.writeDegraded(p, data)
+	// What differs from WriteLogged is what the caller has put on the log,
+	// not what reaches the array.
+	return s.WriteLogged(p, data, cachedOld, nil)
+}
+
+// Chain is a run of writes into one clean parity group under one hold of
+// its latch — a committing transaction's EOT flush of the group (the
+// engine's flushGroup): logged flips, then at most one no-log steal.  Each
+// write's new redundancy is the next one's old, so a link reads its own
+// index back while its data page goes out — two transfers on different
+// drives, one wait on queued ones — and hands the verified image on; the
+// flip or the steal that follows folds its delta into that instead of
+// waiting for a read of its own.  The paper's a = 3 argument (the old
+// version is already in memory) applied to parity, with the check a read
+// is kept: what a chain carries has passed checksum, location stamp and
+// write ledger after the write, so a parity write the drive acknowledged
+// and lost is met here, while every data page of the group is still
+// committed, and never becomes the committed twin a steal's Figure 6 undo
+// depends on.  A read-back that fails for any reason carries nothing, and
+// the next link reads — and repairs — for itself.
+//
+// The images are the very pages the link before sent to the drives, handed
+// on, not copied; they are valid exactly as long as nobody else writes the
+// group, which is what the latch guarantees, so a Chain lives on the
+// flush's stack and nothing of it survives on the Store.  The writes keep
+// their order (Q before P before data, one page after the other), so a
+// crash exposes the states separate writes expose.
+//
+// A new chain (Store.Chain) carries nothing; Release puts what is carried
+// back on the free list and must follow the last write.  Any write other
+// than a flip or a steal in the chain's clean group ends it.  A nil *Chain
+// is a write on its own.
+type Chain struct {
+	s *Store
+	g page.GroupID
+	// imgs, when imgs[P] is set, is what index twin of g holds on disk.
+	twin int
+	imgs [2]page.Buf
+}
+
+// Chain starts a chain of writes into group g.
+func (s *Store) Chain(g page.GroupID) *Chain { return &Chain{s: s, g: g} }
+
+// Release ends the chain.  Safe on a nil chain and more than once.
+func (c *Chain) Release() {
+	if c != nil {
+		c.s.Pages.Put(c.imgs[:]...)
+		c.imgs = [2]page.Buf{}
 	}
-	if s.Dirty != nil && s.Dirty.IsDirty(g) {
-		oldData, scratch, err := s.oldOnDisk(p, cachedOld)
-		defer s.Pages.Put(scratch)
-		if err != nil {
-			return err
-		}
-		if err := s.updateBothTwins(g, p, oldData, data); err != nil {
-			return err
-		}
-		return s.writeData(p, data, disk.Meta{})
+}
+
+// take hands over the images of index twin of group g if the chain carries
+// exactly those, and ends the chain otherwise.
+func (c *Chain) take(g page.GroupID, twin int) ([2]page.Buf, bool) {
+	if c == nil || c.imgs[diskarray.P] == nil || c.g != g || c.twin != twin {
+		c.Release()
+		return [2]page.Buf{}, false
 	}
-	if s.Twins == nil {
-		oldData, scratch, err := s.oldForSmallWrite(p, cachedOld)
-		defer s.Pages.Put(scratch)
-		if err != nil {
-			return err
-		}
-		return s.singleParityWrite(p, g, data, oldData, disk.Meta{})
+	imgs := c.imgs
+	c.imgs = [2]page.Buf{}
+	return imgs, true
+}
+
+// keep leaves the images just written to index twin with the chain,
+// reporting false when there is no chain to leave them with.
+func (c *Chain) keep(twin int, imgs [2]page.Buf) bool {
+	if c == nil {
+		return false
 	}
-	return s.flipCommitted(g, p, data, cachedOld)
+	c.twin, c.imgs = twin, imgs
+	return true
 }
 
 // flipCommitted performs the committed small-write on a clean group of a
@@ -175,12 +230,17 @@ func (s *Store) WriteCommitted(p page.PageID, data, cachedOld page.Buf) error {
 // partner already holds ComputeQ(S) (the lockstep invariant, see
 // DESIGN.md), so recovery's Figure 7 arbitration over P headers alone
 // also selects a usable Q.
-func (s *Store) flipCommitted(g page.GroupID, p page.PageID, data, cachedOld page.Buf) error {
-	imgs, err := s.smallWriteParity(g, s.currentTwin(g), p, cachedOld, data)
+func (s *Store) flipCommitted(g page.GroupID, p page.PageID, data, cachedOld page.Buf, c *Chain) error {
+	imgs, err := s.smallWriteParity(g, s.currentTwin(g), p, cachedOld, data, c)
 	if err != nil {
 		return err
 	}
-	defer s.Pages.Put(imgs[:]...)
+	kept := false
+	defer func() {
+		if !kept {
+			s.Pages.Put(imgs[:]...)
+		}
+	}()
 	obsolete := s.Twins.Obsolete(g)
 	ts := s.TM.NextTimestamp()
 	meta := disk.Meta{State: disk.StateCommitted, Timestamp: ts, DirtyPage: p, PairedSet: true}
@@ -188,7 +248,28 @@ func (s *Store) flipCommitted(g page.GroupID, p page.PageID, data, cachedOld pag
 		return err
 	}
 	s.Twins.Promote(g, obsolete)
-	return s.writeData(p, data, disk.Meta{Timestamp: ts})
+	if c == nil {
+		return s.writeData(p, data, disk.Meta{Timestamp: ts})
+	}
+	// A link of a chain: the index just written is read back, into the
+	// pages it was written from, beside the data write.  Verified, those
+	// pages are the next link's old redundancy.  (back: the closure gets a
+	// copy of the array, or imgs would move to the heap in every flip.)
+	eqs, back := s.Arr.Equations(), imgs
+	var unread [2]bool
+	err = s.Arr.Together(1+len(eqs), func(i int) error {
+		if i == 0 {
+			return s.writeData(p, data, disk.Meta{Timestamp: ts})
+		}
+		eq := eqs[i-1]
+		_, _, e := s.Arr.Read(g, eq.Twin(obsolete), back[eq])
+		unread[eq] = e != nil
+		return nil
+	})
+	if err == nil && unread == [2]bool{} {
+		kept = c.keep(obsolete, imgs)
+	}
+	return err
 }
 
 // oldForSmallWrite fetches the page's on-disk contents when the
@@ -204,14 +285,18 @@ func (s *Store) oldForSmallWrite(p page.PageID, cachedOld page.Buf) (old, scratc
 // over page p from the given twin index, one per equation (indexed by
 // diskarray.Eq; nil for an equation the array does not keep):
 // P_new = P ⊕ D_old ⊕ D_new and Q_new = Q ⊕ g^i·(D_old ⊕ D_new).  The
-// images are pages from s.Pages that the old redundancy was read into and
-// the update folded into in place; the caller writes them out and puts
-// them back.  Width-1 (mirrored) groups get copies of the data with no
-// reads at all.
-func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cachedOld, data page.Buf) (imgs [2]page.Buf, err error) {
+// images are pages from s.Pages that the old redundancy was read into — or
+// the pages chain c (nil: none) carries for that index, which then cost no
+// read — and the update folded into in place; the caller writes them out
+// and puts them back.  Width-1 (mirrored) groups get copies of the data
+// with no reads at all.
+func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cachedOld, data page.Buf, c *Chain) (imgs [2]page.Buf, err error) {
 	eqs := s.Arr.Equations()
-	for _, eq := range eqs {
-		imgs[eq] = s.Pages.Get()
+	imgs, carried := c.take(g, twin)
+	if !carried {
+		for _, eq := range eqs {
+			imgs[eq] = s.Pages.Get()
+		}
 	}
 	if s.Arr.GroupWidth() == 1 {
 		for _, eq := range eqs {
@@ -226,9 +311,13 @@ func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cached
 	if cachedOld != nil {
 		first = 1 // a=3: the old contents came along
 	}
+	last := 1 + len(eqs)
+	if carried {
+		last = 1 // and so did the old redundancy
+	}
 	var scratch page.Buf
 	defer func() { s.Pages.Put(scratch) }()
-	err = s.Arr.Together(1+len(eqs)-first, func(i int) error {
+	err = s.Arr.Together(last-first, func(i int) error {
 		var e error
 		if i += first; i == 0 {
 			oldData, scratch, e = s.oldOnDisk(p, nil)
@@ -284,7 +373,12 @@ func (s *Store) CanStealNoLog(p page.PageID, tx page.TxID) bool {
 // drives), each safe under the group latch the caller holds, so a
 // pipelined commit overlaps one transaction's steals across parity
 // groups.
-func (s *Store) StealNoLog(p page.PageID, data, cachedOld page.Buf, t *txn.Txn) error {
+//
+// As the last link of chain c (nil: on its own) the steal takes the
+// committed index the flip before it wrote, read back and verified, as its
+// old redundancy; the group being dirty from here on, it leaves nothing.
+func (s *Store) StealNoLog(p page.PageID, data, cachedOld page.Buf, t *txn.Txn, c *Chain) error {
+	defer c.Release()
 	if s.Dirty == nil {
 		return fmt.Errorf("core: StealNoLog without RDA recovery")
 	}
@@ -305,7 +399,7 @@ func (s *Store) StealNoLog(p page.PageID, data, cachedOld page.Buf, t *txn.Txn) 
 	if entry, dirty := s.Dirty.Lookup(g); dirty {
 		from, twin = entry.WorkingTwin, entry.WorkingTwin
 	}
-	imgs, err := s.smallWriteParity(g, from, p, cachedOld, data)
+	imgs, err := s.smallWriteParity(g, from, p, cachedOld, data, c)
 	if err != nil {
 		return err
 	}
@@ -334,12 +428,18 @@ func (s *Store) StealNoLog(p page.PageID, data, cachedOld page.Buf, t *txn.Txn) 
 // version survives the write, which is what lets a degraded restart fall
 // back to it when a crash cuts a flip in half (see flipCommitted).
 // Single-parity arrays do the classic in-place read-modify-write.
-func (s *Store) WriteLogged(p page.PageID, data, cachedOld page.Buf) error {
+//
+// Only the flip takes its old redundancy from, and leaves its new with,
+// chain c (nil: a write on its own); a write that changes the group's
+// redundancy any other way ends the chain.
+func (s *Store) WriteLogged(p page.PageID, data, cachedOld page.Buf, c *Chain) error {
 	g := s.Arr.GroupOf(p)
 	if s.writeDegradedNeeded(g, p) {
+		c.Release()
 		return s.writeDegraded(p, data)
 	}
 	if s.Dirty != nil && s.Dirty.IsDirty(g) {
+		c.Release()
 		oldData, scratch, err := s.oldOnDisk(p, cachedOld)
 		defer s.Pages.Put(scratch)
 		if err != nil {
@@ -351,7 +451,7 @@ func (s *Store) WriteLogged(p page.PageID, data, cachedOld page.Buf) error {
 		return s.writeData(p, data, disk.Meta{})
 	}
 	if s.Twins != nil {
-		return s.flipCommitted(g, p, data, cachedOld)
+		return s.flipCommitted(g, p, data, cachedOld, c)
 	}
 	oldData, scratch, err := s.oldForSmallWrite(p, cachedOld)
 	defer s.Pages.Put(scratch)

@@ -60,7 +60,7 @@ func TestStealNoLogAndAbortUndo(t *testing.T) {
 	if !s.CanStealNoLog(p, tx.ID) {
 		t.Fatalf("clean group must allow the no-log steal")
 	}
-	if err := s.StealNoLog(p, uncommitted, committed, tx); err != nil {
+	if err := s.StealNoLog(p, uncommitted, committed, tx, nil); err != nil {
 		t.Fatal(err)
 	}
 	g := s.Arr.GroupOf(p)
@@ -116,13 +116,13 @@ func TestResteaUndoRestoresOriginal(t *testing.T) {
 	tx := s.TM.Begin()
 	v1 := pattern(page.MinSize, 0x40)
 	v2 := pattern(page.MinSize, 0xC0)
-	if err := s.StealNoLog(p, v1, committed, tx); err != nil {
+	if err := s.StealNoLog(p, v1, committed, tx, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !s.CanStealNoLog(p, tx.ID) {
 		t.Fatalf("re-steal of same page/txn must be allowed")
 	}
-	if err := s.StealNoLog(p, v2, v1, tx); err != nil {
+	if err := s.StealNoLog(p, v2, v1, tx, nil); err != nil {
 		t.Fatal(err)
 	}
 	g := s.Arr.GroupOf(p)
@@ -144,7 +144,7 @@ func TestCommitGroupsPromotesWorkingTwin(t *testing.T) {
 	g := s.Arr.GroupOf(p)
 	tx := s.TM.Begin()
 	v := pattern(page.MinSize, 0x22)
-	if err := s.StealNoLog(p, v, nil, tx); err != nil {
+	if err := s.StealNoLog(p, v, nil, tx, nil); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := s.Dirty.Lookup(g)
@@ -178,7 +178,7 @@ func TestWriteLoggedToDirtyGroupUpdatesBothTwins(t *testing.T) {
 	// Txn A dirties the group via p1 (no logging).
 	txA := s.TM.Begin()
 	v1 := pattern(page.MinSize, 0x55)
-	if err := s.StealNoLog(p1, v1, base1, txA); err != nil {
+	if err := s.StealNoLog(p1, v1, base1, txA, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Txn B writes p2; the Dirty_Set forbids the fast path.
@@ -186,11 +186,11 @@ func TestWriteLoggedToDirtyGroupUpdatesBothTwins(t *testing.T) {
 	if s.CanStealNoLog(p2, txB.ID) {
 		t.Fatalf("second page of a dirty group must not take the fast path")
 	}
-	if err := s.StealNoLog(p2, base2, base2, txB); !errors.Is(err, ErrMustLog) {
+	if err := s.StealNoLog(p2, base2, base2, txB, nil); !errors.Is(err, ErrMustLog) {
 		t.Fatalf("err = %v, want ErrMustLog", err)
 	}
 	v2 := pattern(page.MinSize, 0x66)
-	if err := s.WriteLogged(p2, v2, base2); err != nil {
+	if err := s.WriteLogged(p2, v2, base2, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -239,7 +239,7 @@ func TestScanWorkingTwinsAndCrashUndo(t *testing.T) {
 			t.Fatal(err)
 		}
 		committedData[p] = base
-		if err := s.StealNoLog(p, pattern(page.MinSize, byte(0xA0+i)), base, tx); err != nil {
+		if err := s.StealNoLog(p, pattern(page.MinSize, byte(0xA0+i)), base, tx, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +380,7 @@ func TestRandomizedParityInvariant(t *testing.T) {
 			r.Read(v)
 			tx := s.TM.Begin()
 			if s.CanStealNoLog(p, tx.ID) {
-				if err := s.StealNoLog(p, v, nil, tx); err != nil {
+				if err := s.StealNoLog(p, v, nil, tx, nil); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				open = append(open, &pending{tx: tx, pages: map[page.PageID]page.Buf{p: v}})
@@ -449,7 +449,7 @@ func TestStealWritesTagAndWorkingHeader(t *testing.T) {
 	}
 	for g := page.GroupID(0); g < 3; g++ {
 		p := s.Arr.GroupPages(g)[0]
-		if err := s.StealNoLog(p, pattern(page.MinSize, byte(g)), nil, tx); err != nil {
+		if err := s.StealNoLog(p, pattern(page.MinSize, byte(g)), nil, tx, nil); err != nil {
 			t.Fatal(err)
 		}
 		data, committed, working := headers(g, p)
@@ -462,7 +462,7 @@ func TestStealWritesTagAndWorkingHeader(t *testing.T) {
 		if committed.State != disk.StateCommitted || s.Twins.Current(g) != 0 {
 			t.Fatalf("group %d: the steal disturbed the committed twin: %+v", g, committed)
 		}
-		if err := s.StealNoLog(p, pattern(page.MinSize, byte(g+9)), nil, tx); err != nil {
+		if err := s.StealNoLog(p, pattern(page.MinSize, byte(g+9)), nil, tx, nil); err != nil {
 			t.Fatal(err)
 		}
 		data2, _, working2 := headers(g, p)

@@ -27,7 +27,8 @@ func allocatedPer(n int, fn func()) float64 {
 // redundancy images of a write: they are drawn from Store.Pages and go
 // back when the write returns, so a warmed store writes — healthy small
 // writes on every organization, updates of both twins of a dirty group,
-// a redundancy page recomputed from its group, a hard walk's visit to a
+// a chain of writes through one group, a redundancy page recomputed from
+// its group, a hard walk's visit to a
 // group, and degraded P+Q writes and reads — without allocating a page, and
 // the parity invariant holds throughout.
 func TestWritesReuseTheirRedundancyPages(t *testing.T) {
@@ -74,17 +75,61 @@ func TestWritesReuseTheirRedundancyPages(t *testing.T) {
 	// A dirty group: logged writes of a sibling page update both twins.
 	s := build(diskarray.RAID5Twin, true)
 	tx := s.TM.Begin()
-	if err := s.StealNoLog(0, pattern(size, 9), nil, tx); err != nil {
+	if err := s.StealNoLog(0, pattern(size, 9), nil, tx, nil); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
 	check("both twins", s, allocatedPer(200, func() {
 		i++
 		data[0] = byte(i)
-		if err := s.WriteLogged(1, data, nil); err != nil {
+		if err := s.WriteLogged(1, data, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}))
+
+	// A chain through a clean group: two logged flips and a steal hand the
+	// images they wrote and read back from one to the next.  In the second
+	// row the steal goes its own way while the chain still carries, and the
+	// write the chain cannot serve (the group is dirty by then) ends it.
+	// Either way the pages are back on the list afterwards.  A chain is four
+	// writes and several closures, so it is held to one page a chain where
+	// the other rows are held to half a page a write.
+	for _, row := range []struct {
+		name    string
+		chained bool // the steal is a link of the chain
+	}{{"chain", true}, {"chain, ended early", false}} {
+		s = build(diskarray.RAID5Twin, true)
+		idle, tx, pages := -1, s.TM.Begin(), s.Arr.GroupPages(4)
+		check(row.name, s, allocatedPer(200, func() {
+			i++
+			data[0] = byte(i)
+			c := s.Chain(4)
+			last := c
+			if !row.chained {
+				last = nil
+			}
+			err := s.WriteLogged(pages[0], data, nil, c)
+			if err == nil {
+				err = s.WriteLogged(pages[1], data, nil, c)
+			}
+			if err == nil {
+				err = s.StealNoLog(pages[2], data, nil, tx, last)
+			}
+			if err == nil {
+				err = s.WriteLogged(pages[3], data, nil, c)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Release()
+			s.CommitGroups(tx)
+			if idle < 0 {
+				idle = s.Pages.Len()
+			} else if n := s.Pages.Len(); n != idle {
+				t.Fatalf("the free list holds %d pages after a chain, %d after the one before", n, idle)
+			}
+		})/2)
+	}
 
 	// A redundancy page recomputed from the platter: the group is read into
 	// pages from the list and the page computed in one more.

@@ -92,7 +92,7 @@ func TestScrubRepairsObsoleteTwin(t *testing.T) {
 func TestScrubRefusesDirtyStore(t *testing.T) {
 	s := newStore(t, diskarray.RAID5Twin)
 	tx := s.TM.Begin()
-	if err := s.StealNoLog(0, pattern(page.MinSize, 7), nil, tx); err != nil {
+	if err := s.StealNoLog(0, pattern(page.MinSize, 7), nil, tx, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Scrub(); err == nil || !strings.Contains(err.Error(), "quiesced") {
@@ -148,7 +148,7 @@ func TestBulkLoadCore(t *testing.T) {
 func TestBulkLoadRejectsDirtyGroupAndBadSize(t *testing.T) {
 	s := newStore(t, diskarray.RAID5Twin)
 	tx := s.TM.Begin()
-	if err := s.StealNoLog(0, pattern(page.MinSize, 1), nil, tx); err != nil {
+	if err := s.StealNoLog(0, pattern(page.MinSize, 1), nil, tx, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.BulkLoad(0, []page.Buf{pattern(page.MinSize, 2)}); err == nil ||

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/diskarray"
@@ -222,5 +225,61 @@ func TestSolveTransferCounts(t *testing.T) {
 				t.Errorf("%s (queued %v): %d reads, want %d", c.name, queued, got, c.reads)
 			}
 		}
+	}
+}
+
+// heldWrite is a disk.Injector that holds the write of one block until a
+// read of another has reached its drive.
+type heldWrite struct {
+	hold, until diskarray.Loc
+	seen        chan struct{}
+	once        sync.Once
+}
+
+func (h *heldWrite) Observe(a disk.Access) disk.Decision {
+	loc := diskarray.Loc{Disk: a.Disk, Block: a.Block}
+	switch {
+	case a.Op == disk.OpRead && loc == h.until:
+		h.once.Do(func() { close(h.seen) })
+	case a.Op == disk.OpWrite && loc == h.hold:
+		select {
+		case <-h.seen:
+		case <-time.After(10 * time.Second): // only ever reached by a flip that reads back afterwards
+			return disk.Decision{Err: errors.New("the read-back did not go out beside the data write")}
+		}
+	}
+	return disk.Decision{}
+}
+
+// TestChainedFlipReadsBackBesideItsDataWrite: on queued drives a link of a
+// chain has its data write and the read-back of the index it has just
+// written outstanding together — the data write here cannot finish before
+// the read-back has started — and the steal that follows is handed the
+// image and reads no redundancy of its own.
+func TestChainedFlipReadsBackBesideItsDataWrite(t *testing.T) {
+	s, want := pqStore(t, true)
+	pages := s.Arr.GroupPages(0)
+	h := &heldWrite{
+		hold:  s.Arr.DataLoc(pages[0]),
+		until: s.Arr.Loc(0, diskarray.P.Twin(s.Twins.Obsolete(0))),
+		seen:  make(chan struct{}),
+	}
+	s.Arr.SetInjector(h)
+	c := s.Chain(0)
+	defer c.Release()
+	if err := s.WriteLogged(pages[0], pattern(page.MinSize, 0x51), want[0], c); err != nil {
+		t.Fatal(err)
+	}
+	var reads readCounter
+	s.Arr.SetInjector(&reads)
+	if err := s.StealNoLog(pages[1], pattern(page.MinSize, 0x52), want[1], s.TM.Begin(), c); err != nil {
+		t.Fatal(err)
+	}
+	if n := reads.n.Load(); n != 0 {
+		t.Fatalf("the steal after a chained flip made %d read(s), want none: its old contents and its old redundancy came along", n)
+	}
+	s.Arr.SetInjector(nil)
+	if err := s.VerifyParityInvariant(); err != nil {
+		t.Fatal(err)
 	}
 }

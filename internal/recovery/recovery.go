@@ -1007,7 +1007,7 @@ func (ap *applier) apply(imgs []wal.Record, committed bool) (applied int, wrote 
 	if committed {
 		err = s.WriteCommitted(p, cur, old)
 	} else {
-		err = s.WriteLogged(p, cur, old)
+		err = s.WriteLogged(p, cur, old, nil)
 	}
 	return len(imgs), err == nil, err
 }

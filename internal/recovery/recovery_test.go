@@ -102,7 +102,7 @@ func TestCrashRecoverLaundersWinnerTwins(t *testing.T) {
 	data := page.NewBuf(page.MinSize)
 	data[0] = 0xAA
 	s.Log.Append(wal.Record{Type: wal.TypeBOT, Txn: tx.ID, Slot: wal.NoSlot})
-	if err := s.StealNoLog(3, data, nil, tx); err != nil {
+	if err := s.StealNoLog(3, data, nil, tx, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Log.Append(wal.Record{Type: wal.TypeEOT, Txn: tx.ID, Slot: wal.NoSlot})
@@ -144,7 +144,7 @@ func TestRecoverMediaRejectsMissingBeforeImage(t *testing.T) {
 	tx := s.TM.Begin()
 	data := page.NewBuf(page.MinSize)
 	data[0] = 1
-	if err := s.StealNoLog(0, data, nil, tx); err != nil {
+	if err := s.StealNoLog(0, data, nil, tx, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Fail the disk holding the group's COMMITTED twin while the group
@@ -173,7 +173,7 @@ func TestRecoverMediaWithBeforeImage(t *testing.T) {
 	tx := s.TM.Begin()
 	newData := page.NewBuf(page.MinSize)
 	newData[0] = 0x22
-	if err := s.StealNoLog(0, newData, base, tx); err != nil {
+	if err := s.StealNoLog(0, newData, base, tx, nil); err != nil {
 		t.Fatal(err)
 	}
 	g := s.Arr.GroupOf(0)
@@ -301,7 +301,7 @@ func TestRecoverMediaMultiDirtyCommittedPlusData(t *testing.T) {
 	tx := s.TM.Begin()
 	dirtyPage := pages[0]
 	newData := pattern(page.MinSize, 0xC7)
-	if err := s.StealNoLog(dirtyPage, newData, base[dirtyPage], tx); err != nil {
+	if err := s.StealNoLog(dirtyPage, newData, base[dirtyPage], tx, nil); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := s.Dirty.Lookup(g)
@@ -376,7 +376,7 @@ func TestRecoverMediaMultiDirtyWorkingPlusData(t *testing.T) {
 		}
 		dirtyPage, victim := pages[0], pages[2]
 		newData := pattern(page.MinSize, 0x9B)
-		if err := s.StealNoLog(dirtyPage, newData, base[dirtyPage], s.TM.Begin()); err != nil {
+		if err := s.StealNoLog(dirtyPage, newData, base[dirtyPage], s.TM.Begin(), nil); err != nil {
 			t.Fatal(err)
 		}
 		e, _ := s.Dirty.Lookup(g)

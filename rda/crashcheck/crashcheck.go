@@ -55,6 +55,11 @@ type Options struct {
 	// through the paper's no-UNDO-logging path — the state the crash
 	// sweep most needs to interrupt.
 	OpsPerTx int
+	// Frames is the buffer pool's size (default 6).  At 6 most pages are
+	// evicted before EOT, so a commit rarely holds two resident pages of one
+	// parity group; 16 keeps a transaction's pages resident and sends its
+	// EOT flush through the per-group chain (rda's flushGroup).
+	Frames int
 	// Dead is the number of drives dead from the start (0, 1, or 2 with
 	// QParity): Sweep runs its families under that many faildisk[d]@w0
 	// rules, Soak prefixes every generated schedule with them and draws
@@ -137,17 +142,22 @@ func (o *Options) fill() {
 	if o.OpsPerTx <= 0 {
 		o.OpsPerTx = 10
 	}
+	if o.Frames <= 0 {
+		o.Frames = 6
+	}
 }
 
 // dbConfig is the explorer's geometry: small enough that an exhaustive
-// sweep stays cheap, with fewer buffer frames than the working set so
-// eviction steals (the paper's no-UNDO-logging path) actually happen.
+// sweep stays cheap, with — by default — fewer buffer frames than the
+// working set so eviction steals (the paper's no-UNDO-logging path)
+// actually happen.
 func dbConfig(opts Options) rda.Config {
+	opts.fill()
 	cfg := rda.Config{
 		DataDisks:    4,
 		NumPages:     numPages,
 		PageSize:     pageSize,
-		BufferFrames: 6,
+		BufferFrames: opts.Frames,
 		Layout:       opts.Layout,
 		Logging:      rda.PageLogging,
 		EOT:          rda.Force,

@@ -113,6 +113,14 @@ type counts struct {
 // recovery and integrity counts recorded at ab08b1e, before the eleven entry
 // points became three (EXPERIMENTS.md has the full table).  Data striping
 // first, parity striping second.
+//
+// PR 23 re-recorded the rows whose workloads commit two resident pages of
+// one group (the EOT flush chain: no self-demotion, so one header rewrite
+// per equation fewer each time): the parity-striping queued sweep (54 → 53
+// writes) and the soaks, whose derived workloads are longer and whose
+// schedules are drawn against the write count, so every count after the
+// first shorter workload moves with it.  The exhaustive 6-frame sweeps on
+// synchronous drives stand: their pages are evicted before the EOT.
 func TestSweepCounts(t *testing.T) {
 	for _, row := range []struct {
 		opts  Options
@@ -123,7 +131,13 @@ func TestSweepCounts(t *testing.T) {
 		{opts: Options{Seed: 1, Txns: 4}, want: [2]counts{{runs: 52, writes: 52}, {runs: 54, writes: 54}}},
 		{opts: Options{Seed: 1, Txns: 4, Torn: true}, want: [2]counts{{runs: 52, writes: 52}, {runs: 54, writes: 54}}},
 		{opts: Options{Seed: 1, Txns: 4, NoForce: true}, want: [2]counts{{runs: 66, writes: 66}, {runs: 67, writes: 67}}},
-		{opts: Options{Seed: 1, Txns: 4, QueueDepth: 8}, want: [2]counts{{runs: 52, writes: 52}, {runs: 54, writes: 54}}},
+		{opts: Options{Seed: 1, Txns: 4, QueueDepth: 8}, want: [2]counts{{runs: 52, writes: 52}, {runs: 53, writes: 53}}},
+		// Sixteen frames keep a transaction's pages to its EOT: the sweeps that
+		// cut inside the flush chain (32 and 49 writes on data striping when
+		// every second page demoted the first one's steal).
+		{opts: Options{Seed: 1, Txns: 4, Frames: 16}, want: [2]counts{{runs: 30, writes: 30}, {runs: 34, writes: 34}}},
+		{opts: Options{Seed: 1, Txns: 4, Frames: 16, QParity: true}, want: [2]counts{{runs: 45, writes: 45}, {runs: 48, writes: 48}}},
+		{opts: Options{Seed: 1, Txns: 4, Frames: 16, QueueDepth: 8}, want: [2]counts{{runs: 30, writes: 30}, {runs: 30, writes: 30}}},
 		{opts: Options{Seed: 1, Txns: 3, Dead: 1}, want: [2]counts{
 			{runs: 94, writes: 38, undos: 29, deferred: 356, lossRuns: 9, lost: 12},
 			{runs: 93, writes: 35, undos: 22, deferred: 340, lossRuns: 10, lost: 11}}},
@@ -139,19 +153,19 @@ func TestSweepCounts(t *testing.T) {
 		{opts: Options{Seed: 1, Txns: 4, Dead: 2, QParity: true, Torn: true}, want: [2]counts{
 			{runs: 152, writes: 60, deferred: 1134, lossRuns: 29, lost: 40},
 			{runs: 149, writes: 55, deferred: 1554, lossRuns: 18, lost: 24}}},
-		{opts: Options{Seed: 7}, soak: Crashes, iters: 200, want: [2]counts{{runs: 200, writes: 116}, {runs: 200, writes: 121}}},
-		{opts: Options{Seed: 7, Workers: 4}, soak: Crashes, iters: 20, want: [2]counts{{runs: 20, writes: 134}, {runs: 20, writes: 133}}},
+		{opts: Options{Seed: 7}, soak: Crashes, iters: 200, want: [2]counts{{runs: 200, writes: 115}, {runs: 200, writes: 121}}},
+		{opts: Options{Seed: 7, Workers: 4}, soak: Crashes, iters: 20, want: [2]counts{{runs: 20, writes: 130}, {runs: 20, writes: 131}}},
 		// The mix soak's degraded-recovery sums were computed and dropped at
 		// ab08b1e; recorded when Soak first folded them.
 		{opts: Options{Seed: 7, TransientEvery: 50}, soak: Mix, iters: 40, want: [2]counts{
-			{runs: 40, writes: 133, undos: 2, deferred: 44},
-			{runs: 40, writes: 137, deferred: 40, lossRuns: 3, lost: 3}}},
+			{runs: 40, writes: 130, undos: 2, deferred: 36, lossRuns: 1, lost: 1},
+			{runs: 40, writes: 137, undos: 3, deferred: 40, lossRuns: 3, lost: 3}}},
 		{opts: Options{Seed: 7, Scrub: true}, soak: Corrupt, iters: 100, want: [2]counts{
-			{runs: 100, writes: 126, detected: 79, read: 18, scrubbed: 30, scanned: 2000},
-			{runs: 100, writes: 129, detected: 105, read: 42, scrubbed: 29, scanned: 2000}}},
+			{runs: 100, writes: 122, detected: 87, read: 25, scrubbed: 32, scanned: 2000},
+			{runs: 100, writes: 127, detected: 96, read: 38, scrubbed: 28, scanned: 2000}}},
 		{opts: Options{Seed: 42, Scrub: true}, soak: Corrupt, iters: 25, want: [2]counts{
-			{runs: 25, writes: 106, detected: 19, read: 9, scrubbed: 5, scanned: 500},
-			{runs: 25, writes: 101, detected: 21, read: 5, scrubbed: 7, scanned: 500}}},
+			{runs: 25, writes: 116, detected: 19, read: 9, scrubbed: 7, scanned: 500},
+			{runs: 25, writes: 101, detected: 18, read: 5, scrubbed: 7, scanned: 500}}},
 	} {
 		if testing.Short() && (row.iters > 50 || row.opts.Dead == 2) {
 			continue

@@ -232,13 +232,17 @@ func Open(cfg Config) (*DB, error) {
 // policies.  FORCE keeps disk versions in dirty frames (the paper's a=3
 // small writes); ¬FORCE does not (a=4; Section 5.2.2).
 func (db *DB) newPool() *buffer.Pool {
-	// Misses are serialized by the pool's mutex and the pool copies the
-	// image into the frame's own buffer before releasing it, so every
-	// fetch reads into the same page.
-	scratch := page.NewBuf(db.cfg.PageSize)
-	p := buffer.New(db.cfg.BufferFrames, db.cfg.PageSize,
-		func(id page.PageID) (page.Buf, error) { return db.store.ReadPage(id, scratch) }, db.writeBack)
+	p := buffer.New(db.cfg.BufferFrames, db.cfg.PageSize, nil, db.writeBack)
 	p.KeepDiskVersions = db.cfg.EOT == Force
+	// A miss reads straight into its frame, outside the pool's mutex; only
+	// a repaired image comes back in a page of its own.
+	p.FetchInto = func(id page.PageID, dst page.Buf) error {
+		b, err := db.store.ReadPage(id, dst)
+		if err == nil && &b[0] != &dst[0] {
+			copy(dst, b)
+		}
+		return err
+	}
 	return p
 }
 
@@ -467,34 +471,14 @@ func (db *DB) syncHealth() bool {
 // serializes the group's steal protocol; a failure that kills a disk
 // surfaces to the operation, whose healWorld retry re-runs the write-back
 // through the degraded protocol (the lazy log appends are idempotent).
+//
+// It decides one page at a time.  A committing transaction's EOT flush of
+// a clean group decides for the group instead (flushGroup) and calls the
+// same two helpers.
 func (db *DB) writeBack(f *buffer.Frame) error {
-	old := f.DiskVersion // nil under ¬FORCE: the store re-reads (a=4)
-
 	mods := f.ModifierList()
-
-	if db.cfg.RDA && len(mods) == 1 && !f.Residue {
-		st := db.getState(mods[0])
-		if st != nil && db.store.CanStealNoLog(f.Page, st.t.ID) {
-			db.ensureBOT(st)
-			oldOnDisk := old
-			if oldOnDisk == nil {
-				var err error
-				oldOnDisk, err = db.store.ReadPage(f.Page, nil)
-				if err != nil {
-					return err
-				}
-			}
-			// The before-image bookkeeping is shared across the owner's
-			// goroutines and serializes under st.mu; the steal's disk
-			// transfers touch only per-group state and run outside it, so
-			// a pipelined commit's per-group flushes overlap.
-			st.mu.Lock()
-			if _, ok := st.stolenBefore[f.Page]; !ok {
-				st.stolenBefore[f.Page] = db.snapshotPage(oldOnDisk)
-			}
-			st.mu.Unlock()
-			return db.store.StealNoLog(f.Page, f.Data, oldOnDisk, st.t)
-		}
+	if st := db.stealer(f, mods); st != nil {
+		return db.stealFrame(f, st, nil)
 	}
 
 	// Any other write into a dirty group would have to XOR-update both
@@ -502,7 +486,10 @@ func (db *DB) writeBack(f *buffer.Frame) error {
 	// leave neither twin describing a recoverable view.  Demote the
 	// group's no-logging steal to a logged one first: the write below
 	// then lands in a clean group through the crash-safe single-twin
-	// protocol.
+	// protocol.  Reached by eviction, by a group-sharer's flush and by an
+	// EOT flush that found the group already dirty — never by a
+	// transaction's EOT flush of a clean group, which orders its pages so
+	// that its one steal comes last.
 	if db.cfg.RDA {
 		g := db.arr.GroupOf(f.Page)
 		if e, dirty := db.store.Dirty.Lookup(g); dirty {
@@ -513,11 +500,56 @@ func (db *DB) writeBack(f *buffer.Frame) error {
 	}
 
 	if len(mods) == 0 {
-		return db.store.WriteCommitted(f.Page, f.Data, old)
+		// nil under ¬FORCE: the store re-reads the old contents (a=4).
+		return db.store.WriteCommitted(f.Page, f.Data, f.DiskVersion)
 	}
+	return db.logFrame(f, mods, nil)
+}
 
-	// Logging path: make sure every active modifier's UNDO material for
-	// this page is on the log, then write in place.
+// stealer returns the transaction on whose behalf frame f may be written
+// back without UNDO logging — its only modifier, no committed residue in
+// the frame, and the Dirty_Set agrees (Figure 3) — or nil.
+func (db *DB) stealer(f *buffer.Frame, mods []page.TxID) *txState {
+	if !db.cfg.RDA || len(mods) != 1 || f.Residue {
+		return nil
+	}
+	st := db.getState(mods[0])
+	if st == nil || !db.store.CanStealNoLog(f.Page, st.t.ID) {
+		return nil
+	}
+	return st
+}
+
+// stealFrame is the RDA no-logging write of frame f on behalf of st, as the
+// last link of chain c when an EOT flush runs one through the group
+// (flushGroup), on its own when c is nil.
+func (db *DB) stealFrame(f *buffer.Frame, st *txState, c *core.Chain) error {
+	db.ensureBOT(st)
+	oldOnDisk := f.DiskVersion
+	if oldOnDisk == nil {
+		var err error
+		if oldOnDisk, err = db.store.ReadPage(f.Page, nil); err != nil {
+			return err
+		}
+	}
+	// The before-image bookkeeping is shared across the owner's
+	// goroutines and serializes under st.mu; the steal's disk
+	// transfers touch only per-group state and run outside it, so
+	// a pipelined commit's per-group flushes overlap.
+	st.mu.Lock()
+	if _, ok := st.stolenBefore[f.Page]; !ok {
+		st.stolenBefore[f.Page] = db.snapshotPage(oldOnDisk)
+	}
+	st.mu.Unlock()
+	return db.store.StealNoLog(f.Page, f.Data, oldOnDisk, st.t, c)
+}
+
+// logFrame is the logging write of frame f: every active modifier's UNDO
+// material for the page goes to the log first, then the page is written in
+// place (nil disk version under ¬FORCE: the store re-reads it, a=4) — as a
+// link of chain c when an EOT flush runs one through the group (flushGroup),
+// on its own when c is nil.
+func (db *DB) logFrame(f *buffer.Frame, mods []page.TxID, c *core.Chain) error {
 	for _, m := range mods {
 		st := db.getState(m)
 		if st == nil {
@@ -529,7 +561,7 @@ func (db *DB) writeBack(f *buffer.Frame) error {
 		st.stolenLogged[f.Page] = true
 		st.mu.Unlock()
 	}
-	return db.store.WriteLogged(f.Page, f.Data, old)
+	return db.store.WriteLogged(f.Page, f.Data, f.DiskVersion, c)
 }
 
 // ensureBOT lazily writes the transaction's BOT record; the paper

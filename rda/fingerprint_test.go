@@ -446,7 +446,7 @@ func fpRun(t *testing.T, sc fpScenario, online bool) []string {
 
 // fingerprintGolden holds the fingerprints recorded at the commit before
 // the P/Q unification (72c3d0f), keyed by scenario and rebuild kind, except
-// for the phases two later changes moved on purpose — CHANGES.md names the
+// for the phases later changes moved on purpose — CHANGES.md names the
 // reason for each:
 //
 //   - PR 16 (torn repair lost its degraded copies): restart-hard2 of
@@ -467,83 +467,102 @@ func fpRun(t *testing.T, sc fpScenario, online bool) []string {
 //     the soft restarts of the three dead-disk scenarios, whose groups all
 //     hold a block on a dead drive and are settled from the platter as
 //     before.  No w=, h= or platter= moved.
+//   - PR 23 (a FORCE commit flushes a clean group's pages logged-first,
+//     steal-last, the redundancy carried from flip to flip): the four
+//     FORCE scenarios that commit two resident pages of one group move from
+//     the workload phase on.  In that phase exactly the demotions' header
+//     rewrites went, one per equation and chain: twin-raid5 six chains,
+//     w=159 → 153; pq six, w=244 → 232; twin-raid5-one-dead and
+//     pq-one-dead one each, before the death, w=145 → 144 and w=209 → 207.
+//     Every chain there is k = 2 — one flip, then the steal, which reads
+//     the committed twin back from the platter — so no r= of that phase
+//     moved (241, 351, 327, 408 as before); a chain saves reads from the
+//     third page on.  Every later phase of those four moves with it: fewer
+//     timestamps are drawn (every hash), a committed chain leaves its last
+//     page's twin in the working state for the restart to launder where
+//     the demotion had committed it in place (restart w= of the two healthy
+//     scenarios), and the hard restarts cut at a write *index*, so with
+//     fewer writes per commit they fall in a different step of the
+//     workload.  load, pq-two-dead (every group degraded: no steal to
+//     order) and the two NoForce scenarios (no EOT flush) reproduce byte
+//     for byte.
 var fingerprintGolden = map[string][]string{
 	"twin-raid5/repair": {
 		"load: w=30 r=0 h=d5cb9f33f475de0c",
-		"workload: w=159 r=241 h=53251ff540f07a01",
-		"restart: w=14 r=24 h=626591a2172af98d",
-		"restart-hard0-workload: w=61 r=73 h=e4aae13d6308708e",
-		"restart-hard0: w=31 r=135 h=61010321b9c245fe",
-		"restart-hard1-workload: w=45 r=63 h=611dedd0099f8039",
-		"restart-hard1: w=24 r=113 h=b6e712f46196c4e2",
-		"restart-hard2-workload: w=34 r=43 h=a3907150e389b4d7",
-		"restart-hard2: w=17 r=106 h=b5de72f4e1529ba9",
-		"workload-after: w=51 r=57 h=2830b6d9c40825d6",
-		"platter=6fac615b1ffbb94d",
+		"workload: w=153 r=241 h=2d301c4ac4055c10",
+		"restart: w=17 r=24 h=92c9265413c3d649",
+		"restart-hard0-workload: w=62 r=75 h=7a5276f6a18c7db0",
+		"restart-hard0: w=32 r=141 h=f517bef544d83cce",
+		"restart-hard1-workload: w=45 r=51 h=79a28c9b2ee035cd",
+		"restart-hard1: w=28 r=125 h=4a5a2026e1447d15",
+		"restart-hard2-workload: w=34 r=47 h=52a3114ed26c5eac",
+		"restart-hard2: w=12 r=93 h=cdd23f497a856006",
+		"workload-after: w=79 r=82 h=9460c7062911c202",
+		"platter=c8750b527c479c04",
 	},
 	"twin-raid5-one-dead/repair": {
 		"load: w=30 r=0 h=d5cb9f33f475de0c",
-		"workload: w=145 r=351 h=3a7b3987bf3088bd",
+		"workload: w=144 r=351 h=38320cf6ab4e65a3",
 		"restart: w=1 r=75 h=9379f8d7055a1b2d",
-		"restart-hard0-workload: w=61 r=141 h=4401d276bbbafc23",
-		"restart-hard0: w=20 r=157 h=3e9c867e704ba8fb",
-		"restart-hard1-workload: w=45 r=118 h=0ed7b88854bd1123",
-		"restart-hard1: w=9 r=130 h=46d52526462b2069",
-		"restart-hard2-workload: w=34 r=71 h=928213ce7a216725",
-		"restart-hard2: w=8 r=134 h=8d60d69a6619a735",
-		"workload-after: w=54 r=146 h=08b0f34c0338ac94",
+		"restart-hard0-workload: w=61 r=141 h=bb6afe30f62f8117",
+		"restart-hard0: w=20 r=157 h=7f98390244cb2c94",
+		"restart-hard1-workload: w=45 r=118 h=9a2c1480d211b261",
+		"restart-hard1: w=9 r=130 h=9fdb4eee7a96c56b",
+		"restart-hard2-workload: w=34 r=71 h=7aa97135a5d51edc",
+		"restart-hard2: w=8 r=134 h=8ddb2da533f5cca0",
+		"workload-after: w=54 r=146 h=d283fba7f4f1a9d1",
 		"platter=20262563481c53f9",
 	},
 	"twin-raid5-one-dead/rebuild": {
 		"load: w=30 r=0 h=d5cb9f33f475de0c",
-		"workload: w=145 r=351 h=3a7b3987bf3088bd",
+		"workload: w=144 r=351 h=38320cf6ab4e65a3",
 		"restart: w=1 r=75 h=9379f8d7055a1b2d",
-		"restart-hard0-workload: w=61 r=141 h=4401d276bbbafc23",
-		"restart-hard0: w=20 r=157 h=3e9c867e704ba8fb",
-		"restart-hard1-workload: w=45 r=118 h=0ed7b88854bd1123",
-		"restart-hard1: w=9 r=130 h=46d52526462b2069",
-		"restart-hard2-workload: w=34 r=71 h=928213ce7a216725",
-		"restart-hard2: w=8 r=134 h=8d60d69a6619a735",
-		"workload-after: w=54 r=146 h=08b0f34c0338ac94",
+		"restart-hard0-workload: w=61 r=141 h=bb6afe30f62f8117",
+		"restart-hard0: w=20 r=157 h=7f98390244cb2c94",
+		"restart-hard1-workload: w=45 r=118 h=9a2c1480d211b261",
+		"restart-hard1: w=9 r=130 h=9fdb4eee7a96c56b",
+		"restart-hard2-workload: w=34 r=71 h=7aa97135a5d51edc",
+		"restart-hard2: w=8 r=134 h=8ddb2da533f5cca0",
+		"workload-after: w=54 r=146 h=d283fba7f4f1a9d1",
 		"platter=20262563481c53f9",
 	},
 	"pq/repair": {
 		"load: w=36 r=0 h=77031149d39a77a1",
-		"workload: w=244 r=327 h=3fc1399813a2c390",
-		"restart: w=28 r=24 h=d8987035f3b4e6fa",
-		"restart-hard0-workload: w=61 r=66 h=7da6e31d6ab8a24c",
-		"restart-hard0: w=25 r=113 h=514f0e8b76c7319d",
-		"restart-hard1-workload: w=45 r=58 h=f22bf7c40e0f06ee",
-		"restart-hard1: w=25 r=122 h=d3de3f2a6f844710",
-		"restart-hard2-workload: w=34 r=36 h=85c3ed2a35ed3611",
-		"restart-hard2: w=23 r=133 h=d9f794106158d3ed",
-		"workload-after: w=109 r=112 h=4025aba69ee37698",
-		"platter=75335a141731b5b1",
+		"workload: w=232 r=327 h=f06f3006b564609f",
+		"restart: w=34 r=24 h=3af3fcba776925dc",
+		"restart-hard0-workload: w=61 r=69 h=b340b29d1d4351f7",
+		"restart-hard0: w=32 r=115 h=bd3ee8dd68c9a2dc",
+		"restart-hard1-workload: w=45 r=48 h=9fe4649c9573b14d",
+		"restart-hard1: w=20 r=137 h=533da4f61ac3f2de",
+		"restart-hard2-workload: w=34 r=43 h=ce8b6ac0f78b5be5",
+		"restart-hard2: w=27 r=142 h=66f37ec64b01068b",
+		"workload-after: w=86 r=92 h=29825fded393d95b",
+		"platter=4f8ed2d0bdcfde21",
 	},
 	"pq-one-dead/repair": {
 		"load: w=36 r=0 h=77031149d39a77a1",
-		"workload: w=209 r=408 h=e0049cdbca3bd994",
-		"restart: w=7 r=106 h=69d7a1ef392d4a8e",
-		"restart-hard0-workload: w=61 r=116 h=e6497c1dc28e9dd8",
-		"restart-hard0: w=16 r=177 h=fb9b4679ff45e1c8",
-		"restart-hard1-workload: w=45 r=93 h=4275cce4ed29a6a7",
-		"restart-hard1: w=14 r=186 h=fb6b7dedbd74bc4c",
-		"restart-hard2-workload: w=34 r=74 h=83bfb33ea504f863",
-		"restart-hard2: w=11 r=173 h=fbf8e7f5b60080b1",
-		"workload-after: w=45 r=73 h=a4c941fbae86ab54",
+		"workload: w=207 r=408 h=910eaaf5c25fa174",
+		"restart: w=7 r=106 h=c87d6bd3744369be",
+		"restart-hard0-workload: w=61 r=116 h=07037d6a84f0bd18",
+		"restart-hard0: w=16 r=177 h=0005a6d2f458fc1a",
+		"restart-hard1-workload: w=45 r=93 h=5db0c4bdc964ff7b",
+		"restart-hard1: w=14 r=186 h=f3f68a4365ae3d06",
+		"restart-hard2-workload: w=34 r=74 h=12d4057c7b277c97",
+		"restart-hard2: w=11 r=173 h=7175669780c6d42b",
+		"workload-after: w=45 r=73 h=f4dc1a36b4f64577",
 		"platter=1f69042f44d6a2a9",
 	},
 	"pq-one-dead/rebuild": {
 		"load: w=36 r=0 h=77031149d39a77a1",
-		"workload: w=209 r=408 h=e0049cdbca3bd994",
-		"restart: w=7 r=106 h=69d7a1ef392d4a8e",
-		"restart-hard0-workload: w=61 r=116 h=e6497c1dc28e9dd8",
-		"restart-hard0: w=16 r=177 h=fb9b4679ff45e1c8",
-		"restart-hard1-workload: w=45 r=93 h=4275cce4ed29a6a7",
-		"restart-hard1: w=14 r=186 h=fb6b7dedbd74bc4c",
-		"restart-hard2-workload: w=34 r=74 h=83bfb33ea504f863",
-		"restart-hard2: w=11 r=173 h=fbf8e7f5b60080b1",
-		"workload-after: w=45 r=73 h=a4c941fbae86ab54",
+		"workload: w=207 r=408 h=910eaaf5c25fa174",
+		"restart: w=7 r=106 h=c87d6bd3744369be",
+		"restart-hard0-workload: w=61 r=116 h=07037d6a84f0bd18",
+		"restart-hard0: w=16 r=177 h=0005a6d2f458fc1a",
+		"restart-hard1-workload: w=45 r=93 h=5db0c4bdc964ff7b",
+		"restart-hard1: w=14 r=186 h=f3f68a4365ae3d06",
+		"restart-hard2-workload: w=34 r=74 h=12d4057c7b277c97",
+		"restart-hard2: w=11 r=173 h=7175669780c6d42b",
+		"workload-after: w=45 r=73 h=f4dc1a36b4f64577",
 		"platter=1f69042f44d6a2a9",
 	},
 	"pq-two-dead/repair": {

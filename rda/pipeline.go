@@ -5,20 +5,24 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/page"
 	"repro/internal/wal"
 )
 
-// FORCE-at-EOT flushing.  The synchronous path flushes the modified
-// pages one at a time in page order — deterministic, required for
-// byte-replayable crash schedules.  The pipelined path (QueueDepth > 1)
-// fans the flush out by parity group: groups are independent (the caller
-// holds every group's latch, and the store's group-striped protocol
-// already allows concurrent commits on disjoint groups), so their disk
-// work overlaps across drives.  Within a group, a flush that covers the
-// whole stripe collapses into one parity write plus the data writes (see
-// core.WriteStripeLogged); anything else falls back to per-page flushes.
+// FORCE-at-EOT flushing.  The modified pages are flushed one run of a
+// parity group after the other through flushGroup, which decides once for
+// the run what the steal policy (writeBack) would otherwise decide page by
+// page.  The synchronous path walks the pages in page order —
+// deterministic, required for byte-replayable crash schedules — and a run
+// is as much of one group as lies together in that order: all of it under
+// data striping, often a single page under parity striping, whose groups'
+// pages are a disk apart.  The pipelined path (QueueDepth > 1) gathers
+// every group's pages into one run and fans the groups out: they are
+// independent (the caller holds every group's latch, and the store's
+// group-striped protocol already allows concurrent commits on disjoint
+// groups), so their disk work overlaps across drives.
 
 // flushForce writes the transaction's modified pages to the array, as
 // FORCE EOT processing requires.  Caller holds all modified groups'
@@ -26,6 +30,74 @@ import (
 func (db *DB) flushForce(st *txState) error {
 	pages := sortedPages(st.t.Modified)
 	if !db.arr.Queued() {
+		for len(pages) > 0 {
+			g, n := db.groupRun(pages)
+			if err := db.flushGroup(st, g, pages[:n]); err != nil {
+				return err
+			}
+			pages = pages[n:]
+		}
+		return nil
+	}
+	sort.SliceStable(pages, func(i, j int) bool { return db.arr.GroupOf(pages[i]) < db.arr.GroupOf(pages[j]) })
+	var groups [][]page.PageID
+	for len(pages) > 0 {
+		_, n := db.groupRun(pages)
+		groups, pages = append(groups, pages[:n]), pages[n:]
+	}
+	// Together joins every branch and surfaces the first error (or the
+	// earliest crash panic) in group order, keeping failures
+	// deterministic per-interleaving.
+	return db.arr.Together(len(groups), func(i int) error {
+		return db.flushGroup(st, db.arr.GroupOf(groups[i][0]), groups[i])
+	})
+}
+
+// groupRun returns the parity group of rest[0] and how many of the leading
+// pages of rest belong to it.
+func (db *DB) groupRun(rest []page.PageID) (g page.GroupID, n int) {
+	for g, n = db.arr.GroupOf(rest[0]), 1; n < len(rest) && db.arr.GroupOf(rest[n]) == g; n++ {
+	}
+	return g, n
+}
+
+// flushGroup flushes a committing transaction's modified pages of one
+// group (ascending; the caller holds the group's latch).
+//
+// A whole stripe collapses into one parity write (tryFlushStripe).
+// Otherwise the twin can cover ONE uncommitted page of the group
+// (Section 4.1), and which one is a cost decision taken here, once: in a
+// clean, undegraded group with k ≥ 2 dirty resident pages, the k − 1 that
+// must be logged anyway go first, each a logged flip, and the page the
+// twin covers goes last and stays a no-log steal to the EOT.  Page by
+// page, writeBack would steal the first, and the second would have to
+// demote that steal — the transaction's own — with a header rewrite and
+// the before-image logged all the same.  The flush is a chain
+// (core.Chain): each write reads the index it has written back while its
+// data page goes out and hands the verified image on, so the write after
+// it does not wait for a read of its own.  The writes themselves and
+// their order are those of k separate write-backs — a logged flip followed
+// by a steal is what a third page in a group has always produced — and so
+// is the number of reads, so every state a crash can expose is one
+// recovery already meets and no verified read is given up.
+//
+// One dirty page, a group dirty at entry (the transaction's own eviction
+// steal, or a sharer's) and a degraded group go page by page through the
+// steal policy as before.
+func (db *DB) flushGroup(st *txState, g page.GroupID, pages []page.PageID) error {
+	done, err := db.tryFlushStripe(st, g, pages)
+	if done || err != nil {
+		return err
+	}
+	k, last := 0, 0
+	if db.cfg.RDA && !db.store.Dirty.IsDirty(g) && !db.store.GroupDegraded(g) {
+		for i, p := range pages {
+			if f := db.pool.Frame(p); f != nil && f.Dirty {
+				k, last = k+1, i
+			}
+		}
+	}
+	if k < 2 {
 		for _, p := range pages {
 			if err := db.pool.FlushPage(p); err != nil {
 				return err
@@ -33,36 +105,20 @@ func (db *DB) flushForce(st *txState) error {
 		}
 		return nil
 	}
-	byGroup := make(map[page.GroupID][]page.PageID)
-	for _, p := range pages {
-		g := db.arr.GroupOf(p)
-		byGroup[g] = append(byGroup[g], p)
-	}
-	groups := make([]page.GroupID, 0, len(byGroup))
-	for g := range byGroup {
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
-	if len(groups) == 1 {
-		return db.flushGroup(st, groups[0], byGroup[groups[0]])
-	}
-	// Together joins every branch and surfaces the first error (or the
-	// earliest crash panic) in group order, keeping failures
-	// deterministic per-interleaving.
-	return db.arr.Together(len(groups), func(i int) error {
-		return db.flushGroup(st, groups[i], byGroup[groups[i]])
-	})
-}
-
-// flushGroup flushes one group's modified pages: the full-stripe
-// coalesced write when eligible, per-page flushes otherwise.
-func (db *DB) flushGroup(st *txState, g page.GroupID, pages []page.PageID) error {
-	done, err := db.tryFlushStripe(st, g, pages)
-	if done || err != nil {
-		return err
-	}
-	for _, p := range pages {
-		if err := db.pool.FlushPage(p); err != nil {
+	chain := db.store.Chain(g)
+	defer chain.Release()
+	for i, p := range pages[:last+1] {
+		covered := i == last
+		err := db.pool.FlushPageWith(p, func(f *buffer.Frame) error {
+			mods := f.ModifierList()
+			if covered {
+				if owner := db.stealer(f, mods); owner != nil {
+					return db.stealFrame(f, owner, chain)
+				}
+			}
+			return db.logFrame(f, mods, chain)
+		})
+		if err != nil {
 			return err
 		}
 	}

@@ -798,7 +798,7 @@ func (db *DB) restoreStolenLogged(st *txState, p page.PageID) (page.Buf, error) 
 		if !ok {
 			return nil, fmt.Errorf("rda: missing before-image for page %d", p)
 		}
-		return img, db.store.WriteLogged(p, img, nil)
+		return img, db.store.WriteLogged(p, img, nil, nil)
 	}
 	// Record mode: restore only this transaction's records on the
 	// current disk page, preserving other transactions' records.
@@ -820,7 +820,7 @@ func (db *DB) restoreStolenLogged(st *txState, p page.PageID) (page.Buf, error) 
 			return nil, err
 		}
 	}
-	return cur, db.store.WriteLogged(p, cur, nil)
+	return cur, db.store.WriteLogged(p, cur, nil, nil)
 }
 
 // repairFrameData rewinds this transaction's changes in a frame's data:
