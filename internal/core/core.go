@@ -335,7 +335,7 @@ func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cached
 	}
 	idx := 0
 	if len(eqs) > 1 {
-		idx = s.groupIndexOf(g, p)
+		idx = s.Arr.GroupIndex(p)
 	}
 	for _, eq := range eqs {
 		eq.SmallWrite(imgs[eq], oldData, data, idx)
@@ -498,12 +498,11 @@ func (s *Store) WriteStripeLogged(g page.GroupID, pages []page.PageID, datas []p
 	if s.GroupDegraded(g) || (s.Dirty != nil && s.Dirty.IsDirty(g)) {
 		return ErrNotStripe
 	}
-	group := s.Arr.GroupPages(g)
-	if len(pages) != len(group) {
+	if len(pages) != s.Arr.GroupWidth() {
 		return ErrNotStripe
 	}
-	for i, p := range group {
-		if pages[i] != p {
+	for i, p := range pages {
+		if p != s.Arr.GroupPage(g, i) {
 			return ErrNotStripe
 		}
 	}
@@ -564,7 +563,7 @@ func (s *Store) updateBothTwins(g page.GroupID, p page.PageID, oldData, data pag
 	eqs := s.Arr.Equations()
 	idx := 0
 	if len(eqs) > 1 {
-		idx = s.groupIndexOf(g, p)
+		idx = s.Arr.GroupIndex(p)
 	}
 	// One scratch page serves the read-fold-write rounds in turn.
 	scratch := s.Pages.Get()
@@ -852,7 +851,7 @@ func (s *Store) resyncGroup(gid page.GroupID) (bool, error) {
 	for _, eq := range s.Arr.Equations() {
 		cur := s.currentTwin(gid)
 		r := eq.Twin(cur)
-		ok, err := s.Arr.Verify(gid, r)
+		ok, err := s.Verify(gid, r)
 		if err != nil {
 			return did, fmt.Errorf("core: resync %s of group %d: %w", eq, gid, err)
 		}
@@ -898,7 +897,7 @@ func (s *Store) resyncSettleP(gid page.GroupID, cur int) (bool, error) {
 		return false, fmt.Errorf("core: resync group %d: %w", gid, err)
 	}
 	if len(h.pages)+h.reds > 0 {
-		ok, err := s.Arr.Verify(gid, diskarray.P.Twin(cur))
+		ok, err := s.Verify(gid, diskarray.P.Twin(cur))
 		if ok || err != nil {
 			return ok, err
 		}
@@ -907,7 +906,7 @@ func (s *Store) resyncSettleP(gid page.GroupID, cur int) (bool, error) {
 		return false, nil
 	}
 	other := diskarray.P.Twin(1 - cur)
-	if ok, err := s.Arr.Verify(gid, other); !ok || err != nil {
+	if ok, err := s.Verify(gid, other); !ok || err != nil {
 		return false, err
 	}
 	om, err := s.Arr.PeekMeta(gid, other)
@@ -1032,8 +1031,8 @@ func (s *Store) settleFlip(g page.GroupID, cur int, metas [2]disk.Meta, committe
 
 // lostData reports whether a data page of group g is unreachable.
 func (s *Store) lostData(g page.GroupID) bool {
-	for _, p := range s.Arr.GroupPages(g) {
-		if s.PageUnavailable(p) {
+	for i := 0; i < s.Arr.GroupWidth(); i++ {
+		if s.PageUnavailable(s.Arr.GroupPage(g, i)) {
 			return true
 		}
 	}
@@ -1123,7 +1122,7 @@ func (s *Store) establishIndex(g page.GroupID, t int) (disk.Meta, error) {
 		}
 		ok := false
 		if m.State == disk.StateCommitted {
-			if ok, err = s.Arr.Verify(g, r); err != nil {
+			if ok, err = s.Verify(g, r); err != nil {
 				return kept, err
 			}
 		}
@@ -1157,6 +1156,15 @@ func (s *Store) ResetVolatile() {
 	}
 }
 
+// Verify reports whether redundancy page r of group g satisfies its
+// equation over the group's on-disk data pages.  Free (Peek) I/O, summed in
+// two pages from s.Pages.
+func (s *Store) Verify(g page.GroupID, r diskarray.Red) (bool, error) {
+	sum, blk := s.Pages.Get(), s.Pages.Get()
+	defer s.Pages.Put(sum, blk)
+	return s.Arr.Verify(g, r, sum, blk)
+}
+
 // VerifyParityInvariant checks, for every group, that the current twin's
 // parity equals the XOR of the group's on-disk data pages (clean groups),
 // or that the working twin does (dirty groups).  Free (Peek) I/O;
@@ -1188,7 +1196,7 @@ func (s *Store) VerifyParityInvariant() error {
 			if !s.SlotAlive(gid, r) {
 				continue
 			}
-			ok, err := s.Arr.Verify(gid, r)
+			ok, err := s.Verify(gid, r)
 			if err != nil {
 				return err
 			}

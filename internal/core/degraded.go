@@ -103,13 +103,7 @@ func (s *Store) SetReplacementPresent(ok bool) { s.replacement = ok }
 // replacement drive is present the page's content is untrustworthy
 // (a rebuilt page is indistinguishable from an unrestored zeroed one).
 func (s *Store) PageUnavailable(p page.PageID) bool {
-	if !s.degraded {
-		return false
-	}
-	if g := s.Arr.GroupOf(p); s.restored != nil && s.restored[g] {
-		return false
-	}
-	return s.isDown(s.Arr.DataLoc(p).Disk)
+	return s.degraded && s.isDown(s.Arr.DataLoc(p).Disk) && s.GroupDegraded(s.Arr.GroupOf(p))
 }
 
 // SlotAlive reports whether redundancy page r of group g can be read and
@@ -315,36 +309,13 @@ func (s *Store) ResetCounters() {
 }
 
 // GroupDegraded reports whether group g currently has an unreachable
-// block: the store is degraded, the group has not been restored by the
-// rebuild worker, and one of its blocks lives on a down disk.
+// block: the store is degraded and the group has not been restored by the
+// rebuild worker.  Which disks are down does not enter into it: a group
+// keeps exactly one block on every disk of the array (NumDisks = N + the
+// redundancy pages, each on a disk of its own), so any down disk holds a
+// block of every group.
 func (s *Store) GroupDegraded(g page.GroupID) bool {
-	if !s.degraded || (s.restored != nil && s.restored[g]) {
-		return false
-	}
-	for _, d := range s.down {
-		if s.GroupOnDisk(g, d) {
-			return true
-		}
-	}
-	return false
-}
-
-// GroupOnDisk reports whether group g keeps a block (data or redundancy)
-// on disk d.
-func (s *Store) GroupOnDisk(g page.GroupID, d int) bool {
-	for _, p := range s.Arr.GroupPages(g) {
-		if s.Arr.DataLoc(p).Disk == d {
-			return true
-		}
-	}
-	for _, eq := range s.Arr.Equations() {
-		for twin := 0; twin < s.Arr.ParityPages(); twin++ {
-			if s.Arr.Loc(g, eq.Twin(twin)).Disk == d {
-				return true
-			}
-		}
-	}
-	return false
+	return s.degraded && !(s.restored != nil && s.restored[g])
 }
 
 // describingTwin returns the twin whose parity describes the group's
@@ -427,7 +398,7 @@ func (s *Store) SolvePage(g page.GroupID, p page.PageID, twin int) (page.Buf, di
 	if err != nil {
 		return nil, hdr, err
 	}
-	i := s.groupIndexOf(g, p)
+	i := s.Arr.GroupIndex(p)
 	got := vals[i]
 	vals[i] = nil
 	s.Pages.Put(vals...)
@@ -528,25 +499,25 @@ func (s *Store) solve(g page.GroupID, twin int, erased []int) (solved, error) {
 			return sol, err
 		}
 	}
+	// Every solve runs in the redundancy pages just read, which become the
+	// answers: no page is allocated.
 	pBuf, qBuf := eqs[diskarray.P], eqs[diskarray.Q]
-	if len(sol.erased) == 1 && pBuf != nil {
-		// The lost member is the XOR of P and the survivors: fold them
-		// into the parity page just read, which becomes the answer.
+	switch {
+	case len(sol.erased) == 1 && pBuf != nil:
+		// The lost member is the XOR of P and the survivors.
 		for _, v := range sol.vals {
 			if v != nil {
 				xorparity.XorInto(pBuf, v)
 			}
 		}
 		sol.vals[sol.erased[0]] = pBuf
-		return sol, nil
-	}
-	raw := page.Raw(sol.vals)
-	switch {
 	case len(sol.erased) == 1 && qBuf != nil:
-		sol.vals[sol.erased[0]] = erasure.ReconstructOneQ(qBuf, raw, sol.erased[0])
+		erasure.ReconstructOneQ(qBuf, page.Raw(sol.vals), sol.erased[0])
+		sol.vals[sol.erased[0]] = qBuf
 	case len(sol.erased) == 2 && pBuf != nil && qBuf != nil:
 		i, j := sol.erased[0], sol.erased[1]
-		sol.vals[i], sol.vals[j] = erasure.ReconstructTwo(pBuf, qBuf, raw, i, j)
+		erasure.ReconstructTwo(pBuf, qBuf, page.Raw(sol.vals), i, j)
+		sol.vals[i], sol.vals[j] = qBuf, pBuf
 	default:
 		s.deg.unrecoverable.Add(1)
 		return sol, fmt.Errorf("core: solve group %d: %d erased members exceed the reachable redundancy of index %d: %w",
@@ -573,17 +544,6 @@ func (s *Store) readDegraded(p page.PageID, dst page.Buf) (page.Buf, error) {
 		got = dst
 	}
 	return got, nil
-}
-
-// groupIndexOf returns page p's index within its group's member list —
-// the position that fixes its Q-equation coefficient g^i.
-func (s *Store) groupIndexOf(g page.GroupID, p page.PageID) int {
-	for i, q := range s.Arr.GroupPages(g) {
-		if q == p {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("core: page %d not in group %d", p, g))
 }
 
 // writeDegradedNeeded reports whether writing page p of degraded group g
@@ -629,15 +589,10 @@ func (s *Store) writeDegradedNeeded(g page.GroupID, p page.PageID) bool {
 func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 	g := s.Arr.GroupOf(p)
 	s.deg.degradedWrites.Add(1)
-	pages := s.Arr.GroupPages(g)
-	idx := -1
+	n, idx := s.Arr.GroupWidth(), s.Arr.GroupIndex(p)
 	othersLost := false
-	for i, q := range pages {
-		if q == p {
-			idx = i
-		} else if s.PageUnavailable(q) {
-			othersLost = true
-		}
+	for i := 0; i < n && !othersLost; i++ {
+		othersLost = i != idx && s.PageUnavailable(s.Arr.GroupPage(g, i))
 	}
 	// The new redundancy is accumulated member by member — P ⊕= D_i,
 	// Q ⊕= g^i·D_i — in pages from s.Pages, like the sibling reads.  A
@@ -649,18 +604,15 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 	var imgs [2]page.Buf
 	for _, eq := range eqs {
 		imgs[eq] = s.Pages.Get()
-		copy(imgs[eq], data)
+		clear(imgs[eq])
 	}
 	defer s.Pages.Put(imgs[:]...)
-	if newQ := imgs[diskarray.Q]; newQ != nil {
-		erasure.MulInto(newQ, erasure.Exp(idx))
-	}
 	fold := func(i int, b page.Buf) {
-		xorparity.XorInto(imgs[diskarray.P], b)
-		if newQ := imgs[diskarray.Q]; newQ != nil {
-			erasure.MulAddInto(newQ, b, erasure.Exp(i))
+		for _, eq := range eqs {
+			eq.AddMember(imgs[eq], b, i)
 		}
 	}
+	fold(idx, data)
 	if othersLost {
 		// A second data member is also gone (double-degraded): its old
 		// value is needed for the wholesale recompute, so solve the whole
@@ -680,15 +632,16 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		// drives the same one, back on the free list between reads — and
 		// folded in as it arrives: the sums commute.
 		var folding sync.Mutex
-		if err := s.Arr.Together(len(pages), func(i int) error {
+		if err := s.Arr.Together(n, func(i int) error {
 			if i == idx {
 				return nil
 			}
 			member := s.Pages.Get()
 			defer s.Pages.Put(member)
-			b, _, err := s.Arr.ReadData(pages[i], member)
+			q := s.Arr.GroupPage(g, i)
+			b, _, err := s.Arr.ReadData(q, member)
 			if err != nil {
-				return fmt.Errorf("core: degraded parity of group %d: read page %d: %w", g, pages[i], err)
+				return fmt.Errorf("core: degraded parity of group %d: read page %d: %w", g, q, err)
 			}
 			folding.Lock()
 			fold(i, b)

@@ -29,8 +29,9 @@ func allocatedPer(n int, fn func()) float64 {
 // writes on every organization, updates of both twins of a dirty group,
 // a chain of writes through one group, a redundancy page recomputed from
 // its group, a hard walk's visit to a
-// group, and degraded P+Q writes and reads — without allocating a page, and
-// the parity invariant holds throughout.
+// group, degraded P+Q writes and reads (through P, through Q alone and
+// through both) and a redundancy page's verification — without allocating a
+// page, and the parity invariant holds throughout.
 func TestWritesReuseTheirRedundancyPages(t *testing.T) {
 	const size = 2048
 	build := func(kind diskarray.Kind, q bool) *Store {
@@ -172,13 +173,101 @@ func TestWritesReuseTheirRedundancyPages(t *testing.T) {
 		}
 	}))
 	dst := page.NewBuf(size)
-	check("degraded read", s, allocatedPer(200, func() {
-		got, err := s.ReadPage(2, dst)
+	readsBack := func(s *Store) func() {
+		return func() {
+			got, err := s.ReadPage(2, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(data) {
+				t.Fatal("degraded read returned the wrong image")
+			}
+		}
+	}
+	check("degraded read", s, allocatedPer(200, readsBack(s)))
+
+	// Two drives down: the page's own and, in turn, the one under the P
+	// page that describes it — the read solves through Q alone, in the Q
+	// page it read — and a sibling's — the two-erasure solve, in the P and
+	// Q pages.
+	for _, row := range []struct {
+		name   string
+		second func(s *Store) int
+	}{
+		{"degraded read through Q", func(s *Store) int { return s.Arr.Loc(0, diskarray.P.Twin(s.currentTwin(0))).Disk }},
+		{"two-erasure solve", func(s *Store) int { return s.Arr.DataLoc(1).Disk }},
+	} {
+		s = build(diskarray.RAID5Twin, true)
+		if err := s.WriteCommitted(2, data, nil); err != nil {
+			t.Fatal(err)
+		}
+		down := []int{s.Arr.DataLoc(2).Disk, row.second(s)}
+		for _, d := range down {
+			if err := s.Arr.FailDisk(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.EnterDegraded(down...)
+		check(row.name, s, allocatedPer(200, readsBack(s)))
+	}
+
+	// A redundancy page checked against the platter: summed in one page
+	// from the list while the blocks pass through another.
+	s = build(diskarray.RAID5Twin, true)
+	if err := s.WriteCommitted(2, data, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("verify a Q slot", s, allocatedPer(200, func() {
+		if ok, err := s.Verify(0, diskarray.Q.Twin(s.currentTwin(0))); !ok || err != nil {
+			t.Fatalf("the current Q page of a sound group: holds %v, err %v", ok, err)
+		}
+	}))
+}
+
+// TestDegradedQuestionsDoNotAllocate guards the yes/no questions every
+// degraded operation asks of the layout — is this group degraded, is this
+// page unreachable, has the group lost a redundancy slot or a data page —
+// on both organizations: table lookups, no member list built to answer.
+func TestDegradedQuestionsDoNotAllocate(t *testing.T) {
+	for _, kind := range []diskarray.Kind{diskarray.RAID5Twin, diskarray.ParityStripeTwin} {
+		arr, err := diskarray.New(diskarray.Config{Kind: kind, DataDisks: 4, NumPages: 96, PageSize: page.MinSize, QParity: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(data) {
-			t.Fatal("degraded read returned the wrong image")
+		s := NewStore(arr, wal.New(wal.DefaultConfig()), txn.NewManager())
+		if err := arr.FailDisk(3); err != nil {
+			t.Fatal(err)
 		}
-	}))
+		s.EnterDegraded(3)
+		s.MarkRestored(1)
+		var degraded, unavailable, deadSlot, lost int
+		allocs := testing.AllocsPerRun(20, func() {
+			degraded, unavailable, deadSlot, lost = 0, 0, 0, 0
+			for g := page.GroupID(0); int(g) < arr.NumGroups(); g++ {
+				if s.GroupDegraded(g) {
+					degraded++
+				}
+				if s.hasDeadSlot(g) {
+					deadSlot++
+				}
+				if s.lostData(g) {
+					lost++
+				}
+			}
+			for p := page.PageID(0); int(p) < arr.NumPages(); p++ {
+				if s.PageUnavailable(p) {
+					unavailable++
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %.0f allocations per sweep of the degraded questions, want 0", kind, allocs)
+		}
+		// One block of every group is on the dead disk, a data page or a
+		// redundancy slot, and group 1 is restored.
+		if g := arr.NumGroups() - 1; degraded != g || unavailable != lost || deadSlot+lost != g || lost == 0 || deadSlot == 0 {
+			t.Errorf("%v: of %d groups %d degraded, %d with a dead slot, %d with lost data, %d pages unavailable",
+				kind, arr.NumGroups(), degraded, deadSlot, lost, unavailable)
+		}
+	}
 }

@@ -231,6 +231,11 @@ func (s *Store) healIndex(g page.GroupID, twin int, eqs []diskarray.Eq, verify b
 		}
 		h.pages = append(h.pages, p)
 	}
+	var sum page.Buf // where verify sums an equation
+	if verify {
+		sum = s.Pages.Get()
+		defer s.Pages.Put(sum)
+	}
 	for _, eq := range eqs {
 		r := eq.Twin(twin)
 		switch {
@@ -248,7 +253,7 @@ func (s *Store) healIndex(g page.GroupID, twin int, eqs []diskarray.Eq, verify b
 				return h, err
 			}
 			h.reds++
-		case verify && payload[eq] != nil && !eq.Holds(payload[eq], page.Raw(sol.vals)...):
+		case verify && payload[eq] != nil && !eq.Holds(sum, payload[eq], page.Raw(sol.vals)...):
 			if err := s.RewriteSlot(g, r, sol.vals, hdr); err != nil {
 				return h, err
 			}

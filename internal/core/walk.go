@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -198,8 +197,7 @@ func (sc *walkScratch) readBlocks(g page.GroupID) (torn []TornBlock, _ error) {
 		if !e.verified {
 			break
 		}
-		eq.ComputeInto(sc.sum, sc.raw...)
-		e.verified = bytes.Equal(sc.sum, red[2*cur+int(eq)])
+		e.verified = eq.Holds(sc.sum, red[2*cur+int(eq)], sc.raw...)
 	}
 	return torn, nil
 }

@@ -498,12 +498,17 @@ func (d *Disk) PeekMeta(blockNum int) (Meta, error) {
 }
 
 // PeekData returns a copy of the block payload without charging a
-// transfer.  Verification aid only, as PeekMeta.
-func (d *Disk) PeekData(blockNum int) (page.Buf, error) {
+// transfer — in dst when dst has the block's size, in a fresh buffer
+// otherwise (nil), as a read does.  Verification aid only, as PeekMeta.
+func (d *Disk) PeekData(blockNum int, dst page.Buf) (page.Buf, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if blockNum < 0 || blockNum >= len(d.blocks) {
 		return nil, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrOutOfRange)
 	}
-	return page.Buf(d.blocks[blockNum].data).Clone(), nil
+	if len(dst) != d.blockSize {
+		dst = make(page.Buf, d.blockSize)
+	}
+	copy(dst, d.blocks[blockNum].data)
+	return dst, nil
 }

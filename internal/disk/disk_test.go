@@ -142,7 +142,7 @@ func TestCorruptionDetected(t *testing.T) {
 
 func TestPeekDoesNotCharge(t *testing.T) {
 	d := New(0, 2, 16)
-	if _, err := d.PeekData(0); err != nil {
+	if _, err := d.PeekData(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.PeekMeta(0); err != nil {

@@ -223,7 +223,7 @@ func TestQueueFuzzDeterministic(t *testing.T) {
 		d.StopQueue()
 		var blocks []page.Buf
 		for b := 0; b < qtBlocks; b++ {
-			buf, err := d.PeekData(b)
+			buf, err := d.PeekData(b, nil)
 			if err != nil {
 				t.Fatalf("peek: %v", err)
 			}

@@ -20,8 +20,10 @@
 package diskarray
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,23 +160,28 @@ func (e Eq) Compute(size int, blocks ...[]byte) []byte {
 func (e Eq) ComputeInto(dst []byte, blocks ...[]byte) {
 	clear(dst)
 	for i, b := range blocks {
-		switch {
-		case b == nil:
-		case e == P:
-			erasure.AddInto(dst, b)
-		default:
-			erasure.MulAddInto(dst, b, erasure.Exp(i))
+		if b != nil {
+			e.AddMember(dst, b, i)
 		}
 	}
 }
 
-// Holds reports whether the redundancy page red satisfies the equation
-// over the given data blocks.
-func (e Eq) Holds(red []byte, blocks ...[]byte) bool {
+// AddMember adds the term of the group's i-th data block b to the
+// equation's sum: sum ^= b for P, sum ^= g^i·b for Q.
+func (e Eq) AddMember(sum, b []byte, i int) {
 	if e == P {
-		return xorparity.Verify(red, blocks...)
+		erasure.AddInto(sum, b)
+	} else {
+		erasure.MulAddInto(sum, b, erasure.Exp(i))
 	}
-	return erasure.VerifyQ(red, blocks...)
+}
+
+// Holds reports whether the redundancy page red satisfies the equation
+// over the given data blocks.  The equation is summed into sum, a page the
+// caller owns and need not have cleared.
+func (e Eq) Holds(sum, red []byte, blocks ...[]byte) bool {
+	e.ComputeInto(sum, blocks...)
+	return bytes.Equal(sum, red)
 }
 
 // SmallWrite folds the update of the group's idx-th data block from
@@ -212,6 +219,17 @@ type Array struct {
 	// Parity striping geometry (unused for RAID5 kinds).
 	areas    int // areas per disk = disks
 	areaSize int // blocks per area
+
+	// Layout tables (see "Address mapping" below), built once by New.  A
+	// run is R = redundancies() consecutive numbers mod NumDisks starting
+	// at s; nth[s·N+i] is the i-th number of [0, NumDisks) outside the run
+	// that starts at s, and rank[s·NumDisks+x] is the inverse: x's position
+	// among them, or inRun when x is in the run.  Entries are disk and area
+	// numbers, so uint16: a Q group may be erasure.MaxMembers + 4 = 259
+	// disks wide, more than a byte numbers, and New refuses an array wider
+	// than uint16 does.
+	nth  []uint16
+	rank []uint16
 
 	// Self-healing state (health.go).
 	hmu    sync.Mutex
@@ -267,11 +285,19 @@ func New(cfg Config) (*Array, error) {
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadConfig, int(cfg.Kind))
 	}
 	if cfg.QParity {
+		// Member i's Q coefficient is g^i and g^255 = g^0: a 256th member
+		// would be indistinguishable from the first.
+		if n > erasure.MaxMembers {
+			return nil, fmt.Errorf("%w: Q parity protects at most %d data disks, got %d", ErrBadConfig, erasure.MaxMembers, n)
+		}
 		// Q mirrors P's twinning: one Q page per P page, each on its own
 		// disk, so any two member losses stay inside the redundancy.
 		a.qparities = a.parities
 	}
 	numDisks := n + a.parities + a.qparities
+	if numDisks > inRun {
+		return nil, fmt.Errorf("%w: %d disks, the layout tables number at most %d", ErrBadConfig, numDisks, inRun)
+	}
 	groups := (cfg.NumPages + n - 1) / n
 
 	var blocksPerDisk int
@@ -292,6 +318,7 @@ func New(cfg Config) (*Array, error) {
 		blocksPerDisk = a.areas * a.areaSize
 	}
 	a.numGroups = groups
+	a.buildLayout(numDisks)
 	a.disks = make([]*disk.Disk, numDisks)
 	a.consec = make([]atomic.Int32, numDisks)
 	a.ledger = make([][]uint32, numDisks)
@@ -441,152 +468,124 @@ func (a *Array) StorageOverhead() float64 {
 // are therefore *not* consecutive logical pages — they are pages at the
 // same relative position of different disks — so all group navigation
 // must go through GroupOf/GroupPages rather than arithmetic on page ids.
+//
+// Both organizations skip the same thing — a run of R = parities +
+// qparities consecutive numbers mod NumDisks — and number what is left in
+// increasing order: a stripe skips the disks of its redundancy pages (the
+// run starting at g mod NumDisks), a parity-striped group likewise (the run
+// starting at its area), and a parity-striped disk d skips its parity areas
+// (the run *ending* at d).  So one pair of tables, nth and rank, built once
+// by New and NumDisks runs long, answers every address question with a
+// lookup; the rotation repeats every NumDisks stripes (areas), which is all
+// the loops this replaced ever recomputed.
+//
+// Because NumDisks = N + R and a group's N + R blocks sit on N + R
+// different disks, every group keeps exactly one block on every disk: a
+// down disk degrades every group of the array.
+
+// inRun marks, in rank, a number inside the skipped run; it also bounds
+// NumDisks so that no disk or area number collides with it.
+const inRun = math.MaxUint16
 
 // redundancies returns the number of redundancy pages per group: the P
 // twins plus, with QParity, the Q twins.
 func (a *Array) redundancies() int { return a.parities + a.qparities }
 
-// redundancyDisk returns the disk holding the group's j-th redundancy
-// page, j in [0, redundancies): P twins first (j < parities), then Q
-// twins.  Rotated placement puts consecutive redundancy pages of a group
-// on consecutive disks, generalizing the paper's P/P′ twin placement.
-func (a *Array) redundancyDisk(g, j int) int {
-	nd := len(a.disks)
-	switch a.cfg.Kind {
-	case RAID5, RAID5Twin:
-		return (g + j) % nd
-	case ParityStripe, ParityStripeTwin:
-		area := g / a.areaSize
-		return (area + j) % nd
-	}
-	panic("diskarray: unknown kind")
-}
-
-// isParityArea reports whether area `area` of disk d is reserved for
-// redundancy (a P or Q page): disk d holds redundancy page j of the
-// groups in area (d-j) mod numDisks, for each j in [0, redundancies).
-func (a *Array) isParityArea(d, area int) bool {
-	nd := len(a.disks)
-	for j := 0; j < a.redundancies(); j++ {
-		if area == (d-j+nd)%nd {
-			return true
-		}
-	}
-	return false
-}
-
-// nthDataArea returns disk d's i-th data area (0-based, in increasing
-// area order, skipping the disk's parity area(s)).
-func (a *Array) nthDataArea(d, i int) int {
-	count := 0
-	for area := 0; area < a.areas; area++ {
-		if a.isParityArea(d, area) {
-			continue
-		}
-		if count == i {
-			return area
-		}
-		count++
-	}
-	panic("diskarray: data area index out of range")
-}
-
-// dataAreaRank returns the 0-based rank of data area `area` among disk
-// d's data areas.
-func (a *Array) dataAreaRank(d, area int) int {
-	rank := 0
-	for x := 0; x < area; x++ {
-		if !a.isParityArea(d, x) {
-			rank++
-		}
-	}
-	return rank
-}
-
-// stripeDataDisk returns the disk holding the i-th data page of stripe g
-// in the data striping organizations: the i-th disk, in increasing order,
-// that does not hold one of the stripe's redundancy pages.
-func (a *Array) stripeDataDisk(g, i int) int {
-	var skip [4]int
-	r := a.redundancies()
-	for j := 0; j < r; j++ {
-		skip[j] = a.redundancyDisk(g, j)
-	}
-	count := 0
-	for d := 0; d < len(a.disks); d++ {
-		isRed := false
-		for j := 0; j < r; j++ {
-			if d == skip[j] {
-				isRed = true
-				break
+// buildLayout fills nth and rank for an array of nd disks.
+func (a *Array) buildLayout(nd int) {
+	n, r := a.cfg.DataDisks, a.redundancies()
+	a.nth = make([]uint16, nd*n)
+	a.rank = make([]uint16, nd*nd)
+	for s := 0; s < nd; s++ {
+		i := 0
+		for x := 0; x < nd; x++ {
+			if (x-s+nd)%nd < r {
+				a.rank[s*nd+x] = inRun
+				continue
 			}
+			a.nth[s*n+i] = uint16(x)
+			a.rank[s*nd+x] = uint16(i)
+			i++
 		}
-		if isRed {
-			continue
-		}
-		if count == i {
-			return d
-		}
-		count++
 	}
-	panic("diskarray: data disk index out of range")
 }
 
-// DataLoc returns the physical location of logical data page p.
+// rotation returns the start of the run of disks holding group g's
+// redundancy pages: page j — P twins first, then Q twins — is on disk
+// (rotation + j) mod NumDisks, generalizing the paper's P/P′ twin
+// placement.
+func (a *Array) rotation(g int) int {
+	if a.cfg.Kind.Striped() {
+		return g % len(a.disks)
+	}
+	return g / a.areaSize
+}
+
+// parityRun returns the start of the run of areas disk d reserves for
+// redundancy: it holds redundancy page j of the groups in area (d-j) mod
+// NumDisks, so the run ends at d.
+func (a *Array) parityRun(d int) int {
+	nd := len(a.disks)
+	return (d - a.redundancies() + 1 + nd) % nd
+}
+
+// DataLoc returns the physical location of logical data page p: two table
+// lookups at most, no loop.
 func (a *Array) DataLoc(p page.PageID) Loc {
 	n := a.cfg.DataDisks
-	switch a.cfg.Kind {
-	case RAID5, RAID5Twin:
-		g := int(p) / n
-		i := int(p) % n
-		return Loc{Disk: a.stripeDataDisk(g, i), Block: g}
-	case ParityStripe, ParityStripeTwin:
-		perDisk := n * a.areaSize
-		d := int(p) / perDisk
-		r := int(p) % perDisk
-		area := a.nthDataArea(d, r/a.areaSize)
-		return Loc{Disk: d, Block: area*a.areaSize + r%a.areaSize}
+	if a.cfg.Kind.Striped() {
+		g, i := int(p)/n, int(p)%n
+		return Loc{Disk: int(a.nth[a.rotation(g)*n+i]), Block: g}
 	}
-	panic("diskarray: unknown kind")
+	// Disk d's i-th data area is the i-th area outside its parity run.
+	perDisk := n * a.areaSize
+	d, r := int(p)/perDisk, int(p)%perDisk
+	area := int(a.nth[a.parityRun(d)*n+r/a.areaSize])
+	return Loc{Disk: d, Block: area*a.areaSize + r%a.areaSize}
 }
 
 // GroupOf returns the parity group of logical page p.
 func (a *Array) GroupOf(p page.PageID) page.GroupID {
-	switch a.cfg.Kind {
-	case RAID5, RAID5Twin:
+	if a.cfg.Kind.Striped() {
 		return page.GroupOf(p, a.cfg.DataDisks)
-	case ParityStripe, ParityStripeTwin:
-		loc := a.DataLoc(p)
-		area := loc.Block / a.areaSize
-		offset := loc.Block % a.areaSize
-		return page.GroupID(area*a.areaSize + offset)
 	}
-	panic("diskarray: unknown kind")
+	// The coordinate (area, offset) is the group: block = area·areaSize +
+	// offset on every participating disk.
+	return page.GroupID(a.DataLoc(p).Block)
 }
 
-// GroupPages returns the logical pages of group g in data-index order.
-func (a *Array) GroupPages(g page.GroupID) []page.PageID {
+// GroupIndex returns page p's index within its group's member list — the
+// position that fixes its Q-equation coefficient g^i.
+func (a *Array) GroupIndex(p page.PageID) int {
+	if a.cfg.Kind.Striped() {
+		return int(p) % a.cfg.DataDisks
+	}
+	loc := a.DataLoc(p)
+	return int(a.rank[a.rotation(loc.Block)*len(a.disks)+loc.Disk])
+}
+
+// GroupPage returns the i-th logical page of group g, i in [0, GroupWidth):
+// GroupPages(g)[i] without the slice.
+func (a *Array) GroupPage(g page.GroupID, i int) page.PageID {
 	n := a.cfg.DataDisks
-	out := make([]page.PageID, 0, n)
-	switch a.cfg.Kind {
-	case RAID5, RAID5Twin:
-		first := page.FirstInGroup(g, n)
-		for i := 0; i < n; i++ {
-			out = append(out, first+page.PageID(i))
-		}
-	case ParityStripe, ParityStripeTwin:
-		area := int(g) / a.areaSize
-		offset := int(g) % a.areaSize
-		perDisk := n * a.areaSize
-		for d := 0; d < len(a.disks); d++ {
-			if a.isParityArea(d, area) {
-				continue
-			}
-			p := d*perDisk + a.dataAreaRank(d, area)*a.areaSize + offset
-			out = append(out, page.PageID(p))
-		}
-	default:
-		panic("diskarray: unknown kind")
+	if a.cfg.Kind.Striped() {
+		return page.FirstInGroup(g, n) + page.PageID(i)
+	}
+	// The member on the i-th disk outside the group's redundancy run, at
+	// the rank of the group's area among that disk's data areas.
+	area, offset := int(g)/a.areaSize, int(g)%a.areaSize
+	d := int(a.nth[area*n+i])
+	rank := int(a.rank[a.parityRun(d)*len(a.disks)+area])
+	return page.PageID((d*n+rank)*a.areaSize + offset)
+}
+
+// GroupPages returns the logical pages of group g in data-index order, in
+// a slice the caller owns.  A caller that only walks the members, or asks
+// one question of them, uses GroupPage and allocates nothing.
+func (a *Array) GroupPages(g page.GroupID) []page.PageID {
+	out := make([]page.PageID, a.cfg.DataDisks)
+	for i := range out {
+		out[i] = a.GroupPage(g, i)
 	}
 	return out
 }
@@ -601,7 +600,7 @@ func (a *Array) Loc(g page.GroupID, r Red) Loc {
 	// their rotated disks, P twins first, then Q twins; for parity striping
 	// the coordinate (area, offset) addresses the same block number on
 	// every participating disk: block = area·areaSize + offset = g.
-	return Loc{Disk: a.redundancyDisk(int(g), int(r.Eq)*a.parities+r.Twin), Block: int(g)}
+	return Loc{Disk: (a.rotation(int(g)) + int(r.Eq)*a.parities + r.Twin) % len(a.disks), Block: int(g)}
 }
 
 // --- Raw I/O ---------------------------------------------------------------
@@ -656,7 +655,7 @@ func (a *Array) WriteData(p page.PageID, b page.Buf, meta disk.Meta) error {
 // (verification aid).
 func (a *Array) PeekData(p page.PageID) (page.Buf, error) {
 	loc := a.DataLoc(p)
-	return a.disks[loc.Disk].PeekData(loc.Block)
+	return a.disks[loc.Disk].PeekData(loc.Block, nil)
 }
 
 // Read reads redundancy page r of group g into dst (nil: a fresh buffer),
@@ -696,7 +695,7 @@ func (a *Array) ReadMeta(g page.GroupID, r Red) (disk.Meta, error) {
 // (verification aid).
 func (a *Array) Peek(g page.GroupID, r Red) (page.Buf, error) {
 	loc := a.Loc(g, r)
-	return a.disks[loc.Disk].PeekData(loc.Block)
+	return a.disks[loc.Disk].PeekData(loc.Block, nil)
 }
 
 // PeekMeta returns a redundancy page's header without charging a
@@ -793,9 +792,8 @@ func (a *Array) ResetStats() {
 // drives queue: page i into bufs[i], the caller's page to reuse (a nil entry
 // gets a fresh one).  len(bufs) is N.
 func (a *Array) ReadGroup(g page.GroupID, bufs []page.Buf) error {
-	pages := a.GroupPages(g)
-	return a.Together(len(pages), func(i int) error {
-		b, _, err := a.ReadData(pages[i], bufs[i])
+	return a.Together(a.cfg.DataDisks, func(i int) error {
+		b, _, err := a.ReadData(a.GroupPage(g, i), bufs[i])
 		if err == nil {
 			bufs[i] = b
 		}
@@ -805,19 +803,23 @@ func (a *Array) ReadGroup(g page.GroupID, bufs []page.Buf) error {
 
 // Verify reports whether redundancy page r satisfies its equation over
 // the group's data pages.  Uses Peek I/O so it is free; verification aid.
-func (a *Array) Verify(g page.GroupID, r Red) (bool, error) {
-	pages := a.GroupPages(g)
-	blocks := make([]page.Buf, len(pages))
-	for i, p := range pages {
-		b, err := a.PeekData(p)
-		if err != nil {
+// sum and blk are two pages the caller owns and Verify overwrites: the
+// equation is summed into one as each block is copied into the other, so a
+// verification allocates nothing.
+func (a *Array) Verify(g page.GroupID, r Red, sum, blk page.Buf) (bool, error) {
+	peek := func(loc Loc) error {
+		_, err := a.disks[loc.Disk].PeekData(loc.Block, blk)
+		return err
+	}
+	clear(sum)
+	for i := 0; i < a.cfg.DataDisks; i++ {
+		if err := peek(a.DataLoc(a.GroupPage(g, i))); err != nil {
 			return false, err
 		}
-		blocks[i] = b
+		r.Eq.AddMember(sum, blk, i)
 	}
-	red, err := a.Peek(g, r)
-	if err != nil {
+	if err := peek(a.Loc(g, r)); err != nil {
 		return false, err
 	}
-	return r.Eq.Holds(red, page.Raw(blocks)...), nil
+	return bytes.Equal(sum, blk), nil
 }

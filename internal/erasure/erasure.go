@@ -25,6 +25,13 @@
 //     S_p = P ⊕ Σ_{k∉{i,j}} D_k and S_q = Q ⊕ Σ_{k∉{i,j}} g^k·D_k,
 //     D_i = (g^j·S_p ⊕ S_q) / (g^i ⊕ g^j) and D_j = S_p ⊕ D_i.
 //
+// Every Q computation is built from one step, dst ^= c·src (MulAddInto),
+// which has two implementations that agree byte for byte: a loop with one
+// product-row lookup per byte, and on amd64 CPUs with AVX2 a kernel that
+// looks 32 bytes up at once in two sixteen-entry tables (kernel_amd64.s).
+// The reconstructions run in the redundancy pages handed to them and
+// allocate nothing.
+//
 // All functions operate on equal-length byte slices; length mismatches
 // panic, as in xorparity, because they indicate a storage-layer bug.
 package erasure
@@ -40,16 +47,31 @@ const (
 	generator = 2
 )
 
+// MaxMembers is the widest group the Q equation can protect: member i's
+// coefficient is g^i and g has order 255, so a 256th member would share
+// member 0's coefficient and the two could not be told apart.
+const MaxMembers = 255
+
 // exp and log are the generator power tables: exp[i] = g^i (doubled so
 // products of logs index without a mod), log[exp[i]] = i for i in
 // [0, 255).  mulTable[c] is the product row of coefficient c
-// (mulTable[c][s] = c·s), so the page kernels index once per byte and
-// never branch on a zero operand.
+// (mulTable[c][s] = c·s), so the byte loop indexes once per byte and
+// never branches on a zero operand.  nibTable[c] is the same row split by
+// nibble for the vector kernel, which looks sixteen-entry tables up 32
+// bytes at a time: bytes 0–15 are c·v for v = 0…15, bytes 16–31 are
+// c·(v<<4), and c·v = c·(v&15) ⊕ c·(v&240) because multiplication
+// distributes over XOR.  8 KiB for all 256 coefficients.
 var (
 	expTable [510]byte
 	logTable [256]int
 	mulTable [256][256]byte
+	nibTable [256][32]byte
 )
+
+// useVector selects the vector kernel (mulAddVec) for the whole 32-byte
+// blocks of a slice.  Set once, from the CPU; the tests clear it to run the
+// byte loop on the same machine.
+var useVector = vectorAvailable()
 
 func init() {
 	x := 1
@@ -65,6 +87,10 @@ func init() {
 	for c := 1; c < 256; c++ {
 		for v := 1; v < 256; v++ {
 			mulTable[c][v] = expTable[logTable[c]+logTable[v]]
+		}
+		for v := 0; v < 16; v++ {
+			nibTable[c][v] = mulTable[c][v]
+			nibTable[c][16+v] = mulTable[c][v<<4]
 		}
 	}
 }
@@ -109,7 +135,13 @@ func AddInto(dst, src []byte) {
 
 // MulAddInto computes dst ^= c·src in place, the fused step every Q
 // computation is built from.  c = 1 degenerates to AddInto; c = 0 is a
-// no-op.
+// no-op.  dst and src may be the same slice (a ^= c·a) but must not
+// otherwise overlap.
+//
+// Where the CPU has AVX2 the whole 32-byte blocks go through the vector
+// kernel (two 16-entry lookups per 32 bytes) and the byte loop — one
+// product-row lookup per byte — takes the tail; everywhere else the byte
+// loop takes it all.  The two agree byte for byte.
 func MulAddInto(dst, src []byte, c byte) {
 	check(dst, src)
 	switch c {
@@ -117,6 +149,10 @@ func MulAddInto(dst, src []byte, c byte) {
 	case 1:
 		subtle.XORBytes(dst, dst, src)
 	default:
+		if n := len(src) &^ 31; useVector && n > 0 {
+			mulAddVec(&nibTable[c], &dst[0], &src[0], n)
+			dst, src = dst[n:], src[n:]
+		}
 		row := &mulTable[c]
 		dst = dst[:len(src)]
 		for i, v := range src {
@@ -125,15 +161,11 @@ func MulAddInto(dst, src []byte, c byte) {
 	}
 }
 
-// MulInto scales dst by c in place.
+// MulInto scales dst by c in place.  It is MulAddInto of dst onto itself
+// with the coefficient c ⊕ 1 — d ⊕ (c ⊕ 1)·d = c·d — so both run on the
+// same kernel.
 func MulInto(dst []byte, c byte) {
-	if c == 1 {
-		return
-	}
-	row := &mulTable[c]
-	for i, d := range dst {
-		dst[i] = row[d]
-	}
+	MulAddInto(dst, dst, c^1)
 }
 
 // ComputeP returns the P parity (plain XOR) of the given blocks.  Nil
@@ -177,10 +209,9 @@ func QSmallWrite(q, dataOld, dataNew []byte, idx int) {
 // `missing` from Q and the surviving data blocks — the path taken when
 // both a data block and the P parity are unavailable.  blocks holds the
 // group's data pages in index order with nil at (at least) the missing
-// slot; non-missing entries must all be present.
-func ReconstructOneQ(q []byte, blocks [][]byte, missing int) []byte {
-	acc := make([]byte, len(q))
-	copy(acc, q)
+// slot; non-missing entries must all be present.  The solve runs in q,
+// which holds the recovered block on return: no page is allocated.
+func ReconstructOneQ(q []byte, blocks [][]byte, missing int) {
 	for i, b := range blocks {
 		if i == missing {
 			continue
@@ -188,25 +219,22 @@ func ReconstructOneQ(q []byte, blocks [][]byte, missing int) []byte {
 		if b == nil {
 			panic("erasure: ReconstructOneQ needs every non-missing block")
 		}
-		MulAddInto(acc, b, Exp(i))
+		MulAddInto(q, b, Exp(i))
 	}
-	MulInto(acc, Inv(Exp(missing)))
-	return acc
+	MulInto(q, Inv(Exp(missing)))
 }
 
 // ReconstructTwo recovers the two missing data blocks at group indexes i
 // and j (i ≠ j) from P, Q and the surviving data blocks.  blocks holds
 // the group's data pages in index order with nil at the missing slots.
-// The returned slices are the recovered D_i and D_j.
-func ReconstructTwo(p, q []byte, blocks [][]byte, i, j int) (di, dj []byte) {
+// The solve runs in the two pages handed in: on return q holds D_i and p
+// holds D_j, and no page is allocated.
+func ReconstructTwo(p, q []byte, blocks [][]byte, i, j int) {
 	check(p, q)
 	if i == j {
 		panic("erasure: ReconstructTwo needs two distinct indexes")
 	}
-	sp := make([]byte, len(p))
-	copy(sp, p)
-	sq := make([]byte, len(q))
-	copy(sq, q)
+	// p and q become the partial sums S_p and S_q.
 	for k, b := range blocks {
 		if k == i || k == j {
 			continue
@@ -214,34 +242,11 @@ func ReconstructTwo(p, q []byte, blocks [][]byte, i, j int) (di, dj []byte) {
 		if b == nil {
 			panic("erasure: ReconstructTwo needs every non-missing block")
 		}
-		AddInto(sp, b)
-		MulAddInto(sq, b, Exp(k))
+		AddInto(p, b)
+		MulAddInto(q, b, Exp(k))
 	}
-	// g^j·S_p ⊕ S_q = (g^i ⊕ g^j)·D_i.
-	di = make([]byte, len(p))
-	copy(di, sp)
-	MulInto(di, Exp(j))
-	AddInto(di, sq)
-	MulInto(di, Inv(Exp(i)^Exp(j)))
-	dj = make([]byte, len(p))
-	copy(dj, sp)
-	AddInto(dj, di)
-	return di, dj
-}
-
-// VerifyQ reports whether q equals the Q redundancy of the given data
-// blocks in index order.
-func VerifyQ(q []byte, blocks ...[]byte) bool {
-	acc := make([]byte, len(q))
-	for i, b := range blocks {
-		if b != nil {
-			MulAddInto(acc, b, Exp(i))
-		}
-	}
-	for i := range acc {
-		if acc[i] != q[i] {
-			return false
-		}
-	}
-	return true
+	// g^j·S_p ⊕ S_q = (g^i ⊕ g^j)·D_i, then D_j = S_p ⊕ D_i.
+	MulAddInto(q, p, Exp(j))
+	MulInto(q, Inv(Exp(i)^Exp(j)))
+	AddInto(p, q)
 }

@@ -67,7 +67,7 @@ func TestCrashAfterNWrites(t *testing.T) {
 		t.Fatalf("write 2 did not crash")
 	}()
 	// The crashed write must not have reached the platter.
-	got, err := d.PeekData(2)
+	got, err := d.PeekData(2, nil)
 	if err != nil {
 		t.Fatalf("peek: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestTornWrite(t *testing.T) {
 	if m != newMeta {
 		t.Fatalf("torn header = %+v, want %+v", m, newMeta)
 	}
-	data, err := d.PeekData(1)
+	data, err := d.PeekData(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestBitFlip(t *testing.T) {
 	if _, _, err := d.Read(3); !errors.Is(err, disk.ErrChecksum) {
 		t.Fatalf("read of flipped block: %v, want ErrChecksum", err)
 	}
-	data, err := d.PeekData(3)
+	data, err := d.PeekData(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestMisdirectedWrite(t *testing.T) {
 	if _, _, err := d.Read(5); !errors.Is(err, disk.ErrStamp) {
 		t.Fatalf("read of victim block: %v, want ErrStamp", err)
 	}
-	landed, err := d.PeekData(5)
+	landed, err := d.PeekData(5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -522,8 +522,8 @@ func undoDeadTwinLosers(s *core.Store, a *Analysis, handled map[page.GroupID]boo
 
 // lostData returns a data page of group g that sits on a down disk, if any.
 func lostData(s *core.Store, g page.GroupID) (page.PageID, bool) {
-	for _, q := range s.Arr.GroupPages(g) {
-		if s.PageUnavailable(q) {
+	for i := 0; i < s.Arr.GroupWidth(); i++ {
+		if q := s.Arr.GroupPage(g, i); s.PageUnavailable(q) {
 			return q, true
 		}
 	}
@@ -695,7 +695,7 @@ func describedByP(s *core.Store, g page.GroupID, twin int) ([]page.Buf, disk.Met
 	if err != nil {
 		return nil, pm, err
 	}
-	if ok, err := s.Arr.Verify(g, parity(twin)); ok || err != nil {
+	if ok, err := s.Verify(g, parity(twin)); ok || err != nil {
 		return vals, pm, err
 	}
 	if s.Twins != nil {

@@ -27,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/erasure"
 )
 
 // Layout selects the array organization (Section 3).
@@ -308,6 +310,9 @@ func (c Config) validate() (Config, error) {
 	}
 	if c.QParity && !c.RDA {
 		return c, fmt.Errorf("%w: QParity requires RDA (Q pages twin in lockstep with the parity twins)", ErrBadConfig)
+	}
+	if c.QParity && c.DataDisks > erasure.MaxMembers {
+		return c, fmt.Errorf("%w: QParity protects at most %d data disks", ErrBadConfig, erasure.MaxMembers)
 	}
 	return c, nil
 }

@@ -394,8 +394,8 @@ func (db *DB) storeRead(p page.PageID) (page.Buf, error) {
 // syncHealth aligns the engine's degraded-serving state with the array's
 // health machine; called with the exclusive gate held after an operation
 // failed (or on an explicit FailDisk).  When the array has just gone down
-// to one disk, every dirty parity group keeping a block on that disk is
-// demoted to logged UNDO — a degraded group's redundancy is consumed by
+// to one disk, every dirty parity group — each keeps a block on every
+// disk, that one included — is demoted to logged UNDO — a degraded group's redundancy is consumed by
 // the disk loss and cannot also fund transaction recovery — and the store
 // enters degraded serving.  Returns true when degraded serving was just
 // (re-)entered: the caller's failed operation is worth exactly one
@@ -437,15 +437,6 @@ func (db *DB) syncHealth() bool {
 			gid := page.GroupID(g)
 			e, dirty := db.store.Dirty.Lookup(gid)
 			if !dirty {
-				continue
-			}
-			onDown := false
-			for _, d := range downs {
-				if db.store.GroupOnDisk(gid, d) {
-					onDown = true
-				}
-			}
-			if !onDown {
 				continue
 			}
 			if err := db.demoteNoLogSteal(gid, e); err != nil {

@@ -669,6 +669,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.BufferFrames = 1 },
 		func(c *Config) { c.PageSize = 32 },
 		func(c *Config) { c.Logging = RecordLogging; c.RecordSize = c.PageSize },
+		// A 256th member would share member 0's Q coefficient.
+		func(c *Config) { c.QParity = true; c.DataDisks = 256 },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig()

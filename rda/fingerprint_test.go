@@ -204,7 +204,7 @@ func platterSum(t *testing.T, db *DB) string {
 	for d := 0; d < db.arr.NumDisks(); d++ {
 		dd := db.arr.Disk(d)
 		for b := 0; b < dd.NumBlocks(); b++ {
-			data, err := dd.PeekData(b)
+			data, err := dd.PeekData(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,7 +27,8 @@ type RebuildProgress struct {
 	// DownDisk is the disk being rebuilt (-1 when Healthy).
 	DownDisk int
 	// TotalGroups is the number of parity groups that keep a block on
-	// the down disk; RestoredGroups of them have been reconstructed.
+	// the down disk — every group of the array does; RestoredGroups of
+	// them have been reconstructed.
 	TotalGroups    int
 	RestoredGroups int
 }
@@ -43,12 +44,7 @@ func (db *DB) RebuildProgress() RebuildProgress {
 	if !db.store.Degraded() {
 		return pr
 	}
-	down := db.store.DownDisk()
-	for g := 0; g < db.arr.NumGroups(); g++ {
-		if db.store.GroupOnDisk(page.GroupID(g), down) {
-			pr.TotalGroups++
-		}
-	}
+	pr.TotalGroups = db.arr.NumGroups()
 	pr.RestoredGroups = int(db.store.DegradedCounters().RebuiltGroups)
 	return pr
 }
