@@ -891,7 +891,8 @@ func (s *Store) resyncGroup(gid page.GroupID) (bool, error) {
 // Then, if the other twin matches the data and is committed, the group
 // never finished switching: it is promoted and the stale twin invalidated.
 func (s *Store) resyncSettleP(gid page.GroupID, cur int) (bool, error) {
-	h, err := s.healIndex(gid, cur, s.Arr.Equations()[:1], false)
+	h, err := s.repair(gid, cur, -1, nil, s.Arr.Equations()[:1], false)
+	h.release(s)
 	s.deg.readRepairs.Add(uint64(len(h.pages) + h.reds))
 	if err != nil {
 		return false, fmt.Errorf("core: resync group %d: %w", gid, err)

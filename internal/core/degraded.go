@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/dirtyset"
 	"repro/internal/disk"
 	"repro/internal/diskarray"
 	"repro/internal/erasure"
@@ -34,8 +35,10 @@ type DegradedStats struct {
 	// DegradedWrites is the number of writes that maintained parity
 	// without a dead group member.
 	DegradedWrites uint64
-	// ParityRepairs is the number of parity pages recomputed in place
-	// after a latent checksum error (readRed).
+	// ParityRepairs is the number of redundancy pages — P or Q — rewritten
+	// in place by the repair behind a verified read (ReadPage, readRed)
+	// after one failed verification: checksum, location stamp or write
+	// ledger.  The scrubber's rewrites count as ScrubRepairs instead.
 	ParityRepairs uint64
 	// RebuiltGroups is the number of groups restored by the online
 	// rebuild worker since the last disk loss.
@@ -322,12 +325,18 @@ func (s *Store) GroupDegraded(g page.GroupID) bool {
 // on-disk data: the working twin of a dirty group, the current twin of a
 // clean one (and 0 on single-parity arrays).
 func (s *Store) describingTwin(g page.GroupID) int {
-	if s.Dirty != nil {
-		if e, dirty := s.Dirty.Lookup(g); dirty {
-			return e.WorkingTwin
-		}
+	if e, dirty := s.dirtyEntry(g); dirty {
+		return e.WorkingTwin
 	}
 	return s.currentTwin(g)
+}
+
+// dirtyEntry returns group g's Dirty_Set entry, if the group is dirty.
+func (s *Store) dirtyEntry(g page.GroupID) (dirtyset.Entry, bool) {
+	if s.Dirty == nil {
+		return dirtyset.Entry{}, false
+	}
+	return s.Dirty.Lookup(g)
 }
 
 // solved is one verified pass over a group through one redundancy index.
@@ -538,12 +547,7 @@ func (s *Store) readDegraded(p page.PageID, dst page.Buf) (page.Buf, error) {
 		return nil, fmt.Errorf("core: degraded read of page %d: %w", p, err)
 	}
 	s.deg.degradedReads.Add(1)
-	if len(dst) == len(got) {
-		copy(dst, got)
-		s.Pages.Put(got)
-		got = dst
-	}
-	return got, nil
+	return s.serve(got, dst), nil
 }
 
 // writeDegradedNeeded reports whether writing page p of degraded group g
@@ -628,9 +632,10 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		}
 		s.Pages.Put(old...)
 	} else {
-		// Each sibling is read into a page of its own — on synchronous
-		// drives the same one, back on the free list between reads — and
-		// folded in as it arrives: the sums commute.
+		// Each sibling is read — verified, and repaired through the
+		// describing index if it fails — into a page of its own (on
+		// synchronous drives the same one, back on the free list between
+		// reads) and folded in as it arrives: the sums commute.
 		var folding sync.Mutex
 		if err := s.Arr.Together(n, func(i int) error {
 			if i == idx {
@@ -638,10 +643,9 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 			}
 			member := s.Pages.Get()
 			defer s.Pages.Put(member)
-			q := s.Arr.GroupPage(g, i)
-			b, _, err := s.Arr.ReadData(q, member)
+			b, err := s.ReadPage(s.Arr.GroupPage(g, i), member)
 			if err != nil {
-				return fmt.Errorf("core: degraded parity of group %d: read page %d: %w", g, q, err)
+				return fmt.Errorf("core: degraded parity of group %d: %w", g, err)
 			}
 			folding.Lock()
 			fold(i, b)

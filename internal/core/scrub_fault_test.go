@@ -38,7 +38,7 @@ func TestScrubRepairsInjectedBitFlip(t *testing.T) {
 			}
 		}
 
-		rep, err := s.Scrub()
+		rep, _, err := scrub(s)
 		if err != nil {
 			t.Fatalf("%v: scrub: %v", kind, err)
 		}

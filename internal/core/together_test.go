@@ -136,7 +136,7 @@ func TestSolveIssuesReadsTogether(t *testing.T) {
 	cur = s.currentTwin(0)
 
 	outstanding(t, s, dataDisks(s, 0), func() {
-		vals, err := s.ReadGroup(0)
+		vals, err := s.ReadGroup(0, diskarray.P.Twin(cur))
 		if err != nil {
 			t.Error(err)
 			return

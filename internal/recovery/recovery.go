@@ -1237,7 +1237,7 @@ func solveFromCommitted(s *core.Store, g page.GroupID, e dirtyset.Entry, lost in
 // twin; a dirty group's committed twin keeps the Figure 7 ordering by
 // taking the timestamp just BELOW the surviving working twin's.
 func rebuildSlot(s *core.Store, g page.GroupID, r diskarray.Red, dirty bool, e dirtyset.Entry, before BeforeImageFunc) error {
-	vals, err := s.ReadGroup(g)
+	vals, err := s.ReadGroup(g, r)
 	defer s.Pages.Put(vals...)
 	if err != nil {
 		return fmt.Errorf("recovery: media rebuild %s twin %d of group %d: %w", r.Eq, r.Twin, g, err)

@@ -75,14 +75,3 @@ func UndoTwin(p, pPrime, dataNew []byte) []byte {
 func Reconstruct(size int, survivors ...[]byte) []byte {
 	return Compute(size, survivors...)
 }
-
-// Verify reports whether parity equals the XOR of the given data blocks.
-func Verify(parity []byte, blocks ...[]byte) bool {
-	acc := erasure.ComputeP(len(parity), blocks...)
-	for i := range acc {
-		if acc[i] != parity[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -143,26 +143,6 @@ type Config struct {
 	// checkpoints; Checkpoint can always be called manually.
 	CheckpointEvery int64
 
-	// --- Self-healing knobs (see DESIGN.md §"Self-healing I/O") ---
-
-	// RebuildBatchGroups throttles the online rebuild worker: each
-	// RebuildStep restores at most this many parity groups before
-	// releasing the engine to live transactions (default 8).  Smaller
-	// batches favour transaction latency, larger ones rebuild speed —
-	// the classic rebuild-rate trade-off.  The batch also caps the width of
-	// the online rebuild: its groups are restored side by side (see
-	// Workers), so on queued drives the default of 8 keeps at most eight of,
-	// say, twelve lanes busy.  Media recovery (RepairDisk, RepairDisks)
-	// holds the engine throughout and is not throttled.
-	RebuildBatchGroups int
-	// ScrubBatchGroups throttles the online scrub worker the same way:
-	// each ScrubStep verifies at most this many parity groups before
-	// releasing its latches to live transactions (default 8).  Unlike the
-	// rebuild the scrubber runs under the shared gate, so the batch size
-	// only bounds how long individual group latches are cycled, not how
-	// long transactions stall.
-	ScrubBatchGroups int
-
 	// Workers bounds the engine's internal parallelism for the
 	// embarrassingly parallel disk loops: bulk-load stripe writes, media
 	// recovery's and the online rebuild's groups, and restart's group walk,
@@ -238,10 +218,7 @@ func DefaultConfig() Config {
 		RecordSize:   100,
 		LogPageSize:  2020,
 		LogWriteCost: 4,
-
-		RebuildBatchGroups: 8,
-		ScrubBatchGroups:   8,
-		Workers:            1,
+		Workers:      1,
 	}
 }
 
@@ -271,12 +248,6 @@ func (c Config) validate() (Config, error) {
 	}
 	if c.LogWriteCost == 0 {
 		c.LogWriteCost = def.LogWriteCost
-	}
-	if c.RebuildBatchGroups == 0 {
-		c.RebuildBatchGroups = def.RebuildBatchGroups
-	}
-	if c.ScrubBatchGroups == 0 {
-		c.ScrubBatchGroups = def.ScrubBatchGroups
 	}
 	if c.Workers < 1 {
 		c.Workers = 1

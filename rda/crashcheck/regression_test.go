@@ -164,23 +164,9 @@ func TestKnownViolations(t *testing.T) {
 
 		// ROADMAP item 1(d): a silent fault beside a dead disk, the family
 		// `rdacrash -dead 1 [-qparity] -soak corrupt -scrub` draws
-		// (EXPERIMENTS.md has the counts by kind).  The shortest schedules of
-		// each kind:
-		// raw integrity errors surfaced untyped from degraded reads;
-		{Options{Layout: data, Seed: 1844251811135350922, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w6",
-			"degraded parity of group 8: read page 33: disk 5 block 8: stored payload differs from last acknowledged write"},
-		{Options{Layout: data, Seed: 7371530377746533253, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w3",
-			"read Q twin 0 of group 2: disk 4 block 2: stored payload differs from last acknowledged write"},
-		{Options{Layout: data, Seed: 122379170719364322, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w37",
-			"degraded parity of group 7: read page 31: disk 6 block 7: stored payload differs from last acknowledged write"},
-		// the typed error inside the P+Q budget: a parity repair reads the
-		// dead drive instead of solving through Q;
-		{Options{Layout: parity, Seed: 99025937935822767, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w8",
-			"parity repair of group 9 twin 1: disk 0 block 9: disk: drive has failed: core: corrupt block unrecoverable"},
-		{Options{Layout: parity, Seed: 1095699447986013226, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w30",
-			"parity repair of group 2 twin 0: disk 0 block 2: disk: drive has failed: core: corrupt block unrecoverable"},
-		{Options{Layout: data, Seed: 1719288583827916043, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w89",
-			"parity repair of group 9 twin 1: disk 0 block 9: disk: drive has failed: core: corrupt block unrecoverable"},
+		// (EXPERIMENTS.md has the counts by kind).  What is left since every
+		// survivor read went behind the one verified read (PR 25), the
+		// shortest schedules of each kind:
 		// silent divergence from the committed state;
 		{Options{Layout: parity, Seed: 4053180209853662663, Scrub: true}, "faildisk[0]@w0 lostwrite@w2 crash@w4",
 			"page 7 diverges from last committed image"},
@@ -188,28 +174,12 @@ func TestKnownViolations(t *testing.T) {
 			"page 8 diverges from last committed image"},
 		{Options{Layout: parity, Seed: 9120158391902269642, Scrub: true}, "faildisk[0]@w0 lostwrite@w2 crash@w28",
 			"page 4 diverges from last committed image"},
-		// an online scrub step beside a dead disk, nothing else injected;
-		{Options{Layout: data, Seed: 353652144844183085, QParity: true, Scrub: true}, "faildisk[0]@w0",
-			"scrub group 0: read P twin 0: disk 0 block 0: disk: drive has failed"},
-		{Options{Layout: data, Seed: 603826016423657678, QParity: true, Scrub: true}, "faildisk[0]@w0",
-			"scrub group 0: read P twin 0: disk 0 block 0: disk: drive has failed"},
-		{Options{Layout: parity, Seed: 1085655321971841999, Scrub: true}, "faildisk[0]@w0",
-			"scrub group 0: read P twin 0: disk 0 block 0: disk: drive has failed"},
 		// a broken twin-state invariant after restart (the one such run);
 		{Options{Layout: parity, Seed: 3519546715566706830, Scrub: true}, "faildisk[0]@w0 misdirected[4]@w63 crash@w69",
 			"group 4 current twin 1 in state obsolete, want committed"},
 		// and reported loss inside the P+Q budget (the one such run).
 		{Options{Layout: data, Seed: 8922020132844189146, QParity: true, Scrub: true}, "faildisk[0]@w0 lostwrite@w92 crash@w105",
 			"recovery lost pages [16] inside the redundancy its schedule leaves"},
-
-		// ROADMAP item 1(e): the Q page has no read repair — the corruption
-		// soak on a healthy P+Q array, `rdacrash -qparity -soak corrupt -scrub`.
-		{Options{Layout: parity, Seed: 2317293830143440259, QParity: true, Scrub: true}, "lostwrite@w6",
-			"read Q twin 1 of group 3: disk 4 block 3: stored payload differs from last acknowledged write"},
-		{Options{Layout: data, Seed: 2754604374955026588, QParity: true, Scrub: true}, "lostwrite@w9",
-			"read Q twin 1 of group 3: disk 6 block 3: stored payload differs from last acknowledged write"},
-		{Options{Layout: parity, Seed: 3527610817934550240, QParity: true, Scrub: true}, "lostwrite@w6",
-			"read Q twin 1 of group 9: disk 7 block 9: stored payload differs from last acknowledged write"},
 	} {
 		err := replay(t, row.opts, row.sched)
 		switch {

@@ -46,7 +46,7 @@ func (db *DB) Scrub() (*ScrubReport, error) {
 		// Scrubbing compares parity against data it cannot fully read;
 		// finish the rebuild first.  A Q-parity array has an equation to
 		// spare, so its degraded groups still scrub (and repair) — see
-		// core.Store.Scrub.
+		// core.Store.ScrubGroup.
 		return nil, fmt.Errorf("%w: scrub needs full redundancy", ErrDegraded)
 	}
 	// Flush so the scan verifies current contents, then require
@@ -57,23 +57,18 @@ func (db *DB) Scrub() (*ScrubReport, error) {
 	if db.store.Dirty != nil && db.store.Dirty.Len() > 0 {
 		return nil, fmt.Errorf("%w: %d parity groups dirty", ErrBusy, db.store.Dirty.Len())
 	}
-	rep, err := db.store.Scrub()
-	if err != nil {
-		return nil, fmt.Errorf("rda: scrub: %w", err)
+	// The online scrubber's unit of work, every group in order: the flush
+	// above made every frame clean, so the frames a repair makes stale are
+	// exactly the ones scrubGroup discards.
+	rep := &ScrubReport{}
+	for g := 0; g < db.arr.NumGroups(); g++ {
+		res, err := db.scrubGroup(page.GroupID(g))
+		rep.add(res)
+		if err != nil {
+			return nil, fmt.Errorf("rda: scrub: %w", err)
+		}
 	}
-	// Invalidate exactly the frames whose platter blocks were rewritten;
-	// everything else in the pool is still current (the flush above made
-	// every frame clean, so DiscardClean always applies).
-	for _, p := range rep.RepairedPages {
-		db.pool.DiscardClean(p)
-	}
-	return &ScrubReport{
-		GroupsScanned:   rep.GroupsScanned,
-		GroupsSkipped:   rep.GroupsSkipped,
-		LatentErrors:    rep.LatentErrors,
-		Repaired:        rep.Repaired,
-		ParityRewritten: rep.ParityRewritten,
-	}, nil
+	return rep, nil
 }
 
 // CorruptBlock flips bits in the stored copy of a data page without

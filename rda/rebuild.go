@@ -49,9 +49,20 @@ func (db *DB) RebuildProgress() RebuildProgress {
 	return pr
 }
 
+// rebuildBatchGroups is the online rebuild worker's batch: each step of
+// StartRebuild restores at most this many parity groups before releasing
+// the engine to live transactions.  Smaller batches favour transaction
+// latency, larger ones rebuild speed — the classic rebuild-rate trade-off —
+// and since a step's groups are restored side by side the batch also caps
+// the online rebuild's width (eight of, say, twelve lanes on queued
+// drives).  A caller wanting another pace drives RebuildStep; media
+// recovery (RepairDisk, RepairDisks) holds the engine throughout and is not
+// throttled.
+const rebuildBatchGroups = 8
+
 // RebuildStep reconstructs up to maxGroups parity groups of the down
-// disk onto its replacement drive (maxGroups ≤ 0 uses
-// Config.RebuildBatchGroups).  The first step swaps the fresh drive in;
+// disk onto its replacement drive (maxGroups ≤ 0 uses StartRebuild's
+// batch of 8).  The first step swaps the fresh drive in;
 // each step runs atomically under the exclusive recovery gate, so live
 // transactions interleave between batches — the throttling knob trades
 // transaction latency against rebuild time.  Within a batch the group
@@ -106,7 +117,7 @@ func (db *DB) rebuildStepLocked(maxGroups int) (bool, error) {
 		return true, nil
 	}
 	if maxGroups <= 0 {
-		maxGroups = db.cfg.RebuildBatchGroups
+		maxGroups = rebuildBatchGroups
 	}
 	batch := make([]page.GroupID, 0, maxGroups)
 	remaining := false
@@ -150,11 +161,11 @@ func (db *DB) rebuildStepLocked(maxGroups int) (bool, error) {
 }
 
 // StartRebuild launches the online rebuild worker in a goroutine.  It
-// loops RebuildStep with the configured batch size, yielding between
+// loops RebuildStep with its default batch, yielding between
 // batches so live transactions interleave, and delivers the final result
 // (nil on a completed rebuild) on the returned channel.
 //
-// Throttling: Config.RebuildBatchGroups is the only throttle.  The
+// Throttling: the batch of 8 groups a step is the only throttle.  The
 // Gosched between batches lets other runnable goroutines in, but offers
 // no fairness guarantee of its own — what keeps the worker from
 // monopolizing the engine is that each batch re-acquires the exclusive

@@ -3,12 +3,18 @@ package rda
 import (
 	"runtime"
 
-	"repro/internal/core"
 	"repro/internal/page"
 )
 
+// scrubBatchGroups is the online scrub worker's batch: each step of
+// StartScrub verifies at most this many parity groups before releasing its
+// latches to live transactions.  The scrubber runs under the shared gate,
+// so the batch only bounds how long group latches are cycled, not how long
+// transactions stall; a caller wanting another pace drives ScrubStep.
+const scrubBatchGroups = 8
+
 // ScrubStep verifies up to maxGroups parity groups online (maxGroups
-// ≤ 0 uses Config.ScrubBatchGroups), advancing a persistent cursor so
+// ≤ 0 uses StartScrub's batch of 8), advancing a persistent cursor so
 // successive steps walk the whole array.  It is the incremental,
 // transaction-friendly counterpart of Scrub: the step runs under the
 // *shared* recovery gate and takes each group's latch only while that
@@ -40,7 +46,7 @@ func (db *DB) ScrubStep(maxGroups int) (*ScrubReport, bool, error) {
 		return nil, false, ErrCrashed
 	}
 	if maxGroups <= 0 {
-		maxGroups = db.cfg.ScrubBatchGroups
+		maxGroups = scrubBatchGroups
 	}
 	n := db.arr.NumGroups()
 	if maxGroups > n {
@@ -58,7 +64,7 @@ func (db *DB) ScrubStep(maxGroups int) (*ScrubReport, bool, error) {
 		}
 		db.mu.Unlock()
 		res, err := db.scrubGroup(g)
-		rep.merge(res)
+		rep.add(res)
 		if err != nil {
 			return rep, false, err
 		}
@@ -66,12 +72,13 @@ func (db *DB) ScrubStep(maxGroups int) (*ScrubReport, bool, error) {
 	return rep, wrapped, nil
 }
 
-// scrubGroup verifies one group under its latch and invalidates the
-// buffer frames of any pages the repair rewrote on the platter.  Only
-// clean frames are dropped: a dirty frame holds newer contents that
-// will overwrite the repaired block anyway, and the latch held here
-// excludes new modifications for the duration.
-func (db *DB) scrubGroup(g page.GroupID) (core.GroupScrub, error) {
+// scrubGroup verifies one group under its latch, invalidates the buffer
+// frames of any pages the repair rewrote on the platter, and reports the
+// group as a one-group scrub.  Only clean frames are dropped: a dirty
+// frame holds newer contents that will overwrite the repaired block
+// anyway, and the latch held here excludes new modifications for the
+// duration.
+func (db *DB) scrubGroup(g page.GroupID) (ScrubReport, error) {
 	h := db.latches.NewHeld()
 	defer h.ReleaseAll()
 	h.Acquire(g)
@@ -79,19 +86,10 @@ func (db *DB) scrubGroup(g page.GroupID) (core.GroupScrub, error) {
 	for _, p := range res.RepairedPages {
 		db.pool.DiscardClean(p)
 	}
-	return res, err
-}
-
-// merge folds one group's scrub outcome into the report.
-func (rep *ScrubReport) merge(res core.GroupScrub) {
 	if res.Skipped {
-		rep.GroupsSkipped++
-		return
+		return ScrubReport{GroupsSkipped: 1}, err
 	}
-	rep.GroupsScanned++
-	rep.LatentErrors += res.LatentErrors
-	rep.Repaired += res.Repaired
-	rep.ParityRewritten += res.ParityRewritten
+	return ScrubReport{GroupsScanned: 1, LatentErrors: res.LatentErrors, Repaired: res.Repaired, ParityRewritten: res.ParityRewritten}, err
 }
 
 // StartScrub launches a background worker that performs one full scrub
@@ -115,7 +113,7 @@ func (db *DB) StartScrub() <-chan ScrubResult {
 		for total.GroupsScanned+total.GroupsSkipped < n {
 			rep, _, err := db.ScrubStep(0)
 			if rep != nil {
-				total.add(rep)
+				total.add(*rep)
 			}
 			if err != nil {
 				ch <- ScrubResult{Report: total, Err: err}
@@ -134,8 +132,8 @@ type ScrubResult struct {
 	Err    error
 }
 
-// add accumulates another step's report.
-func (rep *ScrubReport) add(o *ScrubReport) {
+// add folds another report — one group's, or a whole step's — into rep.
+func (rep *ScrubReport) add(o ScrubReport) {
 	rep.GroupsScanned += o.GroupsScanned
 	rep.GroupsSkipped += o.GroupsSkipped
 	rep.LatentErrors += o.LatentErrors

@@ -11,8 +11,8 @@ import (
 // cursor, the final step reports cycle completion, and planted latent
 // errors anywhere in the array are repaired along the way.
 func TestScrubStepWalksWholeArray(t *testing.T) {
+	const batch = 2
 	cfg := smallConfig(PageLogging, Force, true, DataStriping)
-	cfg.ScrubBatchGroups = 2
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,11 +37,11 @@ func TestScrubStepWalksWholeArray(t *testing.T) {
 	steps := 0
 	total := &ScrubReport{}
 	for {
-		rep, done, err := db.ScrubStep(0)
+		rep, done, err := db.ScrubStep(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total.add(rep)
+		total.add(*rep)
 		steps++
 		if done {
 			break
@@ -51,8 +51,8 @@ func TestScrubStepWalksWholeArray(t *testing.T) {
 		}
 	}
 	groups := db.NumPages() / cfg.DataDisks
-	if steps != (groups+cfg.ScrubBatchGroups-1)/cfg.ScrubBatchGroups {
-		t.Fatalf("cycle took %d steps for %d groups at batch %d", steps, groups, cfg.ScrubBatchGroups)
+	if steps != (groups+batch-1)/batch {
+		t.Fatalf("cycle took %d steps for %d groups at batch %d", steps, groups, batch)
 	}
 	if total.GroupsScanned != groups || total.GroupsSkipped != 0 {
 		t.Fatalf("scanned %d skipped %d, want %d scanned", total.GroupsScanned, total.GroupsSkipped, groups)
@@ -117,7 +117,7 @@ func TestScrubStepSkipsDirtyGroup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total.add(rep)
+		total.add(*rep)
 		if done {
 			break
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -250,9 +251,7 @@ func TestSecondFailureTyped(t *testing.T) {
 func TestOnlineRebuildUnderTraffic(t *testing.T) {
 	for _, eot := range []EOTDiscipline{Force, NoForce} {
 		t.Run(fmt.Sprintf("%v", eot), func(t *testing.T) {
-			cfg := smallConfig(PageLogging, eot, true, DataStriping)
-			cfg.RebuildBatchGroups = 1 // maximum interleaving with traffic
-			db, err := Open(cfg)
+			db, err := Open(smallConfig(PageLogging, eot, true, DataStriping))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,8 +328,12 @@ func TestOnlineRebuildUnderTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := commits.Load()
-			if err := <-db.StartRebuild(); err != nil {
-				t.Fatalf("online rebuild: %v", err)
+			// One group a step: maximum interleaving with the traffic.
+			for done := false; !done; runtime.Gosched() {
+				var err error
+				if done, err = db.RebuildStep(1); err != nil {
+					t.Fatalf("online rebuild: %v", err)
+				}
 			}
 			waitCommits(before + 40)
 			stop.Store(true)

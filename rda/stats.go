@@ -50,8 +50,9 @@ type Stats struct {
 	AutoFailStops     int64
 	// DegradedReads and DegradedWrites count operations served around a
 	// down disk (reads reconstructed from redundancy, writes maintaining
-	// parity without the dead member); ParityRepairs counts parity pages
-	// recomputed in place after latent checksum errors; RebuiltGroups
+	// parity without the dead member); ParityRepairs counts redundancy
+	// pages (P or Q) a verified read found corrupt and rewrote in place
+	// from the group; RebuiltGroups
 	// counts groups restored by the online rebuild worker since the last
 	// disk loss.
 	DegradedReads  int64
