@@ -32,11 +32,11 @@ import (
 	"repro/internal/dirtyset"
 	"repro/internal/disk"
 	"repro/internal/diskarray"
+	"repro/internal/erasure"
 	"repro/internal/page"
 	"repro/internal/twinpage"
 	"repro/internal/txn"
 	"repro/internal/wal"
-	"repro/internal/xorparity"
 )
 
 // Store mediates all disk-array state changes for one database.
@@ -546,7 +546,7 @@ func (s *Store) singleParityWrite(p page.PageID, g page.GroupID, data, oldData p
 		return fmt.Errorf("core: read parity of group %d: %w", g, err)
 	}
 	defer s.Pages.Put(parity)
-	xorparity.SmallWrite(parity, oldData, data)
+	diskarray.P.SmallWrite(parity, oldData, data, 0)
 	if err := s.Arr.Write(g, r, parity, pMeta); err != nil {
 		return fmt.Errorf("core: write parity of group %d: %w", g, err)
 	}
@@ -667,7 +667,10 @@ func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (pa
 	}
 	var dOld page.Buf
 	if !corrupt {
-		dOld = xorparity.UndoTwin(in[0], in[1], in[2])
+		// D_old = P ⊕ P′ ⊕ D_new, in the twin page just read.
+		dOld = in[0]
+		erasure.AddInto(dOld, in[1])
+		erasure.AddInto(dOld, in[2])
 	} else {
 		// The dirty page's on-disk (new) version is corrupt, so the
 		// Figure 6 identity has nothing to XOR against — but the committed
@@ -1030,14 +1033,20 @@ func (s *Store) settleFlip(g page.GroupID, cur int, metas [2]disk.Meta, committe
 	return 1 - cur, other, s.WriteIndexMeta(g, cur, invalid)
 }
 
-// lostData reports whether a data page of group g is unreachable.
-func (s *Store) lostData(g page.GroupID) bool {
+// LostData returns a data page of group g that is unreachable, if any.
+func (s *Store) LostData(g page.GroupID) (page.PageID, bool) {
 	for i := 0; i < s.Arr.GroupWidth(); i++ {
-		if s.PageUnavailable(s.Arr.GroupPage(g, i)) {
-			return true
+		if p := s.Arr.GroupPage(g, i); s.PageUnavailable(p) {
+			return p, true
 		}
 	}
-	return false
+	return 0, false
+}
+
+// lostData reports whether a data page of group g is unreachable.
+func (s *Store) lostData(g page.GroupID) bool {
+	_, lost := s.LostData(g)
+	return lost
 }
 
 // settleSibling finishes Figure 8 for a dead-slot group after its

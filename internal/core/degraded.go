@@ -23,7 +23,6 @@ import (
 	"repro/internal/diskarray"
 	"repro/internal/erasure"
 	"repro/internal/page"
-	"repro/internal/xorparity"
 )
 
 // DegradedStats is a snapshot of the degraded-serving and latent-repair
@@ -516,7 +515,7 @@ func (s *Store) solve(g page.GroupID, twin int, erased []int) (solved, error) {
 		// The lost member is the XOR of P and the survivors.
 		for _, v := range sol.vals {
 			if v != nil {
-				xorparity.XorInto(pBuf, v)
+				erasure.AddInto(pBuf, v)
 			}
 		}
 		sol.vals[sol.erased[0]] = pBuf

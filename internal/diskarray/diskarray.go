@@ -31,7 +31,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/erasure"
 	"repro/internal/page"
-	"repro/internal/xorparity"
 )
 
 // Kind selects the array organization.
@@ -128,8 +127,8 @@ type Loc struct {
 type Eq uint8
 
 // The two equations.  XOR parity is the m = 1 case of the erasure code
-// (see the xorparity package comment), so P and Q differ only in the
-// coefficients the kernels below apply.
+// (addition in GF(2^8) is XOR), so P and Q differ only in the coefficients
+// the kernels below apply.
 const (
 	// P is XOR parity: P = Σ D_i.
 	P Eq = iota
@@ -150,7 +149,7 @@ func (e Eq) String() string {
 // blocks, given in group order (a nil block counts as zero).
 func (e Eq) Compute(size int, blocks ...[]byte) []byte {
 	if e == P {
-		return xorparity.Compute(size, blocks...)
+		return erasure.ComputeP(size, blocks...)
 	}
 	return erasure.ComputeQ(size, blocks...)
 }
@@ -188,7 +187,8 @@ func (e Eq) Holds(sum, red []byte, blocks ...[]byte) bool {
 // oldData to newData into the redundancy page img, in place.
 func (e Eq) SmallWrite(img, oldData, newData []byte, idx int) {
 	if e == P {
-		xorparity.SmallWrite(img, oldData, newData)
+		erasure.AddInto(img, oldData)
+		erasure.AddInto(img, newData)
 	} else {
 		erasure.QSmallWrite(img, oldData, newData, idx)
 	}

@@ -12,9 +12,8 @@
 // primitive polynomial x⁸+x⁴+x³+x²+1 (0x11d) and · is field
 // multiplication applied byte-wise.  P alone recovers any single missing
 // block; P and Q together recover any two.  Because addition in GF(2^8)
-// is XOR, the P equation here is bit-identical to package xorparity — the
-// single-parity array is exactly the m = 1 special case of this code, and
-// xorparity now delegates to this package.
+// is XOR, the P equation here is plain XOR parity — the single-parity
+// array is exactly the m = 1 special case of this code.
 //
 // The algebra the engine uses:
 //
@@ -33,7 +32,7 @@
 // allocate nothing.
 //
 // All functions operate on equal-length byte slices; length mismatches
-// panic, as in xorparity, because they indicate a storage-layer bug.
+// panic, because they indicate a storage-layer bug.
 package erasure
 
 import (
@@ -126,8 +125,7 @@ func check(a, b []byte) {
 	}
 }
 
-// AddInto computes dst ^= src in place — field addition, identical to
-// xorparity.XorInto.
+// AddInto computes dst ^= src in place — field addition, which is XOR.
 func AddInto(dst, src []byte) {
 	check(dst, src)
 	subtle.XORBytes(dst, dst, src)
@@ -198,7 +196,7 @@ func ComputeQ(size int, blocks ...[]byte) []byte {
 //
 //	Q' = Q ⊕ g^idx·D_old ⊕ g^idx·D_new
 //
-// the Q-side counterpart of xorparity.SmallWrite, needing no other group
+// the Q-side counterpart of the P small write, needing no other group
 // member and no scratch page.
 func QSmallWrite(q, dataOld, dataNew []byte, idx int) {
 	MulAddInto(q, dataOld, Exp(idx))

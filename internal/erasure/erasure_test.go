@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/diskarray"
 	"repro/internal/erasure"
-	"repro/internal/xorparity"
 )
 
 // TestFieldAxioms spot-checks the ring structure the reconstruction
@@ -39,11 +38,17 @@ func randStripe(rng *rand.Rand, k, size int) [][]byte {
 	return blocks
 }
 
-// TestXorPathByteIdentical pins the satellite contract: the P equation of
-// the erasure code is byte-for-byte the XOR parity the engine has always
-// computed, and the xorparity facade returns identical results through
-// every entry point.
+// TestXorPathByteIdentical pins the P equation (diskarray.P) to plain XOR
+// parity through every entry point, with the algebra the engine runs on
+// it: any one block, data or parity, is the parity of the others; the
+// small write folded in place matches a recompute and allocates nothing;
+// Figure 6's D_old = (P ⊕ P′) ⊕ D_new takes it back; and the parity of no
+// blocks is a zero page.
 func TestXorPathByteIdentical(t *testing.T) {
+	p := diskarray.P
+	if got := p.Compute(16); !bytes.Equal(got, make([]byte, 16)) {
+		t.Fatalf("the parity of no blocks is not a zero page")
+	}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
 		k := 1 + rng.Intn(12)
@@ -58,23 +63,38 @@ func TestXorPathByteIdentical(t *testing.T) {
 		if got := erasure.ComputeP(size, blocks...); !bytes.Equal(got, plain) {
 			t.Fatalf("ComputeP diverges from plain XOR")
 		}
-		if got := xorparity.Compute(size, blocks...); !bytes.Equal(got, plain) {
-			t.Fatalf("xorparity.Compute diverges from plain XOR")
+		if got := p.Compute(size, blocks...); !bytes.Equal(got, plain) {
+			t.Fatalf("P.Compute diverges from plain XOR")
 		}
-		if !diskarray.P.Holds(make([]byte, size), plain, blocks...) {
+		if !p.Holds(make([]byte, size), plain, blocks...) {
 			t.Fatalf("the P equation rejects its own parity")
 		}
-		dNew := make([]byte, size)
+		for lost := 0; lost <= k; lost++ {
+			want, rest := plain, blocks
+			if lost < k {
+				want, rest = blocks[lost], append([][]byte{plain}, blocks...)
+				rest[1+lost] = nil
+			}
+			if got := p.Compute(size, rest...); !bytes.Equal(got, want) {
+				t.Fatalf("block %d of %d is not the parity of the others", lost, k)
+			}
+		}
+		i, dNew := rng.Intn(k), make([]byte, size)
 		rng.Read(dNew)
-		want := make([]byte, size)
-		for i := range want {
-			want[i] = plain[i] ^ blocks[0][i] ^ dNew[i]
+		dOld, working := blocks[i], bytes.Clone(plain)
+		p.SmallWrite(working, dOld, dNew, i)
+		blocks[i] = dNew
+		if !bytes.Equal(working, p.Compute(size, blocks...)) {
+			t.Fatalf("P.SmallWrite diverges from a recompute")
 		}
-		sw := append([]byte(nil), plain...)
-		xorparity.SmallWrite(sw, blocks[0], dNew)
-		if !bytes.Equal(sw, want) {
-			t.Fatalf("xorparity.SmallWrite diverges from plain XOR")
+		if got := p.Compute(size, plain, working, dNew); !bytes.Equal(got, dOld) {
+			t.Fatalf("(P ⊕ P′) ⊕ D_new is not the before-image")
 		}
+	}
+	img, dOld, dNew := make([]byte, 2048), make([]byte, 2048), make([]byte, 2048)
+	rng.Read(dNew)
+	if n := testing.AllocsPerRun(100, func() { p.SmallWrite(img, dOld, dNew, 0) }); n != 0 {
+		t.Errorf("P.SmallWrite allocates %.1f times per call, want 0", n)
 	}
 }
 

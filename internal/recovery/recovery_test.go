@@ -40,33 +40,30 @@ func TestAnalyzeOutcomes(t *testing.T) {
 	log.Append(wal.Record{Type: wal.TypeAfterImage, Txn: 2, Page: 5, Slot: wal.NoSlot, Image: []byte{2}})
 	log.Append(wal.Record{Type: wal.TypeEOT, Txn: 2, Slot: wal.NoSlot})
 
-	a, err := Analyze(log)
+	a, err := analyze(log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[page.TxID]Outcome{
-		1: OutcomeCommitted, 2: OutcomeCommitted, 3: OutcomeLoser, 4: OutcomeAborted,
+	want := map[page.TxID]outcome{
+		1: outcomeCommitted, 2: outcomeCommitted, 3: outcomeLoser, 4: outcomeAborted,
 	}
 	for tx, o := range want {
-		if a.Outcomes[tx] != o {
-			t.Errorf("txn %d outcome = %v, want %v", tx, a.Outcomes[tx], o)
+		if a.outcomes[tx] != o {
+			t.Errorf("txn %d outcome = %v, want %v", tx, a.outcomes[tx], o)
 		}
 	}
-	if len(a.Losers) != 1 || a.Losers[0] != 3 {
-		t.Errorf("losers = %v, want [3]", a.Losers)
+	if len(a.losers) != 1 || a.losers[0] != 3 {
+		t.Errorf("losers = %v, want [3]", a.losers)
 	}
-	if a.CheckpointLSN != 4 {
-		t.Errorf("checkpoint LSN = %d, want 4", a.CheckpointLSN)
-	}
-	if len(a.LoserImages[3]) != 1 || a.LoserImages[3][0].Page != 9 {
-		t.Errorf("loser images = %+v", a.LoserImages)
+	if len(a.loserImages[3]) != 1 || a.loserImages[3][0].Page != 9 {
+		t.Errorf("loser images = %+v", a.loserImages)
 	}
 	// Txn 2's after-image is after the checkpoint → needs replay; txn 1
 	// committed before any after-images were written.
-	if len(a.RedoImages) != 1 || a.RedoImages[0].Txn != 2 {
-		t.Errorf("redo images = %+v", a.RedoImages)
+	if len(a.redoImages) != 1 || a.redoImages[0].Txn != 2 {
+		t.Errorf("redo images = %+v", a.redoImages)
 	}
-	if !a.Committed(1) || a.Committed(3) {
+	if !a.committed(1) || a.committed(3) {
 		t.Errorf("Committed predicate wrong")
 	}
 	// The analysis scan must charge log reads.
@@ -156,7 +153,7 @@ func TestRecoverMediaRejectsMissingBeforeImage(t *testing.T) {
 	if err := s.Arr.FailDisk(d); err != nil {
 		t.Fatal(err)
 	}
-	err := RecoverMedia(s, d, func(page.GroupID, dirtyset.Entry) page.Buf { return nil })
+	_, err := RecoverMedia(s, []int{d}, func(page.GroupID, dirtyset.Entry) page.Buf { return nil })
 	if err == nil || !strings.Contains(err.Error(), "before-image") {
 		t.Fatalf("err = %v, want missing before-image error", err)
 	}
@@ -183,14 +180,14 @@ func TestRecoverMediaWithBeforeImage(t *testing.T) {
 	if err := s.Arr.FailDisk(d); err != nil {
 		t.Fatal(err)
 	}
-	err := RecoverMedia(s, d, func(gg page.GroupID, ee dirtyset.Entry) page.Buf {
+	lost, err := RecoverMedia(s, []int{d}, func(gg page.GroupID, ee dirtyset.Entry) page.Buf {
 		if gg == g && ee.Page == 0 {
 			return base
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(lost) > 0 {
+		t.Fatalf("lost %v, err %v", lost, err)
 	}
 	// The rebuilt committed twin must still support the Figure 6 undo.
 	p, restored, err := s.UndoGroupViaParity(g)
@@ -231,8 +228,8 @@ func TestRecoverMediaEveryKindEveryDisk(t *testing.T) {
 				if err := arr.FailDisk(d); err != nil {
 					t.Fatal(err)
 				}
-				if err := RecoverMedia(s, d, nil); err != nil {
-					t.Fatalf("%v q=%v: disk %d: %v", kind, q, d, err)
+				if lost, err := RecoverMedia(s, []int{d}, nil); err != nil || len(lost) > 0 {
+					t.Fatalf("%v q=%v: disk %d: lost %v, err %v", kind, q, d, lost, err)
 				}
 				for p := range want {
 					if got, err := arr.PeekData(page.PageID(p)); err != nil || !got.Equal(want[p]) {
@@ -263,7 +260,7 @@ func TestRecoverMediaMultiBothTwins(t *testing.T) {
 	if err := s.Arr.FailDisk(d1); err != nil {
 		t.Fatal(err)
 	}
-	lost, err := RecoverMediaMulti(s, []int{d0, d1}, nil)
+	lost, err := RecoverMedia(s, []int{d0, d1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +318,7 @@ func TestRecoverMediaMultiDirtyCommittedPlusData(t *testing.T) {
 		}
 		return nil
 	}
-	lost, err := RecoverMediaMulti(s, []int{dA, dB}, before)
+	lost, err := RecoverMedia(s, []int{dA, dB}, before)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +389,7 @@ func TestRecoverMediaMultiDirtyWorkingPlusData(t *testing.T) {
 		if ok, err := RebuildGroup(s, g, drives, nil); err != nil || ok {
 			t.Fatalf("pq=%v: rebuild without the before-image: ok=%v err=%v, want reported loss", pq, ok, err)
 		}
-		lost, err := RecoverMediaMulti(s, drives, before)
+		lost, err := RecoverMedia(s, drives, before)
 		if err != nil {
 			t.Fatalf("pq=%v: %v", pq, err)
 		}
@@ -428,7 +425,7 @@ func TestRecoverMediaMultiReportsLoss(t *testing.T) {
 	if err := s.Arr.FailDisk(1); err != nil {
 		t.Fatal(err)
 	}
-	lost, err := RecoverMediaMulti(s, []int{0, 1}, nil)
+	lost, err := RecoverMedia(s, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,22 +624,22 @@ func BenchmarkCrashRecoverRedo(b *testing.B) {
 	b.ReportMetric(float64(transfers)/images, "transfers/image")
 }
 
-// TestRedoAllocationsIndependentOfImages: pass 6 works in the applier's two
+// TestRedoAllocationsIndependentOfImages: pass 6 works in the restart's two
 // page buffers, so replaying four times the images over the same pages
 // allocates no more — what is left is one record view per page.
 func TestRedoAllocationsIndependentOfImages(t *testing.T) {
 	const pages = 64
 	allocs := func(perPage int) float64 {
 		s, _ := redoStore(t, pages, perPage)
-		a, err := Analyze(s.Log)
+		a, err := analyze(s.Log)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ap := applier{s: s, a: a, lost: map[page.PageID]bool{}, old: s.Pages.Get(), new: s.Pages.Get()}
+		st := &state{s: s, a: a, lost: map[page.PageID]bool{}, old: s.Pages.Get(), new: s.Pages.Get()}
 		return testing.AllocsPerRun(10, func() {
-			rep := &Report{}
-			if err := ap.redo(a.RedoImages, rep); err != nil || rep.Redone != pages*perPage {
-				t.Fatalf("redone %d, err %v", rep.Redone, err)
+			st.rep = &Report{}
+			if err := st.redo(); err != nil || st.rep.Redone != pages*perPage {
+				t.Fatalf("redone %d, err %v", st.rep.Redone, err)
 			}
 		})
 	}

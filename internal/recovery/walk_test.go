@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -129,24 +131,57 @@ func TestRestartHeaderReads(t *testing.T) {
 	}
 }
 
-// TestRestartPassesSumToDelta: the passes account for every array transfer
-// of the restart, soft and hard.
+// TestRestartPassesSumToDelta: a restart runs the passes of the table in
+// its order — torn repair and resync after a mid-I/O crash only, REDO under
+// ¬FORCE only — and they account for every array transfer of the restart:
+// soft and hard, FORCE and ¬FORCE, healthy and with a disk down.
 func TestRestartPassesSumToDelta(t *testing.T) {
 	for _, hard := range []bool{false, true} {
-		s := newStore(t, diskarray.RAID5Twin)
-		stealLoser(t, s, 5)
-		s.ResetVolatile()
-		before := s.Arr.Stats().Transfers()
-		rep, err := CrashRecover(s, true, hard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum int64
-		for _, p := range rep.Passes {
-			sum += p.Transfers
-		}
-		if delta := s.Arr.Stats().Transfers() - before; sum != delta || delta == 0 {
-			t.Fatalf("hard=%v: passes %+v sum to %d transfers, the restart made %d", hard, rep.Passes, sum, delta)
+		for _, redo := range []bool{false, true} {
+			for _, down := range []bool{false, true} {
+				t.Run(fmt.Sprintf("hard=%v/redo=%v/down=%v", hard, redo, down), func(t *testing.T) {
+					s := newStore(t, diskarray.RAID5Twin)
+					stealLoser(t, s, 5)
+					s.ResetVolatile()
+					if down {
+						// The disk of a sibling of the stolen page.
+						d := s.Arr.DataLoc(6).Disk
+						if err := s.Arr.FailDisk(d); err != nil {
+							t.Fatal(err)
+						}
+						s.EnterDegraded(d)
+					}
+					before := s.Arr.Stats().Transfers()
+					rep, err := CrashRecover(s, redo, hard)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := []string{"analyze", "walk"}
+					if hard {
+						want = append(want, "torn repair")
+					}
+					want = append(want, "undo", "bitmap", "launder")
+					if hard {
+						want = append(want, "resync")
+					}
+					want = append(want, "logged undo")
+					if redo {
+						want = append(want, "redo")
+					}
+					var names []string
+					var sum int64
+					for _, p := range rep.Passes {
+						names = append(names, p.Name)
+						sum += p.Transfers
+					}
+					if !slices.Equal(names, want) {
+						t.Fatalf("passes %q, want %q", names, want)
+					}
+					if delta := s.Arr.Stats().Transfers() - before; sum != delta || delta == 0 {
+						t.Fatalf("passes %+v sum to %d transfers, the restart made %d", rep.Passes, sum, delta)
+					}
+				})
+			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/diskarray"
 	"repro/internal/page"
-	"repro/internal/xorparity"
 )
 
 func newTwinArray(t *testing.T) *diskarray.Array {
@@ -219,7 +218,7 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 		t.Fatal(err)
 	}
 	working := committedParity.Clone()
-	xorparity.SmallWrite(working, oldData, newData)
+	diskarray.P.SmallWrite(working, oldData, newData, 1)
 	if err := a.Write(0, pTwin(m.Obsolete(0)), working, disk.Meta{State: disk.StateWorking, Timestamp: 10, Txn: 7, DirtyPage: victim}); err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +239,10 @@ func TestUndoViaTwinParityFigure6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered := xorparity.UndoTwin(p0, p1, onDisk)
-	if !page.Buf(recovered).Equal(oldData) {
-		t.Fatalf("twin undo did not recover the before-image")
+	for _, twins := range [][2]page.Buf{{p0, p1}, {p1, p0}} {
+		if recovered := diskarray.P.Compute(ps, twins[0], twins[1], onDisk); !page.Buf(recovered).Equal(oldData) {
+			t.Fatalf("twin undo did not recover the before-image")
+		}
 	}
 }
 

@@ -1038,7 +1038,12 @@ func (db *DB) RepairDisk(d int) error {
 	if db.crashed {
 		return ErrCrashed
 	}
-	if err := recovery.RecoverMedia(db.store, d, db.stolenBeforeFunc()); err != nil {
+	lost, err := recovery.RecoverMedia(db.store, []int{d}, db.stolenBeforeFunc())
+	if err == nil && len(lost) > 0 {
+		// A single-disk failure never exceeds single-failure redundancy.
+		err = fmt.Errorf("recovery: single-disk rebuild reported lost groups %v", lost)
+	}
+	if err != nil {
 		return fmt.Errorf("rda: media recovery: %w", err)
 	}
 	db.leaveDegradedLocked()
@@ -1071,7 +1076,7 @@ func (db *DB) RepairDisks(ds ...int) ([]uint32, error) {
 	if db.crashed {
 		return nil, ErrCrashed
 	}
-	lost, err := recovery.RecoverMediaMulti(db.store, ds, db.stolenBeforeFunc())
+	lost, err := recovery.RecoverMedia(db.store, ds, db.stolenBeforeFunc())
 	if err != nil {
 		return nil, fmt.Errorf("rda: media recovery: %w", err)
 	}

@@ -241,54 +241,61 @@ func TestGroupFlushChainAbort(t *testing.T) {
 	}
 }
 
-// TestGroupFlushChainLostParityWrite: the drive loses the P write of the
+// TestGroupFlushChainLostParityWrite: the drive loses a write of the
 // chain's last flip — the index that is the committed twin once the steal
 // has landed, the only way back to the stolen page's old contents.  The
 // flip's read-back meets the ledger, hands nothing on, and the steal reads
-// for itself and has the twin recomputed while every data page of the group
-// is still committed; the commit then fails elsewhere and the abort
-// restores all k pages.  A steal handed the image from memory, unread,
-// would leave the stale twin for the undo to trip over.  The P write only:
-// a Q page has no read repair yet (ROADMAP item 1(e)), chain or no chain.
+// for itself and has the page repaired — P or Q alike, by the one verified
+// read — while every data page of the group is still committed; the commit
+// then fails elsewhere and the abort restores all k pages.  A steal handed
+// the image from memory, unread, would leave the stale twin for the undo to
+// trip over.  The P write on every chain store, the Q write on the P+Q ones.
 func TestGroupFlushChainLostParityWrite(t *testing.T) {
 	for _, cfg := range chainStores() {
 		const k = 3
-		lose := (k - 1) * equations(cfg) // Q before P: the last flip's P write
-		t.Run(chainName(cfg), func(t *testing.T) {
-			db, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
+		for _, eq := range []diskarray.Eq{diskarray.P, diskarray.Q}[:equations(cfg)] {
+			// Q before P: the last flip's P write is the group's
+			// (k − 1)·eqs-th redundancy write, its Q write the one before.
+			lose, name := (k-1)*equations(cfg), chainName(cfg)
+			if eq == diskarray.Q {
+				lose, name = lose-1, name+"/Q write"
 			}
-			imgs := loadAll(t, db)
-			const g, other = page.GroupID(2), page.GroupID(5)
-			pages := db.arr.GroupPages(g)[:k]
-			victim := db.arr.GroupPages(other)[0]
+			t.Run(name, func(t *testing.T) {
+				db, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				imgs := loadAll(t, db)
+				const g, other = page.GroupID(2), page.GroupID(5)
+				pages := db.arr.GroupPages(g)[:k]
+				victim := db.arr.GroupPages(other)[0]
 
-			tx := mustBegin(t, db)
-			writePages(t, db, tx, append(append([]page.PageID(nil), pages...), victim), 0x40)
-			w := watchGroup(db, g)
-			loc := db.arr.DataLoc(victim)
-			w.refuse, w.lose = &loc, lose
-			db.SetInjector(w)
-			if err := tx.Commit(); !errors.Is(err, errRefused) {
-				t.Fatalf("commit: %v, want the injected write error", err)
-			}
-			db.SetInjector(nil)
-			if e, dirty := db.store.Dirty.Lookup(g); !dirty || e.Page != pages[k-1] {
-				t.Fatalf("Dirty_Set of the group = %+v (dirty %v), want page %d", e, dirty, pages[k-1])
-			}
-			if n := db.Stats().CorruptBlocksDetected; n != 1 {
-				t.Fatalf("%d corrupt block(s) detected during the flush, want the lost write", n)
-			}
-			if err := tx.Abort(); err != nil {
-				t.Fatal(err)
-			}
-			want := map[PageID][]byte{PageID(victim): imgs[PageID(victim)]}
-			for _, p := range pages {
-				want[PageID(p)] = imgs[PageID(p)]
-			}
-			checkPlatter(t, db, want)
-		})
+				tx := mustBegin(t, db)
+				writePages(t, db, tx, append(append([]page.PageID(nil), pages...), victim), 0x40)
+				w := watchGroup(db, g)
+				loc := db.arr.DataLoc(victim)
+				w.refuse, w.lose = &loc, lose
+				db.SetInjector(w)
+				if err := tx.Commit(); !errors.Is(err, errRefused) {
+					t.Fatalf("commit: %v, want the injected write error", err)
+				}
+				db.SetInjector(nil)
+				if e, dirty := db.store.Dirty.Lookup(g); !dirty || e.Page != pages[k-1] {
+					t.Fatalf("Dirty_Set of the group = %+v (dirty %v), want page %d", e, dirty, pages[k-1])
+				}
+				if n := db.Stats().CorruptBlocksDetected; n != 1 {
+					t.Fatalf("%d corrupt block(s) detected during the flush, want the lost write", n)
+				}
+				if err := tx.Abort(); err != nil {
+					t.Fatal(err)
+				}
+				want := map[PageID][]byte{PageID(victim): imgs[PageID(victim)]}
+				for _, p := range pages {
+					want[PageID(p)] = imgs[PageID(p)]
+				}
+				checkPlatter(t, db, want)
+			})
+		}
 	}
 }
 
