@@ -646,6 +646,8 @@ func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (pa
 	// as the steal left it, whose corruption is the one error that is not
 	// the end of the undo.
 	var in [3]page.Buf
+	in[2] = s.Pages.Get()
+	defer s.Pages.Put(in[2])
 	corrupt := false
 	err := s.Arr.Together(len(in), func(i int) error {
 		var err error
@@ -655,7 +657,7 @@ func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (pa
 			}
 			return nil
 		}
-		if in[i], _, err = s.Arr.ReadData(p, nil); disk.IsCorrupt(err) {
+		if _, _, err = s.Arr.ReadData(p, in[i]); disk.IsCorrupt(err) {
 			corrupt = true
 		} else if err != nil {
 			return fmt.Errorf("core: read page %d: %w", p, err)
@@ -707,7 +709,9 @@ func (s *Store) CrashUndoWorkingTwin(w WorkingTwinInfo) (figure6 bool, err error
 	if s.PageUnavailable(w.DirtyPage) {
 		return false, nil
 	}
-	_, meta, err := s.Arr.ReadData(w.DirtyPage, nil)
+	tagged := s.Pages.Get()
+	defer s.Pages.Put(tagged)
+	_, meta, err := s.Arr.ReadData(w.DirtyPage, tagged)
 	if err != nil {
 		if !disk.IsCorrupt(err) {
 			return false, fmt.Errorf("core: read tagged page %d: %w", w.DirtyPage, err)
@@ -723,11 +727,12 @@ func (s *Store) CrashUndoWorkingTwin(w WorkingTwinInfo) (figure6 bool, err error
 		// either way the page holds no state of this writer.
 		return true, s.WriteIndexMeta(w.Group, w.Twin, invalid)
 	}
-	if meta.Timestamp != w.Timestamp || !s.TwinReadable(w.Group, diskarray.P.Twin(1-w.Twin)) {
+	if meta.Timestamp != w.Timestamp || !s.TwinReadable(w.Group, diskarray.P.Twin(1-w.Twin)) || !s.TwinReadable(w.Group, diskarray.P.Twin(w.Twin)) {
 		// The crash fell inside a re-steal, between rewriting the working
 		// twin and the data write — the twin describes a newer page version
-		// than the one on disk, so P ⊕ P′ ⊕ D would yield garbage — or the
-		// committed P twin is gone and P ⊕ P′ has nothing to XOR against.
+		// than the one on disk, so P ⊕ P′ ⊕ D would yield garbage — or a P
+		// twin is gone (the walk read the working header from its Q
+		// partner) and P ⊕ P′ has nothing to XOR.
 		return false, nil
 	}
 	_, err = s.undoViaTwins(w.Group, w.DirtyPage, w.Twin)
@@ -840,15 +845,16 @@ func anyWriter(page.TxID) bool { return true }
 // invariant either way, under the P twin's (already resynced) header.
 func (s *Store) resyncGroup(gid page.GroupID) (bool, error) {
 	if s.GroupDegraded(gid) {
-		// A degraded group cannot be verified against all its
-		// members.  If its lost block is a twin, the crash-recovery
-		// bitmap pass already re-established the surviving twin
-		// against the data; if it is a data page, the current parity
-		// *defines* the lost page's value and settleFlip has
-		// already demoted a flip whose data write the crash cut off.
-		// Either way the restarted rebuild recomputes the group's
-		// redundancy.
-		return false, nil
+		// A group that lost a data page cannot be verified: the current
+		// parity *defines* the lost page's value, and settleFlip has
+		// already demoted a flip whose data write the crash cut off.  One
+		// that lost a redundancy slot has the current index's reachable
+		// slots established over its data.  Either way the restarted
+		// rebuild recomputes the group's redundancy.
+		if s.Twins == nil || s.lostData(gid) {
+			return false, nil
+		}
+		return s.establishIndex(gid, s.currentTwin(gid))
 	}
 	did := false
 	for _, eq := range s.Arr.Equations() {
@@ -925,79 +931,51 @@ func (s *Store) resyncSettleP(gid page.GroupID, cur int) (bool, error) {
 // the store's array.
 func (s *Store) SetInjector(inj disk.Injector) { s.Arr.SetInjector(inj) }
 
-// currentFromDisk settles which twin index of group g — one of whose
-// redundancy slots is unreachable if deadSlot — is current after a crash.
+// settle returns the index of group g that is current after a crash, and
+// whether settling it rewrote the group: Current_Parity (Figure 7) over the
+// index headers the walk read (metas), the whole of it for a group that has
+// lost no block.  A group that has lost one — a data page or a redundancy
+// slot — has its winner's flip pairing checked as well (settleFlip), the one
+// check a header read leaves open: whether the winner's data write landed.
+// A dead slot changes nothing else: the winner keeps its header, however
+// many slots the other index has left, and the restarted rebuild recomputes
+// the slot.
 //
-// The decision is Current_Parity (Figure 7) over the two index headers,
-// each read from whichever slot of the index answers (IndexMeta) — on a
-// healthy array that is the whole of it: two header reads and the rule.
-// Two things a disk loss adds:
-//
-//   - A group that lost a data page cannot have its winner verified by
-//     recomputation (Resync skips it), so the winner's flip pairing
-//     is checked instead (settleFlip).
-//   - A group that lost a redundancy slot but no data needs no arbitration
-//     at all: the index with the most surviving redundancy is established
-//     over the readable data as the group's sole authority
-//     (establishIndex), and the restarted rebuild recomputes the rest.
-//
-// Either way a dead-slot group's steal-era headers are then settled on
-// disk (settleSibling), which the laundering pass leaves to this one.
-func (s *Store) currentFromDisk(g page.GroupID, deadSlot bool, committed func(page.TxID) bool) (int, error) {
-	var cur int
-	var kept disk.Meta
-	var err error
-	if deadSlot && !s.lostData(g) {
-		// Ties favour index 0, matching the formatted state; a live P
-		// weighs above a live Q (reads solve through the cheap XOR
-		// equation).
-		score := func(t int) (n int) {
-			for _, eq := range s.Arr.Equations() {
-				if s.SlotAlive(g, eq.Twin(t)) {
-					n += 2 - int(eq)
-				}
-			}
-			return n
-		}
-		if score(1) > score(0) {
-			cur = 1
-		}
-		kept, err = s.establishIndex(g, cur)
-	} else {
-		var metas [2]disk.Meta
-		for t := range metas {
-			if metas[t], err = s.IndexMeta(g, t); err != nil {
-				return 0, err
-			}
-		}
-		var ok bool
-		if cur, ok = twinpage.CurrentParity(metas[0], metas[1], committed); !ok {
-			return 0, fmt.Errorf("core: group %d has no valid parity twin (states %v/%v)", g, metas[0].State, metas[1].State)
-		}
-		if !s.GroupDegraded(g) {
-			return cur, nil
-		}
-		cur, kept, err = s.settleFlip(g, cur, metas, committed)
+// Only when the headers cannot arbitrate is the group established from its
+// data (establishIndex): no index with a reachable slot is valid, or one
+// index has no reachable slot at all — the other's header, whatever it says,
+// was never compared with anything (twin parity with a P twin down, or both
+// pages of a P+Q index).  Both leave every data page readable.
+func (s *Store) settle(g page.GroupID, metas [2]disk.Meta, committed func(page.TxID) bool) (cur int, rewrote bool, err error) {
+	cur, ok := twinpage.CurrentParity(metas[0], metas[1], committed)
+	degraded := s.GroupDegraded(g)
+	switch {
+	case ok && !degraded:
+		return cur, false, nil
+	case ok && metas[1-cur].State != disk.StateNone:
+		return s.settleFlip(g, cur, metas, committed)
+	case !degraded || !ok && s.lostData(g):
+		return 0, false, fmt.Errorf("core: group %d has no valid parity twin (states %v/%v)", g, metas[0].State, metas[1].State)
+	case metas[cur].State == disk.StateNone:
+		cur = 1 // no index is valid, and index 0 has no reachable slot
 	}
-	if err != nil || !deadSlot {
-		return cur, err
-	}
-	return cur, s.settleSibling(g, cur, kept, committed)
+	rewrote, err = s.establishIndex(g, cur)
+	return cur, rewrote, err
 }
 
-// settleFlip validates the Figure 7 winner cur of a group that lost a data
-// page, and returns the index that stays current with its header.  A
-// committed small-write flip records which data page it wrote (DirtyPage +
-// PairedSet) and stamps that page with the parity's timestamp
-// (flipCommitted); if the crash landed between the parity write and the
-// data write, the pair is broken — the winner describes data that never
-// reached disk, and through the parity equation it would assign the
-// unreadable dead page a garbage value.  The other index, untouched by the
-// flip, still describes the on-disk contents, so it is made current again
-// and the half-finished flip invalidated.  The interrupted write's own
-// page is consistent either way: its transaction cannot have logged EOT
-// past an unfinished flush, so the old on-disk contents are exactly what
-// UNDO wants.
+// settleFlip validates the Figure 7 winner cur of a group that has lost a
+// block, and returns the index that stays current and whether the group was
+// rewritten.  A committed small-write flip records which data page it wrote
+// (DirtyPage + PairedSet) and stamps that page with the parity's timestamp
+// (flipCommitted, writeDegraded); if the crash landed between the
+// redundancy write and the data write, the pair is broken — the winner
+// describes data that never reached disk, and through its equations it
+// would assign an unreadable page a garbage value.  The other index,
+// untouched by the flip, still describes the on-disk contents, so it is made
+// current again and the half-finished flip invalidated.  The interrupted
+// write's own page is consistent either way: its transaction cannot have
+// logged EOT past an unfinished flush, so the old on-disk contents are
+// exactly what UNDO wants.
 //
 // A pair that names the dead page itself, or a page that no longer reads,
 // is unverifiable; the winner is kept rather than demoted on a guess (a
@@ -1012,25 +990,27 @@ func (s *Store) currentFromDisk(g page.GroupID, deadSlot bool, committed func(pa
 // three are Figure 7's valid bases and are laundered to committed; any
 // other header cannot be current under a completed flip, so the winner is
 // kept.
-func (s *Store) settleFlip(g page.GroupID, cur int, metas [2]disk.Meta, committed func(page.TxID) bool) (int, disk.Meta, error) {
+func (s *Store) settleFlip(g page.GroupID, cur int, metas [2]disk.Meta, committed func(page.TxID) bool) (int, bool, error) {
 	m, other := metas[cur], metas[1-cur]
 	if m.State != disk.StateCommitted || !m.PairedSet || s.PageUnavailable(m.DirtyPage) || !twinpage.Valid(other, committed) {
-		return cur, m, nil
+		return cur, false, nil
 	}
-	_, dm, err := s.Arr.ReadData(m.DirtyPage, nil)
+	echo := s.Pages.Get()
+	defer s.Pages.Put(echo)
+	_, dm, err := s.Arr.ReadData(m.DirtyPage, echo)
 	if err != nil && !disk.IsCorrupt(err) {
-		return cur, m, err
+		return cur, false, err
 	}
 	if err != nil || dm.Timestamp == m.Timestamp {
-		return cur, m, nil
+		return cur, false, nil
 	}
 	if other.State != disk.StateCommitted {
 		other = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
 		if err := s.WriteIndexMeta(g, 1-cur, other); err != nil {
-			return cur, m, err
+			return cur, true, err
 		}
 	}
-	return 1 - cur, other, s.WriteIndexMeta(g, cur, invalid)
+	return 1 - cur, true, s.WriteIndexMeta(g, cur, invalid)
 }
 
 // LostData returns a data page of group g that is unreachable, if any.
@@ -1049,77 +1029,13 @@ func (s *Store) lostData(g page.GroupID) bool {
 	return lost
 }
 
-// settleSibling finishes Figure 8 for a dead-slot group after its
-// describing index cur — whose header is now kept — is settled: every
-// alive slot must end in a state Figure 7 agrees with.  The normal
-// post-bitmap laundering pass skips dead-slot groups (their
-// re-establishment is wholesale), but a dead-slot group that kept its
-// steal-era headers — Figure 7 in currentFromDisk promotes a
-// committed winner's working twin without rewriting it, and
-// establishIndex only touches the one target index — would otherwise
-// surface working state after restart.  A working slot of cur becomes
-// committed under its own timestamp (its writer committed, or arbitration
-// would not have picked it); any other index's working slot describes a
-// superseded steal — a committed winner's older state or a loser already
-// unwound by the undo passes — and is invalidated, the abort transition.
-//
-// A sibling whose committed header a later Figure 7 scan would prefer to
-// kept is demoted to obsolete.  That state arises when a degraded
-// write left the data as it was: it lands on the obsolete index under a
-// fresh timestamp, the other index still describes the data, and
-// establishIndex — which picks by live slots, not timestamps — keeps the
-// older one's committed header because its payload verifies.
-func (s *Store) settleSibling(g page.GroupID, cur int, kept disk.Meta, committed func(page.TxID) bool) error {
-	for t := 0; t < 2; t++ {
-		// An index answers Figure 7 with its first reachable header (P's,
-		// else its Q proxy's); whether the sibling must step down is that
-		// header's call, and then all its slots follow.
-		judged, demote := false, false
-		for _, eq := range s.Arr.Equations() {
-			r := eq.Twin(t)
-			if !s.SlotAlive(g, r) {
-				continue
-			}
-			m, err := s.Arr.ReadMeta(g, r)
-			if err != nil {
-				return err
-			}
-			if !judged {
-				judged = true
-				if t != cur && m.State == disk.StateCommitted {
-					var pair [2]disk.Meta
-					pair[cur], pair[t] = kept, m
-					win, _ := twinpage.CurrentParity(pair[0], pair[1], committed)
-					demote = win == t
-				}
-			}
-			var out disk.Meta
-			switch {
-			case m.State == disk.StateWorking && t == cur && committed != nil && committed(m.Txn):
-				out = disk.Meta{State: disk.StateCommitted, Timestamp: m.Timestamp, Txn: m.Txn}
-			case m.State == disk.StateWorking:
-				out = invalid
-			case m.State == disk.StateCommitted && demote:
-				out = disk.Meta{State: disk.StateObsolete}
-			default:
-				continue
-			}
-			if err := s.Arr.WriteMeta(g, r, out); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // establishIndex makes index t's reachable slots describe the on-disk
-// data: each alive slot is kept when its header is committed and its
-// payload verifies, and recomputed committed otherwise — P under a fresh
-// timestamp, Q under its P partner's committed header when that survived
-// (the lockstep invariant), else under the same fresh one.  Every data
-// page of the group must be readable.  Returns the header the index now
-// answers a Figure 7 scan with.
-func (s *Store) establishIndex(g page.GroupID, t int) (disk.Meta, error) {
+// data, reporting whether it rewrote any: each alive slot is kept when its
+// header is committed and its payload verifies, and recomputed committed
+// otherwise — P under a fresh timestamp, Q under its P partner's committed
+// header when that survived (the lockstep invariant), else under the same
+// fresh one.  Every data page of the group must be readable.
+func (s *Store) establishIndex(g page.GroupID, t int) (rewrote bool, _ error) {
 	var fresh, kept disk.Meta
 	for _, eq := range s.Arr.Equations() {
 		r := eq.Twin(t)
@@ -1128,12 +1044,12 @@ func (s *Store) establishIndex(g page.GroupID, t int) (disk.Meta, error) {
 		}
 		m, err := s.Arr.ReadMeta(g, r)
 		if err != nil {
-			return kept, err
+			return rewrote, err
 		}
 		ok := false
 		if m.State == disk.StateCommitted {
 			if ok, err = s.Verify(g, r); err != nil {
-				return kept, err
+				return rewrote, err
 			}
 		}
 		if !ok {
@@ -1145,14 +1061,15 @@ func (s *Store) establishIndex(g page.GroupID, t int) (disk.Meta, error) {
 				m = fresh
 			}
 			if err := s.Recompute(g, r, m); err != nil {
-				return kept, fmt.Errorf("core: recompute surviving %s twin of group %d: %w", eq, g, err)
+				return rewrote, fmt.Errorf("core: recompute surviving %s twin of group %d: %w", eq, g, err)
 			}
+			rewrote = true
 		}
 		if kept.State == disk.StateNone {
 			kept = m
 		}
 	}
-	return kept, nil
+	return rewrote, nil
 }
 
 // ResetVolatile drops the store's main-memory state (Dirty_Set, twin

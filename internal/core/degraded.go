@@ -340,7 +340,6 @@ func (s *Store) dirtyEntry(g page.GroupID) (dirtyset.Entry, bool) {
 
 // solved is one verified pass over a group through one redundancy index.
 type solved struct {
-	pages []page.PageID
 	// vals holds every data member's value in group order, the erased
 	// ones solved from the equations.
 	vals []page.Buf
@@ -422,11 +421,10 @@ func (s *Store) solve(g page.GroupID, twin int, erased []int) (solved, error) {
 		}
 		return false
 	}
-	sol := solved{pages: s.Arr.GroupPages(g)}
-	n := len(sol.pages)
-	sol.vals = make([]page.Buf, n)
-	for i, p := range sol.pages {
-		if s.PageUnavailable(p) || gone(s.Arr.DataLoc(p).Disk) {
+	n := s.Arr.GroupWidth()
+	sol := solved{vals: make([]page.Buf, n)}
+	for i := range sol.vals {
+		if p := s.Arr.GroupPage(g, i); s.PageUnavailable(p) || gone(s.Arr.DataLoc(p).Disk) {
 			sol.erased = append(sol.erased, i)
 		}
 	}
@@ -472,10 +470,11 @@ func (s *Store) solve(g page.GroupID, twin int, erased []int) (solved, error) {
 		if slices.Contains(known, i) {
 			return nil
 		}
-		b, _, err := s.Arr.ReadData(sol.pages[i], s.Pages.Get())
+		p := s.Arr.GroupPage(g, i)
+		b, _, err := s.Arr.ReadData(p, s.Pages.Get())
 		if err != nil {
 			if !disk.IsCorrupt(err) {
-				return fmt.Errorf("core: solve group %d: read page %d: %w", g, sol.pages[i], err)
+				return fmt.Errorf("core: solve group %d: read page %d: %w", g, p, err)
 			}
 			s.deg.corruptDetected.Add(1)
 			return nil

@@ -271,3 +271,48 @@ func TestDegradedQuestionsDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupVisitsBuildNoMemberList guards the two group visits that walk a
+// group's members by index (Arr.GroupPage) instead of building its page
+// list: the hard walk, whose allocations are per walk and not per group, and
+// the solve, whose one-erasure case allocates a fixed handful of objects.
+// Each row also pins its transfers: every block once for the walk, N − 1
+// members and P for the solve.
+func TestGroupVisitsBuildNoMemberList(t *testing.T) {
+	arr, err := diskarray.New(diskarray.Config{Kind: diskarray.RAID5Twin, DataDisks: 4, NumPages: 192, PageSize: page.MinSize, QParity: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(arr, wal.New(wal.DefaultConfig()), txn.NewManager())
+	groups, width := arr.NumGroups(), arr.GroupWidth()
+	transfers := func(fn func()) (int64, float64) {
+		before := arr.Stats().Transfers()
+		allocs := testing.AllocsPerRun(10, fn)
+		return (arr.Stats().Transfers() - before) / 11, allocs
+	}
+
+	n, allocs := transfers(func() {
+		if _, err := s.WalkGroups(anyWriter, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := int64(groups * (width + 4)); n != want || allocs >= float64(groups) {
+		t.Errorf("hard walk of %d groups: %d transfers, %.0f allocations; want %d and fewer than one a group", groups, n, allocs, want)
+	}
+
+	dead := arr.DataLoc(2).Disk
+	if err := arr.FailDisk(dead); err != nil {
+		t.Fatal(err)
+	}
+	s.EnterDegraded(dead)
+	n, allocs = transfers(func() {
+		vals, _, err := s.SolveGroup(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Pages.Put(vals...)
+	})
+	if n != int64(width) || allocs > 7 {
+		t.Errorf("one-erasure solve: %d transfers, %.0f allocations; want %d and at most 7", n, allocs, width)
+	}
+}

@@ -146,7 +146,7 @@ func (s *Store) repair(g page.GroupID, twin, bad int, badErr error, eqs []diskar
 		}
 	}
 	for _, i := range sol.erased {
-		if !s.PageUnavailable(sol.pages[i]) {
+		if !s.PageUnavailable(s.Arr.GroupPage(g, i)) {
 			h.latent++
 		}
 	}
@@ -194,7 +194,7 @@ func (s *Store) repair(g page.GroupID, twin, bad int, badErr error, eqs []diskar
 		hdr = own[diskarray.Q]
 	}
 	for _, i := range sol.erased {
-		p := sol.pages[i]
+		p := s.Arr.GroupPage(g, i)
 		if s.PageUnavailable(p) {
 			continue
 		}
@@ -259,20 +259,33 @@ func (s *Store) synthesizedHeader(g page.GroupID, twin int) disk.Meta {
 // ReadGroup is the verified group read: all N data pages of group g, read
 // together when the drives queue, into pages from s.Pages that the caller
 // puts back when it is done with them, after an error too.  The pages are
-// read raw; only when one fails verification is the group solved instead,
-// through the index that describes the platter with redundancy page r —
-// the slot the caller is about to rewrite over these values, so no
-// equation to solve with — erased.  Any other failure surfaces as it is.
+// read raw; only when one fails is the group solved instead, through the
+// index that describes the platter with redundancy page r — the slot the
+// caller is about to rewrite over these values, so no equation to solve
+// with — erased.  A page that fails verification is one more erasure; a
+// drive that has died, under this read or before it, is one more for every
+// drive the array now reports down (the live path learns of a second death
+// here, mid-operation, before the engine has re-entered degraded serving).
+// Beyond the redundancy that is ErrArrayFailed; any other failure surfaces
+// as it is.
 func (s *Store) ReadGroup(g page.GroupID, r diskarray.Red) ([]page.Buf, error) {
 	vals := make([]page.Buf, s.Arr.GroupWidth())
 	for i := range vals {
 		vals[i] = s.Pages.Get()
 	}
 	err := s.Arr.ReadGroup(g, vals)
-	if !disk.IsCorrupt(err) {
+	died := errors.Is(err, disk.ErrFailed)
+	if !disk.IsCorrupt(err) && !died {
 		return vals, err
 	}
 	s.Pages.Put(vals...)
-	vals, _, err = s.SolveGroup(g, s.describingTwin(g), s.Arr.Loc(g, r).Disk)
+	erased := []int{s.Arr.Loc(g, r).Disk}
+	if died {
+		erased = append(erased, s.Arr.DownDisks()...)
+	}
+	vals, _, err = s.SolveGroup(g, s.describingTwin(g), erased...)
+	if died && errors.Is(err, ErrUnrecoverableCorruption) {
+		err = fmt.Errorf("%w: %v", diskarray.ErrArrayFailed, err)
+	}
 	return vals, err
 }

@@ -61,15 +61,21 @@ type GroupWalk struct {
 }
 
 type groupScan struct {
-	// metas are the P twin headers as read, zero where none was: what
-	// IndexMeta answers for a group that has lost no block.
-	metas    [2]disk.Meta
+	// metas are the index headers as read — what IndexMeta answers: P's
+	// where the P slot is alive, else its Q partner's, zero where neither
+	// is (or the hard walk's read failed).  Figure 7 reads these.
+	metas [2]disk.Meta
+	// spares are the P headers a replacement drive holds in a slot metas
+	// count as down: no basis for Figure 7, but a working header there is a
+	// steal that still needs its undo.
+	spares   [2]disk.Meta
 	touched  bool // a pass rewrote the group since: the platter answers now
 	verified bool // hard walk: every block sound, the winner's equations hold
 }
 
-// WalkGroups visits every group once, Lanes() at a time, and reads its twin
-// parity headers: two charged transfers a group, the paper's restart cost.
+// WalkGroups visits every group once, Lanes() at a time, and reads the
+// header of each of its two redundancy indexes (readHeaders): two charged
+// transfers a group, the paper's restart cost, a drive down or not.
 // A hard walk (after a mid-I/O crash) reads every live block verified
 // instead — the torn-block scan — and gets from the same transfers the
 // headers, the blocks that fail (Torn), and whether the parity Figure 7
@@ -103,24 +109,35 @@ func (s *Store) WalkGroups(committed func(page.TxID) bool, hard bool) (*GroupWal
 	return w, err
 }
 
-// readHeaders fills group g's entry from the platter.  A twin on a down
-// disk is skipped: the drive is gone or, mid-rebuild, read directly (a
-// replacement's StateNone header is never working).  The steals such twins
-// described are found by the data pages' transaction tags instead.
+// readHeaders fills group g's entry from the platter: one header read per
+// index, its P page's or, with that slot down, its Q partner's (IndexMeta),
+// and a down P twin's on a replacement drive besides (spares).  A steal
+// whose working index no slot of answers for is found by the data pages'
+// transaction tags instead.
 func (w *GroupWalk) readHeaders(g page.GroupID) error {
-	s := w.s
+	s, e := w.s, &w.groups[g]
 	if s.Twins == nil {
 		return nil // single parity keeps no header to arbitrate by
 	}
-	for twin := range w.groups[g].metas {
-		r, m := diskarray.P.Twin(twin), disk.Meta{}
-		if !s.degraded || s.replacement || s.SlotAlive(g, r) {
-			var err error
-			if m, err = s.Arr.ReadMeta(g, r); err != nil {
-				return fmt.Errorf("core: scan group %d twin %d: %w", g, twin, err)
+	e.metas, e.spares = [2]disk.Meta{}, [2]disk.Meta{}
+	for twin := range e.metas {
+		for _, eq := range s.Arr.Equations() {
+			r := eq.Twin(twin)
+			alive := s.SlotAlive(g, r)
+			if !alive && !(s.replacement && eq == diskarray.P) {
+				continue
 			}
+			m, err := s.Arr.ReadMeta(g, r)
+			if err != nil {
+				return fmt.Errorf("core: scan group %d %s twin %d: %w", g, eq, twin, err)
+			}
+			if !alive {
+				e.spares[twin] = m
+				continue
+			}
+			e.metas[twin] = m
+			break
 		}
-		w.groups[g].metas[twin] = m
 	}
 	return nil
 }
@@ -138,10 +155,13 @@ type walkScratch struct {
 	errs []error
 	sum  page.Buf
 	read func(i int) error // readBlock, bound once
+	// qmetas are the alive Q twins' headers as read, zero where one was
+	// not: an index whose P slot is down answers with its Q partner's.
+	qmetas [2]disk.Meta
 
 	// The group being visited.
-	g     page.GroupID
-	pages []page.PageID
+	g page.GroupID
+	n int // its data pages
 }
 
 func (sc *walkScratch) init(w *GroupWalk) {
@@ -157,7 +177,7 @@ func (sc *walkScratch) init(w *GroupWalk) {
 // twins, then the Q twins.
 func (sc *walkScratch) slot(i int) diskarray.Red {
 	twins := sc.w.s.Arr.ParityPages()
-	i -= len(sc.pages)
+	i -= sc.n
 	return diskarray.Eq(i / twins).Twin(i % twins)
 }
 
@@ -168,13 +188,19 @@ func (sc *walkScratch) slot(i int) diskarray.Red {
 func (sc *walkScratch) readBlocks(g page.GroupID) (torn []TornBlock, _ error) {
 	w := sc.w
 	s, e := w.s, &w.groups[g]
-	sc.g, sc.pages = g, s.Arr.GroupPages(g)
-	n := len(sc.pages)
+	sc.g, sc.n = g, s.Arr.GroupWidth()
+	sc.qmetas = [2]disk.Meta{}
+	n := sc.n
 	red := sc.bufs[n:]
 	errs := sc.errs[:n+len(s.Arr.Equations())*s.Arr.ParityPages()]
 	clear(errs)
 	if err := s.Arr.Together(len(errs), sc.read); err != nil {
 		return nil, err
+	}
+	for twin := range e.metas {
+		if s.Twins != nil && !s.SlotAlive(g, diskarray.P.Twin(twin)) {
+			e.metas[twin] = sc.qmetas[twin]
+		}
 	}
 	for i, err := range errs {
 		if err == nil {
@@ -182,7 +208,7 @@ func (sc *walkScratch) readBlocks(g page.GroupID) (torn []TornBlock, _ error) {
 		}
 		t := TornBlock{Group: g, HeaderOK: errors.Is(err, disk.ErrChecksum)}
 		if i < n {
-			t.Page = sc.pages[i]
+			t.Page = s.Arr.GroupPage(g, i)
 		} else {
 			t.IsRed, t.Red = true, sc.slot(i)
 		}
@@ -192,12 +218,16 @@ func (sc *walkScratch) readBlocks(g page.GroupID) (torn []TornBlock, _ error) {
 	if s.Twins != nil {
 		cur, ok = twinpage.CurrentParity(e.metas[0], e.metas[1], w.committed)
 	}
-	e.verified = ok && len(torn) == 0 && !s.GroupDegraded(g)
+	// A group with every data page read is checked on the winner's
+	// reachable slots; the rebuild recomputes the others.
+	e.verified = ok && len(torn) == 0 && !s.lostData(g)
 	for _, eq := range s.Arr.Equations() {
 		if !e.verified {
 			break
 		}
-		e.verified = eq.Holds(sc.sum, red[2*cur+int(eq)], sc.raw...)
+		if s.SlotAlive(g, eq.Twin(cur)) {
+			e.verified = eq.Holds(sc.sum, red[2*cur+int(eq)], sc.raw...)
+		}
 	}
 	return torn, nil
 }
@@ -205,9 +235,9 @@ func (sc *walkScratch) readBlocks(g page.GroupID) (torn []TornBlock, _ error) {
 // readBlock is the i-th read of the group sc is visiting, writing state of
 // its own index only (Together).
 func (sc *walkScratch) readBlock(i int) error {
-	s, g, n := sc.w.s, sc.g, len(sc.pages)
+	s, g, n := sc.w.s, sc.g, sc.n
 	if i < n {
-		p := sc.pages[i]
+		p := s.Arr.GroupPage(g, i)
 		if s.PageUnavailable(p) {
 			return nil
 		}
@@ -223,12 +253,18 @@ func (sc *walkScratch) readBlock(i int) error {
 		return nil
 	}
 	_, m, err := s.Arr.Read(g, r, sc.bufs[n+2*r.Twin+int(r.Eq)])
-	if disk.IsCorrupt(err) {
+	e := &sc.w.groups[g]
+	switch alive := s.SlotAlive(g, r); {
+	case disk.IsCorrupt(err):
 		sc.errs[i] = err
-	} else if err != nil {
+	case err != nil:
 		return fmt.Errorf("core: torn scan group %d %s twin %d: %w", g, r.Eq, r.Twin, err)
-	} else if r.Eq == diskarray.P {
-		sc.w.groups[g].metas[r.Twin] = m
+	case r.Eq == diskarray.P && alive:
+		e.metas[r.Twin] = m
+	case r.Eq == diskarray.P:
+		e.spares[r.Twin] = m
+	case alive:
+		sc.qmetas[r.Twin] = m
 	}
 	return nil
 }
@@ -248,6 +284,9 @@ func (w *GroupWalk) Working() ([]WorkingTwinInfo, error) {
 			}
 		}
 		for twin, m := range e.metas {
+			if m.State != disk.StateWorking {
+				m = e.spares[twin]
+			}
 			if m.State == disk.StateWorking {
 				out = append(out, WorkingTwinInfo{Group: gid, Twin: twin, Meta: m})
 			}
@@ -257,30 +296,31 @@ func (w *GroupWalk) Working() ([]WorkingTwinInfo, error) {
 }
 
 // Settle reconstructs the volatile twin bitmap: Current_Parity over the
-// headers the walk read, or over the platter (currentFromDisk) for a group
-// touched since or missing a block.  Call after the losers' working twins
-// are undone.  Returns the number of groups with a redundancy slot on a down
-// disk, whose recomputation is deferred to the restarted online rebuild.
+// walk's table, every group alike — a group touched since is read again
+// first — and a group that has lost a block checked by settle.  Call after
+// the losers' working twins are undone.  Returns the number of groups with a
+// redundancy slot on a down disk, whose recomputation is deferred to the
+// restarted online rebuild.
 func (w *GroupWalk) Settle() (deferred int, err error) {
 	s := w.s
 	for g := range w.groups {
 		e, gid := &w.groups[g], page.GroupID(g)
-		deadSlot := s.hasDeadSlot(gid)
-		if deadSlot {
+		if s.hasDeadSlot(gid) {
 			deferred++
 		}
 		if s.Twins == nil {
 			continue // single parity keeps no bitmap
 		}
-		cur, ok := 0, false
-		if !e.touched && !s.GroupDegraded(gid) {
-			cur, ok = twinpage.CurrentParity(e.metas[0], e.metas[1], w.committed)
-		}
-		if !ok { // the platter's to answer, or to report as having no valid twin
-			if cur, err = s.currentFromDisk(gid, deadSlot, w.committed); err != nil {
-				return deferred, fmt.Errorf("core: bitmap rebuild of group %d: %w", g, err)
+		if e.touched {
+			if err := w.readHeaders(gid); err != nil {
+				return deferred, err
 			}
 		}
+		cur, rewrote, err := s.settle(gid, e.metas, w.committed)
+		if err != nil {
+			return deferred, fmt.Errorf("core: bitmap rebuild of group %d: %w", g, err)
+		}
+		e.touched = e.touched || rewrote
 		s.Twins.Promote(gid, cur)
 	}
 	return deferred, nil

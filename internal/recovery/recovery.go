@@ -14,11 +14,13 @@
 //     transaction's outcome.  Losers are transactions with a BOT but
 //     neither EOT nor abort record.
 //   - 2. Group walk — every parity group is visited once (core.WalkGroups),
-//     core.Store.Lanes groups at a time, and its twin parity headers read —
-//     the scan the paper rebuilds the current-parity bitmap with — into a
-//     table every pass up to 3.5 answers from.  After a mid-I/O crash the
-//     visit reads every live block verified instead: the same headers, the
-//     blocks that fail, and whether the group's parity holds.
+//     core.Store.Lanes groups at a time, and the header of each of its two
+//     redundancy indexes read — the P twin's, or its Q partner's where the
+//     P twin is down: the scan the paper rebuilds the current-parity bitmap
+//     with — into a table every pass up to 3.5 answers from.  After a
+//     mid-I/O crash the visit reads every live block verified instead: the
+//     same headers, the blocks that fail, and whether the group's parity
+//     holds.
 //   - 2b. Torn repair (mid-I/O crash only, torn.go) — a block that failed is
 //     one more erasure beside the group's dead ones, rebuilt by the decision
 //     function of its kind (repairTornData, repairTornParity, repairTornQ),
@@ -29,15 +31,20 @@
 //     the undo takes one ladder (undoSteal): D_old solved through the
 //     committed index, else the logged before-image left to pass 4, else
 //     explicit loss (loseGroup).
-//   - 2d. Tag undo (disk down only) — a loser's working twin on the dead
-//     disk is invisible to the walk; its steal is found by the writer's tag
-//     on the data page (unresolvedSteal) and takes the same ladder.
+//   - 2d. Tag undo (disk down only) — a loser's working index with no
+//     readable slot left (twin parity with its P twin down, both pages of a
+//     P+Q index) is invisible to the walk; its steal is found by the
+//     writer's tag on the data page (unresolvedSteal) and takes the same
+//     ladder.  A working header a Q partner carries is in the table: 2c's.
 //   - 3. Bitmap rebuild — Current_Parity (Figure 7) with log outcomes over
-//     the table: a loser's working header is invalid to it before the undo
-//     as its invalid rewrite is after.  Only a group that 2b–2d rewrote, or
-//     that lost a block, is read from the platter again.  Twins left working
-//     by transactions that committed are then laundered to the committed
-//     state on disk, Lanes at a time.
+//     the table, degraded groups included: a loser's working header is
+//     invalid to it before the undo as its invalid rewrite is after.  Only a
+//     group that 2b–2d rewrote is read from the platter again.  A group
+//     that lost a block has its winner's flip echo checked; one whose
+//     headers cannot arbitrate (no valid index, or an index with no
+//     reachable slot) is established from its data.  Twins left working by
+//     transactions that committed are then laundered to the committed state
+//     on their reachable slots, Lanes at a time.
 //   - 3.5 Parity resync (mid-I/O crash only) — the current parity of every
 //     group the walk did not find in order, or rewritten since, is made to
 //     satisfy its equations again, closing the window where an in-place

@@ -237,7 +237,9 @@ func (st *state) repairTornParity(g page.GroupID, twin int, headerOK bool) error
 	steal, tagged, demote := hdr, false, false
 	switch {
 	case a.loser(hdr) && !s.PageUnavailable(hdr.DirtyPage):
-		_, dMeta, err := s.Arr.ReadData(hdr.DirtyPage, nil)
+		buf := s.Pages.Get()
+		_, dMeta, err := s.Arr.ReadData(hdr.DirtyPage, buf)
+		s.Pages.Put(buf)
 		if err != nil {
 			return err
 		}

@@ -13,8 +13,8 @@ import (
 )
 
 // undo is passes 2c and 2d: the parity undo of the losers among the working
-// twins the walk found (with a member down, among the surviving ones), then
-// of the steals whose working twin sat on a dead disk, found by tag.
+// twins the walk found — through a Q partner where the P twin is down — then
+// of the steals whose working index has no slot left to read, found by tag.
 func (st *state) undo() error {
 	s := st.s
 	working, err := st.walk.Working()
@@ -40,15 +40,11 @@ func (st *state) undo() error {
 }
 
 // launder is the second half of pass 3: one header rewrite per winner, each
-// on a twin of its own.  A dead-slot group's surviving redundancy was
-// re-established wholesale by the bitmap pass (committed, fresh timestamp);
-// re-stamping the old working header would resurrect stale state.  The dead
-// slots are the rebuild's job.
+// on a twin of its own, on the index's reachable slots.  The dead slots are
+// the rebuild's job.
 func (st *state) launder() error {
 	s, a := st.s, st.a
-	winners := slices.DeleteFunc(st.working, func(w core.WorkingTwinInfo) bool {
-		return !a.committed(w.Txn) || s.Degraded() && (s.DeadTwin(w.Group, diskarray.P) >= 0 || s.DeadTwin(w.Group, diskarray.Q) >= 0)
-	})
+	winners := slices.DeleteFunc(st.working, func(w core.WorkingTwinInfo) bool { return !a.committed(w.Txn) })
 	if err := workpool.Run(s.Lanes(), len(winners), func(i int) error {
 		w := winners[i]
 		return s.WriteIndexMeta(w.Group, w.Twin, disk.Meta{State: disk.StateCommitted, Timestamp: w.Timestamp, Txn: w.Txn})
@@ -146,12 +142,14 @@ func (st *state) crashUndoWorking(w core.WorkingTwinInfo) error {
 // the Dirty_Set admits one uncovered page per group.
 func (st *state) unresolvedSteal(g page.GroupID) (p page.PageID, tag disk.Meta, found bool, err error) {
 	s := st.s
+	buf := s.Pages.Get()
+	defer s.Pages.Put(buf)
 	for i := 0; i < s.Arr.GroupWidth(); i++ {
 		q := s.Arr.GroupPage(g, i)
 		if s.PageUnavailable(q) {
 			continue
 		}
-		_, m, err := s.Arr.ReadData(q, nil)
+		_, m, err := s.Arr.ReadData(q, buf)
 		if err != nil {
 			if disk.IsCorrupt(err) {
 				continue // one more erasure; the solve that follows accounts for it
@@ -165,11 +163,11 @@ func (st *state) unresolvedSteal(g page.GroupID) (p page.PageID, tag disk.Meta, 
 	return 0, disk.Meta{}, false, nil
 }
 
-// undoDeadTwinLosers finds loser steals whose working twin sat on the
-// dead disk, invisible to the group walk: an unresolved loser tag
-// under a dead twin means the dead twin was the working one, hence the
-// surviving index — the one not carrying the loser's working header — is
-// the committed one and the steal unwinds down the ladder from it.  The
+// undoDeadTwinLosers finds loser steals whose working index has no slot
+// left to read — twin parity with its P twin down, or both pages of a P+Q
+// index — invisible to the group walk: an unresolved loser tag under such
+// an index means it was the working one, hence the other index is the
+// committed one and the steal unwinds down the ladder from it.  The
 // platter is restored directly: the committed index's equations already
 // describe exactly the restored state.
 func (st *state) undoDeadTwinLosers(handled map[page.GroupID]bool) error {
@@ -180,7 +178,7 @@ func (st *state) undoDeadTwinLosers(handled map[page.GroupID]bool) error {
 			continue
 		}
 		dead := s.DeadTwin(gid, diskarray.P)
-		if dead < 0 || s.TwinReadable(gid, parity(dead)) {
+		if dead < 0 || s.TwinReadable(gid, parity(dead)) || s.SlotAlive(gid, qpage(dead)) {
 			continue
 		}
 		p, tag, found, err := st.unresolvedSteal(gid)
@@ -190,14 +188,7 @@ func (st *state) undoDeadTwinLosers(handled map[page.GroupID]bool) error {
 		if !found {
 			continue
 		}
-		from := 1 - dead
-		if m, err := s.IndexMeta(gid, from); err != nil {
-			return err
-		} else if m.State == disk.StateNone || (m.State == disk.StateWorking && m.Txn == tag.Txn) {
-			// Both P slots are down and the Q proxies arbitrate.
-			from = dead
-		}
-		rung, err := st.undoSteal(gid, p, tag.Txn, from)
+		rung, err := st.undoSteal(gid, p, tag.Txn, 1-dead)
 		if err != nil {
 			return fmt.Errorf("recovery: tag undo of page %d: %w", p, err)
 		}
@@ -240,6 +231,7 @@ func loseGroup(s *core.Store, g page.GroupID, writable func(page.GroupID, diskar
 	}
 	// Positional: a lost member contributes zero to its coefficient.
 	vals := make([]page.Buf, s.Arr.GroupWidth())
+	defer func() { s.Pages.Put(vals...) }()
 	for i := range vals {
 		q := s.Arr.GroupPage(g, i)
 		if s.PageUnavailable(q) {
@@ -247,7 +239,7 @@ func loseGroup(s *core.Store, g page.GroupID, writable func(page.GroupID, diskar
 			continue
 		}
 		var err error
-		if vals[i], _, err = s.Arr.ReadData(q, nil); err != nil {
+		if vals[i], _, err = s.Arr.ReadData(q, s.Pages.Get()); err != nil {
 			return nil, fmt.Errorf("recovery: read lost group %d page %d: %w", g, q, err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/diskarray"
 	"repro/internal/page"
 	"repro/internal/twinpage"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -128,6 +129,107 @@ func TestRestartHeaderReads(t *testing.T) {
 	}
 	if err := s.VerifyParityInvariant(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDegradedRestartHeaderReads: with a drive down a soft restart still
+// reads each group's two index headers once — P's, or the Q partner's where
+// the P twin is down — and then reads the one data page a paired winner
+// names, its echo, in every group that has lost a block: 2·G + the paired
+// winners, and no write when there is no loser.  Every group of the array
+// holds a block on the dead drive, a data page or a redundancy slot.
+func TestDegradedRestartHeaderReads(t *testing.T) {
+	for _, dead := range []int{0, 3} {
+		t.Run(fmt.Sprintf("p+q, disk %d down", dead), func(t *testing.T) {
+			arr, err := diskarray.New(diskarray.Config{Kind: diskarray.RAID5Twin, DataDisks: 4, NumPages: 48, PageSize: page.MinSize, QParity: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := core.NewStore(arr, wal.New(wal.Config{LogPageSize: 256, WriteCost: 4}), txn.NewManager())
+			for p := 0; p < arr.NumPages(); p += 3 {
+				if err := s.WriteCommitted(page.PageID(p), pattern(page.MinSize, byte(p)), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := arr.FailDisk(dead); err != nil {
+				t.Fatal(err)
+			}
+			s.EnterDegraded(dead)
+			// The paired winners, from the headers as the platter holds them.
+			groups, paired := int64(arr.NumGroups()), int64(0)
+			for g := page.GroupID(0); int64(g) < groups; g++ {
+				var m [2]disk.Meta
+				for twin := range m {
+					for _, r := range []diskarray.Red{parity(twin), qpage(twin)} {
+						if s.SlotAlive(g, r) {
+							if m[twin], err = arr.PeekMeta(g, r); err != nil {
+								t.Fatal(err)
+							}
+							break
+						}
+					}
+				}
+				cur, _ := twinpage.CurrentParity(m[0], m[1], nil)
+				if w := m[cur]; w.State == disk.StateCommitted && w.PairedSet && !s.PageUnavailable(w.DirtyPage) {
+					paired++
+				}
+			}
+			if paired == 0 {
+				t.Fatal("no group's winner is paired: the row checks nothing")
+			}
+			rep, c := restart(t, s, false)
+			reads, meta, writes := c.n[disk.OpRead].Load(), c.n[disk.OpReadMeta].Load(), c.n[disk.OpWrite].Load()+c.n[disk.OpWriteMeta].Load()
+			if meta != 2*groups || reads != paired || writes != 0 {
+				t.Fatalf("%d header read(s), %d block read(s), %d write(s); want %d, %d, 0", meta, reads, writes, 2*groups, paired)
+			}
+			if walk, undo, bitmap := passTransfers(t, rep, "walk"), passTransfers(t, rep, "undo"), passTransfers(t, rep, "bitmap"); walk != 2*groups || undo != 0 || bitmap != paired {
+				t.Fatalf("walk %d, undo %d, bitmap %d transfers; want %d, 0, %d", walk, undo, bitmap, 2*groups, paired)
+			}
+			if err := s.VerifyParityInvariant(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestQProxiedLoserIsUndoneByTheLadder: a loser's steal whose working P
+// twin sits on a drive that died with the crash leaves its working header on
+// the Q partner alone.  The walk reads it there, the undo takes it down the
+// ladder — D_old solved through the committed index, the page written back
+// — and the index is invalidated on its reachable slot; the tag scan never
+// runs for it.
+func TestQProxiedLoserIsUndoneByTheLadder(t *testing.T) {
+	arr, err := diskarray.New(diskarray.Config{Kind: diskarray.RAID5Twin, DataDisks: 4, NumPages: 48, PageSize: page.MinSize, QParity: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewStore(arr, wal.New(wal.Config{LogPageSize: 256, WriteCost: 4}), txn.NewManager())
+	const p = page.PageID(5)
+	g := arr.GroupOf(p)
+	stealLoser(t, s, p)
+	e, ok := s.Dirty.Lookup(g)
+	if !ok {
+		t.Fatal("the steal left the group clean")
+	}
+	working := e.WorkingTwin
+	dead := arr.Loc(g, parity(working)).Disk
+	if err := arr.FailDisk(dead); err != nil {
+		t.Fatal(err)
+	}
+	s.EnterDegraded(dead)
+	rep, _ := restart(t, s, false)
+	if rep.UndoneViaReconstruction != 1 || len(rep.LostPages) != 0 {
+		t.Fatalf("report %+v, want one undo through the committed index and no loss", rep)
+	}
+	got, err := s.ReadPage(p, nil)
+	if err != nil || !got.Equal(pattern(page.MinSize, byte(p))) {
+		t.Fatalf("page %d after the undo: err %v, want its committed image", p, err)
+	}
+	if m, err := arr.PeekMeta(g, qpage(working)); err != nil || m.State != disk.StateInvalid {
+		t.Fatalf("Q of the working index: %+v (err %v), want invalid", m, err)
+	}
+	if cur := s.Twins.Current(g); cur != 1-working {
+		t.Fatalf("bitmap says index %d, want the committed index %d", cur, 1-working)
 	}
 }
 

@@ -21,12 +21,18 @@ type walkOutcome struct {
 // restart launders, losers' no-log steals, and a loser with logged
 // before-images — into a quiescent crash, more of it into a mid-I/O one,
 // and returns what each restart left.  It ends with a crash straight after
-// the last restart, whose recovery must find nothing to write.
-func walkRun(t *testing.T, cfg Config) (out []walkOutcome) {
+// the last restart, whose recovery must find nothing to write.  With dead
+// set, that drive is down from the start: every group has lost a block.
+func walkRun(t *testing.T, cfg Config, dead int) (out []walkOutcome) {
 	t.Helper()
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dead >= 0 {
+		if err := db.FailDisk(dead); err != nil {
+			t.Fatal(err)
+		}
 	}
 	w := &fpWorkload{t: t, db: db, rng: rand.New(rand.NewSource(1)), locked: make(map[PageID]bool)}
 	recoverNow := func(name string) {
@@ -68,26 +74,42 @@ func walkRun(t *testing.T, cfg Config) (out []walkOutcome) {
 
 // TestRestartWalkEquivalence: the restart is the same restart at every
 // width — the plain loop, a pool of four workers on synchronous drives, and
-// one lane per drive on queued ones.
+// one lane per drive on queued ones — healthy, and with one drive down on
+// twin parity and on P+Q, where every group settles by its headers and its
+// winner's echo.
 func TestRestartWalkEquivalence(t *testing.T) {
-	base := smallConfig(PageLogging, Force, true, DataStriping)
-	want := walkRun(t, base)
-	if r := want[0].report; r.LaunderedTwins == 0 || r.UndoneViaParity == 0 || r.UndoneViaLog == 0 {
-		t.Fatalf("the workload left the soft restart nothing of some kind to do: %+v", r)
-	}
-	if r := want[1].report; r.UndoneViaParity+r.UndoneViaLog == 0 {
-		t.Fatalf("the workload left the hard restart nothing to undo: %+v", r)
-	}
-	workers, queued := base, base
-	workers.Workers = 4
-	queued.QueueDepth = 8
-	for name, cfg := range map[string]Config{"workers=4": workers, "queue-depth=8": queued} {
-		got := walkRun(t, cfg)
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("%s, restart %d:\n got %+v\nwant %+v", name, i, got[i], want[i])
+	twin := smallConfig(PageLogging, Force, true, DataStriping)
+	pq := twin
+	pq.QParity = true
+	for _, row := range []struct {
+		name string
+		cfg  Config
+		dead int
+	}{
+		{"healthy", twin, -1},
+		{"twin, one dead", twin, 1},
+		{"p+q, one dead", pq, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			want := walkRun(t, row.cfg, row.dead)
+			if r := want[0].report; row.dead < 0 && (r.LaunderedTwins == 0 || r.UndoneViaParity == 0 || r.UndoneViaLog == 0) {
+				t.Fatalf("the workload left the soft restart nothing of some kind to do: %+v", r)
 			}
-		}
+			if r := want[1].report; r.UndoneViaParity+r.UndoneViaLog == 0 {
+				t.Fatalf("the workload left the hard restart nothing to undo: %+v", r)
+			}
+			workers, queued := row.cfg, row.cfg
+			workers.Workers = 4
+			queued.QueueDepth = 8
+			for name, cfg := range map[string]Config{"workers=4": workers, "queue-depth=8": queued} {
+				got := walkRun(t, cfg, row.dead)
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Errorf("%s, restart %d:\n got %+v\nwant %+v", name, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }
 
