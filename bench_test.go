@@ -11,6 +11,7 @@
 //
 //	tx/interval — committed transactions per interval (the paper's r_t)
 //	logxfer/tx  — log transfers per committed transaction
+//	hit         — the buffer hit rate measured beside the generator's C
 //
 // Absolute numbers differ from the paper's analytical values (the
 // interval here is 10⁵ transfers, not 5·10⁶, and the substrate is a
@@ -22,9 +23,10 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/workload"
 	"repro/rda"
 	"repro/rda/model"
+	"repro/rda/trace"
 )
 
 const benchInterval = 100000 // page transfers per measured interval
@@ -44,46 +46,51 @@ func benchConfig(logging rda.LoggingMode, eot rda.EOTDiscipline, useRDA bool) rd
 	return cfg
 }
 
-// benchWorkload builds the paper's workload for one environment.
-func benchWorkload(highUpdate bool, c float64) sim.Workload {
+// benchWorkload is the paper's workload spec for one environment at
+// transaction size s and communality C.
+func benchWorkload(highUpdate bool, s int, c float64) string {
 	if highUpdate {
-		return sim.Workload{
-			Concurrency: 6, PagesPerTx: 10,
-			UpdateFraction: 0.8, UpdateProb: 0.9, AbortProb: 0.01,
-			Communality: c, Seed: 17,
-		}
+		return fmt.Sprintf("uniform:streams=6,s=%d,fu=0.8,pu=0.9,pb=0.01,hot=%g", s, c)
 	}
-	return sim.Workload{
-		Concurrency: 6, PagesPerTx: 40,
-		UpdateFraction: 0.1, UpdateProb: 0.3, AbortProb: 0.01,
-		Communality: c, Seed: 17,
-	}
+	return fmt.Sprintf("uniform:streams=6,s=%d,fu=0.1,pu=0.3,pb=0.01,hot=%g", s, c)
 }
 
-// runFigureBench measures one (algorithm, environment, C, RDA) point.
-func runFigureBench(b *testing.B, logging rda.LoggingMode, eot rda.EOTDiscipline, useRDA, highUpdate bool, c float64) {
+// runInterval replays spec for one interval on a fresh engine per
+// iteration and reports the figures' metrics.
+func runInterval(b *testing.B, cfg rda.Config, spec string, opts trace.Options) {
 	b.Helper()
-	opts := sim.Options{Transfers: benchInterval, CrashAtEnd: true}
-	if eot == rda.NoForce {
-		opts.CheckpointInterval = benchInterval / 4
-	}
-	var committed, logXfer int64
+	var committed, logXfer, hits, refs int64
 	for i := 0; i < b.N; i++ {
-		db, err := rda.Open(benchConfig(logging, eot, useRDA))
+		db, err := rda.Open(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.Run(db, benchWorkload(highUpdate, c), opts)
+		res, err := workload.Interval(db, spec, 17, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		committed += res.Committed
 		logXfer += res.Stats.LogWriteTransfers
+		hits += res.Stats.BufferHits
+		refs += res.Stats.BufferHits + res.Stats.BufferMisses
 	}
 	b.ReportMetric(float64(committed)/float64(b.N), "tx/interval")
 	if committed > 0 {
 		b.ReportMetric(float64(logXfer)/float64(committed), "logxfer/tx")
 	}
+	if refs > 0 {
+		b.ReportMetric(float64(hits)/float64(refs), "hit")
+	}
+}
+
+// figureOptions is one figure interval: crash at its end, and ¬FORCE
+// checkpoints four times within it.
+func figureOptions(eot rda.EOTDiscipline) trace.Options {
+	opts := trace.Options{MaxTransfers: benchInterval, CrashAtEnd: true}
+	if eot == rda.NoForce {
+		opts.CheckpointEvery = benchInterval / 4
+	}
+	return opts
 }
 
 // figureBench runs the standard sub-benchmark grid of Figures 9–12.
@@ -91,12 +98,13 @@ func figureBench(b *testing.B, logging rda.LoggingMode, eot rda.EOTDiscipline) {
 	for _, env := range []struct {
 		name       string
 		highUpdate bool
-	}{{"high-update", true}, {"high-retrieval", false}} {
+		s          int
+	}{{"high-update", true, 10}, {"high-retrieval", false, 40}} {
 		for _, c := range []float64{0.0, 0.5, 0.9} {
 			for _, useRDA := range []bool{false, true} {
 				name := fmt.Sprintf("%s/C=%.1f/rda=%v", env.name, c, useRDA)
 				b.Run(name, func(b *testing.B) {
-					runFigureBench(b, logging, eot, useRDA, env.highUpdate, c)
+					runInterval(b, benchConfig(logging, eot, useRDA), benchWorkload(env.highUpdate, env.s, c), figureOptions(eot))
 				})
 			}
 		}
@@ -123,22 +131,7 @@ func BenchmarkFigure13(b *testing.B) {
 	for _, s := range []int{5, 15, 30, 45} {
 		for _, useRDA := range []bool{false, true} {
 			b.Run(fmt.Sprintf("s=%d/rda=%v", s, useRDA), func(b *testing.B) {
-				opts := sim.Options{Transfers: benchInterval, CrashAtEnd: true, CheckpointInterval: benchInterval / 4}
-				w := benchWorkload(true, 0.9)
-				w.PagesPerTx = s
-				var committed int64
-				for i := 0; i < b.N; i++ {
-					db, err := rda.Open(benchConfig(rda.RecordLogging, rda.NoForce, useRDA))
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := sim.Run(db, w, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					committed += res.Committed
-				}
-				b.ReportMetric(float64(committed)/float64(b.N), "tx/interval")
+				runInterval(b, benchConfig(rda.RecordLogging, rda.NoForce, useRDA), benchWorkload(true, s, 0.9), figureOptions(rda.NoForce))
 			})
 		}
 	}
@@ -272,21 +265,9 @@ func BenchmarkAblationMediaRecovery(b *testing.B) {
 func BenchmarkAblationLayouts(b *testing.B) {
 	for _, layout := range []rda.Layout{rda.DataStriping, rda.ParityStriping} {
 		b.Run(layout.String(), func(b *testing.B) {
-			var committed int64
-			for i := 0; i < b.N; i++ {
-				cfg := benchConfig(rda.PageLogging, rda.Force, true)
-				cfg.Layout = layout
-				db, err := rda.Open(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.Run(db, benchWorkload(true, 0.5), sim.Options{Transfers: benchInterval / 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				committed += res.Committed
-			}
-			b.ReportMetric(float64(committed)/float64(b.N), "tx/interval")
+			cfg := benchConfig(rda.PageLogging, rda.Force, true)
+			cfg.Layout = layout
+			runInterval(b, cfg, benchWorkload(true, 10, 0.5), trace.Options{MaxTransfers: benchInterval / 2})
 		})
 	}
 }
@@ -300,21 +281,9 @@ func BenchmarkAblationGroupWidth(b *testing.B) {
 	for _, n := range []int{1, 2, 5, 10, 20} {
 		for _, useRDA := range []bool{false, true} {
 			b.Run(fmt.Sprintf("N=%d/rda=%v", n, useRDA), func(b *testing.B) {
-				var committed int64
-				for i := 0; i < b.N; i++ {
-					cfg := benchConfig(rda.PageLogging, rda.Force, useRDA)
-					cfg.DataDisks = n
-					db, err := rda.Open(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := sim.Run(db, benchWorkload(true, 0.9), sim.Options{Transfers: benchInterval / 2})
-					if err != nil {
-						b.Fatal(err)
-					}
-					committed += res.Committed
-				}
-				b.ReportMetric(float64(committed)/float64(b.N), "tx/interval")
+				cfg := benchConfig(rda.PageLogging, rda.Force, useRDA)
+				cfg.DataDisks = n
+				runInterval(b, cfg, benchWorkload(true, 10, 0.9), trace.Options{MaxTransfers: benchInterval / 2})
 			})
 		}
 	}

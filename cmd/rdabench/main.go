@@ -1,7 +1,7 @@
 // Command rdabench regenerates every evaluation artifact of the paper —
 // Figures 9 through 13 — from the analytical model, and optionally
-// cross-checks the ordering on the live engine with a measured
-// simulation.
+// cross-checks the ordering on the live engine by replaying the paper's
+// workload for a budget of page transfers.
 //
 // Usage:
 //
@@ -42,10 +42,10 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/rda"
 	"repro/rda/model"
+	"repro/rda/trace"
 )
 
 func main() {
@@ -227,7 +227,7 @@ func selfHealBench(transientRate, faildiskAt, budget, seed int64) error {
 	// positions included — is bit-reproducible from -seed.
 	src := workload.NewSource(seed)
 	workloadSeed, faultSeed := src.Stream("workload"), src.Stream("fault")
-	run := func(inject bool) (sim.Result, *rda.DB, error) {
+	run := func(inject bool) (trace.Result, *rda.DB, error) {
 		cfg := rda.DefaultConfig()
 		cfg.Logging = rda.PageLogging
 		cfg.EOT = rda.Force
@@ -235,7 +235,7 @@ func selfHealBench(transientRate, faildiskAt, budget, seed int64) error {
 		cfg.PageSize = 256
 		db, err := rda.Open(cfg)
 		if err != nil {
-			return sim.Result{}, nil, err
+			return trace.Result{}, nil, err
 		}
 		if inject {
 			var sched fault.Schedule
@@ -249,15 +249,7 @@ func selfHealBench(transientRate, faildiskAt, budget, seed int64) error {
 			plane.SetSeed(faultSeed)
 			db.SetInjector(plane)
 		}
-		res, err := sim.Run(db, sim.Workload{
-			Concurrency:    6,
-			PagesPerTx:     10,
-			UpdateFraction: 0.8,
-			UpdateProb:     0.9,
-			AbortProb:      0.01,
-			Communality:    0.9,
-			Seed:           workloadSeed,
-		}, sim.Options{Transfers: budget})
+		res, err := workload.Interval(db, highUpdate+",hot=0.9", workloadSeed, trace.Options{MaxTransfers: budget})
 		return res, db, err
 	}
 	base, _, err := run(false)
@@ -297,8 +289,8 @@ func selfHealBench(transientRate, faildiskAt, budget, seed int64) error {
 	}
 	st := faulted.Stats
 	fmt.Printf("  injected faults       : transient rate 1/%d, disk death at write %d\n", transientRate, faildiskAt)
-	fmt.Printf("  committed             : %d faulted vs %d fault-free (%.1f%%)\n",
-		faulted.Committed, base.Committed, 100*float64(faulted.Committed)/float64(base.Committed))
+	fmt.Printf("  committed             : %d faulted vs %d fault-free (%.1f%%), buffer hit rate %.3f at hot=0.9\n",
+		faulted.Committed, base.Committed, 100*float64(faulted.Committed)/float64(base.Committed), hitRate(faulted.Stats))
 	fmt.Printf("  retries               : %d transient errors masked, %d backoff units, %d auto fail-stops\n",
 		st.IORetries, st.RetryBackoffUnits, st.AutoFailStops)
 	fmt.Printf("  degraded serving      : %d reads reconstructed, %d writes without the dead member\n",
@@ -328,7 +320,7 @@ func integrityBench(rate, budget, seed int64) error {
 	// placement are independent substreams of the one harness seed.
 	src := workload.NewSource(seed)
 	workloadSeed, faultSeed := src.Stream("workload"), src.Stream("fault")
-	run := func(inject bool) (sim.Result, *rda.DB, error) {
+	run := func(inject bool) (trace.Result, *rda.DB, error) {
 		cfg := rda.DefaultConfig()
 		cfg.Logging = rda.PageLogging
 		cfg.EOT = rda.Force
@@ -336,7 +328,7 @@ func integrityBench(rate, budget, seed int64) error {
 		cfg.PageSize = 256
 		db, err := rda.Open(cfg)
 		if err != nil {
-			return sim.Result{}, nil, err
+			return trace.Result{}, nil, err
 		}
 		if inject {
 			plane := fault.NewPlane(nil)
@@ -363,15 +355,7 @@ func integrityBench(rate, budget, seed int64) error {
 				}
 			}
 		}()
-		res, err := sim.Run(db, sim.Workload{
-			Concurrency:    6,
-			PagesPerTx:     10,
-			UpdateFraction: 0.8,
-			UpdateProb:     0.9,
-			AbortProb:      0.01,
-			Communality:    0.9,
-			Seed:           workloadSeed,
-		}, sim.Options{Transfers: budget})
+		res, err := workload.Interval(db, highUpdate+",hot=0.9", workloadSeed, trace.Options{MaxTransfers: budget})
 		close(stop)
 		if serr := <-scrubDone; err == nil && serr != nil {
 			err = fmt.Errorf("online scrub: %w", serr)
@@ -397,8 +381,8 @@ func integrityBench(rate, budget, seed int64) error {
 	}
 	st := db.Stats()
 	fmt.Printf("  injected faults       : one payload bit flipped every %d block write(s)\n", rate)
-	fmt.Printf("  committed             : %d faulted vs %d fault-free (%.1f%%)\n",
-		faulted.Committed, base.Committed, 100*float64(faulted.Committed)/float64(base.Committed))
+	fmt.Printf("  committed             : %d faulted vs %d fault-free (%.1f%%), buffer hit rate %.3f at hot=0.9\n",
+		faulted.Committed, base.Committed, 100*float64(faulted.Committed)/float64(base.Committed), hitRate(faulted.Stats))
 	fmt.Printf("  detection             : %d corrupt block(s) caught by verified reads and scrubbing\n",
 		st.CorruptBlocksDetected)
 	fmt.Printf("  repair                : %d read repair(s) on the hot path, %d parity repair(s), %d scrub repair(s), %d group(s) scrubbed\n",
@@ -416,9 +400,9 @@ func integrityBench(rate, budget, seed int64) error {
 // Both sides of each comparison run the same seeded workload.
 func liveCrossCheck(budget, seed int64) error {
 	fmt.Println("== Live engine cross-check: page logging FORCE/TOC (cf. Figure 9) ==")
-	fmt.Printf("%6s %12s %12s %8s %16s\n", "C", "no-RDA tx", "RDA tx", "gain", "log transfers Δ")
+	fmt.Printf("%6s %6s %12s %12s %8s %16s\n", "C", "hit", "no-RDA tx", "RDA tx", "gain", "log transfers Δ")
 	for _, c := range []float64{0.0, 0.3, 0.6, 0.9} {
-		run := func(useRDA bool) (sim.Result, error) {
+		run := func(useRDA bool) (trace.Result, error) {
 			cfg := rda.DefaultConfig()
 			cfg.Logging = rda.PageLogging
 			cfg.EOT = rda.Force
@@ -426,17 +410,10 @@ func liveCrossCheck(budget, seed int64) error {
 			cfg.PageSize = 256 // keep memory modest; transfers are size independent
 			db, err := rda.Open(cfg)
 			if err != nil {
-				return sim.Result{}, err
+				return trace.Result{}, err
 			}
-			return sim.Run(db, sim.Workload{
-				Concurrency:    6,
-				PagesPerTx:     10,
-				UpdateFraction: 0.8,
-				UpdateProb:     0.9,
-				AbortProb:      0.01,
-				Communality:    c,
-				Seed:           seed,
-			}, sim.Options{Transfers: budget, CrashAtEnd: true})
+			spec := fmt.Sprintf("%s,hot=%g", highUpdate, c)
+			return workload.Interval(db, spec, seed, trace.Options{MaxTransfers: budget, CrashAtEnd: true})
 		}
 		no, err := run(false)
 		if err != nil {
@@ -447,9 +424,22 @@ func liveCrossCheck(budget, seed int64) error {
 			return err
 		}
 		gain := 100 * (float64(yes.Committed) - float64(no.Committed)) / float64(no.Committed)
-		fmt.Printf("%6.2f %12d %12d %7.1f%% %16d\n",
-			c, no.Committed, yes.Committed, gain,
+		fmt.Printf("%6.2f %6.3f %12d %12d %7.1f%% %16d\n",
+			c, hitRate(yes.Stats), no.Committed, yes.Committed, gain,
 			no.Stats.LogWriteTransfers-yes.Stats.LogWriteTransfers)
 	}
 	return nil
+}
+
+// highUpdate is the paper's high-update environment (P=6, s=10, f_u=0.8,
+// p_u=0.9, p_b=0.01) as a workload spec; callers append hot=C.
+const highUpdate = "uniform:streams=6,s=10,fu=0.8,pu=0.9,pb=0.01"
+
+// hitRate is the buffer hit rate a run measured — the communality C the
+// engine saw, printed beside the generator's hot knob.
+func hitRate(st rda.Stats) float64 {
+	if st.BufferHits+st.BufferMisses == 0 {
+		return 0
+	}
+	return float64(st.BufferHits) / float64(st.BufferHits+st.BufferMisses)
 }

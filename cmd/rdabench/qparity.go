@@ -6,9 +6,9 @@ import (
 	"os"
 
 	"repro/internal/fault"
-	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/rda"
+	"repro/rda/trace"
 )
 
 // The P+Q bench: the same seeded workload measured over a single-parity
@@ -21,11 +21,14 @@ import (
 
 // pqRun is one measured configuration of the steady-state comparison.
 type pqRun struct {
-	Config       string `json:"config"`
-	Committed    int64  `json:"committed"`
-	DiskReads    int64  `json:"disk_reads"`
-	DiskWrites   int64  `json:"disk_writes"`
-	LogTransfers int64  `json:"log_transfers"`
+	Config    string `json:"config"`
+	Committed int64  `json:"committed"`
+	// HitRate is the measured buffer hit rate (the generator's hot knob
+	// is 0.9).
+	HitRate      float64 `json:"hit_rate"`
+	DiskReads    int64   `json:"disk_reads"`
+	DiskWrites   int64   `json:"disk_writes"`
+	LogTransfers int64   `json:"log_transfers"`
 	// TransfersPerCommit is the total transfer bill (array + log) per
 	// committed transaction.
 	TransfersPerCommit float64 `json:"transfers_per_commit"`
@@ -87,30 +90,22 @@ func benchQParity(budget, seed int64, outPath string) error {
 	out.Geometry.EOT = "force"
 	out.Geometry.Budget = budget
 
-	run := func(qparity bool, sched fault.Schedule) (sim.Result, *rda.DB, error) {
+	run := func(qparity bool, sched fault.Schedule) (trace.Result, *rda.DB, error) {
 		db, err := rda.Open(pqConfig(qparity))
 		if err != nil {
-			return sim.Result{}, nil, err
+			return trace.Result{}, nil, err
 		}
 		if sched != nil {
 			plane := fault.NewPlane(sched)
 			plane.SetSeed(faultSeed)
 			db.SetInjector(plane)
 		}
-		res, err := sim.Run(db, sim.Workload{
-			Concurrency:    6,
-			PagesPerTx:     10,
-			UpdateFraction: 0.8,
-			UpdateProb:     0.9,
-			AbortProb:      0.01,
-			Communality:    0.9,
-			Seed:           workloadSeed,
-		}, sim.Options{Transfers: budget})
+		res, err := workload.Interval(db, highUpdate+",hot=0.9", workloadSeed, trace.Options{MaxTransfers: budget})
 		return res, db, err
 	}
 
-	fmt.Printf("%16s %10s %12s %12s %14s %18s %10s\n",
-		"config", "committed", "array reads", "array writes", "log transfers", "transfers/commit", "overhead")
+	fmt.Printf("%16s %10s %6s %12s %12s %14s %18s %10s\n",
+		"config", "committed", "hit", "array reads", "array writes", "log transfers", "transfers/commit", "overhead")
 	var baseWrites float64
 	for _, c := range []struct {
 		name    string
@@ -124,6 +119,7 @@ func benchQParity(budget, seed int64, outPath string) error {
 		r := pqRun{
 			Config:       c.name,
 			Committed:    res.Committed,
+			HitRate:      hitRate(st),
 			DiskReads:    st.DiskReads,
 			DiskWrites:   st.DiskWrites,
 			LogTransfers: st.LogWriteTransfers + st.LogReadTransfers,
@@ -137,8 +133,8 @@ func benchQParity(budget, seed int64, outPath string) error {
 				r.WriteOverheadPct = 100 * (wpc - baseWrites) / baseWrites
 			}
 		}
-		fmt.Printf("%16s %10d %12d %12d %14d %18.1f %9.1f%%\n",
-			r.Config, r.Committed, r.DiskReads, r.DiskWrites, r.LogTransfers,
+		fmt.Printf("%16s %10d %6.3f %12d %12d %14d %18.1f %9.1f%%\n",
+			r.Config, r.Committed, r.HitRate, r.DiskReads, r.DiskWrites, r.LogTransfers,
 			r.TransfersPerCommit, r.WriteOverheadPct)
 		out.Runs = append(out.Runs, r)
 	}

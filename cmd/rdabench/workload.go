@@ -243,11 +243,7 @@ func benchWorkloads(specs []string, geoms []geometry, txns int, seed int64, outP
 					return fmt.Errorf("%s on %s: %w", algo.Key(), g.Name, err)
 				}
 
-				hits, misses := res.Stats.BufferHits, res.Stats.BufferMisses
-				measuredC := 0.0
-				if hits+misses > 0 {
-					measuredC = float64(hits) / float64(hits+misses)
-				}
+				measuredC := hitRate(res.Stats)
 				measured := float64(res.Committed) * intervalT / float64(res.Transfers)
 				shape.Communality = measuredC
 				pred := model.Evaluate(algo, model.Compose(sys, shape), true)

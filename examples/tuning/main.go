@@ -12,9 +12,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/sim"
+	"repro/internal/workload"
 	"repro/rda"
 	"repro/rda/model"
+	"repro/rda/trace"
 )
 
 func main() {
@@ -60,19 +61,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sim.Run(db, sim.Workload{
-			Concurrency:    6,
-			PagesPerTx:     10,
-			UpdateFraction: 0.8,
-			UpdateProb:     0.9,
-			AbortProb:      0.01,
-			Communality:    0.8,
-			Seed:           3,
-		}, sim.Options{Transfers: 120000, CrashAtEnd: true})
+		res, err := workload.Interval(db, "uniform:streams=6,s=10,fu=0.8,pu=0.9,pb=0.01,hot=0.8", 3,
+			trace.Options{MaxTransfers: 120000, CrashAtEnd: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  RDA=%-5v committed %5d transactions in the interval (%d log transfers)\n",
-			useRDA, res.Committed, res.Stats.LogWriteTransfers)
+		st := res.Stats
+		fmt.Printf("  RDA=%-5v committed %5d transactions in the interval (%d log transfers, buffer hit rate %.2f)\n",
+			useRDA, res.Committed, st.LogWriteTransfers, float64(st.BufferHits)/float64(st.BufferHits+st.BufferMisses))
 	}
 }

@@ -254,19 +254,6 @@ func (bp *Pool) Frame(p page.PageID) *Frame {
 	return bp.frames[p]
 }
 
-// Resident returns the resident page ids in LRU order (most recent
-// first).  The workload generator uses it to realize the paper's
-// communality parameter C by re-referencing buffer-resident pages.
-func (bp *Pool) Resident() []page.PageID {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	out := make([]page.PageID, 0, len(bp.frames))
-	for f := bp.lru.next; f != &bp.lru; f = f.next {
-		out = append(out, f.Page)
-	}
-	return out
-}
-
 // DirtyPages returns the ids of all dirty resident pages in ascending
 // order, so checkpoint and EOT flush sequences are deterministic (a
 // requirement for replayable crash-point schedules).

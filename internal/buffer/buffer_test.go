@@ -8,6 +8,18 @@ import (
 	"repro/internal/page"
 )
 
+// Resident returns the resident page ids in LRU order (most recent
+// first), for the tests that check the ring.
+func (bp *Pool) Resident() []page.PageID {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	out := make([]page.PageID, 0, len(bp.frames))
+	for f := bp.lru.next; f != &bp.lru; f = f.next {
+		out = append(out, f.Page)
+	}
+	return out
+}
+
 // fakeStore is a trivial page store for exercising the pool.
 type fakeStore struct {
 	pages      map[page.PageID]page.Buf

@@ -134,7 +134,7 @@ func FromSpec(spec string, base Profile) (Profile, Planner, error) {
 		if err != nil {
 			return base, nil, err
 		}
-		if theta <= 0 || theta >= 1 {
+		if !(theta > 0 && theta < 1) {
 			return base, nil, fmt.Errorf("workload: zipfian theta must be in (0,1), got %g", theta)
 		}
 		if prof, err = prof.validate(); err != nil {
@@ -165,6 +165,9 @@ func FromSpec(spec string, base Profile) (Profile, Planner, error) {
 		maxTransfer, err := sp.int("maxtransfer", 100)
 		if err != nil {
 			return base, nil, err
+		}
+		if initial < 1 || maxTransfer < 0 {
+			return base, nil, fmt.Errorf("workload: spec %q: banking needs initial ≥ 1 and maxtransfer ≥ 0", sp.raw)
 		}
 		// Every transfer is an update of both its accounts: the
 		// model-equivalent shape is s=2, f_u=1, p_u=1.

@@ -28,6 +28,7 @@ import (
 	"math/rand"
 
 	"repro/internal/record"
+	"repro/rda"
 	"repro/rda/trace"
 )
 
@@ -64,13 +65,15 @@ type Profile struct {
 	Seed int64
 }
 
-// validate applies defaults and sanity-checks the profile.
+// validate applies defaults and sanity-checks the profile.  A zero count
+// means its default; a negative one, or a probability outside [0,1], is
+// an error.
 func (p Profile) validate() (Profile, error) {
-	if p.Streams <= 0 {
-		p.Streams = 1
+	if p.Streams < 0 || p.Streams > 255 {
+		return p, fmt.Errorf("workload: streams must be 1-255, got %d", p.Streams)
 	}
-	if p.Streams > 255 {
-		return p, fmt.Errorf("workload: at most 255 streams, got %d", p.Streams)
+	if p.Streams == 0 {
+		p.Streams = 1
 	}
 	if p.Window <= 0 {
 		p.Window = 64
@@ -78,11 +81,22 @@ func (p Profile) validate() (Profile, error) {
 	if p.NumPages <= 0 || p.PageSize <= 0 {
 		return p, fmt.Errorf("workload: profile needs NumPages and PageSize")
 	}
-	if p.Mode == trace.ModeRecord && p.RecordSize <= 0 {
-		return p, fmt.Errorf("workload: record mode needs RecordSize")
+	if p.Mode == trace.ModeRecord && p.recordsPerPage() < 1 {
+		return p, fmt.Errorf("workload: record mode needs a RecordSize that fits a page")
 	}
-	if p.PagesPerTx <= 0 {
+	if p.PagesPerTx < 0 {
+		return p, fmt.Errorf("workload: s must not be negative, got %d", p.PagesPerTx)
+	}
+	if p.PagesPerTx == 0 {
 		p.PagesPerTx = 8
+	}
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{{"fu", p.UpdateFraction}, {"pu", p.UpdateProb}, {"pb", p.AbortProb}, {"hot", p.Hot}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return p, fmt.Errorf("workload: %s must be in [0,1], got %g", f.key, f.v)
+		}
 	}
 	if p.Transactions <= 0 {
 		return p, fmt.Errorf("workload: profile needs Transactions")
@@ -227,4 +241,36 @@ func Generate(prof Profile, pl Planner) (*trace.Trace, error) {
 		}
 	}
 	return t, nil
+}
+
+// Interval runs one availability interval of spec on db — the paper's
+// Section 5 measurement on the live engine.  It generates spec's trace for
+// db's geometry (Window = BufferFrames, so the hot knob realizes the
+// communality C; the engine's page and record sizes) and replays it with
+// opts, whose MaxTransfers is the interval T.  The trace holds one
+// transaction per two transfers of T, more than any of the model's
+// workloads at C ≤ 0.9 reaches; a spec's txns key overrides that, and a
+// trace that still runs out before T is trace.Replay's error.
+func Interval(db *rda.DB, spec string, seed int64, opts trace.Options) (trace.Result, error) {
+	cfg := db.Config()
+	base := Profile{
+		Mode:         trace.ModePage,
+		Transactions: int(opts.MaxTransfers / 2),
+		Window:       cfg.BufferFrames,
+		NumPages:     db.NumPages(),
+		PageSize:     cfg.PageSize,
+		Seed:         seed,
+	}
+	if cfg.Logging == rda.RecordLogging {
+		base.Mode, base.RecordSize = trace.ModeRecord, cfg.RecordSize
+	}
+	prof, pl, err := FromSpec(spec, base)
+	if err != nil {
+		return trace.Result{}, err
+	}
+	t, err := Generate(prof, pl)
+	if err != nil {
+		return trace.Result{}, err
+	}
+	return trace.Replay(db, t, opts)
 }

@@ -229,11 +229,53 @@ func TestFromSpecErrors(t *testing.T) {
 	for _, spec := range []string{
 		"", "nosuch", "zipfian:theta=2", "zipfian:nope=1",
 		"uniform:s=x", "banking:accounts=1",
+		// Out of range: probabilities outside [0,1], negative counts.
+		"uniform:fu=1.5", "uniform:pu=-0.1", "uniform:pb=2", "uniform:hot=1.01",
+		"uniform:hot=NaN", "zipfian:theta=NaN", "uniform:s=-3", "uniform:streams=-1",
+		"uniform:streams=256", "scan:fu=-1", "banking:initial=0", "banking:maxtransfer=-5",
 	} {
 		if _, _, err := FromSpec(spec, base); err == nil {
 			t.Errorf("FromSpec(%q): expected error", spec)
 		}
 	}
+	// Zero keeps meaning "default".
+	prof, _, err := FromSpec("uniform:s=0,streams=0", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof.PagesPerTx != 8 || prof.Streams != 1 {
+		t.Fatalf("zero counts: s=%d streams=%d, want the defaults 8 and 1", prof.PagesPerTx, prof.Streams)
+	}
+}
+
+// FuzzFromSpec: no spec string makes FromSpec panic, and every spec it
+// accepts generates a trace.
+func FuzzFromSpec(f *testing.F) {
+	for _, seed := range []string{
+		"uniform", "uniform:hot=0.6", "zipfian:theta=0.99,s=8", "banking:accounts=40,pb=0.02", "scan:fu=0.1",
+		// The benchmark's specs.
+		"uniform:s=10,fu=0.8,pu=0.9,pb=0.01,hot=0.5",
+		"zipfian:s=40,fu=0.1,pu=0.3,pb=0.01,hot=0.8,theta=0.9",
+		"uniform:s=10,fu=1,pu=0.7,pb=0.01,hot=0.5",
+		"uniform:streams=6,s=10,fu=0.8,pu=0.9,pb=0.01,hot=0.9",
+	} {
+		f.Add(seed)
+	}
+	base := pageProfile(20, 1)
+	f.Fuzz(func(t *testing.T, spec string) {
+		prof, pl, err := FromSpec(spec, base)
+		if err != nil {
+			return
+		}
+		// Bound the work, not the input: a huge txns or s is a valid spec
+		// whose trace is merely long.
+		if int64(prof.Transactions)*int64(prof.PagesPerTx) > 1<<14 {
+			t.Skip("trace too long to generate in a fuzz iteration")
+		}
+		if _, err := Generate(prof, pl); err != nil {
+			t.Fatalf("FromSpec(%q) accepted a spec Generate rejects: %v", spec, err)
+		}
+	})
 }
 
 func TestFromSpecOverrides(t *testing.T) {

@@ -146,21 +146,6 @@ func (db *DB) ResetStats() {
 	db.store.ResetCounters()
 }
 
-// ResidentPages returns the ids of buffer-resident pages, most recently
-// used first.  Workload generators use it to realize the paper's
-// communality parameter C: with probability C a transaction re-references
-// a page already in the buffer.
-func (db *DB) ResidentPages() []PageID {
-	db.gate.RLock()
-	defer db.gate.RUnlock()
-	res := db.pool.Resident()
-	out := make([]PageID, len(res))
-	for i, p := range res {
-		out[i] = PageID(p)
-	}
-	return out
-}
-
 // VerifyParity checks the parity invariant of every group (see
 // core.Store.VerifyParityInvariant).  It performs uncharged verification
 // reads under the exclusive gate — a whole-array scan cannot tolerate

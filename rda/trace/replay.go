@@ -21,9 +21,11 @@ type Options struct {
 	// charging its transfers to the run — the model's c_s term.  Open
 	// transactions become losers instead of being aborted.
 	CrashAtEnd bool
-	// MaxTransfers, when positive, stops the replay early once this many
-	// transfers have been consumed; remaining ops are dropped and open
-	// transactions aborted (or crashed, with CrashAtEnd).
+	// MaxTransfers, when positive, is the availability interval T: the
+	// replay stops once this many transfers have been consumed; remaining
+	// ops are dropped and open transactions aborted (or crashed, with
+	// CrashAtEnd).  A trace that runs out before T is an error, not a
+	// shorter interval.
 	MaxTransfers int64
 }
 
@@ -48,7 +50,9 @@ type Result struct {
 	// trace plane's determinism contract.
 	Digest string
 	// Stats is the engine's counter snapshot at the end of the run
-	// (before the digest's uncharged verification reads).
+	// (before the digest's uncharged verification reads).  With
+	// CrashAtEnd the crash discards the buffer pool and its counters, so
+	// BufferHits, BufferMisses and Steals are those read just before it.
 	Stats rda.Stats
 }
 
@@ -171,16 +175,20 @@ func Replay(db *rda.DB, t *Trace, opts Options) (Result, error) {
 		}
 		res.OpsApplied++
 	}
+	if opts.MaxTransfers > 0 && res.OpsApplied == len(t.Ops) && transfers() < opts.MaxTransfers {
+		return res, fmt.Errorf("trace: %d ops ran out at %d of %d transfers", len(t.Ops), transfers(), opts.MaxTransfers)
+	}
 
 	// Close out the run: crash the open transactions into losers, or
 	// abort them in stream order (deterministic either way).
+	var preCrash rda.Stats
 	if opts.CrashAtEnd {
-		before := transfers()
+		preCrash = db.Stats()
 		db.Crash()
 		if _, err := db.Recover(); err != nil {
 			return res, fmt.Errorf("trace: end-of-run recovery: %w", err)
 		}
-		res.RecoveryTransfers = transfers() - before
+		res.RecoveryTransfers = transfers() - preCrash.TotalTransfers()
 		for s := range open {
 			open[s] = nil
 		}
@@ -196,8 +204,13 @@ func Replay(db *rda.DB, t *Trace, opts Options) (Result, error) {
 		}
 	}
 
-	res.Transfers = transfers()
 	res.Stats = db.Stats()
+	res.Transfers = res.Stats.TotalTransfers()
+	if opts.CrashAtEnd {
+		res.Stats.BufferHits = preCrash.BufferHits
+		res.Stats.BufferMisses = preCrash.BufferMisses
+		res.Stats.Steals = preCrash.Steals
+	}
 
 	// Fold the final on-disk image into the digest.  PeekPage is
 	// uncharged, so the verification scan does not perturb the counters

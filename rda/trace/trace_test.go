@@ -134,6 +134,47 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
+// TestCrashAtEndKeepsBufferCounters: the crash at the end of a replay
+// discards the buffer pool, and with it the pool's counters, yet
+// Result.Stats must report the buffer activity of the run.  A generated
+// trace ends with every transaction closed, so the counters read just
+// before the crash are those of the same replay without one.
+func TestCrashAtEndKeepsBufferCounters(t *testing.T) {
+	tr := genTrace(t, "uniform", trace.ModePage, 23)
+	run := func(opts trace.Options) (trace.Result, *rda.DB) {
+		db, err := rda.Open(tr.Config(replayCfg(rda.DataStriping, 4, rda.NoForce)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := trace.Replay(db, tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, db
+	}
+	drained, _ := run(trace.Options{})
+	crashed, db := run(trace.Options{CrashAtEnd: true})
+	want, got := drained.Stats, crashed.Stats
+	if want.BufferHits == 0 || want.BufferMisses == 0 || want.Steals == 0 {
+		t.Fatalf("the run should hit, miss and steal: %d hits, %d misses, %d steals",
+			want.BufferHits, want.BufferMisses, want.Steals)
+	}
+	if got.BufferHits != want.BufferHits || got.BufferMisses != want.BufferMisses || got.Steals != want.Steals {
+		t.Fatalf("after the crash: %d hits, %d misses, %d steals; before it: %d, %d, %d",
+			got.BufferHits, got.BufferMisses, got.Steals, want.BufferHits, want.BufferMisses, want.Steals)
+	}
+	if crashed.RecoveryTransfers <= 0 || got.Recoveries != 1 {
+		t.Fatalf("the crash should be recovered at a cost: %d recovery transfers, %d recoveries",
+			crashed.RecoveryTransfers, got.Recoveries)
+	}
+	if crashed.Transfers != drained.Transfers+crashed.RecoveryTransfers {
+		t.Fatalf("crashed run %d transfers, drained %d + recovery %d", crashed.Transfers, drained.Transfers, crashed.RecoveryTransfers)
+	}
+	if err := db.VerifyParity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReplayDigestGeometryIndependent: the digest covers logical pages
 // and commit history only, so the same trace produces the same digest
 // on every array geometry — what makes geometry sweeps apples-to-apples.
