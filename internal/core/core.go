@@ -2,8 +2,9 @@
 // transaction recovery (Section 4), together with the traditional
 // single-parity write path it is compared against.
 //
-// The Store owns every mutation of array state and encodes the paper's
-// write-back policy:
+// The Store owns every mutation of array state.  The paper's write-back
+// policy — which of the paths below a write takes — is one pure function,
+// Decide (policy.go); the paths are:
 //
 //   - StealNoLog — the RDA fast path (Section 4.1): a page modified by a
 //     single active transaction is written in place with NO UNDO logging;
@@ -343,25 +344,9 @@ func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cached
 	return imgs, nil
 }
 
-// ErrMustLog reports a StealNoLog attempt that the Dirty_Set forbids;
+// ErrMustLog reports a StealNoLog attempt that the policy (Decide) refuses;
 // callers fall back to the logging path.
 var ErrMustLog = errors.New("core: parity group requires UNDO logging")
-
-// CanStealNoLog reports whether (p, tx) may take the RDA fast path.  A
-// degraded group always refuses: its parity redundancy is consumed by the
-// disk loss and cannot simultaneously fund transaction recovery
-// (Section 4's premise in reverse), so writers fall back to UNDO logging
-// until the group is rebuilt.
-func (s *Store) CanStealNoLog(p page.PageID, tx page.TxID) bool {
-	if s.Dirty == nil {
-		return false
-	}
-	g := s.Arr.GroupOf(p)
-	if s.GroupDegraded(g) {
-		return false
-	}
-	return s.Dirty.CanStealWithoutLogging(g, p, tx)
-}
 
 // StealNoLog writes page p, modified by active transaction t, without
 // UNDO logging (Section 4.1).  The data page header records the writing
@@ -379,15 +364,11 @@ func (s *Store) CanStealNoLog(p page.PageID, tx page.TxID) bool {
 // old redundancy; the group being dirty from here on, it leaves nothing.
 func (s *Store) StealNoLog(p page.PageID, data, cachedOld page.Buf, t *txn.Txn, c *Chain) error {
 	defer c.Release()
-	if s.Dirty == nil {
-		return fmt.Errorf("core: StealNoLog without RDA recovery")
-	}
 	g := s.Arr.GroupOf(p)
-	if s.GroupDegraded(g) {
-		return fmt.Errorf("%w: group %d is degraded", ErrMustLog, g)
-	}
-	if !s.Dirty.CanStealWithoutLogging(g, p, t.ID) {
-		return fmt.Errorf("%w: group %d page %d txn %d", ErrMustLog, g, p, t.ID)
+	v, entry := s.ViewOf(PageWriteBack, g, p, t.ID)
+	v.Modifiers = 1
+	if a := Decide(v); a != Steal {
+		return fmt.Errorf("%w: group %d page %d txn %d: %s", ErrMustLog, g, p, t.ID, a)
 	}
 	ts := s.TM.NextTimestamp()
 	// A first steal reads the current index and lands on the obsolete one
@@ -396,7 +377,7 @@ func (s *Store) StealNoLog(p page.PageID, data, cachedOld page.Buf, t *txn.Txn, 
 	// place: the committed one is untouched, so P ⊕ P′ keeps equalling
 	// D_committed ⊕ D_current.
 	from, twin := s.Twins.Current(g), s.Twins.Obsolete(g)
-	if entry, dirty := s.Dirty.Lookup(g); dirty {
+	if v.Dirty == SameSteal {
 		from, twin = entry.WorkingTwin, entry.WorkingTwin
 	}
 	imgs, err := s.smallWriteParity(g, from, p, cachedOld, data, c)
@@ -461,10 +442,6 @@ func (s *Store) WriteLogged(p page.PageID, data, cachedOld page.Buf, c *Chain) e
 	return s.singleParityWrite(p, g, data, oldData, disk.Meta{})
 }
 
-// ErrNotStripe reports a WriteStripeLogged attempt outside its
-// preconditions; callers fall back to per-page writes.
-var ErrNotStripe = errors.New("core: group not eligible for a full-stripe write")
-
 // WriteStripeLogged writes every data page of one clean, healthy group
 // of a twinned array with a single parity update — the paper's
 // large-write case, reached when a committing transaction's flush covers
@@ -483,7 +460,8 @@ var ErrNotStripe = errors.New("core: group not eligible for a full-stripe write"
 // cannot have committed (its EOT is appended only after the flush
 // returns), and logged undo rewrites every member from its forced
 // before-image.  Partial-stripe batches have bystander pages with no
-// such cover, so they must not coalesce — hence ErrNotStripe.
+// such cover, so they must not coalesce: anything but the policy's
+// full-stripe answer (Decide) for the group and pages is refused.
 //
 // Write ordering inside the batch follows flipCommitted: parity first
 // (to the obsolete twin, committed state, naming the LAST page with the
@@ -492,19 +470,14 @@ var ErrNotStripe = errors.New("core: group not eligible for a full-stripe write"
 // last, stamped with the parity timestamp.  An intact echo therefore
 // still proves the whole stripe landed.
 func (s *Store) WriteStripeLogged(g page.GroupID, pages []page.PageID, datas []page.Buf) error {
-	if s.Twins == nil || len(pages) == 0 || len(pages) != len(datas) {
-		return ErrNotStripe
+	v, _ := s.ViewOf(GroupFlush, g, 0, 0)
+	v.DirtyPages = min(len(pages), 2)
+	v.WholeStripe = len(pages) == s.Arr.GroupWidth() && len(datas) == len(pages)
+	for i := 0; v.WholeStripe && i < len(pages); i++ {
+		v.WholeStripe = pages[i] == s.Arr.GroupPage(g, i)
 	}
-	if s.GroupDegraded(g) || (s.Dirty != nil && s.Dirty.IsDirty(g)) {
-		return ErrNotStripe
-	}
-	if len(pages) != s.Arr.GroupWidth() {
-		return ErrNotStripe
-	}
-	for i, p := range pages {
-		if p != s.Arr.GroupPage(g, i) {
-			return ErrNotStripe
-		}
+	if a := Decide(v); a != FullStripe {
+		return fmt.Errorf("core: full-stripe write of group %d refused: the policy says %s", g, a)
 	}
 	obsolete := s.Twins.Obsolete(g)
 	ts := s.TM.NextTimestamp()

@@ -57,7 +57,7 @@ func TestStealNoLogAndAbortUndo(t *testing.T) {
 
 	tx := s.TM.Begin()
 	uncommitted := pattern(page.MinSize, 0x80)
-	if !s.CanStealNoLog(p, tx.ID) {
+	if !canSteal(s, p, tx.ID) {
 		t.Fatalf("clean group must allow the no-log steal")
 	}
 	if err := s.StealNoLog(p, uncommitted, committed, tx, nil); err != nil {
@@ -119,7 +119,7 @@ func TestResteaUndoRestoresOriginal(t *testing.T) {
 	if err := s.StealNoLog(p, v1, committed, tx, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !s.CanStealNoLog(p, tx.ID) {
+	if !canSteal(s, p, tx.ID) {
 		t.Fatalf("re-steal of same page/txn must be allowed")
 	}
 	if err := s.StealNoLog(p, v2, v1, tx, nil); err != nil {
@@ -183,7 +183,7 @@ func TestWriteLoggedToDirtyGroupUpdatesBothTwins(t *testing.T) {
 	}
 	// Txn B writes p2; the Dirty_Set forbids the fast path.
 	txB := s.TM.Begin()
-	if s.CanStealNoLog(p2, txB.ID) {
+	if canSteal(s, p2, txB.ID) {
 		t.Fatalf("second page of a dirty group must not take the fast path")
 	}
 	if err := s.StealNoLog(p2, base2, base2, txB, nil); !errors.Is(err, ErrMustLog) {
@@ -379,7 +379,7 @@ func TestRandomizedParityInvariant(t *testing.T) {
 			v := page.NewBuf(page.MinSize)
 			r.Read(v)
 			tx := s.TM.Begin()
-			if s.CanStealNoLog(p, tx.ID) {
+			if canSteal(s, p, tx.ID) {
 				if err := s.StealNoLog(p, v, nil, tx, nil); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}

@@ -8,8 +8,8 @@
 //
 // The paper-faithful twist is the steal policy: a group whose redundancy
 // is consumed by a disk loss cannot also fund transaction recovery, so
-// CanStealNoLog refuses degraded groups and the engine falls back to
-// UNDO logging until the rebuild restores them (see DESIGN.md).
+// Decide refuses degraded groups the no-log steal and the engine falls
+// back to UNDO logging until the rebuild restores them (see DESIGN.md).
 package core
 
 import (
@@ -563,7 +563,7 @@ func (s *Store) writeDegradedNeeded(g page.GroupID, p page.PageID) bool {
 // writeDegraded writes data page p of a group with unreachable blocks.
 //
 // Degraded groups are always clean — the engine demotes their no-log
-// steals when a disk goes down and CanStealNoLog refuses new ones — so
+// steals when a disk goes down and Decide refuses new ones — so
 // there is no working twin to preserve and the write may recompute the
 // redundancy wholesale, which also launders any partial parity state
 // left by the failure moment.  The group's new data values (p's new

@@ -392,14 +392,13 @@ func (db *DB) storeRead(p page.PageID) (page.Buf, error) {
 }
 
 // syncHealth aligns the engine's degraded-serving state with the array's
-// health machine; called with the exclusive gate held after an operation
-// failed (or on an explicit FailDisk).  When the array has just gone down
-// to one disk, every dirty parity group — each keeps a block on every
-// disk, that one included — is demoted to logged UNDO — a degraded group's redundancy is consumed by
-// the disk loss and cannot also fund transaction recovery — and the store
-// enters degraded serving.  Returns true when degraded serving was just
-// (re-)entered: the caller's failed operation is worth exactly one
-// retry, which will now be served from redundancy.
+// health machine.  It is called with the exclusive gate held, after an
+// operation failed or on an explicit FailDisk.  When the array has just
+// lost a disk, the store enters degraded serving and every dirty parity
+// group is demoted to logged UNDO, as the policy's disk-loss rows say
+// (DESIGN.md §5).  Returns true when degraded serving was just
+// (re-)entered: the caller's failed operation is worth exactly one retry,
+// which will now be served from redundancy.
 //
 // One degraded-to-degraded transition also lands here: a rebuild whose
 // replacement drive dies falls back from Rebuilding to Degraded while
@@ -432,88 +431,68 @@ func (db *DB) syncHealth() bool {
 	// Degraded serving is entered first, so that the demotions below see
 	// which redundancy slots the loss took (core.Store.SlotAlive).
 	db.store.EnterDegraded(downs...)
-	if db.store.Dirty != nil {
-		for g := 0; g < db.arr.NumGroups(); g++ {
-			gid := page.GroupID(g)
-			e, dirty := db.store.Dirty.Lookup(gid)
-			if !dirty {
-				continue
-			}
-			if err := db.demoteNoLogSteal(gid, e); err != nil {
-				// The demotion itself hit the dead disk or a second
-				// failure.  Continuing is safe only because
-				// demoteNoLogSteal appends the owner's UNDO material to
-				// the log *before* its first disk write (see the
-				// ordering note there), so the steal already has a
-				// log-based undo path even though the group stays
-				// dirty.
-				continue
-			}
+	for g := 0; g < db.arr.NumGroups(); g++ {
+		v, e := db.store.ViewOf(core.DiskLoss, page.GroupID(g), 0, 0)
+		if core.Decide(v) == core.DemoteOnly {
+			// A demotion that fails on the dead disk or a second one still
+			// leaves the steal a log-based undo path: demoteNoLogSteal logs
+			// the owner's UNDO material before its first disk write.
+			_ = db.demoteNoLogSteal(page.GroupID(g), e)
 		}
 	}
 	return true
 }
 
-// writeBack is the STEAL policy (see DESIGN.md §5): it is invoked by the
-// buffer pool for every dirty frame leaving the pool (replacement, EOT
-// forcing, checkpoint flushing) and decides between the RDA no-logging
-// path, the classic logging path and the committed write path.  The
-// caller holds the frame's group latch (or the exclusive gate), which
-// serializes the group's steal protocol; a failure that kills a disk
-// surfaces to the operation, whose healWorld retry re-runs the write-back
-// through the degraded protocol (the lazy log appends are idempotent).
-//
-// It decides one page at a time.  A committing transaction's EOT flush of
-// a clean group decides for the group instead (flushGroup) and calls the
-// same two helpers.
-func (db *DB) writeBack(f *buffer.Frame) error {
-	mods := f.ModifierList()
-	if st := db.stealer(f, mods); st != nil {
-		return db.stealFrame(f, st, nil)
-	}
-
-	// Any other write into a dirty group would have to XOR-update both
-	// parity twins in place, and a crash between those two writes can
-	// leave neither twin describing a recoverable view.  Demote the
-	// group's no-logging steal to a logged one first: the write below
-	// then lands in a clean group through the crash-safe single-twin
-	// protocol.  Reached by eviction, by a group-sharer's flush and by an
-	// EOT flush that found the group already dirty — never by a
-	// transaction's EOT flush of a clean group, which orders its pages so
-	// that its one steal comes last.
-	if db.cfg.RDA {
-		g := db.arr.GroupOf(f.Page)
-		if e, dirty := db.store.Dirty.Lookup(g); dirty {
-			if err := db.demoteNoLogSteal(g, e); err != nil {
-				return err
-			}
+// frameView is the write-back policy's view (core.View) of frame f leaving
+// the pool, with its modifiers, the state of the one a steal would be on
+// behalf of, and the group's Dirty_Set entry.  It, groupView and
+// core.Store.ViewOf are where the engine reads the policy's inputs; every
+// write path carries out what core.Decide answers.
+func (db *DB) frameView(f *buffer.Frame) (v core.View, mods []page.TxID, owner *txState, e dirtyset.Entry) {
+	mods = f.ModifierList()
+	n, tx := len(mods), page.TxID(0)
+	if n == 1 && db.cfg.RDA {
+		if owner = db.getState(mods[0]); owner == nil {
+			n = 0 // a finished modifier: nothing to steal for
+		} else {
+			tx = owner.t.ID
 		}
 	}
-
-	if len(mods) == 0 {
-		// nil under ¬FORCE: the store re-reads the old contents (a=4).
-		return db.store.WriteCommitted(f.Page, f.Data, f.DiskVersion)
-	}
-	return db.logFrame(f, mods, nil)
+	v, e = db.store.ViewOf(core.PageWriteBack, db.arr.GroupOf(f.Page), f.Page, tx)
+	v.Modifiers, v.Residue = min(n, 2), f.Residue
+	return v, mods, owner, e
 }
 
-// stealer returns the transaction on whose behalf frame f may be written
-// back without UNDO logging — its only modifier, no committed residue in
-// the frame, and the Dirty_Set agrees (Figure 3) — or nil.
-func (db *DB) stealer(f *buffer.Frame, mods []page.TxID) *txState {
-	if !db.cfg.RDA || len(mods) != 1 || f.Residue {
-		return nil
+// writeBack is the STEAL policy's executor: the buffer pool calls it for
+// every dirty frame leaving the pool (replacement, EOT forcing, checkpoint
+// flushing), and it writes the frame as core.Decide answers (DESIGN.md §5,
+// "Write-back policy", is the table).  The caller holds the frame's group
+// latch (or the exclusive gate), which serializes the group's steal
+// protocol; a failure that kills a disk surfaces to the operation, whose
+// healWorld retry re-runs the write-back through the degraded protocol
+// (the lazy log appends are idempotent).
+func (db *DB) writeBack(f *buffer.Frame) error { return db.writeFrame(f, nil) }
+
+// writeFrame writes frame f back as the policy decides, as the last link of
+// chain c when an EOT flush runs one through the group (flushChain), on its
+// own when c is nil.
+func (db *DB) writeFrame(f *buffer.Frame, c *core.Chain) error {
+	v, mods, owner, e := db.frameView(f)
+	switch core.Decide(v) {
+	case core.Steal:
+		return db.stealFrame(f, owner, c)
+	case core.DemoteThenLog, core.DemoteThenCommit:
+		if err := db.demoteNoLogSteal(db.arr.GroupOf(f.Page), e); err != nil {
+			return err
+		}
 	}
-	st := db.getState(mods[0])
-	if st == nil || !db.store.CanStealNoLog(f.Page, st.t.ID) {
-		return nil
-	}
-	return st
+	// Logged, or committed: logFrame with no active modifier logs nothing.
+	return db.logFrame(f, mods, c)
 }
 
 // stealFrame is the RDA no-logging write of frame f on behalf of st, as the
 // last link of chain c when an EOT flush runs one through the group
-// (flushGroup), on its own when c is nil.
+// (flushChain), on its own when c is nil.
 func (db *DB) stealFrame(f *buffer.Frame, st *txState, c *core.Chain) error {
 	db.ensureBOT(st)
 	oldOnDisk := f.DiskVersion
@@ -538,7 +517,7 @@ func (db *DB) stealFrame(f *buffer.Frame, st *txState, c *core.Chain) error {
 // logFrame is the logging write of frame f: every active modifier's UNDO
 // material for the page goes to the log first, then the page is written in
 // place (nil disk version under ¬FORCE: the store re-reads it, a=4) — as a
-// link of chain c when an EOT flush runs one through the group (flushGroup),
+// link of chain c when an EOT flush runs one through the group (flushChain),
 // on its own when c is nil.
 func (db *DB) logFrame(f *buffer.Frame, mods []page.TxID, c *core.Chain) error {
 	for _, m := range mods {
@@ -547,7 +526,7 @@ func (db *DB) logFrame(f *buffer.Frame, mods []page.TxID, c *core.Chain) error {
 			continue
 		}
 		db.ensureBOT(st)
-		db.ensureUndoLogged(st, f.Page)
+		db.ensureUndoLogged(st, f.Page, true)
 		st.mu.Lock()
 		st.stolenLogged[f.Page] = true
 		st.mu.Unlock()
@@ -568,24 +547,27 @@ func (db *DB) ensureBOT(st *txState) {
 }
 
 // ensureUndoLogged appends the retained before-image(s) for page p on
-// behalf of st, if not already logged.
-func (db *DB) ensureUndoLogged(st *txState, p page.PageID) {
+// behalf of st, if not already logged, and returns the page image's LSN (0
+// when nothing was appended, and in record mode).  Unforced (page mode
+// only) the image goes to the volatile log tail, and the caller MUST force
+// the log past the returned LSN before any disk write it covers — the
+// full-stripe flush does, with a single force for the whole batch, which is
+// what folds k before-image forces into one log write.
+func (db *DB) ensureUndoLogged(st *txState, p page.PageID, forced bool) wal.LSN {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if db.cfg.Logging == PageLogging {
-		if _, done := st.t.LoggedUndo[p]; done {
-			return
-		}
 		img, ok := st.beforePages[p]
-		if !ok {
-			return // the transaction never modified this page
+		if _, done := st.t.LoggedUndo[p]; done || !ok {
+			return 0 // logged already, or the transaction never modified p
 		}
-		db.log.Append(wal.Record{
-			Type: wal.TypeBeforeImage, Txn: st.t.ID, Page: p, Slot: wal.NoSlot,
-			Image: img, // the log encodes it before Append returns
-		})
 		st.t.LoggedUndo[p] = struct{}{}
-		return
+		// The log encodes the image before Append returns.
+		r := wal.Record{Type: wal.TypeBeforeImage, Txn: st.t.ID, Page: p, Slot: wal.NoSlot, Image: img}
+		if !forced {
+			return db.log.AppendUnforced(r)
+		}
+		return db.log.Append(r)
 	}
 	rids := make([]page.RecordID, 0, len(st.beforeRecords))
 	for rid := range st.beforeRecords {
@@ -603,30 +585,7 @@ func (db *DB) ensureUndoLogged(st *txState, p page.PageID) {
 		st.loggedRecords[rid] = true
 	}
 	st.t.LoggedUndo[p] = struct{}{}
-}
-
-// ensureUndoUnforced appends p's before-image to the volatile log tail
-// (page mode only) and returns its LSN, or 0 when the image is already
-// logged or the transaction never modified p.  The caller MUST force the
-// log past the returned LSN before any disk write the image covers —
-// the full-stripe flush does, with a single force for the whole batch,
-// which is what folds k before-image forces into one log write.
-func (db *DB) ensureUndoUnforced(st *txState, p page.PageID) wal.LSN {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, done := st.t.LoggedUndo[p]; done {
-		return 0
-	}
-	img, ok := st.beforePages[p]
-	if !ok {
-		return 0
-	}
-	lsn := db.log.AppendUnforced(wal.Record{
-		Type: wal.TypeBeforeImage, Txn: st.t.ID, Page: p, Slot: wal.NoSlot,
-		Image: img,
-	})
-	st.t.LoggedUndo[p] = struct{}{}
-	return lsn
+	return 0
 }
 
 // logRedo appends a REDO-side record (after-image or EOT): unforced
@@ -662,7 +621,7 @@ func (db *DB) demoteNoLogSteal(g page.GroupID, e dirtyset.Entry) error {
 		return fmt.Errorf("rda: dirty group %d owned by unknown txn %d", g, e.Txn)
 	}
 	db.ensureBOT(owner)
-	db.ensureUndoLogged(owner, e.Page)
+	db.ensureUndoLogged(owner, e.Page, true)
 	owner.mu.Lock()
 	owner.stolenLogged[e.Page] = true
 	owner.mu.Unlock()

@@ -256,7 +256,7 @@ func TestTruncationBoundsLog(t *testing.T) {
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			live := db.LiveLogRecords()
+			live := db.log.Len() - int(db.log.FirstLSN()) + 1
 			if live > maxLive {
 				maxLive = live
 			}
@@ -291,8 +291,8 @@ func TestTruncatedEOTWorkingTwinSurvivesCrash(t *testing.T) {
 	}
 	// FORCE/TOC truncation after the commit leaves the log empty while
 	// the group's current parity is a lazily committed working twin.
-	if db.LiveLogRecords() != 0 {
-		t.Fatalf("log not truncated: %d live records", db.LiveLogRecords())
+	if live := db.log.Len() - int(db.log.FirstLSN()) + 1; live != 0 {
+		t.Fatalf("log not truncated: %d live records", live)
 	}
 	info, err := db.InspectGroup(0)
 	if err != nil {

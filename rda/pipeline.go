@@ -12,17 +12,17 @@ import (
 )
 
 // FORCE-at-EOT flushing.  The modified pages are flushed one run of a
-// parity group after the other through flushGroup, which decides once for
-// the run what the steal policy (writeBack) would otherwise decide page by
-// page.  The synchronous path walks the pages in page order —
-// deterministic, required for byte-replayable crash schedules — and a run
-// is as much of one group as lies together in that order: all of it under
-// data striping, often a single page under parity striping, whose groups'
-// pages are a disk apart.  The pipelined path (QueueDepth > 1) gathers
-// every group's pages into one run and fans the groups out: they are
-// independent (the caller holds every group's latch, and the store's
-// group-striped protocol already allows concurrent commits on disjoint
-// groups), so their disk work overlaps across drives.
+// parity group after the other through flushGroup, which carries out the
+// write-back policy's group-flush rows (core.Decide; DESIGN.md §5).  The
+// synchronous path walks the pages in page order — deterministic, required
+// for byte-replayable crash schedules — and a run is as much of one group
+// as lies together in that order: all of it under data striping, often a
+// single page under parity striping, whose groups' pages are a disk apart.
+// The pipelined path (QueueDepth > 1) gathers every group's pages into one
+// run and fans the groups out: they are independent (the caller holds
+// every group's latch, and the store's group-striped protocol already
+// allows concurrent commits on disjoint groups), so their disk work
+// overlaps across drives.
 
 // flushForce writes the transaction's modified pages to the array, as
 // FORCE EOT processing requires.  Caller holds all modified groups'
@@ -62,61 +62,57 @@ func (db *DB) groupRun(rest []page.PageID) (g page.GroupID, n int) {
 }
 
 // flushGroup flushes a committing transaction's modified pages of one
-// group (ascending; the caller holds the group's latch).
-//
-// A whole stripe collapses into one parity write (tryFlushStripe).
-// Otherwise the twin can cover ONE uncommitted page of the group
-// (Section 4.1), and which one is a cost decision taken here, once: in a
-// clean, undegraded group with k ≥ 2 dirty resident pages, the k − 1 that
-// must be logged anyway go first, each a logged flip, and the page the
-// twin covers goes last and stays a no-log steal to the EOT.  Page by
-// page, writeBack would steal the first, and the second would have to
-// demote that steal — the transaction's own — with a header rewrite and
-// the before-image logged all the same.  The flush is a chain
-// (core.Chain): each write reads the index it has written back while its
-// data page goes out and hands the verified image on, so the write after
-// it does not wait for a read of its own.  The writes themselves and
-// their order are those of k separate write-backs — a logged flip followed
-// by a steal is what a third page in a group has always produced — and so
-// is the number of reads, so every state a crash can expose is one
-// recovery already meets and no verified read is given up.
-//
-// One dirty page, a group dirty at entry (the transaction's own eviction
-// steal, or a sharer's) and a degraded group go page by page through the
-// steal policy as before.
+// group (ascending; the caller holds the group's latch) as the policy
+// decides for the group: one full-stripe write, one chain, or each page
+// through its own write-back.
 func (db *DB) flushGroup(st *txState, g page.GroupID, pages []page.PageID) error {
-	done, err := db.tryFlushStripe(st, g, pages)
-	if done || err != nil {
-		return err
+	v, last := db.groupView(g, pages)
+	switch core.Decide(v) {
+	case core.FullStripe:
+		return db.flushStripe(st, g, pages)
+	case core.Chained:
+		return db.flushChain(g, pages[:last+1])
 	}
+	for _, p := range pages {
+		if err := db.pool.FlushPage(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// groupView is the policy's view of an EOT flush of pages, a run of group g,
+// with the index of the last of them that is resident and dirty.
+func (db *DB) groupView(g page.GroupID, pages []page.PageID) (core.View, int) {
 	k, last := 0, 0
-	if db.cfg.RDA && !db.store.Dirty.IsDirty(g) && !db.store.GroupDegraded(g) {
-		for i, p := range pages {
-			if f := db.pool.Frame(p); f != nil && f.Dirty {
-				k, last = k+1, i
-			}
+	for i, p := range pages {
+		if f := db.pool.Frame(p); f != nil && f.Dirty {
+			k, last = k+1, i
 		}
 	}
-	if k < 2 {
-		for _, p := range pages {
-			if err := db.pool.FlushPage(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	v, _ := db.store.ViewOf(core.GroupFlush, g, 0, 0)
+	v.RecordLogging = db.cfg.Logging == RecordLogging
+	v.DirtyPages = min(k, 2)
+	// The pages are distinct members of g: as many as it is wide are its
+	// stripe.
+	v.WholeStripe = k == len(pages) && k == db.arr.GroupWidth()
+	return v, last
+}
+
+// flushChain flushes the dirty pages of a clean group as one chain
+// (core.Chain; DESIGN.md §5, "The EOT flush of a group"): every one but the
+// last a logged flip, the last through the write-back policy, which steals
+// it when it can.
+func (db *DB) flushChain(g page.GroupID, pages []page.PageID) error {
 	chain := db.store.Chain(g)
 	defer chain.Release()
-	for i, p := range pages[:last+1] {
-		covered := i == last
+	for i, p := range pages {
+		covered := i == len(pages)-1
 		err := db.pool.FlushPageWith(p, func(f *buffer.Frame) error {
-			mods := f.ModifierList()
 			if covered {
-				if owner := db.stealer(f, mods); owner != nil {
-					return db.stealFrame(f, owner, chain)
-				}
+				return db.writeFrame(f, chain)
 			}
-			return db.logFrame(f, mods, chain)
+			return db.logFrame(f, f.ModifierList(), chain)
 		})
 		if err != nil {
 			return err
@@ -125,47 +121,16 @@ func (db *DB) flushGroup(st *txState, g page.GroupID, pages []page.PageID) error
 	return nil
 }
 
-// tryFlushStripe coalesces a whole-stripe flush into one parity update.
-// Eligibility is deliberately narrow — see core.WriteStripeLogged for
-// why anything less than a full stripe with complete logged undo cover
-// must not coalesce:
-//
-//   - RDA with page logging (before-images are page images, so every
-//     stripe member gets full undo cover from one record each);
-//   - the page set is exactly the group's stripe;
-//   - the array is healthy and the group clean;
-//   - every stripe page is resident and dirty, so the combined write
-//     sees all the data.
-//
-// The before-images of every stripe page are appended unforced and made
-// durable with a single log force before the first disk write — the
-// write-ahead rule at batch granularity.
-func (db *DB) tryFlushStripe(st *txState, g page.GroupID, pages []page.PageID) (bool, error) {
-	if !db.cfg.RDA || db.cfg.Logging != PageLogging || db.store.Degraded() {
-		return false, nil
-	}
-	if _, dirty := db.store.Dirty.Lookup(g); dirty {
-		return false, nil
-	}
-	stripe := db.arr.GroupPages(g)
-	if len(pages) != len(stripe) {
-		return false, nil
-	}
-	for i := range stripe {
-		// Both slices are ascending.
-		if pages[i] != stripe[i] {
-			return false, nil
-		}
-	}
-	for _, p := range pages {
-		if f := db.pool.Frame(p); f == nil || !f.Dirty {
-			return false, nil
-		}
-	}
+// flushStripe writes the whole stripe of group g with one parity update
+// (core.Store.WriteStripeLogged, which says why nothing less may
+// coalesce).  The before-images of every stripe page are appended unforced
+// and made durable with a single log force before the first disk write —
+// the write-ahead rule at batch granularity.
+func (db *DB) flushStripe(st *txState, g page.GroupID, pages []page.PageID) error {
 	db.ensureBOT(st)
 	var maxLSN wal.LSN
 	for _, p := range pages {
-		if lsn := db.ensureUndoUnforced(st, p); lsn > maxLSN {
+		if lsn := db.ensureUndoLogged(st, p, false); lsn > maxLSN {
 			maxLSN = lsn
 		}
 	}
@@ -174,8 +139,7 @@ func (db *DB) tryFlushStripe(st *txState, g page.GroupID, pages []page.PageID) (
 	}
 	// The pages are about to be written to disk with log-based undo;
 	// mark that before issuing the write so an abort after a partial
-	// failure restores them on disk (same order as writeBack's logging
-	// path).
+	// failure restores them on disk (same order as logFrame).
 	st.mu.Lock()
 	for _, p := range pages {
 		st.stolenLogged[p] = true
@@ -184,11 +148,13 @@ func (db *DB) tryFlushStripe(st *txState, g page.GroupID, pages []page.PageID) (
 	done, err := db.pool.FlushTogether(pages, func(datas []page.Buf) error {
 		return db.store.WriteStripeLogged(g, pages, datas)
 	})
-	if err != nil {
-		if errors.Is(err, core.ErrNotStripe) {
-			return false, nil
-		}
-		return true, fmt.Errorf("rda: stripe flush of group %d: %w", g, err)
+	if err == nil && !done {
+		// groupView found every page resident and dirty under the latch
+		// held since.
+		err = errors.New("a page left the pool")
 	}
-	return done, nil
+	if err != nil {
+		return fmt.Errorf("rda: stripe flush of group %d: %w", g, err)
+	}
+	return nil
 }

@@ -288,12 +288,3 @@ func (db *DB) DiskTransfers() []int64 {
 	}
 	return out
 }
-
-// LiveLogRecords returns the number of log records the log currently
-// retains (older records are reclaimed by truncation once no recovery
-// could need them).
-func (db *DB) LiveLogRecords() int {
-	db.gate.RLock()
-	defer db.gate.RUnlock()
-	return db.log.Len() - int(db.log.FirstLSN()) + 1
-}

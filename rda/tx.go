@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/buffer"
+	"repro/internal/core"
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/page"
@@ -197,7 +198,7 @@ func (tx *Tx) firstModifyPage(p page.PageID, cur page.Buf) {
 	// avoids the before-images.
 	tx.db.ensureBOT(st)
 	if !tx.db.cfg.RDA {
-		tx.db.ensureUndoLogged(st, p)
+		tx.db.ensureUndoLogged(st, p, true)
 	}
 }
 
@@ -338,17 +339,13 @@ func (tx *Tx) DeleteRecord(p PageID, slot int) error {
 // writeRecordLatched performs the write/delete with the page's group
 // latch (h) and the record's two-phase lock held.
 func (tx *Tx) writeRecordLatched(h *latch.Held, p page.PageID, slot int, rec []byte, present bool) error {
-	// Before another transaction is allowed to touch a page that sits in
-	// a parity group dirtied BY THAT PAGE, the no-UNDO-logging steal must
-	// be demoted to a logged one; otherwise a later twin-parity undo of
-	// the owning transaction would roll the whole page back past this
-	// transaction's records.  See DB.demoteNoLogSteal.
-	if tx.db.cfg.RDA {
-		g := tx.db.arr.GroupOf(p)
-		if e, dirty := tx.db.store.Dirty.Lookup(g); dirty && e.Page == p && e.Txn != tx.st.t.ID {
-			if err := tx.db.demoteNoLogSteal(g, e); err != nil {
-				return err
-			}
+	// Another transaction's no-log steal of this page is demoted first
+	// (the policy's record-write rows), or a later twin-parity undo of its
+	// owner would roll the whole page back past this transaction's records.
+	g := tx.db.arr.GroupOf(p)
+	if v, e := tx.db.store.ViewOf(core.RecordWrite, g, p, tx.st.t.ID); core.Decide(v) == core.DemoteOnly {
+		if err := tx.db.demoteNoLogSteal(g, e); err != nil {
+			return err
 		}
 	}
 	v, err := tx.recordView(p, h)
@@ -692,7 +689,7 @@ func (db *DB) rollback(st *txState) error {
 	}
 
 	st.mu.Lock()
-	stolenLogged := sortedBoolPages(st.stolenLogged)
+	stolenLogged := sortedPages(st.stolenLogged)
 	viaParity := make(map[page.PageID]bool, len(st.stolenBefore))
 	for p := range st.stolenBefore {
 		viaParity[p] = true
@@ -756,16 +753,7 @@ func (db *DB) rollback(st *txState) error {
 // loops that issue I/O iterate sets in sorted order so that identically
 // seeded runs produce identical block-write sequences — what makes a
 // crash-point schedule (crash at write k) replayable.
-func sortedPages(set map[page.PageID]struct{}) []page.PageID {
-	out := make([]page.PageID, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedBoolPages(set map[page.PageID]bool) []page.PageID {
+func sortedPages[V any](set map[page.PageID]V) []page.PageID {
 	out := make([]page.PageID, 0, len(set))
 	for p := range set {
 		out = append(out, p)
