@@ -93,11 +93,6 @@ func (f *Frame) linkAfter(at *Frame) {
 	at.next.prev, at.next = f, f
 }
 
-// Pinned reports whether the frame is currently pinned.  Snapshot only;
-// meaningful to concurrent callers only while they hold the pool's
-// internal invariants another way (tests, single-threaded use).
-func (f *Frame) Pinned() bool { return f.pins > 0 }
-
 // ModifierList returns the frame's modifiers in ascending id order.  The
 // order is deterministic so that identically seeded runs issue identical
 // I/O sequences (crash-point schedules replay by write index).

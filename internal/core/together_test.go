@@ -29,7 +29,6 @@ func pqStore(t *testing.T, queued bool) (*Store, []page.Buf) {
 	}
 	if queued {
 		arr.StartQueues(8, 8)
-		t.Cleanup(arr.StopQueues)
 	}
 	s := NewStore(arr, wal.New(wal.DefaultConfig()), txn.NewManager())
 	var want []page.Buf

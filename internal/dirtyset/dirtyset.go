@@ -9,11 +9,13 @@
 // need to be used to store the page number ... and one bit for the parity
 // page number").
 //
-// The table answers the central policy question of RDA recovery: may this
-// steal proceed WITHOUT UNDO logging?  Per Figure 3 the answer is yes
-// exactly when the group is clean, or when it is dirty and the write is a
-// re-steal of the very same page by the very same transaction (the page
-// was stolen, re-referenced, modified and stolen again before EOT).
+// The table holds the state behind the central policy question of RDA
+// recovery: may this steal proceed WITHOUT UNDO logging?  Per Figure 3
+// the answer is yes exactly when the group is clean, or when it is dirty
+// and the write is a re-steal of the very same page by the very same
+// transaction (the page was stolen, re-referenced, modified and stolen
+// again before EOT).  The table does not answer it: the one write-back
+// decision, core.Decide, reads the group's entry through Lookup.
 //
 // The table lives in main memory only — it is lost in a system crash and
 // crash recovery reconstructs what it needs from the log chains
@@ -70,25 +72,12 @@ func (t *Table) IsDirty(g page.GroupID) bool {
 	return ok
 }
 
-// CanStealWithoutLogging implements the Figure 3 policy: a modified page
-// p of group g, stolen on behalf of transaction tx, may be written back
-// without UNDO logging iff the group is clean, or it is dirty because of
-// this very (page, transaction) pair.
-func (t *Table) CanStealWithoutLogging(g page.GroupID, p page.PageID, tx page.TxID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, dirty := t.m[g]
-	if !dirty {
-		return true
-	}
-	return e.Page == p && e.Txn == tx
-}
-
 // MarkDirty records that tx's write of page p (working parity on the
 // given twin) moved group g into the dirty state, or refreshes the entry
 // on a re-steal.  It panics if the group is already dirty under a
 // different (page, transaction) pair, because that would corrupt the undo
-// guarantee — callers must consult CanStealWithoutLogging first.
+// guarantee — the write-back decision (core.Decide) must have allowed the
+// no-log steal first.
 func (t *Table) MarkDirty(g page.GroupID, p page.PageID, tx page.TxID, workingTwin int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -132,14 +121,6 @@ func (t *Table) GroupsOf(tx page.TxID) []page.GroupID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// CleanAllOf removes every entry owned by tx (commit: all of its dirty
-// groups become clean at once).
-func (t *Table) CleanAllOf(tx page.TxID) {
-	for _, g := range t.GroupsOf(tx) {
-		t.Clean(g)
-	}
 }
 
 // Len returns the number of dirty groups.

@@ -8,7 +8,8 @@ import (
 )
 
 // TestDirtySetStateDiagramFigure3 walks the exact transitions of the
-// paper's Figure 3 state diagram for a page parity group.
+// paper's Figure 3 state diagram for a page parity group, asserting the
+// table's state at each (the policy that reads it is core.Decide).
 func TestDirtySetStateDiagramFigure3(t *testing.T) {
 	tbl := New()
 	const (
@@ -18,47 +19,55 @@ func TestDirtySetStateDiagramFigure3(t *testing.T) {
 		tx = page.TxID(1)    // the paper's transaction T
 		t2 = page.TxID(2)
 	)
+	owner := func(state string, want Entry) {
+		t.Helper()
+		e, dirty := tbl.Lookup(g)
+		if !dirty || e != want {
+			t.Fatalf("%s: entry %+v (dirty %v), want %+v", state, e, dirty, want)
+		}
+		if got := tbl.GroupsOf(want.Txn); len(got) != 1 || got[0] != g {
+			t.Fatalf("%s: GroupsOf(%d) = %v, want [%d]", state, want.Txn, got, g)
+		}
+	}
+	refused := func(p page.PageID, tx page.TxID) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("MarkDirty(page %d, txn %d) of a group dirty under another pair must panic", p, tx)
+			}
+		}()
+		tbl.MarkDirty(g, p, tx, 0)
+	}
 
-	// Clean state: any steal may skip UNDO logging.
-	if !tbl.CanStealWithoutLogging(g, di, tx) {
-		t.Fatalf("clean group must allow a no-logging steal")
+	// Clean state: no entry, no owner.
+	if _, dirty := tbl.Lookup(g); dirty || len(tbl.GroupsOf(tx)) != 0 {
+		t.Fatalf("a new table must hold group %d clean", g)
 	}
 
 	// "Transaction T modifies page D_i and D_i is written back to the
 	// database before EOT" — clean → dirty.
 	tbl.MarkDirty(g, di, tx, 1)
-	if !tbl.IsDirty(g) {
-		t.Fatalf("group must be dirty after the first no-logging steal")
-	}
-	e, _ := tbl.Lookup(g)
-	if e.Page != di || e.Txn != tx || e.WorkingTwin != 1 {
-		t.Fatalf("entry = %+v", e)
-	}
+	owner("after the first no-logging steal", Entry{Page: di, Txn: tx, WorkingTwin: 1})
 
 	// "T rereferences D_i, modifies it and D_i is written back to the
 	// database before EOT" — dirty → dirty (self loop, still no logging).
-	if !tbl.CanStealWithoutLogging(g, di, tx) {
-		t.Fatalf("re-steal of the same page by the same transaction must stay log-free")
-	}
 	tbl.MarkDirty(g, di, tx, 1)
+	owner("after the re-steal", Entry{Page: di, Txn: tx, WorkingTwin: 1})
 
 	// A different page of the dirty group, or the same page on behalf of
-	// a different transaction, must be UNDO logged.
-	if tbl.CanStealWithoutLogging(g, dj, tx) {
-		t.Fatalf("second page of a dirty group must require logging")
-	}
-	if tbl.CanStealWithoutLogging(g, di, t2) {
-		t.Fatalf("same page under a different transaction must require logging")
-	}
+	// a different transaction, cannot take the group over.
+	refused(dj, tx)
+	refused(di, t2)
+	owner("after the refused steals", Entry{Page: di, Txn: tx, WorkingTwin: 1})
 
 	// "Transaction T commits" — dirty → clean.
 	tbl.Clean(g)
-	if tbl.IsDirty(g) {
+	if _, dirty := tbl.Lookup(g); dirty || len(tbl.GroupsOf(tx)) != 0 {
 		t.Fatalf("group must be clean after commit")
 	}
-	if !tbl.CanStealWithoutLogging(g, dj, t2) {
-		t.Fatalf("clean group must allow any no-logging steal again")
-	}
+	// A clean group takes any owner again.
+	tbl.MarkDirty(g, dj, t2, 0)
+	owner("after a new owner's steal", Entry{Page: dj, Txn: t2})
 }
 
 func TestMarkDirtyConflictPanics(t *testing.T) {
@@ -81,9 +90,11 @@ func TestGroupsOfAndCleanAllOf(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("GroupsOf(7) = %v, want [1 3] sorted", got)
 	}
-	tbl.CleanAllOf(7)
+	for _, g := range got {
+		tbl.Clean(g)
+	}
 	if len(tbl.GroupsOf(7)) != 0 {
-		t.Fatalf("txn 7 still owns groups after CleanAllOf")
+		t.Fatalf("txn 7 still owns groups after its commit cleaned them")
 	}
 	if !tbl.IsDirty(2) {
 		t.Fatalf("txn 8's group must survive txn 7's commit")
@@ -107,10 +118,10 @@ func TestResetModelsCrash(t *testing.T) {
 }
 
 func TestQuickAtMostOneDirtyPagePerGroup(t *testing.T) {
-	// Property: however ops interleave (always consulting
-	// CanStealWithoutLogging first, as the engine does), every dirty
-	// group has exactly one owning (page, txn) pair, and cleaning is
-	// idempotent.
+	// Property: however ops interleave (a steal marks its group only
+	// when Lookup shows it clean or owned by the same pair, as the
+	// engine's write-back decision does), every dirty group has exactly
+	// one owning (page, txn) pair, and cleaning is idempotent.
 	type op struct {
 		G     uint8
 		P     uint8
@@ -131,14 +142,12 @@ func TestQuickAtMostOneDirtyPagePerGroup(t *testing.T) {
 				}
 				continue
 			}
-			if tbl.CanStealWithoutLogging(g, p, tx) {
-				tbl.MarkDirty(g, p, tx, int(o.T%2))
-				e, ok := tbl.Lookup(g)
-				if !ok || e.Page != p || e.Txn != tx {
-					return false
-				}
-			} else if e, ok := tbl.Lookup(g); !ok || (e.Page == p && e.Txn == tx) {
-				return false // CanSteal lied
+			if e, dirty := tbl.Lookup(g); dirty && (e.Page != p || e.Txn != tx) {
+				continue // the steal must log; the table is not touched
+			}
+			tbl.MarkDirty(g, p, tx, int(o.T%2))
+			if e, ok := tbl.Lookup(g); !ok || e.Page != p || e.Txn != tx {
+				return false
 			}
 		}
 		// Cross-check the per-txn index against the main map.

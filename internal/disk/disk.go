@@ -184,7 +184,7 @@ type Disk struct {
 	// of the array overlap in wall-clock time.  That makes wall-clock
 	// throughput reflect how much array parallelism the caller actually
 	// achieves (zero for tests; benchmarks opt in).  In pipelined mode
-	// the sleep happens when the scheduler dequeues the transfer.
+	// the sleep happens once the picker has given the transfer the drive.
 	latency atomic.Int64
 	// q is the drive's request queue (see queue.go); disabled by default.
 	q queue
@@ -227,16 +227,48 @@ func (d *Disk) serviceTime() {
 	}
 }
 
-// Read returns a copy of the block's data and its metadata, charging one
-// page transfer.  In pipelined mode (StartQueue) the request goes
-// through the drive's queue; otherwise it executes synchronously.  A
-// caller that owns a page buffer reads into it by issuing the request
-// itself (Do, Request.Data).
-func (d *Disk) Read(blockNum int) (page.Buf, Meta, error) {
+// Request describes one block I/O (see Do).
+type Request struct {
+	Op    Op
+	Block int
+	// Data is the payload for OpWrite and, when it has the block's size,
+	// the buffer an OpRead fills and returns instead of allocating one; the
+	// caller must leave it alone until Do returns.
+	Data page.Buf
+	// Meta is the header for OpWrite and OpWriteMeta.
+	Meta Meta
+}
+
+// Do executes a request and returns its results: the payload and header
+// of a read, the header of a header read.  It runs on the caller's
+// goroutine either way; on a queued drive (StartQueue) it first waits for
+// the picker to hand the caller the drive.  A crash point's panic
+// propagates to the caller — and, on a queued drive, to every caller
+// waiting behind it.
+func (d *Disk) Do(r Request) (page.Buf, Meta, error) {
 	if d.q.on.Load() {
-		return d.Submit(Request{Op: OpRead, Block: blockNum}).Wait()
+		d.q.enter(r.Block)
+		defer d.q.leave()
 	}
-	return d.execRead(blockNum, nil)
+	switch r.Op {
+	case OpRead:
+		return d.execRead(r.Block, r.Data)
+	case OpWrite:
+		return nil, Meta{}, d.execWrite(r.Block, r.Data, r.Meta)
+	case OpReadMeta:
+		meta, err := d.execReadMeta(r.Block)
+		return nil, meta, err
+	case OpWriteMeta:
+		return nil, Meta{}, d.execWriteMeta(r.Block, r.Meta)
+	}
+	return nil, Meta{}, fmt.Errorf("disk %d: unknown op %v", d.id, r.Op)
+}
+
+// Read returns a copy of the block's data and its metadata, charging one
+// page transfer.  A caller that owns a page buffer reads into it by
+// issuing the request itself (Do, Request.Data).
+func (d *Disk) Read(blockNum int) (page.Buf, Meta, error) {
+	return d.Do(Request{Op: OpRead, Block: blockNum})
 }
 
 // execRead copies the block into dst when dst has the block's size, and
@@ -274,13 +306,10 @@ func (d *Disk) execRead(blockNum int, dst page.Buf) (page.Buf, Meta, error) {
 }
 
 // Write atomically replaces the block's data and metadata, charging one
-// page transfer.  In pipelined mode the request goes through the drive's
-// queue; otherwise it executes synchronously.
+// page transfer.
 func (d *Disk) Write(blockNum int, data page.Buf, meta Meta) error {
-	if d.q.on.Load() {
-		return d.Submit(Request{Op: OpWrite, Block: blockNum, Data: data, Meta: meta}).Err()
-	}
-	return d.execWrite(blockNum, data, meta)
+	_, _, err := d.Do(Request{Op: OpWrite, Block: blockNum, Data: data, Meta: meta})
+	return err
 }
 
 func (d *Disk) execWrite(blockNum int, data page.Buf, meta Meta) error {
@@ -365,11 +394,8 @@ func (d *Disk) execWrite(blockNum int, data page.Buf, meta Meta) error {
 // transfer (on the paper's hardware the header travels with the sector,
 // so a header read costs a full rotation just like a block read).
 func (d *Disk) ReadMeta(blockNum int) (Meta, error) {
-	if d.q.on.Load() {
-		_, meta, err := d.Submit(Request{Op: OpReadMeta, Block: blockNum}).Wait()
-		return meta, err
-	}
-	return d.execReadMeta(blockNum)
+	_, meta, err := d.Do(Request{Op: OpReadMeta, Block: blockNum})
+	return meta, err
 }
 
 func (d *Disk) execReadMeta(blockNum int) (Meta, error) {
@@ -398,10 +424,8 @@ func (d *Disk) execReadMeta(blockNum int) (Meta, error) {
 // still charges one page transfer: on the paper's hardware the header
 // travels with the sector.
 func (d *Disk) WriteMeta(blockNum int, meta Meta) error {
-	if d.q.on.Load() {
-		return d.Submit(Request{Op: OpWriteMeta, Block: blockNum, Meta: meta}).Err()
-	}
-	return d.execWriteMeta(blockNum, meta)
+	_, _, err := d.Do(Request{Op: OpWriteMeta, Block: blockNum, Meta: meta})
+	return err
 }
 
 func (d *Disk) execWriteMeta(blockNum int, meta Meta) error {

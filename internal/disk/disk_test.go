@@ -257,7 +257,6 @@ func TestDoReadsIntoTheCallersPage(t *testing.T) {
 		t.Fatalf("wrong-size destination: %d bytes, err %v", len(got), err)
 	}
 	d.StartQueue(4, 4)
-	defer d.StopQueue()
 	dst.Zero()
 	read()
 }

@@ -18,13 +18,6 @@ func (a *Array) StartQueues(depth, window int) {
 	}
 }
 
-// StopQueues drains and disables every per-drive queue.
-func (a *Array) StopQueues() {
-	for _, d := range a.disks {
-		d.StopQueue()
-	}
-}
-
 // ResetQueues clears crash poisoning on every per-drive queue after the
 // engine has wiped volatile state (see disk.Disk.ResetQueue).
 func (a *Array) ResetQueues() {

@@ -176,9 +176,10 @@ type Config struct {
 	// pipeline") ---
 
 	// QueueDepth, when greater than 1, gives every drive a request queue
-	// of that depth drained by a per-drive scheduler goroutine: transfers
-	// to one drive are reordered elevator-style over block addresses and
-	// overlap with transfers to other drives, and the engine issues the
+	// of that depth, each waiting caller running its own transfer when
+	// the drive's picker gives it the drive: transfers to one drive are
+	// reordered elevator-style over block addresses and overlap with
+	// transfers to other drives, and the engine issues the
 	// independent transfers of one operation (the small-write RMW's
 	// reads, a full-stripe write's data writes, the member reads of a
 	// reconstruction, a whole-group read or the restart's torn scan)
