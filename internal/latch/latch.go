@@ -25,7 +25,7 @@ package latch
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/page"
@@ -59,17 +59,23 @@ func (t *Table) check(g page.GroupID) {
 // operation mid-protocol.
 type Held struct {
 	t *Table
-	// groups is the held set in ascending order.
+	// groups is the held set in ascending order, backed by inline until
+	// an operation holds more groups than that.
 	groups []page.GroupID
+	inline [4]page.GroupID
 }
 
 // NewHeld returns an empty held-set for one operation.
-func (t *Table) NewHeld() *Held { return &Held{t: t} }
+func (t *Table) NewHeld() *Held {
+	h := &Held{t: t}
+	h.groups = h.inline[:0]
+	return h
+}
 
 // Holds reports whether group g's latch is in the held set.
 func (h *Held) Holds(g page.GroupID) bool {
-	i := sort.Search(len(h.groups), func(i int) bool { return h.groups[i] >= g })
-	return i < len(h.groups) && h.groups[i] == g
+	_, ok := slices.BinarySearch(h.groups, g)
+	return ok
 }
 
 // Groups returns the held set in ascending order (shared slice; callers
@@ -77,10 +83,8 @@ func (h *Held) Holds(g page.GroupID) bool {
 func (h *Held) Groups() []page.GroupID { return h.groups }
 
 func (h *Held) insert(g page.GroupID) {
-	i := sort.Search(len(h.groups), func(i int) bool { return h.groups[i] >= g })
-	h.groups = append(h.groups, 0)
-	copy(h.groups[i+1:], h.groups[i:])
-	h.groups[i] = g
+	i, _ := slices.BinarySearch(h.groups, g)
+	h.groups = slices.Insert(h.groups, i, g)
 }
 
 // Acquire blocks until every listed group's latch is held.  Groups
@@ -91,24 +95,40 @@ func (h *Held) insert(g page.GroupID) {
 // another operation doing the same in the opposite order.  Out-of-order
 // acquisition must use TryAcquire instead.
 func (h *Held) Acquire(groups ...page.GroupID) {
-	want := make([]page.GroupID, 0, len(groups))
+	if len(groups) == 1 {
+		// The common case — one page's group — sorts nothing and
+		// allocates nothing.
+		g := groups[0]
+		h.t.check(g)
+		if !h.Holds(g) {
+			h.lockAbove(g)
+		}
+		return
+	}
+	var buf [8]page.GroupID
+	want := buf[:0]
 	for _, g := range groups {
 		h.t.check(g)
 		if !h.Holds(g) {
 			want = append(want, g)
 		}
 	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	slices.Sort(want)
 	for i, g := range want {
 		if i > 0 && want[i-1] == g {
 			continue // duplicate in the request
 		}
-		if n := len(h.groups); n > 0 && g <= h.groups[n-1] {
-			panic(fmt.Sprintf("latch: out-of-order blocking acquire of group %d while holding %v", g, h.groups))
-		}
-		h.t.mus[g].Lock()
-		h.insert(g)
+		h.lockAbove(g)
 	}
+}
+
+// lockAbove blocks for g's latch, which must rank above every held one.
+func (h *Held) lockAbove(g page.GroupID) {
+	if n := len(h.groups); n > 0 && g <= h.groups[n-1] {
+		panic(fmt.Sprintf("latch: out-of-order blocking acquire of group %d while holding %v", g, h.groups))
+	}
+	h.t.mus[g].Lock()
+	h.groups = append(h.groups, g)
 }
 
 // TryAcquire attempts to latch group g without blocking and reports
@@ -131,11 +151,11 @@ func (h *Held) TryAcquire(g page.GroupID) bool {
 // Release unlatches group g.  Releasing a group that is not held is a
 // no-op, so deferred cleanup composes with explicit early release.
 func (h *Held) Release(g page.GroupID) {
-	i := sort.Search(len(h.groups), func(i int) bool { return h.groups[i] >= g })
-	if i >= len(h.groups) || h.groups[i] != g {
+	i, ok := slices.BinarySearch(h.groups, g)
+	if !ok {
 		return
 	}
-	h.groups = append(h.groups[:i], h.groups[i+1:]...)
+	h.groups = slices.Delete(h.groups, i, i+1)
 	h.t.mus[g].Unlock()
 }
 

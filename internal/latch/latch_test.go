@@ -204,3 +204,30 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatalf("mutual exclusion violated %d times", n)
 	}
 }
+
+func TestOneGroupAcquireAllocatesNothing(t *testing.T) {
+	tab := New(8)
+	h := tab.NewHeld()
+	// One group, then a second one above it, then a re-acquire of a held
+	// group: the per-page paths of the engine.
+	if n := testing.AllocsPerRun(100, func() {
+		h.Acquire(3)
+		h.Acquire(5)
+		h.Acquire(3)
+		h.ReleaseAll()
+	}); n != 0 {
+		t.Fatalf("one-group Acquire allocates %.1f times a run, want 0", n)
+	}
+}
+
+// BenchmarkAcquireOne times the engine's per-page latch step: a held set,
+// one group latched, released.
+func BenchmarkAcquireOne(b *testing.B) {
+	tab := New(64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h := tab.NewHeld()
+		h.Acquire(page.GroupID(i % 64))
+		h.ReleaseAll()
+	}
+}

@@ -17,6 +17,7 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/page"
@@ -76,10 +77,29 @@ var ErrDeadlock = errors.New("lock: deadlock detected")
 // crash); waiters must abandon their requests.
 var ErrClosed = errors.New("lock: manager closed")
 
+// holder is one transaction's grant on a resource.  A resource has few
+// holders (one writer, or a handful of readers), so a slice scanned in
+// place is cheaper than a map allocated per lock.
+type holder struct {
+	tx   page.TxID
+	mode Mode
+}
+
 type lockState struct {
-	holders map[page.TxID]Mode
+	res     Resource
+	holders []holder
 	// waiters in FIFO order.
 	queue []*waiter
+}
+
+// find returns tx's index in st.holders, or -1.
+func (st *lockState) find(tx page.TxID) int {
+	for i, h := range st.holders {
+		if h.tx == tx {
+			return i
+		}
+	}
+	return -1
 }
 
 type waiter struct {
@@ -93,16 +113,24 @@ type waiter struct {
 type Manager struct {
 	mu    sync.Mutex
 	locks map[Resource]*lockState
+	// held[tx] = the locks tx holds, in acquisition order: ReleaseAll
+	// visits these, not the whole table.
+	held map[page.TxID][]*lockState
 	// waiting[tx] = the lock tx is queued on; a transaction blocks in at
 	// most one Acquire at a time.
 	waiting map[page.TxID]*lockState
-	closed  bool
+	// Emptied lock states and released held lists, reused so that a
+	// steady stream of short transactions allocates nothing here.
+	freeStates []*lockState
+	freeLists  [][]*lockState
+	closed     bool
 }
 
 // New creates an empty lock manager.
 func New() *Manager {
 	return &Manager{
 		locks:   make(map[Resource]*lockState),
+		held:    make(map[page.TxID][]*lockState),
 		waiting: make(map[page.TxID]*lockState),
 	}
 }
@@ -110,11 +138,11 @@ func New() *Manager {
 // compatible reports whether a new request of mode m by tx can be granted
 // given the current holders.
 func compatible(st *lockState, tx page.TxID, m Mode) bool {
-	for holder, hm := range st.holders {
-		if holder == tx {
+	for _, h := range st.holders {
+		if h.tx == tx {
 			continue // own lock: upgrade handled by caller
 		}
-		if m == Exclusive || hm == Exclusive {
+		if m == Exclusive || h.mode == Exclusive {
 			return false
 		}
 	}
@@ -135,18 +163,19 @@ func (m *Manager) Acquire(tx page.TxID, res Resource, mode Mode) error {
 	}
 	st := m.locks[res]
 	if st == nil {
-		st = &lockState{holders: make(map[page.TxID]Mode)}
+		st = m.newState(res)
 		m.locks[res] = st
 	}
-	if held, ok := st.holders[tx]; ok && (held == Exclusive || held == mode) {
+	i := st.find(tx)
+	if i >= 0 && (st.holders[i].mode == Exclusive || st.holders[i].mode == mode) {
 		m.mu.Unlock()
 		return nil
 	}
 	// Grant immediately when compatible and no earlier waiter would be
 	// starved by a conflicting grant (upgrades jump the queue, as usual).
-	_, upgrading := st.holders[tx]
+	upgrading := i >= 0
 	if compatible(st, tx, mode) && (upgrading || len(st.queue) == 0) {
-		st.holders[tx] = mode
+		m.grant(st, tx, mode)
 		m.mu.Unlock()
 		return nil
 	}
@@ -162,6 +191,21 @@ func (m *Manager) Acquire(tx page.TxID, res Resource, mode Mode) error {
 
 	err := <-w.ch
 	return err
+}
+
+// grant records tx as holding st in mode: an upgrade rewrites its entry,
+// a new holder is appended and st joins tx's held list.
+func (m *Manager) grant(st *lockState, tx page.TxID, mode Mode) {
+	if i := st.find(tx); i >= 0 {
+		st.holders[i].mode = mode
+		return
+	}
+	st.holders = append(st.holders, holder{tx: tx, mode: mode})
+	list, ok := m.held[tx]
+	if !ok {
+		list = m.newList()
+	}
+	m.held[tx] = append(list, st)
 }
 
 // deadlocks reports whether tx, about to queue on st, would close a cycle
@@ -188,8 +232,8 @@ func (m *Manager) deadlocks(tx page.TxID, st *lockState) bool {
 			}
 			return false
 		}
-		for holder := range on.holders {
-			if follow(holder) {
+		for _, h := range on.holders {
+			if follow(h.tx) {
 				return true
 			}
 		}
@@ -208,41 +252,89 @@ func (m *Manager) deadlocks(tx page.TxID, st *lockState) bool {
 
 // ReleaseAll releases every lock held or requested by tx and wakes any
 // waiters that become grantable.  Strict 2PL: the engine calls this only
-// at EOT (commit or completed abort).
+// at EOT (commit or completed abort).  It visits tx's own locks, in the
+// order tx acquired them, and the one lock tx may be queued on — never
+// the rest of the table.
 func (m *Manager) ReleaseAll(tx page.TxID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.waiting, tx)
-	for res, st := range m.locks {
-		delete(st.holders, tx)
-		for i := 0; i < len(st.queue); {
-			if st.queue[i].tx == tx {
-				w := st.queue[i]
-				st.queue = append(st.queue[:i], st.queue[i+1:]...)
-				w.ch <- ErrClosed // cancelled; the txn is going away anyway
+	queued := m.waiting[tx]
+	if queued != nil {
+		delete(m.waiting, tx)
+		for i := 0; i < len(queued.queue); {
+			if queued.queue[i].tx == tx {
+				queued.queue[i].ch <- ErrClosed // cancelled; the txn is going away anyway
+				queued.queue = slices.Delete(queued.queue, i, i+1)
 				continue
 			}
 			i++
 		}
-		m.wake(res, st)
-		if len(st.holders) == 0 && len(st.queue) == 0 {
-			delete(m.locks, res)
+	}
+	list := m.held[tx]
+	delete(m.held, tx)
+	for _, st := range list {
+		i := st.find(tx)
+		st.holders = slices.Delete(st.holders, i, i+1)
+		if st == queued {
+			queued = nil // an upgrader's own lock: settled here
 		}
+		m.settle(st)
+	}
+	if list != nil {
+		clear(list)
+		m.freeLists = append(m.freeLists, list[:0])
+	}
+	if queued != nil {
+		m.settle(queued)
+	}
+}
+
+// settle wakes st's grantable waiters and, once nobody holds or waits
+// for it, takes st out of the table and keeps it for reuse.
+func (m *Manager) settle(st *lockState) {
+	m.wake(st)
+	if len(st.holders) == 0 && len(st.queue) == 0 {
+		delete(m.locks, st.res)
+		m.freeStates = append(m.freeStates, st)
 	}
 }
 
 // wake grants queued requests in FIFO order while they remain compatible.
-func (m *Manager) wake(res Resource, st *lockState) {
+func (m *Manager) wake(st *lockState) {
 	for len(st.queue) > 0 {
 		w := st.queue[0]
 		if !compatible(st, w.tx, w.mode) {
 			return
 		}
+		st.queue[0] = nil
 		st.queue = st.queue[1:]
-		st.holders[w.tx] = w.mode
+		m.grant(st, w.tx, w.mode)
 		delete(m.waiting, w.tx) // the waiter no longer waits on anyone
 		w.ch <- nil
 	}
+}
+
+// newState returns an empty lock state for res, reused if one is free.
+func (m *Manager) newState(res Resource) *lockState {
+	n := len(m.freeStates)
+	if n == 0 {
+		return &lockState{res: res}
+	}
+	st := m.freeStates[n-1]
+	m.freeStates = m.freeStates[:n-1]
+	st.res = res
+	return st
+}
+
+// newList returns an empty held list, reused if one is free.
+func (m *Manager) newList() []*lockState {
+	n := len(m.freeLists)
+	if n == 0 {
+		return nil
+	}
+	list := m.freeLists[n-1]
+	m.freeLists = m.freeLists[:n-1]
+	return list
 }
 
 // Close shuts the manager down (system crash): all waiters receive
@@ -258,7 +350,9 @@ func (m *Manager) Close() {
 		st.queue = nil
 	}
 	m.locks = make(map[Resource]*lockState)
+	m.held = make(map[page.TxID][]*lockState)
 	m.waiting = make(map[page.TxID]*lockState)
+	m.freeStates, m.freeLists = nil, nil
 }
 
 // Holds reports whether tx currently holds res in at least the given
@@ -270,23 +364,22 @@ func (m *Manager) Holds(tx page.TxID, res Resource, mode Mode) bool {
 	if st == nil {
 		return false
 	}
-	held, ok := st.holders[tx]
-	if !ok {
+	i := st.find(tx)
+	if i < 0 {
 		return false
 	}
+	held := st.holders[i].mode
 	return held == Exclusive || held == mode
 }
 
-// HeldResources returns every resource tx holds (unspecified order);
-// testing and debugging aid.
+// HeldResources returns every resource tx holds, in the order tx
+// acquired them; testing and debugging aid.
 func (m *Manager) HeldResources(tx page.TxID) []Resource {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []Resource
-	for res, st := range m.locks {
-		if _, ok := st.holders[tx]; ok {
-			out = append(out, res)
-		}
+	for _, st := range m.held[tx] {
+		out = append(out, st.res)
 	}
 	return out
 }

@@ -116,13 +116,15 @@ func (p *Page) Count() int {
 	return n
 }
 
-// Read returns a copy of the record in slot i.
+// Read returns a copy of the record in slot i, or the bare ErrEmptySlot
+// if the slot is free: a miss is an ordinary answer, not worth
+// formatting an error for.
 func (p *Page) Read(i int) ([]byte, error) {
 	if i < 0 || i >= p.slots {
 		return nil, fmt.Errorf("%w: %d of %d", ErrBadSlot, i, p.slots)
 	}
 	if !p.Used(i) {
-		return nil, fmt.Errorf("%w: %d", ErrEmptySlot, i)
+		return nil, ErrEmptySlot
 	}
 	base := p.slotBase(i)
 	out := make([]byte, p.recordSize)

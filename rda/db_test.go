@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/lock"
+	"repro/internal/record"
 )
 
 // smallConfig returns a small geometry that forces buffer steals.
@@ -731,6 +734,47 @@ func TestRecordOpsDoneAndCrashChecks(t *testing.T) {
 		t.Fatalf("RepairDisks on crashed db: err = %v, want ErrCrashed", err)
 	}
 	if _, err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRecordCallerErrorsTakeNoLock(t *testing.T) {
+	db, err := Open(smallConfig(RecordLogging, Force, true, DataStriping))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := mustBegin(t, db)
+	n := db.RecordsPerPage()
+	long := make([]byte, db.cfg.RecordSize+1)
+	cases := []struct {
+		name string
+		call func() error
+		want error
+	}{
+		{"read slot -1", func() error { _, err := tx.ReadRecord(0, -1); return err }, record.ErrBadSlot},
+		{"read slot n", func() error { _, err := tx.ReadRecord(0, n); return err }, record.ErrBadSlot},
+		{"write slot -1", func() error { return tx.WriteRecord(0, -1, []byte{1}) }, record.ErrBadSlot},
+		{"write slot n", func() error { return tx.WriteRecord(0, n, []byte{1}) }, record.ErrBadSlot},
+		{"delete slot n", func() error { return tx.DeleteRecord(0, n) }, record.ErrBadSlot},
+		{"write oversize", func() error { return tx.WriteRecord(0, 0, long) }, record.ErrBadLength},
+		{"insert oversize", func() error { _, err := tx.InsertRecord(0, long); return err }, record.ErrBadLength},
+	}
+	for _, c := range cases {
+		if err := c.call(); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if held := tx.st.locks.HeldResources(tx.st.t.ID); len(held) != 0 {
+			t.Fatalf("%s: transaction holds %v, want no lock", c.name, held)
+		}
+	}
+	// An empty slot is the bare sentinel, read under the record's S lock.
+	if _, err := tx.ReadRecord(0, 1); err != record.ErrEmptySlot {
+		t.Fatalf("empty slot: err = %v, want the bare %v", err, record.ErrEmptySlot)
+	}
+	if held := tx.st.locks.HeldResources(tx.st.t.ID); len(held) != 1 || held[0] != lock.RecordResource(0, 1) {
+		t.Fatalf("after the empty read the transaction holds %v, want [record 0.1]", held)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }

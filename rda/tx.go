@@ -220,9 +220,12 @@ func (tx *Tx) recordView(p page.PageID, h *latch.Held) (*record.Page, error) {
 }
 
 // ReadRecord returns a copy of the record at (p, slot) under a shared
-// record lock, or record.ErrEmptySlot if the slot is free.
+// record lock, or the bare record.ErrEmptySlot, whose text does not name
+// the slot, if the slot is free.  An empty slot is an answer, not a
+// failure: it leaves the latched section as a result, so it never enters
+// opLatched's self-healing retry.
 func (tx *Tx) ReadRecord(p PageID, slot int) ([]byte, error) {
-	if err := tx.checkRecord(p); err != nil {
+	if err := tx.checkRecord(p, slot, nil); err != nil {
 		return nil, err
 	}
 	if err := tx.acquire(lock.RecordResource(page.PageID(p), slot), lock.Shared); err != nil {
@@ -230,6 +233,7 @@ func (tx *Tx) ReadRecord(p PageID, slot int) ([]byte, error) {
 	}
 	pid := page.PageID(p)
 	var out []byte
+	empty := false
 	err := tx.opLatched(pid, func(h *latch.Held) error {
 		v, err := tx.recordView(pid, h)
 		if err != nil {
@@ -237,10 +241,17 @@ func (tx *Tx) ReadRecord(p PageID, slot int) ([]byte, error) {
 		}
 		defer tx.db.pool.Unpin(pid)
 		out, err = v.Read(slot)
+		if errors.Is(err, record.ErrEmptySlot) {
+			empty = true
+			return nil
+		}
 		return err
 	})
 	if err != nil {
 		return nil, err
+	}
+	if empty {
+		return nil, record.ErrEmptySlot
 	}
 	return out, nil
 }
@@ -248,7 +259,7 @@ func (tx *Tx) ReadRecord(p PageID, slot int) ([]byte, error) {
 // WriteRecord stores rec at (p, slot) under an exclusive record lock,
 // inserting or overwriting.
 func (tx *Tx) WriteRecord(p PageID, slot int, rec []byte) error {
-	if err := tx.checkRecord(p); err != nil {
+	if err := tx.checkRecord(p, slot, rec); err != nil {
 		return err
 	}
 	if err := tx.acquire(lock.RecordResource(page.PageID(p), slot), lock.Exclusive); err != nil {
@@ -268,7 +279,8 @@ func (tx *Tx) WriteRecord(p PageID, slot int, rec []byte) error {
 // requires).  The lock wait itself happens with no latch held — only the
 // re-check and the write run in the latched section.
 func (tx *Tx) InsertRecord(p PageID, rec []byte) (int, error) {
-	if err := tx.checkRecord(p); err != nil {
+	// Slot 0 exists on every record page; only rec's length is in question.
+	if err := tx.checkRecord(p, 0, rec); err != nil {
 		return 0, err
 	}
 	pid := page.PageID(p)
@@ -324,7 +336,7 @@ func (tx *Tx) InsertRecord(p PageID, rec []byte) (int, error) {
 
 // DeleteRecord removes the record at (p, slot) under an exclusive lock.
 func (tx *Tx) DeleteRecord(p PageID, slot int) error {
-	if err := tx.checkRecord(p); err != nil {
+	if err := tx.checkRecord(p, slot, nil); err != nil {
 		return err
 	}
 	if err := tx.acquire(lock.RecordResource(page.PageID(p), slot), lock.Exclusive); err != nil {
@@ -390,12 +402,22 @@ func (tx *Tx) writeRecordLatched(h *latch.Held, p page.PageID, slot int, rec []b
 	return nil
 }
 
-func (tx *Tx) checkRecord(p PageID) error {
+// checkRecord validates the handle, the page, the mode, the slot and
+// the record's length before any lock is taken, so a caller's mistake
+// never reaches the latched section, whose failures trigger the
+// self-healing retry.
+func (tx *Tx) checkRecord(p PageID, slot int, rec []byte) error {
 	if err := tx.check(p); err != nil {
 		return err
 	}
 	if tx.db.cfg.Logging != RecordLogging {
 		return fmt.Errorf("%w: record operations require RecordLogging", ErrWrongMode)
+	}
+	if n := tx.db.RecordsPerPage(); slot < 0 || slot >= n {
+		return fmt.Errorf("%w: %d of %d", record.ErrBadSlot, slot, n)
+	}
+	if len(rec) > tx.db.cfg.RecordSize {
+		return fmt.Errorf("%w: %d > %d", record.ErrBadLength, len(rec), tx.db.cfg.RecordSize)
 	}
 	return nil
 }
