@@ -24,7 +24,7 @@ func FuzzView(f *testing.F) {
 		for slot := -1; slot <= v.Slots(); slot++ {
 			v.Used(slot)
 			_, _ = v.Read(slot)
-			_, _ = v.Snapshot(slot)
+			_, _ = v.Encoded(slot)
 		}
 		// A write into a valid slot must round trip.
 		if v.Slots() > 0 {

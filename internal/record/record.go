@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"repro/internal/page"
+	"repro/internal/wal"
 )
 
 // Errors returned by the layout.
@@ -181,19 +182,20 @@ type Image struct {
 	Data    []byte
 }
 
-// Snapshot captures slot i's image for the log (before- or after-image).
-func (p *Page) Snapshot(i int) (Image, error) {
+// Encoded returns slot i's image, before or after an update, in the form
+// a log record carries it (EncodeImage's), in one allocation.
+func (p *Page) Encoded(i int) ([]byte, error) {
 	if i < 0 || i >= p.slots {
-		return Image{}, fmt.Errorf("%w: %d of %d", ErrBadSlot, i, p.slots)
+		return nil, fmt.Errorf("%w: %d of %d", ErrBadSlot, i, p.slots)
 	}
 	if !p.Used(i) {
-		return Image{Present: false}, nil
+		return []byte{0}, nil
 	}
-	data, err := p.Read(i)
-	if err != nil {
-		return Image{}, err
-	}
-	return Image{Present: true, Data: data}, nil
+	base := p.slotBase(i)
+	out := make([]byte, 1+p.recordSize)
+	out[0] = 1
+	copy(out[1:], p.buf[base:base+p.recordSize])
+	return out, nil
 }
 
 // Apply restores slot i from a logged image (the record-level UNDO/REDO
@@ -227,4 +229,57 @@ func DecodeImage(b []byte) (Image, error) {
 		img.Data = b[1:]
 	}
 	return img, nil
+}
+
+// ImageOf returns the image of pg that a log record with the given slot
+// carries: pg itself for a full-page image (wal.NoSlot), the slot's
+// encoded record otherwise.
+func ImageOf(pg page.Buf, slot int32) ([]byte, error) {
+	if slot == wal.NoSlot {
+		return pg, nil
+	}
+	v, err := View(pg)
+	if err != nil {
+		return nil, err
+	}
+	return v.Encoded(int(slot))
+}
+
+// Replay leaves in dst the page that imgs — logged images of one page, in
+// the order they take effect — make of base.  A full-page image (Slot
+// wal.NoSlot) supersedes everything before it, so replay starts at the
+// last one, or at base when there is none, and the record images after it
+// patch it slot by slot.  dst may be base.  Restart's REDO and logged UNDO
+// and a transaction's abort all replay images through it; the page's
+// reads and writes stay with them.
+func Replay(dst, base page.Buf, imgs []wal.Record) error {
+	full := len(imgs) - 1
+	for full >= 0 && imgs[full].Slot != wal.NoSlot {
+		full--
+	}
+	if full >= 0 {
+		base = imgs[full].Image
+	}
+	if len(base) != len(dst) {
+		return fmt.Errorf("record: page image of %d bytes for %d-byte pages", len(base), len(dst))
+	}
+	copy(dst, base)
+	rest := imgs[full+1:]
+	if len(rest) == 0 {
+		return nil
+	}
+	v, err := View(dst)
+	if err != nil {
+		return err
+	}
+	for _, r := range rest {
+		img, err := DecodeImage(r.Image)
+		if err != nil {
+			return err
+		}
+		if err := v.Apply(int(r.Slot), img); err != nil {
+			return err
+		}
+	}
+	return nil
 }

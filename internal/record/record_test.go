@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/page"
+	"repro/internal/wal"
 )
 
 func formatted(t *testing.T, pageSize, recSize int) (*Page, page.Buf) {
@@ -118,16 +119,27 @@ func TestBounds(t *testing.T) {
 	}
 }
 
+// snapshot returns slot i's logged image, decoded.
+func snapshot(t *testing.T, p *Page, i int) Image {
+	t.Helper()
+	b, err := p.Encoded(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := DecodeImage(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
 func TestSnapshotApplyUndoRedo(t *testing.T) {
 	p, _ := formatted(t, 512, 32)
 	// UNDO of an update: snapshot before, overwrite, apply the snapshot.
 	if err := p.Write(0, []byte("old-value")); err != nil {
 		t.Fatal(err)
 	}
-	before, err := p.Snapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := snapshot(t, p, 0)
 	if err := p.Write(0, []byte("new-value")); err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +151,7 @@ func TestSnapshotApplyUndoRedo(t *testing.T) {
 		t.Fatalf("undo did not restore the record")
 	}
 	// UNDO of an insert: the before-image of an empty slot deletes it.
-	empty, err := p.Snapshot(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := snapshot(t, p, 5)
 	if err := p.Write(5, []byte("inserted")); err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +203,53 @@ func TestWriteThroughAliasing(t *testing.T) {
 	}
 	if got[0] != 0xEE {
 		t.Fatalf("view does not alias the buffer")
+	}
+}
+
+// TestReplay: the last full-page image is the base, the record images
+// after it patch it in order, record images alone patch base, and dst may
+// be base — the three ways abort and restart call it.
+func TestReplay(t *testing.T) {
+	p, buf := formatted(t, 256, 16)
+	if err := p.Write(0, []byte("zero")); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Clone()
+	if err := p.Write(1, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	one, _ := p.Encoded(1)
+	if err := p.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	gone, _ := p.Encoded(0)
+	want := buf.Clone() // slot 0 free, slot 1 "one"
+
+	// Record images alone patch the base, in place.
+	base, dst := formatted(t, 256, 16)
+	if err := base.Write(0, []byte("zero")); err != nil {
+		t.Fatal(err)
+	}
+	if err := Replay(dst, dst, []wal.Record{{Slot: 1, Image: one}, {Slot: 0, Image: gone}}); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.Equal(want) {
+		t.Fatalf("record images over base: got %x, want %x", dst, want)
+	}
+	// A full-page image supersedes the base and every image before it.
+	dst = page.NewBuf(256)
+	imgs := []wal.Record{{Slot: 0, Image: gone}, {Slot: wal.NoSlot, Image: full}, {Slot: 1, Image: one}}
+	if err := Replay(dst, nil, imgs); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Write(0, []byte("zero")); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.Equal(buf) {
+		t.Fatalf("full image then a record image: got %x, want %x", dst, buf)
+	}
+	// Without a full-page image there must be a base of the page's size.
+	if err := Replay(dst, nil, imgs[2:]); err == nil {
+		t.Fatal("record images with no base: want an error")
 	}
 }

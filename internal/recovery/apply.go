@@ -63,23 +63,19 @@ func (st *state) redo() error {
 }
 
 // apply replays imgs — logged images of ONE page, in the order they take
-// effect — and reports how many it accounted for and whether the page had
-// to be written.  A full-page image supersedes everything before it, so
-// replay starts at the last one; it alone re-determines a lost page — a
-// record image has no base left to patch, so without one the page stays
-// zeroed and reported.  The page is read once (verified and read-repaired
-// like every read) and written only if the replay changed it: equal bytes
-// mean the platter already shows every image, whichever write put it
-// there, so no timestamp is drawn and no twin flips.  A write is the
-// store's ordinary crash-atomic page write, WriteCommitted for REDO and
-// WriteLogged for logged undo, with the page just read as its old contents.
+// effect (record.Replay) — and reports how many it accounted for and
+// whether the page had to be written.  A full-page image alone
+// re-determines a lost page — a record image has no base left to patch, so
+// without one the page stays zeroed and reported.  The page is read once
+// (verified and read-repaired like every read) and written only if the
+// replay changed it: equal bytes mean the platter already shows every
+// image, whichever write put it there, so no timestamp is drawn and no twin
+// flips.  A write is the store's ordinary crash-atomic page write,
+// WriteCommitted for REDO and WriteLogged for logged undo, with the page
+// just read as its old contents.
 func (st *state) apply(imgs []wal.Record, committed bool) (applied int, wrote bool, err error) {
 	s, p := st.s, imgs[0].Page
-	full := len(imgs) - 1
-	for full >= 0 && imgs[full].Slot != wal.NoSlot {
-		full--
-	}
-	if st.lost[p] && full < 0 {
+	if st.lost[p] && !slices.ContainsFunc(imgs, func(r wal.Record) bool { return r.Slot == wal.NoSlot }) {
 		return 0, false, nil
 	}
 	delete(st.lost, p)
@@ -87,28 +83,9 @@ func (st *state) apply(imgs []wal.Record, committed bool) (applied int, wrote bo
 	if err != nil {
 		return 0, false, err
 	}
-	cur, base := st.new, old
-	if full >= 0 {
-		base = imgs[full].Image
-	}
-	if len(base) != len(cur) {
-		return 0, false, fmt.Errorf("recovery: page image of %d bytes for %d-byte pages", len(base), len(cur))
-	}
-	copy(cur, base)
-	if rest := imgs[full+1:]; len(rest) > 0 {
-		view, err := record.View(cur)
-		if err != nil {
-			return 0, false, fmt.Errorf("recovery: page %d: %w", p, err)
-		}
-		for _, r := range rest {
-			img, err := record.DecodeImage(r.Image)
-			if err != nil {
-				return 0, false, err
-			}
-			if err := view.Apply(int(r.Slot), img); err != nil {
-				return 0, false, err
-			}
-		}
+	cur := st.new
+	if err := record.Replay(cur, old, imgs); err != nil {
+		return 0, false, fmt.Errorf("recovery: page %d: %w", p, err)
 	}
 	if bytes.Equal(cur, old) && !st.a.mustWrite[p] {
 		return len(imgs), false, nil

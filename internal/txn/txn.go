@@ -1,6 +1,6 @@
-// Package txn implements transaction bookkeeping: identities, lifecycle
-// states, and the per-transaction page/record sets that the recovery
-// schemes consult at EOT, abort and crash recovery time.
+// Package txn implements transaction bookkeeping: identities and
+// lifecycle states.  What a transaction modified, and how to undo it, is
+// the engine's per-transaction undo table.
 //
 // The manager also issues the global monotonic timestamps the twin parity
 // headers carry (Section 4.2): every transaction id doubles as an
@@ -45,20 +45,6 @@ func (s Status) String() string {
 type Txn struct {
 	ID     page.TxID
 	Status Status
-
-	// Modified is the set of pages this transaction has modified and the
-	// modification kind bookkeeping the engine needs at EOT:
-	// true = the page currently has uncommitted changes in the buffer or
-	// on disk attributable to this transaction.
-	Modified map[page.PageID]struct{}
-	// LoggedUndo is the set of pages (page granularity) or the count of
-	// record images (record granularity) for which before-images were
-	// logged.
-	LoggedUndo map[page.PageID]struct{}
-	// ModifiedRecords tracks record-granularity before-images already
-	// logged, so each (page, slot) is logged at most once per
-	// transaction.
-	ModifiedRecords map[page.RecordID]struct{}
 }
 
 // Manager allocates transaction ids and timestamps and tracks active
@@ -84,13 +70,7 @@ func NewManager() *Manager {
 func (m *Manager) Begin() *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := &Txn{
-		ID:              m.nextID,
-		Status:          Active,
-		Modified:        make(map[page.PageID]struct{}),
-		LoggedUndo:      make(map[page.PageID]struct{}),
-		ModifiedRecords: make(map[page.RecordID]struct{}),
-	}
+	t := &Txn{ID: m.nextID, Status: Active}
 	m.nextID++
 	m.started++
 	m.active[t.ID] = t

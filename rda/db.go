@@ -1,9 +1,10 @@
 package rda
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,30 +70,22 @@ type txState struct {
 	// can always clean up against the manager it actually used.
 	locks *lock.Manager
 
-	// mu guards the fields below together with the cross-goroutine
-	// Txn bookkeeping (LoggedUndo): those are mutated not just by the
-	// owning goroutine but by any operation that steals or demotes one of
-	// this transaction's dirty pages.  mu
-	// is near the bottom of the lock order — hold nothing but leaf locks
-	// (log, dirty set, transaction manager, disks) while holding it, and
-	// in particular never the buffer pool's internal mutex.
+	// mu guards the fields below: they are mutated not just by the owning
+	// goroutine but by any operation that steals or demotes one of this
+	// transaction's dirty pages.  mu is near the bottom of the lock order —
+	// hold nothing but leaf locks (log, dirty set, transaction manager,
+	// disks) while holding it, and in particular never the buffer pool's
+	// internal mutex.
 	mu sync.Mutex
 	// botLSN is the BOT record's LSN (0 until the lazy BOT is written).
 	botLSN wal.LSN
-	// beforePages holds first-modify page snapshots (page mode).
-	beforePages map[page.PageID]page.Buf
-	// beforeRecords holds first-modify record snapshots (record mode).
-	beforeRecords map[page.RecordID]record.Image
-	// loggedRecords marks record before-images already on the log.
-	loggedRecords map[page.RecordID]bool
-	// stolenBefore holds, per page stolen without UNDO logging, the
-	// on-disk contents just before the first steal — the before-image
-	// media recovery needs if the group's committed parity twin is lost
-	// while this transaction is active.
-	stolenBefore map[page.PageID]page.Buf
-	// stolenLogged marks pages written to disk through the logging steal
-	// path; abort must restore them on disk, not just in the buffer.
-	stolenLogged map[page.PageID]bool
+	// undo is the transaction's undo table: one entry per page it modified,
+	// in page order.  Only the owning goroutine adds entries (addUndo).  The
+	// steals and demotions other goroutines perform on its pages only change
+	// fields of existing entries, under mu and the page's group latch.
+	// Commit and abort walk the table holding the latch of every group in
+	// it, which excludes those, so they read it without mu.
+	undo []*undoEntry
 	// commitSeq is the transaction's position in the engine's commit
 	// order (assigned inside the latched EOT section; 0 until commit).
 	// Under strict 2PL the commit order is a valid serialization order,
@@ -102,6 +95,68 @@ type txState struct {
 	// (group commit); Commit waits for the batched force to cover it
 	// before acknowledging.  0 when the EOT was forced inline.
 	eotLSN wal.LSN
+}
+
+// undoEntry is one page's undo in a transaction's table.
+type undoEntry struct {
+	page page.PageID
+	// viaLog marks a page written to disk through the logging path; abort
+	// must restore it on disk, not just in the buffer.
+	viaLog bool
+	// stolen is the page's on-disk contents just before its first steal
+	// without UNDO logging — the before-image media recovery needs if the
+	// group's committed parity twin is lost while the transaction is active
+	// (a page from the store's free list; nil when there was no such steal).
+	stolen page.Buf
+	// images are the page's before-images in the form the log carries them:
+	// one full-page image (Slot wal.NoSlot, a page from the store's free
+	// list) under page logging, one encoded record image per slot, in slot
+	// order, under record logging.  An image's LSN is its log position once
+	// it is appended, 0 before.
+	images []wal.Record
+	// first backs images while the page has one image, as it always has
+	// under page logging, so that an entry is one allocation.
+	first [1]wal.Record
+}
+
+// search returns where page p's entry is, or would go, in st's undo
+// table.  The caller holds st.mu.
+func (st *txState) search(p page.PageID) (int, bool) {
+	return slices.BinarySearchFunc(st.undo, p, func(e *undoEntry, q page.PageID) int { return cmp.Compare(e.page, q) })
+}
+
+// undoOf returns page p's entry in st's undo table, or nil.  The caller
+// holds st.mu.
+func (st *txState) undoOf(p page.PageID) *undoEntry {
+	if i, ok := st.search(p); ok {
+		return st.undo[i]
+	}
+	return nil
+}
+
+// hasUndo reports whether st's table holds a before-image of (p, slot).
+func (st *txState) hasUndo(p page.PageID, slot int32) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e := st.undoOf(p)
+	return e != nil && slices.ContainsFunc(e.images, func(r wal.Record) bool { return r.Slot == slot })
+}
+
+// addUndo enters r, a before-image of (r.Page, r.Slot) the table does not
+// hold yet, keeping the table in page order and each page's images in slot
+// order, and returns the page's entry.  Only the owning goroutine calls it,
+// holding st.mu.
+func (st *txState) addUndo(r wal.Record) *undoEntry {
+	i, ok := st.search(r.Page)
+	if !ok {
+		e := &undoEntry{page: r.Page}
+		e.images = e.first[:0]
+		st.undo = slices.Insert(st.undo, i, e)
+	}
+	e := st.undo[i]
+	j, _ := slices.BinarySearchFunc(e.images, r.Slot, func(x wal.Record, slot int32) int { return cmp.Compare(x.Slot, slot) })
+	e.images = slices.Insert(e.images, j, r)
+	return e
 }
 
 // DB is a database instance.  It is safe for concurrent use by multiple
@@ -247,28 +302,33 @@ func (db *DB) newPool() *buffer.Pool {
 }
 
 // snapshotPage returns a copy of src in a page from the store's free
-// list: the per-transaction before-images (txState.beforePages,
-// stolenBefore) are drawn from it and return to it at commit or abort.
+// list: a transaction's full-page before-images and pre-steal images
+// (undoEntry) are drawn from it and return to it at commit or abort.
 func (db *DB) snapshotPage(src page.Buf) page.Buf {
 	b := db.store.Pages.Get()
 	copy(b, src)
 	return b
 }
 
-// releaseSnapshots hands a finished transaction's before-images back to
-// the free list.  The caller has removed st from the transaction table
-// under the latches of every group it modified, so nothing can reach the
-// images any more: log records and disk blocks hold copies, never these
-// buffers.
+// releaseSnapshots hands a finished transaction's page images back to the
+// free list and empties its undo table.  The caller has removed st from the
+// transaction table under the latches of every group it modified, so
+// nothing can reach the images any more: log records and disk blocks hold
+// copies, never these buffers.
 func (db *DB) releaseSnapshots(st *txState) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, images := range []map[page.PageID]page.Buf{st.beforePages, st.stolenBefore} {
-		for p, b := range images {
-			db.store.Pages.Put(b)
-			delete(images, p)
+	for _, e := range st.undo {
+		for _, r := range e.images {
+			if r.Slot == wal.NoSlot {
+				db.store.Pages.Put(r.Image)
+			}
+		}
+		if e.stolen != nil {
+			db.store.Pages.Put(e.stolen)
 		}
 	}
+	st.undo = nil
 }
 
 // formatRecordPages initializes every data page with the fixed-slot
@@ -507,8 +567,8 @@ func (db *DB) stealFrame(f *buffer.Frame, st *txState, c *core.Chain) error {
 	// transfers touch only per-group state and run outside it, so
 	// a pipelined commit's per-group flushes overlap.
 	st.mu.Lock()
-	if _, ok := st.stolenBefore[f.Page]; !ok {
-		st.stolenBefore[f.Page] = db.snapshotPage(oldOnDisk)
+	if e := st.undoOf(f.Page); e.stolen == nil {
+		e.stolen = db.snapshotPage(oldOnDisk)
 	}
 	st.mu.Unlock()
 	return db.store.StealNoLog(f.Page, f.Data, oldOnDisk, st.t, c)
@@ -525,11 +585,7 @@ func (db *DB) logFrame(f *buffer.Frame, mods []page.TxID, c *core.Chain) error {
 		if st == nil {
 			continue
 		}
-		db.ensureBOT(st)
-		db.ensureUndoLogged(st, f.Page, true)
-		st.mu.Lock()
-		st.stolenLogged[f.Page] = true
-		st.mu.Unlock()
+		db.logUndo(st, f.Page, true)
 	}
 	return db.store.WriteLogged(f.Page, f.Data, f.DiskVersion, c)
 }
@@ -546,46 +602,45 @@ func (db *DB) ensureBOT(st *txState) {
 	}
 }
 
-// ensureUndoLogged appends the retained before-image(s) for page p on
-// behalf of st, if not already logged, and returns the page image's LSN (0
-// when nothing was appended, and in record mode).  Unforced (page mode
-// only) the image goes to the volatile log tail, and the caller MUST force
-// the log past the returned LSN before any disk write it covers — the
-// full-stripe flush does, with a single force for the whole batch, which is
-// what folds k before-image forces into one log write.
-func (db *DB) ensureUndoLogged(st *txState, p page.PageID, forced bool) wal.LSN {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if db.cfg.Logging == PageLogging {
-		img, ok := st.beforePages[p]
-		if _, done := st.t.LoggedUndo[p]; done || !ok {
-			return 0 // logged already, or the transaction never modified p
-		}
-		st.t.LoggedUndo[p] = struct{}{}
-		// The log encodes the image before Append returns.
-		r := wal.Record{Type: wal.TypeBeforeImage, Txn: st.t.ID, Page: p, Slot: wal.NoSlot, Image: img}
-		if !forced {
-			return db.log.AppendUnforced(r)
-		}
-		return db.log.Append(r)
-	}
-	rids := make([]page.RecordID, 0, len(st.beforeRecords))
-	for rid := range st.beforeRecords {
-		if rid.Page != p || st.loggedRecords[rid] {
+// ensureUndoLogged appends e's before-images that are not on the log yet,
+// in slot order, and returns the last one's LSN (0 when none was
+// appended).  Unforced (page images only) they go to the volatile log
+// tail, and the caller MUST force the log past the returned LSN before any
+// disk write they cover — the full-stripe flush does, with a single force
+// for the whole batch, which is what folds k before-image forces into one
+// log write.  The caller holds the owner's st.mu.
+func (db *DB) ensureUndoLogged(e *undoEntry, forced bool) wal.LSN {
+	var last wal.LSN
+	for i := range e.images {
+		r := &e.images[i]
+		if r.LSN != 0 {
 			continue
 		}
-		rids = append(rids, rid)
+		// The log encodes the image before Append returns.
+		if forced {
+			r.LSN = db.log.Append(*r)
+		} else {
+			r.LSN = db.log.AppendUnforced(*r)
+		}
+		last = r.LSN
 	}
-	sort.Slice(rids, func(i, j int) bool { return rids[i].Slot < rids[j].Slot })
-	for _, rid := range rids {
-		db.log.Append(wal.Record{
-			Type: wal.TypeBeforeImage, Txn: st.t.ID, Page: rid.Page, Slot: int32(rid.Slot),
-			Image: record.EncodeImage(st.beforeRecords[rid]),
-		})
-		st.loggedRecords[rid] = true
+	return last
+}
+
+// logUndo puts st's UNDO material for page p on the log ahead of a write
+// of p through the logging path — a write-back, a demotion, a stripe
+// flush — and marks the page as written that way, so an abort restores it
+// on disk.  It returns ensureUndoLogged's LSN.
+func (db *DB) logUndo(st *txState, p page.PageID, forced bool) wal.LSN {
+	db.ensureBOT(st)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e := st.undoOf(p)
+	if e == nil {
+		return 0 // the transaction never modified p
 	}
-	st.t.LoggedUndo[p] = struct{}{}
-	return 0
+	e.viaLog = true
+	return db.ensureUndoLogged(e, forced)
 }
 
 // logRedo appends a REDO-side record (after-image or EOT): unforced
@@ -606,7 +661,7 @@ func (db *DB) logRedo(r wal.Record) wal.LSN {
 // recovery path for it is log-based.  Both the record-mode sharing path
 // and any write-back into a dirty group use this.  Callers hold the
 // group's latch (or the exclusive gate), which excludes the owner's
-// commit and abort — the dirty page is in the owner's modified set, so
+// commit and abort — the dirty page is in the owner's undo table, so
 // its EOT holds this latch too.
 //
 // Ordering invariant: the log appends (BOT + before-images) happen
@@ -620,11 +675,7 @@ func (db *DB) demoteNoLogSteal(g page.GroupID, e dirtyset.Entry) error {
 	if owner == nil {
 		return fmt.Errorf("rda: dirty group %d owned by unknown txn %d", g, e.Txn)
 	}
-	db.ensureBOT(owner)
-	db.ensureUndoLogged(owner, e.Page, true)
-	owner.mu.Lock()
-	owner.stolenLogged[e.Page] = true
-	owner.mu.Unlock()
+	db.logUndo(owner, e.Page, true)
 	meta := disk.Meta{State: disk.StateCommitted, Timestamp: db.tm.NextTimestamp()}
 	// The working index already describes the on-disk data: when its P
 	// slot survives it is laundered to committed in place.  When the
@@ -695,20 +746,21 @@ func (db *DB) truncateLogLocked() {
 	db.log.Truncate(bound)
 }
 
-// groupsOf returns the distinct parity groups of a page set in ascending
-// order — the blocking-acquisition order the latch table requires.
-func (db *DB) groupsOf(set map[page.PageID]struct{}) []page.GroupID {
-	seen := make(map[page.GroupID]struct{}, len(set))
-	out := make([]page.GroupID, 0, len(set))
-	for p := range set {
-		g := db.arr.GroupOf(p)
-		if _, ok := seen[g]; !ok {
-			seen[g] = struct{}{}
-			out = append(out, g)
+// latchUndo latches the parity groups of every page in st's undo table —
+// the groups the transaction modified — for its EOT.
+func (db *DB) latchUndo(h *latch.Held, st *txState) {
+	var buf [8]page.GroupID
+	groups := buf[:0]
+	st.mu.Lock()
+	for _, e := range st.undo {
+		// Adjacent pages share a group under data striping; Acquire sorts
+		// and skips the rest.
+		if g := db.arr.GroupOf(e.page); len(groups) == 0 || groups[len(groups)-1] != g {
+			groups = append(groups, g)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	st.mu.Unlock()
+	h.Acquire(groups...)
 }
 
 // Checkpoint takes a checkpoint.  Under ¬FORCE this is the paper's
@@ -980,7 +1032,10 @@ func (db *DB) stolenBeforeFunc() recovery.BeforeImageFunc {
 		}
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		return st.stolenBefore[e.Page]
+		if u := st.undoOf(e.Page); u != nil {
+			return u.stolen
+		}
+		return nil
 	}
 }
 

@@ -320,8 +320,10 @@ func (w *fpWorkload) rotAndScrub(down []int) {
 }
 
 // fpRun executes the scenario and returns one fingerprint line per phase,
-// ending with the final platter after the chosen kind of rebuild.
-func fpRun(t *testing.T, sc fpScenario, online bool) []string {
+// ending with the final platter after the chosen kind of rebuild.  With a
+// log recorder it also returns one line per phase for the log records the
+// phase appended.
+func fpRun(t *testing.T, sc fpScenario, online bool, lr *logRecorder) (out, logOut []string) {
 	t.Helper()
 	db, err := Open(sc.cfg)
 	if err != nil {
@@ -329,9 +331,14 @@ func fpRun(t *testing.T, sc fpScenario, online bool) []string {
 	}
 	rec := &writeRecorder{}
 	db.SetInjector(rec)
+	lr.pin(db)
 	w := &fpWorkload{t: t, db: db, rng: rand.New(rand.NewSource(1992)), locked: make(map[PageID]bool)}
-	var out []string
-	phase := func(name string) { out = append(out, name+": "+rec.take()) }
+	phase := func(name string) {
+		out = append(out, name+": "+rec.take())
+		if lr != nil {
+			logOut = append(logOut, name+": "+lr.take(t, db))
+		}
+	}
 
 	// Full-stripe load of the first half of the database.
 	load := make([][]byte, db.NumPages()/2)
@@ -399,6 +406,7 @@ func fpRun(t *testing.T, sc fpScenario, online bool) []string {
 			db.CrashHard()
 		}
 		w.crashed()
+		lr.pin(db)
 		if _, err := db.Recover(); err != nil {
 			t.Fatalf("%s: recover: %v", name, err)
 		}
@@ -440,7 +448,7 @@ func fpRun(t *testing.T, sc fpScenario, online bool) []string {
 			t.Fatalf("page %d unreadable after the run: %v", p, err)
 		}
 	}
-	return append(out, platterSum(t, db))
+	return append(out, platterSum(t, db)), logOut
 }
 
 // fingerprintGolden holds the fingerprints recorded at the commit before
@@ -641,7 +649,7 @@ func TestWriteSequenceFingerprint(t *testing.T) {
 			}
 			name := sc.name + "/" + kind
 			t.Run(name, func(t *testing.T) {
-				got := fpRun(t, sc, online)
+				got, _ := fpRun(t, sc, online, nil)
 				want := fingerprintGolden[name]
 				if !slices.Equal(got, want) {
 					t.Errorf("fingerprint differs from the golden\n got: %q\nwant: %q", got, want)

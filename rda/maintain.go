@@ -77,6 +77,9 @@ func (db *DB) Scrub() (*ScrubReport, error) {
 func (db *DB) CorruptBlock(p PageID) error {
 	db.gate.Lock()
 	defer db.gate.Unlock()
+	if int(p) >= db.NumPages() {
+		return ErrBadPage
+	}
 	loc := db.arr.DataLoc(page.PageID(p))
 	return db.arr.Disk(loc.Disk).Corrupt(loc.Block)
 }

@@ -479,3 +479,30 @@ func TestBulkLoadFencesRedo(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIntrospectionRejectsBadPage: the page-addressed introspection and
+// fault-injection aids answer ErrBadPage past the last page, as
+// InspectGroup does, on both layouts — none of them indexes the latch
+// table or the address map with it.
+func TestIntrospectionRejectsBadPage(t *testing.T) {
+	for _, layout := range []Layout{DataStriping, ParityStriping} {
+		db, err := Open(smallConfig(PageLogging, Force, true, layout))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []PageID{PageID(db.NumPages()), PageID(db.NumPages() + 5)} {
+			if _, err := db.PeekPage(p); !errors.Is(err, ErrBadPage) {
+				t.Fatalf("%v: PeekPage(%d) err = %v, want ErrBadPage", layout, p, err)
+			}
+			if err := db.CorruptBlock(p); !errors.Is(err, ErrBadPage) {
+				t.Fatalf("%v: CorruptBlock(%d) err = %v, want ErrBadPage", layout, p, err)
+			}
+			if _, err := db.InspectGroup(p); !errors.Is(err, ErrBadPage) {
+				t.Fatalf("%v: InspectGroup(%d) err = %v, want ErrBadPage", layout, p, err)
+			}
+		}
+		if err := db.VerifyParity(); err != nil {
+			t.Fatalf("%v: %v", layout, err)
+		}
+	}
+}

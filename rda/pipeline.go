@@ -1,9 +1,10 @@
 package rda
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -28,7 +29,10 @@ import (
 // FORCE EOT processing requires.  Caller holds all modified groups'
 // latches.
 func (db *DB) flushForce(st *txState) error {
-	pages := sortedPages(st.t.Modified)
+	pages := make([]page.PageID, len(st.undo))
+	for i, e := range st.undo {
+		pages[i] = e.page
+	}
 	if !db.arr.Queued() {
 		for len(pages) > 0 {
 			g, n := db.groupRun(pages)
@@ -39,7 +43,7 @@ func (db *DB) flushForce(st *txState) error {
 		}
 		return nil
 	}
-	sort.SliceStable(pages, func(i, j int) bool { return db.arr.GroupOf(pages[i]) < db.arr.GroupOf(pages[j]) })
+	slices.SortStableFunc(pages, func(p, q page.PageID) int { return cmp.Compare(db.arr.GroupOf(p), db.arr.GroupOf(q)) })
 	var groups [][]page.PageID
 	for len(pages) > 0 {
 		_, n := db.groupRun(pages)
@@ -127,24 +131,15 @@ func (db *DB) flushChain(g page.GroupID, pages []page.PageID) error {
 // and made durable with a single log force before the first disk write —
 // the write-ahead rule at batch granularity.
 func (db *DB) flushStripe(st *txState, g page.GroupID, pages []page.PageID) error {
-	db.ensureBOT(st)
+	// The pages are marked as written with log-based undo before the write
+	// is issued, so an abort after a partial failure restores them on disk.
 	var maxLSN wal.LSN
 	for _, p := range pages {
-		if lsn := db.ensureUndoLogged(st, p, false); lsn > maxLSN {
-			maxLSN = lsn
-		}
+		maxLSN = max(maxLSN, db.logUndo(st, p, false))
 	}
 	if maxLSN > 0 {
 		db.log.Force(maxLSN)
 	}
-	// The pages are about to be written to disk with log-based undo;
-	// mark that before issuing the write so an abort after a partial
-	// failure restores them on disk (same order as logFrame).
-	st.mu.Lock()
-	for _, p := range pages {
-		st.stolenLogged[p] = true
-	}
-	st.mu.Unlock()
 	done, err := db.pool.FlushTogether(pages, func(datas []page.Buf) error {
 		return db.store.WriteStripeLogged(g, pages, datas)
 	})

@@ -163,6 +163,9 @@ func (db *DB) VerifyParity() error {
 func (db *DB) PeekPage(p PageID) ([]byte, error) {
 	db.gate.RLock()
 	defer db.gate.RUnlock()
+	if int(p) >= db.NumPages() {
+		return nil, ErrBadPage
+	}
 	h := db.latches.NewHeld()
 	defer h.ReleaseAll()
 	h.Acquire(db.arr.GroupOf(page.PageID(p)))

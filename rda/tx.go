@@ -3,7 +3,6 @@ package rda
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -35,15 +34,7 @@ func (db *DB) Begin() (*Tx, error) {
 		return nil, ErrCrashed
 	}
 	t := db.tm.Begin()
-	st := &txState{
-		t:             t,
-		locks:         db.locks,
-		beforePages:   make(map[page.PageID]page.Buf),
-		beforeRecords: make(map[page.RecordID]record.Image),
-		loggedRecords: make(map[page.RecordID]bool),
-		stolenBefore:  make(map[page.PageID]page.Buf),
-		stolenLogged:  make(map[page.PageID]bool),
-	}
+	st := &txState{t: t, locks: db.locks}
 	db.mu.Lock()
 	db.states[t.ID] = st
 	db.mu.Unlock()
@@ -97,28 +88,27 @@ func (tx *Tx) acquire(res lock.Resource, mode lock.Mode) error {
 	}
 }
 
-// lockResource returns the resource to lock for a page/record access
-// under the configured granularity.
-func (tx *Tx) pageResource(p PageID) lock.Resource {
-	return lock.PageResource(page.PageID(p))
-}
-
-// opLatched runs one page operation under the shared gate and the page's
-// group latch, with the engine's self-healing retry: an I/O error that
-// trips degraded-mode entry (healWorld) is retried, now served from
-// redundancy.  One retry per health transition — a Q-parity array can
-// lose a second disk during the first retry — and healWorld reports
-// true only on a genuine transition, so the loop is bounded by the loss
-// budget.
-func (tx *Tx) opLatched(p page.PageID, fn func(h *latch.Held) error) error {
-	err := tx.db.underGroup(p, fn)
+// healing runs step with the engine's self-healing retry: an error that
+// trips degraded-mode entry (healWorld) runs the step again, now served
+// from redundancy.  One retry per health transition — a Q-parity array can
+// lose a second disk during the first retry — and healWorld reports true
+// only on a genuine transition, so the loop is bounded by the loss budget.
+// A crash ends the handle.
+func (tx *Tx) healing(step func() error) error {
+	err := step()
 	for err != nil && !errors.Is(err, ErrCrashed) && tx.db.healWorld() {
-		err = tx.db.underGroup(p, fn)
+		err = step()
 	}
 	if errors.Is(err, ErrCrashed) {
 		tx.done = true
 	}
 	return err
+}
+
+// opLatched runs one page operation under the shared gate and the page's
+// group latch, with the self-healing retry.
+func (tx *Tx) opLatched(p page.PageID, fn func(h *latch.Held) error) error {
+	return tx.healing(func() error { return tx.db.underGroup(p, fn) })
 }
 
 // --- Page-granularity operations (PageLogging) ----------------------------
@@ -131,7 +121,7 @@ func (tx *Tx) ReadPage(p PageID) ([]byte, error) {
 	if tx.db.cfg.Logging != PageLogging {
 		return nil, fmt.Errorf("%w: ReadPage requires PageLogging", ErrWrongMode)
 	}
-	if err := tx.acquire(tx.pageResource(p), lock.Shared); err != nil {
+	if err := tx.acquire(lock.PageResource(page.PageID(p)), lock.Shared); err != nil {
 		return nil, err
 	}
 	pid := page.PageID(p)
@@ -163,7 +153,7 @@ func (tx *Tx) WritePage(p PageID, data []byte) error {
 	if len(data) != tx.db.cfg.PageSize {
 		return fmt.Errorf("%w (%d bytes, want %d)", page.ErrBadSize, len(data), tx.db.cfg.PageSize)
 	}
-	if err := tx.acquire(tx.pageResource(p), lock.Exclusive); err != nil {
+	if err := tx.acquire(lock.PageResource(page.PageID(p)), lock.Exclusive); err != nil {
 		return err
 	}
 	pid := page.PageID(p)
@@ -173,32 +163,31 @@ func (tx *Tx) WritePage(p PageID, data []byte) error {
 			return err
 		}
 		defer tx.db.pool.Unpin(pid)
-		tx.firstModifyPage(pid, f.Data)
+		if !tx.st.hasUndo(pid, wal.NoSlot) {
+			tx.firstModify(pid, wal.NoSlot, tx.db.snapshotPage(f.Data))
+		}
 		copy(f.Data, data)
 		tx.db.pool.MarkDirty(pid, tx.st.t.ID)
-		tx.st.t.Modified[pid] = struct{}{}
 		return nil
 	})
 }
 
-// firstModifyPage retains the page's current contents as the in-memory
-// before-image the recovery schemes work from; without RDA recovery the
-// before-image also goes to the log immediately (classic UNDO logging).
-func (tx *Tx) firstModifyPage(p page.PageID, cur page.Buf) {
-	st := tx.st
+// firstModify enters img, the before-image of (p, slot) just captured,
+// in the transaction's undo table.  Every update transaction brackets
+// itself with BOT...EOT on the log (the model charges these for all update
+// transactions); RDA only avoids the before-images.  Without RDA recovery
+// the image goes to the log at once (classic UNDO logging).  The caller
+// holds p's group latch.
+func (tx *Tx) firstModify(p page.PageID, slot int32, img []byte) {
+	st, db := tx.st, tx.db
 	st.mu.Lock()
-	if _, ok := st.beforePages[p]; ok {
-		st.mu.Unlock()
-		return
-	}
-	st.beforePages[p] = tx.db.snapshotPage(cur)
+	e := st.addUndo(wal.Record{Type: wal.TypeBeforeImage, Txn: st.t.ID, Page: p, Slot: slot, Image: img})
 	st.mu.Unlock()
-	// Every update transaction brackets itself with BOT...EOT on the log
-	// (the model charges these for all update transactions); RDA only
-	// avoids the before-images.
-	tx.db.ensureBOT(st)
-	if !tx.db.cfg.RDA {
-		tx.db.ensureUndoLogged(st, p, true)
+	db.ensureBOT(st)
+	if !db.cfg.RDA {
+		st.mu.Lock()
+		db.ensureUndoLogged(e, true)
+		st.mu.Unlock()
 	}
 }
 
@@ -365,29 +354,12 @@ func (tx *Tx) writeRecordLatched(h *latch.Held, p page.PageID, slot int, rec []b
 		return err
 	}
 	defer tx.db.pool.Unpin(p)
-	st := tx.st
-	rid := page.RecordID{Page: p, Slot: slot}
-	st.mu.Lock()
-	_, snapped := st.beforeRecords[rid]
-	st.mu.Unlock()
-	if !snapped {
-		img, err := v.Snapshot(slot)
+	if !tx.st.hasUndo(p, int32(slot)) {
+		img, err := v.Encoded(slot)
 		if err != nil {
 			return err
 		}
-		st.mu.Lock()
-		st.beforeRecords[rid] = img
-		st.mu.Unlock()
-		tx.db.ensureBOT(st)
-		if !tx.db.cfg.RDA {
-			st.mu.Lock()
-			tx.db.log.Append(wal.Record{
-				Type: wal.TypeBeforeImage, Txn: st.t.ID, Page: p, Slot: int32(slot),
-				Image: record.EncodeImage(img),
-			})
-			st.loggedRecords[rid] = true
-			st.mu.Unlock()
-		}
+		tx.firstModify(p, int32(slot), img)
 	}
 	if present {
 		if err := v.Write(slot, rec); err != nil {
@@ -397,8 +369,6 @@ func (tx *Tx) writeRecordLatched(h *latch.Held, p page.PageID, slot int, rec []b
 		return err
 	}
 	tx.db.pool.MarkDirty(p, tx.st.t.ID)
-	tx.st.t.Modified[p] = struct{}{}
-	tx.st.t.ModifiedRecords[rid] = struct{}{}
 	return nil
 }
 
@@ -432,18 +402,12 @@ func (tx *Tx) Commit() error {
 		return ErrTxDone
 	}
 	db := tx.db
-	err := db.commitAttempt(tx)
-	for err != nil && !errors.Is(err, ErrCrashed) && db.healWorld() {
-		// A disk loss mid-commit trips degraded mode; the retry re-runs
-		// EOT through the degraded protocol.  The lazy log appends are
-		// idempotent and a duplicated after-image is harmless (REDO
-		// replays images in order, so the last one wins).  One retry per
-		// health transition: a second disk can die during the first
-		// retry on a Q-parity array.
-		err = db.commitAttempt(tx)
-	}
+	// A disk loss mid-commit trips degraded mode; the retry re-runs EOT
+	// through the degraded protocol.  The lazy log appends are idempotent
+	// and a duplicated after-image is harmless (REDO replays images in
+	// order, so the last one wins).
+	err := tx.healing(func() error { return db.commitAttempt(tx) })
 	if errors.Is(err, ErrCrashed) {
-		tx.done = true
 		return ErrCrashed
 	}
 	if err != nil {
@@ -488,11 +452,11 @@ func (db *DB) commitAttempt(tx *Tx) error {
 	}
 	st := tx.st
 	t := st.t
-	updater := len(t.Modified) > 0
+	updater := len(st.undo) > 0
 
 	h := db.latches.NewHeld()
 	defer h.ReleaseAll()
-	h.Acquire(db.groupsOf(t.Modified)...)
+	db.latchUndo(h, st)
 
 	if updater && db.cfg.EOT == Force {
 		if err := db.flushForce(st); err != nil {
@@ -541,7 +505,7 @@ func (db *DB) commitAttempt(tx *Tx) error {
 		defer st.mu.Unlock()
 		db.store.CommitGroups(t)
 	}()
-	db.clearModifiers(t)
+	db.clearModifiers(st)
 	db.tm.Finish(t.ID, txn.Committed)
 	db.mu.Lock()
 	delete(db.states, t.ID)
@@ -551,39 +515,22 @@ func (db *DB) commitAttempt(tx *Tx) error {
 	return nil
 }
 
-// appendAfterImages writes the transaction's REDO material: page images
-// (page mode) or record images (record mode) of everything it modified.
+// appendAfterImages writes the transaction's REDO material: for each of
+// its before-images, in page and slot order, the same slot re-read from
+// the current page (a whole page under page logging).
 func (db *DB) appendAfterImages(st *txState) error {
-	t := st.t
-	if db.cfg.Logging == PageLogging {
-		for _, p := range sortedPages(t.Modified) {
-			img, err := db.currentImage(p)
+	for _, e := range st.undo {
+		for _, b := range e.images {
+			cur, err := db.currentImage(e.page)
 			if err != nil {
 				return err
 			}
-			db.logRedo(wal.Record{
-				Type: wal.TypeAfterImage, Txn: t.ID, Page: p, Slot: wal.NoSlot, Image: img,
-			})
+			img, err := record.ImageOf(cur, b.Slot)
+			if err != nil {
+				return err
+			}
+			db.logRedo(wal.Record{Type: wal.TypeAfterImage, Txn: st.t.ID, Page: e.page, Slot: b.Slot, Image: img})
 		}
-		return nil
-	}
-	for _, rid := range sortedRecordIDs(t.ModifiedRecords) {
-		img, err := db.currentImage(rid.Page)
-		if err != nil {
-			return err
-		}
-		v, err := record.View(page.Buf(img))
-		if err != nil {
-			return err
-		}
-		snap, err := v.Snapshot(rid.Slot)
-		if err != nil {
-			return err
-		}
-		db.logRedo(wal.Record{
-			Type: wal.TypeAfterImage, Txn: t.ID, Page: rid.Page, Slot: int32(rid.Slot),
-			Image: record.EncodeImage(snap),
-		})
 	}
 	return nil
 }
@@ -604,13 +551,13 @@ func (db *DB) currentImage(p page.PageID) (page.Buf, error) {
 // frame's modifier set; frames still dirty afterwards carry committed
 // residue (see buffer.Frame.Residue).  The caller holds the latches of
 // every modified group.
-func (db *DB) clearModifiers(t *txn.Txn) {
-	for p := range t.Modified {
-		f := db.pool.Frame(p)
+func (db *DB) clearModifiers(st *txState) {
+	for _, e := range st.undo {
+		f := db.pool.Frame(e.page)
 		if f == nil {
 			continue
 		}
-		delete(f.Modifiers, t.ID)
+		delete(f.Modifiers, st.t.ID)
 		if f.Dirty {
 			f.Residue = true
 		}
@@ -634,18 +581,12 @@ func (tx *Tx) Abort() error {
 		return ErrTxDone
 	}
 	db := tx.db
-	err := db.abortAttempt(tx)
-	for err != nil && !errors.Is(err, ErrCrashed) && db.healWorld() {
-		// A disk loss mid-rollback trips degraded mode; the retry runs
-		// the remaining undo through the degraded protocol (groups the
-		// first pass finished are already clean, and the health sync
-		// demoted any dirty group on the lost disk to the idempotent
-		// logged-restore path).  One retry per health transition, as in
-		// Commit.
-		err = db.abortAttempt(tx)
-	}
+	// A disk loss mid-rollback trips degraded mode; the retry runs the
+	// remaining undo through the degraded protocol (groups the first pass
+	// finished are already clean, and the health sync demoted any dirty
+	// group on the lost disk to the idempotent logged-restore path).
+	err := tx.healing(func() error { return db.abortAttempt(tx) })
 	if errors.Is(err, ErrCrashed) {
-		tx.done = true
 		return ErrCrashed
 	}
 	if err != nil {
@@ -670,7 +611,7 @@ func (db *DB) abortAttempt(tx *Tx) error {
 
 	h := db.latches.NewHeld()
 	defer h.ReleaseAll()
-	h.Acquire(db.groupsOf(t.Modified)...)
+	db.latchUndo(h, st)
 
 	if err := db.rollback(st); err != nil {
 		return err
@@ -710,166 +651,79 @@ func (db *DB) rollback(st *txState) error {
 		}
 	}
 
-	st.mu.Lock()
-	stolenLogged := sortedPages(st.stolenLogged)
-	viaParity := make(map[page.PageID]bool, len(st.stolenBefore))
-	for p := range st.stolenBefore {
-		viaParity[p] = true
-	}
-	st.mu.Unlock()
-
-	// 2. Write-through restore of pages stolen via the logging path, in
-	// page order so abort I/O sequences are deterministic.
-	for _, p := range stolenLogged {
-		restored, err := db.restoreStolenLogged(st, p)
-		if err != nil {
-			return err
-		}
-		f := db.pool.Frame(p)
-		if f == nil {
-			continue
-		}
-		delete(f.Modifiers, t.ID)
-		if len(f.Modifiers) == 0 {
-			// Nobody else's uncommitted work lives here; the restored
-			// disk copy is authoritative.
-			db.pool.Discard(p)
-			continue
-		}
-		// Other active transactions' changes are in this frame (record
-		// locking).  Repair only this transaction's part in place and
-		// refresh the disk version to the just-restored image so later
-		// parity small-writes use the correct old contents.
-		if err := db.repairFrameData(st, f); err != nil {
-			return err
-		}
-		copy(f.DiskVersion, restored) // a frame without a disk version has none to refresh
-	}
-
-	// 3. In-buffer repair of modified pages never stolen.
-	for p := range t.Modified {
-		if viaParity[p] {
-			continue
-		}
-		st.mu.Lock()
-		logged := st.stolenLogged[p]
-		st.mu.Unlock()
-		if logged {
-			continue
-		}
-		f := db.pool.Frame(p)
-		if f == nil {
-			continue // evicted clean, or never dirtied
-		}
-		if _, mine := f.Modifiers[t.ID]; !mine {
-			continue
-		}
-		if err := db.repairFrame(st, f); err != nil {
-			return err
+	// 2. The undo table, in page order, so abort I/O sequences are
+	// deterministic: a page written back through the logging path is
+	// restored on disk, one stolen without logging was restored from twin
+	// parity above, and one never stolen is repaired in the buffer alone.
+	for _, e := range st.undo {
+		switch {
+		case e.viaLog:
+			if err := db.restoreLogged(t.ID, e); err != nil {
+				return err
+			}
+		case e.stolen == nil:
+			f := db.pool.Frame(e.page)
+			if f == nil {
+				continue // evicted clean, or never dirtied
+			}
+			if _, mine := f.Modifiers[t.ID]; !mine {
+				continue
+			}
+			if err := db.repairFrame(t.ID, f, e.images); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// sortedPages returns a page set's members in ascending order.  Engine
-// loops that issue I/O iterate sets in sorted order so that identically
-// seeded runs produce identical block-write sequences — what makes a
-// crash-point schedule (crash at write k) replayable.
-func sortedPages[V any](set map[page.PageID]V) []page.PageID {
-	out := make([]page.PageID, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedRecordIDs(set map[page.RecordID]struct{}) []page.RecordID {
-	out := make([]page.RecordID, 0, len(set))
-	for rid := range set {
-		out = append(out, rid)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Page != out[j].Page {
-			return out[i].Page < out[j].Page
-		}
-		return out[i].Slot < out[j].Slot
-	})
-	return out
-}
-
-// restoreStolenLogged writes page p's pre-transaction state back to disk
-// and returns the restored disk image.
-func (db *DB) restoreStolenLogged(st *txState, p page.PageID) (page.Buf, error) {
-	if db.cfg.Logging == PageLogging {
-		st.mu.Lock()
-		img, ok := st.beforePages[p]
-		st.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("rda: missing before-image for page %d", p)
-		}
-		return img, db.store.WriteLogged(p, img, nil, nil)
-	}
-	// Record mode: restore only this transaction's records on the
-	// current disk page, preserving other transactions' records.
-	cur, err := db.storeRead(p)
-	if err != nil {
-		return nil, err
-	}
-	v, err := record.View(cur)
-	if err != nil {
-		return nil, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for rid, img := range st.beforeRecords {
-		if rid.Page != p {
-			continue
-		}
-		if err := v.Apply(rid.Slot, img); err != nil {
-			return nil, err
+// restoreLogged writes page e.page's pre-transaction state back to disk
+// from its before-images and rewinds the buffered copy, if any, to match.
+// A full-page image is that state; record images patch the page as it is
+// on disk, so other transactions' records stay.
+func (db *DB) restoreLogged(tx page.TxID, e *undoEntry) error {
+	restored := e.images[0].Image
+	if e.images[0].Slot != wal.NoSlot {
+		var err error
+		if restored, err = db.storeRead(e.page); err != nil {
+			return err
 		}
 	}
-	return cur, db.store.WriteLogged(p, cur, nil, nil)
-}
-
-// repairFrameData rewinds this transaction's changes in a frame's data:
-// the whole page in page mode, only this transaction's records in record
-// mode (other transactions' changes stay).
-func (db *DB) repairFrameData(st *txState, f *buffer.Frame) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if db.cfg.Logging == PageLogging {
-		img, ok := st.beforePages[f.Page]
-		if !ok {
-			return nil
-		}
-		copy(f.Data, img)
+	if err := record.Replay(restored, restored, e.images); err != nil {
+		return err
+	}
+	if err := db.store.WriteLogged(e.page, restored, nil, nil); err != nil {
+		return err
+	}
+	f := db.pool.Frame(e.page)
+	if f == nil {
 		return nil
 	}
-	v, err := record.View(f.Data)
-	if err != nil {
+	delete(f.Modifiers, tx)
+	if len(f.Modifiers) == 0 {
+		// Nobody else's uncommitted work lives here; the restored disk
+		// copy is authoritative.
+		db.pool.Discard(e.page)
+		return nil
+	}
+	// Other active transactions' changes are in this frame (record
+	// locking).  Repair only this transaction's part in place and refresh
+	// the disk version to the just-restored image so later parity
+	// small-writes use the correct old contents.
+	if err := record.Replay(f.Data, f.Data, e.images); err != nil {
 		return err
 	}
-	for rid, img := range st.beforeRecords {
-		if rid.Page != f.Page {
-			continue
-		}
-		if err := v.Apply(rid.Slot, img); err != nil {
-			return err
-		}
-	}
+	copy(f.DiskVersion, restored) // a frame without a disk version has none to refresh
 	return nil
 }
 
-// repairFrame rewinds a never-stolen frame to this transaction's
+// repairFrame rewinds a never-stolen frame to transaction tx's
 // before-images and updates the frame bookkeeping.
-func (db *DB) repairFrame(st *txState, f *buffer.Frame) error {
-	t := st.t
-	if err := db.repairFrameData(st, f); err != nil {
+func (db *DB) repairFrame(tx page.TxID, f *buffer.Frame, images []wal.Record) error {
+	if err := record.Replay(f.Data, f.Data, images); err != nil {
 		return err
 	}
-	delete(f.Modifiers, t.ID)
+	delete(f.Modifiers, tx)
 	if len(f.Modifiers) == 0 {
 		if f.DiskVersion != nil && f.Data.Equal(f.DiskVersion) {
 			f.Dirty = false
