@@ -33,7 +33,6 @@ import (
 	"repro/internal/dirtyset"
 	"repro/internal/disk"
 	"repro/internal/diskarray"
-	"repro/internal/erasure"
 	"repro/internal/page"
 	"repro/internal/twinpage"
 	"repro/internal/txn"
@@ -344,9 +343,9 @@ func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cached
 	return imgs, nil
 }
 
-// ErrMustLog reports a StealNoLog attempt that the policy (Decide) refuses;
+// errMustLog reports a StealNoLog attempt that the policy (Decide) refuses;
 // callers fall back to the logging path.
-var ErrMustLog = errors.New("core: parity group requires UNDO logging")
+var errMustLog = errors.New("core: parity group requires UNDO logging")
 
 // StealNoLog writes page p, modified by active transaction t, without
 // UNDO logging (Section 4.1).  The data page header records the writing
@@ -368,7 +367,7 @@ func (s *Store) StealNoLog(p page.PageID, data, cachedOld page.Buf, t *txn.Txn, 
 	v, entry := s.ViewOf(PageWriteBack, g, p, t.ID)
 	v.Modifiers = 1
 	if a := Decide(v); a != Steal {
-		return fmt.Errorf("%w: group %d page %d txn %d: %s", ErrMustLog, g, p, t.ID, a)
+		return fmt.Errorf("%w: group %d page %d txn %d: %s", errMustLog, g, p, t.ID, a)
 	}
 	ts := s.TM.NextTimestamp()
 	// A first steal reads the current index and lands on the obsolete one
@@ -584,134 +583,6 @@ func (s *Store) CommitGroups(t *txn.Txn) {
 	}
 }
 
-// --- Undo -----------------------------------------------------------------
-
-// UndoGroupViaParity restores the dirty page of group g from its twin
-// parity pages — D_old = (P ⊕ P′) ⊕ D_new (Figure 6) — writes it back,
-// invalidates the working twin, and cleans the group.  It returns the
-// restored page and its contents.
-//
-// The write order makes a crash mid-undo safe: the data page is restored
-// (with its header's transaction tag cleared) before the working twin is
-// invalidated, and the crash scan skips groups whose tagged page no
-// longer carries the writer's tag.
-func (s *Store) UndoGroupViaParity(g page.GroupID) (page.PageID, page.Buf, error) {
-	if s.Dirty == nil {
-		return 0, nil, fmt.Errorf("core: parity undo without RDA recovery")
-	}
-	e, ok := s.Dirty.Lookup(g)
-	if !ok {
-		return 0, nil, fmt.Errorf("core: group %d is not dirty", g)
-	}
-	restored, err := s.undoViaTwins(g, e.Page, e.WorkingTwin)
-	if err != nil {
-		return 0, nil, err
-	}
-	s.Dirty.Clean(g)
-	return e.Page, restored, nil
-}
-
-// undoViaTwins is the raw Figure 6 undo used by both the abort path
-// (through UndoGroupViaParity) and crash recovery (which has no
-// Dirty_Set and supplies the page and twin from the header scan).
-func (s *Store) undoViaTwins(g page.GroupID, p page.PageID, workingTwin int) (page.Buf, error) {
-	// Figure 6's three inputs sit on three drives: both P twins and the page
-	// as the steal left it, whose corruption is the one error that is not
-	// the end of the undo.
-	var in [3]page.Buf
-	in[2] = s.Pages.Get()
-	defer s.Pages.Put(in[2])
-	corrupt := false
-	err := s.Arr.Together(len(in), func(i int) error {
-		var err error
-		if i < 2 {
-			if in[i], _, err = s.readRed(g, diskarray.P.Twin(i), nil); err != nil {
-				return fmt.Errorf("core: read twin %d of group %d: %w", i, g, err)
-			}
-			return nil
-		}
-		if _, _, err = s.Arr.ReadData(p, in[i]); disk.IsCorrupt(err) {
-			corrupt = true
-		} else if err != nil {
-			return fmt.Errorf("core: read page %d: %w", p, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var dOld page.Buf
-	if !corrupt {
-		// D_old = P ⊕ P′ ⊕ D_new, in the twin page just read.
-		dOld = in[0]
-		erasure.AddInto(dOld, in[1])
-		erasure.AddInto(dOld, in[2])
-	} else {
-		// The dirty page's on-disk (new) version is corrupt, so the
-		// Figure 6 identity has nothing to XOR against — but the committed
-		// index still describes the pre-transaction group, whose other
-		// members are untouched, so the before-image comes out directly:
-		// D_old = P_cmt ⊕ (other data pages), or the same through the
-		// index's Q page when its P slot is gone.
-		s.deg.corruptDetected.Add(1)
-		if dOld, _, err = s.SolvePage(g, p, 1-workingTwin); err != nil {
-			return nil, fmt.Errorf("core: undo of page %d from the committed twin: %w", p, err)
-		}
-		s.deg.readRepairs.Add(1)
-	}
-	if err := s.writeData(p, dOld, disk.Meta{}); err != nil {
-		return nil, err
-	}
-	if err := s.WriteIndexMeta(g, workingTwin, invalid); err != nil {
-		return nil, err
-	}
-	return dOld, nil
-}
-
-// CrashUndoWorkingTwin undoes one working twin found by the restart walk,
-// when its writer is a loser, by the Figure 6 identity.  It is idempotent
-// across repeated crashes: if the covered data page no longer carries the
-// loser's transaction tag, the data restore already happened and only the
-// twin invalidation is (re)applied.
-//
-// Figure 6 needs three readable inputs — both P twins and the page as the
-// steal left it.  When one is missing nothing is written and figure6 is
-// false: the committed index still describes the pre-transaction group, and
-// the caller unwinds the steal from it (recovery's undo ladder).
-func (s *Store) CrashUndoWorkingTwin(w WorkingTwinInfo) (figure6 bool, err error) {
-	if s.PageUnavailable(w.DirtyPage) {
-		return false, nil
-	}
-	tagged := s.Pages.Get()
-	defer s.Pages.Put(tagged)
-	_, meta, err := s.Arr.ReadData(w.DirtyPage, tagged)
-	if err != nil {
-		if !disk.IsCorrupt(err) {
-			return false, fmt.Errorf("core: read tagged page %d: %w", w.DirtyPage, err)
-		}
-		// The tagged page is corrupt, so its header cannot arbitrate.  The
-		// loser's page must end up holding the before-image either way.
-		s.deg.corruptDetected.Add(1)
-		return false, nil
-	}
-	if meta.Txn != w.Txn {
-		// Already restored by a previous, interrupted recovery, or the
-		// crash fell between the working-parity write and the data write:
-		// either way the page holds no state of this writer.
-		return true, s.WriteIndexMeta(w.Group, w.Twin, invalid)
-	}
-	if meta.Timestamp != w.Timestamp || !s.TwinReadable(w.Group, diskarray.P.Twin(1-w.Twin)) || !s.TwinReadable(w.Group, diskarray.P.Twin(w.Twin)) {
-		// The crash fell inside a re-steal, between rewriting the working
-		// twin and the data write — the twin describes a newer page version
-		// than the one on disk, so P ⊕ P′ ⊕ D would yield garbage — or a P
-		// twin is gone (the walk read the working header from its Q
-		// partner) and P ⊕ P′ has nothing to XOR.
-		return false, nil
-	}
-	_, err = s.undoViaTwins(w.Group, w.DirtyPage, w.Twin)
-	return true, err
-}
-
 // DescribingTwin picks the parity twin a corrupt data page p must be
 // reconstructed from, judged by headers alone.  The key is the *newest*
 // valid twin — the group's latest acked parity write — NOT the Figure 7
@@ -854,7 +725,7 @@ func (s *Store) resyncGroup(gid page.GroupID) (bool, error) {
 		if err != nil {
 			return did, err
 		}
-		if err := s.Recompute(gid, r, meta); err != nil {
+		if err := s.recompute(gid, r, meta); err != nil {
 			return did, fmt.Errorf("core: resync %s of group %d: %w", eq, gid, err)
 		}
 	}
@@ -1033,7 +904,7 @@ func (s *Store) establishIndex(g page.GroupID, t int) (rewrote bool, _ error) {
 				}
 				m = fresh
 			}
-			if err := s.Recompute(g, r, m); err != nil {
+			if err := s.recompute(g, r, m); err != nil {
 				return rewrote, fmt.Errorf("core: recompute surviving %s twin of group %d: %w", eq, g, err)
 			}
 			rewrote = true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -82,7 +83,7 @@ func TestStealNoLogAndAbortUndo(t *testing.T) {
 	}
 
 	// Abort: parity undo must restore the committed version.
-	pid, restored, err := s.UndoGroupViaParity(g)
+	pid, restored, err := abortSteal(s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestResteaUndoRestoresOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := s.Arr.GroupOf(p)
-	_, restored, err := s.UndoGroupViaParity(g)
+	_, restored, err := abortSteal(s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +187,8 @@ func TestWriteLoggedToDirtyGroupUpdatesBothTwins(t *testing.T) {
 	if canSteal(s, p2, txB.ID) {
 		t.Fatalf("second page of a dirty group must not take the fast path")
 	}
-	if err := s.StealNoLog(p2, base2, base2, txB, nil); !errors.Is(err, ErrMustLog) {
-		t.Fatalf("err = %v, want ErrMustLog", err)
+	if err := s.StealNoLog(p2, base2, base2, txB, nil); !errors.Is(err, errMustLog) {
+		t.Fatalf("err = %v, want errMustLog", err)
 	}
 	v2 := pattern(page.MinSize, 0x66)
 	if err := s.WriteLogged(p2, v2, base2, nil); err != nil {
@@ -195,7 +196,7 @@ func TestWriteLoggedToDirtyGroupUpdatesBothTwins(t *testing.T) {
 	}
 
 	// The undo identity for p1 must still hold after p2's logged write.
-	gOut, restored, err := s.UndoGroupViaParity(g)
+	gOut, restored, err := abortSteal(s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +266,12 @@ func TestScanWorkingTwinsAndCrashUndo(t *testing.T) {
 			continue // winner: leave it, Settle resolves it
 		}
 		walk.Touch(w.Group)
-		if figure6, err := s.CrashUndoWorkingTwin(w); err != nil || !figure6 {
-			t.Fatalf("undo: figure6=%v err=%v", figure6, err)
+		if rung, _, err := s.UndoSteal(w, RungFigure6, false); err != nil || rung != RungFigure6 {
+			t.Fatalf("undo: rung=%v err=%v", rung, err)
 		}
 		// Idempotency: a second application (crash during recovery) must
 		// not damage the restored page.
-		if _, err := s.CrashUndoWorkingTwin(w); err != nil {
+		if _, _, err := s.UndoSteal(w, RungFigure6, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,7 +370,7 @@ func TestRandomizedParityInvariant(t *testing.T) {
 				}
 			} else { // abort
 				for _, g := range s.Dirty.GroupsOf(pd.tx.ID) {
-					if _, _, err := s.UndoGroupViaParity(g); err != nil {
+					if _, _, err := abortSteal(s, g); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
 				}
@@ -405,7 +406,7 @@ func TestRandomizedParityInvariant(t *testing.T) {
 	// Resolve everything by aborting; the array must equal the oracle.
 	for _, pd := range open {
 		for _, g := range s.Dirty.GroupsOf(pd.tx.ID) {
-			if _, _, err := s.UndoGroupViaParity(g); err != nil {
+			if _, _, err := abortSteal(s, g); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -473,4 +474,20 @@ func TestStealWritesTagAndWorkingHeader(t *testing.T) {
 	if err := s.VerifyParityInvariant(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// abortSteal undoes the no-log steal that dirtied group g down the undo
+// ladder, as a live abort does, and returns the page and what its platter
+// holds afterwards.
+func abortSteal(s *Store, g page.GroupID) (page.PageID, page.Buf, error) {
+	e, ok := s.Dirty.Lookup(g)
+	if !ok {
+		return 0, nil, fmt.Errorf("group %d is not dirty", g)
+	}
+	w := WorkingTwinInfo{Group: g, Twin: e.WorkingTwin, Meta: disk.Meta{DirtyPage: e.Page, Txn: e.Txn}}
+	if _, lost, err := s.UndoSteal(w, RungFigure6, false); err != nil || len(lost) > 0 {
+		return e.Page, nil, fmt.Errorf("undo of group %d: lost %v: %v", g, lost, err)
+	}
+	got, err := s.Arr.PeekData(e.Page)
+	return e.Page, got, err
 }

@@ -123,20 +123,6 @@ func (s *Store) SlotAlive(g page.GroupID, r diskarray.Red) bool {
 	return !s.isDown(s.Arr.Loc(g, r).Disk)
 }
 
-// DeadTwin returns a twin index whose page of equation eq sits on a down
-// disk, or -1.
-func (s *Store) DeadTwin(g page.GroupID, eq diskarray.Eq) int {
-	if eq == diskarray.Q && !s.Arr.HasQ() {
-		return -1
-	}
-	for twin := 0; twin < s.Arr.ParityPages(); twin++ {
-		if !s.SlotAlive(g, eq.Twin(twin)) {
-			return twin
-		}
-	}
-	return -1
-}
-
 // hasDeadSlot reports whether any redundancy page of group g is
 // unreachable.
 func (s *Store) hasDeadSlot(g page.GroupID) bool {
@@ -144,8 +130,10 @@ func (s *Store) hasDeadSlot(g page.GroupID) bool {
 		return false
 	}
 	for _, eq := range s.Arr.Equations() {
-		if s.DeadTwin(g, eq) >= 0 {
-			return true
+		for twin := 0; twin < s.Arr.ParityPages(); twin++ {
+			if !s.SlotAlive(g, eq.Twin(twin)) {
+				return true
+			}
 		}
 	}
 	return false
@@ -236,7 +224,7 @@ func (s *Store) writeIndex(g page.GroupID, twin int, imgs [2]page.Buf, meta disk
 func (s *Store) RecomputeIndex(g page.GroupID, twin int, meta disk.Meta) error {
 	slots, n := s.aliveSlots(g, twin)
 	for _, r := range slots[:n] {
-		if err := s.Recompute(g, r, meta); err != nil {
+		if err := s.recompute(g, r, meta); err != nil {
 			return fmt.Errorf("core: recompute %s twin %d of group %d: %w", r.Eq, twin, g, err)
 		}
 	}
@@ -245,15 +233,6 @@ func (s *Store) RecomputeIndex(g page.GroupID, twin int, meta disk.Meta) error {
 
 // Degraded reports whether the store is serving in degraded mode.
 func (s *Store) Degraded() bool { return s.degraded }
-
-// DownDisk returns the oldest disk being served around, or -1.  With two
-// disks down (QParity arrays) use DownDisks for the full set.
-func (s *Store) DownDisk() int {
-	if !s.degraded || len(s.down) == 0 {
-		return -1
-	}
-	return s.down[0]
-}
 
 // DownDisks returns the disks being served around (nil when healthy).
 func (s *Store) DownDisks() []int {
@@ -397,10 +376,10 @@ func (s *Store) SolveGroup(g page.GroupID, twin int, erased ...int) ([]page.Buf,
 	return sol.vals, sol.hdr(), err
 }
 
-// SolvePage is SolveGroup for one member: the value redundancy index
+// solvePage is SolveGroup for one member: the value redundancy index
 // `twin` gives data page p, whatever p's platter holds, with the index's
 // header.  The other members' pages go back to s.Pages.
-func (s *Store) SolvePage(g page.GroupID, p page.PageID, twin int) (page.Buf, disk.Meta, error) {
+func (s *Store) solvePage(g page.GroupID, p page.PageID, twin int) (page.Buf, disk.Meta, error) {
 	vals, hdr, err := s.SolveGroup(g, twin, s.Arr.DataLoc(p).Disk)
 	if err != nil {
 		return nil, hdr, err
@@ -540,7 +519,7 @@ func (s *Store) solve(g page.GroupID, twin int, erased []int) (solved, error) {
 // in dst when the caller supplied one.
 func (s *Store) readDegraded(p page.PageID, dst page.Buf) (page.Buf, error) {
 	g := s.Arr.GroupOf(p)
-	got, _, err := s.SolvePage(g, p, s.describingTwin(g))
+	got, _, err := s.solvePage(g, p, s.describingTwin(g))
 	if err != nil {
 		return nil, fmt.Errorf("core: degraded read of page %d: %w", p, err)
 	}

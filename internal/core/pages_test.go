@@ -140,7 +140,7 @@ func TestWritesReuseTheirRedundancyPages(t *testing.T) {
 		r := diskarray.Eq(i % 2).Twin(s.currentTwin(3))
 		meta, err := s.Arr.PeekMeta(3, r)
 		if err == nil {
-			err = s.Recompute(3, r, meta)
+			err = s.recompute(3, r, meta)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -103,11 +103,11 @@ func (s *Store) rewriteSlot(g page.GroupID, r diskarray.Red, vals []page.Buf, me
 	return nil
 }
 
-// Recompute reads the whole group through the verified group read and
+// recompute reads the whole group through the verified group read and
 // rewrites redundancy page r as its equation over what it read, under the
 // given header: the full-stripe fallback of resync and demotion and media
 // recovery of a redundancy block.
-func (s *Store) Recompute(g page.GroupID, r diskarray.Red, meta disk.Meta) error {
+func (s *Store) recompute(g page.GroupID, r diskarray.Red, meta disk.Meta) error {
 	vals, err := s.ReadGroup(g, r)
 	defer s.Pages.Put(vals...)
 	if err != nil {

@@ -37,11 +37,11 @@ type BeforeImageFunc func(g page.GroupID, e dirtyset.Entry) page.Buf
 //
 // Combinations that genuinely exceed the redundancy (two data pages; a
 // data page plus the only twin describing the on-disk state) cannot be
-// rebuilt: those groups are given up (loseGroup) — their lost data pages
-// stay zeroed and their parity is recomputed on every slot, so the array
-// is internally consistent again — and reported in the returned slice, in
-// group order: the data-loss event a DBA would answer with an archive
-// restore.  With a single failed disk the slice is always empty.
+// rebuilt: those groups are given up (core.Store.LoseGroup) — their lost
+// data pages stay zeroed and their parity is recomputed on every slot, so
+// the array is internally consistent again — and reported in the returned
+// slice, in group order: the data-loss event a DBA would answer with an
+// archive restore.  With a single failed disk the slice is always empty.
 func RecoverMedia(s *core.Store, ds []int, before BeforeImageFunc) ([]page.GroupID, error) {
 	for _, d := range ds {
 		if err := s.Arr.RepairDisk(d); err != nil {
@@ -63,7 +63,7 @@ func RecoverMedia(s *core.Store, ds []int, before BeforeImageFunc) ([]page.Group
 		mu.Lock()
 		lost = append(lost, gid)
 		mu.Unlock()
-		_, err = loseGroup(s, gid, everySlot)
+		_, err = s.LoseGroup(gid, everySlot)
 		return err
 	})
 	slices.Sort(lost)

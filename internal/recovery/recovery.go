@@ -25,12 +25,10 @@
 //     one more erasure beside the group's dead ones, rebuilt by the decision
 //     function of its kind (repairTornData, repairTornParity, repairTornQ),
 //     so that every later pass can read every block.
-//   - 2c. Parity undo (undo.go) — for every group whose working twin belongs
-//     to a loser the covered data page is restored as D_old = (P ⊕ P′) ⊕
-//     D_new and the twin invalidated.  With an input of that identity gone
-//     the undo takes one ladder (undoSteal): D_old solved through the
-//     committed index, else the logged before-image left to pass 4, else
-//     explicit loss (loseGroup).
+//   - 2c. Parity undo (undo.go) — every group whose working twin belongs to
+//     a loser takes the undo ladder a live abort takes (core.Store.UndoSteal):
+//     D_old = (P ⊕ P′) ⊕ D_new, else solved through the committed index,
+//     else the logged before-image left to pass 4, else explicit loss.
 //   - 2d. Tag undo (disk down only) — a loser's working index with no
 //     readable slot left (twin parity with its P twin down, both pages of a
 //     P+Q index) is invisible to the walk; its steal is found by the
@@ -67,7 +65,7 @@
 // lost committed twin is recomputed from the on-disk data plus the
 // before-image of the dirty page that the engine retains in memory while
 // the owning transaction is active.  A group whose loss exceeds its
-// redundancy is given up the way restart gives one up (loseGroup).
+// redundancy is given up the way restart gives one up (core.Store.LoseGroup).
 package recovery
 
 import (
@@ -109,7 +107,8 @@ type analysis struct {
 	// checkpoint, in log order; pass 6 reorders them by (page, LSN).
 	redoImages []wal.Record
 	// mustWrite holds the pages whose logged undo is written even if already
-	// in place: undoSteal's rung 2 left a working twin for that write to retire.
+	// in place: the undo ladder's rung 3 left a working twin for that write to
+	// retire.
 	mustWrite map[page.PageID]bool
 }
 
@@ -214,23 +213,17 @@ type Report struct {
 
 	// Degraded-restart counters (zero on a healthy array).
 	//
-	// UndoneViaReconstruction counts loser pages whose undo could not
-	// run the plain Figure 6 identity because a group member sat on the
-	// dead disk, and was instead served by reconstruction from the
-	// surviving members (promoting the committed twin over a lost dirty
-	// page, or rebuilding D_old from the committed twin when the working
-	// twin was lost).
+	// UndoneViaReconstruction counts loser pages undone through the
+	// committed index (the undo ladder's rung 2) in a group that had lost
+	// a member to a dead disk.
 	UndoneViaReconstruction int
 	// DeferredParityGroups counts groups whose parity member is on the
 	// down disk: recovery re-establishes their surviving parity only,
 	// and the restarted online rebuild recomputes the lost member.
 	DeferredParityGroups int
-	// LostPages lists pages whose contents genuinely exceeded the
-	// surviving redundancy (for example a dirty group whose committed
-	// twin died *unobserved* in the same instant as the crash, so no
-	// demotion ever logged the before-image).  They are zeroed, parity
-	// is made consistent, and the caller decides how loudly to escalate
-	// — explicit, reported loss, never silent corruption.
+	// LostPages lists pages whose contents exceeded the surviving
+	// redundancy (rda.RecoveryReport.LostPages): zeroed, parity made
+	// consistent — explicit, reported loss, never silent corruption.
 	LostPages []page.PageID
 	// Passes lists the passes that ran, in order.
 	Passes []Pass

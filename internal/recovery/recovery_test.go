@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -190,7 +191,7 @@ func TestRecoverMediaWithBeforeImage(t *testing.T) {
 		t.Fatalf("lost %v, err %v", lost, err)
 	}
 	// The rebuilt committed twin must still support the Figure 6 undo.
-	p, restored, err := s.UndoGroupViaParity(g)
+	p, restored, err := abortSteal(s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestRecoverMediaMultiDirtyCommittedPlusData(t *testing.T) {
 		t.Fatalf("victim page not rebuilt correctly")
 	}
 	// The twin-parity undo must still work for the dirty page.
-	p, restored, err := s.UndoGroupViaParity(g)
+	p, restored, err := abortSteal(s, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +409,7 @@ func TestRecoverMediaMultiDirtyWorkingPlusData(t *testing.T) {
 			t.Fatalf("pq=%v: %v", pq, err)
 		}
 		// The rebuilt working twin must still fund the undo.
-		if p, restored, err := s.UndoGroupViaParity(g); err != nil || p != dirtyPage || !restored.Equal(base[dirtyPage]) {
+		if p, restored, err := abortSteal(s, g); err != nil || p != dirtyPage || !restored.Equal(base[dirtyPage]) {
 			t.Fatalf("pq=%v: undo after the rebuild broken (err %v)", pq, err)
 		}
 	}
@@ -691,4 +692,20 @@ func TestParitySlotRebuildReusesPages(t *testing.T) {
 	if err := s.VerifyParityInvariant(); err != nil {
 		t.Error(err)
 	}
+}
+
+// abortSteal undoes the no-log steal that dirtied group g down the undo
+// ladder, as a live abort does, and returns the page and what its platter
+// holds afterwards.
+func abortSteal(s *core.Store, g page.GroupID) (page.PageID, page.Buf, error) {
+	e, ok := s.Dirty.Lookup(g)
+	if !ok {
+		return 0, nil, fmt.Errorf("group %d is not dirty", g)
+	}
+	w := core.WorkingTwinInfo{Group: g, Twin: e.WorkingTwin, Meta: disk.Meta{DirtyPage: e.Page, Txn: e.Txn}}
+	if _, lost, err := s.UndoSteal(w, core.RungFigure6, false); err != nil || len(lost) > 0 {
+		return e.Page, nil, fmt.Errorf("undo of group %d: lost %v: %v", g, lost, err)
+	}
+	got, err := s.Arr.PeekData(e.Page)
+	return e.Page, got, err
 }

@@ -120,8 +120,8 @@ func describedByP(s *core.Store, g page.GroupID, twin int) ([]page.Buf, disk.Met
 //   - A loser's working index names p: the fault interrupted a no-UNDO
 //     steal (or its undo), and p goes back to its before-image down the
 //     undo ladder; the parity-undo pass then merely invalidates the twin.
-//     A rung-2 page gets a zero placeholder, so that pass 4 can read what
-//     it overwrites.
+//     A page left to its logged image (rung 3) gets a zero placeholder, so
+//     that pass 4 can read what it overwrites.
 //   - Otherwise the fault hit a committed or logged write-back whose
 //     parity update preceded it, and p is what its describing index says
 //     (core.DescribingTwin: NOT always the Figure 7 winner — parity
@@ -154,8 +154,8 @@ func (st *state) repairTornData(g page.GroupID, p page.PageID, headerOK bool) er
 			if !a.loser(m) || m.DirtyPage != p {
 				continue
 			}
-			rung, err := st.undoSteal(g, p, m.Txn, 1-twin)
-			if err == nil && rung == undoLogged {
+			rung, err := st.undoLoser(core.WorkingTwinInfo{Group: g, Twin: twin, Meta: m}, core.RungCommitted)
+			if err == nil && rung == core.RungLogged {
 				err = s.Arr.WriteData(p, make(page.Buf, s.Arr.PageSize()), disk.Meta{})
 			}
 			return err
@@ -261,9 +261,9 @@ func (st *state) repairTornParity(g page.GroupID, twin int, headerOK bool) error
 	}
 	if a.loser(steal) {
 		if tagged {
-			rung, err := st.undoSteal(g, steal.DirtyPage, steal.Txn, 1-twin)
-			if err != nil || rung == undoLost {
-				return err // lost: loseGroup rewrote every readable twin, this one included
+			rung, err := st.undoLoser(core.WorkingTwinInfo{Group: g, Twin: twin, Meta: steal}, core.RungCommitted)
+			if err != nil || rung == core.RungLost {
+				return err // lost: LoseGroup rewrote every readable twin, this one included
 			}
 		}
 		return zeroInvalid(s, g, parity(twin))

@@ -1,13 +1,11 @@
 package recovery
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
 	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/diskarray"
 	"repro/internal/page"
 	"repro/internal/workpool"
 )
@@ -29,8 +27,16 @@ func (st *state) undo() error {
 		}
 		handled[w.Group] = true
 		st.walk.Touch(w.Group)
-		if err := st.crashUndoWorking(w); err != nil {
+		rung, err := st.undoLoser(w, core.RungFigure6)
+		if err != nil {
 			return fmt.Errorf("recovery: parity undo of group %d: %w", w.Group, err)
+		}
+		// The report's split is by what the group had lost, not by the rung.
+		switch {
+		case rung == core.RungFigure6, rung == core.RungCommitted && !s.GroupDegraded(w.Group):
+			st.rep.UndoneViaParity++
+		case rung == core.RungCommitted:
+			st.rep.UndoneViaReconstruction++
 		}
 	}
 	if s.Degraded() && s.RDA() {
@@ -55,83 +61,16 @@ func (st *state) launder() error {
 	return nil
 }
 
-// undoRung names the rung of the loser-undo ladder that served.
-type undoRung int
-
-const (
-	undoRestored undoRung = iota // D_old is back on the platter
-	undoLogged                   // the logged before-image is pass 4's
-	undoLost                     // beyond the redundancy: loseGroup ran
-)
-
-// undoSteal is the one ladder every undo of a loser's no-log steal of
-// page p climbs down once the plain Figure 6 identity is out of reach:
-//
-//  1. the committed index `from` still describes the pre-transaction
-//     group, so D_old is whatever it gives p — whatever p's platter holds,
-//     through P or, when P is gone, its Q partner, with every erased
-//     sibling solved alongside (SolvePage counts the erasures) — restored
-//     under a cleared header.  A page that went with its disk needs no
-//     write: the index now defines its value, served by reconstruction and
-//     materialized by the rebuild;
-//  2. else the before-image the eager demotion logged ahead of its first
-//     disk write, whenever the death was observed before the crash, is
-//     pass 4's to write back;
-//  3. else D_old existed only on blocks that are gone: explicit, reported
-//     loss (loseGroup).
-func (st *state) undoSteal(g page.GroupID, p page.PageID, tx page.TxID, from int) (undoRung, error) {
-	s := st.s
-	var err error
-	if !s.PageUnavailable(p) {
-		var dOld page.Buf
-		if dOld, _, err = s.SolvePage(g, p, from); err == nil {
-			err = s.Arr.WriteData(p, dOld, disk.Meta{})
-		}
+// undoLoser runs a loser's steal down the undo ladder (core.Store.UndoSteal)
+// from rung from, answering its "logged" input from the analysis, and keeps
+// what the rungs leave to a restart: a logged image is pass 4's to write,
+// and lost pages go into the report.
+func (st *state) undoLoser(w core.WorkingTwinInfo, from core.Rung) (core.Rung, error) {
+	rung, lost, err := st.s.UndoSteal(w, from, st.a.hasLoggedImage(w.Txn, w.DirtyPage))
+	if rung == core.RungLogged {
+		st.a.mustWrite[w.DirtyPage] = true
 	}
-	switch {
-	case err == nil:
-		return undoRestored, nil
-	case !errors.Is(err, core.ErrUnrecoverableCorruption):
-		return undoLost, fmt.Errorf("recovery: undo page %d from index %d: %w", p, from, err)
-	case st.a.hasLoggedImage(tx, p):
-		// Pass 4 writes the image back through the store, which maintains
-		// redundancy from what the group holds: sound only while p is the
-		// one member the indexes disagree with the platter about.
-		if _, lost := s.LostData(g); !lost {
-			st.a.mustWrite[p] = true
-			return undoLogged, nil
-		}
-	}
-	return undoLost, st.lose(g, p)
-}
-
-// crashUndoWorking unwinds one loser's working twin: the Figure 6 identity
-// when its three inputs answer (core.CrashUndoWorkingTwin), the ladder from
-// the committed index when one does not.  A rung-2 twin stays working: pass
-// 4's write of the logged image re-establishes the group's redundancy and
-// Figure 7 never counts a loser's working header.
-func (st *state) crashUndoWorking(w core.WorkingTwinInfo) error {
-	s := st.s
-	figure6, err := s.CrashUndoWorkingTwin(w)
-	if err != nil {
-		return err
-	}
-	if !figure6 {
-		rung, err := st.undoSteal(w.Group, w.DirtyPage, w.Txn, 1-w.Twin)
-		if err != nil || rung != undoRestored {
-			return err
-		}
-		if err := s.WriteIndexMeta(w.Group, w.Twin, invalid); err != nil {
-			return err
-		}
-	}
-	// The report's split is by what the group had lost, not by the rung.
-	if figure6 || !s.GroupDegraded(w.Group) {
-		st.rep.UndoneViaParity++
-	} else {
-		st.rep.UndoneViaReconstruction++
-	}
-	return nil
+	return rung, st.noteLost(lost, err)
 }
 
 // unresolvedSteal scans group g's readable data pages for the tag of a
@@ -177,8 +116,11 @@ func (st *state) undoDeadTwinLosers(handled map[page.GroupID]bool) error {
 		if handled[gid] {
 			continue
 		}
-		dead := s.DeadTwin(gid, diskarray.P)
-		if dead < 0 || s.TwinReadable(gid, parity(dead)) || s.SlotAlive(gid, qpage(dead)) {
+		dead := 0
+		if s.SlotAlive(gid, parity(0)) {
+			dead = 1
+		}
+		if s.TwinReadable(gid, parity(dead)) || s.SlotAlive(gid, qpage(dead)) {
 			continue
 		}
 		p, tag, found, err := st.unresolvedSteal(gid)
@@ -188,90 +130,28 @@ func (st *state) undoDeadTwinLosers(handled map[page.GroupID]bool) error {
 		if !found {
 			continue
 		}
-		rung, err := st.undoSteal(gid, p, tag.Txn, 1-dead)
+		rung, err := st.undoLoser(core.WorkingTwinInfo{Group: gid, Twin: dead, Meta: disk.Meta{DirtyPage: p, Txn: tag.Txn}}, core.RungCommitted)
 		if err != nil {
 			return fmt.Errorf("recovery: tag undo of page %d: %w", p, err)
 		}
-		if rung == undoRestored {
+		if rung == core.RungCommitted {
 			st.rep.UndoneViaReconstruction++
 		}
 	}
 	return nil
 }
 
-// lose gives group g up (loseGroup) on the slots a restart trusts, zeroing
-// the listed pages first, and reports every page it gave up.
+// lose gives group g up (core.Store.LoseGroup) on the slots a restart
+// trusts, zeroing the listed pages first, and reports every page it gave up.
 func (st *state) lose(g page.GroupID, zero ...page.PageID) error {
-	lost, err := loseGroup(st.s, g, st.s.TwinReadable, zero...)
+	return st.noteLost(st.s.LoseGroup(g, st.s.TwinReadable, zero...))
+}
+
+// noteLost reports pages a restart gave up, passing err on.
+func (st *state) noteLost(lost []page.PageID, err error) error {
 	for _, p := range lost {
 		st.lost[p] = true
 	}
 	st.rep.LostPages = append(st.rep.LostPages, lost...)
 	return err
-}
-
-// loseGroup abandons state the surviving redundancy of group g can no
-// longer determine, for restart and media recovery alike.  The listed
-// readable pages are zeroed (cleared headers); the group's data is then read
-// once, an unreachable member counting as zero and lost with them; and every
-// redundancy slot writable allows is rewritten consistent with what the
-// group holds — Q before P, the first index committed under one fresh
-// timestamp and promoted, the rest obsolete (a Q page mirrors its index's P
-// header).  Restart may write the slots whose bits it trusts
-// (core.Store.TwinReadable); media recovery every slot, its drives already
-// swapped in.  Any Dirty_Set entry of the group is cleaned.  It returns the
-// pages given up, sorted: the explicit data-loss event a DBA answers with an
-// archive restore.
-func loseGroup(s *core.Store, g page.GroupID, writable func(page.GroupID, diskarray.Red) bool, zero ...page.PageID) ([]page.PageID, error) {
-	lost := append([]page.PageID(nil), zero...)
-	for _, p := range zero {
-		if err := s.Arr.WriteData(p, make(page.Buf, s.Arr.PageSize()), disk.Meta{}); err != nil {
-			return nil, fmt.Errorf("recovery: zero lost page %d: %w", p, err)
-		}
-	}
-	// Positional: a lost member contributes zero to its coefficient.
-	vals := make([]page.Buf, s.Arr.GroupWidth())
-	defer func() { s.Pages.Put(vals...) }()
-	for i := range vals {
-		q := s.Arr.GroupPage(g, i)
-		if s.PageUnavailable(q) {
-			lost = append(lost, q)
-			continue
-		}
-		var err error
-		if vals[i], _, err = s.Arr.ReadData(q, s.Pages.Get()); err != nil {
-			return nil, fmt.Errorf("recovery: read lost group %d page %d: %w", g, q, err)
-		}
-	}
-	first := true
-	eqs := s.Arr.Equations()
-	for twin := 0; twin < s.Arr.ParityPages(); twin++ {
-		var may [2]bool
-		for _, eq := range eqs {
-			may[eq] = writable(g, eq.Twin(twin))
-		}
-		if !may[diskarray.P] && !may[diskarray.Q] {
-			continue
-		}
-		meta := disk.Meta{State: disk.StateObsolete}
-		if first {
-			meta = disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-		}
-		for i := len(eqs) - 1; i >= 0; i-- {
-			if r := eqs[i].Twin(twin); may[r.Eq] {
-				if err := s.RewriteSlot(g, r, vals, meta); err != nil {
-					return nil, fmt.Errorf("recovery: reset lost group %d: %w", g, err)
-				}
-			}
-		}
-		if s.Twins != nil && first {
-			s.Twins.Promote(g, twin)
-		}
-		first = false
-	}
-	if s.Dirty != nil {
-		s.Dirty.Clean(g)
-	}
-	slices.Sort(lost)
-	return lost, nil
 }

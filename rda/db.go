@@ -95,6 +95,8 @@ type txState struct {
 	// (group commit); Commit waits for the batched force to cover it
 	// before acknowledging.  0 when the EOT was forced inline.
 	eotLSN wal.LSN
+	// lost lists the pages the transaction's rollback gave up (rollback).
+	lost []page.PageID
 }
 
 // undoEntry is one page's undo in a transaction's table.
@@ -126,7 +128,7 @@ func (st *txState) search(p page.PageID) (int, bool) {
 }
 
 // undoOf returns page p's entry in st's undo table, or nil.  The caller
-// holds st.mu.
+// holds st.mu, or every group latch of the table (commit, abort).
 func (st *txState) undoOf(p page.PageID) *undoEntry {
 	if i, ok := st.search(p); ok {
 		return st.undo[i]
@@ -881,11 +883,10 @@ type RecoveryReport struct {
 	// the restarted online rebuild recomputes the lost member (degraded
 	// restarts only).
 	DeferredParityGroups int
-	// LostPages lists pages whose contents genuinely exceeded the
-	// surviving redundancy — possible only when a disk death coincided
-	// with the crash, so the demotion that would have logged the
-	// before-image never ran.  The pages are zeroed and parity made
-	// consistent: explicit, reported loss, never silent corruption.
+	// LostPages lists pages whose contents exceeded the surviving
+	// redundancy (a disk death at the crash, corrupt blocks beside a
+	// loser's steal): zeroed, parity made consistent — explicit, reported
+	// loss, never silent corruption.
 	LostPages []PageID
 	// Passes lists the restart's passes in the order they ran, each with the
 	// array transfers it made and the time it took; they sum to the
@@ -897,25 +898,18 @@ type RecoveryReport struct {
 // each does).
 type RecoveryPass = recovery.Pass
 
-// Recover restarts a crashed database: log analysis, UNDO of losers
-// (twin-parity scan first, then logged before-images), current-parity
-// bitmap rebuild, and REDO of winners under ¬FORCE.  See
-// internal/recovery for the pass structure.
+// Recover restarts a crashed database: log analysis, UNDO of losers (each
+// no-log steal down the undo ladder a live abort takes, then the logged
+// before-images), current-parity bitmap rebuild, and REDO of winners under
+// ¬FORCE.  See internal/recovery for the pass structure.
 //
-// Recovery runs with up to one member down — crashed while degraded,
-// crashed in the same instant as the disk death, or crashed mid-rebuild.
-// Every pass then works on surviving members only: a loser undo whose
-// group lost its dirty page promotes the committed twin (the parity now
-// defines the before-image, served by reconstruction); one whose group
-// lost its *working* twin is found via the data page's transaction tag
-// and rewound from the surviving committed twin; and when the committed
-// twin needed for D_old = (P ⊕ P′) ⊕ D_new sat on the dead disk, the
-// undo falls back to the logged before-image that the eager demotion's
-// log-first ordering guarantees whenever the death was observed before
-// the crash.  Groups whose parity member is lost are deferred to the
-// restarted online rebuild, which always reconstructs the drive from
-// scratch after a restart.  The database comes back up serving degraded.
-// Only a double member loss refuses recovery, with ErrArrayFailed.
+// Recovery runs with members down — crashed while degraded, in the same
+// instant as a disk death, or mid-rebuild — and every pass then works on
+// the surviving members: the ladder solves around the dead ones, groups
+// whose parity member is lost are deferred to the restarted online rebuild,
+// and what the surviving redundancy cannot determine is reported in
+// LostPages.  The database comes back up serving degraded.  Only a loss
+// beyond the array's redundancy refuses recovery, with ErrArrayFailed.
 func (db *DB) Recover() (*RecoveryReport, error) {
 	db.gate.Lock()
 	defer db.gate.Unlock()

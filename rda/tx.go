@@ -3,9 +3,11 @@ package rda
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/disk"
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/page"
@@ -76,10 +78,11 @@ func (tx *Tx) acquire(res lock.Resource, mode lock.Mode) error {
 	case err == nil:
 		return nil
 	case errors.Is(err, lock.ErrDeadlock):
-		if abortErr := tx.Abort(); abortErr != nil && !errors.Is(abortErr, ErrTxDone) {
+		abortErr := tx.Abort()
+		if !tx.done {
 			return fmt.Errorf("rda: deadlock abort failed: %w", abortErr)
 		}
-		return fmt.Errorf("%w: %v", ErrDeadlock, err)
+		return errors.Join(fmt.Errorf("%w: %v", ErrDeadlock, err), abortErr)
 	case errors.Is(err, lock.ErrClosed):
 		tx.done = true
 		return ErrCrashed
@@ -566,13 +569,19 @@ func (db *DB) clearModifiers(st *txState) {
 
 // Abort rolls the transaction back:
 //
-//   - pages written back without UNDO logging are restored from twin
-//     parity (D_old = (P ⊕ P′) ⊕ D_new) and their working parities
-//     invalidated;
+//   - pages written back without UNDO logging go down the undo ladder a
+//     restart takes (core.Store.UndoSteal): restored from twin parity
+//     (D_old = (P ⊕ P′) ⊕ D_new) or the committed parity, or their group
+//     given up when nothing determines D_old;
 //   - pages written back through the logging path are restored on disk
 //     from the retained before-images (record mode restores only this
 //     transaction's records);
 //   - modified pages never stolen are repaired in the buffer alone.
+//
+// An abort that gave pages up still finishes — locks released, handle
+// done — and returns a *LostPagesError naming them, which wraps
+// ErrUnrecoverableCorruption.  Any other error means the transaction was
+// not rolled back and still holds its locks.
 //
 // The paper's model charges a rollback with reading the log back to the
 // BOT record; the engine charges that scan explicitly.
@@ -594,8 +603,29 @@ func (tx *Tx) Abort() error {
 	}
 	tx.done = true
 	tx.st.locks.ReleaseAll(tx.st.t.ID)
-	return nil
+	if len(tx.st.lost) == 0 {
+		return nil
+	}
+	e := &LostPagesError{Txn: tx.ID()}
+	for _, p := range tx.st.lost {
+		e.Pages = append(e.Pages, PageID(p))
+	}
+	return e
 }
+
+// LostPagesError reports an abort that finished but gave pages up: they
+// read back zeroed, to be restored from an archive.
+type LostPagesError struct {
+	Txn   uint64
+	Pages []PageID
+}
+
+func (e *LostPagesError) Error() string {
+	return fmt.Sprintf("rda: abort txn %d lost pages %v: %v", e.Txn, e.Pages, ErrUnrecoverableCorruption)
+}
+
+// Unwrap makes errors.Is(err, ErrUnrecoverableCorruption) hold.
+func (e *LostPagesError) Unwrap() error { return ErrUnrecoverableCorruption }
 
 // abortAttempt is one pass of rollback under the shared gate, holding
 // the latches of every modified group for the same atomicity reasons as
@@ -633,32 +663,52 @@ func (db *DB) abortAttempt(tx *Tx) error {
 	return nil
 }
 
-// rollback performs the disk- and buffer-level undo for an abort.  The
-// caller holds the latches of every group the transaction modified, so
-// the steal bookkeeping read here is frozen.
+// rollback performs the disk- and buffer-level undo for an abort, adding
+// the pages it gives up to st.lost.  The caller holds the latches of every
+// group the transaction modified, so the steal bookkeeping read here is
+// frozen.
 func (db *DB) rollback(st *txState) error {
 	t := st.t
+	defer func() { db.forgetLost(st.lost) }()
 
-	// 1. Parity undo of groups this transaction dirtied.
+	// 1. The undo ladder for every group this transaction dirtied, told
+	// from the undo table whether the steal's before-image is on the log.
 	if db.store.Dirty != nil {
 		for _, g := range db.store.Dirty.GroupsOf(t.ID) {
-			p, _, err := db.store.UndoGroupViaParity(g)
+			e, _ := db.store.Dirty.Lookup(g)
+			logged := slices.ContainsFunc(st.undoOf(e.Page).images, func(r wal.Record) bool { return r.LSN != 0 })
+			w := core.WorkingTwinInfo{Group: g, Twin: e.WorkingTwin, Meta: disk.Meta{DirtyPage: e.Page, Txn: t.ID}}
+			_, lost, err := db.store.UndoSteal(w, core.RungFigure6, logged)
+			st.lost = append(st.lost, lost...)
 			if err != nil {
 				return err
 			}
 			// Drop any buffered copy; the restored version is on disk.
-			db.pool.Discard(p)
+			db.pool.Discard(e.Page)
 		}
 	}
 
 	// 2. The undo table, in page order, so abort I/O sequences are
 	// deterministic: a page written back through the logging path is
-	// restored on disk, one stolen without logging was restored from twin
-	// parity above, and one never stolen is repaired in the buffer alone.
+	// restored on disk, one stolen without logging was undone above, and
+	// one never stolen is repaired in the buffer alone.
 	for _, e := range st.undo {
 		switch {
 		case e.viaLog:
-			if err := db.restoreLogged(t.ID, e); err != nil {
+			if slices.Contains(st.lost, e.page) && e.images[0].Slot != wal.NoSlot {
+				continue // record images have no base left to patch
+			}
+			err := db.restoreLogged(t.ID, e)
+			if errors.Is(err, ErrUnrecoverableCorruption) && db.store.PageUnavailable(e.page) {
+				// The page lives only in its group's redundancy, which can no
+				// longer take the image: the ladder's last rung, and the
+				// buffered copy goes as a stolen page's does.
+				var lost []page.PageID
+				lost, err = db.store.LoseGroup(db.arr.GroupOf(e.page), db.store.TwinReadable, e.page)
+				st.lost = append(st.lost, lost...)
+				db.pool.Discard(e.page)
+			}
+			if err != nil {
 				return err
 			}
 		case e.stolen == nil:
@@ -675,6 +725,19 @@ func (db *DB) rollback(st *txState) error {
 		}
 	}
 	return nil
+}
+
+// forgetLost drops the pool's images of pages an undo gave up: a clean
+// frame whole, a dirty one's disk version, so that its write-back folds the
+// zeroed page, not the lost image, into the parity.
+func (db *DB) forgetLost(lost []page.PageID) {
+	for _, p := range lost {
+		if !db.pool.DiscardClean(p) {
+			if f := db.pool.Frame(p); f != nil {
+				f.DiskVersion = nil
+			}
+		}
+	}
 }
 
 // restoreLogged writes page e.page's pre-transaction state back to disk
