@@ -246,7 +246,7 @@ type Array struct {
 	// battery-backed controller NVRAM real arrays keep write intent in, so
 	// it SURVIVES crashes (the crash harness resets only volatile state)
 	// and is cleared per disk only when a fresh zeroed drive is swapped in
-	// (RepairDisk, BeginRebuild).  A verified read compares the stored
+	// (BeginRebuild).  A verified read compares the stored
 	// payload against the ledger entry; a mismatch means the drive
 	// acknowledged a write it never applied here — a lost write, or the
 	// stale intended block of a misdirected one — and surfaces
@@ -723,19 +723,6 @@ func (a *Array) FailDisk(d int) error {
 
 // DiskFailed reports whether disk d has failed.
 func (a *Array) DiskFailed(d int) bool { return a.disks[d].Failed() }
-
-// RepairDisk swaps in a fresh zeroed drive for disk d without
-// reconstructing its contents (media recovery does that), then re-derives
-// the array health from the remaining fail-stop flags.
-func (a *Array) RepairDisk(d int) error {
-	if d < 0 || d >= len(a.disks) {
-		return fmt.Errorf("diskarray: no disk %d", d)
-	}
-	a.disks[d].Repair()
-	a.resetLedger(d)
-	a.recomputeHealth()
-	return nil
-}
 
 // Disk exposes the underlying drive (for tests and the layout dumper).
 func (a *Array) Disk(d int) *disk.Disk { return a.disks[d] }

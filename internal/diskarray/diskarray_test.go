@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -237,6 +238,31 @@ func fillRandom(t *testing.T, a *Array, seed int64) map[page.PageID]page.Buf {
 	return contents
 }
 
+// TestRebuildOfSomeDownDrives: swapping one of two dead drives of a P+Q
+// array keeps the other down through the rebuild, and FinishRebuild leaves
+// the array degraded around it.
+func TestRebuildOfSomeDownDrives(t *testing.T) {
+	a, err := New(Config{Kind: RAID5Twin, QParity: true, DataDisks: 3, NumPages: 24, PageSize: page.MinSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []int{0, 1} {
+		if err := a.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.BeginRebuild(0); err != nil {
+		t.Fatal(err)
+	}
+	if h, down := a.Health(), a.DownDisks(); h != Rebuilding || !slices.Equal(down, []int{0, 1}) {
+		t.Fatalf("rebuilding disk 0: health %v, down %v; want rebuilding, [0 1]", h, down)
+	}
+	a.FinishRebuild()
+	if h, down := a.Health(), a.DownDisks(); h != Degraded || !slices.Equal(down, []int{1}) {
+		t.Fatalf("after the rebuild of disk 0: health %v, down %v; want degraded, [1]", h, down)
+	}
+}
+
 // TestFailAndRepairDisk checks the drive swap itself on every kind: a
 // failed drive refuses I/O, and its replacement comes back zeroed with the
 // other drives' pages untouched.  Reconstructing the replacement's
@@ -256,9 +282,10 @@ func TestFailAndRepairDisk(t *testing.T) {
 		if _, _, err := a.ReadData(0, nil); !errors.Is(err, disk.ErrFailed) {
 			t.Fatalf("%v: read from failed disk: err = %v, want ErrFailed", kind, err)
 		}
-		if err := a.RepairDisk(d); err != nil {
+		if err := a.BeginRebuild(d); err != nil {
 			t.Fatal(err)
 		}
+		a.FinishRebuild()
 		for p, want := range contents {
 			got, err := a.PeekData(p)
 			if err != nil {

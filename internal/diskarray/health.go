@@ -3,6 +3,7 @@ package diskarray
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/disk"
 	"repro/internal/workpool"
@@ -224,36 +225,6 @@ func (a *Array) noteFailed(d int, err error) error {
 	return err
 }
 
-// recomputeHealth re-derives the health state from the disks' actual
-// fail-stop flags.  Called after a repair; a Rebuilding state is
-// preserved (its down disks are already replaced, hence not Failed()).
-func (a *Array) recomputeHealth() {
-	a.hmu.Lock()
-	defer a.hmu.Unlock()
-	failed := make([]int, 0, len(a.disks))
-	for i, dd := range a.disks {
-		if dd.Failed() {
-			failed = append(failed, i)
-		}
-	}
-	for i := range a.consec {
-		a.consec[i].Store(0)
-	}
-	switch {
-	case len(failed) == 0:
-		if a.health != Rebuilding {
-			a.health = Healthy
-			a.downd = nil
-		}
-	case len(failed) <= a.lossBudget():
-		a.health = healthFor(len(failed))
-		a.downd = failed
-	default:
-		a.health = Failed
-		a.downd = failed
-	}
-}
-
 // ProbeDisks touches every drive once — one charged header read of block
 // 0 each, the restart-time spin-up check, `workers` drives at a time — so
 // that any disk that died at (or since) the crash is discovered by the
@@ -272,11 +243,12 @@ func (a *Array) ProbeDisks(workers int) {
 }
 
 // BeginRebuild swaps fresh zeroed drives in for the given down disks and
-// marks the array Rebuilding.  The caller owns reconstructing the drives'
-// blocks (stripe by stripe, online) and must call FinishRebuild when
-// done; until then reads of unrestored blocks return zeroes and must be
-// served degraded by the layers above.  A QParity array rebuilds up to
-// two drives in one pass — the two-drive rebuild.
+// marks the array Rebuilding: the one drive swap, of the online rebuild and
+// of media recovery alike.  The caller owns reconstructing the drives'
+// blocks and must call FinishRebuild when done; until then reads of
+// unrestored blocks return zeroes and must be served degraded by the
+// layers above.  A QParity array rebuilds up to two drives in one pass —
+// the two-drive rebuild.
 func (a *Array) BeginRebuild(ds ...int) error {
 	for _, d := range ds {
 		if d < 0 || d >= len(a.disks) {
@@ -291,19 +263,31 @@ func (a *Array) BeginRebuild(ds ...int) error {
 	defer a.hmu.Unlock()
 	a.health = Rebuilding
 	a.downd = append([]int(nil), ds...)
+	for i, d := range a.disks {
+		if d.Failed() && !slices.Contains(ds, i) {
+			a.downd = append(a.downd, i) // left down beside the replacements
+		}
+	}
 	for i := range a.consec {
 		a.consec[i].Store(0)
 	}
 	return nil
 }
 
-// FinishRebuild marks an online rebuild complete, returning the array to
-// Healthy.
+// FinishRebuild closes a rebuild or a media repair: the array re-derives
+// its health from the drives' fail-stop flags — Healthy when every drive
+// serves, degraded around the ones still down, Failed beyond the budget.
 func (a *Array) FinishRebuild() {
 	a.hmu.Lock()
 	defer a.hmu.Unlock()
-	if a.health == Rebuilding {
-		a.health = Healthy
-		a.downd = nil
+	a.downd = nil
+	for i, d := range a.disks {
+		if d.Failed() {
+			a.downd = append(a.downd, i)
+		}
+	}
+	a.health = healthFor(len(a.downd))
+	if len(a.downd) > a.lossBudget() {
+		a.health = Failed
 	}
 }

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dirtyset"
 	"repro/internal/disk"
 	"repro/internal/diskarray"
 	"repro/internal/page"
-	"repro/internal/workpool"
 )
 
 // BeforeImageFunc supplies the in-memory before-image of the page that
@@ -20,12 +18,12 @@ import (
 // active.  Returning nil means the image is unavailable.
 type BeforeImageFunc func(g page.GroupID, e dirtyset.Entry) page.Buf
 
-// RecoverMedia replaces the failed disks ds and reconstructs every lost
-// block, exploiting the extra redundancy of twin parity where it helps.
-// The store's volatile state (Dirty_Set, bitmap) must be intact — media
-// recovery is an online operation, unlike crash recovery.  A group that
-// lost one block recovers as usual.  A group that lost two blocks recovers
-// when the survivors determine its state:
+// RebuildGroup reconstructs the blocks of group g that lived on the given
+// drives, already replaced by fresh ones — the unit of work of media
+// recovery and of the online rebuild alike.  The store's volatile state
+// (Dirty_Set, bitmap) must be intact, unlike in crash recovery.  A group
+// that lost one block recovers as usual.  A group that lost two blocks
+// recovers when the survivors determine its state:
 //
 //   - both parity twins lost — recomputed from the data pages (the
 //     committed twin of a dirty group additionally needs the dirty
@@ -35,45 +33,9 @@ type BeforeImageFunc func(g page.GroupID, e dirtyset.Entry) page.Buf
 //     group, via the before-image) — the data page rebuilds from the
 //     surviving twin, then the lost twin is recomputed.
 //
-// Combinations that genuinely exceed the redundancy (two data pages; a
-// data page plus the only twin describing the on-disk state) cannot be
-// rebuilt: those groups are given up (core.Store.LoseGroup) — their lost
-// data pages stay zeroed and their parity is recomputed on every slot, so
-// the array is internally consistent again — and reported in the returned
-// slice, in group order: the data-loss event a DBA would answer with an
-// archive restore.  With a single failed disk the slice is always empty.
-func RecoverMedia(s *core.Store, ds []int, before BeforeImageFunc) ([]page.GroupID, error) {
-	for _, d := range ds {
-		if err := s.Arr.RepairDisk(d); err != nil {
-			return nil, err
-		}
-	}
-	everySlot := func(page.GroupID, diskarray.Red) bool { return true }
-	// Groups rebuild independently of one another, so they go Lanes() at a
-	// time: every drive busy when the drives queue, the plain loop in group
-	// order on a synchronous store with one worker.
-	var mu sync.Mutex
-	var lost []page.GroupID
-	err := workpool.Run(s.Lanes(), s.Arr.NumGroups(), func(g int) error {
-		gid := page.GroupID(g)
-		ok, err := RebuildGroup(s, gid, ds, before)
-		if err != nil || ok {
-			return err
-		}
-		mu.Lock()
-		lost = append(lost, gid)
-		mu.Unlock()
-		_, err = s.LoseGroup(gid, everySlot)
-		return err
-	})
-	slices.Sort(lost)
-	return lost, err
-}
-
-// RebuildGroup reconstructs the blocks of group g that lived on the given
-// drives, already replaced by fresh ones — the unit of work of media
-// recovery and of the online rebuild alike.  It returns false when the
-// loss exceeds the group's redundancy.
+// It returns false when the loss exceeds the group's redundancy (two data
+// pages; a data page plus the only twin describing the on-disk state):
+// the caller gives the group up (core.Store.LoseGroup) or reports it.
 //
 // Lost data pages come first, solved through the index that tracks the
 // on-disk data (core.SolveGroup: one page from P or, when P is lost too,

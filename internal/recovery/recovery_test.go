@@ -137,6 +137,32 @@ func TestCrashRecoverLaundersWinnerTwins(t *testing.T) {
 	}
 }
 
+// recoverMedia is media recovery over a bare store: the failed drives ds
+// are swapped for fresh ones and every group is rebuilt in order, a group
+// beyond the redundancy given up, as the engine's repair loop does it.  It
+// returns the given-up groups.
+func recoverMedia(s *core.Store, ds []int, before BeforeImageFunc) ([]page.GroupID, error) {
+	if err := s.Arr.BeginRebuild(ds...); err != nil {
+		return nil, err
+	}
+	var lost []page.GroupID
+	for g := range s.Arr.NumGroups() {
+		gid := page.GroupID(g)
+		ok, err := RebuildGroup(s, gid, ds, before)
+		if err != nil {
+			return lost, err
+		}
+		if !ok {
+			lost = append(lost, gid)
+			if _, err := s.LoseGroup(gid, func(page.GroupID, diskarray.Red) bool { return true }); err != nil {
+				return lost, err
+			}
+		}
+	}
+	s.Arr.FinishRebuild()
+	return lost, nil
+}
+
 func TestRecoverMediaRejectsMissingBeforeImage(t *testing.T) {
 	s := newStore(t, diskarray.RAID5Twin)
 	tx := s.TM.Begin()
@@ -154,7 +180,7 @@ func TestRecoverMediaRejectsMissingBeforeImage(t *testing.T) {
 	if err := s.Arr.FailDisk(d); err != nil {
 		t.Fatal(err)
 	}
-	_, err := RecoverMedia(s, []int{d}, func(page.GroupID, dirtyset.Entry) page.Buf { return nil })
+	_, err := recoverMedia(s, []int{d}, func(page.GroupID, dirtyset.Entry) page.Buf { return nil })
 	if err == nil || !strings.Contains(err.Error(), "before-image") {
 		t.Fatalf("err = %v, want missing before-image error", err)
 	}
@@ -181,7 +207,7 @@ func TestRecoverMediaWithBeforeImage(t *testing.T) {
 	if err := s.Arr.FailDisk(d); err != nil {
 		t.Fatal(err)
 	}
-	lost, err := RecoverMedia(s, []int{d}, func(gg page.GroupID, ee dirtyset.Entry) page.Buf {
+	lost, err := recoverMedia(s, []int{d}, func(gg page.GroupID, ee dirtyset.Entry) page.Buf {
 		if gg == g && ee.Page == 0 {
 			return base
 		}
@@ -229,7 +255,7 @@ func TestRecoverMediaEveryKindEveryDisk(t *testing.T) {
 				if err := arr.FailDisk(d); err != nil {
 					t.Fatal(err)
 				}
-				if lost, err := RecoverMedia(s, []int{d}, nil); err != nil || len(lost) > 0 {
+				if lost, err := recoverMedia(s, []int{d}, nil); err != nil || len(lost) > 0 {
 					t.Fatalf("%v q=%v: disk %d: lost %v, err %v", kind, q, d, lost, err)
 				}
 				for p := range want {
@@ -261,7 +287,7 @@ func TestRecoverMediaMultiBothTwins(t *testing.T) {
 	if err := s.Arr.FailDisk(d1); err != nil {
 		t.Fatal(err)
 	}
-	lost, err := RecoverMedia(s, []int{d0, d1}, nil)
+	lost, err := recoverMedia(s, []int{d0, d1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +345,7 @@ func TestRecoverMediaMultiDirtyCommittedPlusData(t *testing.T) {
 		}
 		return nil
 	}
-	lost, err := RecoverMedia(s, []int{dA, dB}, before)
+	lost, err := recoverMedia(s, []int{dA, dB}, before)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +416,7 @@ func TestRecoverMediaMultiDirtyWorkingPlusData(t *testing.T) {
 		if ok, err := RebuildGroup(s, g, drives, nil); err != nil || ok {
 			t.Fatalf("pq=%v: rebuild without the before-image: ok=%v err=%v, want reported loss", pq, ok, err)
 		}
-		lost, err := RecoverMedia(s, drives, before)
+		lost, err := recoverMedia(s, drives, before)
 		if err != nil {
 			t.Fatalf("pq=%v: %v", pq, err)
 		}
@@ -426,7 +452,7 @@ func TestRecoverMediaMultiReportsLoss(t *testing.T) {
 	if err := s.Arr.FailDisk(1); err != nil {
 		t.Fatal(err)
 	}
-	lost, err := RecoverMedia(s, []int{0, 1}, nil)
+	lost, err := recoverMedia(s, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

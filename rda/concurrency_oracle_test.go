@@ -497,8 +497,8 @@ func TestCrashDuringConcurrentTransactions(t *testing.T) {
 // TestRebuildRacesLiveTransactions fails a disk under a live concurrent
 // workload, runs the online rebuild worker while the workload keeps
 // going, and checks the restored array against the committed history —
-// the rebuild's exclusive gate batches must interleave with live
-// transactions without corrupting either side.
+// the rebuild's latched batches, under the shared gate, must run beside
+// live transactions without corrupting either side.
 func TestRebuildRacesLiveTransactions(t *testing.T) {
 	cfg := oracleConfig()
 	cfg.Workers = 4 // parallel batch reconstruction under live load

@@ -169,8 +169,9 @@ func (st *txState) addUndo(r wal.Record) *undoEntry {
 //
 //   - gate, a stop-the-world RWMutex: every transactional operation holds
 //     it shared, while whole-engine transitions — Crash, Recover,
-//     checkpoints, rebuild batches, disk repair, maintenance — hold it
-//     exclusively.
+//     checkpoints, health transitions, disk repair, maintenance — hold it
+//     exclusively.  The online rebuild's and scrub's batches run on the
+//     shared side under group latches.
 //   - latches, one per parity group: the short-term physical locks that
 //     serialize one protocol step on a group (read, small write, steal,
 //     demotion, twin flip).  Blocking acquisition is group-ascending;
@@ -186,6 +187,9 @@ type DB struct {
 
 	// gate is the recovery gate (see the type comment).
 	gate sync.RWMutex
+	// rebuildMu lets one RebuildStep run at a time: a step picks its batch
+	// from the restored-group flags its own lanes write.
+	rebuildMu sync.Mutex
 	// latches is the per-parity-group latch table.
 	latches *latch.Table
 
@@ -1015,87 +1019,67 @@ func (db *DB) FailDisk(d int) error {
 	return nil
 }
 
-// stolenBeforeFunc returns the media-recovery before-image closure:
+// stolenBefore is media recovery's before-image (recovery.BeforeImageFunc):
 // the on-disk contents a dirty group's page had before its no-log steal,
 // retained by the owning transaction while it is active.
-func (db *DB) stolenBeforeFunc() recovery.BeforeImageFunc {
-	return func(g page.GroupID, e dirtyset.Entry) page.Buf {
-		st := db.getState(e.Txn)
-		if st == nil {
-			return nil
-		}
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if u := st.undoOf(e.Page); u != nil {
-			return u.stolen
-		}
+func (db *DB) stolenBefore(g page.GroupID, e dirtyset.Entry) page.Buf {
+	st := db.getState(e.Txn)
+	if st == nil {
 		return nil
 	}
-}
-
-// RepairDisk replaces the failed disk with a fresh one and reconstructs
-// its contents online from the surviving members of each parity group —
-// the media recovery the array's redundancy exists for.  Dirty groups
-// (pages of still-active transactions written without UNDO logging) are
-// handled per DESIGN.md: the working twin and the data page rebuild each
-// other, and a lost committed twin is recomputed with the before-image
-// the engine retains while the owning transaction is active.
-func (db *DB) RepairDisk(d int) error {
-	db.gate.Lock()
-	defer db.gate.Unlock()
-	if db.crashed {
-		return ErrCrashed
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if u := st.undoOf(e.Page); u != nil {
+		return u.stolen
 	}
-	lost, err := recovery.RecoverMedia(db.store, []int{d}, db.stolenBeforeFunc())
-	if err == nil && len(lost) > 0 {
-		// A single-disk failure never exceeds single-failure redundancy.
-		err = fmt.Errorf("recovery: single-disk rebuild reported lost groups %v", lost)
-	}
-	if err != nil {
-		return fmt.Errorf("rda: media recovery: %w", err)
-	}
-	db.leaveDegradedLocked()
 	return nil
 }
 
-// leaveDegradedLocked returns the engine to normal serving after media
-// recovery restored full redundancy.  Called with the exclusive gate
-// held.
-func (db *DB) leaveDegradedLocked() {
-	db.arr.FinishRebuild() // no-op unless a rebuild was in flight
-	if db.arr.Health() == diskarray.Healthy {
-		db.store.LeaveDegraded()
+// RepairDisk replaces the failed disk with a fresh one and reconstructs
+// its contents from the surviving members of each parity group:
+// RepairDisks of one drive, which never loses a group.
+func (db *DB) RepairDisk(d int) error {
+	lost, err := db.RepairDisks(d)
+	if err == nil && len(lost) > 0 {
+		err = fmt.Errorf("rda: media recovery: single-disk rebuild reported lost groups %v", lost)
 	}
+	return err
 }
 
-// RepairDisks replaces several simultaneously failed disks and
-// reconstructs their contents together.  Twin parity lets some
-// two-disk-failure patterns recover that single parity cannot: a group
-// that lost both its parity twins, or a data page together with a twin
-// that does not describe the on-disk state, rebuilds from the survivors.
-// Groups whose loss genuinely exceeds the redundancy (two data pages; a
-// data page plus its covering parity) suffer data loss: their lost pages
-// come back zeroed, their parity is made consistent, and their group
-// numbers are returned so the caller can restore them from an archive.
-// A single-disk repair never loses data.
+// RepairDisks replaces the given failed disks and reconstructs their
+// contents, holding the engine throughout: every group is restored in one
+// batch of the online rebuild's loop (restoreGroups), a dirty group's lost
+// committed twin from the before-image the engine retains.  Groups beyond
+// the redundancy (two data pages; a data page and its covering parity)
+// come back with their lost pages zeroed and their parity consistent, and
+// their numbers are returned in order for an archive restore.  A
+// replacement an online rebuild left unfinished is rebuilt too; failed
+// drives left out of ds are served around afterwards.
 func (db *DB) RepairDisks(ds ...int) ([]uint32, error) {
 	db.gate.Lock()
 	defer db.gate.Unlock()
 	if db.crashed {
 		return nil, ErrCrashed
 	}
-	lost, err := recovery.RecoverMedia(db.store, ds, db.stolenBeforeFunc())
-	if err != nil {
-		return nil, fmt.Errorf("rda: media recovery: %w", err)
-	}
-	db.leaveDegradedLocked()
-	out := make([]uint32, len(lost))
-	for i, g := range lost {
-		out[i] = uint32(g)
-		// Any buffered copies of a lost group's pages are stale.
-		for _, p := range db.arr.GroupPages(g) {
-			db.pool.Discard(p)
+	for _, d := range db.arr.DownDisks() {
+		if !db.arr.DiskFailed(d) && !slices.Contains(ds, d) {
+			ds = append(slices.Clip(ds), d) // a replacement an online rebuild left unfinished
 		}
 	}
-	return out, nil
+	if err := db.arr.BeginRebuild(ds...); err != nil {
+		return nil, fmt.Errorf("rda: media recovery: %w", err)
+	}
+	all := make([]page.GroupID, db.arr.NumGroups())
+	for g := range all {
+		all[g] = page.GroupID(g)
+	}
+	lost, err := db.restoreGroups(all, ds, true)
+	if err != nil {
+		// A group restored onto ds may still miss its block on a drive ds
+		// left down: the next rebuild starts over on every group.
+		db.store.EnterDegraded(db.store.DownDisks()...)
+		return nil, fmt.Errorf("rda: media recovery: %w", err)
+	}
+	db.endRebuild()
+	return lost, nil
 }

@@ -3,6 +3,8 @@ package rda
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 
 	"repro/internal/diskarray"
 	"repro/internal/page"
@@ -50,131 +52,144 @@ func (db *DB) RebuildProgress() RebuildProgress {
 }
 
 // rebuildBatchGroups is the online rebuild worker's batch: each step of
-// StartRebuild restores at most this many parity groups before releasing
-// the engine to live transactions.  Smaller batches favour transaction
-// latency, larger ones rebuild speed — the classic rebuild-rate trade-off —
-// and since a step's groups are restored side by side the batch also caps
-// the online rebuild's width (eight of, say, twelve lanes on queued
-// drives).  A caller wanting another pace drives RebuildStep; media
-// recovery (RepairDisk, RepairDisks) holds the engine throughout and is not
-// throttled.
+// StartRebuild restores at most this many parity groups, side by side, so
+// it also caps the online rebuild's width (eight of, say, twelve lanes on
+// queued drives).  A caller wanting another pace drives RebuildStep.
 const rebuildBatchGroups = 8
 
 // RebuildStep reconstructs up to maxGroups parity groups of the down
-// disk onto its replacement drive (maxGroups ≤ 0 uses StartRebuild's
-// batch of 8).  The first step swaps the fresh drive in;
-// each step runs atomically under the exclusive recovery gate, so live
-// transactions interleave between batches — the throttling knob trades
-// transaction latency against rebuild time.  Within a batch the group
-// reconstructions run side by side (they touch disjoint groups, so they
-// are independent): Config.Workers at a time on synchronous drives — one,
-// the default, in group order — and one per drive on queued ones, each
-// issuing its member reads together, so the batch size is also the widest
-// a step gets.  Restored groups leave degraded
-// serving immediately; when the last one is restored the array returns
-// to Healthy and (true, nil) is reported.  Resumable: steps may be
-// interleaved with any transaction work and repeat after errors.
+// disks onto their replacement drives (maxGroups ≤ 0: StartRebuild's 8).
+// Only the health transitions — the drive swap at the first step, the
+// return to Healthy after the last, reported as (true, nil) — hold the
+// exclusive gate.  The batch runs under the shared gate, as ScrubStep
+// does, each group rebuilt under its latch, so transactions on other
+// groups run beside it.  A Failed array reports ErrArrayFailed.  Steps
+// are resumable, may repeat after errors, and concurrent callers take
+// turns.
 func (db *DB) RebuildStep(maxGroups int) (bool, error) {
+	db.rebuildMu.Lock()
+	defer db.rebuildMu.Unlock()
+	db.gate.RLock()
+	inFlight := db.arr.Health() == diskarray.Rebuilding && db.store.Degraded()
+	db.gate.RUnlock()
+	if !inFlight {
+		if done, err := db.rebuildTransition(); done || err != nil {
+			return done, err
+		}
+	}
+	if maxGroups <= 0 {
+		maxGroups = rebuildBatchGroups
+	}
+	if last, err := db.rebuildBatch(maxGroups); !last || err != nil {
+		return false, err
+	}
+	return db.rebuildTransition()
+}
+
+// rebuildTransition moves the array's health under the exclusive gate:
+// into a rebuild while drives are down, out of it once every group is
+// restored.  It reports true when the array is Healthy.
+func (db *DB) rebuildTransition() (bool, error) {
 	db.gate.Lock()
 	defer db.gate.Unlock()
 	if db.crashed {
 		return false, ErrCrashed
 	}
-	return db.rebuildStepLocked(maxGroups)
-}
-
-func (db *DB) rebuildStepLocked(maxGroups int) (bool, error) {
-	// Unconditional: besides entering degraded serving after a fresh
-	// loss, syncHealth also resets stale restored-group state when a
-	// rebuild's replacement drive died (Rebuilding fell back to
-	// Degraded), so the BeginRebuild below starts over from scratch
-	// instead of skipping groups whose blocks died with the replacement.
-	//
-	// The same from-scratch rule is the deferred-parity interlock after a
-	// degraded restart: Recover re-enters degraded serving with ALL
-	// restored-group flags wiped (rda/db.go), so a rebuild resumed after
-	// a crash walks every group on the down disk again — it cannot
-	// certify a group whose parity member recovery deferred without
-	// recomputing that member here (recovery.RebuildGroup), whatever the
-	// pre-crash rebuild had already marked restored.
-	db.syncHealth()
-	if !db.store.Degraded() {
-		return true, nil
+	if db.arr.Health() == diskarray.Rebuilding && db.store.Degraded() && db.store.DegradedCounters().RebuiltGroups == uint64(db.arr.NumGroups()) {
+		db.endRebuild()
 	}
-	downs := db.store.DownDisks()
+	// syncHealth also wipes the restored-group flags when a replacement
+	// drive died (Rebuilding fell back to Degraded), as Recover does after
+	// a crash, so the rebuild starts over on every group: it cannot skip a
+	// group whose blocks died with the replacement, nor certify one whose
+	// parity a degraded restart deferred without recomputing it.
+	db.syncHealth()
 	switch db.arr.Health() {
 	case diskarray.Failed:
 		return false, fmt.Errorf("%w: online rebuild impossible, run RepairDisks", ErrArrayFailed)
-	case diskarray.Degraded, diskarray.DoubleDegraded:
-		if err := db.arr.BeginRebuild(downs...); err != nil {
-			return false, err
-		}
-	case diskarray.Rebuilding:
-		// Resuming a rebuild already in flight.
 	case diskarray.Healthy:
-		// Media recovery got there first.
 		db.store.LeaveDegraded()
 		return true, nil
+	case diskarray.Degraded, diskarray.DoubleDegraded:
+		return false, db.arr.BeginRebuild(db.store.DownDisks()...)
 	}
-	if maxGroups <= 0 {
-		maxGroups = rebuildBatchGroups
+	return false, nil
+}
+
+// rebuildBatch restores the next maxGroups unrestored groups under the
+// shared gate and reports whether none is left after them.  An array that
+// left Rebuilding while the gate was free gets no batch: the next step
+// aligns with it.
+func (db *DB) rebuildBatch(maxGroups int) (bool, error) {
+	db.gate.RLock()
+	defer db.gate.RUnlock()
+	if db.crashed {
+		return false, ErrCrashed
 	}
-	batch := make([]page.GroupID, 0, maxGroups)
-	remaining := false
-	for g := 0; g < db.arr.NumGroups(); g++ {
-		gid := page.GroupID(g)
-		if !db.store.GroupDegraded(gid) {
-			continue
-		}
-		if len(batch) >= maxGroups {
-			remaining = true
-			break
-		}
-		batch = append(batch, gid)
-	}
-	// Groups are independent — each reconstruction reads its own members
-	// and writes its own block on the replacement drive — so the batch
-	// fans out at the store's width: on synchronous drives with one worker
-	// the exact sequential I/O order the crash-point schedules replay.
-	if err := workpool.Run(db.store.Lanes(), len(batch), func(i int) error {
-		// Degraded groups are always clean (their steals were demoted when
-		// the disk went down), so no before-image is ever needed.
-		gid := batch[i]
-		ok, err := recovery.RebuildGroup(db.store, gid, downs, nil)
-		if err != nil {
-			return fmt.Errorf("rda: rebuild group %d: %w", gid, err)
-		}
-		if !ok {
-			return fmt.Errorf("rda: rebuild group %d: %w", gid, ErrUnrecoverableCorruption)
-		}
-		db.store.MarkRestored(gid)
-		return nil
-	}); err != nil {
-		return false, err
-	}
-	if remaining {
+	if db.arr.Health() != diskarray.Rebuilding || !db.store.Degraded() {
 		return false, nil
 	}
+	var batch []page.GroupID // one group past the batch tells it is not the last
+	for g := 0; g < db.arr.NumGroups() && len(batch) <= maxGroups; g++ {
+		if db.store.GroupDegraded(page.GroupID(g)) {
+			batch = append(batch, page.GroupID(g))
+		}
+	}
+	_, err := db.restoreGroups(batch[:min(len(batch), maxGroups)], db.store.DownDisks(), false)
+	return len(batch) <= maxGroups, err
+}
+
+// endRebuild closes a rebuild or a repair under the exclusive gate: the
+// array re-derives its health from the drives, and the store serves around
+// exactly the drives still down.
+func (db *DB) endRebuild() {
 	db.arr.FinishRebuild()
 	db.store.LeaveDegraded()
-	return true, nil
+	db.syncHealth()
+}
+
+// restoreGroups rebuilds the blocks the groups keep on drives ds, already
+// replaced, Store.Lanes() groups at a time (one worker on synchronous
+// drives: group order, the I/O order crash schedules replay), each under
+// its latch, after which it leaves degraded serving.  A group beyond its
+// redundancy is an error, or, with giveUp, given up (LoseGroup) and its
+// buffered pages discarded; the given-up groups are returned in order.
+func (db *DB) restoreGroups(groups []page.GroupID, ds []int, giveUp bool) ([]uint32, error) {
+	var mu sync.Mutex
+	var lost []uint32
+	err := workpool.Run(db.store.Lanes(), len(groups), func(i int) error {
+		g := groups[i]
+		h := db.latches.NewHeld()
+		defer h.ReleaseAll()
+		h.Acquire(g)
+		ok, err := recovery.RebuildGroup(db.store, g, ds, db.stolenBefore)
+		switch {
+		case err != nil:
+			return fmt.Errorf("rda: rebuild group %d: %w", g, err)
+		case !ok && !giveUp:
+			return fmt.Errorf("rda: rebuild group %d: %w", g, ErrUnrecoverableCorruption)
+		case !ok:
+			if _, err := db.store.LoseGroup(g, func(page.GroupID, diskarray.Red) bool { return true }); err != nil {
+				return err
+			}
+			for _, p := range db.arr.GroupPages(g) {
+				db.pool.Discard(p)
+			}
+			mu.Lock()
+			lost = append(lost, uint32(g))
+			mu.Unlock()
+		}
+		db.store.MarkRestored(g)
+		return nil
+	})
+	slices.Sort(lost)
+	return lost, err
 }
 
 // StartRebuild launches the online rebuild worker in a goroutine.  It
-// loops RebuildStep with its default batch, yielding between
-// batches so live transactions interleave, and delivers the final result
-// (nil on a completed rebuild) on the returned channel.
-//
-// Throttling: the batch of 8 groups a step is the only throttle.  The
-// Gosched between batches lets other runnable goroutines in, but offers
-// no fairness guarantee of its own — what keeps the worker from
-// monopolizing the engine is that each batch re-acquires the exclusive
-// recovery gate, and Go's RWMutex blocks new readers behind a waiting
-// writer (and vice versa: a batch queued behind active readers lets them
-// drain first), so transactions and rebuild batches alternate rather
-// than starve each other.  Callers needing a stronger pacing policy
-// (sleep between batches, external rate limit) should drive RebuildStep
-// themselves.
+// loops RebuildStep with its default batch, yielding between batches, and
+// delivers the final result (nil on a completed rebuild) on the returned
+// channel.
 func (db *DB) StartRebuild() <-chan error {
 	ch := make(chan error, 1)
 	go func() {
