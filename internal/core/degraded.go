@@ -368,12 +368,17 @@ func (sol *solved) hdr() disk.Meta {
 // members in group order, then P, then Q.  Erasures beyond
 // what the reachable equations can solve surface as
 // ErrUnrecoverableCorruption.  The second result is the header of the
-// redundancy page the solve read (zero when it read none).  The returned
-// pages are the caller's; the ones read come from s.Pages, so a caller
-// that is done with them may put them back.
+// redundancy page the solve read (zero when it read none).  The caller
+// owns vals, pages drawn from s.Pages, and returns them there once it is
+// done with them — written, folded or discarded.  A solve that fails
+// returns no pages: the ones it read are back on s.Pages already.
 func (s *Store) SolveGroup(g page.GroupID, twin int, erased ...int) ([]page.Buf, disk.Meta, error) {
 	sol, err := s.solve(g, twin, erased)
-	return sol.vals, sol.hdr(), err
+	if err != nil {
+		s.Pages.Put(sol.vals...)
+		return nil, sol.hdr(), err
+	}
+	return sol.vals, sol.hdr(), nil
 }
 
 // solvePage is SolveGroup for one member: the value redundancy index

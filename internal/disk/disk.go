@@ -197,10 +197,9 @@ func New(id, numBlocks, blockSize int) *Disk {
 		panic("disk: non-positive geometry")
 	}
 	d := &Disk{id: id, blockSize: blockSize, blocks: make([]block, numBlocks)}
+	zeroSum := page.NewBuf(blockSize).Checksum()
 	for i := range d.blocks {
-		d.blocks[i].data = make([]byte, blockSize)
-		d.blocks[i].sum = page.Buf(d.blocks[i].data).Checksum()
-		d.blocks[i].stamp = page.MakeStamp(id, i)
+		d.blocks[i] = block{data: make([]byte, blockSize), sum: zeroSum, stamp: page.MakeStamp(id, i)}
 	}
 	return d
 }
@@ -240,12 +239,15 @@ type Request struct {
 }
 
 // Do executes a request and returns its results: the payload and header
-// of a read, the header of a header read.  It runs on the caller's
-// goroutine either way; on a queued drive (StartQueue) it first waits for
-// the picker to hand the caller the drive.  A crash point's panic
-// propagates to the caller — and, on a queued drive, to every caller
-// waiting behind it.
-func (d *Disk) Do(r Request) (page.Buf, Meta, error) {
+// of a read, the header of a header read, and the CRC-32C of the payload
+// transferred — for a read the stored sum the payload was just verified
+// against, for an acknowledged write the sum of the payload the caller
+// handed over, whatever the platter made of it (zero for header-only
+// I/O).  It runs on the caller's goroutine either way; on a queued drive
+// (StartQueue) it first waits for the picker to hand the caller the
+// drive.  A crash point's panic propagates to the caller — and, on a
+// queued drive, to every caller waiting behind it.
+func (d *Disk) Do(r Request) (page.Buf, Meta, uint32, error) {
 	if d.q.on.Load() {
 		d.q.enter(r.Block)
 		defer d.q.leave()
@@ -254,38 +256,40 @@ func (d *Disk) Do(r Request) (page.Buf, Meta, error) {
 	case OpRead:
 		return d.execRead(r.Block, r.Data)
 	case OpWrite:
-		return nil, Meta{}, d.execWrite(r.Block, r.Data, r.Meta)
+		sum, err := d.execWrite(r.Block, r.Data, r.Meta)
+		return nil, Meta{}, sum, err
 	case OpReadMeta:
 		meta, err := d.execReadMeta(r.Block)
-		return nil, meta, err
+		return nil, meta, 0, err
 	case OpWriteMeta:
-		return nil, Meta{}, d.execWriteMeta(r.Block, r.Meta)
+		return nil, Meta{}, 0, d.execWriteMeta(r.Block, r.Meta)
 	}
-	return nil, Meta{}, fmt.Errorf("disk %d: unknown op %v", d.id, r.Op)
+	return nil, Meta{}, 0, fmt.Errorf("disk %d: unknown op %v", d.id, r.Op)
 }
 
 // Read returns a copy of the block's data and its metadata, charging one
 // page transfer.  A caller that owns a page buffer reads into it by
 // issuing the request itself (Do, Request.Data).
 func (d *Disk) Read(blockNum int) (page.Buf, Meta, error) {
-	return d.Do(Request{Op: OpRead, Block: blockNum})
+	b, meta, _, err := d.Do(Request{Op: OpRead, Block: blockNum})
+	return b, meta, err
 }
 
 // execRead copies the block into dst when dst has the block's size, and
 // into a fresh buffer otherwise.
-func (d *Disk) execRead(blockNum int, dst page.Buf) (page.Buf, Meta, error) {
+func (d *Disk) execRead(blockNum int, dst page.Buf) (page.Buf, Meta, uint32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.serviceTime()
 	dec := d.observe(blockNum, OpRead, nil, nil)
 	if d.failed {
-		return nil, Meta{}, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
+		return nil, Meta{}, 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
 	}
 	if blockNum < 0 || blockNum >= len(d.blocks) {
-		return nil, Meta{}, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrOutOfRange)
+		return nil, Meta{}, 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrOutOfRange)
 	}
 	if dec.Err != nil {
-		return nil, Meta{}, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
+		return nil, Meta{}, 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
 	}
 	if dec.Panic != nil {
 		panic(dec.Panic)
@@ -293,41 +297,42 @@ func (d *Disk) execRead(blockNum int, dst page.Buf) (page.Buf, Meta, error) {
 	d.stats.Reads++
 	b := &d.blocks[blockNum]
 	if b.bad || page.Buf(b.data).Checksum() != b.sum {
-		return nil, Meta{}, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrChecksum)
+		return nil, Meta{}, 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrChecksum)
 	}
 	if !b.stamp.Matches(d.id, blockNum) {
-		return nil, Meta{}, fmt.Errorf("disk %d block %d: carries %v: %w", d.id, blockNum, b.stamp, ErrStamp)
+		return nil, Meta{}, 0, fmt.Errorf("disk %d block %d: carries %v: %w", d.id, blockNum, b.stamp, ErrStamp)
 	}
 	if len(dst) != d.blockSize {
 		dst = make(page.Buf, d.blockSize)
 	}
 	copy(dst, b.data)
-	return dst, b.meta, nil
+	return dst, b.meta, b.sum, nil
 }
 
 // Write atomically replaces the block's data and metadata, charging one
 // page transfer.
 func (d *Disk) Write(blockNum int, data page.Buf, meta Meta) error {
-	_, _, err := d.Do(Request{Op: OpWrite, Block: blockNum, Data: data, Meta: meta})
+	_, _, _, err := d.Do(Request{Op: OpWrite, Block: blockNum, Data: data, Meta: meta})
 	return err
 }
 
-func (d *Disk) execWrite(blockNum int, data page.Buf, meta Meta) error {
+// execWrite returns the CRC-32C of data once the drive acknowledges it.
+func (d *Disk) execWrite(blockNum int, data page.Buf, meta Meta) (uint32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.serviceTime()
 	dec := d.observe(blockNum, OpWrite, data, &meta)
 	if d.failed {
-		return fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
+		return 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
 	}
 	if blockNum < 0 || blockNum >= len(d.blocks) {
-		return fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrOutOfRange)
+		return 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrOutOfRange)
 	}
 	if len(data) != d.blockSize {
-		return fmt.Errorf("disk %d block %d: %w", d.id, blockNum, page.ErrBadSize)
+		return 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, page.ErrBadSize)
 	}
 	if dec.Err != nil {
-		return fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
+		return 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
 	}
 	if dec.Panic != nil && !dec.Torn {
 		// Power fails before the sector reaches the platter: the old
@@ -335,13 +340,14 @@ func (d *Disk) execWrite(blockNum int, data page.Buf, meta Meta) error {
 		panic(dec.Panic)
 	}
 	d.stats.Writes++
+	sum := data.Checksum()
 	if dec.LostWrite {
 		// The drive acknowledges the write but the sector never reaches
 		// the platter: the old contents — payload, header and stamp —
 		// survive untouched and remain internally consistent, so the
 		// disk's own checksum cannot tell.  Only the array's write ledger
 		// exposes the loss.
-		return nil
+		return sum, nil
 	}
 	b := &d.blocks[blockNum]
 	if dec.Redirect {
@@ -372,11 +378,11 @@ func (d *Disk) execWrite(blockNum int, data page.Buf, meta Meta) error {
 		if dec.Panic != nil {
 			panic(dec.Panic)
 		}
-		return nil
+		return sum, nil
 	}
 	copy(b.data, data)
 	b.meta = meta
-	b.sum = page.Buf(b.data).Checksum()
+	b.sum = sum
 	b.stamp = page.MakeStamp(d.id, blockNum)
 	b.bad = false
 	if dec.FlipBit {
@@ -387,14 +393,14 @@ func (d *Disk) execWrite(blockNum int, data page.Buf, meta Meta) error {
 		b.data[bit/8] ^= 1 << (bit % 8)
 		b.bad = true
 	}
-	return nil
+	return sum, nil
 }
 
 // ReadMeta reads only the block's out-of-band metadata, charging one page
 // transfer (on the paper's hardware the header travels with the sector,
 // so a header read costs a full rotation just like a block read).
 func (d *Disk) ReadMeta(blockNum int) (Meta, error) {
-	_, meta, err := d.Do(Request{Op: OpReadMeta, Block: blockNum})
+	_, meta, _, err := d.Do(Request{Op: OpReadMeta, Block: blockNum})
 	return meta, err
 }
 
@@ -424,7 +430,7 @@ func (d *Disk) execReadMeta(blockNum int) (Meta, error) {
 // still charges one page transfer: on the paper's hardware the header
 // travels with the sector.
 func (d *Disk) WriteMeta(blockNum int, meta Meta) error {
-	_, _, err := d.Do(Request{Op: OpWriteMeta, Block: blockNum, Meta: meta})
+	_, _, _, err := d.Do(Request{Op: OpWriteMeta, Block: blockNum, Meta: meta})
 	return err
 }
 
@@ -465,12 +471,12 @@ func (d *Disk) Fail() {
 func (d *Disk) Repair() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	zeroSum := page.NewBuf(d.blockSize).Checksum()
 	for i := range d.blocks {
-		d.blocks[i].data = make([]byte, d.blockSize)
-		d.blocks[i].meta = Meta{}
-		d.blocks[i].sum = page.Buf(d.blocks[i].data).Checksum()
-		d.blocks[i].stamp = page.MakeStamp(d.id, i)
-		d.blocks[i].bad = false
+		// Reads and peeks copy out, so nothing outside the drive holds a
+		// block's slice: it is zeroed where it lies.
+		clear(d.blocks[i].data)
+		d.blocks[i] = block{data: d.blocks[i].data, sum: zeroSum, stamp: page.MakeStamp(d.id, i)}
 	}
 	d.failed = false
 }

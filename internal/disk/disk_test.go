@@ -232,8 +232,9 @@ func TestParityStateString(t *testing.T) {
 }
 
 // TestDoReadsIntoTheCallersPage: a read request carrying a destination
-// fills and returns that page, synchronously without allocating and
-// through the queue alike; a destination of the wrong size is ignored.
+// fills and returns that page, with the sum it was verified against,
+// synchronously without allocating and through the queue alike; a
+// destination of the wrong size is ignored.
 func TestDoReadsIntoTheCallersPage(t *testing.T) {
 	d := New(0, 4, 64)
 	want := page.NewBuf(64)
@@ -245,15 +246,15 @@ func TestDoReadsIntoTheCallersPage(t *testing.T) {
 	}
 	dst := page.NewBuf(64)
 	read := func() {
-		got, meta, err := d.Do(Request{Op: OpRead, Block: 2, Data: dst})
-		if err != nil || &got[0] != &dst[0] || !got.Equal(want) || meta.Timestamp != 9 {
-			t.Fatalf("Do(read into dst): own page %v, equal %v, meta %+v, err %v", &got[0] == &dst[0], got.Equal(want), meta, err)
+		got, meta, sum, err := d.Do(Request{Op: OpRead, Block: 2, Data: dst})
+		if err != nil || &got[0] != &dst[0] || !got.Equal(want) || meta.Timestamp != 9 || sum != want.Checksum() {
+			t.Fatalf("Do(read into dst): own page %v, equal %v, meta %+v, sum %08x, err %v", &got[0] == &dst[0], got.Equal(want), meta, sum, err)
 		}
 	}
 	if n := testing.AllocsPerRun(100, read); n != 0 {
 		t.Fatalf("synchronous Do allocates %.1f times per read", n)
 	}
-	if got, _, err := d.Do(Request{Op: OpRead, Block: 2, Data: page.NewBuf(8)}); err != nil || len(got) != 64 || !got.Equal(want) {
+	if got, _, _, err := d.Do(Request{Op: OpRead, Block: 2, Data: page.NewBuf(8)}); err != nil || len(got) != 64 || !got.Equal(want) {
 		t.Fatalf("wrong-size destination: %d bytes, err %v", len(got), err)
 	}
 	d.StartQueue(4, 4)

@@ -81,7 +81,7 @@ func stage(t *testing.T, d *Disk, r Request) <-chan outcome {
 			o.panicked = recover()
 			c <- o
 		}()
-		_, _, o.err = d.Do(r)
+		_, _, _, o.err = d.Do(r)
 	}()
 	for deadline := time.Now().Add(10 * time.Second); d.QueueLen() == n; runtime.Gosched() {
 		if time.Now().After(deadline) {

@@ -246,11 +246,13 @@ type Array struct {
 	// battery-backed controller NVRAM real arrays keep write intent in, so
 	// it SURVIVES crashes (the crash harness resets only volatile state)
 	// and is cleared per disk only when a fresh zeroed drive is swapped in
-	// (BeginRebuild).  A verified read compares the stored
-	// payload against the ledger entry; a mismatch means the drive
-	// acknowledged a write it never applied here — a lost write, or the
-	// stale intended block of a misdirected one — and surfaces
-	// disk.ErrLostWrite.  Header-only I/O leaves the ledger untouched.
+	// (BeginRebuild).  A verified read compares the stored payload's sum —
+	// the one the drive just verified the payload against — with the
+	// ledger entry; a mismatch means the drive acknowledged a write it
+	// never applied here — a lost write, or the stale intended block of a
+	// misdirected one — and surfaces disk.ErrLostWrite.  The entries are
+	// the drive's own sums of the payloads it acknowledged, so the array
+	// hashes nothing itself.  Header-only I/O leaves the ledger untouched.
 	ledmu  sync.Mutex
 	ledger [][]uint32
 }
@@ -341,23 +343,23 @@ func freshLedger(blocks, pageSize int) []uint32 {
 	return out
 }
 
-// noteWrite records an acknowledged payload write in the NVRAM ledger.
-// Called only after the drive returned success — a crash panic unwinds
-// before it, so a write the platter never acked is never ledgered.
-func (a *Array) noteWrite(loc Loc, b page.Buf) {
+// noteWrite records the sum of an acknowledged payload write in the NVRAM
+// ledger.  Called only after the drive returned success — a crash panic
+// unwinds before it, so a write the platter never acked is never ledgered.
+func (a *Array) noteWrite(loc Loc, sum uint32) {
 	a.ledmu.Lock()
-	a.ledger[loc.Disk][loc.Block] = b.Checksum()
+	a.ledger[loc.Disk][loc.Block] = sum
 	a.ledmu.Unlock()
 }
 
-// checkLedger verifies a successfully read payload against the NVRAM
-// ledger, converting a silent lost or misdirected write into a typed
+// checkLedger verifies the sum of a successfully read payload against the
+// NVRAM ledger, converting a silent lost or misdirected write into a typed
 // error in the disk.IsCorrupt class.
-func (a *Array) checkLedger(loc Loc, b page.Buf) error {
+func (a *Array) checkLedger(loc Loc, sum uint32) error {
 	a.ledmu.Lock()
 	want := a.ledger[loc.Disk][loc.Block]
 	a.ledmu.Unlock()
-	if b.Checksum() != want {
+	if sum != want {
 		return fmt.Errorf("disk %d block %d: stored payload differs from last acknowledged write: %w",
 			loc.Disk, loc.Block, disk.ErrLostWrite)
 	}
@@ -613,29 +615,35 @@ func (a *Array) Loc(g page.GroupID, r Red) Loc {
 // read issues one verified payload read: into dst when the caller owns a
 // page buffer to reuse, into a fresh one when dst is nil.  A payload that
 // differs from the last write the drive acknowledged for the block (NVRAM
-// ledger) fails with disk.ErrLostWrite.
+// ledger) fails with disk.ErrLostWrite; the comparison takes the sum the
+// drive verified the payload against, so the payload is hashed once.
 func (a *Array) read(loc Loc, dst page.Buf) (page.Buf, disk.Meta, error) {
 	var b page.Buf
 	var m disk.Meta
+	var sum uint32
 	err := a.do(loc.Disk, func() error {
 		var err error
-		b, m, err = a.disks[loc.Disk].Do(disk.Request{Op: disk.OpRead, Block: loc.Block, Data: dst})
+		b, m, sum, err = a.disks[loc.Disk].Do(disk.Request{Op: disk.OpRead, Block: loc.Block, Data: dst})
 		return err
 	})
 	if err == nil {
-		err = a.checkLedger(loc, b)
+		err = a.checkLedger(loc, sum)
 	}
 	return b, m, err
 }
 
 // write issues one charged block write and, once the drive has
-// acknowledged it, records the payload in the NVRAM ledger.
+// acknowledged it, records the sum the drive returns for the payload in
+// the NVRAM ledger.
 func (a *Array) write(loc Loc, b page.Buf, meta disk.Meta) error {
+	var sum uint32
 	err := a.do(loc.Disk, func() error {
-		return a.disks[loc.Disk].Write(loc.Block, b, meta)
+		var err error
+		_, _, sum, err = a.disks[loc.Disk].Do(disk.Request{Op: disk.OpWrite, Block: loc.Block, Data: b, Meta: meta})
+		return err
 	})
 	if err == nil {
-		a.noteWrite(loc, b)
+		a.noteWrite(loc, sum)
 	}
 	return err
 }

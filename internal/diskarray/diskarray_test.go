@@ -301,6 +301,81 @@ func TestFailAndRepairDisk(t *testing.T) {
 	}
 }
 
+// nextWrite subverts the next payload write the drives see with dec.
+type nextWrite struct {
+	dec   disk.Decision
+	armed bool
+}
+
+func (w *nextWrite) Observe(a disk.Access) disk.Decision {
+	if a.Op != disk.OpWrite || !w.armed {
+		return disk.Decision{}
+	}
+	w.armed = false
+	return w.dec
+}
+
+// TestLedgerRecordsTheAcknowledgedPayload: whatever the platter makes of an
+// acknowledged write — it lands, a bit flips, half of it lands, none of it
+// does, or it lands on another block — the NVRAM ledger records the sum of
+// the payload the array handed the drive, and the next verified read of the
+// block fails with the class that names the fault.
+func TestLedgerRecordsTheAcknowledgedPayload(t *testing.T) {
+	for k, c := range []struct {
+		name string
+		dec  disk.Decision
+		want error // the next read of the written block
+	}{
+		{"clean", disk.Decision{}, nil},
+		{"bit flip", disk.Decision{FlipBit: true, FlipBitOffset: 77}, disk.ErrChecksum},
+		{"torn", disk.Decision{Torn: true, TornHead: true}, disk.ErrChecksum},
+		{"lost", disk.Decision{LostWrite: true}, disk.ErrLostWrite},
+		{"redirected", disk.Decision{Redirect: true}, disk.ErrLostWrite},
+	} {
+		a := mustNew(t, RAID5, 3, 24, page.MinSize)
+		const p = 4
+		loc := a.DataLoc(p)
+		victim := page.PageID(p)
+		for q := range page.PageID(a.NumPages()) {
+			if l := a.DataLoc(q); l.Disk == loc.Disk && l.Block != loc.Block {
+				victim = q
+				break
+			}
+		}
+		if victim == p {
+			t.Fatalf("no other data block on disk %d", loc.Disk)
+		}
+		victimSum := a.ledger[loc.Disk][a.DataLoc(victim).Block]
+		inj := &nextWrite{dec: c.dec, armed: true}
+		inj.dec.RedirectBlock = a.DataLoc(victim).Block
+		a.SetInjector(inj)
+		payload := page.NewBuf(page.MinSize)
+		for i := range payload {
+			payload[i] = byte(k + 3*i + 1)
+		}
+		if err := a.WriteData(p, payload, disk.Meta{}); err != nil {
+			t.Fatalf("%s: write: %v", c.name, err)
+		}
+		if got, want := a.ledger[loc.Disk][loc.Block], payload.Checksum(); got != want {
+			t.Errorf("%s: ledger holds %08x, want the payload's %08x", c.name, got, want)
+		}
+		if _, _, err := a.ReadData(p, nil); !errors.Is(err, c.want) || (c.want == nil) != (err == nil) {
+			t.Errorf("%s: read of the written page: err %v, want %v", c.name, err, c.want)
+		}
+		_, _, err := a.ReadData(victim, nil)
+		if c.dec.Redirect {
+			if !errors.Is(err, disk.ErrStamp) {
+				t.Errorf("%s: read of the victim: err %v, want %v", c.name, err, disk.ErrStamp)
+			}
+			if got := a.ledger[loc.Disk][a.DataLoc(victim).Block]; got != victimSum {
+				t.Errorf("%s: the victim's ledger entry moved from %08x to %08x", c.name, victimSum, got)
+			}
+		} else if err != nil {
+			t.Errorf("%s: read of an untouched page: %v", c.name, err)
+		}
+	}
+}
+
 func TestTransferAccountingThroughArray(t *testing.T) {
 	a := mustNew(t, RAID5Twin, 3, 12, page.MinSize)
 	buf := page.NewBuf(page.MinSize)

@@ -104,7 +104,8 @@ func TestEqualLengthMismatch(t *testing.T) {
 }
 
 // BenchmarkChecksum is the CRC-32C every verified block read and every
-// ledgered write pays, on a 2 KiB page.
+// ledgered write pays once, on a 2 KiB page: the drive computes it and the
+// array's write ledger takes the drive's value.
 func BenchmarkChecksum(b *testing.B) {
 	buf := NewBuf(2048)
 	for i := range buf {

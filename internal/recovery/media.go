@@ -39,9 +39,10 @@ type BeforeImageFunc func(g page.GroupID, e dirtyset.Entry) page.Buf
 //
 // Lost data pages come first, solved through the index that tracks the
 // on-disk data (core.SolveGroup: one page from P or, when P is lost too,
-// from its Q partner; two pages from both).  Then every lost redundancy
-// page is recomputed over the whole data (rebuildSlot).  A group with no
-// block on the drives costs no I/O.
+// from its Q partner; two pages from both), written, and the solve's pages
+// handed back to s.Pages.  Then every lost redundancy page is recomputed
+// over the whole data (rebuildSlot).  A group with no block on the drives
+// costs no I/O.
 func RebuildGroup(s *core.Store, g page.GroupID, drives []int, before BeforeImageFunc) (bool, error) {
 	var erased []int // member indexes
 	for i := 0; i < s.Arr.GroupWidth(); i++ {
@@ -83,9 +84,14 @@ func RebuildGroup(s *core.Store, g page.GroupID, drives []int, before BeforeImag
 				// Restore the crash-undo tag on the dirty page.
 				meta.Txn = e.Txn
 			}
-			if err := s.Arr.WriteData(p, vals[i], meta); err != nil {
-				return false, fmt.Errorf("recovery: media rebuild page %d: %w", p, err)
+			if err = s.Arr.WriteData(p, vals[i], meta); err != nil {
+				err = fmt.Errorf("recovery: media rebuild page %d: %w", p, err)
+				break
 			}
+		}
+		s.Pages.Put(vals...)
+		if err != nil {
+			return false, err
 		}
 	}
 	// With the data whole again, recompute every lost redundancy page: P

@@ -677,10 +677,12 @@ func TestRedoAllocationsIndependentOfImages(t *testing.T) {
 	}
 }
 
-// TestParitySlotRebuildReusesPages: rebuilding a group's lost redundancy
-// page reads the group into pages from Store.Pages, computes the page in one
-// more and hands them all back, so a warmed store rebuilds parity slots —
-// P and Q, current and obsolete — without allocating a page.
+// TestParitySlotRebuildReusesPages: rebuilding a group's lost block reads
+// the group into pages from Store.Pages and hands them all back — a lost
+// redundancy page is computed in one more, a lost data page is solved in
+// the ones read and written from there — so a warmed store rebuilds parity
+// slots (P and Q, current and obsolete) and data members without
+// allocating a page.
 func TestParitySlotRebuildReusesPages(t *testing.T) {
 	const size = 2048
 	arr, err := diskarray.New(diskarray.Config{Kind: diskarray.RAID5Twin, DataDisks: 4, NumPages: 48, PageSize: size, QParity: true})
@@ -694,29 +696,46 @@ func TestParitySlotRebuildReusesPages(t *testing.T) {
 		}
 	}
 	const g = 5
-	slot := 0
-	rebuild := func() {
-		r := diskarray.Eq(slot % 2).Twin(slot / 2 % 2)
-		slot++
-		if ok, err := RebuildGroup(s, g, []int{arr.Loc(g, r).Disk}, nil); err != nil || !ok {
-			t.Fatalf("rebuild %s twin %d: ok %v, err %v", r.Eq, r.Twin, ok, err)
+	var slots, members []int // the drives holding the group's blocks
+	for slot := 0; slot < 4; slot++ {
+		slots = append(slots, arr.Loc(g, diskarray.Eq(slot%2).Twin(slot/2)).Disk)
+	}
+	for i := 0; i < arr.GroupWidth(); i++ {
+		members = append(members, arr.DataLoc(arr.GroupPage(g, i)).Disk)
+	}
+	for _, c := range []struct {
+		name   string
+		drives []int
+	}{{"parity-slot", slots}, {"data-member", members}} {
+		next := 0
+		rebuild := func() {
+			d := c.drives[next%len(c.drives)]
+			next++
+			if ok, err := RebuildGroup(s, g, []int{d}, nil); err != nil || !ok {
+				t.Fatalf("%s rebuild on disk %d: ok %v, err %v", c.name, d, ok, err)
+			}
 		}
-	}
-	rebuild()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const rounds = 200
-	for i := 0; i < rounds; i++ {
 		rebuild()
-	}
-	runtime.ReadMemStats(&after)
-	per := float64(after.TotalAlloc-before.TotalAlloc) / rounds
-	t.Logf("%.0f bytes allocated per parity-slot rebuild", per)
-	if per >= size/2 {
-		t.Errorf("%.0f bytes allocated per parity-slot rebuild, want well under one %d-byte page", per, size)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const rounds = 200
+		for i := 0; i < rounds; i++ {
+			rebuild()
+		}
+		runtime.ReadMemStats(&after)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+		t.Logf("%.0f bytes allocated per %s rebuild", per, c.name)
+		if per >= size/2 {
+			t.Errorf("%.0f bytes allocated per %s rebuild, want well under one %d-byte page", per, c.name, size)
+		}
 	}
 	if err := s.VerifyParityInvariant(); err != nil {
 		t.Error(err)
+	}
+	for p := 0; p < arr.NumPages(); p++ {
+		if got, err := arr.PeekData(page.PageID(p)); err != nil || !got.Equal(pattern(size, byte(p))) {
+			t.Fatalf("page %d wrong after the rebuilds (err %v)", p, err)
+		}
 	}
 }
 

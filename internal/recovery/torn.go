@@ -52,6 +52,7 @@ func (st *state) repairTornQ(g page.GroupID, twin int) error {
 	s := st.s
 	vals, pm, err := describedByP(s, g, twin)
 	if err == nil {
+		defer s.Pages.Put(vals...)
 		return s.RewriteSlot(g, qpage(twin), vals, pm)
 	}
 	if d, lost := s.LostData(g); lost && !s.TwinReadable(g, parity(twin)) {
@@ -75,9 +76,9 @@ func (st *state) repairTornQ(g page.GroupID, twin int) error {
 // pairing) or, when it names none and does not verify against the platter,
 // by the other twin's unresolved working header (this index is then the
 // committed partner of an in-flight steal); that member's value in S is
-// whatever the P equation solves for it.  Fails when the P page is
-// unreadable, the group has lost more than P alone can solve, or no header
-// names the differing member.
+// whatever the P equation solves for it; the caller owns the values, as
+// SolveGroup's.  Fails when the P page is unreadable, the group has lost
+// more than P alone can solve, or no header names the differing member.
 func describedByP(s *core.Store, g page.GroupID, twin int) ([]page.Buf, disk.Meta, error) {
 	if !s.TwinReadable(g, parity(twin)) {
 		return nil, disk.Meta{}, errors.New("P partner unreadable")
@@ -102,8 +103,13 @@ func describedByP(s *core.Store, g page.GroupID, twin int) ([]page.Buf, disk.Met
 	if err != nil {
 		return nil, pm, err
 	}
-	if ok, err := s.Verify(g, parity(twin)); ok || err != nil {
-		return vals, pm, err
+	ok, err := s.Verify(g, parity(twin))
+	if ok {
+		return vals, pm, nil
+	}
+	s.Pages.Put(vals...)
+	if err != nil {
+		return nil, pm, err
 	}
 	if s.Twins != nil {
 		if om, err := s.Arr.ReadMeta(g, parity(1-twin)); err == nil && om.State == disk.StateWorking {
@@ -182,6 +188,7 @@ func (st *state) repairTornData(g page.GroupID, p page.PageID, headerOK bool) er
 	if err != nil {
 		return err
 	}
+	defer s.Pages.Put(vals...)
 	var hdr disk.Meta
 	switch {
 	case headerOK:
@@ -306,6 +313,7 @@ func (st *state) rebuildTornP(g page.GroupID, twin int, hdr disk.Meta) error {
 	if err != nil {
 		return err
 	}
+	defer s.Pages.Put(vals...)
 	return s.RewriteSlot(g, parity(twin), vals, hdr)
 }
 
