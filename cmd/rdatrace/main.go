@@ -187,7 +187,6 @@ func engineConfig(t *trace.Trace, layout string, disks int, useRDA bool, eot str
 	}
 	cfg.RDA = useRDA
 	cfg.BufferFrames = frames
-	cfg.CheckpointEvery = 0 // replay drives checkpoints itself, via trace.Options
 	cfg.PackedLog = packed && t.Header.Mode == trace.ModeRecord
 	return t.Config(cfg), nil
 }

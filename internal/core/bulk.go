@@ -18,10 +18,11 @@ import (
 // alone — N data writes plus one parity write, instead of N small writes
 // at 3–4 transfers each — which is why loaders use it.  Groups only
 // partially covered by the run fall back to WriteCommitted small writes.
-// Full stripes touch disjoint groups, so they fan out across Workers
-// (Workers <= 1 writes them inline in group order); the partial-group
-// writes run sequentially first, because WriteCommitted's parity
-// read-modify-write shares the Dirty_Set bookkeeping.
+// Full stripes touch disjoint groups, so they fan out Lanes() wide, as
+// every whole-array loop does (one lane writes them inline in group
+// order); the partial-group writes run sequentially first, because
+// WriteCommitted's parity read-modify-write shares the Dirty_Set
+// bookkeeping.
 //
 // All touched groups must be clean: bulk loading bypasses transactions
 // and must not destroy undo material of in-flight work.  Returns the
@@ -84,7 +85,7 @@ func (s *Store) BulkLoad(start page.PageID, pages []page.Buf) (int, error) {
 		}
 	}
 	var fullStripes atomic.Int64
-	err := workpool.Run(s.Workers, len(fullGroups), func(i int) error {
+	err := workpool.Run(s.Lanes(), len(fullGroups), func(i int) error {
 		if err := s.bulkStripe(fullGroups[i], covered); err != nil {
 			return err
 		}

@@ -54,10 +54,10 @@ type Store struct {
 	// before-images on it too.
 	Pages *page.FreeList
 
-	// Workers bounds the store's internal parallelism for whole-array loops
-	// (bulk load; restart's and media recovery's, see Lanes); <= 1 runs them
-	// inline in index order.  Set once by the engine at Open, before the
-	// store is shared.
+	// Workers is the width of the whole-array loops on synchronous drives;
+	// it is read only by Lanes, which every such loop fans out by.  <= 1
+	// runs them inline in index order.  Set once by the engine at Open,
+	// before the store is shared.
 	Workers int
 
 	// Degraded-serving state (degraded.go).

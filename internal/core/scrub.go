@@ -34,10 +34,10 @@ type GroupScrub struct {
 }
 
 // ScrubGroup verifies and repairs one parity group, the unit of work of
-// the online scrubber and of the quiesced whole-array scrub alike.  A
-// dirty group is skipped (not an error — it is retried on the next scrub
-// cycle); so is a degraded group on a single-redundancy array, whose only
-// equation is already consumed by the dead disk.  Everything else is
+// the online scrubber (rda.DB.ScrubStep).  A dirty group is skipped (not
+// an error — it is retried on the next scrub cycle); so is a degraded
+// group on a single-redundancy array, whose only equation is already
+// consumed by the dead disk.  Everything else is
 // verified end to end through the current index (repair) and silently
 // corrupt blocks are rewritten from the group's redundancy; corrupt blocks
 // beyond what the equations can solve return ErrUnrecoverableCorruption.

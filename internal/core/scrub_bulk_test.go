@@ -8,8 +8,9 @@ import (
 	"repro/internal/page"
 )
 
-// scrub scrubs every group in order, as rda.Scrub does, and sums the
-// outcomes of the groups it did not skip, which it counts.
+// scrub scrubs every group in order, as a scrub cycle from group 0 does
+// (rda.DB.StartScrub), and sums the outcomes of the groups it did not
+// skip, which it counts.
 func scrub(s *Store) (rep GroupScrub, scanned int, err error) {
 	for g := 0; g < s.Arr.NumGroups() && err == nil; g++ {
 		var res GroupScrub

@@ -13,13 +13,13 @@ import (
 )
 
 // Lanes is the width of every whole-array fan-out over parity groups:
-// restart's group walk, laundering writes, resync and drive probe, and the
-// groups of media recovery and of an online rebuild step.  On synchronous
-// drives it is Workers (1: the plain loop in group order that replayable
-// crash schedules require).  When the drives queue it is one lane per drive:
-// a queued drive serves one transfer at a time and its queue depth bounds
-// what is outstanding, so fewer lanes leave drives idle and more only wait in
-// line.
+// restart's group walk, laundering writes, resync and drive probe, the
+// groups of media recovery and of an online rebuild step, and a bulk
+// load's full stripes.  On synchronous drives it is Workers (1: the plain
+// loop in group order that replayable crash schedules require).  When the
+// drives queue it is one lane per drive: a queued drive serves one
+// transfer at a time and its queue depth bounds what is outstanding, so
+// fewer lanes leave drives idle and more only wait in line.
 func (s *Store) Lanes() int {
 	if s.Arr.Queued() {
 		return s.Arr.NumDisks()

@@ -1,5 +1,7 @@
 package diskarray
 
+import "repro/internal/workpool"
+
 // Pipelined-mode plumbing: queue lifecycle fan-out across the member
 // drives, and the fork/join for the independent transfers of one logical
 // array operation.  The rule lives in Together: a group's member reads (the
@@ -34,56 +36,22 @@ func (a *Array) Queued() bool { return a.disks[0].QueueEnabled() }
 // operation whose members are independent — never writes whose order the
 // recovery protocol relies on (parity before data stays sequential).
 //
-// On queued drives the transfers are issued together and joined: every op
-// runs, the first error in index order is returned, and results are the
-// caller's to classify in index order afterwards.  On synchronous drives
-// nothing could overlap, so it is the plain loop — index order, stopping at
-// the first error — that replayable crash schedules and the write-sequence
-// fingerprints were recorded on.  An op must therefore be correct both
-// after its predecessors and beside them: it writes only state of its own
-// index.
+// On queued drives the transfers are issued together, one workpool worker
+// each, and joined: the first error in index order is returned (the panic
+// of the lowest index re-raised, after every started branch has
+// finished), and results are the caller's to classify in index order
+// afterwards.  As on synchronous drives, an op after a failed one may not
+// run.  On synchronous drives nothing could overlap, so it is the plain
+// loop — index order, stopping at the first error — that replayable crash
+// schedules and the write-sequence fingerprints were recorded on.  An op
+// must therefore be correct both after its predecessors and beside them:
+// it writes only state of its own index.
 func (a *Array) Together(n int, op func(i int) error) error {
 	if n > 1 && a.Queued() {
-		return forkJoin(n, op)
+		return workpool.Run(n, n, op)
 	}
 	for i := 0; i < n; i++ {
 		if err := op(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// forkJoin runs op(0) … op(n-1) on goroutines of their own and joins them
-// all.  The first non-nil error in index order is returned; if any op
-// panicked, the earliest panic in index order is re-raised on the caller's
-// goroutine after every branch has finished, so a crash injected into one
-// branch still produces a deterministic, fully-joined failure.
-func forkJoin(n int, op func(i int) error) error {
-	errs := make([]error, n)
-	panics := make([]any, n)
-	done := make(chan struct{}, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer func() {
-				if r := recover(); r != nil {
-					panics[i] = r
-				}
-				done <- struct{}{}
-			}()
-			errs[i] = op(i)
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
 			return err
 		}
 	}

@@ -1,20 +1,27 @@
-// Package workpool runs the engine's embarrassingly parallel disk loops
-// — media recovery and rebuild batches, the restart's group walk and
-// parity resync, bulk-load stripe writes — across a bounded set of workers.
+// Package workpool is the engine's one fork-join: the embarrassingly
+// parallel disk loops — media recovery and rebuild batches, the restart's
+// group walk and parity resync, bulk-load stripe writes — run across a
+// bounded set of workers, and so do the independent transfers of one
+// array operation on queued drives (diskarray.Array.Together, one worker
+// per transfer).
 //
 // The contract is shaped by the fault-injection plane:
 //
 //   - workers <= 1 runs the loop inline in index order, byte-identical to
 //     the plain for-loop it replaces, so single-threaded crashcheck
 //     schedules stay deterministic.
+//   - indices are handed out in ascending order, and on an error or a
+//     panic the pool stops handing out new ones: every index below a
+//     failed one has run, an index above it may not have.
 //   - a worker panic (a crash point firing inside disk I/O) is re-thrown
 //     in the caller's goroutine after the other workers drain, so
 //     fault.AsCrash sentinels keep propagating to the CrashHard harness
-//     exactly as in the sequential loop.
-//   - on error the pool stops handing out new indices; among the errors
-//     observed, the one with the lowest index is returned, matching the
-//     first-error semantics of the sequential loop as closely as an
-//     unordered execution can.
+//     exactly as in the sequential loop.  Of several panics, the one of
+//     the lowest index is re-thrown, not the first observed, so a crash
+//     inside one branch fails the same way whatever the interleaving.
+//   - among the errors observed, the one with the lowest index is
+//     returned, matching the first-error semantics of the sequential loop
+//     as closely as an unordered execution can.
 package workpool
 
 import "sync"
@@ -52,6 +59,7 @@ func RunLanes(workers, n int, fn func(lane, i int) error) error {
 		firstErr error
 		errIdx   int
 		panicVal any
+		panicIdx int
 		panicked bool
 		wg       sync.WaitGroup
 	)
@@ -70,8 +78,8 @@ func RunLanes(workers, n int, fn func(lane, i int) error) error {
 				defer func() {
 					if r := recover(); r != nil {
 						mu.Lock()
-						if !panicked {
-							panicked, panicVal = true, r
+						if !panicked || i < panicIdx {
+							panicked, panicVal, panicIdx = true, r, i
 						}
 						mu.Unlock()
 					}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSequentialOrder(t *testing.T) {
@@ -69,6 +70,37 @@ func TestParallelErrorCancels(t *testing.T) {
 	}
 	if calls.Load() == 10000 {
 		t.Fatalf("error did not cancel remaining work")
+	}
+}
+
+// TestLowestPanicWins: when two indices panic, the lower index's value is
+// re-raised, whichever panicked first.  Index 5 panics at once; index 2
+// waits until it has begun to, then panics too.  The pause after the wait
+// only lets the pool record index 5's panic first, so that a rule keeping
+// the first panic observed fails here every time.
+func TestLowestPanicWins(t *testing.T) {
+	for range 20 {
+		first := make(chan struct{})
+		func() {
+			defer func() {
+				if r := recover(); r != "index 2" {
+					t.Fatalf("recovered %v, want index 2's panic", r)
+				}
+			}()
+			Run(8, 8, func(i int) error {
+				switch i {
+				case 2:
+					<-first
+					time.Sleep(time.Millisecond)
+					panic("index 2")
+				case 5:
+					close(first)
+					panic("index 5")
+				}
+				return nil
+			})
+			t.Fatalf("panic swallowed")
+		}()
 	}
 }
 

@@ -521,7 +521,7 @@ func TestRebuildRacesLiveTransactions(t *testing.T) {
 	if err := db.FailDisk(1); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt := db.StartRebuild()
+	rebuilt := rebuildInBackground(db)
 	runWithWatchdog(t, "online rebuild under load", 60*time.Second, func() {
 		if err := <-rebuilt; err != nil {
 			t.Errorf("rebuild: %v", err)

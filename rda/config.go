@@ -135,13 +135,6 @@ type Config struct {
 	// are charged once each) instead of charging every forced append.
 	// Durability is unaffected; see wal.Config.Packed.
 	PackedLog bool
-	// CheckpointEvery, when positive and EOT is NoForce, takes an
-	// action-consistent checkpoint automatically whenever this many page
-	// transfers have elapsed since the last one.  The optimal value for
-	// a workload is what the Section 5 model's interval optimization
-	// computes (model.Result.Interval).  Zero disables automatic
-	// checkpoints; Checkpoint can always be called manually.
-	CheckpointEvery int64
 
 	// Workers bounds the engine's internal parallelism for the
 	// embarrassingly parallel disk loops: bulk-load stripe writes, media
@@ -150,10 +143,10 @@ type Config struct {
 	// runs every loop inline in deterministic order — required for
 	// replayable crash-point schedules — while larger values fan the
 	// per-group work across a bounded worker pool.  When the drives queue
-	// (QueueDepth > 1) restart, media recovery and the online rebuild ignore
-	// it and run one lane per member drive instead: a queued drive serves
-	// one transfer at a time, so that is the width that keeps every drive
-	// busy, and QueueDepth already bounds what is outstanding.
+	// (QueueDepth > 1) every one of these loops ignores it and runs one
+	// lane per member drive instead: a queued drive serves one transfer
+	// at a time, so that is the width that keeps every drive busy, and
+	// QueueDepth already bounds what is outstanding.
 	// Transaction concurrency itself is not limited by this knob; any
 	// number of goroutines may run transactions against the engine, and
 	// transactions on disjoint parity groups proceed in parallel under

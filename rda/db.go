@@ -43,9 +43,9 @@ var (
 	ErrWrongMode = errors.New("rda: operation not available in this logging mode")
 	// ErrDegraded reports an operation that needs the array's full
 	// redundancy while a disk is down.  Finish the online rebuild
-	// (RebuildStep/StartRebuild) or run media recovery (RepairDisk)
-	// first.  Crash recovery is NOT such an operation: Recover runs with
-	// a single member down (degraded restart) and only a double loss
+	// (RebuildStep) or run media recovery (RepairDisk) first.  Crash
+	// recovery is NOT such an operation: Recover runs with a single
+	// member down (degraded restart) and only a double loss
 	// (ErrArrayFailed) refuses it.
 	ErrDegraded = errors.New("rda: array is degraded")
 	// ErrArrayFailed reports that a second disk failed while the array
@@ -193,8 +193,7 @@ type DB struct {
 	// latches is the per-parity-group latch table.
 	latches *latch.Table
 
-	// mu guards states, lastCkptTransfers, lastCkptLSN, recoveries and
-	// scrubCursor.
+	// mu guards states, lastCkptLSN, recoveries and scrubCursor.
 	mu sync.Mutex
 
 	arr   *diskarray.Array
@@ -222,12 +221,10 @@ type DB struct {
 	// commitSeq issues commit-order positions (see txState.commitSeq).
 	commitSeq atomic.Int64
 
-	// lastCkptTransfers is the transfer count at the last automatic
-	// checkpoint (see Config.CheckpointEvery); lastCkptLSN is the log
-	// position of the last checkpoint record, bounding log truncation.
-	lastCkptTransfers int64
-	lastCkptLSN       wal.LSN
-	recoveries        int64
+	// lastCkptLSN is the log position of the last checkpoint record,
+	// bounding log truncation.
+	lastCkptLSN wal.LSN
+	recoveries  int64
 
 	// scrubCursor is the next parity group the online scrubber will
 	// verify; it wraps at NumGroups, marking a completed scrub cycle.
@@ -774,7 +771,10 @@ func (db *DB) latchUndo(h *latch.Held, st *txState) {
 // back (through the steal policy) and a checkpoint record listing the
 // active transactions is logged.  Under FORCE checkpoints are
 // transaction-oriented and implicit, so this simply flushes and logs a
-// marker, which is harmless.
+// marker, which is harmless.  Periodic checkpoints are the caller's to
+// take: the Section 5 model computes the optimal interval in page
+// transfers (model.Result.Interval), and a trace replay takes one at
+// that interval through trace.Options.CheckpointEvery.
 func (db *DB) Checkpoint() error {
 	db.gate.Lock()
 	defer db.gate.Unlock()
@@ -1007,8 +1007,8 @@ func (db *DB) Recover() (*RecoveryReport, error) {
 // FailDisk injects a fail-stop failure on the given disk (0 ≤ d <
 // NumDisks).  The engine enters degraded serving immediately — reads
 // reconstruct from redundancy, writes maintain parity without the dead
-// member — until an online rebuild (RebuildStep/StartRebuild) or media
-// recovery (RepairDisk) completes.
+// member — until an online rebuild (RebuildStep) or media recovery
+// (RepairDisk) completes.
 func (db *DB) FailDisk(d int) error {
 	db.gate.Lock()
 	defer db.gate.Unlock()

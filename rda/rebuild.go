@@ -2,7 +2,6 @@ package rda
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -51,14 +50,14 @@ func (db *DB) RebuildProgress() RebuildProgress {
 	return pr
 }
 
-// rebuildBatchGroups is the online rebuild worker's batch: each step of
-// StartRebuild restores at most this many parity groups, side by side, so
-// it also caps the online rebuild's width (eight of, say, twelve lanes on
-// queued drives).  A caller wanting another pace drives RebuildStep.
+// rebuildBatchGroups is RebuildStep's default batch: a step restores at
+// most this many parity groups, side by side, so it also caps the online
+// rebuild's width (eight of, say, twelve lanes on queued drives).
 const rebuildBatchGroups = 8
 
 // RebuildStep reconstructs up to maxGroups parity groups of the down
-// disks onto their replacement drives (maxGroups ≤ 0: StartRebuild's 8).
+// disks onto their replacement drives (maxGroups ≤ 0: a batch of 8).  A
+// background rebuild is the caller's loop over it until it reports done.
 // Only the health transitions — the drive swap at the first step, the
 // return to Healthy after the last, reported as (true, nil) — hold the
 // exclusive gate.  The batch runs under the shared gate, as ScrubStep
@@ -184,27 +183,4 @@ func (db *DB) restoreGroups(groups []page.GroupID, ds []int, giveUp bool) ([]uin
 	})
 	slices.Sort(lost)
 	return lost, err
-}
-
-// StartRebuild launches the online rebuild worker in a goroutine.  It
-// loops RebuildStep with its default batch, yielding between batches, and
-// delivers the final result (nil on a completed rebuild) on the returned
-// channel.
-func (db *DB) StartRebuild() <-chan error {
-	ch := make(chan error, 1)
-	go func() {
-		for {
-			done, err := db.RebuildStep(0)
-			if err != nil {
-				ch <- err
-				return
-			}
-			if done {
-				ch <- nil
-				return
-			}
-			runtime.Gosched()
-		}
-	}()
-	return ch
 }

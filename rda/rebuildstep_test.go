@@ -35,6 +35,24 @@ func rebuildTransfers(t *testing.T, db *DB) int64 {
 	return db.Stats().TotalTransfers() - before
 }
 
+// rebuildInBackground is a background online rebuild: a goroutine loops
+// RebuildStep(0) until it reports done and delivers the first error, or
+// nil, on the returned channel.
+func rebuildInBackground(db *DB) <-chan error {
+	ch := make(chan error, 1)
+	go func() {
+		for {
+			done, err := db.RebuildStep(0)
+			if err != nil || done {
+				ch <- err
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	return ch
+}
+
 // TestRepairOfSomeDownDrives: repairing one of two dead drives on P+Q
 // leaves the engine serving around exactly the drive still down, so the
 // online rebuild that follows rebuilds that drive alone — the transfers of
@@ -137,8 +155,8 @@ func TestRebuildStepOnUnsyncedFailedArray(t *testing.T) {
 	if done, err := db.RebuildStep(0); done || !errors.Is(err, ErrArrayFailed) {
 		t.Fatalf("RebuildStep on a failed array = (%v, %v), want ErrArrayFailed", done, err)
 	}
-	if err := <-db.StartRebuild(); !errors.Is(err, ErrArrayFailed) {
-		t.Fatalf("StartRebuild on a failed array delivered %v, want ErrArrayFailed", err)
+	if err := <-rebuildInBackground(db); !errors.Is(err, ErrArrayFailed) {
+		t.Fatalf("a background rebuild of a failed array delivered %v, want ErrArrayFailed", err)
 	}
 	if h := db.Health(); h != diskarray.Failed {
 		t.Fatalf("health = %v, want failed", h)

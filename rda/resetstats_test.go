@@ -71,9 +71,7 @@ func TestResetStatsZeroesEveryCounterGroup(t *testing.T) {
 	if err := db.CorruptBlock(36); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Scrub(); err != nil {
-		t.Fatal(err)
-	}
+	scrubCycle(t, db)
 	// Self-healing and degraded serving: a persistent error storm on one
 	// drive fail-stops it; page 0 is then read and written around it, and
 	// a corrupt survivor of its group exhausts the redundancy.

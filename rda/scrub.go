@@ -13,14 +13,32 @@ import (
 // transactions stall; a caller wanting another pace drives ScrubStep.
 const scrubBatchGroups = 8
 
+// ScrubReport summarizes a parity scrub (see ScrubStep and StartScrub).
+type ScrubReport struct {
+	// GroupsScanned is the number of parity groups examined.
+	GroupsScanned int
+	// GroupsSkipped is the number of groups left for a later cycle
+	// because they were dirty or degraded.  A cycle over a quiesced,
+	// healthy database skips none.
+	GroupsSkipped int
+	// LatentErrors is the number of blocks that failed end-to-end
+	// verification — checksum, location stamp or write ledger.
+	LatentErrors int
+	// Repaired is the number of blocks rebuilt from redundancy.
+	Repaired int
+	// ParityRewritten counts stale parity pages recomputed.
+	ParityRewritten int
+}
+
 // ScrubStep verifies up to maxGroups parity groups online (maxGroups
 // ≤ 0 uses StartScrub's batch of 8), advancing a persistent cursor so
-// successive steps walk the whole array.  It is the incremental,
-// transaction-friendly counterpart of Scrub: the step runs under the
-// *shared* recovery gate and takes each group's latch only while that
-// group is verified, so live transactions on other groups proceed
-// concurrently and a transaction touching the scrubbed group simply
-// queues on its latch for one group's worth of I/O.
+// successive steps walk the whole array: the paper's idle-time scrub
+// (Section 4.2), which keeps "media recovery will actually work" true on
+// a long-lived array.  The step runs under the *shared* recovery gate
+// and takes each group's latch only while that group is verified, so
+// live transactions on other groups proceed concurrently and a
+// transaction touching the scrubbed group simply queues on its latch for
+// one group's worth of I/O.
 //
 // A group that is dirty (a no-UNDO-logging steal is in flight) or
 // degraded (its redundancy is consumed by a dead disk) is skipped and
@@ -101,10 +119,9 @@ func (db *DB) scrubGroup(g page.GroupID) (ScrubReport, error) {
 // cycle — continuous scrubbing is a loop over StartScrub (or
 // ScrubStep).
 //
-// Unlike StartRebuild the worker never takes the exclusive gate:
-// batches run under the shared gate with per-group latches, so live
-// transactions are delayed only by latch conflicts on the specific
-// group being verified.
+// The worker never takes the exclusive gate: batches run under the
+// shared gate with per-group latches, so live transactions are delayed
+// only by latch conflicts on the specific group being verified.
 func (db *DB) StartScrub() <-chan ScrubResult {
 	ch := make(chan ScrubResult, 1)
 	n := db.NumGroups()

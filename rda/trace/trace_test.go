@@ -134,6 +134,34 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
+// TestCheckpointEveryBoundsRecovery: periodic action-consistent
+// checkpoints bound ¬FORCE crash recovery.  The same trace crashed at its
+// end costs fewer recovery transfers when the replay checkpoints every
+// CheckpointEvery transfers than when it never does, and both recover to
+// a consistent array.
+func TestCheckpointEveryBoundsRecovery(t *testing.T) {
+	tr := genTrace(t, "uniform", trace.ModePage, 31)
+	run := func(every int64) trace.Result {
+		db, err := rda.Open(tr.Config(replayCfg(rda.DataStriping, 4, rda.NoForce)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := trace.Replay(db, tr, trace.Options{CheckpointEvery: every, CrashAtEnd: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.VerifyParity(); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	never, every := run(0), run(500)
+	if every.RecoveryTransfers >= never.RecoveryTransfers {
+		t.Fatalf("recovery took %d transfers with a checkpoint every 500, %d with none",
+			every.RecoveryTransfers, never.RecoveryTransfers)
+	}
+}
+
 // TestCrashAtEndKeepsBufferCounters: the crash at the end of a replay
 // discards the buffer pool, and with it the pool's counters, yet
 // Result.Stats must report the buffer activity of the run.  A generated

@@ -432,12 +432,8 @@ func (tx *Tx) Commit() error {
 			return ErrCrashed
 		}
 	}
-	// The automatic action-consistent checkpoint flushes the whole pool,
-	// which needs the exclusive gate — taken after the commit's shared
-	// section ends.
-	ckptErr := db.maybeAutoCheckpoint()
 	tx.st.locks.ReleaseAll(tx.st.t.ID)
-	return ckptErr
+	return nil
 }
 
 // commitAttempt is one pass of EOT processing under the shared gate.
