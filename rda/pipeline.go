@@ -49,9 +49,9 @@ func (db *DB) flushForce(st *txState) error {
 		_, n := db.groupRun(pages)
 		groups, pages = append(groups, pages[:n]), pages[n:]
 	}
-	// Together joins every branch and surfaces the first error (or the
-	// earliest crash panic) in group order, keeping failures
-	// deterministic per-interleaving.
+	// Together surfaces the lowest-index error or crash panic in group
+	// order, keeping failures deterministic per-interleaving; groups after
+	// a failed one may not be flushed, as on the synchronous loop.
 	return db.arr.Together(len(groups), func(i int) error {
 		return db.flushGroup(st, db.arr.GroupOf(groups[i][0]), groups[i])
 	})
