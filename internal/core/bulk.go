@@ -115,7 +115,10 @@ func (s *Store) bulkStripe(g page.GroupID, covered func(page.PageID) (page.Buf, 
 		twin = s.Twins.Obsolete(g)
 	}
 	meta := disk.Meta{State: disk.StateCommitted, Timestamp: s.TM.NextTimestamp()}
-	if err := s.writeIndex(g, twin, s.computeIndex(vals), meta); err != nil {
+	imgs := s.computeIndex(vals)
+	err := s.writeIndex(g, twin, imgs, meta)
+	s.Pages.Put(imgs[:]...)
+	if err != nil {
 		return err
 	}
 	if s.Twins != nil {

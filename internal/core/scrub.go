@@ -117,11 +117,13 @@ func (s *Store) recompute(g page.GroupID, r diskarray.Red, meta disk.Meta) error
 }
 
 // computeIndex returns, by equation, the redundancy pages of a group
-// whose data members hold the given values.
+// whose data members hold the given values, in pages from s.Pages that the
+// caller puts back.
 func (s *Store) computeIndex(vals []page.Buf) (imgs [2]page.Buf) {
 	raw := page.Raw(vals)
 	for _, eq := range s.Arr.Equations() {
-		imgs[eq] = eq.Compute(s.Arr.PageSize(), raw...)
+		imgs[eq] = s.Pages.Get()
+		eq.ComputeInto(imgs[eq], raw...)
 	}
 	return imgs
 }
