@@ -6,14 +6,19 @@ import "testing"
 // in allocations: a read-only transaction and a five-page update
 // transaction on a FORCE engine whose pool holds every page.  The bounds
 // are the measured counts, so per-transaction tables that come back — one
-// map per Begin, a re-sort per commit — show up here first.
+// map per Begin, a re-sort per commit — show up here first.  The update
+// flushes a whole stripe on data striping and none on parity striping.
 func TestTxBookkeepingAllocs(t *testing.T) {
-	cfg := smallConfig(PageLogging, Force, true, DataStriping)
-	cfg.BufferFrames = 64
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
+	open := func(layout Layout) *DB {
+		cfg := smallConfig(PageLogging, Force, true, layout)
+		cfg.BufferFrames = 64
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
+	db := open(DataStriping)
 	data := fillPage(db, 3)
 	readOnly := func() {
 		tx := mustBegin(t, db)
@@ -24,17 +29,20 @@ func TestTxBookkeepingAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	update := func() {
-		tx := mustBegin(t, db)
-		for p := PageID(0); p < 5; p++ {
-			if err := tx.WritePage(p, data); err != nil {
+	updateOn := func(db *DB) func() {
+		return func() {
+			tx := mustBegin(t, db)
+			for p := PageID(0); p < 5; p++ {
+				if err := tx.WritePage(p, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
 	}
+	update := updateOn(db)
 	for _, c := range []struct {
 		name string
 		fn   func()
@@ -42,6 +50,7 @@ func TestTxBookkeepingAllocs(t *testing.T) {
 	}{
 		{"read-only", readOnly, 7},
 		{"five-page update", update, 44},
+		{"five-page update on parity striping", updateOn(open(ParityStriping)), 65},
 	} {
 		if n := testing.AllocsPerRun(100, c.fn); n > c.max {
 			t.Errorf("%s transaction: %v allocations, want at most %v", c.name, n, c.max)
