@@ -516,8 +516,11 @@ func (d *Disk) ResetStats() {
 }
 
 // PeekMeta returns the block metadata without charging a transfer.  It is
-// a debugging/verification aid for tests and the array-layout dumper and
-// must not be used on any measured code path.
+// a debugging/verification aid for tests and the array-layout dumper.  On
+// a measured code path it may only hand back a header the caller already
+// holds: that of a block it has just read, verified, under the latch that
+// keeps others from writing it, or that of a mirror copy it rewrites
+// unchanged.  It must never stand in for a read the protocol makes.
 func (d *Disk) PeekMeta(blockNum int) (Meta, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -707,7 +707,8 @@ func (a *Array) Peek(g page.GroupID, r Red) (page.Buf, error) {
 }
 
 // PeekMeta returns a redundancy page's header without charging a
-// transfer (verification aid).
+// transfer: a verification aid, or a header the caller already holds (see
+// disk.Disk.PeekMeta for when the engine may use it).
 func (a *Array) PeekMeta(g page.GroupID, r Red) (disk.Meta, error) {
 	loc := a.Loc(g, r)
 	return a.disks[loc.Disk].PeekMeta(loc.Block)
