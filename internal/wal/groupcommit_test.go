@@ -77,6 +77,52 @@ func TestForceIsIdempotentAndPartial(t *testing.T) {
 	}
 }
 
+func TestPackedForceChargesASpanOnceHoweverSplit(t *testing.T) {
+	// Under Packed a log page is charged once, when the stream enters it,
+	// so forcing a span in one call must cost what forcing it in pieces
+	// costs — pieces that end exactly on a page boundary included.
+	const pageSize, n = 100, 12
+	frame := Record{Type: TypeAfterImage, Txn: 1, Slot: NoSlot, Image: make([]byte, pageSize/2-29)}
+	if got := frameLen(&frame); got != pageSize/2 {
+		t.Fatalf("frame is %d bytes, want %d (two to a page)", got, pageSize/2)
+	}
+	charge := func(ends []LSN) int64 {
+		l := New(Config{LogPageSize: pageSize, WriteCost: 4, Packed: true})
+		for i := 0; i < n; i++ {
+			l.AppendUnforced(frame)
+		}
+		for _, e := range ends {
+			l.Force(e)
+		}
+		return l.Stats().Transfers
+	}
+	whole := charge([]LSN{n})
+	if want := int64((n/2 - 1) * 4); whole != want {
+		t.Fatalf("one force of %d frames charged %d, want %d (every page but the first)", n, whole, want)
+	}
+	for name, ends := range map[string][]LSN{
+		"every frame":      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
+		"page aligned":     {2, 4, 6, 8, 10, 12},
+		"two pages":        {4, 8, 12},
+		"mid-page":         {1, 3, 5, 7, 9, 11, 12},
+		"uneven":           {3, 4, 9, 12},
+		"aligned then one": {6, 7, 12},
+	} {
+		if got := charge(ends); got != whole {
+			t.Errorf("%s: forces at %v charged %d, one force charges %d", name, ends, got, whole)
+		}
+	}
+	// The same holds for forced appends, each its own force: six frames
+	// of exactly one log page cost every page but the first.
+	l := New(Config{LogPageSize: 2020, WriteCost: 4, Packed: true})
+	for i := 0; i < 6; i++ {
+		l.Append(Record{Type: TypeAfterImage, Txn: 1, Slot: NoSlot, Image: make([]byte, 2020-29)})
+	}
+	if got := l.Stats().Transfers; got != 5*4 {
+		t.Fatalf("six page-sized forced appends charged %d, want %d", got, 5*4)
+	}
+}
+
 func TestForcedAppendDragsUnforcedPredecessors(t *testing.T) {
 	// The log is sequential: forcing record N writes everything below it.
 	l := New(DefaultConfig())

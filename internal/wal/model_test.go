@@ -57,9 +57,9 @@ func (m *refLog) force(upTo LSN) int64 {
 	}
 	var charged int64
 	if end := m.off(upTo + 1); end > m.forcedOff {
-		pages := (end-1)/m.cfg.LogPageSize - m.forcedOff/m.cfg.LogPageSize
-		if !m.cfg.Packed {
-			pages++
+		pages := (end-1)/m.cfg.LogPageSize - m.forcedOff/m.cfg.LogPageSize + 1
+		if m.cfg.Packed {
+			pages = (end-1)/m.cfg.LogPageSize - (m.forcedOff-1)/m.cfg.LogPageSize
 		}
 		charged = int64(pages * m.cfg.WriteCost)
 		m.stats.Transfers += charged

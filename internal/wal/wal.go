@@ -9,17 +9,21 @@
 // (Section 5.3) additionally logs record-granularity images addressed by
 // (page, slot).
 //
-// The log models stable storage: its contents survive DB.Crash().  By
-// default every append is forced, honouring the write-ahead rule at the
-// granularity the engine needs (a before-image is appended, and therefore
-// durable, before the corresponding page write reaches the array).  Group
-// commit relaxes this for the records that do not carry undo material:
-// AppendUnforced leaves a record in the volatile log tail, Force makes
-// everything up to an LSN durable (charging the covered log pages once,
-// however many records they hold — the fold-in that makes concurrent
-// commits share one log write), and DropUnforced models a crash by
-// discarding the unforced tail.  The Forcer batches concurrent Force
-// calls within a configurable window.
+// The log models stable storage: its contents survive DB.Crash().  Append
+// forces: the engine appends every record that carries undo material or
+// must outlive a crash on its own — BOT, before-images, checkpoints,
+// aborts — that way, honouring the write-ahead rule at the granularity it
+// needs (a before-image is appended, and therefore durable, before the
+// corresponding page write reaches the array).  AppendUnforced leaves a
+// record in the volatile log tail, Force makes everything up to an LSN
+// durable (charging the covered log pages once, however many records they
+// hold), and DropUnforced models a crash by discarding the unforced tail.
+// A transaction's after-images are appended unforced on every
+// configuration and ride its EOT's force: the EOT's forced Append drags
+// them along as one sequential log write, or, under group commit, the
+// EOT is unforced too and the Forcer's batched Force — concurrent Force
+// calls gathered within a configurable window — writes it and its
+// after-images with other commits' in one log write.
 //
 // Cost accounting follows the paper's model, which charges every log
 // write like a small write to the disk array (4 page transfers: read old
@@ -411,7 +415,11 @@ func (l *Log) ForcedLSN() LSN {
 // newly forced span.  Charging by absolute byte span keeps the cost
 // accounting identical to the always-forced model when there is no
 // unforced backlog: the span then starts exactly at the appended frame.
-// Under the Packed policy only newly entered pages are charged.
+// Under the Packed policy only newly entered pages are charged: the pages
+// after the one holding the last byte already forced (page 0, where the
+// stream starts, counts as entered), so a span costs the same however it
+// is split into forces — a force that starts on a page boundary pays for
+// the page it enters.
 func (l *Log) forceLocked(upTo LSN) {
 	if upTo >= l.nextLSN {
 		upTo = l.nextLSN - 1
@@ -420,11 +428,10 @@ func (l *Log) forceLocked(upTo LSN) {
 		return
 	}
 	if endOff := l.offsetOf(upTo + 1); endOff > l.forcedOff {
-		firstPage := l.forcedOff / l.cfg.LogPageSize
 		lastPage := (endOff - 1) / l.cfg.LogPageSize
-		pagesTouched := int64(lastPage - firstPage + 1)
+		pagesTouched := int64(lastPage - l.forcedOff/l.cfg.LogPageSize + 1)
 		if l.cfg.Packed {
-			pagesTouched = int64(lastPage - firstPage)
+			pagesTouched = int64(lastPage - (l.forcedOff-1)/l.cfg.LogPageSize)
 		}
 		l.stats.Transfers += pagesTouched * int64(l.cfg.WriteCost)
 		l.forcedOff = endOff

@@ -8,17 +8,19 @@ import "testing"
 // are the measured counts, so per-transaction tables that come back — one
 // map per Begin, a re-sort per commit — show up here first.  The update
 // flushes a whole stripe on data striping and none on parity striping.
+// Through a two-frame pool three of its pages are stolen before EOT, and
+// the commit reads each back for its after-image into a recycled page.
 func TestTxBookkeepingAllocs(t *testing.T) {
-	open := func(layout Layout) *DB {
+	open := func(layout Layout, frames int) *DB {
 		cfg := smallConfig(PageLogging, Force, true, layout)
-		cfg.BufferFrames = 64
+		cfg.BufferFrames = frames
 		db, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return db
 	}
-	db := open(DataStriping)
+	db := open(DataStriping, 64)
 	data := fillPage(db, 3)
 	readOnly := func() {
 		tx := mustBegin(t, db)
@@ -50,7 +52,8 @@ func TestTxBookkeepingAllocs(t *testing.T) {
 	}{
 		{"read-only", readOnly, 7},
 		{"five-page update", update, 44},
-		{"five-page update on parity striping", updateOn(open(ParityStriping)), 65},
+		{"five-page update on parity striping", updateOn(open(ParityStriping, 64)), 65},
+		{"five-page update stolen before EOT", updateOn(open(DataStriping, 2)), 69},
 	} {
 		if n := testing.AllocsPerRun(100, c.fn); n > c.max {
 			t.Errorf("%s transaction: %v allocations, want at most %v", c.name, n, c.max)

@@ -194,8 +194,8 @@ type Config struct {
 	// write.  Commit still acknowledges only after the fold-in is
 	// durable.  While group commit is on, each physical log force also
 	// sleeps IODelay once, modelling the log device's service time.
-	// Zero — the default — forces every append immediately, the
-	// pre-group-commit behavior.
+	// Zero — the default — forces each EOT as it is appended, and with
+	// it the transaction's unforced after-images.
 	GroupCommitWindow time.Duration
 }
 

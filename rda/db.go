@@ -200,10 +200,12 @@ type DB struct {
 	store *core.Store
 	log   *wal.Log
 	// forcer batches EOT log forces; non-nil exactly when
-	// Config.GroupCommitWindow > 0.  After-images and EOT records are
-	// then appended unforced and Commit waits on the forcer before
-	// acknowledging.  Undo-critical records (BOT, before-images,
-	// checkpoints, aborts) are always forced inline regardless.
+	// Config.GroupCommitWindow > 0.  The EOT record is then appended
+	// unforced and Commit waits on the forcer before acknowledging;
+	// without it the EOT is a forced append.  After-images are appended
+	// unforced on every configuration and ride the EOT's force.
+	// Undo-critical records (BOT, before-images, checkpoints, aborts) are
+	// always forced inline.
 	forcer *wal.Forcer
 	tm     *txn.Manager
 	// locks and pool are replaced by Recover; operations read them under
@@ -449,9 +451,10 @@ func (db *DB) healWorld() bool {
 // pool (after-image capture, abort restores).  Like the pool's fetch it
 // transparently repairs latent sector errors from the group's redundancy;
 // other errors surface to the operation, whose healWorld retry serves the
-// read from redundancy after a disk loss.
-func (db *DB) storeRead(p page.PageID) (page.Buf, error) {
-	return db.store.ReadPage(p, nil)
+// read from redundancy after a disk loss.  dst, when non-nil, is a page
+// the caller owns for the read to fill (see core.Store.ReadPage).
+func (db *DB) storeRead(p page.PageID, dst page.Buf) (page.Buf, error) {
+	return db.store.ReadPage(p, dst)
 }
 
 // syncHealth aligns the engine's degraded-serving state with the array's
@@ -644,16 +647,6 @@ func (db *DB) logUndo(st *txState, p page.PageID, forced bool) wal.LSN {
 	}
 	e.viaLog = true
 	return db.ensureUndoLogged(e, forced)
-}
-
-// logRedo appends a REDO-side record (after-image or EOT): unforced
-// under group commit — Commit's force-wait makes it durable before the
-// acknowledgement — and forced inline otherwise.
-func (db *DB) logRedo(r wal.Record) wal.LSN {
-	if db.forcer != nil {
-		return db.log.AppendUnforced(r)
-	}
-	return db.log.Append(r)
 }
 
 // demoteNoLogSteal converts a page's no-UNDO-logging steal into a logged

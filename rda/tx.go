@@ -491,6 +491,8 @@ func (db *DB) commitAttempt(tx *Tx) error {
 				st.eotLSN = 0
 			}
 		} else {
+			// The forced EOT drags the unforced after-images with it: one
+			// sequential log write.
 			db.log.Append(eot)
 		}
 	}
@@ -516,34 +518,47 @@ func (db *DB) commitAttempt(tx *Tx) error {
 
 // appendAfterImages writes the transaction's REDO material: for each of
 // its before-images, in page and slot order, the same slot re-read from
-// the current page (a whole page under page logging).
+// the current page (a whole page under page logging).  The images are
+// appended unforced on every configuration: REDO reads only committed
+// transactions' after-images, so they need to be durable exactly when the
+// EOT record is, and the EOT's force — a forced Append, or the group
+// commit's batch — writes them and the EOT as one sequential log write.
 func (db *DB) appendAfterImages(st *txState) error {
 	for _, e := range st.undo {
 		for _, b := range e.images {
-			cur, err := db.currentImage(e.page)
-			if err != nil {
+			if err := db.appendAfterImage(st.t.ID, e.page, b.Slot); err != nil {
 				return err
 			}
-			img, err := record.ImageOf(cur, b.Slot)
-			if err != nil {
-				return err
-			}
-			db.logRedo(wal.Record{Type: wal.TypeAfterImage, Txn: st.t.ID, Page: e.page, Slot: b.Slot, Image: img})
 		}
 	}
 	return nil
 }
 
-// currentImage returns the latest contents of page p: the buffered frame
-// when resident, the on-disk page otherwise (the page was stolen and not
-// re-referenced; the read is charged, as any I/O).  The caller holds p's
-// group latch, which keeps the frame from being evicted or mutated, and
-// only reads the image: a resident page is the frame's own buffer.
-func (db *DB) currentImage(p page.PageID) (page.Buf, error) {
+// appendAfterImage appends, unforced, the after-image of slot of page p
+// taken from the latest contents of p: the buffered frame when resident,
+// the on-disk page otherwise (the page was stolen and not re-referenced;
+// the read is charged, as any I/O).  A page read from disk lands in a
+// scratch page of the store's free list, which goes back once the log has
+// copied the image.  The caller holds p's group latch, which keeps the
+// frame from being evicted or mutated.
+func (db *DB) appendAfterImage(txn page.TxID, p page.PageID, slot int32) error {
+	var cur page.Buf
 	if f := db.pool.Frame(p); f != nil {
-		return f.Data, nil
+		cur = f.Data
+	} else {
+		scratch := db.store.Pages.Get()
+		defer db.store.Pages.Put(scratch)
+		var err error
+		if cur, err = db.storeRead(p, scratch); err != nil {
+			return err
+		}
 	}
-	return db.storeRead(p)
+	img, err := record.ImageOf(cur, slot)
+	if err != nil {
+		return err
+	}
+	db.log.AppendUnforced(wal.Record{Type: wal.TypeAfterImage, Txn: txn, Page: p, Slot: slot, Image: img})
+	return nil
 }
 
 // clearModifiers removes the finished transaction from every resident
@@ -744,7 +759,7 @@ func (db *DB) restoreLogged(tx page.TxID, e *undoEntry) error {
 	restored := e.images[0].Image
 	if e.images[0].Slot != wal.NoSlot {
 		var err error
-		if restored, err = db.storeRead(e.page); err != nil {
+		if restored, err = db.storeRead(e.page, nil); err != nil {
 			return err
 		}
 	}
