@@ -10,20 +10,22 @@
 // (page, slot).
 //
 // The log models stable storage: its contents survive DB.Crash().  Append
-// forces: the engine appends every record that carries undo material or
+// forces; AppendUnforced leaves a record in the volatile log tail, Force
+// makes everything up to an LSN durable (charging the covered log pages
+// once, however many records they hold), and DropUnforced models a crash
+// by discarding the unforced tail.  A record that carries undo material or
 // must outlive a crash on its own — BOT, before-images, checkpoints,
-// aborts — that way, honouring the write-ahead rule at the granularity it
-// needs (a before-image is appended, and therefore durable, before the
-// corresponding page write reaches the array).  AppendUnforced leaves a
-// record in the volatile log tail, Force makes everything up to an LSN
-// durable (charging the covered log pages once, however many records they
-// hold), and DropUnforced models a crash by discarding the unforced tail.
-// A transaction's after-images are appended unforced on every
-// configuration and ride its EOT's force: the EOT's forced Append drags
-// them along as one sequential log write, or, under group commit, the
-// EOT is unforced too and the Forcer's batched Force — concurrent Force
-// calls gathered within a configurable window — writes it and its
-// after-images with other commits' in one log write.
+// aborts — is durable before the disk writes it covers: the write-ahead
+// rule.  Most take a forced Append.  A FORCE commit's flush appends the
+// before-images of every page it is bound to write through the logging
+// path unforced and makes them durable with one Force before its first
+// array write, the write-ahead rule at batch granularity.  A
+// transaction's after-images are appended unforced on every configuration
+// and ride its EOT's force: the EOT's forced Append drags them along as
+// one sequential log write, or, under group commit, the EOT is unforced
+// too and the Forcer's batched Force — concurrent Force calls gathered
+// within a configurable window — writes it and its after-images with
+// other commits' in one log write.
 //
 // Cost accounting follows the paper's model, which charges every log
 // write like a small write to the disk array (4 page transfers: read old
@@ -59,8 +61,9 @@ const (
 	// TypeBeforeImage carries a page (Slot < 0) or record (Slot >= 0)
 	// before-image for UNDO.
 	TypeBeforeImage
-	// TypeAfterImage carries a page or record after-image for REDO
-	// (¬FORCE algorithms).
+	// TypeAfterImage carries a page or record after-image for REDO.
+	// Every configuration logs them; only a committed transaction's are
+	// read back.
 	TypeAfterImage
 	// Value 6 is retired: it named the anchor record of a per-transaction
 	// log chain that nothing ever appended.  The types keep their numbers.
@@ -311,8 +314,9 @@ func (l *Log) Append(r Record) LSN {
 // The record is readable immediately (the engine reads its own log
 // buffer) but does not survive a crash until Force covers its LSN; no
 // transfers are charged until then.  Undo-critical records (BOT,
-// before-images, checkpoints) must use Append — the write-ahead rule
-// requires them durable before the disk writes they cover.
+// before-images, checkpoints) must be durable before the disk writes they
+// cover — the write-ahead rule: Append them, or AppendUnforced them and
+// Force past the last before the first such write.
 func (l *Log) AppendUnforced(r Record) LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -10,12 +10,27 @@ import "testing"
 // flushes a whole stripe on data striping and none on parity striping.
 // Through a two-frame pool three of its pages are stolen before EOT, and
 // the commit reads each back for its after-image into a recycled page.
+// With a drive down every group is degraded, and the flush logs all five
+// before-images in one batch ahead of its first array write.
 func TestTxBookkeepingAllocs(t *testing.T) {
 	open := func(layout Layout, frames int) *DB {
 		cfg := smallConfig(PageLogging, Force, true, layout)
 		cfg.BufferFrames = frames
 		db, err := Open(cfg)
 		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	openDown := func(qparity bool) *DB {
+		cfg := smallConfig(PageLogging, Force, true, DataStriping)
+		cfg.BufferFrames = 64
+		cfg.QParity = qparity
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.FailDisk(1); err != nil {
 			t.Fatal(err)
 		}
 		return db
@@ -54,6 +69,8 @@ func TestTxBookkeepingAllocs(t *testing.T) {
 		{"five-page update", update, 44},
 		{"five-page update on parity striping", updateOn(open(ParityStriping, 64)), 65},
 		{"five-page update stolen before EOT", updateOn(open(DataStriping, 2)), 69},
+		{"five-page update with a drive down", updateOn(openDown(false)), 60},
+		{"five-page update with a drive down on P+Q", updateOn(openDown(true)), 60},
 	} {
 		if n := testing.AllocsPerRun(100, c.fn); n > c.max {
 			t.Errorf("%s transaction: %v allocations, want at most %v", c.name, n, c.max)

@@ -147,6 +147,14 @@ func TestSweepCounts(t *testing.T) {
 		{opts: Options{Seed: 1, Txns: 3, Dead: 1, NoForce: true}, want: [2]counts{
 			{runs: 104, writes: 44, undos: 9, deferred: 392, lossRuns: 3, lost: 3},
 			{runs: 102, writes: 41, undos: 9, deferred: 372, lossRuns: 2, lost: 2}}},
+		// One dead drive on P+Q, untorn, synchronous: every write of a FORCE
+		// flush goes to a degraded group through the logging path.
+		{opts: Options{Seed: 1, Txns: 3, Dead: 1, QParity: true}, want: [2]counts{
+			{runs: 135, writes: 56, undos: 50, deferred: 699},
+			{runs: 145, writes: 57, undos: 45, deferred: 1080}}},
+		{opts: Options{Seed: 1, Txns: 3, Dead: 1, QParity: true, Frames: 16}, want: [2]counts{
+			{runs: 97, writes: 40, undos: 39, deferred: 506},
+			{runs: 105, writes: 41, undos: 33, deferred: 792}}},
 		{opts: Options{Seed: 1, Txns: 4, Dead: 2, QParity: true}, want: [2]counts{
 			{runs: 152, writes: 60, deferred: 1134},
 			{runs: 149, writes: 55, deferred: 1554}}},

@@ -610,11 +610,11 @@ func (db *DB) ensureBOT(st *txState) {
 
 // ensureUndoLogged appends e's before-images that are not on the log yet,
 // in slot order, and returns the last one's LSN (0 when none was
-// appended).  Unforced (page images only) they go to the volatile log
-// tail, and the caller MUST force the log past the returned LSN before any
-// disk write they cover — the full-stripe flush does, with a single force
-// for the whole batch, which is what folds k before-image forces into one
-// log write.  The caller holds the owner's st.mu.
+// appended).  Unforced they go to the volatile log tail, and the caller
+// MUST force the log past the returned LSN before any disk write they
+// cover — a FORCE commit's flush does, with a single force for its whole
+// batch (logAhead), which is what folds k before-image forces into one log
+// write.  The caller holds the owner's st.mu.
 func (db *DB) ensureUndoLogged(e *undoEntry, forced bool) wal.LSN {
 	var last wal.LSN
 	for i := range e.images {
@@ -634,9 +634,9 @@ func (db *DB) ensureUndoLogged(e *undoEntry, forced bool) wal.LSN {
 }
 
 // logUndo puts st's UNDO material for page p on the log ahead of a write
-// of p through the logging path — a write-back, a demotion, a stripe
-// flush — and marks the page as written that way, so an abort restores it
-// on disk.  It returns ensureUndoLogged's LSN.
+// of p through the logging path — a write-back, a demotion, a FORCE
+// flush's batch — and marks the page as written that way, so an abort
+// restores it on disk.  It returns ensureUndoLogged's LSN.
 func (db *DB) logUndo(st *txState, p page.PageID, forced bool) wal.LSN {
 	db.ensureBOT(st)
 	st.mu.Lock()

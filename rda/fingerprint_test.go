@@ -504,6 +504,12 @@ func fpRun(t *testing.T, sc fpScenario, online bool, lr *logRecorder) (out, logO
 //     phases after a restart move their hash with the timestamps not drawn
 //     and the headers not rewritten.  load, workload and every healthy
 //     scenario reproduce byte for byte.
+//   - A FORCE flush makes its degraded groups' before-images durable with
+//     one log force before its first array write: restart-hard2 of
+//     twin-raid5-one-dead, r=116 → 117.  Its cut falls mid-flush, so one
+//     more before-image is on the log, and the restart reads that page
+//     once to find it already holds the image.  No w=, h= or platter=
+//     moved.
 var fingerprintGolden = map[string][]string{
 	"twin-raid5/repair": {
 		"load: w=30 r=0 h=d5cb9f33f475de0c",
@@ -527,7 +533,7 @@ var fingerprintGolden = map[string][]string{
 		"restart-hard1-workload: w=45 r=118 h=9a2c1480d211b261",
 		"restart-hard1: w=9 r=111 h=9fdb4eee7a96c56b",
 		"restart-hard2-workload: w=34 r=71 h=7aa97135a5d51edc",
-		"restart-hard2: w=8 r=116 h=8ddb2da533f5cca0",
+		"restart-hard2: w=8 r=117 h=8ddb2da533f5cca0",
 		"workload-after: w=54 r=146 h=d283fba7f4f1a9d1",
 		"platter=20262563481c53f9",
 	},
@@ -540,7 +546,7 @@ var fingerprintGolden = map[string][]string{
 		"restart-hard1-workload: w=45 r=118 h=9a2c1480d211b261",
 		"restart-hard1: w=9 r=111 h=9fdb4eee7a96c56b",
 		"restart-hard2-workload: w=34 r=71 h=7aa97135a5d51edc",
-		"restart-hard2: w=8 r=116 h=8ddb2da533f5cca0",
+		"restart-hard2: w=8 r=117 h=8ddb2da533f5cca0",
 		"workload-after: w=54 r=146 h=d283fba7f4f1a9d1",
 		"platter=20262563481c53f9",
 	},

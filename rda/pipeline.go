@@ -23,7 +23,8 @@ import (
 // run and fans the groups out: they are independent (the caller holds
 // every group's latch, and the store's group-striped protocol already
 // allows concurrent commits on disjoint groups), so their disk work
-// overlaps across drives.
+// overlaps across drives.  Before the first array write, one log force
+// makes durable every before-image the flush is bound to log (logAhead).
 
 // flushForce writes the transaction's modified pages to the array, as
 // FORCE EOT processing requires.  Caller holds all modified groups'
@@ -33,17 +34,21 @@ func (db *DB) flushForce(st *txState) error {
 	for i, e := range st.undo {
 		pages[i] = e.page
 	}
-	if !db.arr.Queued() {
+	queued := db.arr.Queued()
+	if queued {
+		slices.SortStableFunc(pages, func(p, q page.PageID) int { return cmp.Compare(db.arr.GroupOf(p), db.arr.GroupOf(q)) })
+	}
+	db.logAhead(st, pages)
+	if !queued {
 		for len(pages) > 0 {
 			g, n := db.groupRun(pages)
-			if err := db.flushGroup(st, g, pages[:n]); err != nil {
+			if err := db.flushGroup(g, pages[:n]); err != nil {
 				return err
 			}
 			pages = pages[n:]
 		}
 		return nil
 	}
-	slices.SortStableFunc(pages, func(p, q page.PageID) int { return cmp.Compare(db.arr.GroupOf(p), db.arr.GroupOf(q)) })
 	var groups [][]page.PageID
 	for len(pages) > 0 {
 		_, n := db.groupRun(pages)
@@ -53,8 +58,43 @@ func (db *DB) flushForce(st *txState) error {
 	// order, keeping failures deterministic per-interleaving; groups after
 	// a failed one may not be flushed, as on the synchronous loop.
 	return db.arr.Together(len(groups), func(i int) error {
-		return db.flushGroup(st, db.arr.GroupOf(groups[i][0]), groups[i])
+		return db.flushGroup(db.arr.GroupOf(groups[i][0]), groups[i])
 	})
+}
+
+// logAhead appends, unforced, the before-images of every page of pages
+// whose write through the logging path is fixed before the flush starts,
+// and makes them durable with one log force — the write-ahead rule at
+// batch granularity, which folds k before-image forces into one log
+// write.  Those pages are a full stripe's and every resident dirty page of
+// a degraded group, where core.Decide never steals (and which is clean:
+// degraded entry demotes every steal).  pages is in the flush's order and
+// split into its runs: page order on synchronous drives, each group
+// gathered whole on queued ones, where a parity-striping stripe can only
+// form that way.  A chain's links keep their own forced before-images: on
+// the synchronous path a group split over several runs learns whether a
+// later run chains only after an earlier run's steal.  Nothing the flush
+// does before it reaches a group changes that group's decision, so
+// flushGroup decides the same.
+func (db *DB) logAhead(st *txState, pages []page.PageID) {
+	var last wal.LSN
+	for len(pages) > 0 {
+		g, n := db.groupRun(pages)
+		run := pages[:n]
+		pages = pages[n:]
+		if v, _ := db.groupView(g, run); !v.GroupDegraded && core.Decide(v) != core.FullStripe {
+			continue
+		}
+		// A full stripe's pages are all resident and dirty.
+		for _, p := range run {
+			if f := db.pool.Frame(p); f != nil && f.Dirty {
+				last = max(last, db.logUndo(st, p, false))
+			}
+		}
+	}
+	if last > 0 {
+		db.log.Force(last)
+	}
 }
 
 // groupRun returns the parity group of rest[0] and how many of the leading
@@ -69,11 +109,11 @@ func (db *DB) groupRun(rest []page.PageID) (g page.GroupID, n int) {
 // group (ascending; the caller holds the group's latch) as the policy
 // decides for the group: one full-stripe write, one chain, or each page
 // through its own write-back.
-func (db *DB) flushGroup(st *txState, g page.GroupID, pages []page.PageID) error {
+func (db *DB) flushGroup(g page.GroupID, pages []page.PageID) error {
 	v, last := db.groupView(g, pages)
 	switch core.Decide(v) {
 	case core.FullStripe:
-		return db.flushStripe(st, g, pages)
+		return db.flushStripe(g, pages)
 	case core.Chained:
 		return db.flushChain(g, pages[:last+1])
 	}
@@ -127,19 +167,10 @@ func (db *DB) flushChain(g page.GroupID, pages []page.PageID) error {
 
 // flushStripe writes the whole stripe of group g with one parity update
 // (core.Store.WriteStripeLogged, which says why nothing less may
-// coalesce).  The before-images of every stripe page are appended unforced
-// and made durable with a single log force before the first disk write —
-// the write-ahead rule at batch granularity.
-func (db *DB) flushStripe(st *txState, g page.GroupID, pages []page.PageID) error {
-	// The pages are marked as written with log-based undo before the write
-	// is issued, so an abort after a partial failure restores them on disk.
-	var maxLSN wal.LSN
-	for _, p := range pages {
-		maxLSN = max(maxLSN, db.logUndo(st, p, false))
-	}
-	if maxLSN > 0 {
-		db.log.Force(maxLSN)
-	}
+// coalesce).  logAhead has made every stripe page's before-image durable
+// and marked the pages as written with log-based undo, so an abort after
+// a partial failure restores them on disk.
+func (db *DB) flushStripe(g page.GroupID, pages []page.PageID) error {
 	done, err := db.pool.FlushTogether(pages, func(datas []page.Buf) error {
 		return db.store.WriteStripeLogged(g, pages, datas)
 	})
