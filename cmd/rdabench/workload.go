@@ -246,7 +246,12 @@ func benchWorkloads(specs []string, geoms []geometry, txns int, seed int64, outP
 				measuredC := hitRate(res.Stats)
 				measured := float64(res.Committed) * intervalT / float64(res.Transfers)
 				shape.Communality = measuredC
-				pred := model.Evaluate(algo, model.Compose(sys, shape), true)
+				params := model.Compose(sys, shape)
+				pred := model.Evaluate(algo, params, true)
+				if algo == model.AlgoPageForceTOC {
+					// The engine's page FORCE commits log no after-images.
+					pred = model.PageForceTOCNoAfterImages(params, true)
+				}
 
 				cell := workloadCell{
 					Workload:           spec,

@@ -20,12 +20,15 @@
 // before-images of every page it is bound to write through the logging
 // path unforced and makes them durable with one Force before its first
 // array write, the write-ahead rule at batch granularity.  A
-// transaction's after-images are appended unforced on every configuration
-// and ride its EOT's force: the EOT's forced Append drags them along as
-// one sequential log write, or, under group commit, the EOT is unforced
-// too and the Forcer's batched Force — concurrent Force calls gathered
-// within a configurable window — writes it and its after-images with
-// other commits' in one log write.
+// transaction's after-images are appended unforced and ride its EOT's
+// force: the EOT's forced Append drags them along as one sequential log
+// write, or, under group commit, the EOT is unforced too and the Forcer's
+// batched Force — concurrent Force calls gathered within a configurable
+// window — writes it and its after-images with other commits' in one log
+// write.  A ¬FORCE commit logs an after-image for every page it modified;
+// a FORCE commit only for the pages of parity groups that have lost a
+// block, since the array's redundancy is the second copy of every other
+// page it forced.
 //
 // Cost accounting follows the paper's model, which charges every log
 // write like a small write to the disk array (4 page transfers: read old
@@ -62,8 +65,9 @@ const (
 	// before-image for UNDO.
 	TypeBeforeImage
 	// TypeAfterImage carries a page or record after-image for REDO.
-	// Every configuration logs them; only a committed transaction's are
-	// read back.
+	// ¬FORCE commits log them for every modified page, FORCE commits only
+	// for pages of degraded parity groups; only a committed transaction's
+	// are read back.
 	TypeAfterImage
 	// Value 6 is retired: it named the anchor record of a per-transaction
 	// log chain that nothing ever appended.  The types keep their numbers.
@@ -191,11 +195,14 @@ type Log struct {
 // The size is the memory an almost-empty log still holds in its tail.
 const segmentSize = 16 << 10
 
-// maxSpares bounds the emptied segments kept for reuse.  One commit of
-// the benchmark's update workloads appends two to three segments and one
-// truncation frees the handful the oldest open transaction was pinning,
-// so a few spares absorb every burst; a checkpoint that frees hundreds
-// still gives all but these back to the collector.
+// maxSpares bounds the emptied segments kept for reuse.  A commit of the
+// benchmark's update workloads that logs images — a ¬FORCE commit's
+// after-images, a degraded FORCE commit's before- and after-images —
+// appends two to three segments (a healthy FORCE commit, its BOT and EOT,
+// under a hundred bytes), and one truncation frees the handful the oldest
+// open transaction was pinning, so a few spares absorb every burst; a
+// checkpoint that frees hundreds still gives all but these back to the
+// collector.
 const maxSpares = 8
 
 // segment is one fixed-capacity run of encoded frames.  Its buffer is
@@ -369,9 +376,9 @@ func (l *Log) offsetOf(n LSN) int {
 
 // release drops segs[lo:hi] from the retained list, keeping the
 // ordinary-sized ones as spares while there is room: never more than
-// maxSpares, and never more than two (one transaction's after-images)
-// beyond the segments still retained, so a log that shrinks to nothing
-// holds two spares, not eight.
+// maxSpares, and never more than two (one commit's logged images) beyond
+// the segments still retained, so a log that shrinks to nothing holds two
+// spares, not eight.
 func (l *Log) release(lo, hi int) {
 	room := min(maxSpares, len(l.segs)-(hi-lo)+2)
 	for _, s := range l.segs[lo:hi] {

@@ -256,7 +256,9 @@ func TestConcurrentGoroutineStress(t *testing.T) {
 }
 
 func TestInspectGroupAndDumpLog(t *testing.T) {
-	db, err := Open(smallConfig(PageLogging, Force, true, DataStriping))
+	// ¬FORCE, so the commit logs its after-image: a FORCE commit to a
+	// group that keeps its redundancy logs none.
+	db, err := Open(smallConfig(PageLogging, NoForce, true, DataStriping))
 	if err != nil {
 		t.Fatal(err)
 	}

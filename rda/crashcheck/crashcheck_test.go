@@ -121,6 +121,30 @@ type counts struct {
 // schedules are drawn against the write count, so every count after the
 // first shorter workload moves with it.  The exhaustive 6-frame sweeps on
 // synchronous drives stand: their pages are evicted before the EOT.
+//
+// A FORCE commit to groups that keep their redundancy logs no after-image
+// and so reads no stolen page back; no write moved, only the reads a run
+// issues, which moved these rows (EXPERIMENTS.md traces each run):
+//   - the -dead 1 rows whose drive dies at the crash write: the drive dies
+//     at its first access once the write clock reaches the crash.  That
+//     access was the first transaction's EOT read-back, which made its
+//     commit a degraded retry the crash then cut; now that transaction
+//     commits, and the death and the crash meet the next one (data striping
+//     undos 29 → 26; under -torn the retry's first write was a header
+//     rewrite, which a tear passes by, so the run had no restart: deferred
+//     +4 on each layout);
+//   - the mix soak: its transient errors fall on every 50th access, reads
+//     included, so each lands elsewhere.  Two runs' crash write took a
+//     transient error at the parent, which swallowed the crash, and one
+//     takes it now (data striping deferred +4; parity striping +4 − 4 and
+//     its loss run, page 6, gone); in the third a transient error on a
+//     write to the just-dead drive made the parent see the death two
+//     writes before the crash and demote the loser's steals, and now it
+//     does not (data striping loses page 44, as both do with no transient
+//     errors);
+//   - the corrupt soaks: a rotted block the EOT's verified read-back used
+//     to find and repair is now found by the scrub (read −1, scrubbed +1),
+//     or overwritten before any read reaches it (detected −1).
 func TestSweepCounts(t *testing.T) {
 	for _, row := range []struct {
 		opts  Options
@@ -139,11 +163,11 @@ func TestSweepCounts(t *testing.T) {
 		{opts: Options{Seed: 1, Txns: 4, Frames: 16, QParity: true}, want: [2]counts{{runs: 45, writes: 45}, {runs: 48, writes: 48}}},
 		{opts: Options{Seed: 1, Txns: 4, Frames: 16, QueueDepth: 8}, want: [2]counts{{runs: 30, writes: 30}, {runs: 30, writes: 30}}},
 		{opts: Options{Seed: 1, Txns: 3, Dead: 1}, want: [2]counts{
-			{runs: 94, writes: 38, undos: 29, deferred: 356, lossRuns: 9, lost: 12},
+			{runs: 94, writes: 38, undos: 26, deferred: 356, lossRuns: 9, lost: 12},
 			{runs: 93, writes: 35, undos: 22, deferred: 340, lossRuns: 10, lost: 11}}},
 		{opts: Options{Seed: 1, Txns: 3, Dead: 1, Torn: true}, want: [2]counts{
-			{runs: 94, writes: 38, undos: 28, deferred: 316, lossRuns: 28, lost: 41},
-			{runs: 93, writes: 35, undos: 19, deferred: 292, lossRuns: 21, lost: 31}}},
+			{runs: 94, writes: 38, undos: 28, deferred: 320, lossRuns: 28, lost: 41},
+			{runs: 93, writes: 35, undos: 19, deferred: 296, lossRuns: 21, lost: 31}}},
 		{opts: Options{Seed: 1, Txns: 3, Dead: 1, NoForce: true}, want: [2]counts{
 			{runs: 104, writes: 44, undos: 9, deferred: 392, lossRuns: 3, lost: 3},
 			{runs: 102, writes: 41, undos: 9, deferred: 372, lossRuns: 2, lost: 2}}},
@@ -166,14 +190,14 @@ func TestSweepCounts(t *testing.T) {
 		// The mix soak's degraded-recovery sums were computed and dropped at
 		// ab08b1e; recorded when Soak first folded them.
 		{opts: Options{Seed: 7, TransientEvery: 50}, soak: Mix, iters: 40, want: [2]counts{
-			{runs: 40, writes: 130, undos: 2, deferred: 36, lossRuns: 1, lost: 1},
-			{runs: 40, writes: 137, undos: 3, deferred: 40, lossRuns: 3, lost: 3}}},
+			{runs: 40, writes: 130, undos: 2, deferred: 40, lossRuns: 2, lost: 2},
+			{runs: 40, writes: 137, undos: 3, deferred: 40, lossRuns: 2, lost: 2}}},
 		{opts: Options{Seed: 7, Scrub: true}, soak: Corrupt, iters: 100, want: [2]counts{
-			{runs: 100, writes: 122, detected: 87, read: 25, scrubbed: 32, scanned: 2000},
-			{runs: 100, writes: 127, detected: 96, read: 38, scrubbed: 28, scanned: 2000}}},
+			{runs: 100, writes: 122, detected: 86, read: 18, scrubbed: 38, scanned: 2000},
+			{runs: 100, writes: 127, detected: 95, read: 28, scrubbed: 37, scanned: 2000}}},
 		{opts: Options{Seed: 42, Scrub: true}, soak: Corrupt, iters: 25, want: [2]counts{
-			{runs: 25, writes: 116, detected: 19, read: 9, scrubbed: 7, scanned: 500},
-			{runs: 25, writes: 101, detected: 18, read: 5, scrubbed: 7, scanned: 500}}},
+			{runs: 25, writes: 116, detected: 18, read: 8, scrubbed: 7, scanned: 500},
+			{runs: 25, writes: 101, detected: 18, read: 3, scrubbed: 9, scanned: 500}}},
 	} {
 		if testing.Short() && (row.iters > 50 || row.opts.Dead == 2) {
 			continue

@@ -15,7 +15,9 @@
 // Four algorithm families are modelled, each with and without RDA
 // recovery:
 //
-//	PageForceTOC      — Section 5.2.1 (¬ATOMIC, STEAL, FORCE, TOC)
+//	PageForceTOC      — Section 5.2.1 (¬ATOMIC, STEAL, FORCE, TOC);
+//	                    PageForceTOCNoAfterImages is its c_l as the
+//	                    engine runs it, without after-images
 //	PageNoForceACC    — Section 5.2.2 (¬ATOMIC, STEAL, ¬FORCE, ACC)
 //	RecordForceTOC    — Section 5.3.1 (record logging/locking, FORCE)
 //	RecordNoForceACC  — Section 5.3.2 (record logging/locking, ¬FORCE)
@@ -286,7 +288,18 @@ func throughputACC(p Params, ct, cc float64, csOf func(rc float64) float64) (rt,
 //	c_l′ = (3 + 2p_l)·s·p_u + 4·(s·p_u + s·p_u·p_l + 4) + 4·(p_l − p_l^{s·p_u})
 //
 // with K = P·f_u·s·p_u/2 in Equation 5.
-func PageForceTOC(p Params, rda bool) Result {
+func PageForceTOC(p Params, rda bool) Result { return pageForceTOC(p, rda, true) }
+
+// PageForceTOCNoAfterImages is PageForceTOC as the engine runs it: c_l
+// without the after-image term 4·s·p_u, with or without RDA recovery.  A
+// FORCE commit's pages are on disk before its EOT, so no REDO needs their
+// after-images, and the array's redundancy is the media-recovery copy
+// (the engine still logs them for a group that has lost a block, which
+// the model's fault-free interval never sees).  Figures 9 and 11 keep the
+// paper's formulas; the model-vs-measured sweep compares against this.
+func PageForceTOCNoAfterImages(p Params, rda bool) Result { return pageForceTOC(p, rda, false) }
+
+func pageForceTOC(p Params, rda, afterImages bool) Result {
 	s, fu, pu, pb := p.PagesPerTx, p.UpdateFraction, p.UpdateProb, p.AbortProb
 	c := p.Communality
 	Pfu := float64(p.P) * fu
@@ -320,6 +333,9 @@ func PageForceTOC(p Params, rda bool) Result {
 		// c_s′ (verbatim): as c_b′ over the interrupted transactions,
 		// plus S/N transfers to rebuild the current-parity bitmap.
 		cs = Pfu*(s*pu*pl+2*chain+2) + Pfu*(pu*s/2)*(4*pl+5*(1-pl)) + float64(p.S)/float64(p.N)
+	}
+	if !afterImages {
+		cl -= 4 * s * pu
 	}
 	cu := s*(1-c) + cl + pb*cb
 	ct := (1-fu)*cr + fu*cu

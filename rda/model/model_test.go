@@ -154,6 +154,41 @@ func TestFigure9MatchesPaper(t *testing.T) {
 	}
 }
 
+// TestPageForceTOCNoAfterImagesDropsOneTerm pins the engine's FORCE/TOC
+// variant to the paper's formula: c_l minus the after-image term 4·s·p_u,
+// with and without RDA, every other cost unchanged, and so a higher
+// throughput.  Written out, the variant's c_l is 3·s·p_u + 4·s·p_u + 16
+// without RDA and (3 + 2p_l)·s·p_u + 4·(s·p_u·p_l + 4) + 4·(p_l − p_l^{s·p_u})
+// with it.
+func TestPageForceTOCNoAfterImagesDropsOneTerm(t *testing.T) {
+	for _, base := range []Params{HighUpdate(), HighRetrieval()} {
+		for _, c := range DefaultCommunalities {
+			p := base.WithCommunality(c)
+			s, pu := p.PagesPerTx, p.UpdateProb
+			for _, rda := range []bool{false, true} {
+				paper, engine := PageForceTOC(p, rda), PageForceTOCNoAfterImages(p, rda)
+				if !near(engine.CL, paper.CL-4*s*pu, 1e-12) {
+					t.Errorf("C=%.1f rda=%v: c_l = %.4f, paper's %.4f − 4·s·p_u = %.4f", c, rda, engine.CL, paper.CL, paper.CL-4*s*pu)
+				}
+				want := 3*s*pu + 4*s*pu + 16
+				if rda {
+					pl := engine.Pl
+					want = (3+2*pl)*s*pu + 4*(s*pu*pl+4) + 4*(pl-math.Pow(pl, s*pu))
+				}
+				if !near(engine.CL, want, 1e-12) {
+					t.Errorf("C=%.1f rda=%v: c_l = %.4f, written out %.4f", c, rda, engine.CL, want)
+				}
+				if engine.CR != paper.CR || engine.CB != paper.CB || engine.CS != paper.CS || engine.Pl != paper.Pl {
+					t.Errorf("C=%.1f rda=%v: a cost other than c_l moved: %+v vs %+v", c, rda, engine, paper)
+				}
+				if !near(engine.CU, paper.CU-4*s*pu, 1e-12) || engine.Throughput <= paper.Throughput {
+					t.Errorf("C=%.1f rda=%v: c_u %.4f → %.4f, throughput %.0f → %.0f", c, rda, paper.CU, engine.CU, paper.Throughput, engine.Throughput)
+				}
+			}
+		}
+	}
+}
+
 // TestFigure10MatchesPaper pins the two qualitative results the paper
 // states for Figure 10: without RDA recovery the ¬FORCE/ACC algorithm
 // outperforms FORCE/TOC, but WITH RDA recovery the situation is reversed

@@ -398,15 +398,18 @@ func (tx *Tx) checkRecord(p PageID, slot int, rec []byte) error {
 // --- EOT -------------------------------------------------------------------
 
 // Commit ends the transaction successfully.  Under FORCE all of its
-// modified pages are written to the database first; after-images and the
-// EOT record go to the log; RDA working parities become current.
+// modified pages are written to the database first, and only the pages of
+// parity groups that have lost a block log an after-image; under ¬FORCE
+// every modified page does.  The EOT record goes to the log with them, and
+// RDA working parities become current.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone
 	}
 	db := tx.db
 	// A disk loss mid-commit trips degraded mode; the retry re-runs EOT
-	// through the degraded protocol.  The lazy log appends are idempotent
+	// through the degraded protocol, which finds the groups degraded and
+	// logs their after-images.  The lazy log appends are idempotent
 	// and a duplicated after-image is harmless (REDO replays images in
 	// order, so the last one wins).
 	err := tx.healing(func() error { return db.commitAttempt(tx) })
@@ -518,13 +521,23 @@ func (db *DB) commitAttempt(tx *Tx) error {
 
 // appendAfterImages writes the transaction's REDO material: for each of
 // its before-images, in page and slot order, the same slot re-read from
-// the current page (a whole page under page logging).  The images are
-// appended unforced on every configuration: REDO reads only committed
+// the current page (a whole page under page logging).  Under FORCE the
+// pages are on the platter before the EOT, so no REDO needs them and an
+// image is only a media-recovery copy: a page whose group keeps its full
+// redundancy gets none, since the array gives it back after a drive loss.
+// A page of a degraded group keeps its image, the only second copy of the
+// committed page until the rebuild restores the group.  The caller holds
+// the shared gate and every modified group's latch, so neither a health
+// transition nor a rebuild step moves a group between the test and the
+// EOT.  The images are appended unforced: REDO reads only committed
 // transactions' after-images, so they need to be durable exactly when the
 // EOT record is, and the EOT's force — a forced Append, or the group
 // commit's batch — writes them and the EOT as one sequential log write.
 func (db *DB) appendAfterImages(st *txState) error {
 	for _, e := range st.undo {
+		if db.cfg.EOT == Force && !db.store.GroupDegraded(db.arr.GroupOf(e.page)) {
+			continue
+		}
 		for _, b := range e.images {
 			if err := db.appendAfterImage(st.t.ID, e.page, b.Slot); err != nil {
 				return err
@@ -537,10 +550,11 @@ func (db *DB) appendAfterImages(st *txState) error {
 // appendAfterImage appends, unforced, the after-image of slot of page p
 // taken from the latest contents of p: the buffered frame when resident,
 // the on-disk page otherwise (the page was stolen and not re-referenced;
-// the read is charged, as any I/O).  A page read from disk lands in a
-// scratch page of the store's free list, which goes back once the log has
-// copied the image.  The caller holds p's group latch, which keeps the
-// frame from being evicted or mutated.
+// the read is charged, as any I/O; under FORCE only a page of a degraded
+// group gets here).  A page read from disk lands in a scratch page of the
+// store's free list, which goes back once the log has copied the image.
+// The caller holds p's group latch, which keeps the frame from being
+// evicted or mutated.
 func (db *DB) appendAfterImage(txn page.TxID, p page.PageID, slot int32) error {
 	var cur page.Buf
 	if f := db.pool.Frame(p); f != nil {
