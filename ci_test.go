@@ -49,6 +49,23 @@ func TestCIRunPatternsSelectTests(t *testing.T) {
 	}
 }
 
+// TestCIRunsNoCrashSweep: no CI step sweeps or soaks through cmd/rdacrash.
+// Every crash family and its gate is a row of rda/crashcheck's families
+// table, which `go test ./...` runs whole; a sweep in the workflow would be a
+// second gate written another way.  Replaying one schedule (-sched) is not a
+// sweep.
+func TestCIRunsNoCrashSweep(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, line := range strings.Split(string(ci), "\n") {
+		if strings.Contains(line, "rdacrash") && !strings.Contains(line, "-sched") {
+			t.Errorf("ci.yml:%d runs a crash sweep or soak outside the families table: %s", n+1, strings.TrimSpace(line))
+		}
+	}
+}
+
 // testsIn returns the names of the Test functions of a package directory
 // ("./rda").
 func testsIn(t *testing.T, pkg string) []string {

@@ -17,12 +17,6 @@ import (
 // cleanly, and the recovery invariants must hold whatever interleaving
 // the scheduler picked.
 
-// TestSoakWithWorkers is the randomized crash-and-recover soak with
-// parallel recovery scans.
-func TestSoakWithWorkers(t *testing.T) {
-	soakRows(t, []Options{{Layout: rda.DataStriping, Seed: 1, Txns: 4, OpsPerTx: 3, Workers: 4}}, 8, Crashes)
-}
-
 // TestDegradedScheduleWithWorkers crashes inside the parallel online
 // rebuild: the disk is down from the start, and the crash index sweeps
 // into the rebuild that follows the workload, so crash sentinels fire on
