@@ -291,9 +291,6 @@ func (d *Disk) execRead(blockNum int, dst page.Buf) (page.Buf, Meta, uint32, err
 	if dec.Err != nil {
 		return nil, Meta{}, 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
 	}
-	if dec.Panic != nil {
-		panic(dec.Panic)
-	}
 	d.stats.Reads++
 	b := &d.blocks[blockNum]
 	if b.bad || page.Buf(b.data).Checksum() != b.sum {
@@ -333,11 +330,6 @@ func (d *Disk) execWrite(blockNum int, data page.Buf, meta Meta) (uint32, error)
 	}
 	if dec.Err != nil {
 		return 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
-	}
-	if dec.Panic != nil && !dec.Torn {
-		// Power fails before the sector reaches the platter: the old
-		// contents survive intact.
-		panic(dec.Panic)
 	}
 	d.stats.Writes++
 	sum := data.Checksum()
@@ -418,9 +410,6 @@ func (d *Disk) execReadMeta(blockNum int) (Meta, error) {
 	if dec.Err != nil {
 		return Meta{}, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
 	}
-	if dec.Panic != nil {
-		panic(dec.Panic)
-	}
 	d.stats.Reads++
 	return d.blocks[blockNum].meta, nil
 }
@@ -447,11 +436,6 @@ func (d *Disk) execWriteMeta(blockNum int, meta Meta) error {
 	}
 	if dec.Err != nil {
 		return fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
-	}
-	if dec.Panic != nil {
-		// A header write is a single out-of-band transfer: a crash before
-		// it leaves the old header intact.
-		panic(dec.Panic)
 	}
 	d.stats.Writes++
 	d.blocks[blockNum].meta = meta

@@ -95,8 +95,9 @@ type Decision struct {
 	Redirect      bool
 	RedirectBlock int
 	// Panic, when non-nil, is panicked with: before the operation applies
-	// (a clean crash between block writes), or after the torn mutation
-	// when Torn is set.  The harness recovers the sentinel.
+	// (a clean crash between block writes), ahead of Err and of a
+	// fail-stop, or after the torn mutation when Torn is set and the drive
+	// is alive.  The harness recovers the sentinel.
 	Panic any
 }
 
@@ -115,8 +116,8 @@ func (d *Disk) SetInjector(inj Injector) {
 	d.inj = inj
 }
 
-// observe consults the injector, applying a fail-stop decision
-// immediately.  Must be called with d.mu held.  data and meta are what a
+// observe consults the injector, applying a fail-stop decision and a
+// crash decision immediately.  Must be called with d.mu held.  data and meta are what a
 // write carries (nil on reads).  A drive without an injector — every drive
 // outside the tests and the crash tools — pays the nil check and never
 // builds the Access.
@@ -138,6 +139,13 @@ func (d *Disk) consult(blockNum int, op Op, data page.Buf, meta *Meta) Decision 
 	dec := d.inj.Observe(a)
 	if dec.FailDisk {
 		d.failed = true
+	}
+	// A crash decision wins over an injected error and over the drive's
+	// death: power fails before the transfer, so the block keeps its old
+	// contents (a header write is one out-of-band transfer, never torn), and
+	// a tear of a write to a drive that is dead by now persists nothing.
+	if dec.Panic != nil && (op != OpWrite || !dec.Torn || d.failed) {
+		panic(dec.Panic)
 	}
 	return dec
 }

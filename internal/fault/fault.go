@@ -13,7 +13,9 @@
 //   - TornWrite(n): like CrashAfterNWrites, except write n itself is torn
 //     mid-transfer — the out-of-band header persists, half of the payload
 //     does (old/new half selected by the rule), the stored checksum goes
-//     stale — and then the sentinel panics.
+//     stale — and then the sentinel panics.  A header-only write cannot
+//     tear (it is one out-of-band transfer): at one, the rule is a clean
+//     crash.
 //   - TransientError(op, n): the n-th access of the given op class fails
 //     once with disk.ErrTransient; the block is untouched and later
 //     retries succeed.
@@ -434,11 +436,13 @@ func (p *Plane) Observe(a disk.Access) disk.Decision {
 				dec.Panic = &Crash{Writes: p.writes, Access: a}
 			}
 		case KindTorn:
-			if a.Op == disk.OpWrite && p.writes == r.After {
+			// A header write is one atomic out-of-band transfer: a tear
+			// that lands on one is a clean crash.
+			if a.Op.IsWrite() && p.writes == r.After {
 				r.fired = true
-				dec.Torn = true
-				dec.TornHead = r.Head
-				dec.Panic = &Crash{Writes: p.writes, Access: a, Torn: true}
+				torn := a.Op == disk.OpWrite
+				dec.Torn, dec.TornHead = torn, r.Head
+				dec.Panic = &Crash{Writes: p.writes, Access: a, Torn: torn}
 			}
 		case KindTransient:
 			if a.Op == r.Op && p.count(a.Op) == r.After {

@@ -168,6 +168,89 @@ func TestFailDisk(t *testing.T) {
 	}
 }
 
+// crash runs io, which must panic with the crash sentinel, and returns it.
+func crash(t *testing.T, io func() error) *Crash {
+	t.Helper()
+	var err error
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		err = io()
+		return nil
+	}()
+	c, ok := AsCrash(r)
+	if !ok {
+		t.Fatalf("the access returned %v, panicked with %v, instead of crashing", err, r)
+	}
+	return c
+}
+
+// TestCrashWinsOverTransientError: a transient error that falls on the
+// crash write, by a rule or by the background rate, does not swallow the
+// crash.  The write never reaches the platter and the clock does not move.
+func TestCrashWinsOverTransientError(t *testing.T) {
+	rule := NewPlane(Schedule{TransientError(disk.OpWrite, 0), CrashAfterNWrites(0)})
+	rate := NewPlane(Schedule{CrashAfterNWrites(0)})
+	rate.SetTransientEvery(1)
+	for name, p := range map[string]*Plane{"rule": rule, "rate": rate} {
+		d := newDisk(t)
+		d.SetInjector(p)
+		if c := crash(t, func() error { return d.Write(2, buf(0x22), disk.Meta{}) }); c.Writes != 0 || c.Torn {
+			t.Errorf("%s: crash = %+v, want a clean crash at write 0", name, c)
+		}
+		if got, _ := d.PeekData(2, nil); got[0] != 0 {
+			t.Errorf("%s: the crashed write reached the platter", name)
+		}
+		if p.Writes() != 0 {
+			t.Errorf("%s: Writes() = %d after the crash, want 0", name, p.Writes())
+		}
+	}
+}
+
+// TestCrashWinsOverFailStop: a drive that fail-stops at the crash write
+// does not swallow the crash either, and a tear of that write persists
+// nothing: the drive is dead before the transfer.
+func TestCrashWinsOverFailStop(t *testing.T) {
+	old := disk.Meta{State: disk.StateCommitted, Timestamp: 3}
+	for _, cut := range []Rule{CrashAfterNWrites(0), TornWrite(0, true), TornWrite(0, false)} {
+		d := newDisk(t)
+		if err := d.Write(1, buf(0x0F), old); err != nil {
+			t.Fatal(err)
+		}
+		d.SetInjector(NewPlane(Schedule{FailDisk(0, 0), cut}))
+		crash(t, func() error { return d.Write(1, buf(0xF0), disk.Meta{State: disk.StateWorking, Timestamp: 7}) })
+		if !d.Failed() {
+			t.Errorf("%v: the drive did not fail", cut)
+		}
+		data, _ := d.PeekData(1, nil)
+		meta, _ := d.PeekMeta(1)
+		if data[0] != 0x0F || data[63] != 0x0F || meta != old {
+			t.Errorf("%v: the dead drive's block changed: head %#x tail %#x header %+v", cut, data[0], data[63], meta)
+		}
+	}
+}
+
+// TestTornHeaderWriteCrashesCleanly: a header-only write is one out-of-band
+// transfer, so a tear scheduled on one is a clean crash that leaves the old
+// header in place — never a rule that passes the write by.
+func TestTornHeaderWriteCrashesCleanly(t *testing.T) {
+	d := newDisk(t)
+	old := disk.Meta{State: disk.StateCommitted, Timestamp: 3}
+	if err := d.WriteMeta(1, old); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlane(Schedule{TornWrite(0, true)})
+	d.SetInjector(p)
+	if c := crash(t, func() error { return d.WriteMeta(1, disk.Meta{State: disk.StateWorking, Timestamp: 7}) }); c.Writes != 0 || c.Torn {
+		t.Errorf("crash = %+v, want a clean crash at write 0", c)
+	}
+	if meta, _ := d.PeekMeta(1); meta != old {
+		t.Errorf("header = %+v after the crash, want %+v", meta, old)
+	}
+	if p.Writes() != 0 {
+		t.Errorf("Writes() = %d after the crash, want 0", p.Writes())
+	}
+}
+
 // TestLostWrite checks the silent-drop semantics: the drive acknowledges
 // the write, the old contents survive internally consistent, and the
 // disk's own read path cannot tell — detection is the write ledger's job.

@@ -227,10 +227,15 @@ type Result struct {
 	UnrecoverableCorruption int64
 }
 
-// run performs one cycle and folds its outcome into the aggregates.
-func (r *Result) run(opts Options, sched fault.Schedule) {
+// run performs one cycle and folds its outcome into the aggregates.  Under
+// mustCut the schedule ends in a sweep's cut, and a run it never stopped —
+// one that tested no recovery — is a violation.
+func (r *Result) run(opts Options, sched fault.Schedule, mustCut bool) {
 	r.Runs++
 	rep, s, err := Run(opts, sched)
+	if err == nil && mustCut && rep == nil {
+		err = fmt.Errorf("cut at write %d never fired", sched[len(sched)-1].After)
+	}
 	if rep != nil {
 		r.UndoneViaReconstruction += rep.UndoneViaReconstruction
 		r.DeferredParityGroups += rep.DeferredParityGroups
@@ -886,7 +891,7 @@ func Sweep(opts Options, progress func(done, total int64)) (*Result, error) {
 			if f.coincide {
 				sched = append(sched, fault.FailDisk(f.dead+int(k)%(geo.db.NumDisks()-f.dead), k))
 			}
-			res.run(opts, append(sched, opts.cut(k)))
+			res.run(opts, append(sched, opts.cut(k)), true)
 			done++
 			if progress != nil {
 				progress(done, total)
@@ -1004,14 +1009,14 @@ func Soak(opts Options, iters int, gen Generator) (*Result, error) {
 			}
 			// Degraded serving failed with nothing injected but the deaths:
 			// a finding, recorded as the run under the prefix alone.
-			res.run(o, prefix)
+			res.run(o, prefix, false)
 			continue
 		}
 		if total == 0 {
 			continue
 		}
 		res.TotalWrites = total
-		res.run(o, append(deadPrefix(opts.Dead), draw(meta, i, total, geo.db.NumDisks())...))
+		res.run(o, append(deadPrefix(opts.Dead), draw(meta, i, total, geo.db.NumDisks())...), false)
 	}
 	return res, nil
 }
