@@ -35,6 +35,10 @@
 //	rdacrash -qparity -layout data -seed <seed> -sched "faildisk[0]@w0 faildisk[3]@w2 torn[head]@w2"
 //	rdacrash -scrub -layout parity -seed <seed> -sched "misdirected[21]@w6 crash@w9"
 //
+// The families the repository gates, each with the counts it must print,
+// are the rows of TestFamilies in rda/crashcheck (families_test.go); the
+// flags above replay any row.
+//
 // The exit status is non-zero if any run violated a recovery invariant.
 package main
 
