@@ -117,10 +117,10 @@ func (d *Disk) SetInjector(inj Injector) {
 }
 
 // observe consults the injector, applying a fail-stop decision and a
-// crash decision immediately.  Must be called with d.mu held.  data and meta are what a
-// write carries (nil on reads).  A drive without an injector — every drive
-// outside the tests and the crash tools — pays the nil check and never
-// builds the Access.
+// crash decision immediately.  Must be called with d.mu held.  data and
+// meta are what a write carries (nil on reads).  A drive without an
+// injector — every drive outside the tests and the crash tools — pays the
+// nil check and never builds the Access.
 func (d *Disk) observe(blockNum int, op Op, data page.Buf, meta *Meta) (dec Decision) {
 	if d.inj != nil {
 		dec = d.consult(blockNum, op, data, meta)

@@ -856,7 +856,8 @@ type family struct {
 // the restart must redo from scratch.  In the second the n-th death, d
 // rotating over the surviving drives, is unobserved before the crash:
 // recovery discovers it at restart.  Where each may lose pages is lawOf's
-// to say; a failed restart is never legal.  progress, when non-nil, is
+// to say; a failed restart is never legal, and neither is a run the cut
+// never stopped.  progress, when non-nil, is
 // called after each run.
 func Sweep(opts Options, progress func(done, total int64)) (*Result, error) {
 	opts.fill()

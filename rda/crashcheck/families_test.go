@@ -41,11 +41,6 @@ type counts struct {
 	detected, read, scrubbed, scanned int64
 }
 
-func countsOf(res *Result) counts {
-	return counts{res.Runs, res.TotalWrites, res.UndoneViaReconstruction, res.DeferredParityGroups, res.DataLossRuns, res.LostPages,
-		res.CorruptBlocksDetected, res.ReadRepairs, res.ScrubRepairs, res.ScrubbedGroups}
-}
-
 // families is every crash family this repository gates, each with its gate.
 // The counts of the CI-size rows were recorded at ab08b1e, before the eleven
 // entry points became three (EXPERIMENTS.md has the full table), and
@@ -325,7 +320,8 @@ func (f familyRow) check(t *testing.T, i int, l rda.Layout, res *Result) {
 	if f.want == nil && f.runs == nil && f.ceiling == nil {
 		t.Fatal("the row has no gate")
 	}
-	got := countsOf(res)
+	got := counts{res.Runs, res.TotalWrites, res.UndoneViaReconstruction, res.DeferredParityGroups, res.DataLossRuns, res.LostPages,
+		res.CorruptBlocksDetected, res.ReadRepairs, res.ScrubRepairs, res.ScrubbedGroups}
 	t.Logf("%v: %+v, %d violation(s)", l, got, len(res.Violations))
 	if res.Runs == 0 {
 		t.Errorf("%v: no run", l)
