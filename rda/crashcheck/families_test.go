@@ -73,9 +73,10 @@ type counts struct {
 //     every dead1, dead2 and small-dead row (dead1 undos / deferred / loss
 //     runs / lost 26/356/9/12 → 29/376/11/14 and 22/340/10/11 →
 //     29/372/11/12; dead2 deferred 1134 → 1204 and 1554 → 1652), and
-//     soak-mix, whose two data-striping runs and one parity-striping run
-//     with a drive dying at the crash write now restart (data undos 2 → 4,
-//     deferred 40 → 48; parity deferred 40 → 44, loss runs 2 → 3).
+//     soak-mix, where two data-striping runs whose drive dies at the crash
+//     write and one parity-striping run whose crash write takes a transient
+//     error now restart (data undos 2 → 4, deferred 40 → 48; parity
+//     deferred 40 → 44, loss runs 2 → 3).
 //
 // The two CI corruption soaks (soak-corrupt, soak-corrupt-seed42) stand at 0
 // runs with loss: a steal must never take its committed twin from memory (a
