@@ -558,8 +558,8 @@ func (d *driver) probe() error {
 // guard runs step, converting a crash-rule panic (a crash point landing on
 // one of step's writes) into a returned sentinel so the caller can run
 // recovery and resume.  Everything a schedule rule can fire inside — the
-// workload, the pumps, the probe — runs under it: no schedule makes Run
-// panic.
+// workload, the restart, the pumps, the probe — runs under it: no schedule
+// makes Run panic.
 func guard(step func() error) (crash *fault.Crash, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -733,9 +733,9 @@ func (d *driver) cycle(sched fault.Schedule, law law) (total *rda.RecoveryReport
 		return nil, fmt.Errorf("workload: %w", err)
 	}
 	// Convergence: a crash sends the run through CrashHard + Recover; the
-	// pumps and the probe afterwards can themselves hit a late crash rule
-	// (a crash mid-rebuild, mid-scrub-repair, or past the end of the
-	// workload) and loop back.  Each round consumes at least one of the
+	// restart, the pumps and the probe afterwards can themselves hit a late
+	// crash rule (a crash mid-restart, mid-rebuild, mid-scrub-repair, or
+	// past the end of the workload) and loop back.  Each round consumes at least one of the
 	// schedule's one-shot rules, so the loop is bounded.
 	for round := 0; ; round++ {
 		if crash != nil {
@@ -743,9 +743,18 @@ func (d *driver) cycle(sched fault.Schedule, law law) (total *rda.RecoveryReport
 				return total, fmt.Errorf("crash recovery did not converge after %d rounds", round)
 			}
 			d.db.CrashHard()
-			rep, err := d.db.Recover()
+			var rep *rda.RecoveryReport
+			cut, err := guard(func() (err error) {
+				rep, err = d.db.Recover()
+				return err
+			})
 			if err != nil {
 				return total, fmt.Errorf("recover after %v: %w", crash, err)
+			}
+			if cut != nil {
+				// The restart itself was cut: crash again and restart anew.
+				crash = cut
+				continue
 			}
 			total = accumulate(total, rep)
 			if err := law.admits(rep); err != nil {
