@@ -10,9 +10,9 @@ import (
 	"repro/internal/wal"
 )
 
-// loggedUndo is passes 4 and 5: the losers' logged before-images, newest
-// first per loser, then an abort record for each loser.  Passes 4 and 6
-// share the applier and its two page buffers, drawn here.
+// loggedUndo is pass 4: the losers' logged before-images, newest first per
+// loser.  Passes 4 and 6 share the applier and its two page buffers, drawn
+// here.
 func (st *state) loggedUndo() error {
 	s, a := st.s, st.a
 	st.old, st.new = s.Pages.Get(), s.Pages.Get()
@@ -25,9 +25,6 @@ func (st *state) loggedUndo() error {
 			}
 			st.rep.UndoneViaLog += n
 		}
-	}
-	for _, tx := range a.losers {
-		s.Log.Append(wal.Record{Type: wal.TypeAbort, Txn: tx, Slot: wal.NoSlot})
 	}
 	return nil
 }

@@ -30,13 +30,9 @@ func newStore(t *testing.T, kind diskarray.Kind) *core.Store {
 
 func TestAnalyzeOutcomes(t *testing.T) {
 	log := wal.New(wal.DefaultConfig())
-	log.Append(wal.Record{Type: wal.TypeBOT, Txn: 1, Slot: wal.NoSlot})
-	log.Append(wal.Record{Type: wal.TypeBOT, Txn: 2, Slot: wal.NoSlot})
 	log.Append(wal.Record{Type: wal.TypeEOT, Txn: 1, Slot: wal.NoSlot})
 	log.Append(wal.Record{Type: wal.TypeCheckpoint, Slot: wal.NoSlot, Active: []page.TxID{2}})
-	log.Append(wal.Record{Type: wal.TypeBOT, Txn: 3, Slot: wal.NoSlot})
 	log.Append(wal.Record{Type: wal.TypeBeforeImage, Txn: 3, Page: 9, Slot: wal.NoSlot, Image: []byte{1}})
-	log.Append(wal.Record{Type: wal.TypeBOT, Txn: 4, Slot: wal.NoSlot})
 	log.Append(wal.Record{Type: wal.TypeAbort, Txn: 4, Slot: wal.NoSlot})
 	log.Append(wal.Record{Type: wal.TypeAfterImage, Txn: 2, Page: 5, Slot: wal.NoSlot, Image: []byte{2}})
 	log.Append(wal.Record{Type: wal.TypeEOT, Txn: 2, Slot: wal.NoSlot})
@@ -86,7 +82,6 @@ func TestCrashRecoverEmptyLog(t *testing.T) {
 
 func TestCrashRecoverBadPageImage(t *testing.T) {
 	s := newStore(t, diskarray.RAID5)
-	s.Log.Append(wal.Record{Type: wal.TypeBOT, Txn: 1, Slot: wal.NoSlot})
 	s.Log.Append(wal.Record{Type: wal.TypeBeforeImage, Txn: 1, Page: 0, Slot: wal.NoSlot, Image: []byte{1, 2}}) // wrong size
 	if _, err := CrashRecover(s, false, false); err == nil || !strings.Contains(err.Error(), "image") {
 		t.Fatalf("err = %v, want image-size error", err)
@@ -99,7 +94,6 @@ func TestCrashRecoverLaundersWinnerTwins(t *testing.T) {
 	tx := tm.Begin()
 	data := page.NewBuf(page.MinSize)
 	data[0] = 0xAA
-	s.Log.Append(wal.Record{Type: wal.TypeBOT, Txn: tx.ID, Slot: wal.NoSlot})
 	if err := s.StealNoLog(3, data, nil, tx, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -514,12 +508,10 @@ func TestCrashRecoverRedoIdempotent(t *testing.T) {
 		}
 	}
 	full := recordPage(t, page.MinSize, recSize, map[int][]byte{2: rec(9)})
-	s.Log.Append(wal.Record{Type: wal.TypeBOT, Txn: 1, Slot: wal.NoSlot})
 	logRecordImage(s, 1, 3, 0, rec(1))
 	logRecordImage(s, 1, 20, 0, rec(7))
 	logRecordImage(s, 1, 3, 1, rec(2))
 	s.Log.Append(wal.Record{Type: wal.TypeEOT, Txn: 1, Slot: wal.NoSlot})
-	s.Log.Append(wal.Record{Type: wal.TypeBOT, Txn: 2, Slot: wal.NoSlot})
 	logRecordImage(s, 2, 3, 0, rec(3)) // overwrites txn 1's slot 0
 	logRecordImage(s, 2, 20, 1, rec(8))
 	s.Log.Append(wal.Record{Type: wal.TypeAfterImage, Txn: 2, Page: 9, Slot: wal.NoSlot, Image: full})
@@ -593,7 +585,6 @@ func redoStore(tb testing.TB, pages, perPage int) (s *core.Store, reset func()) 
 	blank := recordPage(tb, pageSize, recSize, nil)
 	load := make([]page.Buf, pages)
 	var stale []page.PageID
-	s.Log.Append(wal.Record{Type: wal.TypeBOT, Txn: 1, Slot: wal.NoSlot})
 	for p := range load {
 		recs := make(map[int][]byte, perPage)
 		for slot := 0; slot < perPage; slot++ {

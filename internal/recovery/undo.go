@@ -22,9 +22,10 @@ func (st *state) undo() error {
 	st.working = working
 	handled := make(map[page.GroupID]bool)
 	for _, w := range working {
-		if st.a.outcomes[w.Txn] != outcomeLoser {
+		if !st.a.isLoser(w.Txn) {
 			continue
 		}
+		st.a.noteLoser(w.Txn)
 		handled[w.Group] = true
 		st.walk.Touch(w.Group)
 		rung, err := st.undoLoser(w, core.RungFigure6)
@@ -95,7 +96,7 @@ func (st *state) unresolvedSteal(g page.GroupID) (p page.PageID, tag disk.Meta, 
 			}
 			return 0, m, false, fmt.Errorf("recovery: tag scan of group %d: %w", g, err)
 		}
-		if m.ChainSet && st.a.outcomes[m.Txn] == outcomeLoser && !st.a.hasLoggedImage(m.Txn, q) {
+		if m.ChainSet && st.a.isLoser(m.Txn) && !st.a.hasLoggedImage(m.Txn, q) {
 			return q, m, true, nil
 		}
 	}
@@ -130,6 +131,7 @@ func (st *state) undoDeadTwinLosers(handled map[page.GroupID]bool) error {
 		if !found {
 			continue
 		}
+		st.a.noteLoser(tag.Txn)
 		rung, err := st.undoLoser(core.WorkingTwinInfo{Group: gid, Twin: dead, Meta: disk.Meta{DirtyPage: p, Txn: tag.Txn}}, core.RungCommitted)
 		if err != nil {
 			return fmt.Errorf("recovery: tag undo of page %d: %w", p, err)

@@ -67,7 +67,6 @@ func stealLoser(t *testing.T, s *core.Store, p page.PageID) (tx page.TxID, stole
 		t.Fatal(err)
 	}
 	x := s.TM.Begin()
-	s.Log.Append(wal.Record{Type: wal.TypeBOT, Txn: x.ID, Slot: wal.NoSlot})
 	stolen = pattern(page.MinSize, byte(p)+0x80)
 	if err := s.StealNoLog(p, stolen, base, x, nil); err != nil {
 		t.Fatal(err)

@@ -77,6 +77,22 @@ func (m *Manager) Begin() *Txn {
 	return t
 }
 
+// NextID returns the id the next Begin gives out.
+func (m *Manager) NextID() page.TxID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.nextID
+}
+
+// Advance raises the next id Begin gives out to at least id.  A restart
+// calls it so that new transactions sort above every id the log and the
+// platter still name, and above the durable floor.
+func (m *Manager) Advance(id page.TxID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.nextID = max(m.nextID, id)
+}
+
 // NextTimestamp draws a fresh globally monotonic timestamp for a parity
 // page header.
 func (m *Manager) NextTimestamp() page.Timestamp {

@@ -12,7 +12,7 @@ import (
 // frame (no panics, no silent corruption).
 func FuzzDecode(f *testing.F) {
 	// Seed with real frames.
-	seed := encode(nil, &Record{Type: TypeBOT, Txn: 7, Slot: NoSlot})
+	seed := encode(nil, &Record{Type: TypeEOT, Txn: 7, Slot: NoSlot})
 	f.Add(seed)
 	seed2 := encode(nil, &Record{
 		Type: TypeBeforeImage, Txn: 1, Page: 42, Slot: 3, Image: []byte{1, 2, 3},

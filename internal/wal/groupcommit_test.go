@@ -128,7 +128,7 @@ func TestForcedAppendDragsUnforcedPredecessors(t *testing.T) {
 	l := New(DefaultConfig())
 	l.AppendUnforced(Record{Type: TypeEOT, Txn: 1, Slot: NoSlot})
 	l.AppendUnforced(Record{Type: TypeEOT, Txn: 2, Slot: NoSlot})
-	lsn := l.Append(Record{Type: TypeBOT, Txn: 3, Slot: NoSlot})
+	lsn := l.Append(Record{Type: TypeEOT, Txn: 3, Slot: NoSlot})
 	if got := l.ForcedLSN(); got != lsn {
 		t.Fatalf("watermark = %d after forced append, want %d", got, lsn)
 	}
@@ -140,7 +140,7 @@ func TestForcedAppendDragsUnforcedPredecessors(t *testing.T) {
 func TestDropUnforcedLosesOnlyTheTail(t *testing.T) {
 	l := New(DefaultConfig())
 	for i := 1; i <= 4; i++ {
-		l.Append(Record{Type: TypeBOT, Txn: page.TxID(i), Slot: NoSlot})
+		l.Append(Record{Type: TypeEOT, Txn: page.TxID(i), Slot: NoSlot})
 	}
 	l.AppendUnforced(Record{Type: TypeEOT, Txn: 1, Slot: NoSlot}) // LSN 5
 	l.AppendUnforced(Record{Type: TypeEOT, Txn: 2, Slot: NoSlot}) // LSN 6
@@ -166,7 +166,7 @@ func TestTruncateClampsWatermark(t *testing.T) {
 	// Truncating past unforced records discards them for good;
 	// DropUnforced must not resurrect or double-drop anything.
 	l := New(DefaultConfig())
-	l.Append(Record{Type: TypeBOT, Txn: 1, Slot: NoSlot})
+	l.Append(Record{Type: TypeEOT, Txn: 1, Slot: NoSlot})
 	l.AppendUnforced(Record{Type: TypeEOT, Txn: 1, Slot: NoSlot})
 	l.AppendUnforced(Record{Type: TypeEOT, Txn: 2, Slot: NoSlot})
 	l.Truncate(3) // keeps only LSN 3, which is unforced

@@ -259,7 +259,7 @@ func benchAppendTruncate(b *testing.B, image []byte, slot int32) {
 	for i := 0; i < b.N; i++ {
 		n := l.Append(Record{Type: TypeAfterImage, Txn: 1, Page: page.PageID(i), Slot: slot, Image: image})
 		if i%4 == 3 {
-			l.Truncate(n - 8) // every commit truncates to the oldest open BOT
+			l.Truncate(n - 8) // every commit truncates to the oldest open transaction
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 func TestAppendReadRoundTrip(t *testing.T) {
 	l := New(DefaultConfig())
 	recs := []Record{
-		{Type: TypeBOT, Txn: 1, Slot: NoSlot},
+		{Type: TypeEOT, Txn: 1, Slot: NoSlot},
 		{Type: TypeBeforeImage, Txn: 1, Page: 42, Slot: NoSlot, Image: []byte{1, 2, 3}},
 		{Type: TypeBeforeImage, Txn: 1, Page: 43, Slot: 5, Image: []byte("record image")},
 		{Type: TypeAfterImage, Txn: 1, Page: 44, Slot: NoSlot, Image: []byte{4}},
@@ -42,7 +42,7 @@ func TestReadOutOfRange(t *testing.T) {
 	if _, err := l.Read(1); err == nil {
 		t.Fatalf("reading an empty log must fail")
 	}
-	l.Append(Record{Type: TypeBOT, Txn: 1, Slot: NoSlot})
+	l.Append(Record{Type: TypeEOT, Txn: 1, Slot: NoSlot})
 	if _, err := l.Read(0); err == nil {
 		t.Fatalf("LSN 0 must be rejected")
 	}
@@ -54,7 +54,7 @@ func TestReadOutOfRange(t *testing.T) {
 func TestScanOrderAndEarlyStop(t *testing.T) {
 	l := New(DefaultConfig())
 	for i := 0; i < 10; i++ {
-		l.Append(Record{Type: TypeBOT, Txn: page.TxID(i + 1), Slot: NoSlot})
+		l.Append(Record{Type: TypeEOT, Txn: page.TxID(i + 1), Slot: NoSlot})
 	}
 	var seen []page.TxID
 	if err := l.Scan(3, func(r Record) bool {
@@ -72,7 +72,7 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 func TestScanBackward(t *testing.T) {
 	l := New(DefaultConfig())
 	for i := 0; i < 5; i++ {
-		l.Append(Record{Type: TypeBOT, Txn: page.TxID(i + 1), Slot: NoSlot})
+		l.Append(Record{Type: TypeEOT, Txn: page.TxID(i + 1), Slot: NoSlot})
 	}
 	var seen []page.TxID
 	if err := l.ScanBackward(func(r Record) bool {
@@ -93,7 +93,7 @@ func TestLastCheckpoint(t *testing.T) {
 		t.Fatalf("empty log has no checkpoint")
 	}
 	l.Append(Record{Type: TypeCheckpoint, Slot: NoSlot, Active: []page.TxID{1}})
-	l.Append(Record{Type: TypeBOT, Txn: 2, Slot: NoSlot})
+	l.Append(Record{Type: TypeEOT, Txn: 2, Slot: NoSlot})
 	l.Append(Record{Type: TypeCheckpoint, Slot: NoSlot, Active: []page.TxID{2}})
 	l.Append(Record{Type: TypeEOT, Txn: 2, Slot: NoSlot})
 	ck, ok := l.LastCheckpoint()
@@ -107,7 +107,7 @@ func TestTransferAccounting(t *testing.T) {
 	// same tail page but each forced append still costs 4 transfers.
 	l := New(Config{LogPageSize: 10000, WriteCost: 4})
 	for i := 0; i < 5; i++ {
-		l.Append(Record{Type: TypeBOT, Txn: page.TxID(i + 1), Slot: NoSlot})
+		l.Append(Record{Type: TypeEOT, Txn: page.TxID(i + 1), Slot: NoSlot})
 	}
 	if got := l.Stats().Transfers; got != 5*4 {
 		t.Fatalf("transfers = %d, want 20", got)
@@ -126,7 +126,7 @@ func TestTransferAccounting(t *testing.T) {
 
 func TestResetStatsKeepsContents(t *testing.T) {
 	l := New(DefaultConfig())
-	l.Append(Record{Type: TypeBOT, Txn: 1, Slot: NoSlot})
+	l.Append(Record{Type: TypeEOT, Txn: 1, Slot: NoSlot})
 	l.ResetStats()
 	if l.Stats().Transfers != 0 {
 		t.Fatalf("transfers not reset")
@@ -144,7 +144,7 @@ func TestQuickEncodeDecode(t *testing.T) {
 	// packed between other records.
 	f := func(txn uint64, pg uint32, slot int32, img []byte, active []uint64) bool {
 		l := New(DefaultConfig())
-		l.Append(Record{Type: TypeBOT, Txn: 9, Slot: NoSlot})
+		l.Append(Record{Type: TypeEOT, Txn: 9, Slot: NoSlot})
 		want := Record{
 			Type: TypeBeforeImage,
 			Txn:  page.TxID(txn),
@@ -210,7 +210,7 @@ func TestConcurrentAppend(t *testing.T) {
 func TestTruncate(t *testing.T) {
 	l := New(DefaultConfig())
 	for i := 1; i <= 10; i++ {
-		l.Append(Record{Type: TypeBOT, Txn: page.TxID(i), Slot: NoSlot})
+		l.Append(Record{Type: TypeEOT, Txn: page.TxID(i), Slot: NoSlot})
 	}
 	if got := l.Truncate(5); got != 4 {
 		t.Fatalf("dropped %d records, want 4", got)
@@ -263,7 +263,7 @@ func TestTruncateEdgeCases(t *testing.T) {
 		t.Fatalf("truncating an empty log drops nothing")
 	}
 	for i := 1; i <= 3; i++ {
-		l.Append(Record{Type: TypeBOT, Txn: page.TxID(i), Slot: NoSlot})
+		l.Append(Record{Type: TypeEOT, Txn: page.TxID(i), Slot: NoSlot})
 	}
 	// Truncate past the tail clamps to "drop everything".
 	if got := l.Truncate(100); got != 3 {
@@ -301,7 +301,7 @@ func TestPackedCharging(t *testing.T) {
 	// Packed: a log page is charged once, when first entered, no matter
 	// how many appends it absorbs.
 	l := New(Config{LogPageSize: 100, WriteCost: 4, Packed: true})
-	small := Record{Type: TypeBOT, Txn: 1, Slot: NoSlot}
+	small := Record{Type: TypeEOT, Txn: 1, Slot: NoSlot}
 	l.Append(small) // stays in page 0: no crossing yet
 	first := l.Stats().Transfers
 	if first != 0 {

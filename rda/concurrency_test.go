@@ -3,6 +3,7 @@ package rda
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -262,8 +263,9 @@ func TestInspectGroupAndDumpLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An older active transaction pins the log (its BOT bounds
-	// truncation), so the committed transaction's records stay visible.
+	// An older active transaction pins the log (the durable floor names
+	// it, and its Begin bounds truncation), so the committed transaction's
+	// records stay visible.
 	pin := mustBegin(t, db)
 	if err := pin.WritePage(20, fillPage(db, 9)); err != nil {
 		t.Fatal(err)
@@ -300,7 +302,9 @@ func TestInspectGroupAndDumpLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"BOT", "EOT", "AFTER"} {
+	// The EOT carries the durable floor: the pin, the oldest transaction
+	// still undecided.
+	for _, want := range []string{"EOT", "AFTER", fmt.Sprintf("floor=%d", pin.ID())} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("log dump missing %q:\n%s", want, joined)
 		}

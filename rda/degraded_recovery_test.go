@@ -58,9 +58,14 @@ func TestRecoverDegradedOneDiskDown(t *testing.T) {
 				t.Fatal(err)
 			}
 			commit(PageID(9), 0xB2) // degraded-mode commit
-			// Leave a loser in flight across the crash.
+			// Leave a loser in flight across the crash, its page on the
+			// platter: a checkpoint writes it back through the degraded
+			// group's logged path.
 			loser := mustBegin(t, db)
 			if err := loser.WritePage(PageID(3), fillPage(db, 0xC3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 

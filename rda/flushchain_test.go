@@ -181,8 +181,8 @@ func TestGroupFlushChain(t *testing.T) {
 					t.Errorf("redundancy reads %d, redundancy writes %d, data writes %d, header rewrites %d; want %d, %d, %d, 0",
 						w.redReads, w.redWrites, w.dataWrites, w.headerWrites, reads, redWrites, k)
 				}
-				// The before-images and the EOT (the BOT went out with the first
-				// write); the group keeps its redundancy, so no after-image.
+				// The before-images and the EOT; the group keeps its
+				// redundancy, so no after-image.
 				if want := int64(logged + 1); records != want {
 					t.Errorf("%d log records, want %d (%d before-images)", records, want, logged)
 				}

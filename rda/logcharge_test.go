@@ -9,15 +9,18 @@ import (
 	"repro/internal/wal"
 )
 
-// TestCommitLogChargeIsOneForce pins what a commit without group commit
-// pays the log: its log records reach stable storage as one sequential log
-// write, so the commit is charged exactly the log pages that span covers —
-// not the tail page again for every record.  Each of the k pages sits in
-// its own parity group and the pool holds them all, so the EOT flush logs
-// no before-image.  A FORCE commit to groups that keep their redundancy
-// then appends nothing but its EOT: its pages are on the platter, and the
-// array holds their second copy.  A ¬FORCE commit appends the k
-// after-images REDO needs and the EOT, which its force writes together.
+// TestCommitLogChargeIsOneForce pins what an update transaction without
+// group commit pays the log from its Begin to its Commit: its log records
+// reach stable storage as one sequential log write, so it is charged
+// exactly the log pages that span covers — not the tail page again for
+// every record, and no force at its first modification (there is no BOT
+// record: the EOT's durable floor decides a transaction the log has not
+// seen).  Each of the k pages sits in its own parity group and the pool
+// holds them all, so the EOT flush logs no before-image.  A FORCE commit to
+// groups that keep their redundancy then appends nothing but its EOT: its
+// pages are on the platter, and the array holds their second copy.  A
+// ¬FORCE commit appends the k after-images REDO needs and the EOT, which
+// its force writes together.
 func TestCommitLogChargeIsOneForce(t *testing.T) {
 	for _, eot := range []EOTDiscipline{Force, NoForce} {
 		for _, layout := range []Layout{DataStriping, ParityStriping} {
@@ -35,6 +38,7 @@ func TestCommitLogChargeIsOneForce(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						before := db.log.Stats()
 						tx := mustBegin(t, db)
 						for g := 0; g < k; g++ {
 							p := db.arr.GroupPages(page.GroupID(g))[0]
@@ -42,9 +46,8 @@ func TestCommitLogChargeIsOneForce(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
-						before := db.log.Stats()
-						if db.log.ForcedLSN() != wal.LSN(before.Records) {
-							t.Fatalf("log holds unforced records before EOT")
+						if mid := db.log.Stats(); mid != before {
+							t.Fatalf("the writes before EOT touched the log: %+v, then %+v", before, mid)
 						}
 						if err := tx.Commit(); err != nil {
 							t.Fatal(err)
@@ -55,12 +58,12 @@ func TestCommitLogChargeIsOneForce(t *testing.T) {
 							images = 0
 						}
 						if n := after.Records - before.Records; n != int64(images+1) {
-							t.Fatalf("commit appended %d log records, want %d after-images and the EOT", n, images)
+							t.Fatalf("transaction appended %d log records, want %d after-images and the EOT", n, images)
 						}
 						start, end := int(before.Bytes), int(after.Bytes)
 						pages := forcedPages(cfg, start, end)
 						if got, want := after.Transfers-before.Transfers, int64(pages*cfg.LogWriteCost); got != want {
-							t.Fatalf("commit charged %d log transfers, one force over bytes [%d, %d) charges %d", got, start, end, want)
+							t.Fatalf("transaction charged %d log transfers, one force over bytes [%d, %d) charges %d", got, start, end, want)
 						}
 					})
 				}

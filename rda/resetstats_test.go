@@ -44,10 +44,17 @@ func TestResetStatsZeroesEveryCounterGroup(t *testing.T) {
 		return err
 	}
 	// Array, log and buffer counters: more pages than frames, so dirty
-	// frames are stolen; an abort charges the backward log read.
+	// frames are stolen; an abort of a transaction with before-images on
+	// the log charges the backward log read.  Two pages of one group are
+	// one no-log steal and one logged write when a checkpoint flushes them.
 	commit(0, 4, 8, 12, 16, 20, 24, 28)
 	loser := mustBegin(t, db)
-	if err := loser.WritePage(32, fillPage(db, 1)); err != nil {
+	for _, p := range []PageID{32, 33} {
+		if err := loser.WritePage(p, fillPage(db, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := loser.Abort(); err != nil {

@@ -261,10 +261,13 @@ func (db *DB) DumpLog(fn func(line string) bool) error {
 
 // renderLogRecord formats one record for humans.
 func renderLogRecord(r wal.Record) string {
-	switch r.Type {
-	case wal.TypeCheckpoint:
-		return fmt.Sprintf("%6d  CKPT    active=%v", r.LSN, r.Active)
-	case wal.TypeBOT, wal.TypeEOT, wal.TypeAbort:
+	f, floored := r.Floor()
+	switch {
+	case r.Type == wal.TypeCheckpoint:
+		return fmt.Sprintf("%6d  CKPT    floor=%d active=%v", r.LSN, f, r.Active)
+	case floored:
+		return fmt.Sprintf("%6d  %-6s  txn=%d floor=%d", r.LSN, r.Type, r.Txn, f)
+	case r.Type == wal.TypeEOT, r.Type == wal.TypeAbort:
 		return fmt.Sprintf("%6d  %-6s  txn=%d", r.LSN, r.Type, r.Txn)
 	default:
 		gran := "page"

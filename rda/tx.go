@@ -35,9 +35,11 @@ func (db *DB) Begin() (*Tx, error) {
 	if db.crashed {
 		return nil, ErrCrashed
 	}
-	t := db.tm.Begin()
-	st := &txState{t: t, locks: db.locks}
+	// The id is given out and entered in the table under one hold of
+	// db.mu, so no floor computed meanwhile (floorLocked) can pass it.
 	db.mu.Lock()
+	t := db.tm.Begin()
+	st := &txState{t: t, locks: db.locks, beginLSN: wal.LSN(db.log.Len()) + 1}
 	db.states[t.ID] = st
 	db.mu.Unlock()
 	return &Tx{db: db, st: st}, nil
@@ -176,17 +178,17 @@ func (tx *Tx) WritePage(p PageID, data []byte) error {
 }
 
 // firstModify enters img, the before-image of (p, slot) just captured,
-// in the transaction's undo table.  Every update transaction brackets
-// itself with BOT...EOT on the log (the model charges these for all update
-// transactions); RDA only avoids the before-images.  Without RDA recovery
-// the image goes to the log at once (classic UNDO logging).  The caller
-// holds p's group latch.
+// in the transaction's undo table.  Nothing goes to the log for it under
+// RDA recovery: a transaction the log has not seen is a loser while its id
+// is at or above the durable floor (presumed abort, DESIGN.md "When log
+// records become durable"), so no BOT record has to precede its first
+// steal.  Without RDA recovery the image goes to the log at once (classic
+// UNDO logging).  The caller holds p's group latch.
 func (tx *Tx) firstModify(p page.PageID, slot int32, img []byte) {
 	st, db := tx.st, tx.db
 	st.mu.Lock()
 	e := st.addUndo(wal.Record{Type: wal.TypeBeforeImage, Txn: st.t.ID, Page: p, Slot: slot, Image: img})
 	st.mu.Unlock()
-	db.ensureBOT(st)
 	if !db.cfg.RDA {
 		st.mu.Lock()
 		db.ensureUndoLogged(e, true)
@@ -466,18 +468,16 @@ func (db *DB) commitAttempt(tx *Tx) error {
 		}
 	}
 	if updater {
-		db.ensureBOT(st)
 		if err := db.appendAfterImages(st); err != nil {
 			return err
 		}
-		eot := wal.Record{Type: wal.TypeEOT, Txn: t.ID, Slot: wal.NoSlot}
 		if db.forcer != nil {
 			// Group commit: the EOT lands in the volatile log tail and
 			// Commit waits for a batched force to cover it before
 			// acknowledging.  The commit point moves to that force — a
 			// crash beforehand drops the record and the transaction is a
 			// loser.
-			st.eotLSN = db.log.AppendUnforced(eot)
+			st.eotLSN = db.appendBracket(wal.TypeEOT, st, false)
 			if db.store.Dirty != nil && len(db.store.Dirty.GroupsOf(t.ID)) > 0 {
 				// The transaction owns parity-covered (no-UNDO-logging)
 				// steals.  CommitGroups below promotes their working twins,
@@ -496,7 +496,7 @@ func (db *DB) commitAttempt(tx *Tx) error {
 		} else {
 			// The forced EOT drags the unforced after-images with it: one
 			// sequential log write.
-			db.log.Append(eot)
+			db.appendBracket(wal.TypeEOT, st, true)
 		}
 	}
 	// The EOT record is the commit point; everything after is volatile
@@ -609,7 +609,8 @@ func (db *DB) clearModifiers(st *txState) {
 // not rolled back and still holds its locks.
 //
 // The paper's model charges a rollback with reading the log back to the
-// BOT record; the engine charges that scan explicitly.
+// BOT record; the engine charges the scan back to the transaction's first
+// logged before-image, and a rollback with nothing on the log reads none.
 func (tx *Tx) Abort() error {
 	if tx.done {
 		return ErrTxDone
@@ -671,18 +672,20 @@ func (db *DB) abortAttempt(tx *Tx) error {
 	if err := db.rollback(st); err != nil {
 		return err
 	}
-	st.mu.Lock()
-	bot := st.botLSN
-	st.mu.Unlock()
-	if bot != 0 {
-		// Charged backward read of the log to the BOT record (the
-		// model's c_b component).
-		db.log.ChargeScan(bot, wal.LSN(db.log.Len()))
-		db.log.Append(wal.Record{Type: wal.TypeAbort, Txn: t.ID, Slot: wal.NoSlot})
+	if first := st.firstLogged(); first != 0 {
+		// Charged backward read of the log to the first before-image (the
+		// model's c_b component).  The abort record keeps a restart from
+		// applying those images again: it is durable before the
+		// transaction leaves the table, so no floor passes it before.
+		// A rollback with nothing on the log needs no record: its steals
+		// are undone on the platter, and the floor decides it.
+		db.log.ChargeScan(first, wal.LSN(db.log.Len()))
+		db.appendBracket(wal.TypeAbort, st, true)
 	}
 	db.tm.Finish(t.ID, txn.Aborted)
 	db.mu.Lock()
 	delete(db.states, t.ID)
+	db.truncateLogLocked() // also retires the floor the abort record stamped
 	db.mu.Unlock()
 	db.releaseSnapshots(st)
 	return nil
