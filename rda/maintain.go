@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/page"
-	"repro/internal/wal"
 )
 
 // ErrBusy reports a bulk load attempted while transactions are active.
@@ -63,8 +62,7 @@ func (db *DB) BulkLoad(start PageID, pages [][]byte) (int, error) {
 	// later crash's REDO pass cannot replay pre-load after-images over
 	// the loaded pages (and the now-dead log prefix is reclaimed).
 	db.mu.Lock()
-	db.lastCkptLSN = db.log.Append(wal.Record{Type: wal.TypeCheckpoint, Slot: wal.NoSlot})
-	db.truncateLogLocked()
+	db.checkpointLocked(nil)
 	db.mu.Unlock()
 	return n, nil
 }
