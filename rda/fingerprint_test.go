@@ -406,10 +406,11 @@ func fpRun(t *testing.T, sc fpScenario, online bool, lr *logRecorder) (out, logO
 			db.CrashHard()
 		}
 		w.crashed()
-		lr.pin(db)
+		lr.crashed(db)
 		if _, err := db.Recover(); err != nil {
 			t.Fatalf("%s: recover: %v", name, err)
 		}
+		lr.pin(db)
 		if err := db.VerifyRecovered(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
