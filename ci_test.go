@@ -115,33 +115,96 @@ func TestBenchCountGoldensNameBenchmarkMetrics(t *testing.T) {
 	}
 }
 
-// TestBenchSmokePipesKeepExitStatus: a job that pipes bench/run.sh into
-// another command (tee) runs its steps under `shell: bash`, which sets
-// -eo pipefail, so a run that exits non-zero on a failed op still fails its
-// step — without pipefail the pipe's status is tee's.
-func TestBenchSmokePipesKeepExitStatus(t *testing.T) {
+// TestPipedStepsKeepExitStatus: a job with a `run:` line that pipes one
+// command into another (tee, grep, awk) runs its steps under `shell: bash`,
+// which sets -eo pipefail, so a command on the left that fails (bench/run.sh
+// on a failed op, a benchmark that no longer builds) still fails its step —
+// without pipefail the pipe's status is the last command's.
+func TestPipedStepsKeepExitStatus(t *testing.T) {
 	ci, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := strings.SplitN(string(ci), "\njobs:\n", 2)
+	piped, unsafe := pipedSteps(string(ci))
+	if piped == 0 {
+		t.Fatal("ci.yml pipes no run: line")
+	}
+	for _, line := range unsafe {
+		t.Errorf("ci.yml: a job pipes without `defaults: run: shell: bash`: %s", line)
+	}
+
+	// The scan itself, on a workflow of every shape it must tell apart.
+	sample := `
+jobs:
+  plain:
+    runs-on: ubuntu-latest
+    steps:
+      - run: go test -run 'A|B' ./x || true
+      - name: piped, one line
+        run: go run ./cmd/x | tee out.txt
+      - name: piped, in a block
+        run: |
+          go test ./...
+          go test -bench . ./y | grep '^Benchmark'
+  guarded:
+    runs-on: ubuntu-latest
+    defaults:
+      run:
+        shell: bash
+    steps:
+      - run: bash bench/run.sh | tee out.txt
+`
+	piped, unsafe = pipedSteps(sample)
+	want := []string{"go run ./cmd/x | tee out.txt", "go test -bench . ./y | grep '^Benchmark'"}
+	if piped != 3 || !slices.Equal(unsafe, want) {
+		t.Errorf("pipedSteps(sample) = %d, %q; want 3, %q", piped, unsafe, want)
+	}
+}
+
+// pipedSteps scans a workflow's jobs for shell lines of `run:` steps that
+// pipe one command into another — a '|' outside quotes that is not half of
+// '||' — and returns how many there are and those of jobs that do not run
+// their steps under `defaults: run: shell: bash`.
+func pipedSteps(ci string) (piped int, unsafe []string) {
+	jobs := strings.SplitN(ci, "\njobs:\n", 2)
 	if len(jobs) != 2 {
-		t.Fatal("ci.yml has no jobs")
+		return 0, nil
 	}
-	piped := regexp.MustCompile(`bench/run\.sh[^\n]*\|`)
-	n := 0
+	runKey := regexp.MustCompile(`^(\s*)(?:- )?run:\s*(.*)$`)
+	block := regexp.MustCompile(`^[|>][-+]?$`)
+	quoted := regexp.MustCompile(`'[^']*'|"[^"]*"`)
+	pipe := regexp.MustCompile(`(^|[^|])\|([^|]|$)`)
+	bash := regexp.MustCompile(`(?m)^    defaults:\n      run:\n        (#.*\n\s*)*shell: bash\s*$`)
 	for _, job := range regexp.MustCompile(`(?m)^  (\S+):\s*$`).Split(jobs[1], -1) {
-		if !piped.MatchString(job) {
-			continue
-		}
-		n++
-		if !regexp.MustCompile(`(?m)^    defaults:\n      run:\n        (#.*\n\s*)*shell: bash\s*$`).MatchString(job) {
-			t.Errorf("ci.yml: a job pipes bench/run.sh without `defaults: run: shell: bash`:\n%s", piped.FindString(job))
+		lines := strings.Split(job, "\n")
+		for i := 0; i < len(lines); i++ {
+			m := runKey.FindStringSubmatch(lines[i])
+			if m == nil {
+				continue
+			}
+			cmds := []string{m[2]}
+			if block.MatchString(m[2]) {
+				// A block scalar: the lines indented past the key.
+				for cmds = nil; i+1 < len(lines); i++ {
+					next := lines[i+1]
+					if strings.TrimSpace(next) != "" && len(next)-len(strings.TrimLeft(next, " ")) <= len(m[1]) {
+						break
+					}
+					cmds = append(cmds, next)
+				}
+			}
+			for _, c := range cmds {
+				if !pipe.MatchString(quoted.ReplaceAllString(c, "")) {
+					continue
+				}
+				piped++
+				if !bash.MatchString(job) {
+					unsafe = append(unsafe, strings.TrimSpace(c))
+				}
+			}
 		}
 	}
-	if n == 0 {
-		t.Fatal("ci.yml pipes no bench/run.sh run")
-	}
+	return piped, unsafe
 }
 
 // testsIn returns the names of the Test functions of a package directory

@@ -8,17 +8,22 @@
 // is that callback which decides between classic UNDO logging and the
 // paper's RDA no-logging write (Section 4.1).
 //
-// A frame owns its page buffers for life: a miss copies the fetched image
-// into them, a write-back refreshes the disk version by copying, and an
-// evicted or discarded frame — buffers, modifier set and all — is what the
-// next miss fills, so a warmed pool allocates nothing per miss.
+// A frame owns its Data buffer for life: a miss copies the fetched image
+// into it, and an evicted or discarded frame — buffer, modifier set and
+// all — is what the next miss fills, so a warmed pool allocates nothing per
+// miss.
 //
-// Each frame optionally retains its *disk version*: a copy of the
-// page as currently stored on the array.  Keeping it corresponds to the
-// paper's a=3 small-write cost (the old data needed for the parity
-// read-modify-write is already in memory); dropping it forces the steal
-// path to re-read the old page from the array, the paper's a=4 case used
-// in the ¬FORCE analysis (Section 5.2.2).
+// A dirty frame also holds its *disk version*: a copy of the page as it is
+// stored on the array, taken from Data just before the frame's first
+// modification (Modify) in a page of the pool's free list (Pages), and
+// given back when the frame is clean again — a write-back, an abort that
+// rewound it (MarkClean) — or leaves the pool.  A clean frame holds none:
+// its Data is the array's page.  So every write-back of a dirty frame has
+// the old contents its parity read-modify-write needs in memory, the
+// paper's a=3 small write, under FORCE and ¬FORCE alike; the paper charges
+// a ¬FORCE write-back a=4 (Section 5.2.2) to save the memory, which here is
+// one page per dirty frame.  A write-back re-reads the old page (a=4) only
+// for a frame whose disk version was forgotten (Forget).
 //
 // The pool uses a single LRU list and is internally synchronized: an
 // internal mutex guards the frame map, the LRU list, pin counts and the
@@ -58,8 +63,10 @@ type Frame struct {
 	Page page.PageID
 	// Data is the current (possibly uncommitted) page contents.
 	Data page.Buf
-	// DiskVersion is a copy of the page as it exists on the array, or nil
-	// if unknown.  See the package comment for the a=3/a=4 connection.
+	// DiskVersion is a copy of the page as it exists on the array while
+	// the frame is dirty (a page of the pool's Pages), nil while it is
+	// clean or after Forget.  See the package comment for the a=3/a=4
+	// connection.
 	DiskVersion page.Buf
 	// Dirty reports whether Data differs from the array contents.
 	Dirty bool
@@ -107,9 +114,9 @@ func (f *Frame) ModifierList() []page.TxID {
 
 // WriteBack is the engine's steal policy: persist the frame to the array,
 // performing whatever logging or parity work its recovery scheme
-// requires.  On success the pool marks the frame clean and refreshes its
-// DiskVersion.  The callback must not call back into the pool (it may run
-// with the pool's internal mutex held).
+// requires.  On success the pool marks the frame clean and gives its
+// DiskVersion back.  The callback must not call back into the pool (it may
+// run with the pool's internal mutex held).
 type WriteBack func(f *Frame) error
 
 // FetchInto reads page p's image from the array into dst — the missing
@@ -152,15 +159,16 @@ var (
 type Pool struct {
 	capacity int
 	pageSize int
-	// KeepDiskVersions controls whether frames retain a disk version copy
-	// alongside Data (see package comment).  It is read at every miss and
-	// write-back, under the pool mutex; set it before the pool is shared.
-	KeepDiskVersions bool
 
 	// FetchInto is the miss path (see the type).  New derives it from its
 	// fetch argument; an owner that can read straight into the frame sets
-	// it instead, like KeepDiskVersions before the pool is shared.
+	// it instead, before the pool is shared.
 	FetchInto FetchInto
+	// Pages is the free list dirty frames draw their disk versions from and
+	// give them back to.  New makes one of its own, holding up to a page
+	// per frame; an owner whose other scratch pages come from a list of its
+	// own may share that one instead, set before the pool is shared.
+	Pages *page.FreeList
 
 	// mu guards frames, lru, free, pin counts and stats.  It is held
 	// across eviction write-backs (leaf disk work), but never across a
@@ -184,11 +192,11 @@ func New(capacity, pageSize int, fetch Fetch, writeBack WriteBack) *Pool {
 		panic("buffer: capacity must be positive")
 	}
 	bp := &Pool{
-		capacity:         capacity,
-		pageSize:         pageSize,
-		KeepDiskVersions: true,
-		frames:           make(map[page.PageID]*Frame, capacity),
-		writeBack:        writeBack,
+		capacity:  capacity,
+		pageSize:  pageSize,
+		Pages:     page.NewFreeList(pageSize, capacity),
+		frames:    make(map[page.PageID]*Frame, capacity),
+		writeBack: writeBack,
 	}
 	if fetch != nil {
 		bp.FetchInto = func(p page.PageID, dst page.Buf) error {
@@ -321,7 +329,6 @@ func (bp *Pool) Get(p page.PageID, guard EvictGuard) (*Frame, error) {
 	if err := bp.load(f); err != nil {
 		return nil, fmt.Errorf("buffer: fetch page %d: %w", p, err)
 	}
-	bp.syncDiskVersion(f)
 	return f, nil
 }
 
@@ -403,37 +410,47 @@ func (bp *Pool) Unpin(p page.PageID) {
 	f.pins--
 }
 
-// MarkDirty records that tx modified the (pinned) frame of page p.
-func (bp *Pool) MarkDirty(p page.PageID, tx page.TxID) {
+// Modify records that tx is about to change the Data of f, a frame the
+// caller has pinned and whose group latch it holds, and must precede the
+// change: a clean frame first takes its disk version, a copy of Data as the
+// array holds it, which it keeps until it is clean again.
+func (bp *Pool) Modify(f *Frame, tx page.TxID) {
+	if !f.Dirty {
+		// Dirty changes only under the group latch the caller holds, so it
+		// is read, and the page copied, outside the pool mutex.
+		f.DiskVersion = bp.Pages.Get()
+		copy(f.DiskVersion, f.Data)
+	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	f, ok := bp.frames[p]
-	if !ok {
-		panic(fmt.Sprintf("buffer: MarkDirty of non-resident page %d", p))
-	}
 	f.Dirty = true
 	f.Modifiers[tx] = struct{}{}
 }
 
-// markClean resets the frame's dirty bookkeeping after a successful write
-// back and refreshes the disk version.
-func (bp *Pool) markClean(f *Frame) {
-	f.reset()
-	bp.syncDiskVersion(f)
+// MarkClean marks frame f, whose group latch the caller holds, clean
+// without a write-back: its Data is the array's page again (an abort
+// rewound it to its disk version).
+func (bp *Pool) MarkClean(f *Frame) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	bp.markClean(f)
 }
 
-// syncDiskVersion makes the frame's disk version equal its Data, in a
-// buffer the frame then keeps for life — or drops it when the pool retains
-// none, so KeepDiskVersions is obeyed whenever it is read, recycled frames
-// included.
-func (bp *Pool) syncDiskVersion(f *Frame) {
-	switch {
-	case !bp.KeepDiskVersions:
+// markClean (pool mutex held) resets the frame's dirty bookkeeping once its
+// Data is the array's page — after a successful write-back — and gives its
+// disk version back.
+func (bp *Pool) markClean(f *Frame) {
+	f.reset()
+	bp.dropDiskVersion(f)
+}
+
+// dropDiskVersion gives the frame's disk version, if it has one, back to
+// the free list.  Nothing else holds it: a write-back that used it has
+// returned.
+func (bp *Pool) dropDiskVersion(f *Frame) {
+	if f.DiskVersion != nil {
+		bp.Pages.Put(f.DiskVersion)
 		f.DiskVersion = nil
-	case f.DiskVersion == nil:
-		f.DiskVersion = f.Data.Clone()
-	default:
-		copy(f.DiskVersion, f.Data)
 	}
 }
 
@@ -448,16 +465,18 @@ func (f *Frame) reset() {
 	}
 }
 
-// remove takes the frame out of the pool and queues it for the next miss,
-// which overwrites its buffers.  Nothing may hold the frame past this
-// point: a pinned frame is never evicted, and the engine discards only
-// under the group latch every other user of the frame would need.
+// remove takes the frame out of the pool, gives a discarded frame's disk
+// version back, and queues the frame for the next miss, which overwrites
+// its buffer.  Nothing may hold the frame past this point: a pinned frame
+// is never evicted, and the engine discards only under the group latch
+// every other user of the frame would need.
 func (bp *Pool) remove(f *Frame) {
 	if f.pins != 0 {
 		panic(fmt.Sprintf("buffer: page %d leaves the pool with %d pin(s)", f.Page, f.pins))
 	}
 	f.unlink()
 	delete(bp.frames, f.Page)
+	bp.dropDiskVersion(f)
 	bp.free = append(bp.free, f)
 }
 
@@ -588,20 +607,22 @@ func (bp *Pool) DiscardClean(p page.PageID) bool {
 	return false
 }
 
-// RestoreDiskVersion rewinds the frame of page p to its disk version and
-// marks it clean.  It returns true if the frame was resident and had a
-// disk version to restore.  Used by abort for modified-but-never-stolen
-// pages when the disk version is retained.
-func (bp *Pool) RestoreDiskVersion(p page.PageID) bool {
+// Forget drops what the pool knows of page p's contents on the array,
+// after the array gave the page up (zeroed it): a clean, unpinned frame
+// leaves the pool, a dirty one gives its disk version back, so that its
+// write-back re-reads the page (a=4) and folds the zeroed page, not the
+// lost image, into the parity.  The caller holds p's group latch.
+func (bp *Pool) Forget(p page.PageID) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	f, ok := bp.frames[p]
-	if !ok || f.DiskVersion == nil {
-		return false
+	switch {
+	case !ok:
+	case !f.Dirty && f.pins == 0:
+		bp.remove(f)
+	default:
+		bp.dropDiskVersion(f)
 	}
-	copy(f.Data, f.DiskVersion)
-	f.reset()
-	return true
 }
 
 // DropAll empties the pool without writing anything — the buffer is

@@ -119,8 +119,8 @@ func TestStealWritesBackDirtyVictim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bp.Modify(f, 7)
 	f.Data[1] = 0xEE
-	bp.MarkDirty(0, 7)
 	bp.Unpin(0)
 	if _, err := bp.Get(1, nil); err != nil {
 		t.Fatal(err)
@@ -171,72 +171,6 @@ func TestPinnedFramesNotEvicted(t *testing.T) {
 	}
 }
 
-func TestDiskVersionTracking(t *testing.T) {
-	s := newFakeStore(10, 64)
-	bp := newPool(s, 4)
-	f, err := bp.Get(5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.DiskVersion == nil || f.DiskVersion[0] != 5 {
-		t.Fatalf("disk version not captured on fetch")
-	}
-	f.Data[0] = 99
-	bp.MarkDirty(5, 1)
-	if f.DiskVersion[0] != 5 {
-		t.Fatalf("disk version must keep the on-disk contents")
-	}
-	bp.Unpin(5)
-	if err := bp.FlushPage(5); err != nil {
-		t.Fatal(err)
-	}
-	if f.Dirty || f.DiskVersion[0] != 99 {
-		t.Fatalf("flush must clean the frame and refresh the disk version")
-	}
-}
-
-func TestKeepDiskVersionsOff(t *testing.T) {
-	s := newFakeStore(10, 64)
-	bp := newPool(s, 4)
-	bp.KeepDiskVersions = false
-	f, err := bp.Get(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.DiskVersion != nil {
-		t.Fatalf("disk versions must not be kept when disabled")
-	}
-	bp.Unpin(1)
-}
-
-func TestKeepDiskVersionsToggleReachesRecycledFrames(t *testing.T) {
-	// A frame that was given a disk version keeps its buffer through
-	// eviction; once the pool stops retaining them, the miss that recycles
-	// the frame must drop it rather than serve a stale copy.
-	s := newFakeStore(10, 64)
-	bp := newPool(s, 1)
-	if _, err := bp.Get(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	bp.Unpin(1)
-	bp.KeepDiskVersions = false
-	f, err := bp.Get(2, nil) // evicts page 1 and reuses its frame
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.DiskVersion != nil {
-		t.Fatalf("recycled frame kept a disk version after retention was switched off")
-	}
-	bp.Unpin(2)
-	bp.KeepDiskVersions = true
-	if f, err = bp.Get(3, nil); err != nil {
-		t.Fatal(err)
-	}
-	if f.DiskVersion == nil || f.DiskVersion[0] != 3 {
-		t.Fatalf("disk version not restored after retention was switched back on")
-	}
-}
-
 func TestDiscardOfPinnedFramePanics(t *testing.T) {
 	// A removed frame is refilled by the next miss, so a holder's pin
 	// must stop it leaving the pool.
@@ -253,28 +187,6 @@ func TestDiscardOfPinnedFramePanics(t *testing.T) {
 	bp.Discard(1)
 }
 
-func TestRestoreDiskVersion(t *testing.T) {
-	s := newFakeStore(10, 64)
-	bp := newPool(s, 4)
-	f, err := bp.Get(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Data[0] = 77
-	bp.MarkDirty(2, 3)
-	bp.Unpin(2)
-	if !bp.RestoreDiskVersion(2) {
-		t.Fatalf("RestoreDiskVersion should succeed")
-	}
-	f = bp.Frame(2)
-	if f.Dirty || f.Data[0] != 2 {
-		t.Fatalf("restore did not rewind the frame")
-	}
-	if bp.RestoreDiskVersion(42) {
-		t.Fatalf("restore of non-resident page must report false")
-	}
-}
-
 func TestFlushAllWithFilter(t *testing.T) {
 	s := newFakeStore(10, 64)
 	bp := newPool(s, 5)
@@ -283,8 +195,8 @@ func TestFlushAllWithFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bp.Modify(f, page.TxID(p+1))
 		f.Data[2] = 0xAB
-		bp.MarkDirty(p, page.TxID(p+1))
 		bp.Unpin(p)
 	}
 	err := bp.FlushAll(func(f *Frame) bool {
@@ -315,8 +227,8 @@ func TestDiscardAndDropAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bp.Modify(f, 1)
 	f.Data[0] = 111
-	bp.MarkDirty(0, 1)
 	bp.Unpin(0)
 	bp.Discard(0)
 	if bp.Contains(0) {
@@ -344,8 +256,8 @@ func TestWriteBackFailurePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bp.Modify(f, 1)
 	f.Data[0] = 9
-	bp.MarkDirty(0, 1)
 	bp.Unpin(0)
 	s.failWrites = true
 	if _, err := bp.Get(1, nil); err == nil {
@@ -380,13 +292,13 @@ func TestResidentOrder(t *testing.T) {
 func TestModifiersAccumulateAndClearOnWriteBack(t *testing.T) {
 	s := newFakeStore(10, 64)
 	bp := newPool(s, 4)
-	if _, err := bp.Get(0, nil); err != nil {
+	f, err := bp.Get(0, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	bp.MarkDirty(0, 1)
-	bp.MarkDirty(0, 2)
+	bp.Modify(f, 1)
+	bp.Modify(f, 2)
 	bp.Unpin(0)
-	f := bp.Frame(0)
 	if len(f.Modifiers) != 2 {
 		t.Fatalf("modifiers = %v, want two", f.ModifierList())
 	}

@@ -139,7 +139,7 @@ func TestPoolStaysOpenDuringMiss(t *testing.T) {
 	}
 
 	// Page 0's fetch is now in flight and stays there until released.
-	// A hit and an unpin of a resident page, a MarkDirty and a FlushPage
+	// A hit and an unpin of a resident page, a Modify and a FlushPage
 	// of another, and a miss on a third page all go through meanwhile.
 	others := make(chan struct{})
 	go func() {
@@ -154,8 +154,8 @@ func TestPoolStaysOpenDuringMiss(t *testing.T) {
 			t.Errorf("hit during a miss: %v", err)
 			return
 		}
+		bp.Modify(f, 7)
 		f.Data[1] = 0xEE
-		bp.MarkDirty(2, 7)
 		bp.Unpin(2)
 		if err := bp.FlushPage(2); err != nil {
 			t.Errorf("flush during a miss: %v", err)
@@ -173,7 +173,7 @@ func TestPoolStaysOpenDuringMiss(t *testing.T) {
 			t.Errorf("second miss returned the wrong page")
 		}
 	}()
-	await(t, others, "hit, unpin, MarkDirty and FlushPage")
+	await(t, others, "hit, unpin, Modify and FlushPage")
 	await(t, second, "a miss on another page")
 	select {
 	case <-missed:

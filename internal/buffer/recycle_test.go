@@ -32,16 +32,16 @@ func TestEvictedFrameIsRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 		bp.Unpin(p)
-		if f.Page != p || f.Data[0] != byte(p) || f.DiskVersion[0] != byte(p) {
-			t.Fatalf("page %d: frame holds page %d, data %d, disk version %d", p, f.Page, f.Data[0], f.DiskVersion[0])
+		if f.Page != p || f.Data[0] != byte(p) || f.DiskVersion != nil {
+			t.Fatalf("page %d: frame holds page %d, data %d, disk version %v", p, f.Page, f.Data[0], f.DiskVersion != nil)
 		}
 		return f
 	}
 	f0, f1 := get(0), get(1)
-	if &f0.Data[0] == &f1.Data[0] || &f0.Data[0] == &f0.DiskVersion[0] {
+	if &f0.Data[0] == &f1.Data[0] {
 		t.Fatalf("frames share a buffer with each other or with the fetch scratch")
 	}
-	bp.MarkDirty(0, 7)
+	bp.Modify(f0, 7)
 	f0.Residue = true
 	data0 := &f0.Data[0]
 	get(1) // page 0 is now the LRU victim

@@ -78,20 +78,25 @@ type Store struct {
 
 // maxFreePages bounds the idle pages Store.Pages keeps.  The scratch of a
 // write in flight is two or three pages, drawn and returned within one
-// call; the rest absorbs the before-images a committing transaction hands
-// back until the running ones draw them again — more of them at once since
-// two drivers stopped taking turns at the buffer pool's mutex (PR 23), which
-// is when 16 stopped being enough.  At 16 / 32 / 64 idle pages the
-// benchmark's workloads allocate per commit and keep live (seed 21, full
-// scale; retrieval_noforce is 18.48 KiB and 60.67 MiB at all three):
+// call; the rest absorbs what running transactions hand back until others
+// draw it again: a committing transaction's before-images, and the disk
+// versions its dirty frames give back at their write-back — a FORCE commit
+// returns one per page it flushed, a ¬FORCE checkpoint one per dirty frame.
+// 16 stopped being enough when two drivers stopped taking turns at the
+// buffer pool's mutex, 32 when the dirty frames' disk versions moved onto
+// the list.  At 32 / 64 / 128 / 256 idle pages the benchmark's workloads
+// allocate per commit and keep live (seed 1, full scale; in brackets the
+// engine before the disk versions moved onto the list, at 32):
 //
-//	pipelined_io   37.1 / 28.2 / 25.8 KiB   2.540 / 2.548 / 2.573 MiB
-//	oltp_force     24.6 / 19.4 / 17.5 KiB   49.53 / 49.57 / 49.62 MiB
-//	degraded_pq    27.9 / 24.6 / 23.5 KiB   58.69 / 58.72 / 58.78 MiB
+//	pipelined_io       19.76 / 12.70 / 12.65 / 12.66 KiB (14.66)   1.954 / 2.019 / 2.032 / 2.034 MiB (2.544)
+//	oltp_force         16.65 / 11.88 / 10.78 / 10.78 KiB (12.63)   49.37 / 49.44 / 49.56 / 49.58 MiB (49.50)
+//	degraded_pq        25.37 / 19.97 / 18.54 / 18.54 KiB (19.55)   58.15 / 58.20 / 58.33 / 58.37 MiB (58.73)
+//	retrieval_noforce   7.22 /  7.13 /  7.06 /  7.03 KiB  (7.02)   59.54 / 59.61 / 59.67 / 59.75 MiB (60.75)
 //
-// 32 takes most of what there is to take for +0.3 % of the smallest heap;
-// 64 takes a tenth more for +1.3 %, half of that heap's 3 % bound.
-const maxFreePages = 32
+// 128 takes what there is to take on the three FORCE workloads; 256 takes
+// another 0.03 KiB on retrieval_noforce, whose checkpoints return hundreds
+// of versions at a time, for +0.1 % of its heap.
+const maxFreePages = 128
 
 // NewStore wires a store over the given array.  RDA recovery is enabled
 // iff the array is twinned (the engine validates the combination).

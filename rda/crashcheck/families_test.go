@@ -77,6 +77,26 @@ type counts struct {
 //     write and one parity-striping run whose crash write takes a transient
 //     error now restart (data undos 2 → 4, deferred 40 → 48; parity
 //     deferred 40 → 44, loss runs 2 → 3).
+//   - When a dirty frame began to keep its disk version under ¬FORCE too,
+//     and an abort to leave a frame it rewound clean.  The ten ¬FORCE rows
+//     write less, since such an aborted, unchanged frame used to be
+//     written back: the seed-1 rows 66/67 → 50/51 runs and writes, the
+//     seed-2 rows 73/72 → 69/68, dead1-noforce 104/102 → 92/90 runs and
+//     44/41 → 38/35 writes, dead1-noforce-seed2 and its records twin
+//     100/99 → 93/92 runs and 41/41 → 38/38 writes, 0 violations
+//     throughout.  The dead1 rows' counters move with where a drive dying
+//     at the crash write dies.  dead1-noforce data striping, undos
+//     10 → 11: the steal of page 4 no longer re-reads the page from the
+//     dying drive, so the death goes unseen until the restart, which
+//     undoes the loser's stolen page 3 by reconstruction; the steal used
+//     to see it, demote the group and leave the restart the page's
+//     before-image on the log.  Its parity striping, loss runs 3 → 2: the
+//     gone write-back had flipped group 5's twins, so the cut that lost a
+//     page when drive 3 died under page 9's flip now falls on the other
+//     twin's drive.  dead1-noforce-seed2 parity striping, undos 14 → 15:
+//     the coinciding family kills drive k mod 6 at write k, and the two
+//     writes where drive 1's death costs a reconstruction undo moved from
+//     w35–36 to w31–32, where w31 is drive 1's.
 //
 // The two CI corruption soaks (soak-corrupt, soak-corrupt-seed42) stand at 0
 // runs with loss: a steal must never take its committed twin from memory (a
@@ -90,14 +110,14 @@ var families = []familyRow{
 	{name: "clean", opts: Options{Seed: 1, Txns: 4}, want: []counts{{runs: 52, writes: 52}, {runs: 54, writes: 54}}},
 	{name: "torn", opts: Options{Seed: 1, Txns: 4, Torn: true}, want: []counts{{runs: 52, writes: 52}, {runs: 54, writes: 54}}},
 	{name: "noforce", opts: Options{Seed: 1, Txns: 4, NoForce: true}, want: []counts{
-		{runs: 66, writes: 66},
-		{runs: 67, writes: 67}}},
+		{runs: 50, writes: 50},
+		{runs: 51, writes: 51}}},
 	{name: "noforce-torn", opts: Options{Seed: 1, Txns: 4, NoForce: true, Torn: true}, want: []counts{
-		{runs: 66, writes: 66},
-		{runs: 67, writes: 67}}},
+		{runs: 50, writes: 50},
+		{runs: 51, writes: 51}}},
 	{name: "noforce-records", opts: Options{Seed: 1, Txns: 4, NoForce: true, Records: true}, want: []counts{
-		{runs: 66, writes: 66},
-		{runs: 67, writes: 67}}},
+		{runs: 50, writes: 50},
+		{runs: 51, writes: 51}}},
 	{name: "queued", opts: Options{Seed: 1, Txns: 4, QueueDepth: 8}, want: []counts{{runs: 52, writes: 52}, {runs: 53, writes: 53}}},
 	// Sixteen frames keep a transaction's pages to its EOT: the sweeps that
 	// cut inside the flush chain (32 and 49 writes on data striping when
@@ -122,8 +142,8 @@ var families = []familyRow{
 		{runs: 94, writes: 38, undos: 35, deferred: 376, lossRuns: 31, lost: 44},
 		{runs: 93, writes: 35, undos: 31, deferred: 372, lossRuns: 26, lost: 36}}},
 	{name: "dead1-noforce", opts: Options{Seed: 1, Txns: 3, Dead: 1, NoForce: true}, want: []counts{
-		{runs: 104, writes: 44, undos: 10, deferred: 416, lossRuns: 3, lost: 3},
-		{runs: 102, writes: 41, undos: 12, deferred: 408, lossRuns: 3, lost: 3}}},
+		{runs: 92, writes: 38, undos: 11, deferred: 368, lossRuns: 3, lost: 3},
+		{runs: 90, writes: 35, undos: 12, deferred: 360, lossRuns: 2, lost: 2}}},
 	{name: "dead1-frames16", opts: Options{Seed: 1, Txns: 3, Dead: 1, Frames: 16}, want: []counts{
 		{runs: 70, writes: 28, undos: 27, deferred: 280, lossRuns: 8, lost: 12},
 		{runs: 71, writes: 25, undos: 24, deferred: 284, lossRuns: 10, lost: 11}}},
@@ -215,23 +235,23 @@ var families = []familyRow{
 	// images, and with Records several record images per page
 	// (TestNoForceWorkloadRedoes proves there is REDO to interrupt).
 	{name: "noforce-seed2", opts: Options{Seed: 2, Txns: 5, NoForce: true}, want: []counts{
-		{runs: 73, writes: 73},
-		{runs: 72, writes: 72}}},
+		{runs: 69, writes: 69},
+		{runs: 68, writes: 68}}},
 	{name: "noforce-torn-seed2", opts: Options{Seed: 2, Txns: 5, NoForce: true, Torn: true}, want: []counts{
-		{runs: 73, writes: 73},
-		{runs: 72, writes: 72}}},
+		{runs: 69, writes: 69},
+		{runs: 68, writes: 68}}},
 	{name: "dead1-noforce-seed2", opts: Options{Seed: 2, Txns: 3, NoForce: true, Dead: 1}, want: []counts{
-		{runs: 100, writes: 41, undos: 5, deferred: 400, lossRuns: 2, lost: 2},
-		{runs: 99, writes: 41, undos: 14, deferred: 396, lossRuns: 2, lost: 3}}},
+		{runs: 93, writes: 38, undos: 5, deferred: 372, lossRuns: 2, lost: 2},
+		{runs: 92, writes: 38, undos: 15, deferred: 368, lossRuns: 2, lost: 3}}},
 	{name: "noforce-records-seed2", opts: Options{Seed: 2, Txns: 5, NoForce: true, Records: true}, want: []counts{
-		{runs: 73, writes: 73},
-		{runs: 72, writes: 72}}},
+		{runs: 69, writes: 69},
+		{runs: 68, writes: 68}}},
 	{name: "noforce-records-torn-seed2", opts: Options{Seed: 2, Txns: 5, NoForce: true, Records: true, Torn: true}, want: []counts{
-		{runs: 73, writes: 73},
-		{runs: 72, writes: 72}}},
+		{runs: 69, writes: 69},
+		{runs: 68, writes: 68}}},
 	{name: "dead1-noforce-records-seed2", opts: Options{Seed: 2, Txns: 3, NoForce: true, Records: true, Dead: 1}, want: []counts{
-		{runs: 100, writes: 41, undos: 5, deferred: 400, lossRuns: 2, lost: 2},
-		{runs: 99, writes: 41, undos: 14, deferred: 396, lossRuns: 2, lost: 3}}},
+		{runs: 93, writes: 38, undos: 5, deferred: 372, lossRuns: 2, lost: 2},
+		{runs: 92, writes: 38, undos: 15, deferred: 368, lossRuns: 2, lost: 3}}},
 
 	// The soaks.
 	{name: "soak-crash", opts: Options{Seed: 7}, soak: Crashes, iters: 200, want: []counts{

@@ -316,11 +316,14 @@ func Open(cfg Config) (*DB, error) {
 }
 
 // newPool builds a buffer pool wired to the engine's fetch and steal
-// policies.  FORCE keeps disk versions in dirty frames (the paper's a=3
-// small writes); ¬FORCE does not (a=4; Section 5.2.2).
+// policies.  Its dirty frames keep their disk versions in pages of the
+// store's free list, under FORCE and ¬FORCE alike, so a write-back is the
+// paper's a=3 small write; the paper prices ¬FORCE at a=4 (Section 5.2.2),
+// which the engine pays only for a frame whose disk version was forgotten
+// (forgetLost).
 func (db *DB) newPool() *buffer.Pool {
 	p := buffer.New(db.cfg.BufferFrames, db.cfg.PageSize, nil, db.writeBack)
-	p.KeepDiskVersions = db.cfg.EOT == Force
+	p.Pages = db.store.Pages
 	// A miss reads straight into its frame, outside the pool's mutex; only
 	// a repaired image comes back in a page of its own.
 	p.FetchInto = func(id page.PageID, dst page.Buf) error {
@@ -608,7 +611,7 @@ func (db *DB) stealFrame(f *buffer.Frame, st *txState, c *core.Chain) error {
 
 // logFrame is the logging write of frame f: every active modifier's UNDO
 // material for the page goes to the log first, then the page is written in
-// place (nil disk version under ¬FORCE: the store re-reads it, a=4) — as a
+// place (a frame without a disk version: the store re-reads it, a=4) — as a
 // link of chain c when an EOT flush runs one through the group (flushChain),
 // on its own when c is nil.
 func (db *DB) logFrame(f *buffer.Frame, mods []page.TxID, c *core.Chain) error {

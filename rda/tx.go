@@ -171,8 +171,8 @@ func (tx *Tx) WritePage(p PageID, data []byte) error {
 		if !tx.st.hasUndo(pid, wal.NoSlot) {
 			tx.firstModify(pid, wal.NoSlot, tx.db.snapshotPage(f.Data))
 		}
+		tx.db.pool.Modify(f, tx.st.t.ID)
 		copy(f.Data, data)
-		tx.db.pool.MarkDirty(pid, tx.st.t.ID)
 		return nil
 	})
 }
@@ -198,19 +198,19 @@ func (tx *Tx) firstModify(p page.PageID, slot int32, img []byte) {
 
 // --- Record-granularity operations (RecordLogging) ------------------------
 
-// recordView pins page p and returns its record view; the caller must
-// Unpin.
-func (tx *Tx) recordView(p page.PageID, h *latch.Held) (*record.Page, error) {
+// recordView pins page p and returns its frame and record view; the caller
+// must Unpin.
+func (tx *Tx) recordView(p page.PageID, h *latch.Held) (*buffer.Frame, *record.Page, error) {
 	f, err := tx.db.pool.Get(p, tx.db.evictGuard(h))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	v, err := record.View(f.Data)
 	if err != nil {
 		tx.db.pool.Unpin(p)
-		return nil, err
+		return nil, nil, err
 	}
-	return v, nil
+	return f, v, nil
 }
 
 // ReadRecord returns a copy of the record at (p, slot) under a shared
@@ -229,7 +229,7 @@ func (tx *Tx) ReadRecord(p PageID, slot int) ([]byte, error) {
 	var out []byte
 	empty := false
 	err := tx.opLatched(pid, func(h *latch.Held) error {
-		v, err := tx.recordView(pid, h)
+		_, v, err := tx.recordView(pid, h)
 		if err != nil {
 			return err
 		}
@@ -283,7 +283,7 @@ func (tx *Tx) InsertRecord(p PageID, rec []byte) (int, error) {
 		// Peek (uncharged, unlocked) to skip obviously taken slots.
 		var used bool
 		err := tx.opLatched(pid, func(h *latch.Held) error {
-			v, err := tx.recordView(pid, h)
+			_, v, err := tx.recordView(pid, h)
 			if err != nil {
 				return err
 			}
@@ -303,7 +303,7 @@ func (tx *Tx) InsertRecord(p PageID, rec []byte) (int, error) {
 		}
 		inserted := false
 		err = tx.opLatched(pid, func(h *latch.Held) error {
-			v, err := tx.recordView(pid, h)
+			_, v, err := tx.recordView(pid, h)
 			if err != nil {
 				return err
 			}
@@ -354,7 +354,7 @@ func (tx *Tx) writeRecordLatched(h *latch.Held, p page.PageID, slot int, rec []b
 			return err
 		}
 	}
-	v, err := tx.recordView(p, h)
+	f, v, err := tx.recordView(p, h)
 	if err != nil {
 		return err
 	}
@@ -366,15 +366,12 @@ func (tx *Tx) writeRecordLatched(h *latch.Held, p page.PageID, slot int, rec []b
 		}
 		tx.firstModify(p, int32(slot), img)
 	}
+	// checkRecord has validated slot and rec, so the change cannot fail.
+	tx.db.pool.Modify(f, tx.st.t.ID)
 	if present {
-		if err := v.Write(slot, rec); err != nil {
-			return err
-		}
-	} else if err := v.Delete(slot); err != nil {
-		return err
+		return v.Write(slot, rec)
 	}
-	tx.db.pool.MarkDirty(p, tx.st.t.ID)
-	return nil
+	return v.Delete(slot)
 }
 
 // checkRecord validates the handle, the page, the mode, the slot and
@@ -755,16 +752,13 @@ func (db *DB) rollback(st *txState) error {
 	return nil
 }
 
-// forgetLost drops the pool's images of pages an undo gave up: a clean
-// frame whole, a dirty one's disk version, so that its write-back folds the
-// zeroed page, not the lost image, into the parity.
+// forgetLost drops the pool's images of pages an undo gave up
+// (buffer.Pool.Forget): a clean frame whole, a dirty one's disk version, so
+// that its write-back folds the zeroed page, not the lost image, into the
+// parity.
 func (db *DB) forgetLost(lost []page.PageID) {
 	for _, p := range lost {
-		if !db.pool.DiscardClean(p) {
-			if f := db.pool.Frame(p); f != nil {
-				f.DiskVersion = nil
-			}
-		}
+		db.pool.Forget(p)
 	}
 }
 
@@ -809,7 +803,8 @@ func (db *DB) restoreLogged(tx page.TxID, e *undoEntry) error {
 }
 
 // repairFrame rewinds a never-stolen frame to transaction tx's
-// before-images and updates the frame bookkeeping.
+// before-images and updates the frame bookkeeping: a frame back at its disk
+// version is clean, with nothing left to write back.
 func (db *DB) repairFrame(tx page.TxID, f *buffer.Frame, images []wal.Record) error {
 	if err := record.Replay(f.Data, f.Data, images); err != nil {
 		return err
@@ -817,8 +812,7 @@ func (db *DB) repairFrame(tx page.TxID, f *buffer.Frame, images []wal.Record) er
 	delete(f.Modifiers, tx)
 	if len(f.Modifiers) == 0 {
 		if f.DiskVersion != nil && f.Data.Equal(f.DiskVersion) {
-			f.Dirty = false
-			f.Residue = false
+			db.pool.MarkClean(f)
 		} else if f.Dirty {
 			// Whatever delta remains belongs to finished transactions.
 			f.Residue = true
