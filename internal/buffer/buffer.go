@@ -151,7 +151,6 @@ type Stats struct {
 // Errors returned by the pool.
 var (
 	ErrNoFrames = errors.New("buffer: all frames pinned")
-	ErrNotHeld  = errors.New("buffer: page not resident")
 	ErrDropped  = errors.New("buffer: pool dropped while the page was loading")
 )
 
@@ -213,16 +212,6 @@ func New(capacity, pageSize int, fetch Fetch, writeBack WriteBack) *Pool {
 	}
 	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
 	return bp
-}
-
-// Capacity returns B, the number of frames.
-func (bp *Pool) Capacity() int { return bp.capacity }
-
-// Len returns the number of resident pages.
-func (bp *Pool) Len() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.frames)
 }
 
 // Stats returns a snapshot of the activity counters.

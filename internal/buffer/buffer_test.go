@@ -309,3 +309,10 @@ func TestModifiersAccumulateAndClearOnWriteBack(t *testing.T) {
 		t.Fatalf("modifiers must clear after write back")
 	}
 }
+
+// Len returns the number of resident pages.
+func (bp *Pool) Len() int {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return len(bp.frames)
+}

@@ -720,10 +720,6 @@ func (s *Store) resyncSettleP(gid page.GroupID, cur int) (bool, error) {
 	return true, s.WriteIndexMeta(gid, cur, invalid)
 }
 
-// SetInjector installs (or removes) a fault injector on every drive of
-// the store's array.
-func (s *Store) SetInjector(inj disk.Injector) { s.Arr.SetInjector(inj) }
-
 // settle returns the index of group g that is current after a crash, and
 // whether settling it rewrote the group: Current_Parity (Figure 7) over the
 // index headers the walk read (metas), the whole of it for a group that has

@@ -76,7 +76,7 @@ func TestVerifiedReadRepairsEveryMember(t *testing.T) {
 						case "lostwrite":
 							// Acknowledged, never written: the ledger expects
 							// bytes the platter does not hold.
-							s.SetInjector(fault.NewPlane(fault.Schedule{fault.LostWrite(0)}))
+							s.Arr.SetInjector(fault.NewPlane(fault.Schedule{fault.LostWrite(0)}))
 							if member == "data" {
 								err = arr.WriteData(p, pattern(size, 0xEE), disk.Meta{})
 							} else {
@@ -88,10 +88,10 @@ func TestVerifiedReadRepairsEveryMember(t *testing.T) {
 							src := loc.Block ^ 1
 							b, _ := drive.PeekData(src, nil)
 							m, _ := drive.PeekMeta(src)
-							s.SetInjector(fault.NewPlane(fault.Schedule{fault.Misdirected(0, loc.Block)}))
+							s.Arr.SetInjector(fault.NewPlane(fault.Schedule{fault.Misdirected(0, loc.Block)}))
 							err = drive.Write(src, b, m)
 						}
-						s.SetInjector(nil)
+						s.Arr.SetInjector(nil)
 						if err != nil {
 							t.Fatal(err)
 						}

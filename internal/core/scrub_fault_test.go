@@ -24,11 +24,11 @@ func TestScrubRepairsInjectedBitFlip(t *testing.T) {
 		// installed (a page of the WriteCommitted below — data or parity,
 		// scrub must cope with either).
 		plane := fault.NewPlane(fault.Schedule{fault.BitFlip(0, 77)})
-		s.SetInjector(plane)
+		s.Arr.SetInjector(plane)
 		if err := s.WriteCommitted(7, want, nil); err != nil {
 			t.Fatalf("%v: write: %v", kind, err)
 		}
-		s.SetInjector(nil)
+		s.Arr.SetInjector(nil)
 
 		// The corruption is latent: parity no longer matches, or the data
 		// block itself fails its checksum on read.

@@ -209,9 +209,9 @@ func TestSolveTransferCounts(t *testing.T) {
 				erased = append(erased, s.Arr.Loc(0, diskarray.P.Twin(cur)).Disk)
 			}
 			var count readCounter
-			s.SetInjector(&count)
+			s.Arr.SetInjector(&count)
 			vals, _, err := s.SolveGroup(0, cur, erased...)
-			s.SetInjector(nil)
+			s.Arr.SetInjector(nil)
 			if err != nil {
 				t.Fatalf("%s (queued %v): %v", c.name, queued, err)
 			}

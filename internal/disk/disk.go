@@ -204,14 +204,8 @@ func New(id, numBlocks, blockSize int) *Disk {
 	return d
 }
 
-// ID returns the disk's identifier within its array.
-func (d *Disk) ID() int { return d.id }
-
 // NumBlocks returns the number of blocks on the disk.
 func (d *Disk) NumBlocks() int { return len(d.blocks) }
-
-// BlockSize returns the size in bytes of each block.
-func (d *Disk) BlockSize() int { return d.blockSize }
 
 // SetLatency sets the simulated service time of one block transfer (0
 // disables, the default).  Concurrency-safe; takes effect on the next

@@ -113,8 +113,6 @@ const (
 // Errors returned by the array.
 var (
 	ErrBadConfig = errors.New("diskarray: invalid configuration")
-	ErrNoTwin    = errors.New("diskarray: organization has no twin parity page")
-	ErrBadTwin   = errors.New("diskarray: twin index out of range")
 )
 
 // Loc is a physical block address.
@@ -396,9 +394,6 @@ func (a *Array) format() {
 	}
 	a.ResetStats()
 }
-
-// Kind returns the array organization.
-func (a *Array) Kind() Kind { return a.cfg.Kind }
 
 // PageSize returns the block size in bytes.
 func (a *Array) PageSize() int { return a.cfg.PageSize }
@@ -697,13 +692,6 @@ func (a *Array) ReadMeta(g page.GroupID, r Red) (disk.Meta, error) {
 		return err
 	})
 	return m, err
-}
-
-// Peek returns a copy of a redundancy page without charging a transfer
-// (verification aid).
-func (a *Array) Peek(g page.GroupID, r Red) (page.Buf, error) {
-	loc := a.Loc(g, r)
-	return a.disks[loc.Disk].PeekData(loc.Block, nil)
 }
 
 // PeekMeta returns a redundancy page's header without charging a

@@ -113,11 +113,6 @@ func Inv(a byte) byte {
 	return expTable[255-logTable[a]]
 }
 
-// Div returns a / b in GF(2^8).  It panics when b is 0.
-func Div(a, b byte) byte {
-	return Mul(a, Inv(b))
-}
-
 // check panics on a block-length mismatch.
 func check(a, b []byte) {
 	if len(a) != len(b) {

@@ -32,3 +32,8 @@ func TestTableRoundTrips(t *testing.T) {
 		}
 	}
 }
+
+// Div returns a / b in GF(2^8).  It panics when b is 0.
+func Div(a, b byte) byte {
+	return Mul(a, Inv(b))
+}

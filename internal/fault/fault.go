@@ -369,18 +369,6 @@ func (p *Plane) Reads() int64 {
 	return p.reads
 }
 
-// Schedule returns a copy of the plane's schedule (fired state omitted).
-func (p *Plane) Schedule() Schedule {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(Schedule, len(p.rules))
-	copy(out, p.rules)
-	for i := range out {
-		out[i].fired = false
-	}
-	return out
-}
-
 // SetTransientEvery makes the plane fail every n-th observed access with
 // ErrTransient, independent of the schedule (0 disables).  Because the
 // counter includes failed attempts, an isolated hit is always masked by a

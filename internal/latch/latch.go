@@ -44,9 +44,6 @@ func New(numGroups int) *Table {
 	return &Table{mus: make([]sync.Mutex, numGroups)}
 }
 
-// NumGroups returns the number of latches in the table.
-func (t *Table) NumGroups() int { return len(t.mus) }
-
 func (t *Table) check(g page.GroupID) {
 	if int(g) < 0 || int(g) >= len(t.mus) {
 		panic(fmt.Sprintf("latch: group %d out of range [0,%d)", g, len(t.mus)))
@@ -77,10 +74,6 @@ func (h *Held) Holds(g page.GroupID) bool {
 	_, ok := slices.BinarySearch(h.groups, g)
 	return ok
 }
-
-// Groups returns the held set in ascending order (shared slice; callers
-// must not modify it).
-func (h *Held) Groups() []page.GroupID { return h.groups }
 
 func (h *Held) insert(g page.GroupID) {
 	i, _ := slices.BinarySearch(h.groups, g)

@@ -231,3 +231,7 @@ func BenchmarkAcquireOne(b *testing.B) {
 		h.ReleaseAll()
 	}
 }
+
+// Groups returns the held set in ascending order (shared slice; callers
+// must not modify it).
+func (h *Held) Groups() []page.GroupID { return h.groups }

@@ -355,23 +355,6 @@ func (m *Manager) Close() {
 	m.freeStates, m.freeLists = nil, nil
 }
 
-// Holds reports whether tx currently holds res in at least the given
-// mode.
-func (m *Manager) Holds(tx page.TxID, res Resource, mode Mode) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.locks[res]
-	if st == nil {
-		return false
-	}
-	i := st.find(tx)
-	if i < 0 {
-		return false
-	}
-	held := st.holders[i].mode
-	return held == Exclusive || held == mode
-}
-
 // HeldResources returns every resource tx holds, in the order tx
 // acquired them; testing and debugging aid.
 func (m *Manager) HeldResources(tx page.TxID) []Resource {

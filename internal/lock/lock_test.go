@@ -276,3 +276,20 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Holds reports whether tx currently holds res in at least the given
+// mode.
+func (m *Manager) Holds(tx page.TxID, res Resource, mode Mode) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.locks[res]
+	if st == nil {
+		return false
+	}
+	i := st.find(tx)
+	if i < 0 {
+		return false
+	}
+	held := st.holders[i].mode
+	return held == Exclusive || held == mode
+}

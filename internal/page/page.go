@@ -22,17 +22,10 @@ import (
 // database (the paper's parameter S).
 type PageID uint32
 
-// InvalidPage is a sentinel PageID used to terminate log chains and to
-// mark empty table slots.
-const InvalidPage PageID = ^PageID(0)
-
 // GroupID identifies a parity group: the set of N data pages that share a
 // parity page (Section 4.1: "we will use the term parity group to denote a
 // page parity group").
 type GroupID uint32
-
-// InvalidGroup is a sentinel GroupID.
-const InvalidGroup GroupID = ^GroupID(0)
 
 // TxID identifies a transaction.  TxIDs are allocated monotonically by the
 // transaction manager and are never reused within the lifetime of a
@@ -57,11 +50,6 @@ type RecordID struct {
 
 // String implements fmt.Stringer.
 func (r RecordID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
-
-// DefaultSize is the default page size in bytes.  The paper's record
-// logging analysis uses l_p = 2020 bytes; we round to a power of two for
-// the default and let callers configure the exact value.
-const DefaultSize = 2048
 
 // MinSize is the smallest page size the storage layers accept.  It leaves
 // room for the slotted-record directory used by record logging.
@@ -211,12 +199,6 @@ func (s Stamp) String() string {
 // pages; only the physical placement differs.
 func GroupOf(p PageID, n int) GroupID {
 	return GroupID(uint32(p) / uint32(n))
-}
-
-// IndexInGroup returns the position (0..N-1) of page p within its parity
-// group.
-func IndexInGroup(p PageID, n int) int {
-	return int(uint32(p) % uint32(n))
 }
 
 // FirstInGroup returns the first logical page of group g when groups are N

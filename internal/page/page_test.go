@@ -177,3 +177,9 @@ func TestFreeListConcurrentOwnersNeverShareAPage(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// IndexInGroup returns the position (0..N-1) of page p within its parity
+// group.
+func IndexInGroup(p PageID, n int) int {
+	return int(uint32(p) % uint32(n))
+}

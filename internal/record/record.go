@@ -86,9 +86,6 @@ func View(buf page.Buf) (*Page, error) {
 	return &Page{buf: buf, recordSize: rs, slots: slots}, nil
 }
 
-// RecordSize returns the fixed record size.
-func (p *Page) RecordSize() int { return p.recordSize }
-
 // Slots returns the slot count.
 func (p *Page) Slots() int { return p.slots }
 
@@ -104,17 +101,6 @@ func (p *Page) Used(i int) bool {
 		return false
 	}
 	return p.bitmap()[i/8]&(1<<(i%8)) != 0
-}
-
-// Count returns the number of occupied slots.
-func (p *Page) Count() int {
-	n := 0
-	for i := 0; i < p.slots; i++ {
-		if p.Used(i) {
-			n++
-		}
-	}
-	return n
 }
 
 // Read returns a copy of the record in slot i, or the bare ErrEmptySlot
@@ -162,16 +148,6 @@ func (p *Page) Delete(i int) error {
 	}
 	p.bitmap()[i/8] &^= 1 << (i % 8)
 	return nil
-}
-
-// Insert stores rec in the first free slot and returns its index.
-func (p *Page) Insert(rec []byte) (int, error) {
-	for i := 0; i < p.slots; i++ {
-		if !p.Used(i) {
-			return i, p.Write(i, rec)
-		}
-	}
-	return 0, ErrFull
 }
 
 // Image is a record-granularity image for logging: slot plus a presence

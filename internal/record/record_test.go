@@ -253,3 +253,27 @@ func TestReplay(t *testing.T) {
 		t.Fatal("record images with no base: want an error")
 	}
 }
+
+// RecordSize returns the fixed record size.
+func (p *Page) RecordSize() int { return p.recordSize }
+
+// Count returns the number of occupied slots.
+func (p *Page) Count() int {
+	n := 0
+	for i := 0; i < p.slots; i++ {
+		if p.Used(i) {
+			n++
+		}
+	}
+	return n
+}
+
+// Insert stores rec in the first free slot and returns its index.
+func (p *Page) Insert(rec []byte) (int, error) {
+	for i := 0; i < p.slots; i++ {
+		if !p.Used(i) {
+			return i, p.Write(i, rec)
+		}
+	}
+	return 0, ErrFull
+}

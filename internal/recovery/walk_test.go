@@ -36,8 +36,8 @@ func restart(t *testing.T, s *core.Store, hard bool) (*Report, *opCounter) {
 	t.Helper()
 	s.ResetVolatile()
 	c := &opCounter{}
-	s.SetInjector(c)
-	defer s.SetInjector(nil)
+	s.Arr.SetInjector(c)
+	defer s.Arr.SetInjector(nil)
 	rep, err := CrashRecover(s, false, hard)
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +335,7 @@ func TestBitmapFollowsThePlatterWhereAPassRewrote(t *testing.T) {
 		obsolete := s.Twins.Obsolete(g)
 		loc := s.Arr.Loc(g, parity(obsolete))
 		c := &opCounter{lose: &loc}
-		s.SetInjector(c)
+		s.Arr.SetInjector(c)
 		if err := s.Arr.Write(g, parity(obsolete), pattern(page.MinSize, 9), disk.Meta{State: disk.StateObsolete}); err != nil {
 			t.Fatal(err)
 		}

@@ -109,6 +109,3 @@ func (m *Manager) Reset() {
 		m.current[i] = 0
 	}
 }
-
-// NumGroups returns the number of groups tracked.
-func (m *Manager) NumGroups() int { return len(m.current) }

@@ -103,13 +103,6 @@ func (m *Manager) NextTimestamp() page.Timestamp {
 	return ts
 }
 
-// Get returns the active transaction with the given id, or nil.
-func (m *Manager) Get(id page.TxID) *Txn {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.active[id]
-}
-
 // Finish moves the transaction out of the active table with the given
 // terminal status.
 func (m *Manager) Finish(id page.TxID, status Status) {

@@ -113,3 +113,10 @@ func TestConcurrentBegin(t *testing.T) {
 		t.Fatalf("got %d unique ids", len(seen))
 	}
 }
+
+// Get returns the active transaction with the given id, or nil.
+func (m *Manager) Get(id page.TxID) *Txn {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.active[id]
+}

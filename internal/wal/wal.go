@@ -166,9 +166,6 @@ type Stats struct {
 	ReadTransfers int64
 }
 
-// TotalTransfers returns write plus read transfers.
-func (s Stats) TotalTransfers() int64 { return s.Transfers + s.ReadTransfers }
-
 // Config parameterizes the log.
 type Config struct {
 	// LogPageSize is l_p, the physical log page size in bytes
@@ -593,13 +590,6 @@ func (l *Log) Len() int {
 	return int(l.nextLSN) - 1
 }
 
-// Read returns the record at the given LSN.
-func (l *Log) Read(n LSN) (Record, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.readLocked(n)
-}
-
 func (l *Log) readLocked(n LSN) (Record, error) {
 	if n < l.firstLSN || n >= l.nextLSN {
 		return Record{}, fmt.Errorf("wal: LSN %d out of range [%d,%d]", n, l.firstLSN, l.nextLSN-1)
@@ -636,42 +626,6 @@ func (l *Log) Scan(from LSN, fn func(Record) bool) error {
 			return nil
 		}
 	}
-}
-
-// ScanBackward calls fn for every record from the log tail down to (and
-// including) LSN 1, until fn returns false.
-func (l *Log) ScanBackward(fn func(Record) bool) error {
-	l.mu.Lock()
-	top := int(l.nextLSN) - 1
-	bottom := int(l.firstLSN)
-	l.mu.Unlock()
-	for n := top; n >= bottom; n-- {
-		l.mu.Lock()
-		r, err := l.readLocked(LSN(n))
-		l.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if !fn(r) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// LastCheckpoint returns the most recent checkpoint record, or ok=false
-// if none exists.
-func (l *Log) LastCheckpoint() (Record, bool) {
-	var found Record
-	ok := false
-	_ = l.ScanBackward(func(r Record) bool {
-		if r.Type == TypeCheckpoint {
-			found, ok = r, true
-			return false
-		}
-		return true
-	})
-	return found, ok
 }
 
 // ChargeScan charges read transfers (one per log page) for scanning the

@@ -326,3 +326,46 @@ func TestPackedCharging(t *testing.T) {
 		t.Fatalf("forced append charged %d, want 4", lf.Stats().Transfers)
 	}
 }
+
+// Read returns the record at the given LSN.
+func (l *Log) Read(n LSN) (Record, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.readLocked(n)
+}
+
+// ScanBackward calls fn for every record from the log tail down to (and
+// including) LSN 1, until fn returns false.
+func (l *Log) ScanBackward(fn func(Record) bool) error {
+	l.mu.Lock()
+	top := int(l.nextLSN) - 1
+	bottom := int(l.firstLSN)
+	l.mu.Unlock()
+	for n := top; n >= bottom; n-- {
+		l.mu.Lock()
+		r, err := l.readLocked(LSN(n))
+		l.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		if !fn(r) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// LastCheckpoint returns the most recent checkpoint record, or ok=false
+// if none exists.
+func (l *Log) LastCheckpoint() (Record, bool) {
+	var found Record
+	ok := false
+	_ = l.ScanBackward(func(r Record) bool {
+		if r.Type == TypeCheckpoint {
+			found, ok = r, true
+			return false
+		}
+		return true
+	})
+	return found, ok
+}

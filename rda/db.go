@@ -477,16 +477,6 @@ func (db *DB) healWorld() bool {
 	return db.syncHealth()
 }
 
-// storeRead is ReadPage for engine paths that read outside the buffer
-// pool (after-image capture, abort restores).  Like the pool's fetch it
-// transparently repairs latent sector errors from the group's redundancy;
-// other errors surface to the operation, whose healWorld retry serves the
-// read from redundancy after a disk loss.  dst, when non-nil, is a page
-// the caller owns for the read to fill (see core.Store.ReadPage).
-func (db *DB) storeRead(p page.PageID, dst page.Buf) (page.Buf, error) {
-	return db.store.ReadPage(p, dst)
-}
-
 // syncHealth aligns the engine's degraded-serving state with the array's
 // health machine.  It is called with the exclusive gate held, after an
 // operation failed or on an explicit FailDisk.  When the array has just

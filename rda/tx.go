@@ -560,7 +560,7 @@ func (db *DB) appendAfterImage(txn page.TxID, p page.PageID, slot int32) error {
 		scratch := db.store.Pages.Get()
 		defer db.store.Pages.Put(scratch)
 		var err error
-		if cur, err = db.storeRead(p, scratch); err != nil {
+		if cur, err = db.store.ReadPage(p, scratch); err != nil {
 			return err
 		}
 	}
@@ -770,7 +770,7 @@ func (db *DB) restoreLogged(tx page.TxID, e *undoEntry) error {
 	restored := e.images[0].Image
 	if e.images[0].Slot != wal.NoSlot {
 		var err error
-		if restored, err = db.storeRead(e.page, nil); err != nil {
+		if restored, err = db.store.ReadPage(e.page, nil); err != nil {
 			return err
 		}
 	}
