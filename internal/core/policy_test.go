@@ -27,7 +27,6 @@ var policyColumns = [...]struct {
 	{"trigger", []string{"page write-back", "group flush", "record write", "disk loss"}},
 	{"RDA", []string{"off", "on"}},
 	{"logging", []string{"page", "record"}},
-	{"array degraded", []string{"no", "yes"}},
 	{"group degraded", []string{"no", "yes"}},
 	{"Dirty_Set", []string{"clean", "same steal", "other txn", "other page"}},
 	{"modifiers", []string{"0", "1", "many"}},
@@ -42,13 +41,12 @@ func policyView(at [len(policyColumns)]int) View {
 		Trigger:       Trigger(at[0]),
 		RDA:           at[1] == 1,
 		RecordLogging: at[2] == 1,
-		ArrayDegraded: at[3] == 1,
-		GroupDegraded: at[4] == 1,
-		Dirty:         DirtyState(at[5]),
-		Modifiers:     at[6],
-		Residue:       at[7] == 1,
-		DirtyPages:    at[8],
-		WholeStripe:   at[9] == 1,
+		GroupDegraded: at[3] == 1,
+		Dirty:         DirtyState(at[4]),
+		Modifiers:     at[5],
+		Residue:       at[6] == 1,
+		DirtyPages:    at[7],
+		WholeStripe:   at[8] == 1,
 	}
 }
 
@@ -107,7 +105,7 @@ func parsePolicyTable(t *testing.T) []policyRow {
 				case name == "·":
 					row.match[c] |= 1<<len(col.values) - 1
 					continue
-				case c == 5 && name == "dirty":
+				case col.header == "Dirty_Set" && name == "dirty":
 					row.match[c] |= 1<<SameSteal | 1<<OtherTxn | 1<<OtherPage
 					continue
 				}
