@@ -26,10 +26,11 @@ func (db *DB) CorruptBlock(p PageID) error {
 // BulkLoad writes a run of consecutive pages as committed data, using
 // full-stripe writes (one parity write per fully covered parity group —
 // the "large accesses" of Section 3.1) instead of per-page small writes.
-// Full stripes are written side by side, as wide as Config.Workers says
-// the engine's whole-array loops run.  It requires a quiescent database
-// and bypasses transactions; loaders re-run after a crash.  It returns
-// the number of full-stripe writes.
+// Full stripes are written side by side, as wide as the engine's
+// whole-array loops run (core.Store.Lanes): Config.Workers lanes on
+// synchronous drives, one lane per drive on queued ones.  It requires a
+// quiescent database and bypasses transactions; loaders re-run after a
+// crash.  It returns the number of full-stripe writes.
 func (db *DB) BulkLoad(start PageID, pages [][]byte) (int, error) {
 	db.gate.Lock()
 	defer db.gate.Unlock()
