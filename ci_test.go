@@ -207,15 +207,71 @@ func pipedSteps(ci string) (piped int, unsafe []string) {
 	return piped, unsafe
 }
 
+// TestCIFuzzesEveryTarget: every fuzz target of the module is named by a
+// `go test -fuzz=` line of the CI workflow that names its package, so a new
+// target cannot be left running only its seeds.
+func TestCIFuzzesEveryTarget(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fuzzFlag := regexp.MustCompile(`-fuzz=(\S+)`)
+	fuzzed := map[string]bool{} // "./pkg FuzzName"
+	for _, line := range strings.Split(string(ci), "\n") {
+		m := fuzzFlag.FindStringSubmatch(line)
+		if m == nil || !strings.Contains(line, "go test") {
+			continue
+		}
+		re, err := regexp.Compile(m[1])
+		if err != nil {
+			t.Fatalf("ci.yml: -fuzz=%s: %v", m[1], err)
+		}
+		for _, f := range strings.Fields(line) {
+			if strings.HasPrefix(f, "./") {
+				for _, name := range funcsIn(t, f, "Fuzz") {
+					fuzzed[f+" "+name] = fuzzed[f+" "+name] || re.MatchString(name)
+				}
+			}
+		}
+	}
+	targets := 0
+	err = filepath.WalkDir(".", func(path string, e os.DirEntry, err error) error {
+		if err != nil || !e.IsDir() {
+			return err
+		}
+		if _, mod := os.Stat(filepath.Join(path, "go.mod")); path != "." && (mod == nil || e.Name() == "testdata" || strings.HasPrefix(e.Name(), ".")) {
+			return filepath.SkipDir // another module, test data, or .git
+		}
+		pkg := "./" + filepath.ToSlash(path)
+		for _, name := range funcsIn(t, pkg, "Fuzz") {
+			targets++
+			if !fuzzed[pkg+" "+name] {
+				t.Errorf("no ci.yml line runs go test -fuzz=%s %s", name, pkg)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if targets == 0 {
+		t.Fatal("found no fuzz target in the module")
+	}
+}
+
 // testsIn returns the names of the Test functions of a package directory
 // ("./rda").
-func testsIn(t *testing.T, pkg string) []string {
+func testsIn(t *testing.T, pkg string) []string { return funcsIn(t, pkg, "Test") }
+
+// funcsIn returns the names of the test files' functions of a package
+// directory whose names start with kind (Test, Fuzz).
+func funcsIn(t *testing.T, pkg, kind string) []string {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	testFunc := regexp.MustCompile(`(?m)^func (` + kind + `\w+)\(`)
 	var names []string
 	for _, f := range files {
 		src, err := os.ReadFile(f)

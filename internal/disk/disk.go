@@ -269,23 +269,43 @@ func (d *Disk) Read(blockNum int) (page.Buf, Meta, error) {
 	return b, meta, err
 }
 
+// admit is what the four ops share, in order: the service time, the
+// injector's decision, a dead drive, the block range, a write's payload
+// size and an injected error; then it charges the transfer.  data and
+// meta are what a write carries (nil on reads).  Must be called with d.mu
+// held.
+func (d *Disk) admit(blockNum int, op Op, data page.Buf, meta *Meta) (dec Decision, err error) {
+	d.serviceTime()
+	if d.inj != nil {
+		dec = d.consult(blockNum, op, data, meta)
+	}
+	switch {
+	case d.failed:
+		err = ErrFailed
+	case blockNum < 0 || blockNum >= len(d.blocks):
+		err = ErrOutOfRange
+	case op == OpWrite && len(data) != d.blockSize:
+		err = page.ErrBadSize
+	case dec.Err != nil:
+		err = dec.Err
+	case op.IsWrite():
+		d.stats.Writes++
+		return dec, nil
+	default:
+		d.stats.Reads++
+		return dec, nil
+	}
+	return dec, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, err)
+}
+
 // execRead copies the block into dst when dst has the block's size, and
 // into a fresh buffer otherwise.
 func (d *Disk) execRead(blockNum int, dst page.Buf) (page.Buf, Meta, uint32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.serviceTime()
-	dec := d.observe(blockNum, OpRead, nil, nil)
-	if d.failed {
-		return nil, Meta{}, 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
+	if _, err := d.admit(blockNum, OpRead, nil, nil); err != nil {
+		return nil, Meta{}, 0, err
 	}
-	if blockNum < 0 || blockNum >= len(d.blocks) {
-		return nil, Meta{}, 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrOutOfRange)
-	}
-	if dec.Err != nil {
-		return nil, Meta{}, 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
-	}
-	d.stats.Reads++
 	b := &d.blocks[blockNum]
 	if b.bad || page.Buf(b.data).Checksum() != b.sum {
 		return nil, Meta{}, 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrChecksum)
@@ -311,21 +331,10 @@ func (d *Disk) Write(blockNum int, data page.Buf, meta Meta) error {
 func (d *Disk) execWrite(blockNum int, data page.Buf, meta Meta) (uint32, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.serviceTime()
-	dec := d.observe(blockNum, OpWrite, data, &meta)
-	if d.failed {
-		return 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
+	dec, err := d.admit(blockNum, OpWrite, data, &meta)
+	if err != nil {
+		return 0, err
 	}
-	if blockNum < 0 || blockNum >= len(d.blocks) {
-		return 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrOutOfRange)
-	}
-	if len(data) != d.blockSize {
-		return 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, page.ErrBadSize)
-	}
-	if dec.Err != nil {
-		return 0, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
-	}
-	d.stats.Writes++
 	sum := data.Checksum()
 	if dec.LostWrite {
 		// The drive acknowledges the write but the sector never reaches
@@ -393,18 +402,9 @@ func (d *Disk) ReadMeta(blockNum int) (Meta, error) {
 func (d *Disk) execReadMeta(blockNum int) (Meta, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.serviceTime()
-	dec := d.observe(blockNum, OpReadMeta, nil, nil)
-	if d.failed {
-		return Meta{}, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
+	if _, err := d.admit(blockNum, OpReadMeta, nil, nil); err != nil {
+		return Meta{}, err
 	}
-	if blockNum < 0 || blockNum >= len(d.blocks) {
-		return Meta{}, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrOutOfRange)
-	}
-	if dec.Err != nil {
-		return Meta{}, fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
-	}
-	d.stats.Reads++
 	return d.blocks[blockNum].meta, nil
 }
 
@@ -420,18 +420,9 @@ func (d *Disk) WriteMeta(blockNum int, meta Meta) error {
 func (d *Disk) execWriteMeta(blockNum int, meta Meta) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.serviceTime()
-	dec := d.observe(blockNum, OpWriteMeta, nil, &meta)
-	if d.failed {
-		return fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrFailed)
+	if _, err := d.admit(blockNum, OpWriteMeta, nil, &meta); err != nil {
+		return err
 	}
-	if blockNum < 0 || blockNum >= len(d.blocks) {
-		return fmt.Errorf("disk %d block %d: %w", d.id, blockNum, ErrOutOfRange)
-	}
-	if dec.Err != nil {
-		return fmt.Errorf("disk %d block %d: %w", d.id, blockNum, dec.Err)
-	}
-	d.stats.Writes++
 	d.blocks[blockNum].meta = meta
 	return nil
 }

@@ -261,3 +261,25 @@ func TestDoReadsIntoTheCallersPage(t *testing.T) {
 	dst.Zero()
 	read()
 }
+
+// TestUninjectedOpsDoNotAllocate: the admission step every op shares runs
+// on every transfer; on a drive without an injector it builds no Access and
+// no op allocates.
+func TestUninjectedOpsDoNotAllocate(t *testing.T) {
+	d := New(0, 4, 64)
+	data, dst := page.NewBuf(64), page.NewBuf(64)
+	for _, r := range []Request{
+		{Op: OpWrite, Block: 1, Data: data, Meta: Meta{Timestamp: 3}},
+		{Op: OpRead, Block: 1, Data: dst},
+		{Op: OpWriteMeta, Block: 1, Meta: Meta{Timestamp: 4}},
+		{Op: OpReadMeta, Block: 1},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, _, err := d.Do(r); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%v allocates %.1f times", r.Op, n)
+		}
+	}
+}

@@ -63,7 +63,13 @@ func (a Access) String() string {
 }
 
 // Decision tells the disk how to carry out — or subvert — one block I/O.
-// The zero value means "proceed normally".
+// The zero value means "proceed normally".  Every op honours Err, FailDisk
+// and Panic; only OpWrite honours the others (Torn, FlipBit, LostWrite,
+// Redirect), which the other three ops ignore.  A drive carries a decision
+// out in one order: it dies on FailDisk; it panics with Panic before the
+// transfer unless Torn tears an OpWrite and the drive is alive; a dead
+// drive answers ErrFailed, an out-of-range block ErrOutOfRange, a wrong-size
+// payload page.ErrBadSize, and only then does Err fail the access.
 type Decision struct {
 	// Err, when non-nil, aborts the operation with this error before any
 	// state changes (a transient I/O error: the block is untouched).
@@ -71,33 +77,30 @@ type Decision struct {
 	// FailDisk fail-stops the drive before the operation, which then
 	// returns ErrFailed like every subsequent I/O until Repair.
 	FailDisk bool
-	// Torn applies to OpWrite only: the out-of-band header persists but
-	// only half of the payload does (TornHead selects which half), and the
-	// stored checksum is left stale so subsequent reads return
-	// ErrChecksum.  Models a power failure in the middle of the sector
-	// transfer; Panic is normally set alongside it.
+	// Torn: the out-of-band header persists but only half of the payload
+	// does (TornHead selects which half), and the stored checksum is left
+	// stale so subsequent reads return ErrChecksum.  Models a power failure
+	// in the middle of the sector transfer; Panic is normally set alongside
+	// it, and is raised after the torn mutation.
 	Torn     bool
 	TornHead bool
-	// FlipBit, on OpWrite, flips payload bit FlipBitOffset (byte
-	// FlipBitOffset/8, bit FlipBitOffset%8, modulo the block size) after
-	// the write completes, without updating the checksum — silent
-	// corruption for scrub tests.
+	// FlipBit flips payload bit FlipBitOffset (byte FlipBitOffset/8, bit
+	// FlipBitOffset%8, modulo the block size) after the write completes,
+	// without updating the checksum — silent corruption for scrub tests.
 	FlipBit       bool
 	FlipBitOffset int
-	// LostWrite, on OpWrite, acknowledges the write without persisting
-	// anything: the old block contents survive, internally consistent.
-	// The transfer is still charged (the drive believes it happened).
+	// LostWrite acknowledges the write without persisting anything: the
+	// old block contents survive, internally consistent.  The transfer is
+	// still charged (the drive believes it happened).
 	LostWrite bool
-	// Redirect, on OpWrite, lands the whole sector — payload, header and
-	// location stamp — at block RedirectBlock (modulo the disk size) on
-	// the same drive instead of the addressed block.  The stamp keeps the
-	// intended position, so reads of the victim surface ErrStamp.
+	// Redirect lands the whole sector — payload, header and location stamp
+	// — at block RedirectBlock (modulo the disk size) on the same drive
+	// instead of the addressed block.  The stamp keeps the intended
+	// position, so reads of the victim surface ErrStamp.
 	Redirect      bool
 	RedirectBlock int
-	// Panic, when non-nil, is panicked with: before the operation applies
-	// (a clean crash between block writes), ahead of Err and of a
-	// fail-stop, or after the torn mutation when Torn is set and the drive
-	// is alive.  The harness recovers the sentinel.
+	// Panic, when non-nil, is panicked with (see the order above).  The
+	// harness recovers the sentinel.
 	Panic any
 }
 
@@ -116,21 +119,11 @@ func (d *Disk) SetInjector(inj Injector) {
 	d.inj = inj
 }
 
-// observe consults the injector, applying a fail-stop decision and a
-// crash decision immediately.  Must be called with d.mu held.  data and
-// meta are what a write carries (nil on reads).  A drive without an
-// injector — every drive outside the tests and the crash tools — pays the
-// nil check and never builds the Access.
-func (d *Disk) observe(blockNum int, op Op, data page.Buf, meta *Meta) (dec Decision) {
-	if d.inj != nil {
-		dec = d.consult(blockNum, op, data, meta)
-	}
-	return dec
-}
-
-// consult is observe's slow path, out of line so that observe inlines.
-//
-//go:noinline
+// consult hands the access to the injector and does what a drive does
+// with any decision: it dies on FailDisk, and it crashes before the
+// transfer unless the decision tears a payload write the drive can still
+// take.  Must be called with d.mu held.  Only admit calls it, and only on
+// a drive with an injector: no other drive builds an Access.
 func (d *Disk) consult(blockNum int, op Op, data page.Buf, meta *Meta) Decision {
 	a := Access{Disk: d.id, Block: blockNum, Op: op, Data: data}
 	if meta != nil {
@@ -140,11 +133,7 @@ func (d *Disk) consult(blockNum int, op Op, data page.Buf, meta *Meta) Decision 
 	if dec.FailDisk {
 		d.failed = true
 	}
-	// A crash decision wins over an injected error and over the drive's
-	// death: power fails before the transfer, so the block keeps its old
-	// contents (a header write is one out-of-band transfer, never torn), and
-	// a tear of a write to a drive that is dead by now persists nothing.
-	if dec.Panic != nil && (op != OpWrite || !dec.Torn || d.failed) {
+	if dec.Panic != nil && !(dec.Torn && op == OpWrite && !d.failed) {
 		panic(dec.Panic)
 	}
 	return dec

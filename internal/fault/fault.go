@@ -2,35 +2,13 @@
 // simulated disk array.
 //
 // A Plane implements disk.Injector: installed on every drive of an array
-// it observes each charged block I/O in issue order and maintains global
-// read and write counters.  A Schedule — an ordered list of Rules — tells
-// the plane how to subvert specific accesses:
-//
-//   - CrashAfterNWrites(n): the first n block writes apply in full; the
-//     n+1-th (0-based index n) panics with a *Crash sentinel before it
-//     reaches the platter.  Sweeping n over [0, total) therefore crashes
-//     the system at every write boundary of a workload.
-//   - TornWrite(n): like CrashAfterNWrites, except write n itself is torn
-//     mid-transfer — the out-of-band header persists, half of the payload
-//     does (old/new half selected by the rule), the stored checksum goes
-//     stale — and then the sentinel panics.  A header-only write cannot
-//     tear (it is one out-of-band transfer): at one, the rule is a clean
-//     crash.
-//   - TransientError(op, n): the n-th access of the given op class fails
-//     once with disk.ErrTransient; the block is untouched and later
-//     retries succeed.
-//   - BitFlip(n, bit): write n applies, then one payload bit flips
-//     silently (checksum left stale) — latent corruption for scrub tests.
-//   - FailDisk(d, n): once n block writes have been applied, drive d
-//     fail-stops at its next access (read or write), modelling a disk
-//     dying mid-workload — e.g. a second failure during a rebuild that
-//     is only reading the survivors.
-//   - LostWrite(n): write n is acknowledged but never persisted — the old
-//     block contents survive, internally consistent, detectable only by
-//     the array's write ledger.
-//   - Misdirected(n, b): write n lands whole at block b of the same drive
-//     instead of the addressed block; the location stamp it carries names
-//     the intended position, which is what betrays it.
+// it observes each charged block I/O in issue order and keeps the clocks
+// — one count per op of the accesses that proceeded; a write rule's index
+// is on the write clock, a transient rule's on its own op's.  A Schedule,
+// an ordered list of Rules built by the constructors below, tells the plane
+// which accesses to subvert.  What a rule does to an access is one pure
+// function, decide, and DESIGN.md's "Fault plane" table is that function
+// row by row: the drive only carries the decision out.
 //
 // Schedules are pure data: deterministic, comparable, printable via
 // String, and replayable — running the same workload under the same
@@ -64,8 +42,9 @@ type Crash struct {
 	Writes int64
 	// Access is the I/O the crash interrupted.
 	Access disk.Access
-	// Torn reports whether the interrupted write was torn (partially
-	// applied) rather than cleanly dropped.
+	// Torn reports whether the cut tore a payload write (partially
+	// applied it, unless the drive was dead by then) rather than dropping
+	// it cleanly.
 	Torn bool
 }
 
@@ -98,15 +77,14 @@ const (
 	KindMisdirected
 )
 
-// Rule is one deterministic fault in a schedule.  Counting rules trigger
-// when the plane's global counter for their op class reaches After.
+// Rule is one deterministic fault in a schedule.  It fires at most once,
+// where decide says.
 type Rule struct {
 	Kind RuleKind
-	// After is the 0-based global write index (or access index for
-	// TransientError) at which the rule trips.
+	// After is the rule's 0-based index on its clock: the write clock, or
+	// for TransientError the count of Op's accesses.
 	After int64
-	// Op is the access class TransientError counts (writes for all other
-	// kinds).
+	// Op is the op a TransientError rule fails and counts.
 	Op disk.Op
 	// Disk is the FailDisk target drive.
 	Disk int
@@ -123,30 +101,48 @@ type Rule struct {
 	fired bool
 }
 
+// syntax is each kind's replayable form, name[arg]@wN, by kind: String
+// prints a rule from it and ParseSchedule reads one back.  arg points at
+// the bracketed argument (*bool: tail|head, *disk.Op: its name, *int: a
+// non-negative number), nil for none; clock prefixes the index, "" for a
+// transient rule, which counts its own op's accesses.
+var syntax = [...]struct {
+	name  string
+	arg   func(*Rule) any
+	clock string
+}{
+	KindCrash:       {"crash", nil, "w"},
+	KindTorn:        {"torn", func(r *Rule) any { return &r.Head }, "w"},
+	KindTransient:   {"transient", func(r *Rule) any { return &r.Op }, ""},
+	KindBitFlip:     {"bitflip", func(r *Rule) any { return &r.Bit }, "w"},
+	KindFailDisk:    {"faildisk", func(r *Rule) any { return &r.Disk }, "w"},
+	KindLostWrite:   {"lostwrite", nil, "w"},
+	KindMisdirected: {"misdirected", func(r *Rule) any { return &r.Block }, "w"},
+}
+
 // String renders the rule in the replayable schedule syntax.
 func (r Rule) String() string {
-	switch r.Kind {
-	case KindCrash:
-		return fmt.Sprintf("crash@w%d", r.After)
-	case KindTorn:
-		half := "tail"
-		if r.Head {
-			half = "head"
-		}
-		return fmt.Sprintf("torn[%s]@w%d", half, r.After)
-	case KindTransient:
-		return fmt.Sprintf("transient[%s]@%d", r.Op, r.After)
-	case KindBitFlip:
-		return fmt.Sprintf("bitflip[%d]@w%d", r.Bit, r.After)
-	case KindFailDisk:
-		return fmt.Sprintf("faildisk[%d]@w%d", r.Disk, r.After)
-	case KindLostWrite:
-		return fmt.Sprintf("lostwrite@w%d", r.After)
-	case KindMisdirected:
-		return fmt.Sprintf("misdirected[%d]@w%d", r.Block, r.After)
-	default:
+	if int(r.Kind) >= len(syntax) {
 		return fmt.Sprintf("rule(kind=%d)", r.Kind)
 	}
+	f := syntax[r.Kind]
+	name := f.name
+	if f.arg != nil {
+		var arg string
+		switch p := f.arg(&r).(type) {
+		case *bool:
+			arg = "tail"
+			if *p {
+				arg = "head"
+			}
+		case *disk.Op:
+			arg = p.String()
+		case *int:
+			arg = strconv.Itoa(*p)
+		}
+		name += "[" + arg + "]"
+	}
+	return fmt.Sprintf("%s@%s%d", name, f.clock, r.After)
 }
 
 // CrashAfterNWrites builds a rule that lets n writes apply and crashes
@@ -157,8 +153,8 @@ func CrashAfterNWrites(n int64) Rule { return Rule{Kind: KindCrash, After: n} }
 // payload does) and then crashes.
 func TornWrite(n int64, head bool) Rule { return Rule{Kind: KindTorn, After: n, Head: head} }
 
-// TransientError builds a rule that fails the n-th access of class op
-// once with ErrTransient.
+// TransientError builds a rule that fails the n-th access of op (0-based,
+// counting only the accesses of op) once with ErrTransient.
 func TransientError(op disk.Op, n int64) Rule { return Rule{Kind: KindTransient, After: n, Op: op} }
 
 // BitFlip builds a rule that silently flips payload bit `bit` of write n
@@ -217,117 +213,59 @@ func ParseSchedule(s string) (Schedule, error) {
 }
 
 func parseRule(tok string) (Rule, error) {
-	bad := func() (Rule, error) { return Rule{}, fmt.Errorf("fault: bad rule %q", tok) }
-	name, rest, ok := strings.Cut(tok, "@")
-	if !ok {
-		return bad()
+	bad := fmt.Errorf("fault: bad rule %q", tok)
+	name, index, found := strings.Cut(tok, "@")
+	if !found {
+		return Rule{}, bad
 	}
 	var arg string
 	if i := strings.IndexByte(name, '['); i >= 0 {
 		if !strings.HasSuffix(name, "]") {
-			return bad()
+			return Rule{}, bad
 		}
 		name, arg = name[:i], name[i+1:len(name)-1]
 	}
-	parseAfter := func(counted bool) (int64, bool) {
-		if counted {
-			if !strings.HasPrefix(rest, "w") {
-				return 0, false
+	for k, f := range syntax {
+		if f.name != name {
+			continue
+		}
+		r := Rule{Kind: RuleKind(k)}
+		ok := arg == ""
+		if f.arg != nil {
+			switch p := f.arg(&r).(type) {
+			case *bool:
+				*p, ok = arg == "head", arg == "head" || arg == "tail"
+			case *disk.Op:
+				for op := disk.OpRead; op <= disk.OpWriteMeta; op++ {
+					if op.String() == arg {
+						*p, ok = op, true
+					}
+				}
+			case *int:
+				n, err := strconv.Atoi(arg)
+				*p, ok = n, err == nil && n >= 0
 			}
-			rest = rest[1:]
 		}
-		n, err := strconv.ParseInt(rest, 10, 64)
-		return n, err == nil && n >= 0
+		digits, prefixed := strings.CutPrefix(index, f.clock)
+		n, err := strconv.ParseInt(digits, 10, 64)
+		if !ok || !prefixed || err != nil || n < 0 {
+			return Rule{}, bad
+		}
+		r.After = n
+		return r, nil
 	}
-	switch name {
-	case "crash":
-		if arg != "" {
-			return bad()
-		}
-		n, ok := parseAfter(true)
-		if !ok {
-			return bad()
-		}
-		return CrashAfterNWrites(n), nil
-	case "torn":
-		if arg != "head" && arg != "tail" {
-			return bad()
-		}
-		n, ok := parseAfter(true)
-		if !ok {
-			return bad()
-		}
-		return TornWrite(n, arg == "head"), nil
-	case "transient":
-		var op disk.Op
-		switch arg {
-		case "read":
-			op = disk.OpRead
-		case "write":
-			op = disk.OpWrite
-		case "readmeta":
-			op = disk.OpReadMeta
-		case "writemeta":
-			op = disk.OpWriteMeta
-		default:
-			return bad()
-		}
-		n, ok := parseAfter(false)
-		if !ok {
-			return bad()
-		}
-		return TransientError(op, n), nil
-	case "bitflip":
-		bit, err := strconv.Atoi(arg)
-		if err != nil || bit < 0 {
-			return bad()
-		}
-		n, ok := parseAfter(true)
-		if !ok {
-			return bad()
-		}
-		return BitFlip(n, bit), nil
-	case "faildisk":
-		d, err := strconv.Atoi(arg)
-		if err != nil || d < 0 {
-			return bad()
-		}
-		n, ok := parseAfter(true)
-		if !ok {
-			return bad()
-		}
-		return FailDisk(d, n), nil
-	case "lostwrite":
-		if arg != "" {
-			return bad()
-		}
-		n, ok := parseAfter(true)
-		if !ok {
-			return bad()
-		}
-		return LostWrite(n), nil
-	case "misdirected":
-		block, err := strconv.Atoi(arg)
-		if err != nil || block < 0 {
-			return bad()
-		}
-		n, ok := parseAfter(true)
-		if !ok {
-			return bad()
-		}
-		return Misdirected(n, block), nil
-	default:
-		return bad()
-	}
+	return Rule{}, bad
 }
 
 // Plane is the fault-injection plane: one per array, installed on every
 // drive.  It is safe for concurrent use.
 type Plane struct {
-	mu     sync.Mutex
-	rules  []Rule
-	writes int64 // block writes observed (and allowed to proceed)
-	reads  int64 // block reads observed
+	mu    sync.Mutex
+	rules []Rule
+	// n counts the accesses of each op that proceeded: a transient error
+	// or a clean crash stops an access, a tear does not.  The write clock
+	// is n[OpWrite] + n[OpWriteMeta]; a transient rule counts its own op.
+	n [4]int64
 	// transientEvery, when positive, fails every n-th access (across all
 	// op classes, counting failed attempts too) with ErrTransient — a
 	// deterministic background error rate for degraded-mode soaks, O(1)
@@ -359,15 +297,18 @@ func NewPlane(s Schedule) *Plane {
 func (p *Plane) Writes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.writes
+	return p.writes()
 }
 
 // Reads returns the number of block reads observed so far.
 func (p *Plane) Reads() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.reads
+	return p.n[disk.OpRead] + p.n[disk.OpReadMeta]
 }
+
+// writes is the write clock.  Must be called with p.mu held.
+func (p *Plane) writes() int64 { return p.n[disk.OpWrite] + p.n[disk.OpWriteMeta] }
 
 // SetTransientEvery makes the plane fail every n-th observed access with
 // ErrTransient, independent of the schedule (0 disables).  Because the
@@ -399,88 +340,151 @@ func (p *Plane) SetSeed(seed int64) {
 	p.seed = uint64(seed)
 }
 
-// Observe implements disk.Injector.
+// Observe implements disk.Injector: it asks each armed rule, through
+// decide, what it does to the access, and moves the clocks.
 func (p *Plane) Observe(a disk.Access) disk.Decision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var dec disk.Decision
+	writes := p.writes()
 	p.accesses++
 	if p.transientEvery > 0 && (p.accesses+int64(p.seed%uint64(p.transientEvery)))%p.transientEvery == 0 {
 		dec.Err = ErrTransient
 	}
-	if p.bitFlipEvery > 0 && a.Op == disk.OpWrite && (p.writes+1)%p.bitFlipEvery == 0 {
+	if p.bitFlipEvery > 0 && a.Op == disk.OpWrite && (writes+1)%p.bitFlipEvery == 0 {
 		dec.FlipBit = true
-		dec.FlipBitOffset = int((p.writes + int64(p.seed%257)) % 257) // rotate through bit offsets
+		dec.FlipBitOffset = int((writes + int64(p.seed%257)) % 257) // rotate through bit offsets
 	}
 	for i := range p.rules {
 		r := &p.rules[i]
 		if r.fired {
 			continue
 		}
-		switch r.Kind {
-		case KindCrash:
-			if a.Op.IsWrite() && p.writes == r.After {
-				r.fired = true
-				dec.Panic = &Crash{Writes: p.writes, Access: a}
+		if d, fired := decide(*r, p.view(*r, a)); fired {
+			if c, ok := d.Panic.(*Crash); ok {
+				c.Writes, c.Access = writes, a
 			}
-		case KindTorn:
-			// A header write is one atomic out-of-band transfer: a tear
-			// that lands on one is a clean crash.
-			if a.Op.IsWrite() && p.writes == r.After {
-				r.fired = true
-				torn := a.Op == disk.OpWrite
-				dec.Torn, dec.TornHead = torn, r.Head
-				dec.Panic = &Crash{Writes: p.writes, Access: a, Torn: torn}
-			}
-		case KindTransient:
-			if a.Op == r.Op && p.count(a.Op) == r.After {
-				r.fired = true
-				dec.Err = ErrTransient
-			}
-		case KindBitFlip:
-			if a.Op == disk.OpWrite && p.writes == r.After {
-				r.fired = true
-				dec.FlipBit = true
-				dec.FlipBitOffset = r.Bit
-			}
-		case KindFailDisk:
-			// Once the write clock reaches After, the target drive dies at
-			// its next access of any kind — reads included, so a disk can
-			// fail under a rebuild that only reads it.
-			if a.Disk == r.Disk && p.writes >= r.After {
-				r.fired = true
-				dec.FailDisk = true
-			}
-		case KindLostWrite:
-			if a.Op == disk.OpWrite && p.writes == r.After {
-				r.fired = true
-				dec.LostWrite = true
-			}
-		case KindMisdirected:
-			if a.Op == disk.OpWrite && p.writes == r.After {
-				r.fired = true
-				dec.Redirect = true
-				dec.RedirectBlock = r.Block
-			}
+			r.fired = true
+			join(&dec, d)
 		}
 	}
-	// A transient error or a clean crash means the access does not happen;
-	// count only what proceeds (torn writes do reach the platter).
 	if dec.Err == nil && (dec.Panic == nil || dec.Torn) {
-		if a.Op.IsWrite() {
-			p.writes++
-		} else {
-			p.reads++
-		}
+		p.n[a.Op]++
 	}
 	return dec
 }
 
-// count returns the plane's counter for the op class.  Must be called
-// with p.mu held.
-func (p *Plane) count(op disk.Op) int64 {
-	if op.IsWrite() {
-		return p.writes
+// view is rule r's view of access a.  Must be called with p.mu held.
+func (p *Plane) view(r Rule, a disk.Access) view {
+	v := view{op: a.Op, own: true}
+	clock := p.writes()
+	switch r.Kind {
+	case KindTransient:
+		clock, v.own = p.n[r.Op], a.Op == r.Op
+	case KindFailDisk:
+		v.own = a.Disk == r.Disk
 	}
-	return p.reads
+	switch {
+	case clock < r.After:
+		v.clock = before
+	case clock == r.After:
+		v.clock = at
+	default:
+		v.clock = past
+	}
+	return v
+}
+
+// position is where a rule's clock stands against its index.
+type position uint8
+
+// The three positions.
+const (
+	before position = iota
+	at
+	past
+)
+
+// view is what decide sees of one access from one rule's side.
+type view struct {
+	op disk.Op
+	// clock is where the rule's clock stands: the write clock, or for a
+	// transient rule the count of its own op's accesses.
+	clock position
+	// own is false when the access is not the rule's to take: of another
+	// op than a transient rule's, or on another drive than a faildisk
+	// rule's.
+	own bool
+}
+
+// decide is the fault plane's one decision: what rule r asks of an
+// access, and whether the rule fires (a fired rule never fires again).  A
+// crash sentinel it returns is stamped with the access by Observe.
+// DESIGN.md's fault plane table is this function; TestDecideMatchesDesignTable
+// checks the two agree over every view.  The drive's state and a
+// coinciding transient error never change the answer, only what the drive
+// makes of it (disk.Decision).
+func decide(r Rule, v view) (dec disk.Decision, fired bool) {
+	if !v.own || v.clock == before {
+		return dec, false
+	}
+	switch {
+	case r.Kind == KindFailDisk:
+		// Dies at its drive's first access, reads included, once the write
+		// clock has reached its index.
+		dec.FailDisk = true
+	case v.clock == past:
+		return dec, false
+	case r.Kind == KindTransient:
+		dec.Err = ErrTransient
+	case !v.op.IsWrite():
+		return dec, false
+	case r.Kind == KindCrash:
+		dec.Panic = &Crash{}
+	case r.Kind == KindTorn:
+		// A header write is one out-of-band transfer: a tear that lands on
+		// one is a clean crash.
+		torn := v.op == disk.OpWrite
+		dec.Torn, dec.TornHead = torn, torn && r.Head
+		dec.Panic = &Crash{Torn: torn}
+	case v.op == disk.OpWriteMeta:
+		// ROADMAP 1(d): the header write takes the silent rule's index, and
+		// the rule never fires.
+		return dec, false
+	case r.Kind == KindBitFlip:
+		dec.FlipBit, dec.FlipBitOffset = true, r.Bit
+	case r.Kind == KindLostWrite:
+		dec.LostWrite = true
+	case r.Kind == KindMisdirected:
+		dec.Redirect, dec.RedirectBlock = true, r.Block
+	default:
+		return dec, false
+	}
+	return dec, true
+}
+
+// join adds what one rule asks of an access to what the rate and the
+// rules before it ask: each field a rule sets overrides.
+func join(dec *disk.Decision, d disk.Decision) {
+	if d.Err != nil {
+		dec.Err = d.Err
+	}
+	if d.FailDisk {
+		dec.FailDisk = true
+	}
+	if d.Torn {
+		dec.Torn, dec.TornHead = true, d.TornHead
+	}
+	if d.FlipBit {
+		dec.FlipBit, dec.FlipBitOffset = true, d.FlipBitOffset
+	}
+	if d.LostWrite {
+		dec.LostWrite = true
+	}
+	if d.Redirect {
+		dec.Redirect, dec.RedirectBlock = true, d.RedirectBlock
+	}
+	if d.Panic != nil {
+		dec.Panic = d.Panic
+	}
 }

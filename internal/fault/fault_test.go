@@ -2,6 +2,10 @@ package fault
 
 import (
 	"errors"
+	"os"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -206,25 +210,33 @@ func TestCrashWinsOverTransientError(t *testing.T) {
 	}
 }
 
-// TestCrashWinsOverFailStop: a drive that fail-stops at the crash write
-// does not swallow the crash either, and a tear of that write persists
-// nothing: the drive is dead before the transfer.
+// TestCrashWinsOverFailStop: a drive that fail-stops at the crash write, or
+// was dead before it, does not swallow the crash either, and a tear of that
+// write persists nothing: the drive is dead before the transfer.
 func TestCrashWinsOverFailStop(t *testing.T) {
 	old := disk.Meta{State: disk.StateCommitted, Timestamp: 3}
-	for _, cut := range []Rule{CrashAfterNWrites(0), TornWrite(0, true), TornWrite(0, false)} {
-		d := newDisk(t)
-		if err := d.Write(1, buf(0x0F), old); err != nil {
-			t.Fatal(err)
-		}
-		d.SetInjector(NewPlane(Schedule{FailDisk(0, 0), cut}))
-		crash(t, func() error { return d.Write(1, buf(0xF0), disk.Meta{State: disk.StateWorking, Timestamp: 7}) })
-		if !d.Failed() {
-			t.Errorf("%v: the drive did not fail", cut)
-		}
-		data, _ := d.PeekData(1, nil)
-		meta, _ := d.PeekMeta(1)
-		if data[0] != 0x0F || data[63] != 0x0F || meta != old {
-			t.Errorf("%v: the dead drive's block changed: head %#x tail %#x header %+v", cut, data[0], data[63], meta)
+	for _, dying := range []bool{true, false} {
+		for _, cut := range []Rule{CrashAfterNWrites(0), TornWrite(0, true), TornWrite(0, false)} {
+			d := newDisk(t)
+			if err := d.Write(1, buf(0x0F), old); err != nil {
+				t.Fatal(err)
+			}
+			sched := Schedule{cut}
+			if dying {
+				sched = Schedule{FailDisk(0, 0), cut}
+			} else {
+				d.Fail()
+			}
+			d.SetInjector(NewPlane(sched))
+			crash(t, func() error { return d.Write(1, buf(0xF0), disk.Meta{State: disk.StateWorking, Timestamp: 7}) })
+			if !d.Failed() {
+				t.Errorf("%v: the drive did not fail", sched)
+			}
+			data, _ := d.PeekData(1, nil)
+			meta, _ := d.PeekMeta(1)
+			if data[0] != 0x0F || data[63] != 0x0F || meta != old {
+				t.Errorf("%v (dying %v): the dead drive's block changed: head %#x tail %#x header %+v", sched, dying, data[0], data[63], meta)
+			}
 		}
 	}
 }
@@ -355,4 +367,238 @@ func TestDeterministicReplay(t *testing.T) {
 	if w1 != w2 || c1 != c2 || c1 != 4 {
 		t.Fatalf("replay diverged: (%d,%d) vs (%d,%d)", w1, c1, w2, c2)
 	}
+}
+
+// TestTransientCountsItsOwnOp: a transient rule's index counts the
+// accesses of its own op, so accesses of another op before it neither move
+// it nor make it wait forever.
+func TestTransientCountsItsOwnOp(t *testing.T) {
+	d := newDisk(t)
+	p := NewPlane(Schedule{TransientError(disk.OpReadMeta, 1)})
+	d.SetInjector(p)
+	var got []error
+	for _, op := range []disk.Op{disk.OpRead, disk.OpRead, disk.OpReadMeta, disk.OpReadMeta, disk.OpReadMeta} {
+		_, _, _, err := d.Do(disk.Request{Op: op, Block: 0})
+		got = append(got, err)
+	}
+	for i, err := range got {
+		if want := i == 3; errors.Is(err, ErrTransient) != want || (!want && err != nil) {
+			t.Errorf("access %d: %v, want a transient error only at the second header read", i, err)
+		}
+	}
+}
+
+// faultColumns names the values of a view's columns in the order of
+// DESIGN.md's fault plane table.
+var faultColumns = [...]struct {
+	header string
+	values []string
+}{
+	{"rule", []string{"crash", "torn", "transient", "bitflip", "faildisk", "lostwrite", "misdirected"}},
+	{"op", []string{"read", "write", "readmeta", "writemeta"}},
+	{"clock", []string{"before", "at", "past"}},
+	{"own", []string{"no", "yes"}},
+	{"drive", []string{"alive", "dying", "dead"}},
+	{"transient error", []string{"no", "yes"}},
+}
+
+// faultRow is one row of the table: per column, the set of value indexes it
+// matches (a bit each), the decision, whether the rule fires, and whether
+// it is one of ROADMAP 1(d)'s rows.
+type faultRow struct {
+	line     int
+	match    [len(faultColumns)]uint
+	decision string
+	fires    bool
+	roadmap  bool
+}
+
+// parseFaultTable reads the fault plane table from DESIGN.md.
+func parseFaultTable(t *testing.T) []faultRow {
+	t.Helper()
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []faultRow
+	inTable := false
+	for n, line := range strings.Split(string(raw), "\n") {
+		cells := strings.Split(strings.Trim(line, "| "), " | ")
+		switch {
+		case !strings.HasPrefix(line, "|"):
+			if inTable {
+				return rows
+			}
+			continue
+		case len(cells) > 1 && cells[0] == "rule" && cells[1] == "op":
+			for c, col := range faultColumns {
+				if cells[c] != col.header {
+					t.Fatalf("DESIGN.md:%d: column %d is %q, want %q", n+1, c, cells[c], col.header)
+				}
+			}
+			inTable = true
+			continue
+		case !inTable || strings.HasPrefix(line, "|---"):
+			continue
+		}
+		if len(cells) != len(faultColumns)+3 {
+			t.Fatalf("DESIGN.md:%d: %d cells, want %d", n+1, len(cells), len(faultColumns)+3)
+		}
+		row := faultRow{line: n + 1, decision: cells[len(faultColumns)]}
+		for c, col := range faultColumns {
+			for _, name := range strings.Split(cells[c], " / ") {
+				if name == "·" {
+					row.match[c] |= 1<<len(col.values) - 1
+					continue
+				}
+				i := slices.Index(col.values, name)
+				if i < 0 {
+					t.Fatalf("DESIGN.md:%d: %s %q is none of %q", n+1, col.header, name, col.values)
+				}
+				row.match[c] |= 1 << i
+			}
+		}
+		switch then := cells[len(faultColumns)+1]; then {
+		case "fired", "armed":
+			row.fires = then == "fired"
+		default:
+			t.Fatalf("DESIGN.md:%d: then %q is neither fired nor armed", n+1, then)
+		}
+		row.roadmap = strings.HasPrefix(cells[len(faultColumns)+2], "1(d):")
+		rows = append(rows, row)
+	}
+	if !inTable {
+		t.Fatal("DESIGN.md has no fault plane table")
+	}
+	return rows
+}
+
+// decisionName names a decision as the table does, and checks that it
+// carries the rule's parameters.
+func decisionName(t *testing.T, r Rule, d disk.Decision) string {
+	t.Helper()
+	c, _ := d.Panic.(*Crash)
+	switch {
+	case d.Panic != nil && (c == nil || c.Torn != d.Torn):
+		t.Errorf("%v: panics with %v beside Torn %v", r, d.Panic, d.Torn)
+	case d.Torn && d.TornHead != r.Head, d.FlipBit && d.FlipBitOffset != r.Bit, d.Redirect && d.RedirectBlock != r.Block:
+		t.Errorf("%v: decision %+v does not carry the rule's parameters", r, d)
+	}
+	var names []string
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"die", d.FailDisk}, {"tear", d.Torn}, {"crash", d.Panic != nil && !d.Torn}, {"error", d.Err != nil},
+		{"flip", d.FlipBit}, {"lose", d.LostWrite}, {"redirect", d.Redirect},
+	} {
+		if f.set {
+			names = append(names, f.name)
+		}
+	}
+	switch len(names) {
+	case 0:
+		return "none"
+	case 1:
+		return names[0]
+	}
+	t.Errorf("%v: one rule asks for %v", r, names)
+	return "several"
+}
+
+// TestDecideMatchesDesignTable enumerates every view a rule can have of an
+// access and checks that exactly one row of DESIGN.md's fault plane table
+// matches it, and that the row's decision and whether the rule fires are
+// decide's.  It also checks that the only cells where an access that moves
+// a rule's clock meets the rule at its index and leaves it armed are the
+// rows marked 1(d).
+func TestDecideMatchesDesignTable(t *testing.T) {
+	rows := parseFaultTable(t)
+	used := make([]bool, len(rows))
+	var cell [len(faultColumns)]int
+	views := 0
+	var walk func(c int)
+	walk = func(c int) {
+		if c < len(cell) {
+			for cell[c] = range faultColumns[c].values {
+				walk(c + 1)
+			}
+			return
+		}
+		kind, op, own := RuleKind(cell[0]), disk.Op(cell[1]), cell[3] == 1
+		if !own && kind != KindTransient && kind != KindFailDisk {
+			return // every access is the other kinds' own
+		}
+		views++
+		r := Rule{Kind: kind, After: 4, Op: op, Disk: 1, Head: true, Bit: 13, Block: 5}
+		v := view{op: op, clock: position(cell[2]), own: own}
+		dec, fired := decide(r, v)
+		name := decisionName(t, r, dec)
+		var hit []int
+		for i, row := range rows {
+			if rowMatches(row, cell) {
+				hit = append(hit, i)
+			}
+		}
+		if len(hit) != 1 {
+			var lines []int
+			for _, i := range hit {
+				lines = append(lines, rows[i].line)
+			}
+			t.Errorf("%v %v: matches the rows on DESIGN.md lines %v, want exactly one", r, cell, lines)
+			return
+		}
+		row := rows[hit[0]]
+		used[hit[0]] = true
+		if row.decision != name || row.fires != fired {
+			t.Errorf("%v %v: DESIGN.md:%d says %s (fires %v), decide says %s (fires %v)", r, cell, row.line, row.decision, row.fires, name, fired)
+		}
+		// An access that proceeds and is of the op the rule's clock counts
+		// takes the rule's index: the rule must fire there, or be 1(d)'s.
+		takes := own && position(cell[2]) == at && cell[5] == 0 && (kind == KindTransient || op.IsWrite())
+		if takes && !fired != row.roadmap {
+			t.Errorf("%v %v: takes the rule's index and leaves it armed %v, DESIGN.md:%d marked 1(d) %v", r, cell, !fired, row.line, row.roadmap)
+		}
+	}
+	walk(0)
+	for i, u := range used {
+		if !u {
+			t.Errorf("DESIGN.md:%d decides no view", rows[i].line)
+		}
+	}
+	t.Logf("%d views, %d rows", views, len(rows))
+}
+
+func rowMatches(r faultRow, cell [len(faultColumns)]int) bool {
+	for c, i := range cell {
+		if r.match[c]&(1<<i) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzParseSchedule: ParseSchedule never panics, and a schedule it accepts
+// prints to a string that parses back to the same schedule.  The seeds are
+// one rule of each kind and every schedule the crash regressions replay.
+func FuzzParseSchedule(f *testing.F) {
+	f.Add(Schedule{CrashAfterNWrites(9), TornWrite(3, false), TransientError(disk.OpReadMeta, 2), BitFlip(5, 7),
+		FailDisk(2, 11), LostWrite(4), Misdirected(6, 21)}.String())
+	src, err := os.ReadFile("../../rda/crashcheck/regression_test.go")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`"([^"]*@[^"]*)"`).FindAllStringSubmatch(string(src), -1) {
+		f.Add(m[1])
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sched, err := ParseSchedule(s)
+		if err != nil || len(sched) == 0 {
+			return // the empty schedule prints as a note, not as a schedule
+		}
+		back, err := ParseSchedule(sched.String())
+		if err != nil || !slices.Equal(back, sched) {
+			t.Fatalf("%q parses to %v, which parses back to %v, %v", s, sched, back, err)
+		}
+	})
 }

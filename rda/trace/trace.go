@@ -32,6 +32,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -228,16 +229,16 @@ type decoder struct {
 	err error
 }
 
-func (d *decoder) take(n int) []byte {
+func (d *decoder) take(n uint64) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if d.off+n > len(d.b) {
+	if n > uint64(len(d.b)-d.off) {
 		d.err = fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, d.off)
 		return nil
 	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
+	out := d.b[d.off : d.off+int(n)]
+	d.off += int(n)
 	return out
 }
 
@@ -255,7 +256,8 @@ func (d *decoder) uvarint() uint64 {
 }
 
 // Decode parses an encoded trace, validating magic, version, structure
-// and checksum.
+// and checksum, and accepts only the canonical form: Encode of the result
+// is b.
 func Decode(b []byte) (*Trace, error) {
 	if len(b) < len(Magic)+4 {
 		return nil, ErrBadMagic
@@ -269,7 +271,9 @@ func Decode(b []byte) (*Trace, error) {
 	}
 	d := &decoder{b: body, off: len(Magic)}
 	var t Trace
-	t.Header.Version = binary.LittleEndian.Uint16(d.take(2))
+	if v := d.take(2); v != nil {
+		t.Header.Version = binary.LittleEndian.Uint16(v)
+	}
 	if d.err == nil && t.Header.Version != Version {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, t.Header.Version, Version)
 	}
@@ -292,7 +296,7 @@ func Decode(b []byte) (*Trace, error) {
 		t.Header.Seed = int64(binary.LittleEndian.Uint64(v))
 	}
 	if n := d.uvarint(); d.err == nil {
-		t.Header.Spec = string(d.take(int(n)))
+		t.Header.Spec = string(d.take(n))
 	}
 	n := d.uvarint()
 	if d.err == nil && n > uint64(len(body)) { // each op is ≥ 2 bytes
@@ -328,6 +332,11 @@ func Decode(b []byte) (*Trace, error) {
 	}
 	if d.off != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-d.off)
+	}
+	// A varint that is not minimal, or a page or slot wider than its
+	// field, decodes to a trace that encodes to other bytes.
+	if !bytes.Equal(t.Encode(), b) {
+		return nil, fmt.Errorf("%w: not in canonical form", ErrCorrupt)
 	}
 	return &t, nil
 }

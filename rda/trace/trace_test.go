@@ -2,6 +2,9 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/workload"
@@ -77,6 +80,84 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := trace.Decode(truncated); err == nil {
 		t.Error("truncated body accepted")
 	}
+	if _, err := trace.Decode(seal([]byte(trace.Magic))); !errors.Is(err, trace.ErrCorrupt) {
+		t.Errorf("a sealed magic alone: %v, want ErrCorrupt", err)
+	}
+}
+
+// seal appends the CRC-32C trailer Encode puts on a trace body.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// tiny is a sealed trace with an op of each kind but abort: its spec length varint is at offset 30
+// (magic 6, version 2, mode and streams 2, three uint32 fields and the
+// seed 20), the spec "x" at 31, the op count at 32, and the read op's page
+// varint at 37, after the begin op's two bytes and the read's kind and
+// stream.
+func tiny() []byte {
+	tr := trace.Trace{
+		Header: trace.Header{Version: trace.Version, Streams: 1, NumPages: 8, PageSize: 128, Seed: 1, Spec: "x"},
+		Ops: []trace.Op{{Kind: trace.OpBegin}, {Kind: trace.OpReadPage}, {Kind: trace.OpWritePage, Page: 3, Arg: 7},
+			{Kind: trace.OpReadRecord, Page: 2, Slot: 1}, {Kind: trace.OpWriteRecord, Page: 5, Slot: 2, Arg: 9}, {Kind: trace.OpCommit}},
+	}
+	return tr.Encode()
+}
+
+// splice replaces n bytes of the sealed trace b at off with v, and
+// re-seals it.
+func splice(b []byte, off, n int, v []byte) []byte {
+	body := append(append(bytes.Clone(b[:off]), v...), b[off+n:len(b)-4]...)
+	return seal(body)
+}
+
+// TestDecodeBoundsTheSpecLength: a spec length past the end of the trace,
+// up to 2^64 − 1, is corruption, not a slice out of range.
+func TestDecodeBoundsTheSpecLength(t *testing.T) {
+	b := tiny()
+	if b[30] != 1 || b[31] != 'x' {
+		t.Fatalf("tiny trace layout moved: % x", b[:32])
+	}
+	for _, n := range []uint64{2, 1 << 31, 1 << 32, 1 << 63, 1<<64 - 1} {
+		bad := splice(b, 30, 1, binary.AppendUvarint(nil, n))
+		if _, err := trace.Decode(bad); !errors.Is(err, trace.ErrCorrupt) {
+			t.Errorf("spec length %d: %v, want ErrCorrupt", n, err)
+		}
+	}
+}
+
+// TestDecodeRejectsNonCanonicalInput: a varint that is not minimal, or a
+// page wider than 32 bits, decodes to a trace that encodes to other bytes,
+// so Decode refuses it — Encode(Decode(b)) == b for every b it accepts.
+func TestDecodeRejectsNonCanonicalInput(t *testing.T) {
+	b := tiny()
+	if _, err := trace.Decode(b); err != nil || b[35] != byte(trace.OpReadPage) || b[37] != 0 {
+		t.Fatalf("tiny trace: %v, layout % x", err, b[33:38])
+	}
+	for name, page := range map[string][]byte{
+		"page 1<<40":            binary.AppendUvarint(nil, 1<<40),
+		"non-minimal page zero": {0x80, 0x00},
+	} {
+		if tr, err := trace.Decode(splice(b, 37, 1, page)); !errors.Is(err, trace.ErrCorrupt) {
+			t.Errorf("%s: decoded to %+v, %v; want ErrCorrupt", name, tr, err)
+		}
+	}
+}
+
+// FuzzTraceDecode: Decode never panics, and a trace it accepts encodes to
+// its input.  The fuzzer mutates the body; the CRC trailer is re-sealed
+// over it so the input gets past the checksum.
+func FuzzTraceDecode(f *testing.F) {
+	b := tiny()
+	f.Add(b[:len(b)-4])
+	f.Add([]byte(trace.Magic))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		b := seal(body)
+		tr, err := trace.Decode(b)
+		if err == nil && !bytes.Equal(tr.Encode(), b) {
+			t.Fatalf("accepted % x, which encodes to % x", b, tr.Encode())
+		}
+	})
 }
 
 func TestPayload(t *testing.T) {
