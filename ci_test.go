@@ -239,8 +239,10 @@ func TestCIFuzzesEveryTarget(t *testing.T) {
 		if err != nil || !e.IsDir() {
 			return err
 		}
-		if _, mod := os.Stat(filepath.Join(path, "go.mod")); path != "." && (mod == nil || e.Name() == "testdata" || strings.HasPrefix(e.Name(), ".")) {
-			return filepath.SkipDir // another module, test data, or .git
+		if path != "." {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || e.Name() == "testdata" || strings.HasPrefix(e.Name(), ".") {
+				return filepath.SkipDir // another module (bench/), test data, or a hidden directory
+			}
 		}
 		pkg := "./" + filepath.ToSlash(path)
 		for _, name := range funcsIn(t, pkg, "Fuzz") {

@@ -213,15 +213,15 @@ func ParseSchedule(s string) (Schedule, error) {
 }
 
 func parseRule(tok string) (Rule, error) {
-	bad := fmt.Errorf("fault: bad rule %q", tok)
+	bad := func() (Rule, error) { return Rule{}, fmt.Errorf("fault: bad rule %q", tok) }
 	name, index, found := strings.Cut(tok, "@")
 	if !found {
-		return Rule{}, bad
+		return bad()
 	}
 	var arg string
 	if i := strings.IndexByte(name, '['); i >= 0 {
 		if !strings.HasSuffix(name, "]") {
-			return Rule{}, bad
+			return bad()
 		}
 		name, arg = name[:i], name[i+1:len(name)-1]
 	}
@@ -249,12 +249,12 @@ func parseRule(tok string) (Rule, error) {
 		digits, prefixed := strings.CutPrefix(index, f.clock)
 		n, err := strconv.ParseInt(digits, 10, 64)
 		if !ok || !prefixed || err != nil || n < 0 {
-			return Rule{}, bad
+			return bad()
 		}
 		r.After = n
 		return r, nil
 	}
-	return Rule{}, bad
+	return bad()
 }
 
 // Plane is the fault-injection plane: one per array, installed on every
