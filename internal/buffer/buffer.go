@@ -28,7 +28,7 @@
 // The pool uses a single LRU list and is internally synchronized: an
 // internal mutex guards the frame map, the LRU list, pin counts and the
 // stats, so concurrent operations on disjoint parity groups share the
-// pool safely.  Frame *contents* (Data, DiskVersion, Dirty, Modifiers,
+// pool safely.  Frame *contents* (Data, DiskVersion, Dirty, modifiers,
 // Residue) are not guarded here — the engine serializes them with its
 // per-group latches (a frame's group latch is held whenever its content
 // or steal bookkeeping is read or written).  That is also what lets a miss
@@ -48,7 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/page"
@@ -70,11 +70,12 @@ type Frame struct {
 	DiskVersion page.Buf
 	// Dirty reports whether Data differs from the array contents.
 	Dirty bool
-	// Modifiers is the set of transactions that modified the frame since
-	// it was last written back.  Under page locking it has at most one
-	// member; under record locking several transactions may share a page
-	// (the paper's s_u analysis, Appendix).
-	Modifiers map[page.TxID]struct{}
+	// modifiers is the set of transactions that modified the frame since
+	// it was last written back (ModifierList, Modify, RemoveModifier).
+	// Under page locking it has at most one member; under record locking
+	// several transactions may share a page (the paper's s_u analysis,
+	// Appendix).
+	modifiers txSet
 	// Residue marks a frame that still carries committed-but-unflushed
 	// changes (¬FORCE: a modifier committed while the frame was dirty).
 	// A frame with residue must not take the RDA no-UNDO-logging steal
@@ -102,14 +103,42 @@ func (f *Frame) linkAfter(at *Frame) {
 
 // ModifierList returns the frame's modifiers in ascending id order.  The
 // order is deterministic so that identically seeded runs issue identical
-// I/O sequences (crash-point schedules replay by write index).
-func (f *Frame) ModifierList() []page.TxID {
-	out := make([]page.TxID, 0, len(f.Modifiers))
-	for tx := range f.Modifiers {
-		out = append(out, tx)
+// I/O sequences (crash-point schedules replay by write index).  The slice
+// is the frame's own, valid until its set next changes; the caller must
+// not modify it.
+func (f *Frame) ModifierList() []page.TxID { return f.modifiers.ids }
+
+// RemoveModifier takes tx out of the frame's modifiers, a no-op when it is
+// not one; the frame stays as dirty as it was.  The caller holds the
+// frame's group latch.
+func (f *Frame) RemoveModifier(tx page.TxID) { f.modifiers.remove(tx) }
+
+// txSet is a set of transaction ids kept in ascending order, backed by
+// inline until it outgrows it: a frame's modifiers, one under page locking,
+// a few under record locking.  Emptying it keeps its backing, so a frame
+// that goes dirty and clean again allocates nothing for it.
+type txSet struct {
+	ids    []page.TxID
+	inline [2]page.TxID
+}
+
+// add enters tx unless the set holds it.
+func (s *txSet) add(tx page.TxID) {
+	i, found := slices.BinarySearch(s.ids, tx)
+	if found {
+		return
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	if s.ids == nil {
+		s.ids = s.inline[:0]
+	}
+	s.ids = slices.Insert(s.ids, i, tx)
+}
+
+// remove takes tx out of the set if it holds it.
+func (s *txSet) remove(tx page.TxID) {
+	if i, found := slices.BinarySearch(s.ids, tx); found {
+		s.ids = slices.Delete(s.ids, i, i+1)
+	}
 }
 
 // WriteBack is the engine's steal policy: persist the frame to the array,
@@ -164,9 +193,9 @@ type Pool struct {
 	// it instead, before the pool is shared.
 	FetchInto FetchInto
 	// Pages is the free list dirty frames draw their disk versions from and
-	// give them back to.  New makes one of its own, holding up to a page
-	// per frame; an owner whose other scratch pages come from a list of its
-	// own may share that one instead, set before the pool is shared.
+	// give them back to, the pool's own.  It keeps up to a page per frame:
+	// never more idle pages than were once versions at the same time, and
+	// every version a checkpoint's write-backs hand back at once.
 	Pages *page.FreeList
 
 	// mu guards frames, lru, free, pin counts and stats.  It is held
@@ -258,7 +287,7 @@ func (bp *Pool) DirtyPages() []page.PageID {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -308,7 +337,7 @@ func (bp *Pool) Get(p page.PageID, guard EvictGuard) (*Frame, error) {
 		f, bp.free = bp.free[n-1], bp.free[:n-1]
 		f.reset() // a discarded frame may have left dirty
 	} else {
-		f = &Frame{Data: page.NewBuf(bp.pageSize), Modifiers: make(map[page.TxID]struct{})}
+		f = &Frame{Data: page.NewBuf(bp.pageSize)}
 	}
 	// Resident and pinned before the read starts: the frame counts against
 	// the capacity and no eviction picks it while it loads.
@@ -413,7 +442,7 @@ func (bp *Pool) Modify(f *Frame, tx page.TxID) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	f.Dirty = true
-	f.Modifiers[tx] = struct{}{}
+	f.modifiers.add(tx)
 }
 
 // MarkClean marks frame f, whose group latch the caller holds, clean
@@ -447,11 +476,7 @@ func (bp *Pool) dropDiskVersion(f *Frame) {
 func (f *Frame) reset() {
 	f.Dirty = false
 	f.Residue = false
-	if len(f.Modifiers) > 0 {
-		// A fresh map, not clear(): an emptied map keeps its slots, and a
-		// large pool of mostly-clean frames would hold them for nothing.
-		f.Modifiers = make(map[page.TxID]struct{})
-	}
+	f.modifiers.ids = f.modifiers.ids[:0]
 }
 
 // remove takes the frame out of the pool, gives a discarded frame's disk

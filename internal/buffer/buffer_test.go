@@ -3,6 +3,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/page"
@@ -200,8 +201,7 @@ func TestFlushAllWithFilter(t *testing.T) {
 		bp.Unpin(p)
 	}
 	err := bp.FlushAll(func(f *Frame) bool {
-		_, ok := f.Modifiers[2]
-		return ok // only txn 2's page (page 1)
+		return slices.Contains(f.ModifierList(), 2) // only txn 2's page (page 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,13 +299,13 @@ func TestModifiersAccumulateAndClearOnWriteBack(t *testing.T) {
 	bp.Modify(f, 1)
 	bp.Modify(f, 2)
 	bp.Unpin(0)
-	if len(f.Modifiers) != 2 {
+	if len(f.ModifierList()) != 2 {
 		t.Fatalf("modifiers = %v, want two", f.ModifierList())
 	}
 	if err := bp.FlushPage(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Modifiers) != 0 {
+	if len(f.ModifierList()) != 0 {
 		t.Fatalf("modifiers must clear after write back")
 	}
 }

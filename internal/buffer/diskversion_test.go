@@ -61,7 +61,7 @@ func TestFirstModifyCapturesOldData(t *testing.T) {
 	if !f.DiskVersion.Equal(old) {
 		t.Fatalf("a later Modify of the dirty frame changed its disk version")
 	}
-	if !f.Dirty || len(f.Modifiers) != 2 {
+	if !f.Dirty || len(f.ModifierList()) != 2 {
 		t.Fatalf("dirty=%v modifiers=%v, want dirty with two", f.Dirty, f.ModifierList())
 	}
 }
@@ -175,7 +175,7 @@ func TestWarmModifyWriteBackDoesNotAllocate(t *testing.T) {
 	cycle := func() {
 		bp.Modify(f, 7)
 		f.Data[9]++
-		delete(f.Modifiers, 7)
+		f.RemoveModifier(7)
 		if err := bp.FlushPage(1); err != nil {
 			t.Fatal(err)
 		}

@@ -261,7 +261,7 @@ func TestFailedMissLeavesNothingBehind(t *testing.T) {
 			delete(s.fail, 0)
 			delete(s.panics, 0)
 			f := mustGet(t, bp, 0)
-			if f.Data[0] != 0 || f.Dirty || len(f.Modifiers) != 0 || f != before.free[0] {
+			if f.Data[0] != 0 || f.Dirty || len(f.ModifierList()) != 0 || f != before.free[0] {
 				t.Fatalf("refetch after a failed miss: frame %+v", f)
 			}
 			bp.Unpin(0)

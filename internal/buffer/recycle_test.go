@@ -49,8 +49,8 @@ func TestEvictedFrameIsRecycled(t *testing.T) {
 	if f2 != f0 || &f2.Data[0] != data0 {
 		t.Fatalf("the miss did not reuse the evicted frame and its buffer")
 	}
-	if f2.Dirty || f2.Residue || len(f2.Modifiers) != 0 {
-		t.Fatalf("recycled frame leaks the victim's state: dirty=%v residue=%v modifiers=%v", f2.Dirty, f2.Residue, f2.Modifiers)
+	if f2.Dirty || f2.Residue || len(f2.ModifierList()) != 0 {
+		t.Fatalf("recycled frame leaks the victim's state: dirty=%v residue=%v modifiers=%v", f2.Dirty, f2.Residue, f2.ModifierList())
 	}
 	if f1.Data[0] != 1 {
 		t.Fatalf("a bystander frame changed: %d", f1.Data[0])

@@ -79,23 +79,22 @@ type Store struct {
 // maxFreePages bounds the idle pages Store.Pages keeps.  The scratch of a
 // write in flight is two or three pages, drawn and returned within one
 // call; the rest absorbs what running transactions hand back until others
-// draw it again: a committing transaction's before-images, and the disk
-// versions its dirty frames give back at their write-back — a FORCE commit
-// returns one per page it flushed, a ¬FORCE checkpoint one per dirty frame.
-// 16 stopped being enough when two drivers stopped taking turns at the
-// buffer pool's mutex, 32 when the dirty frames' disk versions moved onto
-// the list.  At 32 / 64 / 128 / 256 idle pages the benchmark's workloads
-// allocate per commit and keep live (seed 1, full scale; in brackets the
-// engine before the disk versions moved onto the list, at 32):
+// draw it again, chiefly a committing transaction's before-images.  The
+// dirty frames' disk versions come from the buffer pool's own list, which
+// keeps up to a page per frame, so the hundreds of versions a ¬FORCE
+// checkpoint hands back at once wait there for the next dirty frames
+// instead of overflowing this one.  16 stopped being enough when two
+// drivers stopped taking turns at the buffer pool's mutex.  At 32 / 64 /
+// 128 / 256 idle pages the benchmark's workloads allocate per commit and
+// keep live (seed 1, full scale):
 //
-//	pipelined_io       19.76 / 12.70 / 12.65 / 12.66 KiB (14.66)   1.954 / 2.019 / 2.032 / 2.034 MiB (2.544)
-//	oltp_force         16.65 / 11.88 / 10.78 / 10.78 KiB (12.63)   49.37 / 49.44 / 49.56 / 49.58 MiB (49.50)
-//	degraded_pq        25.37 / 19.97 / 18.54 / 18.54 KiB (19.55)   58.15 / 58.20 / 58.33 / 58.37 MiB (58.73)
-//	retrieval_noforce   7.22 /  7.13 /  7.06 /  7.03 KiB  (7.02)   59.54 / 59.61 / 59.67 / 59.75 MiB (60.75)
+//	pipelined_io       9.89 / 7.86 / 7.85 / 7.85 KiB   1.998 / 2.040 / 2.028 / 2.025 MiB
+//	oltp_force         7.68 / 5.85 / 5.82 / 5.82 KiB   49.50 / 49.56 / 49.61 / 49.61 MiB
+//	degraded_pq       14.81 / 13.81 / 13.80 / 13.80 KiB   58.28 / 58.35 / 58.38 / 58.38 MiB
+//	retrieval_noforce  2.59 at every size              59.54 MiB at every size
 //
-// 128 takes what there is to take on the three FORCE workloads; 256 takes
-// another 0.03 KiB on retrieval_noforce, whose checkpoints return hundreds
-// of versions at a time, for +0.1 % of its heap.
+// 64 takes nearly all there is to take; 128 takes the last 0.02 KiB on
+// the FORCE workloads for at most 0.05 MiB of heap.
 const maxFreePages = 128
 
 // NewStore wires a store over the given array.  RDA recovery is enabled
@@ -272,7 +271,7 @@ func (s *Store) flipCommitted(g page.GroupID, p page.PageID, data, cachedOld pag
 // read — and the update folded into in place; the caller writes them out
 // and puts them back.  Width-1 (mirrored) groups get copies of the data
 // with no reads at all.
-func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cachedOld, data page.Buf, c *Chain) (imgs [2]page.Buf, err error) {
+func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cachedOld, data page.Buf, c *Chain) ([2]page.Buf, error) {
 	eqs := s.Arr.Equations()
 	imgs, carried := c.take(g, twin)
 	if !carried {
@@ -289,31 +288,17 @@ func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cached
 	// Read 0 is the page's old contents, the rest the old redundancy: all
 	// on different drives.  Reads commute, so issuing them together changes
 	// no recovery-visible order.
-	oldData, first := cachedOld, 0
+	r := oldReads{s: s, g: g, twin: twin, p: p, imgs: imgs, old: cachedOld}
 	if cachedOld != nil {
-		first = 1 // a=3: the old contents came along
+		r.first = 1 // a=3: the old contents came along
 	}
 	last := 1 + len(eqs)
 	if carried {
 		last = 1 // and so did the old redundancy
 	}
-	var scratch page.Buf
-	defer func() { s.Pages.Put(scratch) }()
-	err = s.Arr.Together(last-first, func(i int) error {
-		var e error
-		if i += first; i == 0 {
-			scratch = s.Pages.Get()
-			oldData, e = s.ReadPage(p, scratch)
-			return e
-		}
-		r := eqs[i-1].Twin(twin)
-		if imgs[r.Eq], _, e = s.readRed(g, r, imgs[r.Eq]); e != nil {
-			return fmt.Errorf("core: read %s twin %d of group %d: %w", r.Eq, twin, g, e)
-		}
-		return nil
-	})
-	if err != nil {
-		s.Pages.Put(imgs[:]...)
+	defer func() { s.Pages.Put(r.scratch) }()
+	if err := r.run(last - r.first); err != nil {
+		s.Pages.Put(r.imgs[:]...)
 		return [2]page.Buf{}, err
 	}
 	idx := 0
@@ -321,9 +306,59 @@ func (s *Store) smallWriteParity(g page.GroupID, twin int, p page.PageID, cached
 		idx = s.Arr.GroupIndex(p)
 	}
 	for _, eq := range eqs {
-		eq.SmallWrite(imgs[eq], oldData, data, idx)
+		eq.SmallWrite(r.imgs[eq], r.old, data, idx)
 	}
-	return imgs, nil
+	return r.imgs, nil
+}
+
+// oldReads is what a small write reads before it computes the redundancy:
+// read 0 the page's old contents into scratch (old; the caller's copy when
+// it has one, and the reads start at first = 1), read 1 + k the old
+// redundancy of equation k into its image.  A value of its own, so that a
+// write on synchronous drives keeps it on the stack.
+type oldReads struct {
+	s       *Store
+	g       page.GroupID
+	twin    int
+	p       page.PageID
+	first   int
+	imgs    [2]page.Buf
+	old     page.Buf
+	scratch page.Buf
+}
+
+// run issues reads first … first+n-1: together on queued drives, whose
+// lanes take them on goroutines of their own — the one case that moves
+// the reads to the heap — and one after another, in order, otherwise.
+func (r *oldReads) run(n int) error {
+	if n > 1 && r.s.Arr.Queued() {
+		q := *r
+		defer func() { *r = q }()
+		return r.s.Arr.Together(n, q.read)
+	}
+	for i := 0; i < n; i++ {
+		if err := r.read(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// read is read first+i.
+func (r *oldReads) read(i int) error {
+	s := r.s
+	if i += r.first; i == 0 {
+		r.scratch = s.Pages.Get()
+		var err error
+		r.old, err = s.ReadPage(r.p, r.scratch)
+		return err
+	}
+	red := s.Arr.Equations()[i-1].Twin(r.twin)
+	var err error
+	if r.imgs[red.Eq], _, err = s.readRed(r.g, red, r.imgs[red.Eq]); err != nil {
+		return fmt.Errorf("core: read %s twin %d of group %d: %w", red.Eq, r.twin, r.g, err)
+	}
+	return nil
 }
 
 // errMustLog reports a StealNoLog attempt that the policy (Decide) refuses;
@@ -522,7 +557,8 @@ func (s *Store) CommitGroups(t *txn.Txn) {
 	if s.Dirty == nil {
 		return
 	}
-	for _, g := range s.Dirty.GroupsOf(t.ID) {
+	var buf [16]page.GroupID
+	for _, g := range s.Dirty.GroupsOf(t.ID, buf[:0]) {
 		e, ok := s.Dirty.Lookup(g)
 		if !ok {
 			continue

@@ -369,7 +369,7 @@ func TestRandomizedParityInvariant(t *testing.T) {
 					oracle[p] = v
 				}
 			} else { // abort
-				for _, g := range s.Dirty.GroupsOf(pd.tx.ID) {
+				for _, g := range s.Dirty.GroupsOf(pd.tx.ID, nil) {
 					if _, _, err := abortSteal(s, g); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -405,7 +405,7 @@ func TestRandomizedParityInvariant(t *testing.T) {
 	}
 	// Resolve everything by aborting; the array must equal the oracle.
 	for _, pd := range open {
-		for _, g := range s.Dirty.GroupsOf(pd.tx.ID) {
+		for _, g := range s.Dirty.GroupsOf(pd.tx.ID, nil) {
 			if _, _, err := abortSteal(s, g); err != nil {
 				t.Fatal(err)
 			}

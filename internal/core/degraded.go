@@ -587,18 +587,14 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 	if s.Twins == nil {
 		eqs = eqs[:1]
 	}
-	var imgs [2]page.Buf
+	f := memberFold{s: s, g: g, eqs: eqs, skip: idx}
 	for _, eq := range eqs {
-		imgs[eq] = s.Pages.Get()
-		clear(imgs[eq])
+		f.imgs[eq] = s.Pages.Get()
+		clear(f.imgs[eq])
 	}
+	imgs := f.imgs
 	defer s.Pages.Put(imgs[:]...)
-	fold := func(i int, b page.Buf) {
-		for _, eq := range eqs {
-			eq.AddMember(imgs[eq], b, i)
-		}
-	}
-	fold(idx, data)
+	f.add(idx, data)
 	if othersLost {
 		// A second data member is also gone (double-degraded): its old
 		// value is needed for the wholesale recompute, so solve the whole
@@ -609,33 +605,12 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		}
 		for i, b := range old {
 			if i != idx {
-				fold(i, b)
+				f.add(i, b)
 			}
 		}
 		s.Pages.Put(old...)
-	} else {
-		// Each sibling is read — verified, and repaired through the
-		// describing index if it fails — into a page of its own (on
-		// synchronous drives the same one, back on the free list between
-		// reads) and folded in as it arrives: the sums commute.
-		var folding sync.Mutex
-		if err := s.Arr.Together(n, func(i int) error {
-			if i == idx {
-				return nil
-			}
-			member := s.Pages.Get()
-			defer s.Pages.Put(member)
-			b, err := s.ReadPage(s.Arr.GroupPage(g, i), member)
-			if err != nil {
-				return fmt.Errorf("core: degraded parity of group %d: %w", g, err)
-			}
-			folding.Lock()
-			fold(i, b)
-			folding.Unlock()
-			return nil
-		}); err != nil {
-			return err
-		}
+	} else if err := f.readSiblings(n); err != nil {
+		return err
 	}
 
 	if s.Twins == nil {
@@ -683,4 +658,64 @@ func (s *Store) writeDegraded(p page.PageID, data page.Buf) error {
 		return nil
 	}
 	return s.writeData(p, data, disk.Meta{Timestamp: ts})
+}
+
+// memberFold accumulates a degraded write's new redundancy in imgs, one
+// page per equation, member by member: P ⊕= D_i, Q ⊕= g^i·D_i.  A value
+// of its own, so that a write on synchronous drives keeps it on the stack.
+type memberFold struct {
+	s    *Store
+	g    page.GroupID
+	eqs  []diskarray.Eq
+	imgs [2]page.Buf
+	// skip is the member being written, which the caller folds in itself.
+	skip int
+	// mu serializes the folds of sibling reads running together; nil when
+	// they run in order.
+	mu *sync.Mutex
+}
+
+// add folds member i's image b in.
+func (f *memberFold) add(i int, b page.Buf) {
+	for _, eq := range f.eqs {
+		eq.AddMember(f.imgs[eq], b, i)
+	}
+}
+
+// readSiblings reads every member of the group's n but skip — verified,
+// and repaired through the describing index if it fails — into a page of
+// its own and folds it in as it arrives: the sums commute.  On queued
+// drives the reads run together, on goroutines of their own (the one case
+// that puts a fold on the heap); on synchronous ones they run in order,
+// through one page that goes back to the free list between reads.
+func (f *memberFold) readSiblings(n int) error {
+	if n > 1 && f.s.Arr.Queued() {
+		q := &memberFold{s: f.s, g: f.g, eqs: f.eqs, imgs: f.imgs, skip: f.skip, mu: new(sync.Mutex)}
+		return f.s.Arr.Together(n, q.readSibling)
+	}
+	for i := 0; i < n; i++ {
+		if err := f.readSibling(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readSibling reads member i and folds it in; nothing for skip.
+func (f *memberFold) readSibling(i int) error {
+	if i == f.skip {
+		return nil
+	}
+	member := f.s.Pages.Get()
+	defer f.s.Pages.Put(member)
+	b, err := f.s.ReadPage(f.s.Arr.GroupPage(f.g, i), member)
+	if err != nil {
+		return fmt.Errorf("core: degraded parity of group %d: %w", f.g, err)
+	}
+	if f.mu != nil {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+	}
+	f.add(i, b)
+	return nil
 }

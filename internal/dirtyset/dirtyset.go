@@ -23,7 +23,7 @@
 package dirtyset
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/page"
@@ -45,16 +45,19 @@ type Entry struct {
 type Table struct {
 	mu sync.Mutex
 	m  map[page.GroupID]Entry
-	// byTxn indexes dirty groups by owning transaction for O(1) commit
-	// and abort processing.
-	byTxn map[page.TxID]map[page.GroupID]struct{}
+	// byTxn indexes dirty groups by owning transaction, each set in
+	// ascending order, for commit and abort processing.
+	byTxn map[page.TxID][]page.GroupID
+	// spare holds the emptied sets of finished owners, reused by the next
+	// transaction's first no-log steal.
+	spare [][]page.GroupID
 }
 
 // New creates an empty table (every group clean).
 func New() *Table {
 	return &Table{
 		m:     make(map[page.GroupID]Entry),
-		byTxn: make(map[page.TxID]map[page.GroupID]struct{}),
+		byTxn: make(map[page.TxID][]page.GroupID),
 	}
 }
 
@@ -85,12 +88,16 @@ func (t *Table) MarkDirty(g page.GroupID, p page.PageID, tx page.TxID, workingTw
 		panic("dirtyset: group already dirty under a different page/transaction")
 	}
 	t.m[g] = Entry{Page: p, Txn: tx, WorkingTwin: workingTwin}
-	set := t.byTxn[tx]
-	if set == nil {
-		set = make(map[page.GroupID]struct{})
-		t.byTxn[tx] = set
+	set, owns := t.byTxn[tx]
+	if !owns {
+		if n := len(t.spare); n > 0 {
+			set, t.spare = t.spare[n-1], t.spare[:n-1]
+		}
 	}
-	set[g] = struct{}{}
+	if i, found := slices.BinarySearch(set, g); !found {
+		set = slices.Insert(set, i, g)
+	}
+	t.byTxn[tx] = set
 }
 
 // Clean returns group g to the clean state (Figure 3's commit
@@ -98,29 +105,33 @@ func (t *Table) MarkDirty(g page.GroupID, p page.PageID, tx page.TxID, workingTw
 func (t *Table) Clean(g page.GroupID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := t.m[g]; ok {
-		delete(t.m, g)
-		if set := t.byTxn[e.Txn]; set != nil {
-			delete(set, g)
-			if len(set) == 0 {
-				delete(t.byTxn, e.Txn)
-			}
-		}
+	e, ok := t.m[g]
+	if !ok {
+		return
+	}
+	delete(t.m, g)
+	set := t.byTxn[e.Txn]
+	if i, found := slices.BinarySearch(set, g); found {
+		set = slices.Delete(set, i, i+1)
+	}
+	if len(set) > 0 {
+		t.byTxn[e.Txn] = set
+		return
+	}
+	delete(t.byTxn, e.Txn)
+	if cap(set) > 0 {
+		t.spare = append(t.spare, set)
 	}
 }
 
-// GroupsOf returns the groups currently dirty on behalf of tx, in
-// ascending order (deterministic for tests and recovery).
-func (t *Table) GroupsOf(tx page.TxID) []page.GroupID {
+// GroupsOf appends the groups currently dirty on behalf of tx to dst, in
+// ascending order (deterministic for tests and recovery), and returns the
+// extended slice.  A caller that cleans the groups as it walks them passes
+// a buffer of its own; the list does not change under it.
+func (t *Table) GroupsOf(tx page.TxID, dst []page.GroupID) []page.GroupID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	set := t.byTxn[tx]
-	out := make([]page.GroupID, 0, len(set))
-	for g := range set {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(dst, t.byTxn[tx]...)
 }
 
 // Len returns the number of dirty groups.
@@ -136,5 +147,5 @@ func (t *Table) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.m = make(map[page.GroupID]Entry)
-	t.byTxn = make(map[page.TxID]map[page.GroupID]struct{})
+	t.byTxn = make(map[page.TxID][]page.GroupID)
 }

@@ -25,7 +25,7 @@ func TestDirtySetStateDiagramFigure3(t *testing.T) {
 		if !dirty || e != want {
 			t.Fatalf("%s: entry %+v (dirty %v), want %+v", state, e, dirty, want)
 		}
-		if got := tbl.GroupsOf(want.Txn); len(got) != 1 || got[0] != g {
+		if got := tbl.GroupsOf(want.Txn, nil); len(got) != 1 || got[0] != g {
 			t.Fatalf("%s: GroupsOf(%d) = %v, want [%d]", state, want.Txn, got, g)
 		}
 	}
@@ -40,7 +40,7 @@ func TestDirtySetStateDiagramFigure3(t *testing.T) {
 	}
 
 	// Clean state: no entry, no owner.
-	if _, dirty := tbl.Lookup(g); dirty || len(tbl.GroupsOf(tx)) != 0 {
+	if _, dirty := tbl.Lookup(g); dirty || len(tbl.GroupsOf(tx, nil)) != 0 {
 		t.Fatalf("a new table must hold group %d clean", g)
 	}
 
@@ -62,7 +62,7 @@ func TestDirtySetStateDiagramFigure3(t *testing.T) {
 
 	// "Transaction T commits" — dirty → clean.
 	tbl.Clean(g)
-	if _, dirty := tbl.Lookup(g); dirty || len(tbl.GroupsOf(tx)) != 0 {
+	if _, dirty := tbl.Lookup(g); dirty || len(tbl.GroupsOf(tx, nil)) != 0 {
 		t.Fatalf("group must be clean after commit")
 	}
 	// A clean group takes any owner again.
@@ -86,14 +86,14 @@ func TestGroupsOfAndCleanAllOf(t *testing.T) {
 	tbl.MarkDirty(3, 30, 7, 0)
 	tbl.MarkDirty(1, 10, 7, 1)
 	tbl.MarkDirty(2, 20, 8, 0)
-	got := tbl.GroupsOf(7)
+	got := tbl.GroupsOf(7, nil)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("GroupsOf(7) = %v, want [1 3] sorted", got)
 	}
 	for _, g := range got {
 		tbl.Clean(g)
 	}
-	if len(tbl.GroupsOf(7)) != 0 {
+	if len(tbl.GroupsOf(7, nil)) != 0 {
 		t.Fatalf("txn 7 still owns groups after its commit cleaned them")
 	}
 	if !tbl.IsDirty(2) {
@@ -112,7 +112,7 @@ func TestResetModelsCrash(t *testing.T) {
 	if tbl.Len() != 0 {
 		t.Fatalf("Reset must empty the table")
 	}
-	if len(tbl.GroupsOf(1)) != 0 {
+	if len(tbl.GroupsOf(1, nil)) != 0 {
 		t.Fatalf("per-txn index must be dropped too")
 	}
 }
@@ -153,7 +153,7 @@ func TestQuickAtMostOneDirtyPagePerGroup(t *testing.T) {
 		// Cross-check the per-txn index against the main map.
 		total := 0
 		for tx := page.TxID(1); tx <= 4; tx++ {
-			for _, g := range tbl.GroupsOf(tx) {
+			for _, g := range tbl.GroupsOf(tx, nil) {
 				e, ok := tbl.Lookup(g)
 				if !ok || e.Txn != tx {
 					return false
@@ -165,5 +165,30 @@ func TestQuickAtMostOneDirtyPagePerGroup(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOwnerSetsAreReused: once warm, a transaction that dirties groups
+// and is committed (its groups listed into a caller's buffer and cleaned)
+// allocates nothing: the emptied per-owner set serves the next owner.
+func TestOwnerSetsAreReused(t *testing.T) {
+	tbl := New()
+	tx := page.TxID(0)
+	var buf [4]page.GroupID
+	cycle := func() {
+		tx++
+		for g := page.GroupID(0); g < 3; g++ {
+			tbl.MarkDirty(g, page.PageID(g)*10, tx, 1)
+		}
+		for _, g := range tbl.GroupsOf(tx, buf[:0]) {
+			tbl.Clean(g)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a warm dirty → clean cycle allocates %.2f objects, want 0", n)
+	}
+	if tbl.Len() != 0 || len(tbl.GroupsOf(tx, nil)) != 0 {
+		t.Fatalf("the table keeps groups after every owner committed")
 	}
 }

@@ -98,7 +98,7 @@ func (h *Held) Acquire(groups ...page.GroupID) {
 		}
 		return
 	}
-	var buf [8]page.GroupID
+	var buf [16]page.GroupID // a commit's groups, on the stack
 	want := buf[:0]
 	for _, g := range groups {
 		h.t.check(g)

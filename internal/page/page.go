@@ -41,16 +41,6 @@ const InvalidTx TxID = 0
 // writes always carry strictly larger timestamps.
 type Timestamp uint64
 
-// RecordID addresses a record within a page when record-granularity
-// logging and locking are in use (Section 5.3).
-type RecordID struct {
-	Page PageID
-	Slot int
-}
-
-// String implements fmt.Stringer.
-func (r RecordID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
-
 // MinSize is the smallest page size the storage layers accept.  It leaves
 // room for the slotted-record directory used by record logging.
 const MinSize = 64

@@ -73,17 +73,18 @@ type Page struct {
 	slots      int
 }
 
-// View interprets buf as a record page.
-func View(buf page.Buf) (*Page, error) {
+// View interprets buf as a record page.  The view is a value: an
+// operation that reads or writes one record keeps it on its stack.
+func View(buf page.Buf) (Page, error) {
 	if len(buf) < headerSize {
-		return nil, ErrNotFormatted
+		return Page{}, ErrNotFormatted
 	}
 	rs := int(binary.LittleEndian.Uint16(buf[0:]))
 	slots := int(binary.LittleEndian.Uint16(buf[2:]))
 	if rs == 0 || slots == 0 || slots != Capacity(len(buf), rs) {
-		return nil, ErrNotFormatted
+		return Page{}, ErrNotFormatted
 	}
-	return &Page{buf: buf, recordSize: rs, slots: slots}, nil
+	return Page{buf: buf, recordSize: rs, slots: slots}, nil
 }
 
 // Slots returns the slot count.
@@ -161,17 +162,19 @@ type Image struct {
 // Encoded returns slot i's image, before or after an update, in the form
 // a log record carries it (EncodeImage's), in one allocation.
 func (p *Page) Encoded(i int) ([]byte, error) {
+	return p.appendEncoded(make([]byte, 0, 1+p.recordSize), i)
+}
+
+// appendEncoded appends slot i's image in log form to dst.
+func (p *Page) appendEncoded(dst []byte, i int) ([]byte, error) {
 	if i < 0 || i >= p.slots {
 		return nil, fmt.Errorf("%w: %d of %d", ErrBadSlot, i, p.slots)
 	}
 	if !p.Used(i) {
-		return []byte{0}, nil
+		return append(dst, 0), nil
 	}
 	base := p.slotBase(i)
-	out := make([]byte, 1+p.recordSize)
-	out[0] = 1
-	copy(out[1:], p.buf[base:base+p.recordSize])
-	return out, nil
+	return append(append(dst, 1), p.buf[base:base+p.recordSize]...), nil
 }
 
 // Apply restores slot i from a logged image (the record-level UNDO/REDO
@@ -209,8 +212,10 @@ func DecodeImage(b []byte) (Image, error) {
 
 // ImageOf returns the image of pg that a log record with the given slot
 // carries: pg itself for a full-page image (wal.NoSlot), the slot's
-// encoded record otherwise.
-func ImageOf(pg page.Buf, slot int32) ([]byte, error) {
+// encoded record otherwise, written over scratch when it has room — the
+// log copies an image it is handed, so a caller appending one needs no
+// buffer of its own for it.
+func ImageOf(pg page.Buf, slot int32, scratch []byte) ([]byte, error) {
 	if slot == wal.NoSlot {
 		return pg, nil
 	}
@@ -218,7 +223,7 @@ func ImageOf(pg page.Buf, slot int32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.Encoded(int(slot))
+	return v.appendEncoded(scratch[:0], int(slot))
 }
 
 // Replay leaves in dst the page that imgs — logged images of one page, in

@@ -20,7 +20,7 @@ func formatted(t *testing.T, pageSize, recSize int) (*Page, page.Buf) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, buf
+	return &p, buf
 }
 
 func TestCapacityPaperParameters(t *testing.T) {

@@ -18,10 +18,10 @@ func scribble(b []byte) {
 }
 
 // versionsOffFreeList fails the test when a dirty frame's disk version is
-// also an idle page of the store's free list, from which the next
-// before-image, redundancy image or disk version would be drawn and
-// overwritten, or when two frames share one.  It drains the list to look
-// and puts every page back; nothing else may run meanwhile.
+// also an idle page of the store's free list or of the pool's, from which
+// the next before-image, redundancy image or disk version would be drawn
+// and overwritten, or when two frames share one.  It drains the lists to
+// look and puts every page back; nothing else may run meanwhile.
 func versionsOffFreeList(t *testing.T, db *DB, when string) {
 	t.Helper()
 	held := make(map[*byte]page.PageID)
@@ -35,14 +35,16 @@ func versionsOffFreeList(t *testing.T, db *DB, when string) {
 		}
 		held[&f.DiskVersion[0]] = p
 	}
-	idle := make([]page.Buf, db.store.Pages.Len())
-	for i := range idle {
-		idle[i] = db.store.Pages.Get()
-	}
-	defer db.store.Pages.Put(idle...)
-	for _, b := range idle {
-		if p, ok := held[&b[0]]; ok {
-			t.Fatalf("%s: dirty page %d's disk version is on the free list", when, p)
+	for _, list := range []*page.FreeList{db.store.Pages, db.pool.Pages} {
+		idle := make([]page.Buf, list.Len())
+		for i := range idle {
+			idle[i] = list.Get()
+		}
+		defer list.Put(idle...)
+		for _, b := range idle {
+			if p, ok := held[&b[0]]; ok {
+				t.Fatalf("%s: dirty page %d's disk version is on a free list", when, p)
+			}
 		}
 	}
 }

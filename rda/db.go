@@ -87,7 +87,10 @@ type txState struct {
 	// steals and demotions other goroutines perform on its pages only change
 	// fields of existing entries, under mu and the page's group latch.
 	// Commit and abort walk the table holding the latch of every group in
-	// it, which excludes those, so they read it without mu.
+	// it, which excludes those, so they read it without mu.  The table comes
+	// from DB.undoTables at the first modification and goes back at EOT
+	// (releaseSnapshots), entries and all: the entries past its length are
+	// a finished transaction's, for addUndo to reuse.
 	undo []*undoEntry
 	// commitSeq is the transaction's position in the engine's commit
 	// order (assigned inside the latched EOT section; 0 until commit).
@@ -122,6 +125,16 @@ type undoEntry struct {
 	// first backs images while the page has one image, as it always has
 	// under page logging, so that an entry is one allocation.
 	first [1]wal.Record
+}
+
+// reset empties e for reuse, keeping the backing of its images.
+func (e *undoEntry) reset() {
+	clear(e.images)
+	imgs := e.images[:0]
+	if imgs == nil {
+		imgs = e.first[:0]
+	}
+	*e = undoEntry{images: imgs}
 }
 
 // search returns where page p's entry is, or would go, in st's undo
@@ -169,8 +182,15 @@ func (st *txState) firstLogged() wal.LSN {
 func (st *txState) addUndo(r wal.Record) *undoEntry {
 	i, ok := st.search(r.Page)
 	if !ok {
-		e := &undoEntry{page: r.Page}
-		e.images = e.first[:0]
+		var e *undoEntry
+		if n := len(st.undo); n < cap(st.undo) {
+			e = st.undo[:n+1][n] // a finished transaction's, reset
+		}
+		if e == nil {
+			e = &undoEntry{}
+			e.images = e.first[:0]
+		}
+		e.page = r.Page
 		st.undo = slices.Insert(st.undo, i, e)
 	}
 	e := st.undo[i]
@@ -208,8 +228,13 @@ type DB struct {
 	// rebuildMu lets one RebuildStep run at a time: a step picks its batch
 	// from the restored-group flags its own lanes write.
 	rebuildMu sync.Mutex
-	// latches is the per-parity-group latch table.
-	latches *latch.Table
+	// latches is the per-parity-group latch table; latchSets recycles the
+	// operations' latch sets over it (hold, unhold).
+	latches   *latch.Table
+	latchSets spares[*opLatches]
+	// undoTables holds finished transactions' emptied undo tables
+	// (txState.undo).
+	undoTables spares[[]*undoEntry]
 
 	// mu guards states, floors, lastCkptLSN, recoveries and scrubCursor.
 	// Begin takes it to give out an id and enter the transaction in states
@@ -316,14 +341,15 @@ func Open(cfg Config) (*DB, error) {
 }
 
 // newPool builds a buffer pool wired to the engine's fetch and steal
-// policies.  Its dirty frames keep their disk versions in pages of the
-// store's free list, under FORCE and ¬FORCE alike, so a write-back is the
-// paper's a=3 small write; the paper prices ¬FORCE at a=4 (Section 5.2.2),
-// which the engine pays only for a frame whose disk version was forgotten
-// (forgetLost).
+// policies.  Its dirty frames keep their disk versions, under FORCE and
+// ¬FORCE alike, so a write-back is the paper's a=3 small write; the paper
+// prices ¬FORCE at a=4 (Section 5.2.2), which the engine pays only for a
+// frame whose disk version was forgotten (forgetLost).  The versions come
+// from the pool's own free list, which keeps up to a page per frame: the
+// hundreds a ¬FORCE checkpoint hands back at once wait there for the
+// frames dirtied next, instead of overflowing the store's list.
 func (db *DB) newPool() *buffer.Pool {
 	p := buffer.New(db.cfg.BufferFrames, db.cfg.PageSize, nil, db.writeBack)
-	p.Pages = db.store.Pages
 	// A miss reads straight into its frame, outside the pool's mutex; only
 	// a repaired image comes back in a page of its own.
 	p.FetchInto = func(id page.PageID, dst page.Buf) error {
@@ -346,13 +372,16 @@ func (db *DB) snapshotPage(src page.Buf) page.Buf {
 }
 
 // releaseSnapshots hands a finished transaction's page images back to the
-// free list and empties its undo table.  The caller has removed st from the
-// transaction table under the latches of every group it modified, so
-// nothing can reach the images any more: log records and disk blocks hold
-// copies, never these buffers.
+// free list and its emptied undo table to DB.undoTables.  The caller has
+// removed st from the transaction table under the latches of every group
+// it modified, so nothing can reach the images or the entries any more:
+// log records and disk blocks hold copies, never these buffers.
 func (db *DB) releaseSnapshots(st *txState) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.undo == nil {
+		return
+	}
 	for _, e := range st.undo {
 		for _, r := range e.images {
 			if r.Slot == wal.NoSlot {
@@ -362,7 +391,9 @@ func (db *DB) releaseSnapshots(st *txState) {
 		if e.stolen != nil {
 			db.store.Pages.Put(e.stolen)
 		}
+		e.reset()
 	}
+	db.undoTables.put(st.undo[:0])
 	st.undo = nil
 }
 
@@ -431,34 +462,102 @@ func (db *DB) getState(id page.TxID) *txState {
 // underGroup runs fn holding the recovery gate shared and the latch of
 // page p's parity group — the standard envelope of every single-page
 // transactional step.  The latch set is passed to fn so nested work
-// (buffer eviction) can try-extend it.
-func (db *DB) underGroup(p page.PageID, fn func(h *latch.Held) error) error {
+// (buffer eviction, through its guard) can try-extend it.
+func (db *DB) underGroup(p page.PageID, fn func(h *opLatches) error) error {
 	db.gate.RLock()
 	defer db.gate.RUnlock()
 	if db.crashed {
 		return ErrCrashed
 	}
-	h := db.latches.NewHeld()
-	defer h.ReleaseAll()
+	h := db.hold()
+	defer db.unhold(h)
 	h.Acquire(db.arr.GroupOf(p))
 	return fn(h)
 }
 
-// evictGuard adapts an operation's held latch set into the buffer pool's
-// eviction guard: a victim in an already-held group is admitted outright,
-// any other group is try-latched for the duration of the steal, and a
-// contended latch skips the victim (the pool then tries the next one).
-func (db *DB) evictGuard(h *latch.Held) buffer.EvictGuard {
-	return func(p page.PageID) (func(), bool) {
-		g := db.arr.GroupOf(p)
-		if h.Holds(g) {
-			return func() {}, true
-		}
-		if h.TryAcquire(g) {
-			return func() { h.Release(g) }, true
-		}
-		return nil, false
+// opLatches is the latch set of one engine operation — a latch.Held —
+// with the buffer pool's eviction guard bound to it.  Operations take one
+// from DB.hold and hand it back through DB.unhold, so an operation builds
+// neither the set nor the guard: both guard functions are method values
+// made once per set.
+type opLatches struct {
+	*latch.Held
+	arr *diskarray.Array
+	// guard is admit; unlatchVictim is releaseVictim, which admit hands
+	// the pool for a victim it latched.
+	guard         buffer.EvictGuard
+	unlatchVictim func()
+	// victim is the group admit latched for the eviction in progress (an
+	// operation evicts one frame at a time).
+	victim page.GroupID
+}
+
+// hold returns an empty latch set for one operation, a recycled one when
+// there is one.
+func (db *DB) hold() *opLatches {
+	if h, ok := db.latchSets.get(); ok {
+		return h
 	}
+	h := &opLatches{Held: db.latches.NewHeld(), arr: db.arr}
+	h.guard, h.unlatchVictim = h.admit, h.releaseVictim
+	return h
+}
+
+// unhold releases every latch of h and keeps h for a later operation.
+// Meant to be deferred at operation entry, so a fault-injection panic
+// unwinds cleanly; nothing may use h afterwards.
+func (db *DB) unhold(h *opLatches) {
+	h.ReleaseAll()
+	db.latchSets.put(h)
+}
+
+// admit is the buffer pool's eviction guard for the operation holding h:
+// a victim in an already-held group is admitted outright, any other group
+// is try-latched for the duration of the steal, and a contended latch
+// skips the victim (the pool then tries the next one).
+func (h *opLatches) admit(p page.PageID) (func(), bool) {
+	g := h.arr.GroupOf(p)
+	switch {
+	case h.Holds(g):
+		return func() {}, true
+	case h.TryAcquire(g):
+		h.victim = g
+		return h.unlatchVictim, true
+	}
+	return nil, false
+}
+
+// releaseVictim unlatches the group admit latched for an eviction.
+func (h *opLatches) releaseVictim() { h.Release(h.victim) }
+
+// spares is a stack of idle values of one kind — operations' latch sets,
+// finished transactions' undo tables — that later ones reuse, safe for
+// concurrent use.  It keeps what it is handed back, at most as many as
+// were ever in use at once.
+type spares[T any] struct {
+	mu   sync.Mutex
+	idle []T
+}
+
+// get takes an idle value, or reports false when there is none.
+func (s *spares[T]) get() (T, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var v T
+	n := len(s.idle)
+	if n == 0 {
+		return v, false
+	}
+	v, s.idle[n-1] = s.idle[n-1], v
+	s.idle = s.idle[:n-1]
+	return v, true
+}
+
+// put hands v back for a later get.
+func (s *spares[T]) put(v T) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.idle = append(s.idle, v)
 }
 
 // healWorld is the operation-level half of the self-healing retry
@@ -805,8 +904,8 @@ func (db *DB) truncateLogLocked() {
 
 // latchUndo latches the parity groups of every page in st's undo table —
 // the groups the transaction modified — for its EOT.
-func (db *DB) latchUndo(h *latch.Held, st *txState) {
-	var buf [8]page.GroupID
+func (db *DB) latchUndo(h *opLatches, st *txState) {
+	var buf [16]page.GroupID
 	groups := buf[:0]
 	st.mu.Lock()
 	for _, e := range st.undo {

@@ -158,8 +158,8 @@ func (db *DB) restoreGroups(groups []page.GroupID, ds []int, giveUp bool) ([]uin
 	var lost []uint32
 	err := workpool.Run(db.store.Lanes(), len(groups), func(i int) error {
 		g := groups[i]
-		h := db.latches.NewHeld()
-		defer h.ReleaseAll()
+		h := db.hold()
+		defer db.unhold(h)
 		h.Acquire(g)
 		ok, err := recovery.RebuildGroup(db.store, g, ds, db.stolenBefore)
 		switch {

@@ -97,8 +97,8 @@ func (db *DB) ScrubStep(maxGroups int) (*ScrubReport, bool, error) {
 // anyway, and the latch held here excludes new modifications for the
 // duration.
 func (db *DB) scrubGroup(g page.GroupID) (ScrubReport, error) {
-	h := db.latches.NewHeld()
-	defer h.ReleaseAll()
+	h := db.hold()
+	defer db.unhold(h)
 	h.Acquire(g)
 	res, err := db.store.ScrubGroup(g)
 	for _, p := range res.RepairedPages {

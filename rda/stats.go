@@ -166,8 +166,8 @@ func (db *DB) PeekPage(p PageID) ([]byte, error) {
 	if int(p) >= db.NumPages() {
 		return nil, ErrBadPage
 	}
-	h := db.latches.NewHeld()
-	defer h.ReleaseAll()
+	h := db.hold()
+	defer db.unhold(h)
 	h.Acquire(db.arr.GroupOf(page.PageID(p)))
 	return db.arr.PeekData(page.PageID(p))
 }
@@ -214,8 +214,8 @@ func (db *DB) InspectGroup(p PageID) (GroupInfo, error) {
 	// The group latch freezes the group's steal protocol state, so the
 	// snapshot is internally consistent even with live transactions on
 	// other groups.
-	h := db.latches.NewHeld()
-	defer h.ReleaseAll()
+	h := db.hold()
+	defer db.unhold(h)
 	h.Acquire(g)
 	info := GroupInfo{Group: uint32(g)}
 	for _, q := range db.arr.GroupPages(g) {

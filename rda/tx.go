@@ -8,7 +8,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/page"
 	"repro/internal/record"
@@ -112,7 +111,7 @@ func (tx *Tx) healing(step func() error) error {
 
 // opLatched runs one page operation under the shared gate and the page's
 // group latch, with the self-healing retry.
-func (tx *Tx) opLatched(p page.PageID, fn func(h *latch.Held) error) error {
+func (tx *Tx) opLatched(p page.PageID, fn func(h *opLatches) error) error {
 	return tx.healing(func() error { return tx.db.underGroup(p, fn) })
 }
 
@@ -131,8 +130,8 @@ func (tx *Tx) ReadPage(p PageID) ([]byte, error) {
 	}
 	pid := page.PageID(p)
 	var out []byte
-	err := tx.opLatched(pid, func(h *latch.Held) error {
-		f, err := tx.db.pool.Get(pid, tx.db.evictGuard(h))
+	err := tx.opLatched(pid, func(h *opLatches) error {
+		f, err := tx.db.pool.Get(pid, h.guard)
 		if err != nil {
 			return err
 		}
@@ -162,8 +161,8 @@ func (tx *Tx) WritePage(p PageID, data []byte) error {
 		return err
 	}
 	pid := page.PageID(p)
-	return tx.opLatched(pid, func(h *latch.Held) error {
-		f, err := tx.db.pool.Get(pid, tx.db.evictGuard(h))
+	return tx.opLatched(pid, func(h *opLatches) error {
+		f, err := tx.db.pool.Get(pid, h.guard)
 		if err != nil {
 			return err
 		}
@@ -187,6 +186,9 @@ func (tx *Tx) WritePage(p PageID, data []byte) error {
 func (tx *Tx) firstModify(p page.PageID, slot int32, img []byte) {
 	st, db := tx.st, tx.db
 	st.mu.Lock()
+	if st.undo == nil {
+		st.undo, _ = db.undoTables.get()
+	}
 	e := st.addUndo(wal.Record{Type: wal.TypeBeforeImage, Txn: st.t.ID, Page: p, Slot: slot, Image: img})
 	st.mu.Unlock()
 	if !db.cfg.RDA {
@@ -200,15 +202,15 @@ func (tx *Tx) firstModify(p page.PageID, slot int32, img []byte) {
 
 // recordView pins page p and returns its frame and record view; the caller
 // must Unpin.
-func (tx *Tx) recordView(p page.PageID, h *latch.Held) (*buffer.Frame, *record.Page, error) {
-	f, err := tx.db.pool.Get(p, tx.db.evictGuard(h))
+func (tx *Tx) recordView(p page.PageID, h *opLatches) (*buffer.Frame, record.Page, error) {
+	f, err := tx.db.pool.Get(p, h.guard)
 	if err != nil {
-		return nil, nil, err
+		return nil, record.Page{}, err
 	}
 	v, err := record.View(f.Data)
 	if err != nil {
 		tx.db.pool.Unpin(p)
-		return nil, nil, err
+		return nil, record.Page{}, err
 	}
 	return f, v, nil
 }
@@ -228,7 +230,7 @@ func (tx *Tx) ReadRecord(p PageID, slot int) ([]byte, error) {
 	pid := page.PageID(p)
 	var out []byte
 	empty := false
-	err := tx.opLatched(pid, func(h *latch.Held) error {
+	err := tx.opLatched(pid, func(h *opLatches) error {
 		_, v, err := tx.recordView(pid, h)
 		if err != nil {
 			return err
@@ -260,7 +262,7 @@ func (tx *Tx) WriteRecord(p PageID, slot int, rec []byte) error {
 		return err
 	}
 	pid := page.PageID(p)
-	return tx.opLatched(pid, func(h *latch.Held) error {
+	return tx.opLatched(pid, func(h *opLatches) error {
 		return tx.writeRecordLatched(h, pid, slot, rec, true)
 	})
 }
@@ -282,7 +284,7 @@ func (tx *Tx) InsertRecord(p PageID, rec []byte) (int, error) {
 	for slot := 0; slot < slots; slot++ {
 		// Peek (uncharged, unlocked) to skip obviously taken slots.
 		var used bool
-		err := tx.opLatched(pid, func(h *latch.Held) error {
+		err := tx.opLatched(pid, func(h *opLatches) error {
 			_, v, err := tx.recordView(pid, h)
 			if err != nil {
 				return err
@@ -302,7 +304,7 @@ func (tx *Tx) InsertRecord(p PageID, rec []byte) (int, error) {
 			return 0, err
 		}
 		inserted := false
-		err = tx.opLatched(pid, func(h *latch.Held) error {
+		err = tx.opLatched(pid, func(h *opLatches) error {
 			_, v, err := tx.recordView(pid, h)
 			if err != nil {
 				return err
@@ -337,14 +339,14 @@ func (tx *Tx) DeleteRecord(p PageID, slot int) error {
 		return err
 	}
 	pid := page.PageID(p)
-	return tx.opLatched(pid, func(h *latch.Held) error {
+	return tx.opLatched(pid, func(h *opLatches) error {
 		return tx.writeRecordLatched(h, pid, slot, nil, false)
 	})
 }
 
 // writeRecordLatched performs the write/delete with the page's group
 // latch (h) and the record's two-phase lock held.
-func (tx *Tx) writeRecordLatched(h *latch.Held, p page.PageID, slot int, rec []byte, present bool) error {
+func (tx *Tx) writeRecordLatched(h *opLatches, p page.PageID, slot int, rec []byte, present bool) error {
 	// Another transaction's no-log steal of this page is demoted first
 	// (the policy's record-write rows), or a later twin-parity undo of its
 	// owner would roll the whole page back past this transaction's records.
@@ -455,8 +457,8 @@ func (db *DB) commitAttempt(tx *Tx) error {
 	t := st.t
 	updater := len(st.undo) > 0
 
-	h := db.latches.NewHeld()
-	defer h.ReleaseAll()
+	h := db.hold()
+	defer db.unhold(h)
 	db.latchUndo(h, st)
 
 	if updater && db.cfg.EOT == Force {
@@ -475,7 +477,8 @@ func (db *DB) commitAttempt(tx *Tx) error {
 			// crash beforehand drops the record and the transaction is a
 			// loser.
 			st.eotLSN = db.appendBracket(wal.TypeEOT, st, false)
-			if db.store.Dirty != nil && len(db.store.Dirty.GroupsOf(t.ID)) > 0 {
+			var owned [16]page.GroupID
+			if db.store.Dirty != nil && len(db.store.Dirty.GroupsOf(t.ID, owned[:0])) > 0 {
 				// The transaction owns parity-covered (no-UNDO-logging)
 				// steals.  CommitGroups below promotes their working twins,
 				// which surrenders the twin-pair undo path — and once the
@@ -549,7 +552,8 @@ func (db *DB) appendAfterImages(st *txState) error {
 // the on-disk page otherwise (the page was stolen and not re-referenced;
 // the read is charged, as any I/O; under FORCE only a page of a degraded
 // group gets here).  A page read from disk lands in a scratch page of the
-// store's free list, which goes back once the log has copied the image.
+// store's free list and a record image is encoded into another; both go
+// back once the log has copied the image.
 // The caller holds p's group latch, which keeps the frame from being
 // evicted or mutated.
 func (db *DB) appendAfterImage(txn page.TxID, p page.PageID, slot int32) error {
@@ -564,7 +568,12 @@ func (db *DB) appendAfterImage(txn page.TxID, p page.PageID, slot int32) error {
 			return err
 		}
 	}
-	img, err := record.ImageOf(cur, slot)
+	var enc page.Buf
+	if slot != wal.NoSlot {
+		enc = db.store.Pages.Get()
+		defer db.store.Pages.Put(enc)
+	}
+	img, err := record.ImageOf(cur, slot, enc)
 	if err != nil {
 		return err
 	}
@@ -582,7 +591,7 @@ func (db *DB) clearModifiers(st *txState) {
 		if f == nil {
 			continue
 		}
-		delete(f.Modifiers, st.t.ID)
+		f.RemoveModifier(st.t.ID)
 		if f.Dirty {
 			f.Residue = true
 		}
@@ -662,8 +671,8 @@ func (db *DB) abortAttempt(tx *Tx) error {
 	st := tx.st
 	t := st.t
 
-	h := db.latches.NewHeld()
-	defer h.ReleaseAll()
+	h := db.hold()
+	defer db.unhold(h)
 	db.latchUndo(h, st)
 
 	if err := db.rollback(st); err != nil {
@@ -699,7 +708,8 @@ func (db *DB) rollback(st *txState) error {
 	// 1. The undo ladder for every group this transaction dirtied, told
 	// from the undo table whether the steal's before-image is on the log.
 	if db.store.Dirty != nil {
-		for _, g := range db.store.Dirty.GroupsOf(t.ID) {
+		var owned [16]page.GroupID
+		for _, g := range db.store.Dirty.GroupsOf(t.ID, owned[:0]) {
 			e, _ := db.store.Dirty.Lookup(g)
 			logged := slices.ContainsFunc(st.undoOf(e.Page).images, func(r wal.Record) bool { return r.LSN != 0 })
 			w := core.WorkingTwinInfo{Group: g, Twin: e.WorkingTwin, Meta: disk.Meta{DirtyPage: e.Page, Txn: t.ID}}
@@ -741,7 +751,7 @@ func (db *DB) rollback(st *txState) error {
 			if f == nil {
 				continue // evicted clean, or never dirtied
 			}
-			if _, mine := f.Modifiers[t.ID]; !mine {
+			if !slices.Contains(f.ModifierList(), t.ID) {
 				continue
 			}
 			if err := db.repairFrame(t.ID, f, e.images); err != nil {
@@ -784,8 +794,8 @@ func (db *DB) restoreLogged(tx page.TxID, e *undoEntry) error {
 	if f == nil {
 		return nil
 	}
-	delete(f.Modifiers, tx)
-	if len(f.Modifiers) == 0 {
+	f.RemoveModifier(tx)
+	if len(f.ModifierList()) == 0 {
 		// Nobody else's uncommitted work lives here; the restored disk
 		// copy is authoritative.
 		db.pool.Discard(e.page)
@@ -809,8 +819,8 @@ func (db *DB) repairFrame(tx page.TxID, f *buffer.Frame, images []wal.Record) er
 	if err := record.Replay(f.Data, f.Data, images); err != nil {
 		return err
 	}
-	delete(f.Modifiers, tx)
-	if len(f.Modifiers) == 0 {
+	f.RemoveModifier(tx)
+	if len(f.ModifierList()) == 0 {
 		if f.DiskVersion != nil && f.Data.Equal(f.DiskVersion) {
 			db.pool.MarkClean(f)
 		} else if f.Dirty {
