@@ -8,8 +8,9 @@
 //	rdacrash                       # healthy array, clean crashes
 //	rdacrash -torn                 # tear write k itself instead of dropping it
 //	rdacrash -dead 1               # one disk down: dead from the start (crash
-//	                               # points reach into the online rebuild), and
-//	                               # dying at the crash write itself
+//	                               # points reach into the online rebuild),
+//	                               # dying at the crash write itself, and its
+//	                               # replacement dying under the rebuild
 //	rdacrash -dead 2 -qparity      # the same with two down on a P+Q array
 //	rdacrash -dead 1 -qparity -torn  # any combination: a dead disk, a second
 //	                               # equation and a torn block in one schedule
@@ -54,7 +55,7 @@ import (
 
 func main() {
 	var (
-		dead    = flag.Int("dead", 0, "drives dead from the start (0, 1, or 2 with -qparity); the sweep adds the family where the last of them dies at the crash write itself")
+		dead    = flag.Int("dead", 0, "drives dead from the start (0, 1, or 2 with -qparity); the sweep adds the family where the last of them dies at the crash write itself, and the one where a replacement drive dies at each write of the online rebuild")
 		qparity = flag.Bool("qparity", false, "P+Q array: two redundancy equations per group")
 		torn    = flag.Bool("torn", false, "sweep: tear the crashed write (half payload persists) instead of dropping it")
 		noforce = flag.Bool("noforce", false, "run the engine ¬FORCE with checkpoints in the workload, so every restart has winners to REDO")

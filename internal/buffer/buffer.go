@@ -40,14 +40,15 @@
 // whose latch the evicting operation does not hold, so Get threads an
 // EvictGuard through which the engine try-acquires the victim's group
 // latch; an unguardable victim is skipped, and if every candidate is
-// merely guard-blocked (never the case single-threaded) Get yields and
-// retries rather than failing.
+// merely guard-blocked (never the case single-threaded) Get returns
+// ErrBlocked.  Waiting inside Get would hold the caller's own latches
+// while the holders of the blocking ones may wait for those: the caller
+// lets its latches go and retries instead.
 package buffer
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -181,6 +182,10 @@ type Stats struct {
 var (
 	ErrNoFrames = errors.New("buffer: all frames pinned")
 	ErrDropped  = errors.New("buffer: pool dropped while the page was loading")
+	// ErrBlocked: every unpinned frame's eviction was refused by the
+	// guard.  Nothing changed; the caller should release its latches,
+	// yield and retry.
+	ErrBlocked = errors.New("buffer: every eviction candidate is latched elsewhere")
 )
 
 // Pool is the buffer pool.
@@ -293,9 +298,8 @@ func (bp *Pool) DirtyPages() []page.PageID {
 
 // Get pins page p, fetching it on a miss (evicting the LRU unpinned frame
 // admitted by guard if the pool is full).  Callers must Unpin when done.
-// When every eviction candidate is blocked by the guard, Get yields and
-// retries — the latch holders blocking it cannot in turn be waiting on
-// this Get, so progress is guaranteed.
+// When every eviction candidate is blocked by the guard, Get returns
+// ErrBlocked and leaves the pool as it was.
 //
 // The read of a miss runs with the pool mutex released (load), so callers
 // must exclude one another per page — the engine's group latch does: a
@@ -306,29 +310,20 @@ func (bp *Pool) Get(p page.PageID, guard EvictGuard) (*Frame, error) {
 	// the deferred Unlock: the write-back and fetch callbacks below can
 	// panic (fault-injection crash points fire inside disk I/O), and the
 	// crash harness then needs to take the mutex again to drop the pool.
-	// The two places that release it in between — the yield below and
-	// load — retake it before they return or unwind, for that reason.
+	// load releases it in between and retakes it before it returns or
+	// unwinds, for that reason.
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	for {
-		if f, ok := bp.frames[p]; ok {
-			bp.stats.Hits++
-			f.unlink()
-			f.linkAfter(&bp.lru)
-			f.pins++
-			return f, nil
-		}
-		if len(bp.frames) < bp.capacity {
-			break
-		}
-		blocked, err := bp.evictOne(guard)
-		if err != nil {
+	if f, ok := bp.frames[p]; ok {
+		bp.stats.Hits++
+		f.unlink()
+		f.linkAfter(&bp.lru)
+		f.pins++
+		return f, nil
+	}
+	if len(bp.frames) >= bp.capacity {
+		if err := bp.evictOne(guard); err != nil {
 			return nil, err
-		}
-		if blocked {
-			bp.mu.Unlock()
-			runtime.Gosched()
-			bp.mu.Lock()
 		}
 	}
 	bp.stats.Misses++
@@ -381,10 +376,11 @@ func (bp *Pool) load(f *Frame) (err error) {
 
 // evictOne (pool mutex held) evicts the least recently used unpinned
 // frame the guard admits, stealing it (via WriteBack) when dirty.  It
-// returns blocked=true when at least one candidate was refused by the
-// guard and none could be evicted — the caller should yield and retry.
-// ErrNoFrames means every frame is pinned regardless of the guard.
-func (bp *Pool) evictOne(guard EvictGuard) (blocked bool, err error) {
+// returns ErrBlocked when at least one candidate was refused by the guard
+// and none could be evicted, ErrNoFrames when every frame is pinned
+// regardless of the guard.
+func (bp *Pool) evictOne(guard EvictGuard) error {
+	blocked := false
 	for f := bp.lru.prev; f != &bp.lru; f = f.prev {
 		if f.pins > 0 {
 			continue
@@ -402,19 +398,19 @@ func (bp *Pool) evictOne(guard EvictGuard) (blocked bool, err error) {
 			bp.stats.Steals++
 			if err := bp.writeBack(f); err != nil {
 				release()
-				return false, fmt.Errorf("buffer: steal page %d: %w", f.Page, err)
+				return fmt.Errorf("buffer: steal page %d: %w", f.Page, err)
 			}
 			bp.markClean(f)
 		}
 		bp.remove(f)
 		bp.stats.Evictions++
 		release()
-		return false, nil
+		return nil
 	}
 	if blocked {
-		return true, nil
+		return ErrBlocked
 	}
-	return false, ErrNoFrames
+	return ErrNoFrames
 }
 
 // Unpin releases one pin on page p.

@@ -172,6 +172,36 @@ func TestPinnedFramesNotEvicted(t *testing.T) {
 	}
 }
 
+// TestGetReportsBlockedEviction: when the guard refuses every unpinned
+// frame, Get returns ErrBlocked at once, with nothing evicted, loaded or
+// counted, so the caller can let its latches go and retry; one admitted
+// victim is enough for the miss to go through.
+func TestGetReportsBlockedEviction(t *testing.T) {
+	s := newFakeStore(10, 64)
+	bp := newPool(s, 2)
+	for _, p := range []page.PageID{0, 1} {
+		if _, err := bp.Get(p, nil); err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(p)
+	}
+	before := bp.Stats()
+	refuse := func(page.PageID) (func(), bool) { return nil, false }
+	if _, err := bp.Get(2, refuse); !errors.Is(err, ErrBlocked) {
+		t.Fatalf("err = %v, want ErrBlocked", err)
+	}
+	if bp.Stats() != before || !bp.Contains(0) || !bp.Contains(1) || bp.Contains(2) {
+		t.Fatalf("a blocked Get changed the pool: %+v, was %+v", bp.Stats(), before)
+	}
+	admit1 := func(p page.PageID) (func(), bool) { return func() {}, p == 1 }
+	if _, err := bp.Get(2, admit1); err != nil {
+		t.Fatal(err)
+	}
+	if !bp.Contains(0) || bp.Contains(1) {
+		t.Fatal("the admitted frame should have been the victim")
+	}
+}
+
 func TestDiscardOfPinnedFramePanics(t *testing.T) {
 	// A removed frame is refilled by the next miss, so a holder's pin
 	// must stop it leaving the pool.

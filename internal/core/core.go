@@ -60,14 +60,12 @@ type Store struct {
 	// before the store is shared.
 	Workers int
 
-	// Degraded-serving state (degraded.go).
-	degraded bool
-	// down is the set of down disks being served around, oldest loss
-	// first; at most one entry on single-redundancy arrays, up to two
-	// with QParity.
-	down []int
-	// restored[g] is set once the rebuild worker has reconstructed
-	// group g's block on the down disk; nil outside degraded mode.
+	// Degraded-serving state (degraded.go), the snapshot of the array's
+	// health the engine adopted last (EnterDegraded).  down is the set of
+	// down disks being served around, oldest loss first, empty when
+	// healthy.  restored[g] is set once the rebuild worker has
+	// reconstructed group g's blocks on them.
+	down     []int
 	restored []bool
 	// replacement marks that the down disk's slot holds a fresh
 	// (readable) replacement drive instead of the dead one; see
@@ -100,7 +98,7 @@ const maxFreePages = 128
 // NewStore wires a store over the given array.  RDA recovery is enabled
 // iff the array is twinned (the engine validates the combination).
 func NewStore(arr *diskarray.Array, log *wal.Log, tm *txn.Manager) *Store {
-	s := &Store{Arr: arr, Log: log, TM: tm, Pages: page.NewFreeList(arr.PageSize(), maxFreePages)}
+	s := &Store{Arr: arr, Log: log, TM: tm, Pages: page.NewFreeList(arr.PageSize(), maxFreePages), restored: make([]bool, arr.NumGroups())}
 	if arr.Twinned() {
 		s.Twins = twinpage.New(arr)
 		s.Dirty = dirtyset.New()

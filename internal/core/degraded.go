@@ -40,7 +40,7 @@ type DegradedStats struct {
 	// ledger.  The scrubber's rewrites count as ScrubRepairs instead.
 	ParityRepairs uint64
 	// RebuiltGroups is the number of groups restored by the online
-	// rebuild worker since the last disk loss.
+	// rebuild worker under the down set adopted last (EnterDegraded).
 	RebuiltGroups uint64
 }
 
@@ -62,32 +62,20 @@ type degCounters struct {
 	scrubRepairs    atomic.Uint64
 }
 
-// EnterDegraded records that the given disks are down: reads and writes
-// touching their blocks are served from redundancy until LeaveDegraded.
-// The engine calls it (with its mutex held) when the array health
-// machine leaves Healthy, after demoting any dirty groups that touch the
-// disks.  A second call with a grown down set (a second death while
-// single-degraded) resets the restored map: the restarted rebuild must
-// revisit every group.
+// EnterDegraded adopts the array's down set ds (the engine calls it under
+// its exclusive gate on every health generation it adopts): reads and
+// writes touching their blocks are served from redundancy, and the rebuild
+// worker's restored-group flags start over, so a rebuild restarted after a
+// crash or a replacement's death revisits every group.  An empty ds is
+// normal serving, every block reachable again; RebuiltGroups then keeps
+// the finished rebuild's count, and restarts with the next down set.
 func (s *Store) EnterDegraded(ds ...int) {
-	if len(ds) == 0 {
-		s.LeaveDegraded()
-		return
+	s.down = append(s.down[:0], ds...)
+	clear(s.restored)
+	s.replacement = false
+	if len(ds) > 0 {
+		s.deg.rebuiltGroups.Store(0)
 	}
-	s.degraded = true
-	s.down = append([]int(nil), ds...)
-	s.restored = make([]bool, s.Arr.NumGroups())
-	s.replacement = false
-	s.deg.rebuiltGroups.Store(0)
-}
-
-// LeaveDegraded returns the store to normal serving: every block is
-// reachable again (the disks were rebuilt online or media recovery ran).
-func (s *Store) LeaveDegraded() {
-	s.degraded = false
-	s.down = nil
-	s.restored = nil
-	s.replacement = false
 }
 
 // SetReplacementPresent records whether the down disks' slots hold fresh
@@ -105,7 +93,7 @@ func (s *Store) SetReplacementPresent(ok bool) { s.replacement = ok }
 // replacement drive is present the page's content is untrustworthy
 // (a rebuilt page is indistinguishable from an unrestored zeroed one).
 func (s *Store) PageUnavailable(p page.PageID) bool {
-	return s.degraded && s.isDown(s.Arr.DataLoc(p).Disk) && s.GroupDegraded(s.Arr.GroupOf(p))
+	return s.isDown(s.Arr.DataLoc(p).Disk) && s.GroupDegraded(s.Arr.GroupOf(p))
 }
 
 // SlotAlive reports whether redundancy page r of group g can be read and
@@ -117,16 +105,13 @@ func (s *Store) SlotAlive(g page.GroupID, r diskarray.Red) bool {
 	if r.Eq == diskarray.Q && !s.Arr.HasQ() {
 		return false
 	}
-	if !s.degraded || (s.restored != nil && s.restored[g]) {
-		return true
-	}
-	return !s.isDown(s.Arr.Loc(g, r).Disk)
+	return !s.GroupDegraded(g) || !s.isDown(s.Arr.Loc(g, r).Disk)
 }
 
 // hasDeadSlot reports whether any redundancy page of group g is
 // unreachable.
 func (s *Store) hasDeadSlot(g page.GroupID) bool {
-	if !s.degraded {
+	if !s.Degraded() {
 		return false
 	}
 	for _, eq := range s.Arr.Equations() {
@@ -163,7 +148,7 @@ func (s *Store) TwinReadable(g page.GroupID, r diskarray.Red) bool {
 // An index with no reachable slot yields the zero header, whose StateNone
 // no arbitration accepts.
 func (s *Store) IndexMeta(g page.GroupID, twin int) (disk.Meta, error) {
-	if !s.degraded {
+	if !s.Degraded() {
 		return s.Arr.ReadMeta(g, diskarray.P.Twin(twin))
 	}
 	for _, eq := range s.Arr.Equations() {
@@ -232,33 +217,15 @@ func (s *Store) RecomputeIndex(g page.GroupID, twin int, meta disk.Meta) error {
 }
 
 // Degraded reports whether the store is serving in degraded mode.
-func (s *Store) Degraded() bool { return s.degraded }
-
-// DownDisks returns the disks being served around (nil when healthy).
-func (s *Store) DownDisks() []int {
-	if !s.degraded {
-		return nil
-	}
-	return append([]int(nil), s.down...)
-}
+func (s *Store) Degraded() bool { return len(s.down) > 0 }
 
 // isDown reports whether disk d is in the down set.
-func (s *Store) isDown(d int) bool {
-	if !s.degraded {
-		return false
-	}
-	for _, x := range s.down {
-		if x == d {
-			return true
-		}
-	}
-	return false
-}
+func (s *Store) isDown(d int) bool { return slices.Contains(s.down, d) }
 
 // MarkRestored records that group g's blocks on the down disks have been
 // reconstructed by the rebuild worker: the group serves normally again.
 func (s *Store) MarkRestored(g page.GroupID) {
-	if s.restored != nil && !s.restored[g] {
+	if s.Degraded() && !s.restored[g] {
 		s.restored[g] = true
 		s.deg.rebuiltGroups.Add(1)
 	}
@@ -276,9 +243,8 @@ func (s *Store) DegradedCounters() DegradedStats {
 }
 
 // ResetCounters zeroes the degraded-serving and integrity counters.
-// RebuiltGroups stays: it is the rebuild's progress since the last disk
-// loss, which the engine reads to tell a dead replacement drive from a
-// fresh one, and EnterDegraded resets it.
+// RebuiltGroups stays: it is the rebuild's progress under the down set
+// adopted last, and EnterDegraded restarts it.
 func (s *Store) ResetCounters() {
 	for _, c := range []*atomic.Uint64{
 		&s.deg.degradedReads, &s.deg.degradedWrites, &s.deg.parityRepairs,
@@ -296,7 +262,7 @@ func (s *Store) ResetCounters() {
 // redundancy pages, each on a disk of its own), so any down disk holds a
 // block of every group.
 func (s *Store) GroupDegraded(g page.GroupID) bool {
-	return s.degraded && !(s.restored != nil && s.restored[g])
+	return s.Degraded() && !s.restored[g]
 }
 
 // describingTwin returns the twin whose parity describes the group's

@@ -281,7 +281,8 @@ func (s *Store) ReadGroup(g page.GroupID, r diskarray.Red) ([]page.Buf, error) {
 	s.Pages.Put(vals...)
 	erased := []int{s.Arr.Loc(g, r).Disk}
 	if died {
-		erased = append(erased, s.Arr.DownDisks()...)
+		_, down, _ := s.Arr.HealthView()
+		erased = append(erased, down...)
 	}
 	vals, _, err = s.SolveGroup(g, s.describingTwin(g), erased...)
 	if died && errors.Is(err, ErrUnrecoverableCorruption) {

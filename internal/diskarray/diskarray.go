@@ -232,7 +232,8 @@ type Array struct {
 	// Self-healing state (health.go).
 	hmu    sync.Mutex
 	health Health
-	downd  []int // failed/rebuilding disks, oldest loss first
+	downd  []int  // failed/rebuilding disks, oldest loss first
+	gen    uint64 // health generation: advanced by every change of the two above
 	// consec counts consecutive errored attempts per disk.  It is written
 	// under hmu, except that a successful transfer clears a non-zero count
 	// without it, so the success path of every I/O takes no array-wide lock.

@@ -254,13 +254,62 @@ func TestRebuildOfSomeDownDrives(t *testing.T) {
 	if err := a.BeginRebuild(0); err != nil {
 		t.Fatal(err)
 	}
-	if h, down := a.Health(), a.DownDisks(); h != Rebuilding || !slices.Equal(down, []int{0, 1}) {
+	if h, down, _ := a.HealthView(); h != Rebuilding || !slices.Equal(down, []int{0, 1}) {
 		t.Fatalf("rebuilding disk 0: health %v, down %v; want rebuilding, [0 1]", h, down)
 	}
 	a.FinishRebuild()
-	if h, down := a.Health(), a.DownDisks(); h != Degraded || !slices.Equal(down, []int{1}) {
+	if h, down, _ := a.HealthView(); h != Degraded || !slices.Equal(down, []int{1}) {
 		t.Fatalf("after the rebuild of disk 0: health %v, down %v; want degraded, [1]", h, down)
 	}
+}
+
+// TestHealthGenerationMovesWithEveryChange: every change of the health
+// state or the down set advances the generation HealthView reports, and
+// nothing else does — a down drive erring again leaves it where it was.  A
+// replacement dying mid-rebuild falls back to Degraded over the same down
+// set, under a new generation.
+func TestHealthGenerationMovesWithEveryChange(t *testing.T) {
+	a, err := New(Config{Kind: RAID5Twin, QParity: true, DataDisks: 3, NumPages: 24, PageSize: page.MinSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, last := a.HealthView()
+	step := func(what string, want Health, down []int, moved bool) {
+		t.Helper()
+		h, got, gen := a.HealthView()
+		if h != want || !slices.Equal(got, down) || (gen != last) != moved {
+			t.Fatalf("%s: health %v, down %v, generation %d → %d; want %v, %v, moved %v", what, h, got, last, gen, want, down, moved)
+		}
+		last = gen
+	}
+	step("fresh", Healthy, nil, false)
+	for _, d := range []int{0, 1} {
+		if err := a.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step("two losses", Degraded, []int{0, 1}, true)
+	if err := a.FailDisk(1); err != nil {
+		t.Fatal(err)
+	}
+	step("a down drive again", Degraded, []int{0, 1}, false)
+	if err := a.BeginRebuild(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	step("the drive swap", Rebuilding, []int{0, 1}, true)
+	if err := a.FailDisk(1); err != nil {
+		t.Fatal(err)
+	}
+	step("a replacement dies", Degraded, []int{0, 1}, true)
+	if err := a.FailDisk(2); err != nil {
+		t.Fatal(err)
+	}
+	step("a third loss", Failed, []int{0, 1, 2}, true)
+	if err := a.BeginRebuild(0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	a.FinishRebuild()
+	step("the repair", Healthy, nil, true)
 }
 
 // TestFailAndRepairDisk checks the drive swap itself on every kind: a

@@ -13,19 +13,20 @@ import (
 //
 //	Healthy → Degraded → Rebuilding → Healthy
 //
-// as disks fail-stop and are rebuilt online.  Without QParity a second
-// overlapping loss drops the array to Failed — some parity groups have
-// lost two blocks and XOR redundancy cannot recover them without a
-// media-recovery pass (RepairDisks).  With QParity the second loss is
-// still inside the redundancy (DoubleDegraded); only a THIRD overlapping
-// loss fails the array.
+// as disks fail-stop and are rebuilt online; the down set (HealthView)
+// says how many drives are down.  A loss beyond the redundancy — a second
+// overlapping one with single parity, a third with QParity — drops the
+// array to Failed: some parity groups have lost more blocks than their
+// equations recover without a media-recovery pass (RepairDisks).  Every
+// change of the state or of the down set advances the array's health
+// generation, which the engine adopts as one snapshot.
 type Health int
 
 const (
 	// Healthy: all disks serving.
 	Healthy Health = iota
-	// Degraded: exactly one disk is down; reads of its blocks must be
-	// reconstructed from parity + survivors.
+	// Degraded: one disk is down (two on a QParity array); reads of their
+	// blocks must be reconstructed from the surviving redundancy.
 	Degraded
 	// Rebuilding: the down disk(s) have been replaced by fresh drives and
 	// a rebuild worker is reconstructing their blocks; unrestored blocks
@@ -35,10 +36,6 @@ const (
 	// (two for single parity, three with QParity).  I/O errors are
 	// wrapped in ErrArrayFailed.
 	Failed
-	// DoubleDegraded: exactly two disks are down on a QParity array;
-	// reads of their blocks must be reconstructed from the P and Q
-	// equations together (internal/erasure).
-	DoubleDegraded
 )
 
 // String implements fmt.Stringer.
@@ -48,8 +45,6 @@ func (h Health) String() string {
 		return "healthy"
 	case Degraded:
 		return "degraded"
-	case DoubleDegraded:
-		return "double-degraded"
 	case Rebuilding:
 		return "rebuilding"
 	case Failed:
@@ -86,27 +81,22 @@ func (a *Array) Health() Health {
 	return a.health
 }
 
-// DownDisk returns the disk currently down (Degraded) or being rebuilt
-// (Rebuilding), or -1 when the array is Healthy.  When several disks are
-// down (DoubleDegraded, Failed) it returns the oldest loss; use DownDisks
-// for the full set.
-func (a *Array) DownDisk() int {
+// HealthView returns the array's state, its down set — the disks down or
+// being rebuilt, oldest loss first, empty when Healthy — and the health
+// generation, which every change of the two advances: one consistent
+// snapshot, so a caller that holds on to the generation can tell whether
+// what it saw is still current.
+func (a *Array) HealthView() (Health, []int, uint64) {
 	a.hmu.Lock()
 	defer a.hmu.Unlock()
-	if len(a.downd) == 0 {
-		return -1
-	}
-	return a.downd[0]
+	return a.health, slices.Clone(a.downd), a.gen
 }
 
-// DownDisks returns the disks currently down or being rebuilt, oldest
-// loss first (empty when Healthy).
-func (a *Array) DownDisks() []int {
-	a.hmu.Lock()
-	defer a.hmu.Unlock()
-	out := make([]int, len(a.downd))
-	copy(out, a.downd)
-	return out
+// setHealth moves the machine to h with down set downd and advances the
+// generation.  Called with hmu held.
+func (a *Array) setHealth(h Health, downd []int) {
+	a.health, a.downd = h, downd
+	a.gen++
 }
 
 // lossBudget is the number of overlapping disk losses the redundancy can
@@ -118,16 +108,15 @@ func (a *Array) lossBudget() int {
 	return 1
 }
 
-// healthFor returns the non-failed health state for n down disks.
-func healthFor(n int) Health {
-	switch n {
-	case 0:
+// healthFor returns the health state for the down set outside a rebuild.
+func (a *Array) healthFor(down []int) Health {
+	switch {
+	case len(down) == 0:
 		return Healthy
-	case 1:
-		return Degraded
-	default:
-		return DoubleDegraded
+	case len(down) > a.lossBudget():
+		return Failed
 	}
+	return Degraded
 }
 
 // Healing returns the cumulative self-healing counters.
@@ -188,36 +177,23 @@ func (a *Array) do(d int, op func() error) error {
 }
 
 // noteFailed records that disk d returned a hard failure and advances the
-// health machine.  Losses inside the redundancy budget degrade the array
-// (Degraded, then DoubleDegraded on QParity arrays); a loss beyond the
-// budget fails it, and from then on every hard error is wrapped in
-// ErrArrayFailed so callers get a typed signal instead of a raw disk
-// error.
+// health machine.  Losses inside the redundancy budget degrade the array;
+// a loss beyond the budget fails it, and from then on every hard error is
+// wrapped in ErrArrayFailed so callers get a typed signal instead of a raw
+// disk error.
 func (a *Array) noteFailed(d int, err error) error {
 	a.hmu.Lock()
 	defer a.hmu.Unlock()
-	known := false
-	for _, x := range a.downd {
-		if x == d {
-			known = true
-			break
-		}
-	}
 	switch {
 	case a.health == Failed:
 		// Already failed; keep wrapping below.
-	case known:
-		// A down disk (or its mid-rebuild replacement) erred again; fall
-		// back from Rebuilding to the degraded state for the same losses.
-		if a.health == Rebuilding {
-			a.health = healthFor(len(a.downd))
-		}
-	case len(a.downd) < a.lossBudget():
-		a.downd = append(a.downd, d)
-		a.health = healthFor(len(a.downd))
-	default:
-		a.downd = append(a.downd, d)
-		a.health = Failed
+	case !slices.Contains(a.downd, d):
+		down := append(a.downd, d)
+		a.setHealth(a.healthFor(down), down)
+	case a.health == Rebuilding:
+		// A mid-rebuild replacement died: fall back to serving the same
+		// losses degraded.
+		a.setHealth(a.healthFor(a.downd), a.downd)
 	}
 	if a.health == Failed && !errors.Is(err, ErrArrayFailed) {
 		err = fmt.Errorf("%w: %v", ErrArrayFailed, err)
@@ -261,13 +237,13 @@ func (a *Array) BeginRebuild(ds ...int) error {
 	}
 	a.hmu.Lock()
 	defer a.hmu.Unlock()
-	a.health = Rebuilding
-	a.downd = append([]int(nil), ds...)
+	down := slices.Clone(ds)
 	for i, d := range a.disks {
 		if d.Failed() && !slices.Contains(ds, i) {
-			a.downd = append(a.downd, i) // left down beside the replacements
+			down = append(down, i) // left down beside the replacements
 		}
 	}
+	a.setHealth(Rebuilding, down)
 	for i := range a.consec {
 		a.consec[i].Store(0)
 	}
@@ -280,14 +256,11 @@ func (a *Array) BeginRebuild(ds ...int) error {
 func (a *Array) FinishRebuild() {
 	a.hmu.Lock()
 	defer a.hmu.Unlock()
-	a.downd = nil
+	var down []int
 	for i, d := range a.disks {
 		if d.Failed() {
-			a.downd = append(a.downd, i)
+			down = append(down, i)
 		}
 	}
-	a.health = healthFor(len(a.downd))
-	if len(a.downd) > a.lossBudget() {
-		a.health = Failed
-	}
+	a.setHealth(a.healthFor(down), down)
 }

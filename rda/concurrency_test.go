@@ -5,9 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/page"
 )
 
 // TestDemotionSharedDirtyPage drives the engine through the subtle
@@ -319,5 +324,62 @@ func TestInspectGroupAndDumpLog(t *testing.T) {
 	}
 	if count != 1 {
 		t.Fatalf("early stop visited %d lines", count)
+	}
+}
+
+// TestEvictionBesideMultiGroupCommits: four writers on disjoint pages, each
+// transaction over three parity groups, share a pool of four frames under
+// FORCE.  A commit latches all its groups at once; an operation whose miss
+// finds every unpinned frame in a committer's groups must let its own latch
+// go and retry rather than wait for them while the committer waits for it.
+func TestEvictionBesideMultiGroupCommits(t *testing.T) {
+	cfg := smallConfig(PageLogging, Force, true, DataStriping)
+	cfg.NumPages, cfg.BufferFrames = 16, 4 // four groups: every transaction shares two with every other
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, iters = 4, 300
+	var committed atomic.Int64
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func() {
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < iters; i++ {
+				tx, err := db.Begin()
+				if err != nil {
+					errs <- err
+					return
+				}
+				for j, g := range rng.Perm(db.NumGroups())[:3] {
+					img := fillPage(db, byte(i+j+w))
+					if err := tx.WritePage(PageID(db.arr.GroupPage(page.GroupID(g), w)), img); err != nil {
+						errs <- fmt.Errorf("writer %d, iteration %d: %w", w, i, err)
+						return
+					}
+					runtime.Gosched() // interleave the writers on one processor too
+				}
+				if err := tx.Commit(); err != nil {
+					errs <- fmt.Errorf("writer %d, iteration %d: commit: %w", w, i, err)
+					return
+				}
+				committed.Add(1)
+			}
+			errs <- nil
+		}()
+	}
+	watchdog := time.After(5 * time.Second)
+	for w := 0; w < writers; w++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-watchdog:
+			t.Fatalf("hung after %d of %d commits", committed.Load(), writers*iters)
+		}
+	}
+	if err := db.VerifyParity(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -15,7 +15,8 @@
 //     schedule (lawOf), never off the caller;
 //   - one exhaustive enumerator, Sweep: the cut (Options.cut: a clean crash
 //     or a tear) at every write index, with Options.Dead drives dead from
-//     the start and with the last of them dying at the cut instead;
+//     the start and with the last of them dying at the cut instead, and
+//     a replacement drive dying at every write of the online rebuild;
 //   - one randomized loop, Soak, over three schedule generators (Crashes,
 //     Mix, Corrupt).
 //
@@ -34,6 +35,8 @@ import (
 	"math/rand"
 	"reflect"
 
+	"repro/internal/disk"
+	"repro/internal/diskarray"
 	"repro/internal/fault"
 	"repro/internal/record"
 	"repro/rda"
@@ -535,7 +538,7 @@ func (d *driver) probe() error {
 	// commit then lives only in parity, which the raw platter peek below
 	// cannot see.  Rebuild first so redundancy-only state is
 	// materialized; an instant no-op on a healthy array.
-	if err := pump(d.rebuildStep); err != nil {
+	if err := d.rebuild(); err != nil {
 		return fmt.Errorf("probe rebuild: %w", err)
 	}
 	if d.opts.NoForce {
@@ -583,9 +586,23 @@ func pump(step func() (done bool, err error)) error {
 	}
 }
 
-// rebuildStep is the pump step of the online rebuild: done at once on a
-// healthy array.
-func (d *driver) rebuildStep() (bool, error) { return d.db.RebuildStep(0) }
+// rebuild pumps the online rebuild to completion: at once on a healthy
+// array.  Steps may repeat after errors, so a step that failed on a drive
+// death — a replacement dying under the rebuild, which drops the array
+// back to Degraded — is retried, at most once per loss the redundancy
+// absorbs.  Any other step error ends the pump: while the array stays
+// Rebuilding, no drive died, and a step that touched a failed one is the
+// engine's fault.
+func (d *driver) rebuild() error {
+	retries := d.opts.budget()
+	return pump(func() (bool, error) {
+		done, err := d.db.RebuildStep(0)
+		for ; errors.Is(err, disk.ErrFailed) && d.db.Health() == diskarray.Degraded && retries > 0; retries-- {
+			done, err = d.db.RebuildStep(0)
+		}
+		return done, err
+	})
+}
 
 // scrubCycle returns the pump step of one full online scrub cycle —
 // NumGroups cursor slots, so every group is visited even when the
@@ -772,7 +789,7 @@ func (d *driver) cycle(sched fault.Schedule, law law) (total *rda.RecoveryReport
 		// scrub cycle repairs whatever latent damage is left on the
 		// platter, so the raw-peek verification sees only clean blocks.
 		crash, err = guard(func() error {
-			if err := pump(d.rebuildStep); err != nil {
+			if err := d.rebuild(); err != nil {
 				return fmt.Errorf("online rebuild: %w", err)
 			}
 			if d.opts.Scrub || law.silent {
@@ -834,7 +851,7 @@ func count(opts Options, prefix fault.Schedule) (workload, full int64, err error
 		return 0, 0, fmt.Errorf("counting run under %v: %w", prefix, err)
 	}
 	workload = d.plane.Writes()
-	if err := pump(d.rebuildStep); err != nil {
+	if err := d.rebuild(); err != nil {
 		return 0, 0, fmt.Errorf("counting rebuild under %v: %w", prefix, err)
 	}
 	if err := d.verify(); err != nil {
@@ -844,30 +861,35 @@ func count(opts Options, prefix fault.Schedule) (workload, full int64, err error
 }
 
 // family is one schedule shape of a Sweep: dead drives down from the start,
-// one more dying at the cut itself or not, the cut at every k below upTo.
+// and at every k in [from, upTo) one more death, of drive kill(k) (none
+// when kill is nil), and the cut, or no cut.
 type family struct {
-	dead     int
-	coincide bool
-	upTo     int64
+	dead       int
+	from, upTo int64
+	kill       func(k int64) int
+	cut        bool
 }
 
 // Sweep is the exhaustive enumerator — the machine check that one
 // redundancy mechanism funds media AND transaction recovery at once.  With
-// n = Options.Dead it runs the cut (Options.cut) at every write index k of
-// two schedule families:
+// n = Options.Dead it runs every write index k of three schedule
+// families, the first two ending in the cut (Options.cut):
 //
 //	dead long before   faildisk[0..n)@w0 cut@k          k in [0, rebuild end)
 //	coinciding (n ≥ 1) faildisk[0..n-1)@w0 faildisk[d]@k cut@k
 //	                                          k in [0, end of the (n-1)-dead workload)
+//	replacement death  faildisk[0..n)@w0 faildisk[k mod n]@k
+//	          (n ≥ 1)                         k in [workload end, rebuild end)
 //
 // The first restarts with n members long dead — n = 0 is the healthy sweep
 // — and its indexes past the workload land inside the online rebuild, which
 // the restart must redo from scratch.  In the second the n-th death, d
 // rotating over the surviving drives, is unobserved before the crash:
-// recovery discovers it at restart.  Where each may lose pages is lawOf's
-// to say; a failed restart is never legal, and neither is a run the cut
-// never stopped.  progress, when non-nil, is
-// called after each run.
+// recovery discovers it at restart.  In the third a replacement drive dies
+// at a write of the online rebuild, no crash: the rebuild must start over
+// and end where one uninterrupted run ends.  Where each may lose pages is
+// lawOf's to say; a failed restart is never legal, and neither is a run the
+// cut never stopped.  progress, when non-nil, is called after each run.
 func Sweep(opts Options, progress func(done, total int64)) (*Result, error) {
 	opts.fill()
 	n := opts.Dead
@@ -882,26 +904,32 @@ func Sweep(opts Options, progress func(done, total int64)) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	families := []family{{dead: n, upTo: full}}
+	families := []family{{dead: n, upTo: full, cut: true}}
 	if n > 0 {
 		below, _, err := count(opts, deadPrefix(n-1))
 		if err != nil {
 			return nil, err
 		}
-		families = append(families, family{dead: n - 1, coincide: true, upTo: below})
+		disks := geo.db.NumDisks()
+		families = append(families,
+			family{dead: n - 1, upTo: below, cut: true, kill: func(k int64) int { return n - 1 + int(k)%(disks-n+1) }},
+			family{dead: n, from: workload, upTo: full, kill: func(k int64) int { return int(k) % n }})
 	}
 	res := &Result{TotalWrites: workload}
 	var done, total int64
 	for _, f := range families {
-		total += f.upTo
+		total += f.upTo - f.from
 	}
 	for _, f := range families {
-		for k := int64(0); k < f.upTo; k++ {
+		for k := f.from; k < f.upTo; k++ {
 			sched := deadPrefix(f.dead)
-			if f.coincide {
-				sched = append(sched, fault.FailDisk(f.dead+int(k)%(geo.db.NumDisks()-f.dead), k))
+			if f.kill != nil {
+				sched = append(sched, fault.FailDisk(f.kill(k), k))
 			}
-			res.run(opts, append(sched, opts.cut(k)), true)
+			if f.cut {
+				sched = append(sched, opts.cut(k))
+			}
+			res.run(opts, sched, f.cut)
 			done++
 			if progress != nil {
 				progress(done, total)

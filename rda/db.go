@@ -226,7 +226,10 @@ type DB struct {
 	// gate is the recovery gate (see the type comment).
 	gate sync.RWMutex
 	// rebuildMu lets one RebuildStep run at a time: a step picks its batch
-	// from the restored-group flags its own lanes write.
+	// from the restored-group flags its own lanes write.  Recover takes it
+	// too, before the gate: a restart re-adopts the generation a step's
+	// last batch ran under with every restored flag wiped, so it must not
+	// land between that batch and the transition that ends the rebuild.
 	rebuildMu sync.Mutex
 	// latches is the per-parity-group latch table; latchSets recycles the
 	// operations' latch sets over it (hold, unhold).
@@ -265,6 +268,11 @@ type DB struct {
 	// dirtyCrash marks a crash that interrupted a block I/O (CrashHard);
 	// Recover then runs the torn-repair and parity-resync passes.
 	dirtyCrash bool
+	// adopted is the array's health generation the store serves
+	// (syncHealth), or forgotten; written under the exclusive gate, read
+	// under the shared one and, by an operation's self-healing retry,
+	// under none.
+	adopted atomic.Uint64
 
 	// commitSeq issues commit-order positions (see txState.commitSeq).
 	commitSeq atomic.Int64
@@ -561,61 +569,59 @@ func (s *spares[T]) put(v T) {
 }
 
 // healWorld is the operation-level half of the self-healing retry
-// discipline: after an I/O error escapes an operation, it takes the
-// exclusive gate, aligns the engine with the array's health machine
-// (entering degraded serving, demoting dirty groups on the lost disk),
-// and reports whether the failed operation is worth exactly one retry —
-// which will now be served from redundancy.  The caller must hold no
-// gate or latches.
-func (db *DB) healWorld() bool {
+// discipline: after an I/O error escapes an operation that ran under
+// adopted generation *seen, it takes the exclusive gate, adopts the
+// array's health (syncHealth), and reports whether the engine now serves a
+// generation the operation did not run under — adopted here or by another
+// operation that failed on the same loss first — moving *seen to it: the
+// failed operation is worth exactly one retry, served as that health says.
+// The caller must hold no gate or latches.
+func (db *DB) healWorld(seen *uint64) bool {
 	db.gate.Lock()
 	defer db.gate.Unlock()
 	if db.crashed {
 		return false
 	}
-	return db.syncHealth()
+	db.syncHealth()
+	if g := db.adopted.Load(); g != *seen {
+		*seen = g
+		return true
+	}
+	return false
 }
 
-// syncHealth aligns the engine's degraded-serving state with the array's
-// health machine.  It is called with the exclusive gate held, after an
-// operation failed or on an explicit FailDisk.  When the array has just
-// lost a disk, the store enters degraded serving and every dirty parity
-// group is demoted to logged UNDO, as the policy's disk-loss rows say
-// (DESIGN.md §5).  Returns true when degraded serving was just
-// (re-)entered: the caller's failed operation is worth exactly one retry,
-// which will now be served from redundancy.
+// forgotten is an adopted generation no array health matches: what Recover
+// sets before it adopts the array's health afresh.
+const forgotten = ^uint64(0)
+
+// syncHealth is the engine's one adoption of the array's health, called
+// with the exclusive gate held.  When the array's health generation has
+// moved since the last adoption and the array has not failed, the store
+// takes its down set as the one to serve around (core.Store.EnterDegraded:
+// an empty set is healthy serving, a non-empty one starts the restored
+// flags over), and with drives down every dirty group is demoted to
+// logged UNDO, as the policy's disk-loss rows say (DESIGN.md §5).  A Failed array is not adopted: the store keeps serving the last
+// snapshot until RepairDisks.  Returns true when a generation was adopted:
+// the caller's failed operation is worth exactly one retry under it.
 //
-// One degraded-to-degraded transition also lands here: a rebuild whose
-// replacement drive dies falls back from Rebuilding to Degraded while
-// some groups are already marked restored onto the now-dead replacement.
-// Those blocks are gone again, so the restored flags are stale — left in
-// place they would route reads of "restored" groups straight to the dead
-// disk and make the next rebuild skip them, completing with all-zero
-// blocks.  Re-entering degraded mode resets the flags (and re-demotes
-// any dirty group that took a no-log steal while its group was
-// restored), so every group on the down disk serves from redundancy
-// again and the next rebuild reconstructs the drive from scratch.
+// The generation is the whole reconciliation.  A replacement drive dying
+// mid-rebuild moves the array from Rebuilding back to Degraded over the
+// same down set, a second death grows it, a crash forgets the adopted one:
+// each re-enters degraded serving from scratch, so no group restored onto
+// a drive since lost is trusted, and the next rebuild reconstructs every
+// group.
 func (db *DB) syncHealth() bool {
-	h := db.arr.Health()
-	if h != diskarray.Degraded && h != diskarray.Rebuilding && h != diskarray.DoubleDegraded {
+	h, down, gen := db.arr.HealthView()
+	if gen == db.adopted.Load() || h == diskarray.Failed {
 		return false
 	}
-	downs := db.arr.DownDisks()
-	if db.store.Degraded() {
-		if len(downs) > len(db.store.DownDisks()) {
-			// A further disk died while the array was already degraded
-			// (Q-parity arrays survive two): fall through and re-enter
-			// degraded serving with the grown down set.
-		} else if h != diskarray.Degraded || db.store.DegradedCounters().RebuiltGroups == 0 {
-			// Restored flags only accumulate while Rebuilding; seeing
-			// them with the array back in Degraded means the replacement
-			// died.
-			return false
-		}
-	}
+	db.adopted.Store(gen)
 	// Degraded serving is entered first, so that the demotions below see
 	// which redundancy slots the loss took (core.Store.SlotAlive).
-	db.store.EnterDegraded(downs...)
+	db.store.EnterDegraded(down...)
+	if len(down) == 0 {
+		return true // healthy serving: no redundancy lost, nothing to demote
+	}
 	for g := 0; g < db.arr.NumGroups(); g++ {
 		v, e := db.store.ViewOf(core.DiskLoss, page.GroupID(g), 0, 0)
 		if core.Decide(v) == core.DemoteOnly {
@@ -1080,6 +1086,8 @@ type RecoveryPass = recovery.Pass
 // LostPages.  The database comes back up serving degraded.  Only a loss
 // beyond the array's redundancy refuses recovery, with ErrArrayFailed.
 func (db *DB) Recover() (*RecoveryReport, error) {
+	db.rebuildMu.Lock()
+	defer db.rebuildMu.Unlock()
 	db.gate.Lock()
 	defer db.gate.Unlock()
 	if !db.crashed {
@@ -1098,21 +1106,17 @@ func (db *DB) Recover() (*RecoveryReport, error) {
 	}
 	var rep *recovery.Report
 	for attempt := 0; ; attempt++ {
-		switch h := db.arr.Health(); h {
-		case diskarray.Failed:
+		// Adopt the array's health afresh: restored-group flags are wiped
+		// even when the crash hit mid-rebuild, so the restarted rebuild
+		// reconstructs every group on the lost members and can never
+		// certify a deferred-parity group without recomputing it.
+		db.adopted.Store(forgotten)
+		db.syncHealth()
+		h := db.arr.Health()
+		if h == diskarray.Failed {
 			return nil, fmt.Errorf("%w: crash recovery with the down members exceeding the array's redundancy; run RepairDisks first", ErrArrayFailed)
-		case diskarray.Degraded, diskarray.Rebuilding, diskarray.DoubleDegraded:
-			// Re-derive degraded serving from scratch: restored-group flags
-			// are wiped even when the crash hit mid-rebuild, so the restarted
-			// rebuild reconstructs every group on the lost members and can
-			// never certify a deferred-parity group without recomputing it.
-			db.store.EnterDegraded(db.arr.DownDisks()...)
-			db.store.SetReplacementPresent(h == diskarray.Rebuilding)
-		default:
-			if db.store.Degraded() {
-				db.store.LeaveDegraded()
-			}
 		}
+		db.store.SetReplacementPresent(h == diskarray.Rebuilding)
 		var err error
 		rep, err = recovery.CrashRecover(db.store, db.cfg.EOT == NoForce, db.dirtyCrash)
 		if err == nil {
@@ -1231,7 +1235,8 @@ func (db *DB) RepairDisks(ds ...int) ([]uint32, error) {
 	if db.crashed {
 		return nil, ErrCrashed
 	}
-	for _, d := range db.arr.DownDisks() {
+	_, down, _ := db.arr.HealthView()
+	for _, d := range down {
 		if !db.arr.DiskFailed(d) && !slices.Contains(ds, d) {
 			ds = append(slices.Clip(ds), d) // a replacement an online rebuild left unfinished
 		}
@@ -1247,7 +1252,7 @@ func (db *DB) RepairDisks(ds ...int) ([]uint32, error) {
 	if err != nil {
 		// A group restored onto ds may still miss its block on a drive ds
 		// left down: the next rebuild starts over on every group.
-		db.store.EnterDegraded(db.store.DownDisks()...)
+		db.syncHealth()
 		return nil, fmt.Errorf("rda: media recovery: %w", err)
 	}
 	db.endRebuild()

@@ -230,8 +230,8 @@ func TestCrashMidRebuildThenRecover(t *testing.T) {
 		}
 		// The interlock discards partial progress: the restarted rebuild
 		// starts from group zero.
-		if pr := db.RebuildProgress(); pr.RestoredGroups != 0 {
-			t.Fatalf("crash@w%d: restarted rebuild trusts %d half-restored group(s)", k, pr.RestoredGroups)
+		if n := db.Stats().RebuiltGroups; n != 0 {
+			t.Fatalf("crash@w%d: restarted rebuild trusts %d half-restored group(s)", k, n)
 		}
 		// Degraded serving must not read the partially rebuilt drive.
 		readAllTx(t, db, imgs, "degraded after rebuild crash")

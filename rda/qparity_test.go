@@ -39,8 +39,8 @@ func TestQParityDoubleFailureNoLoss(t *testing.T) {
 			if err := db.FailDisk(dB); err != nil {
 				t.Fatalf("pair (%d,%d): second failure: %v", dA, dB, err)
 			}
-			if h := db.Health(); h != diskarray.DoubleDegraded {
-				t.Fatalf("pair (%d,%d): health = %v, want DoubleDegraded", dA, dB, h)
+			if h, down, _ := db.arr.HealthView(); h != diskarray.Degraded || len(down) != 2 {
+				t.Fatalf("pair (%d,%d): health = %v down %v, want degraded with two down", dA, dB, h, down)
 			}
 			// Double-degraded serving: every page is still readable
 			// through the surviving redundancy before any repair runs.

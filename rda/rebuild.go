@@ -12,42 +12,14 @@ import (
 )
 
 // Health returns the array's availability state (see diskarray.Health):
-// Healthy, Degraded (one disk down, serving from redundancy), Rebuilding
-// (replacement drive being reconstructed online) or Failed (overlapping
-// losses; RepairDisks is the only way out).
+// Healthy, Degraded (one disk down, or two on P+Q, serving from
+// redundancy), Rebuilding (replacement drives being reconstructed online)
+// or Failed (losses beyond the redundancy; RepairDisks is the only way
+// out).
 func (db *DB) Health() diskarray.Health {
 	db.gate.RLock()
 	defer db.gate.RUnlock()
 	return db.arr.Health()
-}
-
-// RebuildProgress describes an online rebuild.
-type RebuildProgress struct {
-	// Health is the array state the snapshot was taken in.
-	Health diskarray.Health
-	// DownDisk is the disk being rebuilt (-1 when Healthy).
-	DownDisk int
-	// TotalGroups is the number of parity groups that keep a block on
-	// the down disk — every group of the array does; RestoredGroups of
-	// them have been reconstructed.
-	TotalGroups    int
-	RestoredGroups int
-}
-
-// Done reports whether nothing is left to rebuild.
-func (p RebuildProgress) Done() bool { return p.Health == diskarray.Healthy }
-
-// RebuildProgress returns a snapshot of the online rebuild's progress.
-func (db *DB) RebuildProgress() RebuildProgress {
-	db.gate.RLock()
-	defer db.gate.RUnlock()
-	pr := RebuildProgress{Health: db.arr.Health(), DownDisk: db.arr.DownDisk()}
-	if !db.store.Degraded() {
-		return pr
-	}
-	pr.TotalGroups = db.arr.NumGroups()
-	pr.RestoredGroups = int(db.store.DegradedCounters().RebuiltGroups)
-	return pr
 }
 
 // rebuildBatchGroups is RebuildStep's default batch: a step restores at
@@ -68,65 +40,65 @@ const rebuildBatchGroups = 8
 func (db *DB) RebuildStep(maxGroups int) (bool, error) {
 	db.rebuildMu.Lock()
 	defer db.rebuildMu.Unlock()
-	db.gate.RLock()
-	inFlight := db.arr.Health() == diskarray.Rebuilding && db.store.Degraded()
-	db.gate.RUnlock()
-	if !inFlight {
-		if done, err := db.rebuildTransition(); done || err != nil {
-			return done, err
-		}
-	}
 	if maxGroups <= 0 {
 		maxGroups = rebuildBatchGroups
 	}
-	if last, err := db.rebuildBatch(maxGroups); !last || err != nil {
+	gen, last, err := db.rebuildBatch(maxGroups)
+	if gen == forgotten && err == nil {
+		if done, err := db.rebuildTransition(forgotten); done || err != nil {
+			return done, err
+		}
+		gen, last, err = db.rebuildBatch(maxGroups)
+	}
+	if !last || err != nil {
 		return false, err
 	}
-	return db.rebuildTransition()
+	return db.rebuildTransition(gen)
 }
 
-// rebuildTransition moves the array's health under the exclusive gate:
-// into a rebuild while drives are down, out of it once every group is
-// restored.  It reports true when the array is Healthy.
-func (db *DB) rebuildTransition() (bool, error) {
+// rebuildTransition moves the array's health under the exclusive gate: out
+// of the rebuild whose last batch ran under generation finished, if that is
+// still the adopted and the array's, and into a rebuild while drives are
+// down, adopting each generation it makes.  It reports true when the array
+// is Healthy.
+func (db *DB) rebuildTransition(finished uint64) (bool, error) {
 	db.gate.Lock()
 	defer db.gate.Unlock()
 	if db.crashed {
 		return false, ErrCrashed
 	}
-	if db.arr.Health() == diskarray.Rebuilding && db.store.Degraded() && db.store.DegradedCounters().RebuiltGroups == uint64(db.arr.NumGroups()) {
+	if _, _, gen := db.arr.HealthView(); gen == finished && gen == db.adopted.Load() {
 		db.endRebuild()
 	}
-	// syncHealth also wipes the restored-group flags when a replacement
-	// drive died (Rebuilding fell back to Degraded), as Recover does after
-	// a crash, so the rebuild starts over on every group: it cannot skip a
-	// group whose blocks died with the replacement, nor certify one whose
-	// parity a degraded restart deferred without recomputing it.
 	db.syncHealth()
-	switch db.arr.Health() {
+	switch h, down, _ := db.arr.HealthView(); h {
 	case diskarray.Failed:
 		return false, fmt.Errorf("%w: online rebuild impossible, run RepairDisks", ErrArrayFailed)
 	case diskarray.Healthy:
-		db.store.LeaveDegraded()
 		return true, nil
-	case diskarray.Degraded, diskarray.DoubleDegraded:
-		return false, db.arr.BeginRebuild(db.store.DownDisks()...)
+	case diskarray.Degraded:
+		err := db.arr.BeginRebuild(down...)
+		db.syncHealth()
+		return false, err
 	}
 	return false, nil
 }
 
 // rebuildBatch restores the next maxGroups unrestored groups under the
-// shared gate and reports whether none is left after them.  An array that
-// left Rebuilding while the gate was free gets no batch: the next step
-// aligns with it.
-func (db *DB) rebuildBatch(maxGroups int) (bool, error) {
+// shared gate, and returns the health generation it ran under and whether
+// no group is left after them.  With no rebuild in flight under the
+// adopted generation — the array is not Rebuilding, or the engine has not
+// adopted its latest health — no batch runs and the generation is
+// forgotten: the next transition aligns with the array.
+func (db *DB) rebuildBatch(maxGroups int) (uint64, bool, error) {
 	db.gate.RLock()
 	defer db.gate.RUnlock()
 	if db.crashed {
-		return false, ErrCrashed
+		return forgotten, false, ErrCrashed
 	}
-	if db.arr.Health() != diskarray.Rebuilding || !db.store.Degraded() {
-		return false, nil
+	h, down, gen := db.arr.HealthView()
+	if h != diskarray.Rebuilding || gen != db.adopted.Load() {
+		return forgotten, false, nil
 	}
 	var batch []page.GroupID // one group past the batch tells it is not the last
 	for g := 0; g < db.arr.NumGroups() && len(batch) <= maxGroups; g++ {
@@ -134,16 +106,14 @@ func (db *DB) rebuildBatch(maxGroups int) (bool, error) {
 			batch = append(batch, page.GroupID(g))
 		}
 	}
-	_, err := db.restoreGroups(batch[:min(len(batch), maxGroups)], db.store.DownDisks(), false)
-	return len(batch) <= maxGroups, err
+	_, err := db.restoreGroups(batch[:min(len(batch), maxGroups)], down, false)
+	return gen, len(batch) <= maxGroups, err
 }
 
 // endRebuild closes a rebuild or a repair under the exclusive gate: the
-// array re-derives its health from the drives, and the store serves around
-// exactly the drives still down.
+// array re-derives its health from the drives, and the engine adopts it.
 func (db *DB) endRebuild() {
 	db.arr.FinishRebuild()
-	db.store.LeaveDegraded()
 	db.syncHealth()
 }
 

@@ -81,8 +81,8 @@ func TestRepairOfSomeDownDrives(t *testing.T) {
 	if err := db.RepairDisk(0); err != nil {
 		t.Fatal(err)
 	}
-	if got, arr := db.store.DownDisks(), db.arr.DownDisks(); !slices.Equal(got, arr) || !slices.Equal(arr, []int{1}) {
-		t.Fatalf("after repairing disk 0 the store serves around %v, the array has %v down; want [1] for both", got, arr)
+	if _, down, gen := db.arr.HealthView(); gen != db.adopted.Load() || !slices.Equal(down, []int{1}) {
+		t.Fatalf("after repairing disk 0 the array has %v down at generation %d, the engine adopted %d; want [1], adopted", down, gen, db.adopted.Load())
 	}
 	if got := rebuildTransfers(t, db); got != want {
 		t.Fatalf("the rebuild after the repair took %d transfers; a one-drive rebuild takes %d", got, want)
@@ -276,4 +276,70 @@ func TestRebuildStepRunsBesideTransactions(t *testing.T) {
 	if err := db.VerifyParity(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecoverWaitsForRebuildStep: a restart cannot land between a step's
+// last batch and the transition that ends the rebuild.  Recover re-adopts
+// the generation that batch ran under with every restored flag wiped, and
+// its degraded restart rolls the loser back around the replacement drive,
+// so a transition after it must not find the generation current and
+// declare the array Healthy over the replacement's stale blocks.  The test
+// runs a step's two halves by hand, holding rebuildMu as RebuildStep does,
+// with Crash and Recover issued in between.
+func TestRecoverWaitsForRebuildStep(t *testing.T) {
+	db, err := Open(smallConfig(PageLogging, Force, true, DataStriping))
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := loadAll(t, db)
+	if err := db.FailDisk(0); err != nil {
+		t.Fatal(err)
+	}
+	// The first step swaps the replacement in and restores one group.
+	if done, err := db.RebuildStep(1); done || err != nil {
+		t.Fatalf("first step = (%v, %v)", done, err)
+	}
+	// A loser's steals reach every drive of the restored group and skip
+	// the replacement's blocks of the others until the last batch
+	// restores them from the loser's images.
+	loser := mustBegin(t, db)
+	for p := 0; p < db.NumPages(); p += 2 {
+		if err := loser.WritePage(PageID(p), fillPage(db, byte(0x80+p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db.rebuildMu.Lock()
+	gen, last, err := db.rebuildBatch(db.NumGroups())
+	if err != nil || !last {
+		db.rebuildMu.Unlock()
+		t.Fatalf("last batch = (%v, %v)", last, err)
+	}
+	db.Crash()
+	recovered := make(chan error, 1)
+	go func() {
+		_, err := db.Recover()
+		recovered <- err
+	}()
+	select {
+	case err := <-recovered:
+		recovered <- err
+	case <-time.After(200 * time.Millisecond):
+	}
+	if done, err := db.rebuildTransition(gen); done || !errors.Is(err, ErrCrashed) {
+		t.Errorf("the step's end transition after a restart = (%v, %v), want ErrCrashed", done, err)
+	}
+	db.rebuildMu.Unlock()
+	if err := <-recovered; err != nil {
+		t.Fatal(err)
+	}
+
+	pumpRebuild(t, db)
+	if h := db.Health(); h != diskarray.Healthy {
+		t.Fatalf("health = %v, want Healthy", h)
+	}
+	if err := db.VerifyParity(); err != nil {
+		t.Fatal(err)
+	}
+	readAllTx(t, db, imgs, "after the rebuild")
 }

@@ -183,6 +183,50 @@ func TestAutoFailStopToDegraded(t *testing.T) {
 	}
 }
 
+// TestHealRetriesAfterAnotherOperationHealed: two operations fail on the
+// same dead drive, and the other one heals first.  This one must still
+// retry — the engine now serves a health generation it did not run under —
+// instead of surfacing the dead drive's error to its transaction.
+func TestHealRetriesAfterAnotherOperationHealed(t *testing.T) {
+	db, err := Open(smallConfig(PageLogging, Force, true, DataStriping))
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs := loadAll(t, db)
+	tx := mustBegin(t, db)
+	// The array sees the death; the engine has adopted nothing yet.
+	if err := db.arr.FailDisk(db.arr.DataLoc(0).Disk); err != nil {
+		t.Fatal(err)
+	}
+	attempts := 0
+	var got []byte
+	err = tx.healing(func() error {
+		attempts++
+		err := db.underGroup(0, func(h *opLatches) error {
+			f, err := db.pool.Get(0, h.guard)
+			if err != nil {
+				return err
+			}
+			defer db.pool.Unpin(0)
+			got = f.Data.Clone()
+			return nil
+		})
+		if attempts == 1 {
+			other := db.adopted.Load()
+			if !db.healWorld(&other) {
+				t.Error("the other operation adopted no generation")
+			}
+		}
+		return err
+	})
+	if err != nil || attempts != 2 {
+		t.Fatalf("read after another operation healed: %v after %d attempt(s), want served on the second", err, attempts)
+	}
+	if !bytes.Equal(got, imgs[0]) {
+		t.Fatal("the retried read served a stale image")
+	}
+}
+
 // TestSecondFailureTyped verifies the redundancy boundary: with two
 // disks down the array cannot serve, and every affected operation
 // surfaces the typed ErrArrayFailed — no panic, no fabricated data — and
@@ -431,51 +475,71 @@ func readAllTx(t *testing.T, db *DB, imgs map[PageID][]byte, when string) {
 	}
 }
 
-// TestReplacementFailureMidRebuild kills the replacement drive after the
-// rebuild has restored some groups onto it.  The restored-group flags
-// must be invalidated: the blocks restored onto the dead replacement are
-// gone again, so their groups must return to degraded serving (not
-// surface errors) and the next rebuild must reconstruct them from
-// scratch (not skip them and complete with all-zero blocks).
+// TestReplacementFailureMidRebuild kills a replacement drive after the
+// rebuild has restored some groups onto it: on twin parity the one
+// replacement, on P+Q either of the two-drive rebuild's, on both layouts.
+// The restored-group flags must be invalidated: the blocks restored onto
+// the dead replacement are gone again, so their groups must return to
+// degraded serving (not surface errors) and the next rebuild must
+// reconstruct them from scratch (not skip them and complete with all-zero
+// blocks).
 func TestReplacementFailureMidRebuild(t *testing.T) {
-	cfg := smallConfig(PageLogging, Force, true, DataStriping)
+	t.Run("twin", func(t *testing.T) {
+		replacementDiesMidRebuild(t, smallConfig(PageLogging, Force, true, DataStriping), []int{0}, 1, 0)
+	})
+	for _, layout := range []Layout{DataStriping, ParityStriping} {
+		cfg := smallConfig(PageLogging, Force, true, layout)
+		cfg.QParity = true
+		for _, victim := range []int{0, 1} {
+			t.Run(fmt.Sprintf("pq-%v-victim%d", layout, victim), func(t *testing.T) {
+				replacementDiesMidRebuild(t, cfg, []int{0, 1}, 6, victim)
+			})
+		}
+	}
+}
+
+// replacementDiesMidRebuild fails the drives dead, restores step groups
+// onto their replacements, fails the victim's replacement, and checks that
+// every page reads back between the failures and after the next rebuild,
+// with every group's parity whole.
+func replacementDiesMidRebuild(t *testing.T, cfg Config, dead []int, step, victim int) {
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	imgs := loadAll(t, db)
-	const d = 0
-	if err := db.FailDisk(d); err != nil {
-		t.Fatal(err)
+	for _, d := range dead {
+		if err := db.FailDisk(d); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	// One batch of the rebuild: the replacement is swapped in and one
-	// group is restored onto it.
-	done, err := db.RebuildStep(1)
+	// One batch of the rebuild: the replacements are swapped in and step
+	// groups are restored onto them.
+	done, err := db.RebuildStep(step)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if done {
-		t.Fatal("one group cannot be the whole disk in this geometry")
+		t.Fatalf("%d groups cannot be the whole array in this geometry", step)
 	}
-	if pr := db.RebuildProgress(); pr.RestoredGroups != 1 {
-		t.Fatalf("RestoredGroups = %d after one single-group step", pr.RestoredGroups)
+	if n := db.Stats().RebuiltGroups; n != int64(step) {
+		t.Fatalf("RebuiltGroups = %d after one %d-group step", n, step)
 	}
 
-	// The replacement dies too.  The restored group's block died with
-	// it: its restored flag must be reset so it serves degraded again.
-	if err := db.FailDisk(d); err != nil {
+	// The replacement dies too.  The restored groups' blocks died with
+	// it: their restored flags must be reset so they serve degraded again.
+	if err := db.FailDisk(victim); err != nil {
 		t.Fatal(err)
 	}
 	if h := db.Health(); h != diskarray.Degraded {
 		t.Fatalf("health = %v, want Degraded after replacement loss", h)
 	}
-	if pr := db.RebuildProgress(); pr.RestoredGroups != 0 {
-		t.Fatalf("RestoredGroups = %d, want 0 after replacement loss", pr.RestoredGroups)
+	if n := db.Stats().RebuiltGroups; n != 0 {
+		t.Fatalf("RebuiltGroups = %d, want 0 after replacement loss", n)
 	}
 	readAllTx(t, db, imgs, "between failures")
 
-	// A fresh rebuild must restore the whole disk, including the group
+	// A fresh rebuild must restore the whole drives, including the groups
 	// the aborted rebuild had already marked restored.
 	pumpRebuild(t, db)
 	if h := db.Health(); h != diskarray.Healthy {
@@ -518,8 +582,8 @@ func TestReplacementAutoFailStopMidRebuild(t *testing.T) {
 	if _, err := db.RebuildStep(1); err != nil {
 		t.Fatal(err)
 	}
-	if pr := db.RebuildProgress(); pr.RestoredGroups != 1 {
-		t.Fatalf("RestoredGroups = %d after one single-group step", pr.RestoredGroups)
+	if n := db.Stats().RebuiltGroups; n != 1 {
+		t.Fatalf("RebuiltGroups = %d after one single-group step", n)
 	}
 
 	// The replacement starts erroring on every access; the first read
@@ -530,8 +594,8 @@ func TestReplacementAutoFailStopMidRebuild(t *testing.T) {
 	if h := db.Health(); h != diskarray.Degraded {
 		t.Fatalf("health = %v, want Degraded after auto fail-stop", h)
 	}
-	if pr := db.RebuildProgress(); pr.RestoredGroups != 0 {
-		t.Fatalf("RestoredGroups = %d, want 0 after auto fail-stop of the replacement", pr.RestoredGroups)
+	if n := db.Stats().RebuiltGroups; n != 0 {
+		t.Fatalf("RebuiltGroups = %d, want 0 after auto fail-stop of the replacement", n)
 	}
 	db.SetInjector(nil)
 

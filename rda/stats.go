@@ -52,9 +52,11 @@ type Stats struct {
 	// down disk (reads reconstructed from redundancy, writes maintaining
 	// parity without the dead member); ParityRepairs counts redundancy
 	// pages (P or Q) a verified read found corrupt and rewrote in place
-	// from the group; RebuiltGroups
-	// counts groups restored by the online rebuild worker since the last
-	// disk loss.
+	// from the group; RebuiltGroups counts the groups the online rebuild
+	// has restored under the array health the engine adopted last: it
+	// restarts with every adopted health that has drives down (a disk
+	// loss, a replacement's death, a restart, the rebuild's drive swap)
+	// and keeps a finished rebuild's count once the array is healthy.
 	DegradedReads  int64
 	DegradedWrites int64
 	ParityRepairs  int64
@@ -135,8 +137,9 @@ func (db *DB) Stats() Stats {
 // taken afterwards is a delta since the reset in all of them.  Four
 // totals describe the engine's history rather than an interval and stay
 // cumulative: TxStarted, TxCommitted, TxAborted and Recoveries.
-// RebuiltGroups stays too: it is the running rebuild's progress since the
-// last disk loss and restarts with the next one.
+// RebuiltGroups stays too: it is the running rebuild's progress under the
+// adopted health generation and restarts with the next one that has
+// drives down.
 func (db *DB) ResetStats() {
 	db.gate.RLock()
 	defer db.gate.RUnlock()

@@ -3,6 +3,7 @@ package rda
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"repro/internal/buffer"
@@ -92,15 +93,17 @@ func (tx *Tx) acquire(res lock.Resource, mode lock.Mode) error {
 	}
 }
 
-// healing runs step with the engine's self-healing retry: an error that
-// trips degraded-mode entry (healWorld) runs the step again, now served
-// from redundancy.  One retry per health transition — a Q-parity array can
-// lose a second disk during the first retry — and healWorld reports true
-// only on a genuine transition, so the loop is bounded by the loss budget.
-// A crash ends the handle.
+// healing runs step with the engine's self-healing retry: an error after
+// which the engine serves an array health generation the step did not run
+// under (healWorld) runs the step again, now served as that health says —
+// from redundancy after a disk loss.  One retry per adopted generation — a
+// Q-parity array can lose a second disk during the first retry — so the
+// loop is bounded by the health changes the array makes.  A crash ends
+// the handle.
 func (tx *Tx) healing(step func() error) error {
+	seen := tx.db.adopted.Load()
 	err := step()
-	for err != nil && !errors.Is(err, ErrCrashed) && tx.db.healWorld() {
+	for err != nil && !errors.Is(err, ErrCrashed) && tx.db.healWorld(&seen) {
 		err = step()
 	}
 	if errors.Is(err, ErrCrashed) {
@@ -110,9 +113,21 @@ func (tx *Tx) healing(step func() error) error {
 }
 
 // opLatched runs one page operation under the shared gate and the page's
-// group latch, with the self-healing retry.
+// group latch, with the self-healing retry.  A miss whose every eviction
+// candidate is latched by other operations (buffer.ErrBlocked) lets the
+// latch go, yields and runs fn again: the holders may be a commit waiting
+// for this very latch.  fn's first pool.Get precedes any change it makes
+// (a record write's demotion before it is idempotent), so nothing is
+// half-done when it is blocked; and a blocked miss is no I/O error to heal.
 func (tx *Tx) opLatched(p page.PageID, fn func(h *opLatches) error) error {
-	return tx.healing(func() error { return tx.db.underGroup(p, fn) })
+	return tx.healing(func() error {
+		err := tx.db.underGroup(p, fn)
+		for errors.Is(err, buffer.ErrBlocked) {
+			runtime.Gosched()
+			err = tx.db.underGroup(p, fn)
+		}
+		return err
+	})
 }
 
 // --- Page-granularity operations (PageLogging) ----------------------------
